@@ -19,7 +19,7 @@ protocol exactly once.
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.core.accusations import VerdictLog
 from repro.core.behavior import Behavior, CorrectBehavior
@@ -109,6 +109,31 @@ class PagNode(SimNode):
         #: declarations awaiting a DeclarationAck, keyed (round, server):
         #: {"attestation", "ack", "tried": [monitor ids]}.
         self._pending_declarations: Dict[Tuple[int, int], Dict] = {}
+        #: message type -> handler, built once (on_message runs per
+        #: delivered message).
+        self._handlers: Dict[type, Callable[[Any], None]] = {
+            KeyRequest: self._on_key_request,
+            KeyResponse: self._on_key_response,
+            Serve: self._on_serve,
+            Attestation: self._on_attestation,
+            Ack: self._on_ack,
+            AckCopy: self.monitor.on_ack_copy,
+            AttestationRelay: self.monitor.on_attestation_relay,
+            AttestationRelayBatch: (
+                self.monitor.on_attestation_relay_batch
+            ),
+            MonitorBroadcast: self.monitor.on_monitor_broadcast,
+            AckRelay: self.monitor.on_ack_relay,
+            Accusation: self.monitor.on_accusation,
+            MonitorProbe: self._on_monitor_probe,
+            ProbeAck: self.monitor.on_probe_ack,
+            Confirm: self.monitor.on_confirm,
+            Nack: self.monitor.on_nack,
+            InvestigateRequest: self._on_investigate_request,
+            InvestigateResponse: self.monitor.on_investigate_response,
+            DeclarationAck: self._on_declaration_ack,
+            SelfCheck: self.monitor.on_self_check,
+        }
 
     # ------------------------------------------------------------------
     # Round lifecycle
@@ -146,29 +171,7 @@ class PagNode(SimNode):
     # ------------------------------------------------------------------
 
     def on_message(self, message: Message) -> None:
-        handler = {
-            KeyRequest: self._on_key_request,
-            KeyResponse: self._on_key_response,
-            Serve: self._on_serve,
-            Attestation: self._on_attestation,
-            Ack: self._on_ack,
-            AckCopy: self.monitor.on_ack_copy,
-            AttestationRelay: self.monitor.on_attestation_relay,
-            AttestationRelayBatch: (
-                self.monitor.on_attestation_relay_batch
-            ),
-            MonitorBroadcast: self.monitor.on_monitor_broadcast,
-            AckRelay: self.monitor.on_ack_relay,
-            Accusation: self.monitor.on_accusation,
-            MonitorProbe: self._on_monitor_probe,
-            ProbeAck: self.monitor.on_probe_ack,
-            Confirm: self.monitor.on_confirm,
-            Nack: self.monitor.on_nack,
-            InvestigateRequest: self._on_investigate_request,
-            InvestigateResponse: self.monitor.on_investigate_response,
-            DeclarationAck: self._on_declaration_ack,
-            SelfCheck: self.monitor.on_self_check,
-        }.get(type(message))
+        handler = self._handlers.get(type(message))
         if handler is not None:
             handler(message)
 
@@ -257,11 +260,13 @@ class PagNode(SimNode):
     ) -> Tuple[ServeEntry, ...]:
         """Split the forward set into payload / ack-only entries for one
         successor (sections V-A and V-D)."""
-        hasher = self.context.hasher
         ghosts_forward = self.context.config.forward_owned_ghosts
+        hashes = self.context.hasher.hash_many(
+            [update.content for update, _count in items], prime
+        )
         entries = []
-        for update, count in items:
-            owned = hasher.hash(update.content, prime) in buffermap
+        for (update, count), hashed in zip(items, hashes):
+            owned = hashed in buffermap
             expiring = update.expires_next_round(round_no)
             ack_only = expiring or (owned and not ghosts_forward)
             entries.append(
@@ -402,8 +407,9 @@ class PagNode(SimNode):
         self.state.issue_prime(round_no, predecessor, prime)
         self.context.counters.prime_generations += 1
         buffermap = frozenset(
-            self.context.hasher.hash(content, prime)
-            for content in self._buffermap_contents(round_no)
+            self.context.hasher.hash_many(
+                self._buffermap_contents(round_no), prime
+            )
         )
         response = KeyResponse(
             sender=self.node_id,

@@ -35,6 +35,7 @@ __all__ = [
     "Gmpy2Backend",
     "FixedBaseCache",
     "SharedLadderTable",
+    "window_schedule",
     "available_backends",
     "resolve_backend",
     "default_backend",
@@ -281,6 +282,28 @@ def default_backend() -> Backend:
     return _default
 
 
+def window_schedule(exponent: int, window: int) -> Tuple[int, ...]:
+    """Flat-table indices of the non-zero radix-``2^window`` digits.
+
+    The index of digit ``j`` at level ``i`` in a :class:`FixedBaseCache`
+    table is ``i * (2^window - 1) + j - 1``; indices come out ascending,
+    so the last one is the deepest entry the exponent needs.  Computed
+    once per exponent and shared by every base raised to it.
+    """
+    if exponent < 0:
+        raise ValueError("exponent must be non-negative")
+    mask = (1 << window) - 1
+    indices = []
+    offset = -1
+    while exponent:
+        digit = exponent & mask
+        if digit:
+            indices.append(offset + digit)
+        exponent >>= window
+        offset += mask
+    return tuple(indices)
+
+
 class FixedBaseCache:
     """Fixed-base exponentiation: one base raised to many exponents.
 
@@ -299,11 +322,14 @@ class FixedBaseCache:
     quarters the per-call multiplies at a table cost of 15 multiplies
     per 4 exponent bits; use it for heavily reused bases.  The table
     grows lazily with the widest exponent seen.
+
+    The table is one flat sequence, level after level: entry
+    ``i * (2^w - 1) + j - 1`` holds ``base^(j * 2^(w*i))``.  A flat
+    layout lets many bases be read through one precomputed index list
+    (:func:`window_schedule`, :meth:`powmod_scheduled`).
     """
 
-    __slots__ = (
-        "base", "modulus", "window", "_mask", "_levels", "_tops", "_capacity"
-    )
+    __slots__ = ("base", "modulus", "window", "_mask", "_table")
 
     def __init__(self, base: int, modulus: int, window: int = 1) -> None:
         if modulus <= 1:
@@ -314,12 +340,7 @@ class FixedBaseCache:
         self.modulus = modulus
         self.window = window
         self._mask = (1 << window) - 1
-        #: level i holds base^(j * 2^(w*i)) for j = 1 .. 2^w - 1.
-        self._levels: list = []
-        #: tops[i] == base^(2^(w*i)), the generator of level i.
-        self._tops: list = [self.base]
-        #: exponents below this are covered by the current levels.
-        self._capacity = 1
+        self._table: Sequence[int] = []
 
     @classmethod
     def from_shared(
@@ -327,75 +348,85 @@ class FixedBaseCache:
         base: int,
         modulus: int,
         window: int,
-        levels: Sequence[Sequence[int]],
-        tops: Sequence[int],
+        table: Tuple[int, ...],
     ) -> "FixedBaseCache":
-        """Wrap precomputed (read-only) ladder levels without rebuilding.
+        """Wrap a precomputed (read-only) flat table without rebuilding.
 
-        ``levels``/``tops`` come from a :class:`SharedLadderTable`; the
-        outer sequences are copied so lazy growth appends locally, while
-        the level tuples themselves are shared untouched — safe across
-        threads and cheap across forked processes.
+        ``table`` comes from a :class:`SharedLadderTable` and is adopted
+        by reference — no copy, safe across threads and cheap across
+        forked processes.  Lazy growth replaces it with a local list
+        (:meth:`_grow`), so the shared tuple is never touched.
         """
-        cache = cls.__new__(cls)
-        cache.base = base % modulus
-        cache.modulus = modulus
-        cache.window = window
-        cache._mask = (1 << window) - 1
-        cache._levels = list(levels)
-        cache._tops = list(tops)
-        cache._capacity = 1 << (window * len(cache._levels))
+        cache = cls(base, modulus, window)
+        cache._table = table
         return cache
 
-    def _add_level(self) -> None:
+    @property
+    def levels(self) -> int:
+        """Table depth: exponents below ``2^(window * levels)`` are covered."""
+        return len(self._table) // self._mask
+
+    def _grow(self, levels: int) -> Sequence[int]:
+        """Extend the table to at least ``levels`` levels; returns it."""
         m = self.modulus
-        top = self._tops[len(self._levels)]
-        entries = [top]
-        for _ in range(self._mask - 1):
-            entries.append(entries[-1] * top % m)
-        self._levels.append(entries)
-        # Generator of the next level: base^(2^(w*(i+1))) is the level's
-        # widest entry times its generator (j = 2^w - 1 plus j = 1).
-        self._tops.append(entries[-1] * top % m)
-        self._capacity = 1 << (self.window * len(self._levels))
+        mask = self._mask
+        table = self._table
+        if not isinstance(table, list):
+            table = self._table = list(table)
+        while len(table) < levels * mask:
+            # Generator of the next level: base^(2^(w*i)) is the previous
+            # level's widest entry times its own generator (j = 2^w - 1
+            # plus j = 1).
+            top = table[-1] * table[-mask] % m if table else self.base
+            entry = top
+            table.append(entry)
+            for _ in range(mask - 1):
+                entry = entry * top % m
+                table.append(entry)
+        return table
 
     def powmod(self, exponent: int) -> int:
         """``base ** exponent mod modulus`` using the precomputed table."""
-        if exponent < 0:
-            raise ValueError("exponent must be non-negative")
+        return self.powmod_scheduled(window_schedule(exponent, self.window))
+
+    def powmod_scheduled(self, schedule: Sequence[int]) -> int:
+        """``base ** e mod modulus`` for ``schedule = window_schedule(e, w)``.
+
+        The shared-exponent kernel: the caller decomposes the exponent
+        once and every base only walks the index list — the first factor
+        is taken as is, capacity is checked once against the deepest
+        index, and no digit is re-derived.
+        """
+        if not schedule:
+            return 1
+        table = self._table
+        if schedule[-1] >= len(table):
+            table = self._grow(schedule[-1] // self._mask + 1)
         m = self.modulus
-        w = self.window
-        mask = self._mask
-        levels = self._levels
-        while exponent >= self._capacity:
-            self._add_level()
-        acc = 1
-        i = 0
-        while exponent:
-            digit = exponent & mask
-            if digit:
-                acc = acc * levels[i][digit - 1] % m
-            exponent >>= w
-            i += 1
-        return acc % m
+        indices = iter(schedule)
+        acc = table[next(indices)]
+        for index in indices:
+            acc = acc * table[index] % m
+        return acc
 
 
 class SharedLadderTable:
-    """Precomputed, read-only fixed-base ladder levels for hot bases.
+    """Precomputed, read-only fixed-base tables for hot bases.
 
     A :class:`FixedBaseCache` is rebuilt from scratch by every hasher
     that meets a base — which means every worker replica of a parallel
     run rebuilds *identical* tables for the session-lifetime bases (the
     deterministic update contents a stream schedule will release).  This
-    table holds those levels once, built in the parent before the worker
-    pools start: process workers inherit the pages for free on fork, and
-    the structure is plain tuples of ints so it pickles cleanly for
+    table holds them once, built in the parent before the worker pools
+    start: process workers inherit the pages for free on fork, and the
+    structure is plain tuples of ints so it pickles cleanly for
     spawn/thread modes (it travels with the session bootstrap).
 
     Entries are keyed by the raw base value exactly as hashers see it
-    (update contents are *not* pre-reduced), and every level is an
-    immutable tuple — adopters copy only the outer list, so concurrent
-    readers can never observe a mutation.
+    (update contents are *not* pre-reduced), and every table is one
+    immutable flat tuple in :class:`FixedBaseCache` layout — adopters
+    hold it by reference, so concurrent readers can never observe a
+    mutation.
     """
 
     __slots__ = ("modulus", "window", "_entries")
@@ -404,7 +435,7 @@ class SharedLadderTable:
         self,
         modulus: int,
         window: int,
-        entries: Dict[int, Tuple[tuple, tuple]],
+        entries: Dict[int, Tuple[int, ...]],
     ) -> None:
         if modulus <= 1:
             raise ValueError("modulus must exceed 1")
@@ -412,8 +443,8 @@ class SharedLadderTable:
             raise ValueError("window must be at least 1 bit")
         self.modulus = modulus
         self.window = window
-        #: base -> (levels, tops): levels as tuples of tuples, tops as a
-        #: tuple, both directly adoptable by FixedBaseCache.from_shared.
+        #: base -> flat table, directly adoptable by
+        #: FixedBaseCache.from_shared.
         self._entries = entries
 
     @classmethod
@@ -424,7 +455,7 @@ class SharedLadderTable:
         window: int = 4,
         capacity_bits: int = 64,
     ) -> "SharedLadderTable":
-        """Precompute ladder levels covering ``capacity_bits`` exponents.
+        """Precompute tables covering ``capacity_bits`` exponents.
 
         Args:
             bases: base values (deduplicated; stored under the raw,
@@ -432,7 +463,7 @@ class SharedLadderTable:
             modulus: the session modulus.
             window: radix width (4 matches the hasher's choice for the
                 narrow per-link prime exponents).
-            capacity_bits: widest exponent the shared levels must cover;
+            capacity_bits: widest exponent the shared tables must cover;
                 wider exponents grow locally in the adopting cache.
         """
         levels_needed = max(1, -(-capacity_bits // window))
@@ -440,20 +471,15 @@ class SharedLadderTable:
         for base in bases:
             if base in entries:
                 continue
-            # Reuse FixedBaseCache's own (tested) level construction and
+            # Reuse FixedBaseCache's own (tested) table construction and
             # freeze the result, so the shared layout can never drift
             # from what from_shared adopters expect.
             cache = FixedBaseCache(base, modulus, window=window)
-            for _ in range(levels_needed):
-                cache._add_level()
-            entries[base] = (
-                tuple(tuple(level) for level in cache._levels),
-                tuple(cache._tops),
-            )
+            entries[base] = tuple(cache._grow(levels_needed))
         return cls(modulus, window, entries)
 
-    def get(self, base: int) -> Optional[Tuple[tuple, tuple]]:
-        """``(levels, tops)`` for ``base``, or None when not tabled."""
+    def get(self, base: int) -> Optional[Tuple[int, ...]]:
+        """The flat table for ``base``, or None when not tabled."""
         return self._entries.get(base)
 
     def __contains__(self, base: int) -> bool:

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, List, Optional, Sequence
 
 from repro.crypto.backend import (
     Backend,
@@ -37,6 +37,7 @@ from repro.crypto.backend import (
     PythonBackend,
     SharedLadderTable,
     default_backend,
+    window_schedule,
 )
 from repro.crypto.primes import generate_prime, is_prime, product
 
@@ -74,6 +75,11 @@ _FIXED_BASE_MAX = 1024
 #: wide exponents over a narrow simulation modulus, built-in pow wins.
 _SMALL_EXPONENT_BITS = 64
 _WIDE_MODULUS_BITS = 256
+
+#: Window of the tables built for narrow exponents (many reuses, a
+#: quarter of the multiplies); :meth:`HomomorphicHasher.hash_many`
+#: decomposes its exponent once at this width.
+_NARROW_WINDOW = 4
 
 
 def make_modulus(bits: int, rng: random.Random) -> int:
@@ -224,6 +230,44 @@ class HomomorphicHasher:
         memo[key] = result
         return result
 
+    def hash_many(self, updates: Iterable[int], exponent: int) -> List[int]:
+        """``[hash(u, exponent) for u in updates]`` in one call.
+
+        The membership hashes of one link — B's buffermap (message 2 of
+        Fig. 5) and A's ownership test of its forward set — raise many
+        update contents to the *same* fresh prime.  For a narrow
+        exponent the window digits are derived once and every tabled
+        base only walks the shared index schedule; counters are settled
+        once per batch.  Values, counters and cache evolution are
+        exactly those of the per-item loop: a first sighting is a cold
+        ``pow``, a second builds the table, evictions happen in order.
+        Wide exponents and backends without the table fast path simply
+        run :meth:`hash` per item.
+        """
+        if exponent <= 0:
+            raise ValueError("hash exponent must be positive")
+        if not self._use_fixed_base or (
+            exponent.bit_length() > _SMALL_EXPONENT_BITS
+        ):
+            return [self.hash(update, exponent) for update in updates]
+        schedule = window_schedule(exponent, _NARROW_WINDOW)
+        fixed_bases = self._fixed_bases
+        results = []
+        hits = 0
+        for update in updates:
+            cache = fixed_bases.get(update)
+            if cache is None:
+                results.append(self._warm_base(update, exponent))
+                continue
+            hits += 1
+            if cache.window == _NARROW_WINDOW:
+                results.append(cache.powmod_scheduled(schedule))
+            else:
+                results.append(cache.powmod(exponent))
+        self.operations += len(results)
+        self.fixed_base_hits += hits
+        return results
+
     def hash_class(
         self, update: int, exponent: int, members: int = 1
     ) -> int:
@@ -261,7 +305,7 @@ class HomomorphicHasher:
                 if len(self._fixed_bases) >= self.fixed_base_max:
                     self._evict(self._fixed_bases)
                 cache = FixedBaseCache.from_shared(
-                    update, self.modulus, shared.window, *entry
+                    update, self.modulus, shared.window, entry
                 )
                 self._fixed_bases[update] = cache
                 self.fixed_base_hits += 1
@@ -272,7 +316,9 @@ class HomomorphicHasher:
             if len(self._fixed_bases) >= self.fixed_base_max:
                 self._evict(self._fixed_bases)
             window = (
-                4 if exponent.bit_length() <= _SMALL_EXPONENT_BITS else 1
+                _NARROW_WINDOW
+                if exponent.bit_length() <= _SMALL_EXPONENT_BITS
+                else 1
             )
             cache = FixedBaseCache(update, self.modulus, window=window)
             self._fixed_bases[update] = cache

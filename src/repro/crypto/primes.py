@@ -49,6 +49,10 @@ _DETERMINISTIC_WITNESSES = (
     (341531, (9345883071009581737,)),
     (1050535501, (336781006125, 9639812373923155)),
     (3215031751, (2, 3, 5, 7)),
+    # Jaeschke: {2, 7, 61} is exact below 4,759,123,141 — every 32-bit
+    # simulation prime (top two bits set, so >= 3,221,225,472) lands
+    # here instead of paying the nine-witness row.
+    (4759123141, (2, 7, 61)),
     (3825123056546413051, (2, 3, 5, 7, 11, 13, 17, 19, 23)),
     (318665857834031151167461, (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)),
 )

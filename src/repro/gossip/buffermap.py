@@ -70,9 +70,7 @@ class HashedBuffermap:
         prime: int,
     ) -> "HashedBuffermap":
         """Hash each owned update's content under the link prime."""
-        return cls(
-            hashes=frozenset(hasher.hash(c, prime) for c in contents)
-        )
+        return cls(hashes=frozenset(hasher.hash_many(contents, prime)))
 
     def filter_unknown(
         self,
@@ -86,11 +84,7 @@ class HashedBuffermap:
         can check if the updates in S_A are not in S_B, and thus avoid to
         send them, as node B already owns them" (section V-A).
         """
-        return [
-            u
-            for u in candidates
-            if hasher.hash(u.content, prime) not in self.hashes
-        ]
+        return self.split_known(hasher, candidates, prime)[0]
 
     def split_known(
         self,
@@ -99,10 +93,12 @@ class HashedBuffermap:
         prime: int,
     ) -> tuple[List[Update], List[Update]]:
         """Partition candidates into (unknown-to-peer, already-owned)."""
+        candidates = list(candidates)
+        hashes = hasher.hash_many([u.content for u in candidates], prime)
         unknown: List[Update] = []
         known: List[Update] = []
-        for u in candidates:
-            if hasher.hash(u.content, prime) in self.hashes:
+        for u, hashed in zip(candidates, hashes):
+            if hashed in self.hashes:
                 known.append(u)
             else:
                 unknown.append(u)

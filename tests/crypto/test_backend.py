@@ -233,6 +233,6 @@ def test_fixed_base_cache_rejects_bad_parameters():
 def test_fixed_base_cache_table_grows_lazily():
     cache = FixedBaseCache(3, 1 << 61, window=4)
     cache.powmod(15)
-    small_levels = len(cache._levels)
+    small_levels = cache.levels
     cache.powmod(1 << 300)
-    assert len(cache._levels) > small_levels
+    assert cache.levels > small_levels

@@ -1,0 +1,257 @@
+"""``HomomorphicHasher.hash_many`` against the per-item loop it replaces.
+
+The batch entry point is the only way the node builds a buffermap and
+classifies a forward set, so its contract is strict equivalence with
+``[hash(b, e) for b in bases]``: the same values, the same movement of
+every counter ``cache_stats`` partitions ``operations`` into, and the
+same cache evolution (which bases hold a table, in which eviction
+order).  Each test drives two hashers over one modulus — one through
+the batch call, one through the loop — and compares them after every
+step.
+"""
+
+import random
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.crypto.backend import (
+    FixedBaseCache,
+    Gmpy2Backend,
+    PythonBackend,
+    SharedLadderTable,
+    gmpy2_available,
+    window_schedule,
+)
+from repro.crypto.homomorphic import HomomorphicHasher, make_modulus
+from repro.crypto.primes import PrimePool
+
+COUNTERS = (
+    "operations",
+    "memo_hits",
+    "fixed_base_hits",
+    "cold_powmods",
+    "batched_lifts",
+    "shared_ladder_seeds",
+)
+
+MODULUS_128 = make_modulus(128, random.Random(2016))
+MODULUS_512 = make_modulus(512, random.Random(2017))
+
+
+def _pair(modulus=MODULUS_128, backend=None, table=None, **bounds):
+    """(batch, loop): two identically configured hashers."""
+    hashers = []
+    for _ in range(2):
+        hasher = HomomorphicHasher(
+            modulus=modulus, backend=backend or PythonBackend(), **bounds
+        )
+        hasher.adopt_shared_ladders(table)
+        hashers.append(hasher)
+    return hashers
+
+
+def _state(hasher):
+    return (
+        {name: getattr(hasher, name) for name in COUNTERS},
+        # insertion order is the eviction order
+        [(base, c.window) for base, c in hasher._fixed_bases.items()],
+        set(hasher._hot_candidates),
+        list(hasher._memo.items()),
+    )
+
+
+def _step(batch, loop, bases, exponent):
+    """One batch on each side; values, counters and caches must agree."""
+    got = batch.hash_many(bases, exponent)
+    want = [loop.hash(base, exponent) for base in bases]
+    assert got == want
+    assert want == [pow(base, exponent, loop.modulus) for base in bases]
+    assert _state(batch) == _state(loop)
+    stats = batch.cache_stats()
+    assert batch.operations == (
+        stats["memo_hits"]
+        + stats["fixed_base_hits"]
+        + stats["cold_powmods"]
+        + stats["batched_lifts"]
+    )
+
+
+def _primes(count, seed, bits=32):
+    return PrimePool(bits, random.Random(seed)).take_many(count)
+
+
+def _contents(count, seed, bits=1024):
+    rng = random.Random(seed)
+    return [rng.getrandbits(bits) | 1 for _ in range(count)]
+
+
+def test_first_second_and_later_sightings():
+    batch, loop = _pair()
+    bases = _contents(12, seed=1)
+    p1, p2, p3 = _primes(3, seed=1)
+    _step(batch, loop, bases, p1)  # first sighting: cold pow each
+    assert batch.cold_powmods == 12 and batch.fixed_base_hits == 0
+    _step(batch, loop, bases, p2)  # second: builds the tables
+    assert batch.cold_powmods == 24 and len(batch._fixed_bases) == 12
+    _step(batch, loop, bases, p3)  # from here on: table hits
+    assert batch.cold_powmods == 24 and batch.fixed_base_hits == 12
+    assert batch.operations == 36
+
+
+def test_batch_that_crosses_the_eviction_bound():
+    batch, loop = _pair(fixed_base_max=4)
+    bases = _contents(10, seed=2)
+    for prime in _primes(6, seed=2):
+        _step(batch, loop, bases, prime)
+        assert len(batch._fixed_bases) <= 4
+    # A shuffled batch meets evicted and tabled bases interleaved.
+    random.Random(2).shuffle(bases)
+    for prime in _primes(3, seed=22):
+        _step(batch, loop, bases, prime)
+
+
+def test_adopted_shared_ladder_table():
+    bases = _contents(8, seed=3)
+    table = SharedLadderTable.build(
+        bases[:5], MODULUS_128, window=4, capacity_bits=32
+    )
+    batch, loop = _pair(table=table)
+    for prime in _primes(3, seed=3):
+        _step(batch, loop, bases, prime)
+    assert batch.shared_ladder_seeds == 5
+    # Shared tables narrower than the exponent grow locally, not in place.
+    wide_prime = _primes(1, seed=33, bits=48)[0]
+    _step(batch, loop, bases, wide_prime)
+    assert all(len(table.get(base)) == 8 * 15 for base in bases[:5])
+
+
+def test_adopted_table_of_another_window():
+    bases = _contents(4, seed=4)
+    table = SharedLadderTable.build(
+        bases, MODULUS_128, window=3, capacity_bits=32
+    )
+    batch, loop = _pair(table=table)
+    for prime in _primes(2, seed=4):
+        _step(batch, loop, bases, prime)
+    assert batch.fixed_base_hits == 8
+
+
+def test_repeated_bases_inside_one_batch():
+    batch, loop = _pair()
+    a, b, c = _contents(3, seed=5)
+    prime, other = _primes(2, seed=5)
+    # a: cold, then table build, then two hits — all inside one call.
+    _step(batch, loop, [a, b, a, a, c, a, b], prime)
+    assert batch.fixed_base_hits == 2 and batch.cold_powmods == 5
+    _step(batch, loop, [c, c, c], other)
+
+
+def test_empty_batch_moves_nothing():
+    batch, loop = _pair()
+    before = _state(batch)
+    assert batch.hash_many([], 65537) == []
+    assert batch.hash_many(iter(()), (1 << 200) + 1) == []
+    assert _state(batch) == before == _state(loop)
+
+
+@pytest.mark.parametrize(
+    "modulus", [MODULUS_128, MODULUS_512], ids=["m128", "m512"]
+)
+def test_wide_exponents_take_the_per_item_path(modulus):
+    batch, loop = _pair(modulus=modulus, memo_max=8)
+    bases = _contents(6, seed=6)
+    wide = _primes(3, seed=6, bits=512)
+    for prime in wide + wide[-1:]:  # the repeat is answered by the memo
+        _step(batch, loop, bases, prime)
+    assert batch.memo_hits > 0
+    # Narrow batches after wide ones: at a 512-bit modulus the bases now
+    # hold 1-bit ladders, which the narrow kernel must read correctly.
+    for prime in _primes(3, seed=66):
+        _step(batch, loop, bases + _contents(2, seed=67), prime)
+
+
+@pytest.mark.parametrize("exponent", [0, -1, -(1 << 70)])
+def test_non_positive_exponent_raises_before_any_counter_moves(exponent):
+    batch, loop = _pair()
+    bases = _contents(3, seed=7)
+    _step(batch, loop, bases, 65537)
+    before = _state(batch)
+    with pytest.raises(ValueError, match="positive"):
+        batch.hash_many(bases, exponent)
+    with pytest.raises(ValueError, match="positive"):
+        batch.hash_many([], exponent)
+    assert _state(batch) == before
+
+
+@pytest.mark.skipif(not gmpy2_available(), reason="gmpy2 not installed")
+def test_gmpy2_backend_batches_like_the_loop():
+    batch, loop = _pair(backend=Gmpy2Backend())
+    bases = _contents(6, seed=8)
+    for prime in _primes(3, seed=8) + _primes(2, seed=88, bits=512):
+        _step(batch, loop, bases, prime)
+    # gmpy2 never tables a base: every narrow call is a cold powmod.
+    assert batch.fixed_base_hits == 0 and not batch._fixed_bases
+
+
+@given(
+    data=st.data(),
+    fixed_base_max=st.integers(min_value=1, max_value=6),
+    share=st.booleans(),
+)
+@settings(max_examples=60, deadline=None)
+def test_batch_equals_loop_on_random_schedules(data, fixed_base_max, share):
+    pool = _contents(9, seed=9, bits=256)
+    table = (
+        SharedLadderTable.build(
+            pool[:3], MODULUS_128, window=4, capacity_bits=16
+        )
+        if share
+        else None
+    )
+    batch, loop = _pair(
+        table=table, fixed_base_max=fixed_base_max, memo_max=4
+    )
+    exponents = st.one_of(
+        st.integers(min_value=1, max_value=(1 << 64) + 5),
+        st.integers(min_value=1, max_value=1 << 16),
+        st.integers(min_value=1 << 64, max_value=1 << 130),
+    )
+    steps = data.draw(
+        st.lists(
+            st.tuples(
+                st.lists(st.sampled_from(pool), max_size=12), exponents
+            ),
+            min_size=1,
+            max_size=8,
+        )
+    )
+    for bases, exponent in steps:
+        _step(batch, loop, bases, exponent)
+
+
+@given(
+    base=st.integers(min_value=0, max_value=1 << 300),
+    modulus=st.integers(min_value=2, max_value=1 << 200),
+    window=st.integers(min_value=1, max_value=6),
+    exponents=st.lists(
+        st.integers(min_value=0, max_value=1 << 140), min_size=1, max_size=6
+    ),
+)
+@settings(max_examples=60, deadline=None)
+def test_scheduled_powmod_matches_pow(base, modulus, window, exponents):
+    cache = FixedBaseCache(base, modulus, window=window)
+    for exponent in exponents:
+        schedule = window_schedule(exponent, window)
+        assert list(schedule) == sorted(set(schedule))
+        assert cache.powmod_scheduled(schedule) == pow(base, exponent, modulus)
+        assert cache.powmod(exponent) == pow(base, exponent, modulus)
+
+
+def test_window_schedule_rejects_negative_exponents():
+    with pytest.raises(ValueError):
+        window_schedule(-1, 4)
+    assert window_schedule(0, 4) == ()
+    # 0x3 at level 1 (offset 15), 0x1 at level 0: indices 0 and 15 + 2.
+    assert window_schedule(0x31, 4) == (0, 17)

@@ -134,7 +134,7 @@ def test_shared_table_adoption_matches_pow():
     for base in bases:
         assert base in table
         cache = FixedBaseCache.from_shared(
-            base, modulus, table.window, *table.get(base)
+            base, modulus, table.window, table.get(base)
         )
         for exponent in (0, 1, 5, (1 << 31) + 7, (1 << 200) + 3):
             assert cache.powmod(exponent) == pow(base, exponent, modulus)
@@ -151,15 +151,16 @@ def test_shared_levels_are_isolated_across_adopters():
     table = SharedLadderTable.build(
         [base], modulus, window=4, capacity_bits=16
     )
-    levels, tops = table.get(base)
-    shared_depth = len(levels)
-    one = FixedBaseCache.from_shared(base, modulus, 4, levels, tops)
-    two = FixedBaseCache.from_shared(base, modulus, 4, levels, tops)
+    shared = table.get(base)
+    one = FixedBaseCache.from_shared(base, modulus, 4, shared)
+    two = FixedBaseCache.from_shared(base, modulus, 4, shared)
+    shared_depth = two.levels
     wide = (1 << 100) + 17
     assert one.powmod(wide) == pow(base, wide, modulus)
     # one grew locally; the shared entry and the sibling did not.
-    assert len(table.get(base)[0]) == shared_depth
-    assert len(two._levels) == shared_depth
+    assert one.levels > shared_depth
+    assert table.get(base) is shared and len(shared) == shared_depth * 15
+    assert two.levels == shared_depth
     assert two.powmod(wide) == pow(base, wide, modulus)
 
 

@@ -6,9 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.crypto import primes as primes_module
 from repro.crypto.primes import (
     SMALL_PRIMES,
     PrimePool,
+    _sieve_small_primes,
     generate_distinct_primes,
     generate_prime,
     is_prime,
@@ -190,3 +192,91 @@ class TestPrimePool:
         assert len(set(drawn)) == 11
         with pytest.raises(RuntimeError, match="exhausted"):
             pool.take()
+
+
+# ---------------------------------------------------------------------------
+# The {2, 7, 61} witness row: 32-bit simulation primes have their top two
+# bits set, so they sit just above the {2, 3, 5, 7} bound and used to pay
+# the nine-witness row.
+# ---------------------------------------------------------------------------
+
+_NINE_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23)
+_JAESCHKE_BOUND = 4_759_123_141
+
+
+def _verdict(n, witnesses):
+    """Miller-Rabin on ``n`` against exactly ``witnesses``."""
+    d, r = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        r += 1
+    return not any(
+        primes_module._miller_rabin_witness(n, a, d, r) for a in witnesses
+    )
+
+
+def _trial_division_is_prime(n, small=_sieve_small_primes(69_000)):
+    return all(n % p for p in small if p * p <= n)
+
+
+def test_32_bit_sim_primes_take_the_three_witness_row():
+    rows = dict(primes_module._DETERMINISTIC_WITNESSES)
+    assert rows[_JAESCHKE_BOUND] == (2, 7, 61)
+    bounds = [bound for bound, _ in primes_module._DETERMINISTIC_WITNESSES]
+    assert bounds == sorted(bounds)
+    lowest, highest = (0b11 << 30) | 1, (1 << 32) - 1
+    assert 3_215_031_751 <= lowest and highest < _JAESCHKE_BOUND
+
+
+def test_three_witness_row_agrees_with_the_old_row_on_sieve_windows():
+    """Every odd candidate of a few 256-wide windows, sieved or not."""
+    rng = random.Random(2016)
+    for _ in range(6):
+        base = rng.getrandbits(32) | (0b11 << 30) | 1
+        for n in range(base, min(base + 512, 1 << 32), 2):
+            truth = _trial_division_is_prime(n)
+            assert _verdict(n, (2, 7, 61)) == truth, n
+            assert _verdict(n, _NINE_WITNESSES) == truth, n
+            assert primes_module._miller_rabin(n, None) == truth, n
+
+
+def test_three_witness_row_rejects_strong_pseudoprimes_below_its_bound():
+    """Composites that fool some of the bases 2, 3, 5, 7 — including
+    3,215,031,751, which fools all four — fool neither row."""
+    fooled = [3_215_031_751]  # = 151 * 751 * 28351, psi_4
+    # (k + 1)(2k + 1) with both factors prime is the classic family of
+    # strong pseudoprimes; keep those inside the row's range that fool
+    # at least one of the old small bases.
+    for k in range(40_000, 48_800, 2):
+        p, q = k + 1, 2 * k + 1
+        n = p * q
+        if not 3_215_031_751 <= n < _JAESCHKE_BOUND:
+            continue
+        if not (_trial_division_is_prime(p) and _trial_division_is_prime(q)):
+            continue
+        if any(_verdict(n, (a,)) for a in (2, 3, 5, 7)):
+            fooled.append(n)
+    assert len(fooled) > 10
+    assert _verdict(3_215_031_751, (2, 3, 5, 7))
+    for n in fooled:
+        assert not _verdict(n, (2, 7, 61)), n
+        assert not _verdict(n, _NINE_WITNESSES), n
+        assert not primes_module._miller_rabin(n, None), n
+
+
+def test_new_row_moves_no_prime_and_no_rng_draw(monkeypatch):
+    new_rng = random.Random(77)
+    new = PrimePool(32, new_rng).take_many(400)
+    monkeypatch.setattr(
+        primes_module,
+        "_DETERMINISTIC_WITNESSES",
+        tuple(
+            row
+            for row in primes_module._DETERMINISTIC_WITNESSES
+            if row[0] != _JAESCHKE_BOUND
+        ),
+    )
+    old_rng = random.Random(77)
+    old = PrimePool(32, old_rng).take_many(400)
+    assert new == old
+    assert new_rng.getstate() == old_rng.getstate()
