@@ -18,7 +18,8 @@ setup(
         # hashing at the paper's 512-bit sizes (auto-detected at
         # import; see PERFORMANCE.md).
         "fast": ["gmpy2>=2.1"],
-        # numpy accelerates CDF aggregation over large memberships.
+        # numpy carries the population tier (repro.sim.population and
+        # its columnar spill); nothing else imports it.
         "analysis": ["numpy>=1.24"],
         "dev": ["pytest", "pytest-benchmark", "hypothesis"],
     },

@@ -10,17 +10,14 @@ Usage::
     python -m repro watch tcp://127.0.0.1:PORT [--raw]
     python -m repro ctl tcp://127.0.0.1:PORT churn --node 5
     python -m repro verify [--fanout F]
-    python -m repro bench [--out BENCH_hotpath.json] [--quick]
     python -m repro lint [PATHS ...] [--rules] [--no-wire-check]
 
 ``run --scenario NAME`` dispatches through the scenario registry; when
 the name has a registered paper renderer (``fig7``..``table2``,
 ``detect``) the figure/table is printed next to the paper's reference
-values.  The legacy verbs (``repro fig7`` etc.) remain as thin
-deprecated aliases: identical stdout, plus a pointer on stderr.
-``serve``/``watch``/``ctl`` expose the supervised service mode — a
-live session with health, an NDJSON event stream, and operator control
-applied at round boundaries (see repro.service).
+values.  ``serve``/``watch``/``ctl`` expose the supervised service
+mode — a live session with health, an NDJSON event stream, and
+operator control applied at round boundaries (see repro.service).
 """
 
 from __future__ import annotations
@@ -167,36 +164,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--verbose", action="store_true", help="include paper references"
     )
 
-    detect = sub.add_parser(
-        "detect",
-        help="deprecated alias for 'run --scenario detect'",
-    )
-    detect.add_argument(
-        "--strategy",
-        choices=sorted(_STRATEGIES),
-        default=None,
-    )
-    detect.add_argument("--nodes", type=int, default=None)
-    detect.add_argument("--rounds", type=int, default=None)
-
-    for name, help_text in [
-        ("fig7", "bandwidth CDF, PAG vs AcTinG"),
-        ("fig8", "bandwidth vs update size"),
-        ("fig9", "scalability 10^3..10^6 nodes"),
-        ("fig10", "privacy under coalitions"),
-        ("table1", "crypto operations per second"),
-        ("table2", "sustainable video quality per link"),
-    ]:
-        p = sub.add_parser(
-            name,
-            help=f"deprecated alias for 'run --scenario {name}': "
-            f"{help_text}",
-        )
-        if name == "fig7":
-            p.add_argument("--nodes", type=int, default=None)
-            p.add_argument("--rounds", type=int, default=None)
-            _add_policy_flags(p)
-
     verify = sub.add_parser(
         "verify", help="symbolic verification of privacy property P1"
     )
@@ -206,28 +173,6 @@ def build_parser() -> argparse.ArgumentParser:
         "export", help="write every figure/table series as CSV/JSON"
     )
     export.add_argument("--out", default="results")
-
-    bench = sub.add_parser(
-        "bench", help="hot-path throughput benchmark (BENCH_hotpath.json)"
-    )
-    bench.add_argument("--out", default="BENCH_hotpath.json")
-    bench.add_argument(
-        "--quick", action="store_true",
-        help="short time boxes (smoke-test scale)",
-    )
-    bench.add_argument("--nodes", type=int, default=40)
-    bench.add_argument("--rounds", type=int, default=8)
-    bench.add_argument(
-        "--section",
-        action="append",
-        default=None,
-        metavar="NAME",
-        help=(
-            "re-time only this report section (repeatable; e.g. "
-            "--section population); other sections are kept from the "
-            "existing --out file instead of being re-measured"
-        ),
-    )
 
     lint = sub.add_parser(
         "lint",
@@ -542,57 +487,6 @@ def _cmd_scenarios(args) -> int:
     return 0
 
 
-def _deprecated_alias(alias: str, scenario: str) -> None:
-    """Point the operator at the registry verb (on stderr, so alias
-    stdout stays byte-identical to ``run --scenario``)."""
-    print(
-        f"note: 'repro {alias}' is a deprecated alias; use "
-        f"'repro run --scenario {scenario}'",
-        file=sys.stderr,
-    )
-
-
-def _cmd_detect(args) -> int:
-    _deprecated_alias("detect", "detect")
-    from repro.scenarios.figures import render_scenario_run
-
-    return render_scenario_run(
-        "detect",
-        nodes=args.nodes,
-        rounds=args.rounds,
-        strategy=args.strategy,
-    )
-
-
-def _cmd_fig7(args) -> int:
-    _deprecated_alias("fig7", "fig7")
-    from repro.scenarios.figures import render_scenario_run
-
-    return render_scenario_run(
-        "fig7",
-        nodes=args.nodes,
-        rounds=args.rounds,
-        execution_policy=_policy_from(args),
-    )
-
-
-def _make_alias_cmd(name: str):
-    def handler(args) -> int:
-        _deprecated_alias(name, name)
-        from repro.scenarios.figures import render_scenario_run
-
-        return render_scenario_run(name)
-
-    return handler
-
-
-_cmd_fig8 = _make_alias_cmd("fig8")
-_cmd_fig9 = _make_alias_cmd("fig9")
-_cmd_fig10 = _make_alias_cmd("fig10")
-_cmd_table1 = _make_alias_cmd("table1")
-_cmd_table2 = _make_alias_cmd("table2")
-
-
 def _cmd_verify(args) -> int:
     from repro.verifier import case1_network_attacker, f_coalition_attack
 
@@ -606,107 +500,6 @@ def _cmd_verify(args) -> int:
         f"{victim.prime_derivable}"
     )
     return 0 if ok and victim.prime_derivable else 1
-
-
-def _cmd_bench(args) -> int:
-    from repro.analysis.hotpath import run_hotpath_bench
-
-    report = run_hotpath_bench(
-        out_path=args.out,
-        quick=args.quick,
-        engine_nodes=args.nodes,
-        engine_rounds=args.rounds,
-        sections=args.section,
-    )
-    # With --section only the selected sections are re-measured; keys
-    # absent from the merged report are simply not printed.
-    print(f"Hot-path throughput [{report['backend']} backend]")
-    if "hashes_per_s" in report:
-        hashes = report["hashes_per_s"]
-        print(f"  hashes/s 256-bit : {hashes['256']:>12,.0f}")
-        print(f"  hashes/s 512-bit : {hashes['512']:>12,.0f}")
-    if "rekey_fixed_base_per_s" in report:
-        print(
-            "  rekeys/s 512-bit : "
-            f"{report['rekey_fixed_base_per_s']['512']:>12,.0f}"
-        )
-    if "primes_per_s" in report:
-        print(
-            f"  primes/s 512-bit : {report['primes_per_s']['512']:>12,.1f}"
-        )
-    if "engine" in report:
-        engine = report["engine"]
-        print(
-            f"  engine rounds/s  : {engine['rounds_per_s']:>12,.2f} "
-            f"({engine['nodes']} nodes)"
-        )
-        cache = engine["cache"]
-        print(
-            f"  hash cache hits  : {cache['memo_hit_rate']:>12.1%} memo, "
-            f"{cache['fixed_base_hit_rate']:.1%} fixed-base"
-        )
-    if "meter_cdf" in report:
-        meter = report["meter_cdf"]
-        print(
-            f"  meter CDF aggs/s : {meter['columnar_per_s']:>12,.0f} "
-            f"({meter['speedup']:.1f}x over dict probes)"
-        )
-    if "meter_matrix" in report:
-        matrix = report["meter_matrix"]
-        print(
-            f"  meter matrix     : {matrix['vectorized_per_s']:>12,.0f} "
-            f"aggs/s ({matrix['speedup']:.1f}x over columnar at "
-            f"{matrix['nodes']}x{matrix['rounds']})"
-        )
-    if "parallel" in report:
-        parallel = report["parallel"]
-        print(
-            f"  parallel scaling : {parallel['scenario']} "
-            f"({parallel['nodes']} nodes, {parallel['cpu_count']} cpu) — "
-            f"serial {parallel['serial_rounds_per_s']:.2f} rounds/s"
-        )
-        for row in parallel["rows"]:
-            print(
-                f"    {row['workers']} workers       : "
-                f"{row['wall_rounds_per_s']:>8.2f} rounds/s wall "
-                f"({row['speedup_wall']:.2f}x), "
-                f"{row['projected_multicore_rounds_per_s']:.2f} projected "
-                f"multicore ({row['speedup_projected_multicore']:.2f}x)"
-            )
-    if "batch_verify" in report:
-        for row in report["batch_verify"]["primitive"]:
-            print(
-                f"  batched fold k={row['pairs']:<2} : "
-                f"{row['speedup']:.2f}x over per-pair pow "
-                f"({row['batched_folds_per_s']:,.1f} folds/s)"
-            )
-    if "shared_ladder" in report:
-        ladder = report["shared_ladder"]
-        print(
-            "  shared ladder    : "
-            f"{ladder['worker_cpu_saved_fraction']:.1%} "
-            f"worker CPU saved on {ladder['scenario']} "
-            f"({ladder['workers']} workers)"
-        )
-    if "population" in report:
-        population = report["population"]
-        print(
-            f"  population tier  : {population['nodes_per_sec']:>12,.0f} "
-            f"nodes/s ({population['population']:,} nodes, "
-            f"{population['rounds']} rounds, "
-            f"{population['peak_rss_mb']:.0f} MiB peak RSS)"
-        )
-    if "service_hooks" in report:
-        hooks = report["service_hooks"]
-        print(
-            "  service hooks    : "
-            f"{hooks['idle_tick_ns']:,.0f} ns idle tick "
-            f"({hooks['idle_overhead_fraction']:.4%} of a round; "
-            f"{hooks['subscribed_overhead_fraction']:.4%} with a "
-            "subscriber)"
-        )
-    print(f"  written          : {args.out}")
-    return 0
 
 
 def _cmd_lint(args) -> int:
@@ -989,16 +782,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     handler = {
         "run": _cmd_run,
         "scenarios": _cmd_scenarios,
-        "detect": _cmd_detect,
-        "fig7": _cmd_fig7,
-        "fig8": _cmd_fig8,
-        "fig9": _cmd_fig9,
-        "fig10": _cmd_fig10,
-        "table1": _cmd_table1,
-        "table2": _cmd_table2,
         "verify": _cmd_verify,
         "export": _cmd_export,
-        "bench": _cmd_bench,
         "fuzz": _cmd_fuzz,
         "lint": _cmd_lint,
         "daemon": _cmd_daemon,

@@ -61,16 +61,6 @@ class PagConfig:
             ``"python"`` or ``"gmpy2"``.  ``"auto"`` also honours the
             ``REPRO_CRYPTO_BACKEND`` environment variable.  Backends are
             arithmetic-only; operation counts are identical across them.
-        hash_memo_entries: bound on the hasher's wide-exponent
-            ``(value, exponent) -> hash`` memo; the oldest half is
-            evicted when full.  The memory ceiling for long runs — one
-            entry holds two bigints of roughly the modulus width.  The
-            default is 512: memo reuse is drain-local (the
-            server/receiver ack-hash pair of one exchange), so measured
-            hit counts are identical at 512 and 16384 entries.
-        fixed_base_cache_entries: bound on the number of hot bases
-            holding a fixed-base window table.  Caches are per-hasher;
-            hit rates are reported in ``BENCH_hotpath.json``.
         batch_verify: fold the monitor path's message-8 lifts of a round
             with one Straus multi-exponentiation pass
             (:class:`~repro.core.verification.BatchVerifier`) where the
@@ -105,8 +95,6 @@ class PagConfig:
     sim_prime_bits: int = 32
     seed: int = 20160627
     crypto_backend: str = "auto"
-    hash_memo_entries: int = 1 << 9
-    fixed_base_cache_entries: int = 1024
     detection_enabled: bool = True
     forward_owned_ghosts: bool = False
     batch_verify: bool = True
@@ -125,10 +113,6 @@ class PagConfig:
             )
         if self.sim_prime_bits < 8:
             raise ValueError("simulation primes below 8 bits collide")
-        if self.hash_memo_entries < 2:
-            raise ValueError("hash memo must hold at least 2 entries")
-        if self.fixed_base_cache_entries < 1:
-            raise ValueError("fixed-base cache must hold at least 1 entry")
         from repro.gossip.source import validate_rate_steps
 
         object.__setattr__(

@@ -79,8 +79,6 @@ class PagContext:
         hasher = HomomorphicHasher(
             modulus=make_modulus(config.sim_modulus_bits, modulus_rng),
             backend=backend,
-            memo_max=config.hash_memo_entries,
-            fixed_base_max=config.fixed_base_cache_entries,
         )
         return cls(
             config=config,

@@ -9,7 +9,7 @@ tests exercise the math in isolation.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Any, Callable, Hashable, Iterable, Sequence, Tuple
+from typing import Callable, Iterable, Sequence, Tuple
 
 from repro.core.messages import RelayPair, ServeEntry
 from repro.crypto.homomorphic import HomomorphicHasher
@@ -24,7 +24,6 @@ __all__ = [
     "combine_lifted",
     "fold_wire_pairs",
     "BatchVerifier",
-    "ExchangeClassCache",
 ]
 
 
@@ -131,107 +130,6 @@ def combine_lifted(hasher: HomomorphicHasher, lifted: Iterable[int]) -> int:
     node's full round key.
     """
     return hasher.combine(lifted)
-
-
-class ExchangeClassCache:
-    """Crypto memoisation over equivalence classes of exchanges.
-
-    The population tier models thousands of honest exchanges that are
-    structurally identical: the same served content class under the same
-    hashing key in the same round hashes to the same values.  This cache
-    keys the full exchange crypto — the attestation pair of
-    :func:`serve_hashes` and the :func:`ack_hash` — by
-    ``(class_key, exponent)`` and evaluates each class once; every
-    further member of the class is credited to the hasher's
-    ``memoised_operations`` counter instead of being recomputed, so
-    population reports can reconcile real + memoised totals against
-    full-fidelity op counts.
-
-    The cache is bounded like the hasher memos (oldest-half eviction on
-    overflow) and tracks ``hits``/``misses`` for the perf ledger.
-    """
-
-    __slots__ = ("hasher", "max_entries", "hits", "misses", "_cache")
-
-    def __init__(
-        self, hasher: HomomorphicHasher, max_entries: int = 1 << 12
-    ) -> None:
-        if max_entries < 2:
-            raise ValueError("class cache needs at least two entries")
-        self.hasher = hasher
-        self.max_entries = max_entries
-        self.hits = 0
-        self.misses = 0
-        self._cache: dict = {}
-
-    def _lookup(
-        self,
-        key: Hashable,
-        compute: Callable[[], Any],
-        members: int,
-    ) -> Any:
-        cached = self._cache.get(key)
-        if cached is not None:
-            result, real_ops = cached
-            self.hits += 1
-            self.hasher.memoised_operations += real_ops * members
-            return result
-        self.misses += 1
-        before = self.hasher.operations
-        result = compute()
-        real_ops = self.hasher.operations - before
-        if len(self._cache) >= self.max_entries:
-            for old in list(self._cache.keys())[
-                : len(self._cache) // 2
-            ]:
-                del self._cache[old]
-        self._cache[key] = (result, real_ops)
-        if members > 1:
-            self.hasher.memoised_operations += real_ops * (members - 1)
-        return result
-
-    def serve_hashes(
-        self,
-        class_key: Hashable,
-        entries: Sequence[ServeEntry],
-        prime: int,
-        members: int = 1,
-    ) -> Tuple[int, int]:
-        """Class-memoised attestation pair for ``members`` exchanges."""
-        if members < 1:
-            raise ValueError("a class needs at least one member")
-        return self._lookup(
-            ("serve", class_key, prime),
-            lambda: serve_hashes(self.hasher, entries, prime),
-            members,
-        )
-
-    def ack_hash(
-        self,
-        class_key: Hashable,
-        entries: Sequence[ServeEntry],
-        key_prev: int,
-        members: int = 1,
-    ) -> int:
-        """Class-memoised message-5 hash for ``members`` exchanges."""
-        if members < 1:
-            raise ValueError("a class needs at least one member")
-        return self._lookup(
-            ("ack", class_key, key_prev),
-            lambda: ack_hash(self.hasher, entries, key_prev),
-            members,
-        )
-
-    def stats(self) -> dict:
-        """Hit/miss accounting for the population perf section."""
-        total = self.hits + self.misses
-        return {
-            "class_hits": self.hits,
-            "class_misses": self.misses,
-            "class_hit_rate": self.hits / total if total else 0.0,
-            "class_entries": len(self._cache),
-            "class_max": self.max_entries,
-        }
 
 
 class BatchVerifier:

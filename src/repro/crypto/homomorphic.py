@@ -51,10 +51,9 @@ __all__ = [
 DEFAULT_MODULUS_BITS = 512
 DEFAULT_PRIME_BITS = 512
 
-#: Default bound on the (value, exponent) -> hash memo; when full, the
-#: oldest half is evicted (insertion order), which is cheap and good
-#: enough for the round-local reuse pattern.  Override per session via
-#: ``PagConfig.hash_memo_entries``.
+#: Bound on the (value, exponent) -> hash memo; when full, the oldest
+#: half is evicted (insertion order), which is cheap and good enough
+#: for the round-local reuse pattern.
 #:
 #: 512 entries, down from 16k: the memo's only recurring pattern at
 #: simulation modulus sizes is the server/receiver ack-hash pair of one
@@ -64,8 +63,7 @@ DEFAULT_PRIME_BITS = 512
 #: 16 KB of bigint pairs per worker were pure ballast.
 _MEMO_MAX = 1 << 9
 
-#: Default bound on the per-base fixed-base ladder cache used by hot
-#: bases; override per session via ``PagConfig.fixed_base_cache_entries``.
+#: Bound on the per-base fixed-base ladder cache used by hot bases.
 _FIXED_BASE_MAX = 1024
 
 #: The power ladder beats built-in ``pow`` when squarings dominate: for
@@ -141,7 +139,7 @@ class HomomorphicHasher:
     shared_ladder_seeds: int = field(default=0, compare=False)
     #: population-tier accounting: protocol-level hashes that were never
     #: evaluated because an equivalence class representative had already
-    #: been computed (:meth:`hash_class`).  Deliberately NOT part of
+    #: been computed (``PopulationPlane``).  Deliberately NOT part of
     #: ``operations``, so full-fidelity tallies stay bit-identical; the
     #: population tier reports real + memoised work side by side.
     memoised_operations: int = field(default=0, compare=False)
@@ -267,25 +265,6 @@ class HomomorphicHasher:
         self.operations += len(results)
         self.fixed_base_hits += hits
         return results
-
-    def hash_class(
-        self, update: int, exponent: int, members: int = 1
-    ) -> int:
-        """Hash one representative of an equivalence class of exchanges.
-
-        The population tier groups structurally identical exchanges —
-        same (content class, key/cofactor, round) — and evaluates the
-        hash once, fanning the result out to all ``members``.  One real
-        :meth:`hash` call is performed (counted in :attr:`operations`);
-        the ``members - 1`` avoided evaluations are credited to
-        :attr:`memoised_operations` so population reports can reconcile
-        real + memoised totals against full-fidelity op counts.
-        """
-        if members < 1:
-            raise ValueError("a hash class needs at least one member")
-        result = self.hash(update, exponent)
-        self.memoised_operations += members - 1
-        return result
 
     def _warm_base(self, update: int, exponent: int) -> int:
         """Track base reuse; build its window table on second sighting.
@@ -444,7 +423,7 @@ class HomomorphicHasher:
         return self.combine(lifted) == acknowledged % self.modulus
 
     def cache_stats(self) -> dict:
-        """Cache accounting for the perf ledger (``BENCH_hotpath.json``).
+        """Cache accounting, read by the benchmark's traced run.
 
         Rates are fractions of the protocol-level calls that were
         answered without a cold exponentiation; ``memo_entries`` and

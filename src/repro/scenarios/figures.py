@@ -10,8 +10,7 @@ Renderers register themselves against their scenario name in
 behind ``repro run --scenario NAME`` — consults the registry, so
 ``repro run --scenario fig8`` prints the paper figure while unknown or
 override-heavy invocations fall back to the generic measurement
-summary.  The legacy verbs (``repro fig8`` etc.) are deprecated
-aliases over the same dispatch.
+summary.
 """
 
 from __future__ import annotations
@@ -175,7 +174,7 @@ def render_detect(
     """Run the detection demo: one deviant mid-ring, print verdicts.
 
     Exit status is conviction-based: 0 when exactly the deviant is
-    convicted, 1 otherwise (the old ``repro detect`` contract).
+    convicted, 1 otherwise.
     """
     from repro.scenarios.spec import SELFISH_STRATEGIES
 
@@ -215,10 +214,9 @@ def render_scenario_run(
     When ``name`` has a registered paper renderer and every supplied
     override fits that renderer's signature, the renderer is
     dispatched instead — ``repro run --scenario fig8`` prints the
-    paper's update-size sweep, exactly like the deprecated ``repro
-    fig8`` verb.  ``--json``/``--population`` (and any override the
-    renderer doesn't take) force the generic measurement path, which
-    is what the CI scenario matrix records.
+    paper's update-size sweep.  ``--json``/``--population`` (and any
+    override the renderer doesn't take) force the generic measurement
+    path, which is what the CI scenario matrix records.
 
     Args:
         json_out: optional path; writes the machine-readable summary

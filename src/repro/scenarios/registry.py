@@ -1,10 +1,10 @@
 """Registry of the paper's named scenarios.
 
 Every reproduction entry point — ``repro run --scenario NAME``, the
-``repro fig7``..``table2`` subcommands, the ``benchmarks/bench_fig*``
-suite, and the integration tests — resolves its workload here, so the
-paper's evaluation matrix is declared exactly once.  Registering a new
-scenario (``register_scenario(ScenarioSpec(name="my-workload", ...))``)
+``benchmarks/bench_fig*`` suite, and the integration tests — resolves
+its workload here, so the paper's evaluation matrix is declared exactly
+once.  Registering a new scenario
+(``register_scenario(ScenarioSpec(name="my-workload", ...))``)
 immediately makes it runnable from the CLI and the benchmarks.
 
 Specs carry an execution ``policy`` knob (serial / sharded / parallel —

@@ -798,11 +798,10 @@ class ParallelShardedPolicy(ExecutionPolicy):
             replica machinery driven synchronously, for determinism
             tests and timing), or ``"auto"`` (process when the session
             bootstrap pickles, thread otherwise).
-        share_ladders: precompute the session-lifetime fixed-base
-            ladders once in the parent and hand them to every replica
-            (read-only) instead of letting each worker rebuild identical
-            tables.  Purely a CPU saving — results are bit-identical
-            either way; disable to measure the difference.
+
+    The session-lifetime fixed-base ladders are precomputed once in the
+    parent and handed to every replica read-only, instead of letting
+    each worker rebuild identical tables.
 
     A scenario bootstrap is required for replica execution and is bound
     by :meth:`ScenarioSpec.build <repro.scenarios.spec.ScenarioSpec.build>`;
@@ -823,7 +822,6 @@ class ParallelShardedPolicy(ExecutionPolicy):
         self,
         workers: int = 4,
         backend: str = "auto",
-        share_ladders: bool = True,
     ) -> None:
         if workers < 1:
             raise ValueError("worker count must be at least 1")
@@ -834,7 +832,6 @@ class ParallelShardedPolicy(ExecutionPolicy):
             )
         self.workers = workers
         self.backend = backend
-        self.share_ladders = share_ladders
         #: resolved execution mode, set on first use: "process",
         #: "thread", "serialized", or "inline" (no bootstrap bound).
         self.mode = "unstarted"
@@ -862,11 +859,8 @@ class ParallelShardedPolicy(ExecutionPolicy):
                 "cannot rebind a running ParallelShardedPolicy; close() it "
                 "first"
             )
-        ladders = None
-        if self.share_ladders:
-            builder = getattr(session, "shared_ladder_table", None)
-            if builder is not None:
-                ladders = builder(spec.rounds)
+        builder = getattr(session, "shared_ladder_table", None)
+        ladders = builder(spec.rounds) if builder is not None else None
         self._bootstrap = _SpecBootstrap(spec, shared_ladders=ladders)
         self._parent_baseline = _ops_snapshot(session)
 

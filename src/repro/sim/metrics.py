@@ -13,18 +13,11 @@ membership is a single pass over dense lists — no per-(node, round)
 dict probes.  Byte totals are identical to the seed's dict-of-pairs
 accounting (``tests/sim/test_metrics.py`` proves parity), and per-shard
 meters from a sharded drain merge losslessly via :meth:`merge_from`.
+Sums are Python integers, so no volume can overflow.
 
-On top of the columnar store the aggregate readers
-(:meth:`BandwidthMeter.all_node_kbps`, :meth:`BandwidthMeter.snapshot`,
-:func:`cdf_points`) run on a shared dense numpy 2D (node × round)
-matrix, built lazily from the per-node series and invalidated by every
-write — window sums over the whole membership collapse to one
-``sum(axis=1)`` pass.  The matrix is purely an execution strategy: its
-outputs are bit-identical to the columnar pass (the per-node integer
-window total is formed first, then scaled by the same float factor, so
-every IEEE operation matches), which stays in place as the no-numpy
-fallback and is proven equivalent by the Hypothesis suite in
-``tests/sim/test_meter_matrix.py``.
+:class:`BandwidthMeter` and :func:`cdf_points` are pure Python; only
+:class:`SpilledMeter`, the population tier's read side, works on the
+numpy arrays its spill hands back.
 """
 
 from __future__ import annotations
@@ -32,11 +25,6 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Mapping, Tuple
-
-try:  # numpy accelerates CDF sorting over large memberships
-    import numpy as _np
-except ImportError:  # pragma: no cover - numpy is an optional extra
-    _np = None
 
 __all__ = [
     "BandwidthMeter",
@@ -97,23 +85,11 @@ class BandwidthMeter:
     #: node -> bytes downloaded per round.
     down_series: Dict[int, List[int]] = field(default_factory=dict)
     rounds_seen: int = 0
-    #: run aggregate reads on the shared (node × round) numpy matrix
-    #: when numpy is importable; False pins the columnar fallback (the
-    #: two are bit-identical — this knob exists for differential tests
-    #: and the ``meter_matrix`` benchmark arms).
-    vectorize: bool = True
-    #: lazily built ``(node -> row, up 2D, down 2D)`` matrix view of the
-    #: per-round series; dropped by every write (:meth:`record`,
-    #: :meth:`merge_from`) and rebuilt on the next aggregate read.
-    _matrix_cache: object = field(
-        default=None, repr=False, compare=False
-    )
 
     def record(self, sender: int, recipient: int, size: int, rnd: int) -> None:
         """Meter one message of ``size`` bytes sent during round ``rnd``."""
         if size < 0:
             raise ValueError("message size cannot be negative")
-        self._matrix_cache = None
         up = self.totals[sender]
         up.bytes_up += size
         up.messages_up += 1
@@ -132,49 +108,6 @@ class BandwidthMeter:
         series[rnd] += size
         if rnd + 1 > self.rounds_seen:
             self.rounds_seen = rnd + 1
-
-    def _matrix(self):
-        """The shared dense (node × round) matrix view, or None.
-
-        Returns ``(index, row_nodes, up2d, down2d)`` where ``index``
-        maps a node id to its row, ``row_nodes`` is the sorted node
-        list in row order, and both matrices are int64, padded with
-        zeros to ``rounds_seen`` columns.  None when numpy is
-        unavailable, the meter opted out (``vectorize=False``), or the
-        recorded volumes could overflow int64 — every caller then takes
-        the columnar path, which has no width limit.  The overflow
-        guard bounds every window sum by the per-node cumulative totals
-        (sizes are non-negative), so ``sum(axis=1)`` — including the
-        up+down combination — can never wrap silently.
-        """
-        if _np is None or not self.vectorize:
-            return None
-        cached = self._matrix_cache
-        if cached is not None:
-            return cached if cached != "overflow" else None
-        # Any window sum is bounded by the node's cumulative up+down
-        # total; if that fits int64, no aggregation below can wrap.
-        limit = (1 << 63) - 1
-        for traffic in self.totals.values():
-            if traffic.bytes_up + traffic.bytes_down > limit:
-                self._matrix_cache = "overflow"
-                return None
-        nodes = sorted(set(self.up_series) | set(self.down_series))
-        index = {node: row for row, node in enumerate(nodes)}
-        shape = (len(nodes), self.rounds_seen)
-        up2d = _np.zeros(shape, dtype=_np.int64)
-        down2d = _np.zeros(shape, dtype=_np.int64)
-        try:
-            for target, source in ((up2d, self.up_series),
-                                   (down2d, self.down_series)):
-                for node, series in source.items():
-                    target[index[node], : len(series)] = series
-        except OverflowError:
-            self._matrix_cache = "overflow"
-            return None
-        cached = (index, nodes, up2d, down2d)
-        self._matrix_cache = cached
-        return cached
 
     def node_series(
         self, node: int, direction: str = "both"
@@ -279,12 +212,10 @@ class BandwidthMeter:
         last_round: int | None = None,
         direction: str = "both",
     ) -> Dict[int, float]:
-        """Per-node Kbps over a window, in one vectorised pass.
+        """Per-node Kbps over a window, one slice-sum per node.
 
-        With numpy the whole membership's window sums are one
-        ``sum(axis=1)`` over the shared round matrix; the columnar loop
-        below is the bit-identical fallback (and the reference the
-        parity suite holds the matrix to).
+        The integer window total is formed first and scaled by one
+        float factor; :class:`SpilledMeter` follows the same order.
         """
         self._check_direction(direction)
         last = self._resolve_window(first_round, last_round)
@@ -298,31 +229,6 @@ class BandwidthMeter:
             raise ValueError("duration must be positive")
         scale = 8.0 / 1000.0 / duration
         stop = last + 1
-        matrix = self._matrix()
-        if matrix is not None:
-            index, row_nodes, up2d, down2d = matrix
-            sums = None
-            if direction != "down":
-                sums = up2d[:, first_round:stop].sum(axis=1)
-            if direction != "up":
-                down_sums = down2d[:, first_round:stop].sum(axis=1)
-                sums = down_sums if sums is None else sums + down_sums
-            # Integer window totals scaled by the same float factor as
-            # the columnar pass: every IEEE operation matches, so the
-            # values are bit-identical.
-            values = (sums * scale).tolist()
-            node_list = nodes if isinstance(nodes, list) else list(nodes)
-            if node_list == row_nodes:
-                # The query covers exactly the metered nodes in row
-                # order (the whole-membership aggregate): zip straight
-                # through instead of probing the index per node.
-                return dict(zip(node_list, values))
-            return {
-                node: (
-                    values[index[node]] if node in index else 0.0
-                )
-                for node in node_list
-            }
         up = self.up_series
         down = self.down_series
         out: Dict[int, float] = {}
@@ -362,35 +268,7 @@ class BandwidthMeter:
         combination of direct records and :meth:`merge_from` produce
         equal snapshots.  This is the byte-identity primitive of the
         differential execution-policy suite.
-
-        The per-round series are dumped through the shared round matrix
-        when it is available (one bulk ``tolist`` per direction, rows
-        trimmed back to each node's recorded length so the output is
-        byte-equal to the columnar dump); totals are plain counters
-        either way.
         """
-        matrix = self._matrix()
-        if matrix is not None:
-            index, _row_nodes, up2d, down2d = matrix
-            up_rows = up2d.tolist()
-            down_rows = down2d.tolist()
-            up_series = {
-                node: up_rows[index[node]][: len(series)]
-                for node, series in sorted(self.up_series.items())
-            }
-            down_series = {
-                node: down_rows[index[node]][: len(series)]
-                for node, series in sorted(self.down_series.items())
-            }
-        else:
-            up_series = {
-                node: list(series)
-                for node, series in sorted(self.up_series.items())
-            }
-            down_series = {
-                node: list(series)
-                for node, series in sorted(self.down_series.items())
-            }
         return {
             "rounds_seen": self.rounds_seen,
             "totals": {
@@ -402,8 +280,14 @@ class BandwidthMeter:
                 )
                 for node, traffic in sorted(self.totals.items())
             },
-            "up_series": up_series,
-            "down_series": down_series,
+            "up_series": {
+                node: list(series)
+                for node, series in sorted(self.up_series.items())
+            },
+            "down_series": {
+                node: list(series)
+                for node, series in sorted(self.down_series.items())
+            },
         }
 
     def merge_from(self, other: "BandwidthMeter") -> None:
@@ -415,7 +299,6 @@ class BandwidthMeter:
         deterministic.  Merging is exact — totals add, per-round series
         add element-wise.
         """
-        self._matrix_cache = None
         for node, traffic in other.totals.items():
             mine = self.totals[node]
             mine.bytes_up += traffic.bytes_up
@@ -509,6 +392,9 @@ class SpilledMeter:
         BandwidthMeter._check_direction(direction)
         last = self._resolve_window(first_round, last_round)
         if last < first_round:
+            # Nothing written yet; the spill loaded numpy when built.
+            import numpy as _np
+
             return _np.zeros(self.spill.n_nodes, dtype=_np.int64)
         sums = None
         if direction != "down":
@@ -613,37 +499,14 @@ class SpilledMeter:
 
 def cdf_points(
     values: Mapping[int, float] | Iterable[float],
-    vectorize: bool | None = None,
 ) -> List[Tuple[float, float]]:
     """Cumulative distribution points ``(value, percent <= value)``.
 
     Produces the series plotted in Fig. 7 of the paper (CDF of per-node
     bandwidth consumption, y axis in percent).
-
-    Args:
-        vectorize: run the sort and the percent axis through numpy
-            (None: whenever numpy is importable).  The fallback list
-            pass computes each percent as ``100.0 * (i + 1) / n``; the
-            vectorised pass evaluates the same expression elementwise
-            (``(100.0 * arange(1, n + 1)) / n`` — multiply first, then
-            divide, matching the scalar operator order), so both produce
-            bit-identical points.
     """
     if isinstance(values, Mapping):
-        raw = values.values()
-    else:
-        raw = list(values)
-    if vectorize is None:
-        vectorize = _np is not None
-    if vectorize and _np is not None:
-        data = _np.sort(_np.fromiter(raw, dtype=float))
-        n = int(data.size)
-        if n == 0:
-            return []
-        percents = (100.0 * _np.arange(1.0, n + 1.0)) / n
-        return list(zip(data.tolist(), percents.tolist()))
-    data = sorted(raw)
+        values = values.values()
+    data = sorted(values)
     n = len(data)
-    if n == 0:
-        return []
     return [(v, 100.0 * (i + 1) / n) for i, v in enumerate(data)]

@@ -23,13 +23,12 @@ plane means therefore equal the cohort's honest-consumer means exactly;
 only the across-node variance is synthetic (Poisson contact counts, the
 same model the paper's membership views induce).
 
-Crypto is memoised over equivalence classes of identical exchanges
-(:class:`~repro.core.verification.ExchangeClassCache`): one real
-representative evaluation per class on the plane's *own* hasher (the
-cohort hasher is never touched, preserving bit-identity), the fan-out
-credited to ``memoised_operations``, and a calibrated top-up so real +
-memoised plane totals reconcile with what a full-fidelity run of the
-plane would have cost.
+Crypto is memoised over equivalence classes of identical exchanges:
+one real representative evaluation per round on the plane's *own*
+hasher (the cohort hasher is never touched, preserving bit-identity),
+the fan-out credited to ``memoised_operations``, and a calibrated
+top-up so real + memoised plane totals reconcile with what a
+full-fidelity run of the plane would have cost.
 
 Per-round plane rows stream to a
 :class:`~repro.sim.trace.ColumnarRoundSpill`, so memory stays bounded
@@ -45,7 +44,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.core.verification import ExchangeClassCache
+from repro.core.verification import ack_hash, serve_hashes
 from repro.crypto.homomorphic import HomomorphicHasher
 from repro.scenarios.spec import ScenarioResult, ScenarioSpec
 from repro.sim.execution import SerialPolicy
@@ -179,7 +178,6 @@ class PopulationPlane:
         self.hasher = HomomorphicHasher(
             modulus=cohort_hasher.modulus, backend=cohort_hasher.backend
         )
-        self.class_cache = ExchangeClassCache(self.hasher)
         self.spill = ColumnarRoundSpill(
             plane_size,
             directory=spill_dir,
@@ -236,12 +234,11 @@ class PopulationPlane:
                 "down": np.rint(down).astype(np.int64),
             }
         )
-        self._account_crypto(round_no, serve, prime, n_honest)
+        self._account_crypto(serve, prime, n_honest)
         self.rounds_done += 1
 
     def _account_crypto(
         self,
-        round_no: int,
         serve: Optional[Message],
         prime: int,
         n_honest: int,
@@ -250,10 +247,10 @@ class PopulationPlane:
 
         Target: the plane's per-round crypto cost is the cohort's
         per-honest-consumer hash count scaled to the plane width.  One
-        representative exchange per round is evaluated for real through
-        the class cache (same code path a sampled exchange would take),
-        its fan-out plus a top-up credited to ``memoised_operations`` —
-        so ``operations + memoised_operations`` reconciles with
+        representative exchange per round is evaluated for real (same
+        code path a sampled exchange would take), its fan-out plus a
+        top-up credited to ``memoised_operations`` — so
+        ``operations + memoised_operations`` reconciles with
         full-fidelity counts while real work stays O(1) per round.
         """
         hasher = self.hasher
@@ -265,20 +262,13 @@ class PopulationPlane:
         ops_before = hasher.operations
         memo_before = hasher.memoised_operations
         if serve is not None:
-            members = max(1, self.fanout)
-            self.class_cache.ack_hash(
-                ("ack", round_no),
-                serve.entries,
-                serve.key_prev,
-                members=members,
-            )
+            ack_hash(hasher, serve.entries, serve.key_prev)
             if prime > 1:
-                self.class_cache.serve_hashes(
-                    ("serve", round_no),
-                    serve.entries,
-                    prime,
-                    members=members,
-                )
+                serve_hashes(hasher, serve.entries, prime)
+            real_ops = hasher.operations - ops_before
+            hasher.memoised_operations += real_ops * (
+                max(1, self.fanout) - 1
+            )
         done = (hasher.operations - ops_before) + (
             hasher.memoised_operations - memo_before
         )
@@ -290,15 +280,13 @@ class PopulationPlane:
         return SpilledMeter(self.spill, node_offset=self.node_offset)
 
     def stats(self) -> Dict[str, object]:
-        out: Dict[str, object] = {
+        return {
             "plane_nodes": self.plane_size,
             "rounds": self.rounds_done,
             "real_hashes": self.hasher.operations,
             "memoised_hashes": self.hasher.memoised_operations,
             "spill_bytes": self.spill.bytes_on_disk(),
         }
-        out.update(self.class_cache.stats())
-        return out
 
     def close(self) -> None:
         self.spill.close()

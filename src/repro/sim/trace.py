@@ -9,6 +9,7 @@ privacy analysis, and full references for white-box test assertions.
 format: dense per-round rows over a fixed node universe, one
 little-endian int64 binary file per field, so a million-node run's
 per-round byte series stream to disk instead of accumulating in RAM.
+It is numpy-backed and imports numpy when constructed.
 """
 
 from __future__ import annotations
@@ -21,11 +22,6 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Mapping, Optional, Tuple
 
 from repro.sim.message import Message
-
-try:  # the columnar spill is numpy-backed (population tier only)
-    import numpy as _np
-except ImportError:  # pragma: no cover - numpy is an optional extra
-    _np = None
 
 __all__ = ["TraceRecord", "TraceRecorder", "ColumnarRoundSpill"]
 
@@ -125,8 +121,11 @@ class ColumnarRoundSpill:
         fields: Tuple[str, ...] = ("up", "down"),
         buffer_rounds: int = 4,
     ) -> None:
-        if _np is None:  # pragma: no cover - numpy is baked into CI
-            raise RuntimeError("the columnar spill requires numpy")
+        # Population tier only: imported here so that every other run
+        # leaves numpy unloaded.
+        import numpy
+
+        self._np = numpy
         if n_nodes < 1:
             raise ValueError("spill needs a non-empty node universe")
         if not fields:
@@ -186,6 +185,7 @@ class ColumnarRoundSpill:
                 f"round rows must cover exactly {sorted(self.fields)}, "
                 f"got {sorted(rows)}"
             )
+        _np = self._np
         staged = {}
         for name, row in rows.items():
             arr = _np.ascontiguousarray(row, dtype=_np.int64)
@@ -204,6 +204,7 @@ class ColumnarRoundSpill:
         """Write buffered rounds to disk (little-endian int64 rows)."""
         if self._closed:
             return
+        _np = self._np
         for name in self.fields:
             buffered = self._buffers[name]
             if not buffered:
@@ -242,6 +243,7 @@ class ColumnarRoundSpill:
         with open(self._paths[field_name], "rb") as fh:
             fh.seek(rnd * row_bytes)
             data = fh.read(row_bytes)
+        _np = self._np
         return _np.frombuffer(data, dtype="<i8").astype(
             _np.int64, copy=False
         )
@@ -269,6 +271,7 @@ class ColumnarRoundSpill:
                 f"precedes first_round {first_round}"
             )
         self.flush()
+        _np = self._np
         last = min(last_round, self.rounds_written - 1)
         total = _np.zeros(self.n_nodes, dtype=_np.int64)
         if last < first_round:

@@ -270,18 +270,3 @@ def test_cache_stats_partition_the_calls():
     assert stats["memo_hits"] >= 1
     assert 0.0 <= stats["memo_hit_rate"] <= 1.0
     assert stats["memo_max"] > 0 and stats["fixed_base_max"] > 0
-
-
-def test_config_cache_bounds_reach_the_session_hasher():
-    from repro.core import PagConfig
-    from repro.core.context import PagContext
-    from repro.membership.directory import Directory
-
-    config = PagConfig(hash_memo_entries=64, fixed_base_cache_entries=8)
-    context = PagContext.build(config, Directory.of_size(6, source_id=0))
-    assert context.hasher.memo_max == 64
-    assert context.hasher.fixed_base_max == 8
-    with pytest.raises(ValueError, match="memo"):
-        PagConfig(hash_memo_entries=1)
-    with pytest.raises(ValueError, match="fixed-base"):
-        PagConfig(fixed_base_cache_entries=0)

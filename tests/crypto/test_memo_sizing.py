@@ -11,7 +11,6 @@ bigger memo shows up as a failure here, with data) and pin the shipped
 defaults to the small size.
 """
 
-from repro.core.config import PagConfig
 from repro.crypto.homomorphic import _MEMO_MAX, HomomorphicHasher
 from repro.scenarios import get_scenario
 
@@ -19,9 +18,10 @@ from repro.scenarios import get_scenario
 def _memo_stats(name, entries, **overrides):
     """Run a scenario with a given memo bound; return its cache stats."""
     spec = get_scenario(name).with_overrides(**overrides)
-    session = spec.build_pag_with(hash_memo_entries=entries)
-    session.run(spec.rounds)
+    session = spec.build()
     hasher = session.context.hasher
+    hasher.memo_max = entries
+    session.run(spec.rounds)
     stats = hasher.cache_stats()
     stats["operations"] = hasher.operations
     return stats
@@ -47,7 +47,6 @@ def test_memo_hits_identical_at_512_and_16384_entries():
 def test_default_memo_size_is_small():
     assert _MEMO_MAX == 1 << 9
     assert HomomorphicHasher(modulus=3233).memo_max == 1 << 9
-    assert PagConfig().hash_memo_entries == 1 << 9
 
 
 def test_memo_entry_count_respects_the_bound():

@@ -4,7 +4,6 @@ import random
 
 import pytest
 
-from repro.analysis.hotpath import DictMeterBaseline
 from repro.sim.metrics import BandwidthMeter, cdf_points, kbps
 
 
@@ -101,29 +100,104 @@ def test_node_series_pads_to_rounds_seen():
 # ---------------------------------------------------------------------------
 
 
-def _random_traffic(seed, n_nodes=24, rounds=20, messages=4000):
+class DictMeterBaseline:
+    """The seed's ``(node, round)``-keyed bandwidth accounting.
+
+    Kept as the reference implementation: the parity tests prove the
+    columnar :class:`~repro.sim.metrics.BandwidthMeter` produces
+    byte-identical totals.
+    """
+
+    def __init__(self) -> None:
+        self.per_round_up = {}
+        self.per_round_down = {}
+        self.rounds_seen = 0
+
+    def record(self, sender: int, recipient: int, size: int, rnd: int) -> None:
+        key_up = (sender, rnd)
+        key_down = (recipient, rnd)
+        self.per_round_up[key_up] = self.per_round_up.get(key_up, 0) + size
+        self.per_round_down[key_down] = (
+            self.per_round_down.get(key_down, 0) + size
+        )
+        if rnd + 1 > self.rounds_seen:
+            self.rounds_seen = rnd + 1
+
+    def node_bytes(
+        self,
+        node: int,
+        first_round: int = 0,
+        last_round: int | None = None,
+        direction: str = "both",
+    ) -> int:
+        last = self.rounds_seen - 1 if last_round is None else last_round
+        total = 0
+        for rnd in range(first_round, last + 1):
+            if direction in ("both", "up"):
+                total += self.per_round_up.get((node, rnd), 0)
+            if direction in ("both", "down"):
+                total += self.per_round_down.get((node, rnd), 0)
+        return total
+
+    def all_node_kbps(
+        self,
+        nodes,
+        round_seconds: float = 1.0,
+        first_round: int = 0,
+        last_round: int | None = None,
+        direction: str = "both",
+    ):
+        last = self.rounds_seen - 1 if last_round is None else last_round
+        duration = (last - first_round + 1) * round_seconds
+        scale = 8.0 / 1000.0 / duration
+        return {
+            node: self.node_bytes(node, first_round, last, direction) * scale
+            for node in nodes
+        }
+
+
+def _random_traffic(
+    seed, n_nodes=24, rounds=20, messages=4000, max_size=5000
+):
     rng = random.Random(seed)
     for _ in range(messages):
         sender = rng.randrange(n_nodes)
         recipient = (sender + rng.randrange(1, n_nodes)) % n_nodes
-        yield sender, recipient, rng.randrange(0, 5000), rng.randrange(rounds)
+        yield (
+            sender,
+            recipient,
+            rng.randrange(0, max_size),
+            rng.randrange(rounds),
+        )
 
 
 def test_columnar_parity_with_dict_accounting():
-    columnar = BandwidthMeter()
-    reference = DictMeterBaseline()
-    for sender, recipient, size, rnd in _random_traffic(seed=0xC01):
-        columnar.record(sender, recipient, size, rnd)
-        reference.record(sender, recipient, size, rnd)
-    assert columnar.rounds_seen == reference.rounds_seen
-    windows = [(0, None), (0, 5), (4, 19), (7, 7), (19, None)]
-    for node in range(24):
+    # The second log has single records and per-node window sums beyond
+    # int64: Python integers must carry them exactly, never wrapped.
+    for traffic in (
+        _random_traffic(seed=0xC01),
+        _random_traffic(seed=0xB16, messages=400, max_size=1 << 70),
+    ):
+        columnar = BandwidthMeter()
+        reference = DictMeterBaseline()
+        for sender, recipient, size, rnd in traffic:
+            columnar.record(sender, recipient, size, rnd)
+            reference.record(sender, recipient, size, rnd)
+        assert columnar.rounds_seen == reference.rounds_seen
+        windows = [(0, None), (0, 5), (4, 19), (7, 7), (19, None)]
+        nodes = list(range(26))  # includes ids the meter never saw
         for first, last in windows:
             for direction in ("both", "up", "down"):
-                assert columnar.node_bytes(
-                    node, first, last, direction
-                ) == reference.node_bytes(node, first, last, direction), (
-                    node, first, last, direction,
+                for node in nodes:
+                    assert columnar.node_bytes(
+                        node, first, last, direction
+                    ) == reference.node_bytes(
+                        node, first, last, direction
+                    ), (node, first, last, direction)
+                assert columnar.all_node_kbps(
+                    nodes, 1.0, first, last, direction
+                ) == reference.all_node_kbps(
+                    nodes, 1.0, first, last, direction
                 )
 
 

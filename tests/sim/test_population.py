@@ -16,7 +16,7 @@ Three contracts anchor the tier:
   deployment's).
 * **Crypto reconciliation** — the plane's ``real + memoised`` hash
   counts reconcile with what full fidelity would have spent, while
-  real work stays O(1) per round via the exchange class cache.
+  real work stays O(1) per round (one representative exchange).
 """
 
 import dataclasses
@@ -25,21 +25,11 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from repro.core.messages import ServeEntry, Update
-from repro.core.verification import (
-    ExchangeClassCache,
-    ack_hash,
-    serve_hashes,
-)
-from repro.crypto.homomorphic import HomomorphicHasher
 from repro.scenarios.spec import AdversaryGroup, ScenarioSpec
 from repro.sim.population import (
     PopulationResult,
     wire_population,
 )
-
-#: A deployment-grade modulus is irrelevant here; 3233 = 61 * 53.
-MOD = 3233
 
 
 def _spec(**kwargs):
@@ -50,101 +40,6 @@ def _spec(**kwargs):
     kwargs.setdefault("population", 64)
     kwargs.setdefault("policy", "population")
     return ScenarioSpec(**kwargs)
-
-
-def _entries(n=3):
-    return tuple(
-        ServeEntry(
-            update=Update(uid=uid, round_created=0, expiry_round=10),
-            count=1 + (uid % 2),
-            has_payload=True,
-            ack_only=False,
-        )
-        for uid in range(n)
-    )
-
-
-# ---------------------------------------------------------------------------
-# hash_class / ExchangeClassCache units
-# ---------------------------------------------------------------------------
-
-
-def test_hash_class_counts_real_and_memoised_work():
-    hasher = HomomorphicHasher(modulus=MOD)
-    plain = HomomorphicHasher(modulus=MOD)
-    result = hasher.hash_class(7, 13, members=5)
-    assert result == plain.hash(7, 13)
-    # One real evaluation, four memoised members.
-    assert hasher.operations == 1
-    assert hasher.memoised_operations == 4
-    with pytest.raises(ValueError, match="at least one member"):
-        hasher.hash_class(7, 13, members=0)
-
-
-def test_class_cache_miss_then_hit_accounting():
-    hasher = HomomorphicHasher(modulus=MOD)
-    cache = ExchangeClassCache(hasher)
-    entries = _entries()
-    reference = HomomorphicHasher(modulus=MOD)
-    expected_pair = serve_hashes(reference, entries, prime=11)
-    real_cost = reference.operations
-
-    pair = cache.serve_hashes("r1", entries, prime=11, members=4)
-    assert pair == expected_pair
-    # Miss: the real work ran once; the other 3 members are memoised.
-    assert hasher.operations == real_cost
-    assert hasher.memoised_operations == real_cost * 3
-    assert cache.misses == 1 and cache.hits == 0
-
-    again = cache.serve_hashes("r1", entries, prime=11, members=10)
-    assert again == expected_pair
-    # Hit: no new real work; all 10 members memoised.
-    assert hasher.operations == real_cost
-    assert hasher.memoised_operations == real_cost * 13
-    assert cache.hits == 1
-    stats = cache.stats()
-    assert stats["class_hits"] == 1
-    assert stats["class_misses"] == 1
-    assert stats["class_hit_rate"] == 0.5
-    assert stats["class_entries"] == 1
-
-
-def test_class_cache_distinguishes_exponents_and_kinds():
-    hasher = HomomorphicHasher(modulus=MOD)
-    cache = ExchangeClassCache(hasher)
-    entries = _entries()
-    cache.serve_hashes("r1", entries, prime=11)
-    # Same class key, different prime: a different equivalence class.
-    cache.serve_hashes("r1", entries, prime=13)
-    # serve and ack caches do not collide on the same key.
-    reference = HomomorphicHasher(modulus=MOD)
-    expected = ack_hash(reference, entries, key_prev=17)
-    assert cache.ack_hash("r1", entries, key_prev=17) == expected
-    assert cache.misses == 3 and cache.hits == 0
-
-
-def test_class_cache_eviction_and_validation():
-    hasher = HomomorphicHasher(modulus=MOD)
-    cache = ExchangeClassCache(hasher, max_entries=4)
-    entries = _entries(1)
-    for prime in (3, 5, 7, 11):
-        cache.serve_hashes("k", entries, prime=prime)
-    assert cache.stats()["class_entries"] == 4
-    # The fifth insert evicts the oldest half before landing.
-    cache.serve_hashes("k", entries, prime=13)
-    assert cache.stats()["class_entries"] == 3
-    # The two oldest classes are gone (re-asking recomputes)...
-    cache.serve_hashes("k", entries, prime=3)
-    assert cache.misses == 6
-    # ...while a younger one still hits.
-    cache.serve_hashes("k", entries, prime=11)
-    assert cache.hits == 1
-    with pytest.raises(ValueError, match="at least two"):
-        ExchangeClassCache(hasher, max_entries=1)
-    with pytest.raises(ValueError, match="at least one member"):
-        cache.serve_hashes("k", entries, prime=3, members=0)
-    with pytest.raises(ValueError, match="at least one member"):
-        cache.ack_hash("k", entries, key_prev=3, members=-2)
 
 
 # ---------------------------------------------------------------------------
@@ -300,7 +195,13 @@ def test_population_summary_and_spill_dir(tmp_path):
     assert summary["plane_mean_down_kbps"] > 0
     assert summary["peak_rss_mb"] > 0
     assert summary["plane"]["plane_nodes"] == 48
-    assert summary["plane"]["class_hits"] >= 0
+    assert sorted(summary["plane"]) == [
+        "memoised_hashes",
+        "plane_nodes",
+        "real_hashes",
+        "rounds",
+        "spill_bytes",
+    ]
     # A user-supplied spill dir keeps its files after the run.
     assert sorted(p.name for p in tmp_path.iterdir()) == [
         "down.i64",

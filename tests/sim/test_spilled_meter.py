@@ -1,15 +1,13 @@
-"""Spilled-meter parity and the int64-overflow columnar fallback.
+"""Spilled-meter parity and in-memory volumes beyond int64.
 
 Two contracts live here.  First, the :class:`SpilledMeter` docstring
 promises that a spilled read of the same traffic is *bit-identical* to
 an in-memory :class:`BandwidthMeter` read — integer window sums first,
 one multiply by ``8.0 / 1000.0 / duration`` — and the Hypothesis suite
 below holds it to that across random traffic, windows, directions and
-node offsets.  Second, the in-memory meter's shared numpy matrix is
-guarded against int64 overflow; when :meth:`BandwidthMeter.merge_from`
-pushes a node's cumulative volume past ``2**63 - 1`` the matrix must
-stand down and every reader must take the unbounded columnar path with
-correct values.
+node offsets.  Second, the in-memory meter sums Python integers: when
+:meth:`BandwidthMeter.merge_from` pushes a node's cumulative volume
+past ``2**63 - 1`` every reader must still return the exact value.
 """
 
 import numpy as np
@@ -168,10 +166,10 @@ def test_spilled_window_past_written_rounds_zero_pads():
 
 
 # ---------------------------------------------------------------------------
-# int64-overflow columnar fallback, introduced via merge_from.
+# Volumes beyond int64, introduced via merge_from.
 # ---------------------------------------------------------------------------
 
-#: Just over half of int64: one shard is matrix-safe, two merged wrap.
+#: Just over half of int64: one shard fits, two merged would wrap.
 _HALF_OVERFLOW = (1 << 62) + 1
 
 
@@ -182,24 +180,15 @@ def _shard(sizes_by_round, sender=0, recipient=1):
     return meter
 
 
-def test_merge_from_overflow_trips_the_matrix_guard():
-    shards = [_shard([_HALF_OVERFLOW, 3]) for _ in range(2)]
-    for shard in shards:
-        # Each shard alone fits int64: the matrix path is live.
-        assert shard._matrix() is not None
+def test_merge_from_beyond_int64_stays_exact():
     merged = BandwidthMeter()
-    for shard in shards:
+    for shard in [_shard([_HALF_OVERFLOW, 3]) for _ in range(2)]:
         merged.merge_from(shard)
-    # The merged cumulative volume exceeds 2**63 - 1, so the shared
-    # matrix stands down for good and readers take the columnar path.
-    assert merged._matrix() is None
-    assert merged._matrix_cache == "overflow"
     assert merged.totals[0].bytes_up == 2 * _HALF_OVERFLOW + 6
     assert merged.node_bytes(0, direction="up") == 2 * _HALF_OVERFLOW + 6
     assert merged.node_bytes(1, direction="down") == (
         2 * _HALF_OVERFLOW + 6
     )
-    # Windowed reads stay exact (Python ints have no width limit).
     assert merged.node_bytes(0, 1, 1, "up") == 6
     expected = kbps(2 * _HALF_OVERFLOW + 6, 2.0)
     assert merged.all_node_kbps([0], direction="up") == {0: expected}
@@ -207,18 +196,16 @@ def test_merge_from_overflow_trips_the_matrix_guard():
 
 
 def test_overflowed_meter_matches_columnar_reference():
-    # The overflowed meter's readers must agree with an explicitly
-    # non-vectorised meter fed the same traffic (the columnar
-    # reference the matrix is defined against).
+    # The merged meter's readers must agree with a meter that recorded
+    # the same traffic directly.
     sizes = [_HALF_OVERFLOW, 17, 0, 4096]
     merged = BandwidthMeter()
     merged.merge_from(_shard(sizes))
     merged.merge_from(_shard(sizes))
-    reference = BandwidthMeter(vectorize=False)
+    reference = BandwidthMeter()
     for rnd, size in enumerate(sizes):
         reference.record(0, 1, size, rnd)
         reference.record(0, 1, size, rnd)
-    assert merged._matrix() is None
     for first, last in [(0, None), (1, 2), (0, 3), (2, 2)]:
         for direction in ("both", "up", "down"):
             assert merged.all_node_kbps(
@@ -227,16 +214,3 @@ def test_overflowed_meter_matches_columnar_reference():
                 [0, 1], 1.0, first, last, direction
             )
     assert merged.snapshot() == reference.snapshot()
-
-
-def test_overflow_cache_clears_when_traffic_is_rewritten():
-    meter = BandwidthMeter()
-    meter.merge_from(_shard([_HALF_OVERFLOW]))
-    meter.merge_from(_shard([_HALF_OVERFLOW]))
-    assert meter._matrix() is None
-    # A further merge invalidates the cached verdict; the guard then
-    # re-evaluates (and trips again — volumes only grow).
-    meter.merge_from(_shard([1]))
-    assert meter._matrix_cache is None
-    assert meter._matrix() is None
-    assert meter._matrix_cache == "overflow"

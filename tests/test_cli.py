@@ -73,11 +73,13 @@ class TestParser:
 
     def test_detect_strategy_choices(self):
         args = build_parser().parse_args(
-            ["detect", "--strategy", "silent-receiver"]
+            ["run", "--scenario", "detect", "--strategy", "silent-receiver"]
         )
         assert args.strategy == "silent-receiver"
         with pytest.raises(SystemExit):
-            build_parser().parse_args(["detect", "--strategy", "nonsense"])
+            build_parser().parse_args(
+                ["run", "--scenario", "detect", "--strategy", "nonsense"]
+            )
 
 
 class TestCommands:
@@ -136,36 +138,43 @@ class TestCommands:
 
     def test_detect(self, capsys):
         code = main(
-            ["detect", "--strategy", "free-rider", "--nodes", "16",
-             "--rounds", "10"]
+            ["run", "--scenario", "detect", "--strategy", "free-rider",
+             "--nodes", "16", "--rounds", "10"]
         )
         assert code == 0
         out = capsys.readouterr().out
         assert "GUILTY" in out
 
     def test_fig8(self, capsys):
-        assert main(["fig8"]) == 0
-        assert "update size" in capsys.readouterr().out
+        assert main(["run", "--scenario", "fig8"]) == 0
+        captured = capsys.readouterr()
+        assert "update size" in captured.out
+        assert captured.err == ""
 
     def test_fig9(self, capsys):
-        assert main(["fig9"]) == 0
-        out = capsys.readouterr().out
-        assert "1000000" in out
+        assert main(["run", "--scenario", "fig9"]) == 0
+        captured = capsys.readouterr()
+        assert "1000000" in captured.out
+        assert captured.err == ""
 
     def test_fig10(self, capsys):
-        assert main(["fig10"]) == 0
-        assert "attackers" in capsys.readouterr().out
+        assert main(["run", "--scenario", "fig10"]) == 0
+        captured = capsys.readouterr()
+        assert "attackers" in captured.out
+        assert captured.err == ""
 
     def test_table1(self, capsys):
-        assert main(["table1"]) == 0
-        out = capsys.readouterr().out
-        assert "1080p" in out
-        assert "33" in out
+        assert main(["run", "--scenario", "table1"]) == 0
+        captured = capsys.readouterr()
+        assert "1080p" in captured.out
+        assert "33" in captured.out
+        assert captured.err == ""
 
     def test_table2(self, capsys):
-        assert main(["table2"]) == 0
-        out = capsys.readouterr().out
-        assert "∅" in out
+        assert main(["run", "--scenario", "table2"]) == 0
+        captured = capsys.readouterr()
+        assert "∅" in captured.out
+        assert captured.err == ""
 
     def test_verify(self, capsys):
         assert main(["verify"]) == 0
@@ -174,57 +183,21 @@ class TestCommands:
         assert "True" in out
 
     def test_fig7_small(self, capsys):
-        assert main(["fig7", "--nodes", "20", "--rounds", "8"]) == 0
+        assert main(
+            ["run", "--scenario", "fig7", "--nodes", "20", "--rounds", "8"]
+        ) == 0
         assert "AcTinG" in capsys.readouterr().out
 
 
 class TestDeprecatedAliases:
-    """The legacy verbs are thin aliases over ``run --scenario``:
-    byte-identical stdout, a deprecation pointer on stderr only."""
+    """The legacy verbs are retired; ``run --scenario`` is the one way
+    to reach a paper renderer."""
 
-    @pytest.mark.parametrize(
-        "alias, run_args",
-        [
-            (["fig8"], ["run", "--scenario", "fig8"]),
-            (["fig9"], ["run", "--scenario", "fig9"]),
-            (["fig10"], ["run", "--scenario", "fig10"]),
-            (["table1"], ["run", "--scenario", "table1"]),
-            (["table2"], ["run", "--scenario", "table2"]),
-        ],
-    )
-    def test_alias_output_equals_run_scenario(
-        self, capsys, alias, run_args
-    ):
-        alias_code = main(alias)
-        alias_cap = capsys.readouterr()
-        run_code = main(run_args)
-        run_cap = capsys.readouterr()
-        assert alias_code == run_code == 0
-        assert alias_cap.out == run_cap.out
-        assert "deprecated" in alias_cap.err
-        assert run_cap.err == ""
-
-    def test_fig7_alias_equals_run_scenario(self, capsys):
-        flags = ["--nodes", "18", "--rounds", "6"]
-        alias_code = main(["fig7"] + flags)
-        alias_cap = capsys.readouterr()
-        run_code = main(["run", "--scenario", "fig7"] + flags)
-        run_cap = capsys.readouterr()
-        assert alias_code == run_code == 0
-        assert alias_cap.out == run_cap.out
-        assert "deprecated" in alias_cap.err
-
-    def test_detect_alias_equals_run_scenario(self, capsys):
-        flags = ["--strategy", "free-rider", "--nodes", "16",
-                 "--rounds", "10"]
-        alias_code = main(["detect"] + flags)
-        alias_cap = capsys.readouterr()
-        run_code = main(["run", "--scenario", "detect"] + flags)
-        run_cap = capsys.readouterr()
-        assert alias_code == run_code == 0
-        assert alias_cap.out == run_cap.out
-        assert "GUILTY" in alias_cap.out
-        assert "deprecated" in alias_cap.err
+    def test_retired_verbs_are_rejected(self):
+        for verb in ("fig7", "fig8", "fig9", "fig10", "table1", "table2",
+                     "detect", "bench"):
+            with pytest.raises(SystemExit):
+                build_parser().parse_args([verb])
 
     def test_run_scenario_detect_conviction_exit_code(self, capsys):
         code = main(
@@ -242,111 +215,6 @@ class TestDeprecatedAliases:
         with pytest.raises(SystemExit, match="--strategy"):
             main(["run", "--scenario", "selfish", "--rounds", "6",
                   "--strategy", "free-rider"])
-
-
-class TestBenchCommand:
-    def test_bench_writes_json(self, capsys, tmp_path):
-        out_file = tmp_path / "BENCH_hotpath.json"
-        code = main(
-            ["bench", "--quick", "--nodes", "16", "--rounds", "3",
-             "--out", str(out_file)]
-        )
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "hashes/s 512-bit" in out
-        assert "engine rounds/s" in out
-
-        import json
-
-        report = json.loads(out_file.read_text())
-        assert report["schema"] == 7
-        assert set(report["hashes_per_s"]) == {"256", "512"}
-        assert report["primes_per_s"]["512"] > 0
-        assert report["engine"]["rounds_per_s"] > 0
-        assert report["backend"] in ("python", "gmpy2")
-        cache = report["engine"]["cache"]
-        assert 0.0 <= cache["memo_hit_rate"] <= 1.0
-        assert cache["fixed_base_entries"] <= cache["fixed_base_max"]
-        meter = report["meter_cdf"]
-        assert meter["columnar_per_s"] > 0
-        assert meter["dict_per_s"] > 0
-        matrix = report["meter_matrix"]
-        assert matrix["identical"] is True
-        assert matrix["vectorized_per_s"] > 0
-        assert matrix["columnar_per_s"] > 0
-        parallel = report["parallel"]
-        assert parallel["scenario"] == "fig9"
-        assert parallel["cpu_count"] >= 1
-        assert [row["workers"] for row in parallel["rows"]] == [2, 4]
-        for row in parallel["rows"]:
-            assert row["mode"] == "process"
-            assert row["wall_rounds_per_s"] > 0
-            assert row["projected_multicore_rounds_per_s"] > 0
-            assert row["shard_imbalance"] >= 1.0
-        batch = report["batch_verify"]
-        assert [row["pairs"] for row in batch["primitive"]] == [3, 8]
-        for row in batch["primitive"]:
-            assert row["batched_folds_per_s"] > 0
-            assert row["per_pair_folds_per_s"] > 0
-        assert batch["engine"]["identical"] is True
-        assert batch["engine"]["batched_lifts"] > 0
-        assert batch["engine"]["monitors_per_node"] == 1
-        ladder = report["shared_ladder"]
-        assert ladder["scenario"] == "fig9"
-        assert ladder["workers"] == 4
-        assert ladder["with_table"]["worker_busy_cpu_seconds"] > 0
-        assert ladder["without_table"]["worker_busy_cpu_seconds"] > 0
-        population = report["population"]
-        assert population["scenario"] == "fig9-1m"
-        assert population["population"] == 100_000  # quick shrink
-        assert population["nodes_per_sec"] > 0
-        assert population["peak_rss_mb"] > 0
-        assert "population tier" in out
-        hooks = report["service_hooks"]
-        assert hooks["untapped_rounds_per_s"] > 0
-        assert hooks["idle_tap_rounds_per_s"] > 0
-        assert hooks["subscribed_rounds_per_s"] > 0
-        assert "service hooks" in out
-
-    def test_bench_section_selector_retimes_only_selection(
-        self, capsys, tmp_path
-    ):
-        import json
-
-        out_file = tmp_path / "BENCH_hotpath.json"
-        code = main(
-            ["bench", "--quick", "--section", "primes_per_s",
-             "--out", str(out_file)]
-        )
-        assert code == 0
-        report = json.loads(out_file.read_text())
-        assert report["schema"] == 7
-        assert report["primes_per_s"]["512"] > 0
-        # Non-selected sections were not measured at all.
-        assert "engine" not in report
-        assert "population" not in report
-        capsys.readouterr()
-
-        # A second selective run re-times its section and carries the
-        # previous report's other sections over unchanged.
-        previous_primes = report["primes_per_s"]
-        code = main(
-            ["bench", "--quick", "--section", "hashes_per_s",
-             "--out", str(out_file)]
-        )
-        assert code == 0
-        merged = json.loads(out_file.read_text())
-        assert merged["hashes_per_s"]["512"] > 0
-        assert merged["primes_per_s"] == previous_primes
-        out = capsys.readouterr().out
-        assert "hashes/s 512-bit" in out
-
-    def test_bench_rejects_unknown_section(self, tmp_path):
-        with pytest.raises(ValueError, match="unknown bench section"):
-            main(
-                ["bench", "--quick", "--section", "warp-core",
-                 "--out", str(tmp_path / "b.json")]
-            )
 
 
 class TestFuzzCommand:
