@@ -46,10 +46,20 @@ CONFIG = FuzzConfig(
 )
 
 
+# Tier-1 must give the same answer on the same tree, so the six draws
+# are derandomized and no failing draw is kept in ``.hypothesis`` to be
+# replayed; random exploration belongs to the ``fuzz-smoke`` and nightly
+# ``repro fuzz`` lanes.
+#
+# OPEN FINDING, not fixed and not pinned (it would fail): entropy=50810
+# draws an outage plus a partition under which partial-forwarder 9 is
+# never convicted (first seen at PR 12's parent).
 @settings(
     max_examples=6,
     deadline=None,
     suppress_health_check=[HealthCheck.too_slow],
+    derandomize=True,
+    database=None,
 )
 @given(entropy=st.integers(min_value=0, max_value=2**48))
 # This entropy once convicted an honest node: its declaration went to
