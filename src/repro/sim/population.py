@@ -21,7 +21,10 @@ node by per-round Poisson degree draws (in-degree, out-degree,
 monitor-load) normalised to their realized mean.  Per-round per-kind
 plane means therefore equal the cohort's honest-consumer means exactly;
 only the across-node variance is synthetic (Poisson contact counts, the
-same model the paper's membership views induce).
+same model the paper's membership views induce).  Degrees come from an
+exact table sampler (:class:`PoissonDegreeSampler`: Walker alias over
+the pmf truncated below a 2^-60 tail, one uniform per draw), not from
+an approximation of the distribution.
 
 Crypto is memoised over equivalence classes of identical exchanges:
 one real representative evaluation per round on the plane's *own*
@@ -30,15 +33,19 @@ the fan-out credited to ``memoised_operations``, and a calibrated
 top-up so real + memoised plane totals reconcile with what a
 full-fidelity run of the plane would have cost.
 
-Per-round plane rows stream to a
-:class:`~repro.sim.trace.ColumnarRoundSpill`, so memory stays bounded
-regardless of population x rounds; collection reads windows back
-through :class:`~repro.sim.metrics.SpilledMeter`.
+Per-round plane rows are written through to a
+:class:`~repro.sim.trace.ColumnarRoundSpill` as they are built, so the
+plane holds one round's working vectors and nothing per round;
+collection reads windows back through
+:class:`~repro.sim.metrics.SpilledMeter`.
 """
 
 from __future__ import annotations
 
+import math
 import resource
+import sys
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
@@ -54,6 +61,7 @@ from repro.sim.trace import ColumnarRoundSpill
 
 __all__ = [
     "PlaneCalibrationTap",
+    "PoissonDegreeSampler",
     "PopulationPlane",
     "PopulationPolicy",
     "PopulationResult",
@@ -79,6 +87,105 @@ _KIND_DRIVERS: Dict[str, Tuple[str, str]] = {
     "declaration_ack": ("mon", "in"),
     "monitor_broadcast": ("mon", "mon"),
 }
+
+#: The degree draws a round makes, in draw order.
+_DEGREE_DRIVERS: Tuple[str, ...] = ("in", "out", "mon")
+
+
+class PoissonDegreeSampler:
+    """Exact Poisson(``lam``) draws of a fixed width from an alias table.
+
+    The support is truncated at the first ``K`` whose discarded tail
+    ``P[X >= K]`` is below ``TAIL_BOUND`` (bounded by the geometric
+    series ``pmf(K) / (1 - lam / (K + 1))``); the pmf over ``0..K-1``
+    comes from ``lgamma`` and is renormalised over that support.  A
+    Walker/Vose alias table over it turns one uniform into one draw:
+    ``u * K`` splits into a column index and an acceptance fraction,
+    the column keeps its own index with probability ``prob[column]``
+    and yields ``alias[column]`` otherwise.  That is the Poisson
+    distribution itself up to the truncation, at a cost that does not
+    depend on ``lam`` (numpy's own sampler loops over ~``lam`` uniforms
+    per draw below ``lam = 10``).
+
+    The scratch vectors a draw needs are allocated once, for ``width``
+    draws at a time.
+    """
+
+    TAIL_BOUND = 2.0**-60
+
+    def __init__(self, lam: float, width: int) -> None:
+        if not lam > 0:
+            raise ValueError("Poisson rate must be positive")
+        if width < 1:
+            raise ValueError("sampler width must be at least 1")
+        log_lam = math.log(lam)
+        masses: List[float] = []
+        while True:
+            k = len(masses)
+            mass = math.exp(k * log_lam - lam - math.lgamma(k + 1))
+            if k + 1 > lam and mass / (1.0 - lam / (k + 1)) < (
+                self.TAIL_BOUND
+            ):
+                break
+            masses.append(mass)
+        total = math.fsum(masses)
+        pmf = [mass / total for mass in masses]
+        #: pmf over the truncated support ``0..size-1`` (sums to 1).
+        self.pmf = np.array(pmf)
+        self.size = size = len(pmf)
+        # Vose's construction: pair each under-full column with an
+        # over-full one until every column holds exactly 1/size.
+        scaled = [mass * size for mass in pmf]
+        prob = [1.0] * size
+        alias = list(range(size))
+        small = [i for i, p in enumerate(scaled) if p < 1.0]
+        large = [i for i, p in enumerate(scaled) if p >= 1.0]
+        while small and large:
+            low = small.pop()
+            high = large.pop()
+            prob[low] = scaled[low]
+            alias[low] = high
+            scaled[high] = (scaled[high] + scaled[low]) - 1.0
+            (small if scaled[high] < 1.0 else large).append(high)
+        #: per-column probability of keeping the column's own index.
+        self.prob = np.array(prob)
+        #: per-column value drawn when the column's own index is not kept.
+        self.alias = np.array(alias, dtype=np.intp)
+        # ``_outcome[2 * column]`` is the alias, ``[2 * column + 1]``
+        # the column itself: the accept bit is the low index bit, so
+        # the select is a gather and not a data-dependent branch.
+        self._outcome = np.empty(2 * size, dtype=np.float64)
+        self._outcome[0::2] = self.alias
+        self._outcome[1::2] = np.arange(size)
+        self._column = np.empty(width, dtype=np.intp)
+        self._threshold = np.empty(width, dtype=np.float64)
+        self._accept = np.empty(width, dtype=bool)
+
+    def lookup(self, uniforms: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """Map ``width`` uniforms in [0, 1) to degrees, written to ``out``.
+
+        ``uniforms`` is used as scratch and holds the acceptance
+        fractions afterwards; ``out`` may be the same array.
+        """
+        size = self.size
+        column = self._column
+        np.multiply(uniforms, size, out=uniforms)
+        # Truncation gives the column.  It is below ``size`` for every
+        # double u < 1 (u * size falls at least half an ulp short of
+        # size); the gathers clip all the same, which is also numpy's
+        # cheaper mode, so a stray 1.0 cannot index past the tables.
+        np.copyto(column, uniforms, casting="unsafe")
+        np.subtract(uniforms, column, out=uniforms)
+        self.prob.take(column, out=self._threshold, mode="clip")
+        np.less(uniforms, self._threshold, out=self._accept)
+        np.left_shift(column, 1, out=column)
+        np.add(column, self._accept, out=column)
+        return self._outcome.take(column, out=out, mode="clip")
+
+    def draw(self, rng: np.random.Generator, out: np.ndarray) -> np.ndarray:
+        """Fill ``out`` (float64, ``width`` long) with fresh degrees."""
+        rng.random(out=out)
+        return self.lookup(out, out)
 
 
 class PlaneCalibrationTap:
@@ -161,7 +268,6 @@ class PopulationPlane:
         fanout: int,
         seed: int,
         spill_dir: Optional[str] = None,
-        spill_buffer_rounds: int = 4,
     ) -> None:
         if plane_size < 1:
             raise ValueError("plane needs at least one node")
@@ -179,61 +285,80 @@ class PopulationPlane:
             modulus=cohort_hasher.modulus, backend=cohort_hasher.backend
         )
         self.spill = ColumnarRoundSpill(
-            plane_size,
-            directory=spill_dir,
-            fields=("up", "down"),
-            buffer_rounds=spill_buffer_rounds,
+            plane_size, directory=spill_dir, fields=("up", "down")
         )
         self._rng = np.random.default_rng(seed)
+        self._sampler = PoissonDegreeSampler(fanout, plane_size)
+        # One round's working set, reused every round: a degree vector
+        # per driver (with 1 / its realized mean), a float accumulator
+        # with its scratch, and the int64 rows the spill writes from.
+        self._degrees = {
+            driver: np.empty(plane_size, dtype=np.float64)
+            for driver in _DEGREE_DRIVERS
+        }
+        self._inv_mean: Dict[str, float] = {}
+        self._acc = np.empty(plane_size, dtype=np.float64)
+        self._term = np.empty(plane_size, dtype=np.float64)
+        self._rows = {
+            name: np.empty(plane_size, dtype=np.int64)
+            for name in self.spill.fields
+        }
         self._cohort_ops_mark = cohort_hasher.operations
         self.rounds_done = 0
 
-    def _degree_scale(self) -> np.ndarray:
-        """Poisson degree draw normalised to its realized mean.
+    def _draw_degrees(self) -> None:
+        """Redraw every driver's Poisson degrees and 1 / their mean.
 
-        Normalising by the *realized* mean (not the expectation) pins
-        the plane's per-round per-kind mean exactly to the calibrated
-        cohort mean; only across-node variance is synthetic.
+        Scaling by the *realized* mean (not the expectation) pins the
+        plane's per-round per-kind mean exactly to the calibrated
+        cohort mean; only across-node variance is synthetic.  A draw
+        that is zero everywhere modulates nothing: it becomes all ones.
         """
-        draw = self._rng.poisson(
-            self.fanout, self.plane_size
-        ).astype(np.float64)
-        mean = draw.mean()
-        if mean <= 0.0:
-            return np.ones(self.plane_size, dtype=np.float64)
-        return draw / mean
+        for driver, degrees in self._degrees.items():
+            mean = float(self._sampler.draw(self._rng, degrees).mean())
+            if mean <= 0.0:
+                degrees.fill(1.0)
+                mean = 1.0
+            self._inv_mean[driver] = 1.0 / mean
+
+    def _build_row(
+        self, driver_bytes: Counter, n_honest: int, out: np.ndarray
+    ) -> None:
+        """Write one direction's per-node byte row to ``out``.
+
+        ``driver_bytes`` is the honest cohort's bytes of the round per
+        driver, every kind the driver modulates already summed.  Each
+        degree vector then enters once, times the scalar
+        ``bytes / n_honest / realized mean``: a row costs one
+        multiply-add per driver however many kinds the round carried.
+        """
+        acc, term = self._acc, self._term
+        acc.fill(driver_bytes["uniform"] / n_honest)
+        for driver, degrees in self._degrees.items():
+            total = driver_bytes[driver]
+            if total:
+                weight = total / n_honest * self._inv_mean[driver]
+                np.multiply(degrees, weight, out=term)
+                acc += term
+        np.rint(acc, out=acc)
+        np.copyto(out, acc, casting="unsafe")
 
     def end_round(self, round_no: int) -> None:
         sums, serve, prime = self.tap.consume_round(round_no)
         n_honest = len(self.tap.honest_ids)
-        scales = {
-            "in": self._degree_scale(),
-            "out": self._degree_scale(),
-            "mon": self._degree_scale(),
-            "uniform": None,  # mean applies unmodulated
-        }
-        up = np.zeros(self.plane_size, dtype=np.float64)
-        down = np.zeros(self.plane_size, dtype=np.float64)
+        up_bytes: Counter = Counter()
+        down_bytes: Counter = Counter()
         for kind, (up_sum, down_sum) in sums.items():
+            # A kind without a driver applies its mean unmodulated.
             up_driver, down_driver = _KIND_DRIVERS.get(
                 kind, ("uniform", "uniform")
             )
-            up_mean = up_sum / n_honest
-            down_mean = down_sum / n_honest
-            if up_mean:
-                scale = scales[up_driver]
-                up += up_mean if scale is None else up_mean * scale
-            if down_mean:
-                scale = scales[down_driver]
-                down += (
-                    down_mean if scale is None else down_mean * scale
-                )
-        self.spill.append_round(
-            {
-                "up": np.rint(up).astype(np.int64),
-                "down": np.rint(down).astype(np.int64),
-            }
-        )
+            up_bytes[up_driver] += up_sum
+            down_bytes[down_driver] += down_sum
+        self._draw_degrees()
+        self._build_row(up_bytes, n_honest, self._rows["up"])
+        self._build_row(down_bytes, n_honest, self._rows["down"])
+        self.spill.append_round(self._rows)
         self._account_crypto(serve, prime, n_honest)
         self.rounds_done += 1
 
@@ -390,9 +515,12 @@ class PopulationResult(ScenarioResult):
 
 
 def peak_rss_mb() -> float:
-    """This process's peak resident set size, in MiB (Linux: KiB units)."""
-    peak_kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-    return peak_kb / 1024.0
+    """This process's peak resident set size, in MiB."""
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    # ru_maxrss counts bytes on macOS, KiB on Linux and the BSDs.
+    if sys.platform == "darwin":
+        return peak / (1024.0 * 1024.0)
+    return peak / 1024.0
 
 
 def build_population_result(

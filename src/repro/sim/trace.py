@@ -19,7 +19,7 @@ import shutil
 import tempfile
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Mapping, Optional, Tuple
+from typing import Iterator, List, Mapping, Optional, Tuple
 
 from repro.sim.message import Message
 
@@ -100,26 +100,28 @@ class ColumnarRoundSpill:
     """Columnar on-disk per-round store over a fixed node universe.
 
     Each round appends one dense int64 row per field (``up``/``down``
-    bytes by default) to that field's binary file; a small in-RAM
-    buffer batches writes, so memory stays bounded by
-    ``buffer_rounds * n_nodes * 8`` bytes per field regardless of how
-    many rounds the run lasts.  Rows are raw little-endian int64, so a
+    bytes by default) to that field's binary file.  Rows are written
+    through: :meth:`append_round` hands each validated row's own buffer
+    to the file, so a row is on disk (and the caller free to reuse its
+    array) when the call returns, and the writer holds no rows in RAM
+    however long the run lasts.  Rows are raw little-endian int64, so a
     row's file offset is simply ``round * n_nodes * 8`` and windowed
-    reads stream back in bounded chunks.
+    reads stream back through one block of at most ``_CHUNK_BYTES``.
 
     Node ids are row indices ``0..n_nodes-1``; callers with a global id
     space put their offset on top (see
     :class:`~repro.sim.metrics.SpilledMeter`).
     """
 
-    _CHUNK_ROUNDS = 16
+    #: Read-side budget: ``window_sum`` reads as many whole rows as fit
+    #: in this many bytes at a time (always at least one row).
+    _CHUNK_BYTES = 8 << 20
 
     def __init__(
         self,
         n_nodes: int,
         directory: Optional[str] = None,
         fields: Tuple[str, ...] = ("up", "down"),
-        buffer_rounds: int = 4,
     ) -> None:
         # Population tier only: imported here so that every other run
         # leaves numpy unloaded.
@@ -130,11 +132,8 @@ class ColumnarRoundSpill:
             raise ValueError("spill needs a non-empty node universe")
         if not fields:
             raise ValueError("spill needs at least one field")
-        if buffer_rounds < 1:
-            raise ValueError("buffer must hold at least one round")
         self.n_nodes = n_nodes
         self.fields = tuple(fields)
-        self.buffer_rounds = buffer_rounds
         self._owns_directory = directory is None
         if directory is None:
             directory = tempfile.mkdtemp(prefix="repro-spill-")
@@ -143,14 +142,12 @@ class ColumnarRoundSpill:
             name: os.path.join(directory, f"{name}.i64")
             for name in self.fields
         }
-        for path in self._paths.values():
-            # Truncate stale files: a reused spill dir must not leak a
-            # previous run's rows into this one's round numbering.
-            open(path, "wb").close()
-        self._buffers: Dict[str, List[object]] = {
-            name: [] for name in self.fields
+        # "wb" truncates stale files: a reused spill dir must not leak
+        # a previous run's rows into this one's round numbering.
+        self._files = {
+            name: open(path, "wb") for name, path in self._paths.items()
         }
-        self._flushed_rounds = 0
+        self._rounds_written = 0
         self._closed = False
 
     def _ensure_open(self) -> None:
@@ -174,8 +171,8 @@ class ColumnarRoundSpill:
 
     @property
     def rounds_written(self) -> int:
-        """Rounds appended so far (flushed or still buffered)."""
-        return self._flushed_rounds + len(self._buffers[self.fields[0]])
+        """Rounds appended so far (each one on disk)."""
+        return self._rounds_written
 
     def append_round(self, rows: Mapping[str, object]) -> None:
         """Append one round: a dense row per field, all fields at once."""
@@ -188,7 +185,9 @@ class ColumnarRoundSpill:
         _np = self._np
         staged = {}
         for name, row in rows.items():
-            arr = _np.ascontiguousarray(row, dtype=_np.int64)
+            # "<i8" is the on-disk format: no copy for a contiguous
+            # int64 row on a little-endian host, a byte swap elsewhere.
+            arr = _np.ascontiguousarray(row, dtype="<i8")
             if arr.shape != (self.n_nodes,):
                 raise ValueError(
                     f"field {name!r} row has shape {arr.shape}, "
@@ -196,31 +195,22 @@ class ColumnarRoundSpill:
                 )
             staged[name] = arr
         for name, arr in staged.items():
-            self._buffers[name].append(arr)
-        if len(self._buffers[self.fields[0]]) >= self.buffer_rounds:
-            self.flush()
+            # A row wider than the file object's buffer goes to the OS
+            # straight from the array's memory.
+            self._files[name].write(arr.data)
+        self.flush()
+        self._rounds_written += 1
 
     def flush(self) -> None:
-        """Write buffered rounds to disk (little-endian int64 rows)."""
+        """Push anything the file objects still hold to the OS.
+
+        ``append_round`` ends with this, so between appends there is
+        nothing to push and the call costs one empty flush per field.
+        """
         if self._closed:
             return
-        _np = self._np
-        for name in self.fields:
-            buffered = self._buffers[name]
-            if not buffered:
-                continue
-            block = _np.concatenate(buffered)
-            if block.dtype.byteorder == ">":  # pragma: no cover
-                block = block.astype("<i8")
-            with open(self._paths[name], "ab") as fh:
-                fh.write(block.tobytes())
-            buffered.clear()
-        self._flushed_rounds = self._disk_rounds()
-
-    def _disk_rounds(self) -> int:
-        row_bytes = self.n_nodes * 8
-        size = os.path.getsize(self._paths[self.fields[0]])
-        return size // row_bytes
+        for fh in self._files.values():
+            fh.flush()
 
     def _check_field(self, field_name: str) -> None:
         if field_name not in self._paths:
@@ -238,7 +228,6 @@ class ColumnarRoundSpill:
                 f"round {rnd} outside the {self.rounds_written} "
                 "spilled rounds"
             )
-        self.flush()
         row_bytes = self.n_nodes * 8
         with open(self._paths[field_name], "rb") as fh:
             fh.seek(rnd * row_bytes)
@@ -253,11 +242,13 @@ class ColumnarRoundSpill:
     ):
         """Per-node sum over an inclusive round window, streamed.
 
-        Reads at most ``_CHUNK_ROUNDS`` rows at a time, so a window sum
-        over a long run never materialises the full (node × round)
-        block in memory.  Rounds beyond what was written contribute
-        zero (matching :class:`~repro.sim.metrics.BandwidthMeter`'s
-        padded-series semantics).
+        Reads whole rows into one reusable block of at most
+        ``_CHUNK_BYTES`` (one row when a row alone is wider), so the
+        memory a window sum needs is set by that budget, not by the
+        node count times a round count.  Rounds beyond what was written
+        contribute zero (matching
+        :class:`~repro.sim.metrics.BandwidthMeter`'s padded-series
+        semantics).
         """
         self._ensure_open()
         self._check_field(field_name)
@@ -270,37 +261,47 @@ class ColumnarRoundSpill:
                 f"inverted round window: last_round {last_round} "
                 f"precedes first_round {first_round}"
             )
-        self.flush()
         _np = self._np
         last = min(last_round, self.rounds_written - 1)
         total = _np.zeros(self.n_nodes, dtype=_np.int64)
         if last < first_round:
             return total
         row_bytes = self.n_nodes * 8
+        chunk_rounds = min(
+            max(1, self._CHUNK_BYTES // row_bytes), last - first_round + 1
+        )
+        block = _np.empty((chunk_rounds, self.n_nodes), dtype="<i8")
         with open(self._paths[field_name], "rb") as fh:
+            fh.seek(first_round * row_bytes)
             rnd = first_round
             while rnd <= last:
-                count = min(self._CHUNK_ROUNDS, last - rnd + 1)
-                fh.seek(rnd * row_bytes)
-                block = _np.frombuffer(
-                    fh.read(count * row_bytes), dtype="<i8"
-                ).reshape(count, self.n_nodes)
-                total += block.sum(axis=0, dtype=_np.int64)
+                count = min(chunk_rounds, last - rnd + 1)
+                rows = block[:count]
+                if fh.readinto(rows) != count * row_bytes:
+                    raise OSError(
+                        f"short read from {self._paths[field_name]}"
+                    )
+                # Row by row: no (n_nodes,) temporary, and faster than
+                # an axis-0 reduction over a few wide rows.
+                for row in rows:
+                    total += row
                 rnd += count
         return total
 
     def bytes_on_disk(self) -> int:
-        """Total spill file size (flushed rows only)."""
+        """Total spill file size: every appended row of every field."""
         self._ensure_open()
         return sum(
             os.path.getsize(path) for path in self._paths.values()
         )
 
     def close(self) -> None:
-        """Flush and, when the spill owns its directory, remove it."""
+        """Close the files and, when the spill owns its directory,
+        remove it."""
         if self._closed:
             return
-        self.flush()
+        for fh in self._files.values():
+            fh.close()
         self._closed = True
         if self._owns_directory:
             shutil.rmtree(self.directory, ignore_errors=True)

@@ -2,9 +2,10 @@
 
 The population tier appends one dense int64 row per field per round and
 reads windows back in bounded chunks; these tests pin the on-disk
-layout (raw little-endian int64 rows), the buffered/flushed duality,
-zero-padding past the written rounds, directory ownership, and every
-argument-validation path.
+layout (raw little-endian int64 rows), the write-through contract (a
+row is on disk, and the caller's array its own again, when
+``append_round`` returns), zero-padding past the written rounds,
+directory ownership, and every argument-validation path.
 """
 
 import os
@@ -44,30 +45,79 @@ def test_round_trip_and_window_sum(tmp_path):
 
 
 def test_buffered_rows_are_readable_before_flush(tmp_path):
-    spill = ColumnarRoundSpill(
-        3, directory=str(tmp_path), buffer_rounds=10
-    )
-    spill.append_round(_rows(3, 0))
-    spill.append_round(_rows(3, 1))
-    # Nothing has hit the disk yet, but reads must still see the rows
-    # (read paths flush first).
-    assert spill.rounds_written == 2
+    # Write-through contract: a row is readable, and counted by
+    # bytes_on_disk(), as soon as append_round returns -- no flush()
+    # and no read in between.  (At the parent, bytes_on_disk() counted
+    # flushed rows only and read 0 here.)
+    spill = ColumnarRoundSpill(3, directory=str(tmp_path))
+    for rnd in range(5):
+        spill.append_round(_rows(3, rnd))
+        assert spill.rounds_written == rnd + 1
+        assert spill.bytes_on_disk() == (
+            spill.rounds_written * 3 * 8 * len(spill.fields)
+        )
     np.testing.assert_array_equal(
         spill.read_round("up", 1), _rows(3, 1)["up"]
     )
-    assert spill.bytes_on_disk() == 2 * 3 * 8 * 2  # rounds*nodes*8*fields
     spill.close()
 
 
 def test_auto_flush_at_buffer_rounds(tmp_path):
-    spill = ColumnarRoundSpill(
-        4, directory=str(tmp_path), buffer_rounds=2
+    # There is no round buffer: every append lands in the field files
+    # before it returns, whatever the round count.
+    spill = ColumnarRoundSpill(4, directory=str(tmp_path))
+    for rnd in range(3):
+        spill.append_round(_rows(4, rnd))
+        for name in spill.fields:
+            assert os.path.getsize(tmp_path / f"{name}.i64") == (
+                (rnd + 1) * 4 * 8
+            )
+    # flush() stays callable and changes nothing.
+    spill.flush()
+    assert os.path.getsize(tmp_path / "up.i64") == 3 * 4 * 8
+    spill.close()
+
+
+def test_caller_may_reuse_its_array_after_append(tmp_path):
+    # At the parent the spill buffered the caller's array by reference,
+    # so overwriting it after append_round corrupted the pending round.
+    spill = ColumnarRoundSpill(3, directory=str(tmp_path))
+    up = np.array([1, 2, 3], dtype=np.int64)
+    down = np.array([4, 5, 6], dtype=np.int64)
+    spill.append_round({"up": up, "down": down})
+    up[:] = 99
+    down[:] = 99
+    spill.append_round({"up": up, "down": down})
+    np.testing.assert_array_equal(spill.read_round("up", 0), [1, 2, 3])
+    np.testing.assert_array_equal(spill.read_round("down", 0), [4, 5, 6])
+    np.testing.assert_array_equal(spill.read_round("up", 1), [99] * 3)
+    np.testing.assert_array_equal(
+        spill.window_sum("down", 0, 1), [103, 104, 105]
     )
-    spill.append_round(_rows(4, 0))
-    assert os.path.getsize(tmp_path / "up.i64") == 0
-    spill.append_round(_rows(4, 1))
-    # Second append crossed the buffer threshold: both rounds on disk.
-    assert os.path.getsize(tmp_path / "up.i64") == 2 * 4 * 8
+    spill.close()
+
+
+def test_files_match_the_concatenated_rows_byte_for_byte(tmp_path):
+    # The format the parent wrote: the rounds' rows concatenated, as
+    # little-endian int64, nothing else in the file.  Rows arrive as
+    # int64 arrays, other integer dtypes, strided views and lists.
+    n = 6
+    rows = [
+        np.arange(n, dtype=np.int64) * 7 - 3,
+        np.arange(n, dtype=np.int32) + (1 << 20),
+        np.arange(2 * n, dtype=np.int64)[::2] << 40,
+        [5, 4, 3, 2, 1, -(1 << 62)],
+    ]
+    spill = ColumnarRoundSpill(n, directory=str(tmp_path))
+    for row in rows:
+        spill.append_round({"up": row, "down": row[::-1]})
+    for name, step in (("up", 1), ("down", -1)):
+        expected = (
+            np.concatenate([np.asarray(row)[::step] for row in rows])
+            .astype("<i8")
+            .tobytes()
+        )
+        assert (tmp_path / f"{name}.i64").read_bytes() == expected
     spill.close()
 
 
@@ -87,9 +137,11 @@ def test_window_sum_zero_pads_past_written_rounds(tmp_path):
     spill.close()
 
 
-def test_window_sum_streams_chunked(tmp_path):
-    # More rounds than _CHUNK_ROUNDS forces the chunked path.
-    n_rounds = ColumnarRoundSpill._CHUNK_ROUNDS * 2 + 3
+def test_window_sum_streams_chunked(tmp_path, monkeypatch):
+    # A read budget of three rows against 2*3+2 rounds forces the
+    # chunked path, ragged last chunk included.
+    monkeypatch.setattr(ColumnarRoundSpill, "_CHUNK_BYTES", 3 * 2 * 8)
+    n_rounds = 3 * 2 + 2
     spill = ColumnarRoundSpill(2, directory=str(tmp_path))
     for rnd in range(n_rounds):
         spill.append_round(
@@ -98,6 +150,21 @@ def test_window_sum_streams_chunked(tmp_path):
     total = spill.window_sum("up", 0, n_rounds - 1)
     s = n_rounds * (n_rounds - 1) // 2
     np.testing.assert_array_equal(total, np.array([s, 2 * s]))
+    # A window that starts mid-file and is not a chunk multiple.
+    np.testing.assert_array_equal(
+        spill.window_sum("up", 2, 6), np.array([20, 40])
+    )
+    spill.close()
+
+
+def test_window_sum_reads_at_least_one_row_per_chunk(tmp_path, monkeypatch):
+    # A row wider than the whole budget is still read, one at a time.
+    monkeypatch.setattr(ColumnarRoundSpill, "_CHUNK_BYTES", 8)
+    spill = ColumnarRoundSpill(4, directory=str(tmp_path))
+    for rnd in range(3):
+        spill.append_round(_rows(4, rnd))
+    manual = sum(_rows(4, rnd)["down"] for rnd in range(3))
+    np.testing.assert_array_equal(spill.window_sum("down", 0, 9), manual)
     spill.close()
 
 
@@ -138,7 +205,6 @@ def test_append_after_close_raises(tmp_path):
     [
         (dict(n_nodes=0), "non-empty node universe"),
         (dict(n_nodes=3, fields=()), "at least one field"),
-        (dict(n_nodes=3, buffer_rounds=0), "at least one round"),
     ],
 )
 def test_constructor_validation(tmp_path, kwargs, message):

@@ -17,17 +17,29 @@ Three contracts anchor the tier:
 * **Crypto reconciliation** — the plane's ``real + memoised`` hash
   counts reconcile with what full fidelity would have spent, while
   real work stays O(1) per round (one representative exchange).
+
+Below those, the plane's two array kernels are held to the model they
+implement: the degree sampler is Poisson(fanout) up to a stated
+truncation (goodness of fit, table reconstruction), and the fused row
+build equals the kind-by-kind sum it replaced.
 """
 
 import dataclasses
+import math
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from repro.crypto.homomorphic import HomomorphicHasher
 from repro.scenarios.spec import AdversaryGroup, ScenarioSpec
+from repro.sim import population as population_module
 from repro.sim.population import (
+    _KIND_DRIVERS,
+    PoissonDegreeSampler,
+    PopulationPlane,
     PopulationResult,
+    peak_rss_mb,
     wire_population,
 )
 
@@ -182,6 +194,264 @@ def test_population_distribution_matches_full_fidelity():
 
 
 # ---------------------------------------------------------------------------
+# the degree sampler
+# ---------------------------------------------------------------------------
+
+
+def _poisson_pmf(lam, k):
+    return math.exp(k * math.log(lam) - lam - math.lgamma(k + 1))
+
+
+def _chi2_critical(dof, z=3.0902):
+    """Upper 0.1 % point of chi-square(dof), Wilson-Hilferty (good to
+    well under 1 % for dof >= 3; exact values: 27.88 at 9, 59.70 at 30)."""
+    h = 2.0 / (9.0 * dof)
+    return dof * (1.0 - h + z * math.sqrt(h)) ** 3
+
+
+@pytest.mark.parametrize("lam", [3, 6, 13, 40])
+def test_sampler_fits_the_poisson_pmf(lam):
+    n = 1_200_000
+    sampler = PoissonDegreeSampler(lam, n)
+    draws = sampler.draw(
+        np.random.default_rng(20260930 + lam), np.empty(n)
+    )
+    assert draws.min() >= 0 and draws.max() < sampler.size
+    assert np.array_equal(draws, np.rint(draws))
+    # Moments: mean within 4 sigma of lam, variance within 4 sigma of
+    # lam (Var[s^2] = (mu4 - sigma^4) / n with mu4 = lam + 3 lam^2).
+    assert abs(draws.mean() - lam) < 4 * math.sqrt(lam / n)
+    assert abs(draws.var(ddof=1) - lam) < 4 * math.sqrt(
+        (lam + 2 * lam * lam) / n
+    )
+    # Chi-square against the exact pmf: one bin per value, both tails
+    # merged inwards until every bin expects at least 5 draws.
+    counts = np.bincount(draws.astype(np.int64), minlength=sampler.size)
+    expected = np.array(
+        [n * _poisson_pmf(lam, k) for k in range(sampler.size)]
+    )
+    lo = 0
+    while expected[: lo + 1].sum() < 5:
+        lo += 1
+    hi = sampler.size - 1
+    while expected[hi:].sum() < 5:
+        hi -= 1
+    observed = np.concatenate(
+        [[counts[: lo + 1].sum()], counts[lo + 1 : hi], [counts[hi:].sum()]]
+    )
+    # The upper bin takes the whole analytic tail, truncated part too.
+    upper = n - expected[:hi].sum()
+    expect = np.concatenate(
+        [[expected[: lo + 1].sum()], expected[lo + 1 : hi], [upper]]
+    )
+    assert expect.min() >= 5 and observed.sum() == n
+    chi2 = float(((observed - expect) ** 2 / expect).sum())
+    # Critical value: the 0.999 quantile at bins - 1 degrees of
+    # freedom; the seed is fixed, so this is a regression pin and not
+    # a one-in-a-thousand flake.
+    assert chi2 < _chi2_critical(len(expect) - 1)
+
+
+@pytest.mark.parametrize("lam", [1, 3, 6, 13, 40])
+def test_alias_table_reconstructs_the_truncated_pmf(lam):
+    sampler = PoissonDegreeSampler(lam, 4)
+    size = sampler.size
+    assert sampler.prob.shape == sampler.alias.shape == (size,)
+    assert ((sampler.prob >= 0.0) & (sampler.prob <= 1.0)).all()
+    assert ((sampler.alias >= 0) & (sampler.alias < size)).all()
+    # The table's pmf is the lgamma pmf over the kept support ...
+    exact = np.array([_poisson_pmf(lam, k) for k in range(size)])
+    assert np.abs(sampler.pmf - exact).max() < 1e-15
+    assert math.fsum(sampler.pmf) == pytest.approx(1.0, abs=1e-15)
+    # ... what was cut off is below the stated bound (summed well past
+    # the cut; the terms fall off faster than geometrically) ...
+    tail = math.fsum(
+        _poisson_pmf(lam, k) for k in range(size, size + 400)
+    )
+    assert 0.0 < tail < PoissonDegreeSampler.TAIL_BOUND == 2.0**-60
+    # ... and the columns give every value back its mass: its own
+    # column's kept share plus what the columns aliased to it shed.
+    rebuilt = sampler.prob / size
+    np.add.at(rebuilt, sampler.alias, (1.0 - sampler.prob) / size)
+    assert np.abs(rebuilt - sampler.pmf).max() < 1e-15
+
+
+@pytest.mark.parametrize("lam", [3.8, 6, 16.5, 40, 52])
+def test_lookup_never_indexes_past_the_table(lam):
+    # The largest double below 1 stays inside the last column at every
+    # table size, powers of two (32, 64, 128 here) included; a caller's
+    # stray 1.0 is clipped to the table rather than read past it.
+    sampler = PoissonDegreeSampler(lam, 4)
+    size = sampler.size
+    top = 1.0 - 2.0**-53
+    assert int(top * size) == size - 1
+    edge = np.nextafter(1.0 / size, 0)
+
+    def lookup():
+        return sampler.lookup(
+            np.array([top, 0.0, edge, 1.0]), np.empty(4)
+        )
+
+    degrees = lookup()
+    assert degrees[0] in (size - 1, sampler.alias[size - 1])
+    assert degrees[1] in (0, sampler.alias[0])
+    assert degrees[2] in (0, sampler.alias[0])
+    assert ((degrees >= 0) & (degrees < size)).all()
+    # One uniform, one draw: the same uniforms give the same degrees.
+    np.testing.assert_array_equal(degrees, lookup())
+
+
+def test_sampler_rejects_degenerate_arguments():
+    with pytest.raises(ValueError, match="rate must be positive"):
+        PoissonDegreeSampler(0, 4)
+    with pytest.raises(ValueError, match="width must be at least 1"):
+        PoissonDegreeSampler(6, 0)
+
+
+# ---------------------------------------------------------------------------
+# the row build, on a hand-fed tap
+# ---------------------------------------------------------------------------
+
+
+class _ScriptedTap:
+    """Stands in for PlaneCalibrationTap: per-round kind sums, as given."""
+
+    def __init__(self, n_honest, rounds):
+        self.honest_ids = frozenset(range(n_honest))
+        self._rounds = dict(enumerate(rounds))
+
+    def consume_round(self, round_no):
+        return self._rounds.pop(round_no, {}), None, 0
+
+
+#: Every driver pairing of _KIND_DRIVERS, an unmapped kind (applied
+#: unmodulated), a one-direction kind and an all-zero kind.
+_SCRIPT = [
+    {
+        "key_request": (70_100, 69_300),
+        "key_response": (41_000, 40_500),
+        "serve": (3_000_000, 2_950_000),
+        "attestation": (9_000, 9_100),
+        "ack": (52_000, 51_000),
+        "ack_copy": (26_000, 27_000),
+        "attestation_relay": (13_000, 12_000),
+        "declaration_ack": (7_700, 7_900),
+        "monitor_broadcast": (88_000, 87_000),
+        "membership_ping": (5_000, 5_000),
+    },
+    {"serve": (1_234_567, 0), "ack": (0, 0), "surprise": (0, 999)},
+    {},
+]
+
+
+def _scripted_plane(tmp_path, seed=7, plane_size=5_000, n_honest=10):
+    return PopulationPlane(
+        plane_size=plane_size,
+        node_offset=n_honest,
+        tap=_ScriptedTap(n_honest, _SCRIPT),
+        cohort_hasher=HomomorphicHasher(modulus=61 * 53),
+        fanout=6,
+        seed=seed,
+        spill_dir=str(tmp_path),
+    )
+
+
+def _kind_by_kind(sums, n_honest, scales, plane_size):
+    """The row build as the parent wrote it: one scaled term per kind
+    per direction, accumulated in kind order, rounded at the end."""
+    up = np.zeros(plane_size)
+    down = np.zeros(plane_size)
+    for kind, (up_sum, down_sum) in sums.items():
+        up_driver, down_driver = _KIND_DRIVERS.get(
+            kind, ("uniform", "uniform")
+        )
+        up_mean = up_sum / n_honest
+        down_mean = down_sum / n_honest
+        if up_mean:
+            scale = scales.get(up_driver)
+            up += up_mean if scale is None else up_mean * scale
+        if down_mean:
+            scale = scales.get(down_driver)
+            down += down_mean if scale is None else down_mean * scale
+    return np.rint(up).astype(np.int64), np.rint(down).astype(np.int64)
+
+
+def test_rows_are_the_calibrated_means_times_unit_mean_scales(tmp_path):
+    n_honest = 10
+    plane = _scripted_plane(tmp_path, n_honest=n_honest)
+    for rnd, sums in enumerate(_SCRIPT):
+        plane.end_round(rnd)
+        # The round's degree vectors are still in place; normalised by
+        # their realized mean they are the scale vectors of the model.
+        scales = {
+            driver: degrees / degrees.mean()
+            for driver, degrees in plane._degrees.items()
+        }
+        assert sorted(scales) == ["in", "mon", "out"]
+        for scale in scales.values():
+            assert abs(scale.mean() - 1.0) < 1e-12
+            assert scale.std() > 0.3  # Poisson(6): 1/sqrt(6) = 0.41
+        up = plane.spill.read_round("up", rnd)
+        down = plane.spill.read_round("down", rnd)
+        # Realized-mean normalisation: a row's mean is the sum of the
+        # per-kind honest means, up to the per-node integer rounding.
+        want_up = sum(u for u, _ in sums.values()) / n_honest
+        want_down = sum(d for _, d in sums.values()) / n_honest
+        assert abs(up.mean() - want_up) <= 0.5
+        assert abs(down.mean() - want_down) <= 0.5
+        # The fused build (one scalar per driver, 1/mean folded in) is
+        # the kind-by-kind sum, within a byte per node.
+        ref_up, ref_down = _kind_by_kind(
+            sums, n_honest, scales, plane.plane_size
+        )
+        assert np.abs(up - ref_up).max() <= 1
+        assert np.abs(down - ref_down).max() <= 1
+    # An empty round is a row of zeros, not a missing row.
+    assert not plane.spill.read_round("up", 2).any()
+    assert plane.stats()["spill_bytes"] == 3 * plane.plane_size * 8 * 2
+    plane.close()
+
+
+def test_all_zero_degree_draw_applies_the_mean_unmodulated(tmp_path):
+    # One plane node at fanout 1 draws degree 0 about a third of the
+    # time; a zero draw has no mean to normalise by and modulates
+    # nothing, so the node gets exactly the honest mean.
+    plane = PopulationPlane(
+        plane_size=1,
+        node_offset=4,
+        tap=_ScriptedTap(4, [{"serve": (4_000, 8_000)}] * 40),
+        cohort_hasher=HomomorphicHasher(modulus=61 * 53),
+        fanout=1,
+        seed=3,
+        spill_dir=str(tmp_path),
+    )
+    for rnd in range(40):
+        plane.end_round(rnd)
+    # With one node every scale is degree / degree = 1 as well.
+    assert plane.spill.window_sum("up", 0, 39).tolist() == [40 * 1_000]
+    assert plane.spill.window_sum("down", 0, 39).tolist() == [40 * 2_000]
+    plane.close()
+
+
+def test_spill_files_are_a_function_of_the_seed(tmp_path):
+    files = {}
+    for label, seed in (("a", 7), ("b", 7), ("c", 8)):
+        directory = tmp_path / label
+        directory.mkdir()
+        plane = _scripted_plane(directory, seed=seed)
+        for rnd in range(len(_SCRIPT)):
+            plane.end_round(rnd)
+        plane.close()  # a user-supplied directory keeps its files
+        files[label] = (
+            (directory / "up.i64").read_bytes(),
+            (directory / "down.i64").read_bytes(),
+        )
+    assert files["a"] == files["b"]
+    assert files["a"][0] != files["c"][0]
+    assert files["a"][1] != files["c"][1]
+
+
+# ---------------------------------------------------------------------------
 # result shaping
 # ---------------------------------------------------------------------------
 
@@ -254,3 +524,23 @@ def test_failing_population_run_leaks_no_spill_dirs(monkeypatch):
     with pytest.raises(RuntimeError, match="collection died"):
         _spec().run()
     assert set(glob.glob(pattern)) == before
+
+
+@pytest.mark.parametrize(
+    "platform, ru_maxrss, expected_mib",
+    [
+        ("linux", 262_144, 256.0),  # KiB
+        ("darwin", 268_435_456, 256.0),  # bytes
+        ("freebsd14", 262_144, 256.0),  # KiB
+    ],
+)
+def test_peak_rss_units_follow_the_platform(
+    monkeypatch, platform, ru_maxrss, expected_mib
+):
+    monkeypatch.setattr(population_module.sys, "platform", platform)
+    monkeypatch.setattr(
+        population_module.resource,
+        "getrusage",
+        lambda who: SimpleNamespace(ru_maxrss=ru_maxrss),
+    )
+    assert peak_rss_mb() == expected_mib

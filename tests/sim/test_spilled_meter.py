@@ -30,7 +30,7 @@ def _paired(n_nodes, n_rounds, traffic, node_offset=0):
     sink/source node placed outside the metered universe and the
     comparison only reads the real nodes.
     """
-    spill = ColumnarRoundSpill(n_nodes, buffer_rounds=3)
+    spill = ColumnarRoundSpill(n_nodes)
     meter = BandwidthMeter()
     sink = node_offset + n_nodes + 1_000_000
     for rnd, (up_row, down_row) in enumerate(traffic):
