@@ -21,9 +21,9 @@ from repro.scenarios import (
 def main() -> None:
     print("registered scenarios:", ", ".join(scenario_names()))
 
-    print("\n-- fig7 (scaled down), sharded execution --")
+    print("\n-- fig7 (scaled down), on two worker processes --")
     result = api.run_scenario(
-        "fig7", nodes=24, rounds=10, policy="sharded", shards=4,
+        "fig7", nodes=24, rounds=10, policy="parallel", workers=2,
     )
     for key, value in result.summary().items():
         print(f"  {key:<16}: {value}")

@@ -57,7 +57,6 @@ def run_scenario(
     scenario: Scenario,
     *,
     policy: Optional[Union[str, Any]] = None,
-    shards: Optional[int] = None,
     workers: Optional[int] = None,
     **overrides: Any,
 ) -> ScenarioResult:
@@ -66,25 +65,17 @@ def run_scenario(
     Args:
         scenario: registry name (``"fig7"``) or a ``ScenarioSpec``.
         policy: execution policy — ``None`` (the spec's own knob, else
-            serial), a policy name (``"serial"``, ``"sharded"``,
-            ``"parallel"``, ``"daemon"``), or a ready
+            serial), a policy name (``"serial"``, ``"parallel"``,
+            ``"daemon"``), or a ready
             :class:`~repro.sim.execution.ExecutionPolicy` instance.
-        shards / workers: worker-pool sizing when ``policy`` is a name.
+        workers: process count when ``policy`` names ``"parallel"``
+            (default: the spec's ``workers``).
         **overrides: any ``ScenarioSpec`` field (``nodes``, ``rounds``,
             ``seed``, ...); ``None`` values are ignored.
     """
     spec = _resolve(scenario, overrides)
     if policy is None or isinstance(policy, str):
-        if policy is not None:
-            spec = dataclasses.replace(spec, policy=None)
-            from repro.sim.execution import make_policy
-
-            return spec.run(make_policy(
-                policy,
-                shards=shards if shards is not None else (workers or 4),
-                workers=workers,
-            ))
-        return spec.run()
+        return spec.with_overrides(policy=policy, workers=workers).run()
     return spec.run(policy)
 
 
@@ -178,7 +169,7 @@ def fuzz(
     *,
     iterations: int = 50,
     seed: int = 20160627,
-    policies: Iterable[str] = ("serial", "sharded", "parallel"),
+    policies: Iterable[str] = ("serial", "parallel"),
     workers: int = 2,
     shrink: bool = True,
     replay_spec: Optional[ScenarioSpec] = None,

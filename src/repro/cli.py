@@ -3,7 +3,7 @@
 Usage::
 
     python -m repro run [--nodes N] [--rounds R] [--rate KBPS]
-    python -m repro run --scenario fig9 [--nodes 240] [--policy sharded]
+    python -m repro run --scenario fig9 [--nodes 240] [--policy parallel]
     python -m repro run --scenario detect --strategy silent-receiver
     python -m repro scenarios
     python -m repro serve --scenario fig7 --listen tcp://127.0.0.1:0
@@ -53,58 +53,57 @@ def _positive_int(value: str) -> int:
 
 
 def _add_policy_flags(parser: argparse.ArgumentParser) -> None:
+    from repro.sim.execution import POLICY_NAMES
+
     parser.add_argument(
         "--policy",
-        choices=("serial", "sharded", "parallel", "daemon"),
+        choices=POLICY_NAMES,
         default=None,
         help=(
-            "execution policy (see repro.sim.execution); all are "
-            "bit-identical, 'parallel' runs shards on a worker pool, "
-            "'daemon' round-trips every message through the v1 wire "
-            "codec. Default: the scenario's own policy knob, else "
+            "where nodes execute (see repro.sim.execution); all are "
+            "bit-identical: 'parallel' runs one worker process per "
+            "shard, 'daemon' round-trips every message through the v1 "
+            "wire codec. Default: the scenario's own policy knob, else "
             "serial."
         ),
-    )
-    parser.add_argument(
-        "--shards",
-        type=_positive_int,
-        default=4,
-        help="shard count for --policy sharded",
     )
     parser.add_argument(
         "--workers",
         type=_positive_int,
         default=None,
-        help="worker count for --policy parallel (default: --shards)",
+        help=(
+            "process count for --policy parallel (default: the "
+            "scenario's own workers field)"
+        ),
     )
 
 
 def _policy_from(args):
-    """Build the execution policy the parsed flags describe.
+    """Build the execution policy the ``repro run`` flags describe.
 
-    ``args`` always comes from a subcommand that went through
-    :func:`_add_policy_flags`, so ``policy``/``shards``/``workers`` are
-    read directly — a subcommand without the flags is a programming
-    error, not a silently ignored option.
+    ``--policy parallel`` rebuilds its worker replicas from a scenario
+    spec, so it needs ``--scenario``; its worker count defaults to that
+    scenario's ``workers`` field.
     """
     from repro.sim.execution import make_policy
 
-    if args.policy is None:
-        if args.workers is not None:
-            raise SystemExit(
-                "error: --workers only applies to --policy parallel"
-            )
-        return None
     if args.workers is not None and args.policy != "parallel":
         raise SystemExit(
-            f"error: --workers only applies to --policy parallel "
-            f"(got --policy {args.policy})"
+            "error: --workers only applies to --policy parallel"
+            + (f" (got --policy {args.policy})" if args.policy else "")
         )
-    return make_policy(
-        args.policy,
-        shards=args.shards,
-        workers=args.workers,
-    )
+    if args.policy is None:
+        return None
+    if args.policy != "parallel":
+        return make_policy(args.policy)
+    if args.scenario is None:
+        raise SystemExit("error: --policy parallel requires --scenario")
+    workers = args.workers
+    if workers is None:
+        from repro.scenarios import get_scenario
+
+        workers = get_scenario(args.scenario).workers
+    return make_policy("parallel", workers=workers)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -294,15 +293,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
     fuzz.add_argument(
         "--policies",
-        default="serial,sharded,parallel",
+        default="serial,parallel",
         help=(
             "comma-separated execution policies to cross-check "
-            "(default: all three)"
+            "(default: serial,parallel)"
         ),
     )
     fuzz.add_argument(
         "--workers", type=_positive_int, default=2,
-        help="shard/worker count for the sharded and parallel policies",
+        help="worker-process count for the parallel policy",
     )
     fuzz.add_argument(
         "--json", default=None, metavar="PATH",

@@ -61,15 +61,6 @@ class PagConfig:
             ``"python"`` or ``"gmpy2"``.  ``"auto"`` also honours the
             ``REPRO_CRYPTO_BACKEND`` environment variable.  Backends are
             arithmetic-only; operation counts are identical across them.
-        batch_verify: fold the monitor path's message-8 lifts of a round
-            with one Straus multi-exponentiation pass
-            (:class:`~repro.core.verification.BatchVerifier`) where the
-            individual lifted values are not observable on the wire,
-            instead of one ``pow`` per pair.  Verdicts, traces, byte
-            counts and operation tallies are bit-identical either way
-            (enforced by ``tests/differential/test_batch_verify.py``);
-            the knob exists to measure the fold and to fall back if a
-            deployment ever needs to.
         monitor_cross_checks: enable the section V-B option "to check
             that monitors correctly compute and forward the hashes of
             updates": the monitored node also computes each lifted hash
@@ -97,7 +88,6 @@ class PagConfig:
     crypto_backend: str = "auto"
     detection_enabled: bool = True
     forward_owned_ghosts: bool = False
-    batch_verify: bool = True
     monitor_cross_checks: bool = False
 
     def __post_init__(self) -> None:

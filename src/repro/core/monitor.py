@@ -144,31 +144,9 @@ class MonitorEngine:
         self.host_id = host_id
         self.context = context
         self.send = send
-        self.active = active
         self.first_round = first_round
-        #: hook applied to lifted pairs before broadcasting (message 8);
-        #: a lying monitor corrupts here (Behavior.transform_lifted).
-        self.lift_transform = lift_transform
         self.verdicts = VerdictLog()
-        config = context.config
-        #: batched monitor verification (PagConfig.batch_verify): fold a
-        #: round's message-8 lifts with one multi-exponentiation where
-        #: the individual lifted values never reach the wire.  Lifts
-        #: that *are* broadcast (peer monitors exist), transformed (a
-        #: lying monitor's hook) or cross-checked against signed
-        #: self-checks (section V-B compares them value by value) must
-        #: be materialised per pair, so those paths are unchanged.
-        #: batched *wire* pairs (AttestationRelayBatch) may fold without
-        #: materialised lifts whenever no per-pair value must be
-        #: produced for a transform hook or a section V-B cross-check;
-        #: unlike ``_defer_lifts`` this is independent of batch_verify —
-        #: the message itself is inherently batched.
-        self._fold_batched = lift_transform is None and not getattr(
-            config, "monitor_cross_checks", False
-        )
-        self._defer_lifts = (
-            getattr(config, "batch_verify", True) and self._fold_batched
-        )
+        self.set_behavior_hooks(active, lift_transform)
         #: (monitored, round) -> deferred same-modulus lift folds.
         self._batch: Dict[Tuple[int, int], BatchVerifier] = {}
         #: (monitored, pred, round) pairs already folded from a wire
@@ -209,22 +187,28 @@ class MonitorEngine:
     def set_behavior_hooks(
         self, active: bool, lift_transform: Optional[Callable]
     ) -> None:
-        """Re-derive the behaviour-dependent wiring after a strategy
-        swap (operator control).
+        """Derive the behaviour-dependent wiring: at construction, and
+        again after a strategy swap (operator control).
 
-        Mirrors the constructor's derivation exactly, so a node whose
-        behaviour is flipped between rounds is indistinguishable from
-        one built with the new behaviour — the property the service
-        layer's static/dynamic differential test pins down.
+        One derivation for both, so a node whose behaviour is flipped
+        between rounds is indistinguishable from one built with the new
+        behaviour — the property the service layer's static/dynamic
+        differential test pins down.
         """
-        config = self.context.config
         self.active = active
+        #: hook applied to lifted pairs before broadcasting (message 8);
+        #: a lying monitor corrupts here (Behavior.transform_lifted).
         self.lift_transform = lift_transform
+        #: batched monitor verification: fold a round's message-8 lifts
+        #: with one multi-exponentiation where the individual lifted
+        #: values never reach the wire — the raw pairs of an
+        #: AttestationRelayBatch, and every pair of a node this engine
+        #: is the sole monitor of.  Lifts that *are* broadcast (peer
+        #: monitors exist), transformed (a lying monitor's hook) or
+        #: cross-checked against signed self-checks (section V-B
+        #: compares them value by value) must be materialised per pair.
         self._fold_batched = lift_transform is None and not getattr(
-            config, "monitor_cross_checks", False
-        )
-        self._defer_lifts = (
-            getattr(config, "batch_verify", True) and self._fold_batched
+            self.context.config, "monitor_cross_checks", False
         )
 
     # ------------------------------------------------------------------
@@ -440,7 +424,7 @@ class MonitorEngine:
             self._fold_wire_pair(monitored, att, record.cofactor)
             self._relay_ack(predecessor, record.ack, round_no)
             return
-        if self._defer_lifts and not any(
+        if self._fold_batched and not any(
             peer != self.host_id
             for peer in self.context.monitors_of(monitored)
         ):

@@ -420,7 +420,7 @@ class SharedLadderTable:
     table holds them once, built in the parent before the worker pools
     start: process workers inherit the pages for free on fork, and the
     structure is plain tuples of ints so it pickles cleanly for
-    spawn/thread modes (it travels with the session bootstrap).
+    spawn-mode workers (it travels with the session bootstrap).
 
     Entries are keyed by the raw base value exactly as hashers see it
     (update contents are *not* pre-reduced), and every table is one

@@ -5,10 +5,10 @@ The bug shape behind every past parity regression: code that runs
 ``sim/execution.py``, a shard daemon in ``net/daemon.py``) reaching
 out and mutating *parent-session* state — the authoritative meter,
 verdict stores, or crypto counters that only the coordinator may
-touch.  In process mode such a write is silently lost (the replica's
-copy diverges); in thread mode it lands twice (once in the replica
-capture, once directly), and either way serial and parallel runs stop
-being bit-identical.
+touch.  In a worker process such a write is silently lost (the
+replica's copy diverges); with in-process ``serialized`` replicas it
+lands twice (once in the replica capture, once directly), and either
+way serial and parallel runs stop being bit-identical.
 
 Scopes are replica-side when they match a built-in pattern
 (``_ReplicaWorker``, module functions starting with ``_process_``,
@@ -25,10 +25,10 @@ Inside a replica scope the analyzer flags:
   ``coordinator``, ...).  Replica code has no business holding such a
   reference mutably: the merge happens in the parent, after collect.
 * PAR302 — writes to module-global state (``global X`` rebinding, or
-  mutator calls on module-level ``_UNDERSCORE``/``UPPER`` names).  In
-  thread mode replicas share the interpreter with the parent, so a
-  module global is exactly the channel through which replica state can
-  leak into the authoritative session.
+  mutator calls on module-level ``_UNDERSCORE``/``UPPER`` names).
+  In-process ``serialized`` replicas share the interpreter with the
+  parent, so a module global is exactly the channel through which
+  replica state can leak into the authoritative session.
 
 The one legitimate global write (installing the per-process replica
 slot in the pool initializer) carries an allow pragma with its
@@ -188,7 +188,8 @@ class _ScopeChecker(ast.NodeVisitor):
                 "PAR302",
                 f"replica scope {self.scope_name!r} rebinds module "
                 f"global {name!r}; shared module state leaks across "
-                "the parent/replica boundary in thread mode",
+                "the parent/replica boundary when replicas run "
+                "in-process",
             )
         self.generic_visit(node)
 

@@ -127,7 +127,6 @@ _SPEC_FIELDS = (
     "rate_schedule",
     "detection_enabled",
     "seed",
-    "batch_verify",
 )
 
 

@@ -12,10 +12,10 @@ execution policy, and checks three invariants on every draw:
 2. **No missed deviants**: every seeded deviant is eventually convicted
    by a non-outaged detector, even when faults disturb the evidence
    chain (the accusation path must route around them).
-3. **Bit-identity across execution policies**: serial, sharded and
-   parallel runs of the same spec produce identical traffic counts,
-   crypto-operation counts, verdicts, per-injector fault tallies and
-   accusation counters.
+3. **Bit-identity across execution policies**: serial and parallel
+   (worker-process) runs of the same spec produce identical traffic
+   counts, crypto-operation counts, verdicts, per-injector fault
+   tallies and accusation counters.
 
 The generator confines faults to the *invariant-safe envelope* (see
 :mod:`repro.sim.faults`): the accountability plane is never faulted,
@@ -39,6 +39,7 @@ from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.scenarios.spec import ChurnEvent, ScenarioSpec
+from repro.sim.execution import POLICY_NAMES
 from repro.sim.faults import (
     FAULT_SPEC_TYPES,
     BudgetFault,
@@ -116,7 +117,7 @@ class FuzzConfig:
 
     iterations: int = 50
     seed: int = 20160627
-    policies: Tuple[str, ...] = ("serial", "sharded", "parallel")
+    policies: Tuple[str, ...] = ("serial", "parallel")
     workers: int = 2
     min_nodes: int = 10
     max_nodes: int = 16
@@ -132,8 +133,11 @@ class FuzzConfig:
         if not self.policies:
             raise ValueError("at least one execution policy is required")
         for policy in self.policies:
-            if policy not in ("serial", "sharded", "parallel"):
-                raise ValueError(f"unknown execution policy {policy!r}")
+            if policy not in POLICY_NAMES:
+                raise ValueError(
+                    f"unknown execution policy {policy!r}; expected one "
+                    f"of {POLICY_NAMES}"
+                )
         if not 3 <= self.min_nodes <= self.max_nodes:
             raise ValueError("node bounds must satisfy 3 <= min <= max")
         if not 6 <= self.min_rounds <= self.max_rounds:

@@ -7,11 +7,10 @@ once.  Registering a new scenario
 (``register_scenario(ScenarioSpec(name="my-workload", ...))``)
 immediately makes it runnable from the CLI and the benchmarks.
 
-Specs carry an execution ``policy`` knob (serial / sharded / parallel —
+Specs carry an execution ``policy`` knob (serial / parallel / daemon —
 all bit-identical; see :mod:`repro.sim.execution`), so a scenario can
-declare that it defaults to the worker-pool backend; ``repro run
---policy`` and an explicit policy passed to ``run_scenario`` both
-override it.
+declare that it defaults to worker processes; ``repro run --policy``
+and an explicit policy passed to ``run_scenario`` both override it.
 """
 
 from __future__ import annotations
@@ -141,7 +140,7 @@ register_scenario(ScenarioSpec(
 
 register_scenario(ScenarioSpec(
     name="fig9-parallel",
-    description="fig9 on the worker-pool execution backend (2 shards)",
+    description="fig9 on two worker processes (policy=parallel)",
     paper_reference=(
         "Fig. 9 anchor run; execution-policy equivalence means the "
         "numbers match fig9 bit for bit (tests/differential)"
@@ -168,7 +167,6 @@ register_scenario(ScenarioSpec(
     rounds=60,
     warmup_rounds=4,
     population=1_000_000,
-    policy="population",
 ))
 
 register_scenario(ScenarioSpec(

@@ -16,7 +16,7 @@ import dataclasses
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
 
-from repro.sim.execution import ExecutionPolicy, make_policy
+from repro.sim.execution import POLICY_NAMES, ExecutionPolicy, make_policy
 from repro.sim.metrics import cdf_points
 
 if TYPE_CHECKING:
@@ -169,12 +169,12 @@ class ScenarioSpec:
         detection_enabled: run the monitoring state machine.
         seed: root seed for all session randomness.
         policy: default execution policy name (``"serial"``,
-            ``"sharded"``, ``"parallel"``, ``"population"``,
-            ``"daemon"`` — the loopback wire-codec path); None lets
-            the engine default (serial) apply.  An explicit policy
-            passed to :meth:`run` always wins.  All policies are
-            bit-identical — this knob selects an execution backend,
-            never a different schedule.
+            ``"parallel"`` — one worker process per shard — or
+            ``"daemon"``, the loopback wire-codec path); None lets the
+            engine default (serial) apply.  An explicit policy passed
+            to :meth:`run` always wins.  All policies are bit-identical
+            — this knob selects where nodes execute, never a different
+            schedule.
         population: total system size of the population tier; 0 (the
             default) disables it.  When set, ``nodes`` becomes the
             full-fidelity cohort (the sampled honest nodes plus every
@@ -185,13 +185,8 @@ class ScenarioSpec:
         population_spill_dir: directory for the plane's columnar
             per-round spill files; None uses an owned temporary
             directory (removed at collection).
-        workers: shard/worker count for the sharded and parallel
-            policies (ignored by serial).
-        batch_verify: override for ``PagConfig.batch_verify`` (None
-            keeps the config default).  Spec-level so replica workers of
-            a parallel run rebuild with the same fold strategy as the
-            parent; like the policy knob it never changes results, only
-            how the monitor obligation fold is computed.
+        workers: worker-process count of the parallel policy (ignored
+            by the others).
     """
 
     name: str
@@ -215,23 +210,14 @@ class ScenarioSpec:
     seed: int = 20160627
     policy: Optional[str] = None
     workers: int = 4
-    batch_verify: Optional[bool] = None
     population: int = 0
     population_spill_dir: Optional[str] = None
 
     def __post_init__(self) -> None:
-        if self.policy not in (
-            None,
-            "serial",
-            "sharded",
-            "parallel",
-            "population",
-            "daemon",
-        ):
+        if self.policy is not None and self.policy not in POLICY_NAMES:
             raise ValueError(
                 f"unknown execution policy {self.policy!r}; expected "
-                "'serial', 'sharded', 'parallel', 'population' or "
-                "'daemon'"
+                f"one of {POLICY_NAMES}"
             )
         self._validate_population()
         if self.workers < 1:
@@ -361,11 +347,6 @@ class ScenarioSpec:
 
     def _validate_population(self) -> None:
         """Population-tier knob validation (clear errors, fail early)."""
-        if self.policy == "population" and self.population <= 0:
-            raise ValueError(
-                "policy 'population' needs population set above the "
-                "cohort size"
-            )
         if self.population_spill_dir is not None and self.population <= 0:
             raise ValueError(
                 "population_spill_dir is a population-tier knob; set "
@@ -446,8 +427,6 @@ class ScenarioSpec:
             overrides["fanout"] = default_fanout(self.population)
         if self.monitors_per_node is not None:
             overrides["monitors_per_node"] = self.monitors_per_node
-        if self.batch_verify is not None:
-            overrides["batch_verify"] = self.batch_verify
         overrides.update(config_overrides)
         return PagConfig.for_system_size(self.nodes, **overrides)
 
@@ -679,9 +658,7 @@ class ScenarioSpec:
         """The execution policy this spec's ``policy`` knob names."""
         if self.policy is None:
             return None
-        return make_policy(
-            self.policy, shards=self.workers, workers=self.workers
-        )
+        return make_policy(self.policy, workers=self.workers)
 
     def run(
         self, execution_policy: Optional[ExecutionPolicy] = None

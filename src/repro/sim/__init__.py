@@ -12,7 +12,6 @@ from repro.sim.engine import Simulator
 from repro.sim.execution import (
     ExecutionPolicy,
     SerialPolicy,
-    ShardedPolicy,
     make_policy,
 )
 from repro.sim.faults import LinkCut, NodeOutage, RandomLoss
@@ -35,7 +34,6 @@ __all__ = [
     "SeedSequence",
     "SendCapture",
     "SerialPolicy",
-    "ShardedPolicy",
     "SimNode",
     "Simulator",
     "TraceRecord",

@@ -1,42 +1,34 @@
 """Pluggable execution policies for the round-drain loop.
 
-The engine's drain loop is the hottest non-crypto path of the
-simulator: every message of every round passes through it.  The paper's
-deployments run nodes on independent machines, so within a drain batch
-(one quiescence step of a round) nodes are independent until they send.
-This module makes that structure explicit:
+The paper's deployments run nodes on independent machines that interact
+only through messages, so *where* a node executes can never change a
+byte count or a verdict.  A policy decides that placement and nothing
+else; every policy is bit-identical to the serial schedule (the
+differential suite holds them to it):
 
-* :class:`SerialPolicy` delivers a batch one message at a time in FIFO
-  order — byte-for-byte the engine behaviour before policies existed.
-* :class:`ShardedPolicy` partitions each batch by *recipient* across a
-  fixed number of shards.  Per-recipient FIFO order is preserved (all
-  messages to one node stay in one shard, in order), each shard's
-  deliveries are metered into a private :class:`~repro.sim.network.SendCapture`,
-  and the captures are merged into the shared network in shard-index
-  order at batch end — so the combined accounting is deterministic and
-  the per-node byte totals match the serial schedule exactly.
-* :class:`ParallelShardedPolicy` turns that partition/capture/merge
-  contract into real worker-backed rounds.  Each shard owns the nodes
-  with ``node_id % workers == shard`` and holds a *replica* of the whole
-  session, rebuilt deterministically from the scenario spec inside the
-  worker.  The engine hands the policy the round barriers
-  (``begin_round`` fan-out, every drain batch, ``end_round``); each
-  worker executes only the lifecycle calls and deliveries of its owned
-  nodes, buffering sends in a private capture, and the parent merges the
-  captures by ``(trigger_index, seq)`` — the exact order a serial walk
-  would have produced.  Taps, drop rules, the shared meter and the
-  pending queue live only in the parent, so traces, drops and byte
-  accounting are bit-identical to :class:`SerialPolicy` by construction.
+* :class:`SerialPolicy` delivers a drain batch one message at a time in
+  FIFO order — the reference schedule.
+* :class:`ParallelShardedPolicy` runs one worker process per shard.
+  Shard ``i`` owns the nodes with ``node_id % workers == i`` and holds a
+  *replica* of the whole session, rebuilt deterministically from the
+  scenario spec inside the worker.  The engine hands the policy the
+  round barriers (``begin_round`` fan-out, every drain batch,
+  ``end_round``); each worker executes only the lifecycle calls and
+  deliveries of its owned nodes, buffering sends in a private capture,
+  and the parent merges the captures by ``(trigger_index, seq)`` — the
+  exact order a serial walk would have produced.  Taps, drop rules, the
+  shared meter and the pending queue live only in the parent, so
+  traces, drops and byte accounting match :class:`SerialPolicy` by
+  construction.  PAG nodes interact exclusively through messages
+  (monitors defer their traffic to a next-round outbox), which is what
+  makes replica execution exact: a node's state is a pure function of
+  its constructor and the ordered lifecycle calls it receives, all of
+  which are routed to exactly one worker.
+* :class:`DaemonPolicy` is the serial schedule with every message
+  round-tripped through the v1 wire codec (loopback, no sockets).
 
-  Workers run on a :mod:`concurrent.futures` pool: one single-worker
-  ``ProcessPoolExecutor`` per shard (pinning each shard to its replica
-  process) when the session bootstrap is picklable, with a thread-pool
-  fallback otherwise, and a synchronous ``serialized`` mode for
-  deterministic timing and debugging.  PAG nodes interact exclusively
-  through messages (monitors defer their traffic to a next-round
-  outbox), which is what makes replica execution exact: a node's state
-  is a pure function of its constructor and the ordered lifecycle calls
-  it receives, all of which are routed to exactly one worker.
+The third placement, a fleet of ``repro daemon`` processes, is not a
+policy: it lives in :mod:`repro.net.daemon`.
 """
 
 from __future__ import annotations
@@ -44,7 +36,8 @@ from __future__ import annotations
 import multiprocessing
 import pickle
 import time
-from concurrent.futures import Future, ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import Future, ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from typing import (
     TYPE_CHECKING,
@@ -63,14 +56,18 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.sim.node import SimNode
 
 __all__ = [
+    "POLICY_NAMES",
     "ExecutionPolicy",
     "SerialPolicy",
-    "ShardedPolicy",
     "ParallelShardedPolicy",
     "ParallelStats",
     "DaemonPolicy",
     "make_policy",
 ]
+
+#: Every name :func:`make_policy`, ``ScenarioSpec.policy`` and ``repro
+#: run --policy`` accept.
+POLICY_NAMES = ("serial", "parallel", "daemon")
 
 #: ``nodes_get(node_id)`` -> the node instance, or None after churn.
 NodeLookup = Callable[[int], Optional["SimNode"]]
@@ -85,8 +82,7 @@ class ExecutionPolicy:
     membership changes are announced through :meth:`notify_add` /
     :meth:`notify_remove`.  The defaults decline ownership and ignore
     membership, which keeps :class:`SerialPolicy` and
-    :class:`ShardedPolicy` byte-for-byte on the pre-handoff engine
-    path.
+    :class:`DaemonPolicy` on the engine's own inline loops.
     """
 
     name: str = "abstract"
@@ -229,73 +225,6 @@ class DaemonPolicy(ExecutionPolicy):
             recipient.on_message(wire.decode_message(payloads[0]))
 
 
-def _deliver_sharded(
-    batch: Sequence["Message"],
-    nodes_get: NodeLookup,
-    network: "Network",
-    shards: int,
-) -> None:
-    """Recipient-partitioned capture/merge delivery on the live nodes.
-
-    The in-process shard loop shared by :class:`ShardedPolicy` and the
-    bootstrap-less fallback of :class:`ParallelShardedPolicy`.
-    """
-    buckets: List[List[tuple]] = [[] for _ in range(shards)]
-    for index, message in enumerate(batch):
-        buckets[message.recipient % shards].append((index, message))
-    captures = []
-    for bucket in buckets:
-        if not bucket:
-            continue
-        capture = network.begin_capture()
-        try:
-            for index, message in bucket:
-                recipient = nodes_get(message.recipient)
-                if recipient is None:
-                    continue
-                # Tag replies with the batch position of the message
-                # that triggered them, so the merge can reconstruct
-                # the serial send order.
-                capture.trigger_index = index
-                recipient.on_message(message)
-        finally:
-            network.release_capture()
-        captures.append(capture)
-    network.merge_captures(captures)
-
-
-@dataclass
-class ShardedPolicy(ExecutionPolicy):
-    """Partition each batch by recipient across ``shards`` shards.
-
-    Recipients map to shards by ``node_id % shards``, so the partition
-    is stable across batches and rounds.  All messages to one recipient
-    land in one shard in their original order — per-recipient FIFO is
-    preserved — while sends from different shards are buffered apart
-    and merged in shard-index order, keeping metering and the next
-    batch's queue deterministic.
-
-    Args:
-        shards: number of partitions (>= 1; 1 degenerates to a serial
-            schedule with capture overhead).
-    """
-
-    shards: int = 4
-    name = "sharded"
-
-    def __post_init__(self) -> None:
-        if self.shards < 1:
-            raise ValueError("shard count must be at least 1")
-
-    def deliver(
-        self,
-        batch: Sequence["Message"],
-        nodes_get: NodeLookup,
-        network: "Network",
-    ) -> None:
-        _deliver_sharded(batch, nodes_get, network, self.shards)
-
-
 # ---------------------------------------------------------------------------
 # Parallel backend: replicated shard workers
 # ---------------------------------------------------------------------------
@@ -421,9 +350,10 @@ class _SpecBootstrap:
     ``shared_ladders`` optionally carries a read-only
     :class:`~repro.crypto.backend.SharedLadderTable` built once in the
     parent: fork-mode process workers inherit its pages for free (the
-    bootstrap is created before the pools start), spawn and thread modes
-    ship/share it through this object, and every replica's hasher adopts
-    it instead of rebuilding identical fixed-base tables.
+    bootstrap is created before the pools start), spawn-mode workers
+    receive it pickled and in-process ``serialized`` replicas share it
+    through this object, and every replica's hasher adopts it instead
+    of rebuilding identical fixed-base tables.
     """
 
     def __init__(self, spec, shared_ladders=None) -> None:
@@ -442,9 +372,9 @@ class _SpecBootstrap:
 class _ReplicaWorker:
     """One shard's replica session and its execution loop.
 
-    Lives in a dedicated worker process (process mode) or in the parent
-    process (thread/serialized modes, one instance per shard, never
-    touched by two tasks at once).  Executes only the lifecycle calls
+    Lives in a dedicated worker process (``process`` backend) or in the
+    parent process (``serialized`` backend, one instance per shard,
+    driven synchronously).  Executes only the lifecycle calls
     and deliveries the parent routes here — the owned nodes — so the
     replica's owned-node state tracks the authoritative schedule exactly
     while non-owned nodes stay frozen at construction and are never
@@ -465,9 +395,9 @@ class _ReplicaWorker:
         self.workers = workers
         self.baseline = _ops_snapshot(self.session)
         #: payloads of sends awaiting their delivery barrier, keyed by
-        #: ``(trigger_index, seq)``.  In-process workers (thread /
-        #: serialized modes) share one stash, so no payload is ever
-        #: serialised; process workers keep a private stash for their
+        #: ``(barrier_seq, trigger, seq)``.  In-process replicas (the
+        #: serialized backend) share one stash, so no payload is ever
+        #: pickled; process workers keep a private stash for their
         #: intra-shard sends and ship the rest as pre-partitioned blobs.
         self._stash: dict = shared_stash if shared_stash is not None else {}
         self._shares_stash = shared_stash is not None
@@ -500,8 +430,7 @@ class _ReplicaWorker:
         ``[(key, message), ...]`` lists.  Stash/blob keys are
         ``(barrier_seq, trigger, seq)``: the parent's barrier counter
         scopes them globally, so sends of different barriers can never
-        collide in the shared stash while another shard's pops are still
-        in flight.
+        collide in a shared stash.
         """
         wall0 = time.perf_counter()
         cpu0 = time.thread_time()
@@ -643,111 +572,35 @@ def _init_process_replica(  # lint: replica-scope
     _PROCESS_REPLICA = _ReplicaWorker(bootstrap, shard, workers)
 
 
-def _process_phase(
-    phase: str,
-    round_no: int,
-    items: List[tuple],
-    fast: bool,
-    blobs: Optional[List[bytes]],
-    remote: bool,
-    barrier_seq: int,
-):
-    return _PROCESS_REPLICA.run_phase(
-        phase, round_no, items, fast, blobs, remote, barrier_seq
-    )
-
-
-def _process_remove(node_id: int) -> None:
-    # lint: allow[PAR302] the slot holds this process's own replica;
-    # process workers never share the module with the parent
-    _PROCESS_REPLICA.remove(node_id)
-
-
-def _process_admit(node_id: int) -> None:
-    _PROCESS_REPLICA.admit(node_id)
-
-
-def _process_collect() -> Dict[str, object]:
-    return _PROCESS_REPLICA.collect()
+def _process_call(op: str, args: tuple):
+    """Run one :class:`_ReplicaWorker` method on this process's replica."""
+    return getattr(_PROCESS_REPLICA, op)(*args)
 
 
 class _ShardHandle:
-    """Parent-side endpoint of one shard's worker."""
+    """Parent-side endpoint of one shard's worker: a process pool
+    (``process`` backend) or the replica itself (``serialized``)."""
 
     def __init__(
         self,
         shard: int,
-        executor=None,
+        executor: Optional[ProcessPoolExecutor] = None,
         local: Optional[_ReplicaWorker] = None,
     ) -> None:
         self.shard = shard
         self._executor = executor
         self._local = local
 
-    def run_phase(
-        self,
-        phase: str,
-        round_no: int,
-        items: List[tuple],
-        fast: bool,
-        blobs: Optional[List[bytes]] = None,
-        remote: bool = False,
-        barrier_seq: int = 0,
-    ):
-        if self._local is not None:
-            if self._executor is not None:  # thread mode
-                return self._executor.submit(
-                    self._local.run_phase,
-                    phase,
-                    round_no,
-                    items,
-                    fast,
-                    blobs,
-                    remote,
-                    barrier_seq,
-                )
-            future: Future = Future()  # serialized mode
-            future.set_result(
-                self._local.run_phase(
-                    phase, round_no, items, fast, blobs, remote, barrier_seq
-                )
-            )
-            return future
-        return self._executor.submit(
-            _process_phase,
-            phase,
-            round_no,
-            items,
-            fast,
-            blobs,
-            remote,
-            barrier_seq,
-        )
+    def submit(self, op: str, *args) -> Future:
+        """Start ``_ReplicaWorker.<op>(*args)`` on the shard's replica."""
+        if self._local is None:
+            return self._executor.submit(_process_call, op, args)
+        future: Future = Future()
+        future.set_result(getattr(self._local, op)(*args))
+        return future
 
-    def remove(self, node_id: int) -> None:
-        if self._local is not None:
-            if self._executor is not None:
-                self._executor.submit(self._local.remove, node_id).result()
-            else:
-                self._local.remove(node_id)
-            return
-        self._executor.submit(_process_remove, node_id).result()
-
-    def admit(self, node_id: int) -> None:
-        if self._local is not None:
-            if self._executor is not None:
-                self._executor.submit(self._local.admit, node_id).result()
-            else:
-                self._local.admit(node_id)
-            return
-        self._executor.submit(_process_admit, node_id).result()
-
-    def collect(self) -> Dict[str, object]:
-        if self._local is not None:
-            if self._executor is not None:
-                return self._executor.submit(self._local.collect).result()
-            return self._local.collect()
-        return self._executor.submit(_process_collect).result()
+    def call(self, op: str, *args):
+        return self.submit(op, *args).result()
 
 
 @dataclass
@@ -793,21 +646,21 @@ class ParallelShardedPolicy(ExecutionPolicy):
 
     Args:
         workers: shard/worker count (>= 1).
-        backend: ``"process"`` (one single-worker process pool per
-            shard), ``"thread"``, ``"serialized"`` (no executor — the
-            replica machinery driven synchronously, for determinism
-            tests and timing), or ``"auto"`` (process when the session
-            bootstrap pickles, thread otherwise).
+        backend: ``"process"`` (the default and the only backend the
+            CLI, the registry and the fuzzer build: one single-worker
+            process pool per shard) or ``"serialized"`` (the same
+            replica protocol driven synchronously in this process — the
+            differential suite's cheap reference for the replica/merge
+            logic).
 
     The session-lifetime fixed-base ladders are precomputed once in the
     parent and handed to every replica read-only, instead of letting
     each worker rebuild identical tables.
 
-    A scenario bootstrap is required for replica execution and is bound
-    by :meth:`ScenarioSpec.build <repro.scenarios.spec.ScenarioSpec.build>`;
-    without one (e.g. a hand-assembled :class:`~repro.core.session.PagSession`)
-    the policy degrades to the in-process sharded capture/merge loop,
-    still bit-identical, with ``mode == "inline"``.
+    Replicas are rebuilt from a scenario spec, bound by
+    :meth:`ScenarioSpec.build <repro.scenarios.spec.ScenarioSpec.build>`;
+    a session assembled by hand has nothing to rebuild from, and its
+    first round raises a ``RuntimeError`` saying so.
 
     After ``session.run(...)`` call :meth:`sync_session` (done
     automatically by ``ScenarioSpec.run``) before reading verdicts,
@@ -816,12 +669,12 @@ class ParallelShardedPolicy(ExecutionPolicy):
 
     name = "parallel"
 
-    _BACKENDS = ("auto", "process", "thread", "serialized")
+    _BACKENDS = ("process", "serialized")
 
     def __init__(
         self,
         workers: int = 4,
-        backend: str = "auto",
+        backend: str = "process",
     ) -> None:
         if workers < 1:
             raise ValueError("worker count must be at least 1")
@@ -832,18 +685,15 @@ class ParallelShardedPolicy(ExecutionPolicy):
             )
         self.workers = workers
         self.backend = backend
-        #: resolved execution mode, set on first use: "process",
-        #: "thread", "serialized", or "inline" (no bootstrap bound).
+        #: ``backend`` once the workers are running, "unstarted" before.
         self.mode = "unstarted"
-        #: why a requested/auto process backend fell back, if it did.
-        self.fallback_reason: Optional[str] = None
         self.stats = ParallelStats()
         self._bootstrap = None
         self._parent_baseline: Optional[Dict[str, int]] = None
+        #: one per shard while the workers run, None before and after.
         self._handles: Optional[List[_ShardHandle]] = None
         self._inbound_blobs: Dict[int, List[bytes]] = {}
         self._barrier_seq = 0
-        self._started = False
 
     # -- wiring ------------------------------------------------------------
 
@@ -854,7 +704,7 @@ class ParallelShardedPolicy(ExecutionPolicy):
         operation counters are snapshotted here as the setup baseline
         for :meth:`sync_session`.
         """
-        if self._started:
+        if self._handles is not None:
             raise RuntimeError(
                 "cannot rebind a running ParallelShardedPolicy; close() it "
                 "first"
@@ -864,43 +714,25 @@ class ParallelShardedPolicy(ExecutionPolicy):
         self._bootstrap = _SpecBootstrap(spec, shared_ladders=ladders)
         self._parent_baseline = _ops_snapshot(session)
 
-    def _process_capable(self) -> tuple:
-        try:
-            pickle.dumps(self._bootstrap)
-        except Exception as exc:  # noqa: BLE001 - any pickling failure
-            return False, f"session bootstrap is not picklable: {exc!r}"
-        if not multiprocessing.get_all_start_methods():
-            return False, "no multiprocessing start method available"
-        return True, ""
-
-    def _ensure_started(self) -> bool:
-        """Start the workers on first use; False means inline fallback."""
-        if self._started:
-            return self.mode != "inline"
-        self._started = True
-        self.stats = ParallelStats()
-        self._inbound_blobs = {}
-        self._barrier_seq = 0
+    def _ensure_started(self) -> None:
+        """Start the workers on first use."""
+        if self._handles is not None:
+            return
         if self._bootstrap is None:
-            self.mode = "inline"
-            self.fallback_reason = (
-                "no scenario bootstrap bound; running the in-process "
-                "sharded loop"
+            raise RuntimeError(
+                "ParallelShardedPolicy has no scenario to rebuild its "
+                "worker replicas from: build the session with "
+                "ScenarioSpec.build(policy), a hand-assembled session "
+                "cannot run on workers"
             )
-            return False
-        mode = self.backend
-        if mode in ("auto", "process"):
-            capable, why = self._process_capable()
-            if capable:
-                mode = "process"
-            elif self.backend == "process":
+        if self.backend == "process":
+            try:
+                pickle.dumps(self._bootstrap)
+            except Exception as exc:  # noqa: BLE001 - any pickling failure
                 raise RuntimeError(
-                    f"process backend requested but unavailable: {why}"
-                )
-            else:
-                self.fallback_reason = why
-                mode = "thread"
-        if mode == "process":
+                    "process backend requested but unavailable: session "
+                    f"bootstrap is not picklable: {exc!r}"
+                ) from exc
             start_methods = multiprocessing.get_all_start_methods()
             context = multiprocessing.get_context(
                 "fork" if "fork" in start_methods else start_methods[0]
@@ -917,16 +749,11 @@ class ParallelShardedPolicy(ExecutionPolicy):
                 )
                 for shard in range(self.workers)
             ]
-        elif mode == "thread":
-            executor = ThreadPoolExecutor(
-                max_workers=self.workers,
-                thread_name_prefix="repro-shard",
-            )
+        else:  # serialized
             stash: dict = {}
             self._handles = [
                 _ShardHandle(
                     shard,
-                    executor=executor,
                     local=_ReplicaWorker(
                         self._bootstrap,
                         shard,
@@ -936,22 +763,10 @@ class ParallelShardedPolicy(ExecutionPolicy):
                 )
                 for shard in range(self.workers)
             ]
-        else:  # serialized
-            stash = {}
-            self._handles = [
-                _ShardHandle(
-                    shard,
-                    local=_ReplicaWorker(
-                        self._bootstrap,
-                        shard,
-                        self.workers,
-                        shared_stash=stash,
-                    ),
-                )
-                for shard in range(self.workers)
-            ]
-        self.mode = mode
-        return True
+        self.mode = self.backend
+        self.stats = ParallelStats()
+        self._inbound_blobs = {}
+        self._barrier_seq = 0
 
     # -- barriers ----------------------------------------------------------
 
@@ -978,43 +793,56 @@ class ParallelShardedPolicy(ExecutionPolicy):
         Lifecycle phases are always submitted to every shard (even with
         no owned work) so replicas initialise eagerly; delivery skips
         empty buckets.
+
+        A worker process that died (killed, out of memory, a failed
+        replica rebuild) surfaces here as a ``RuntimeError`` naming the
+        shard, phase and round; :meth:`close` stays safe afterwards.
         """
         wall0 = time.perf_counter()
         fast = not network.taps and not network.drop_rules
         barrier_seq = self._barrier_seq = self._barrier_seq + 1
         futures: List[Optional[Future]] = []
-        for shard, items in enumerate(work):
-            if phase == "deliver" and not items:
-                futures.append(None)
-                continue
-            blobs = self._inbound_blobs.pop(shard, None) if remote else None
-            futures.append(
-                self._handles[shard].run_phase(
-                    phase, round_no, items, fast, blobs, remote, barrier_seq
-                )
-            )
-        self._inbound_blobs = {}
         captures = []
         meta: List[tuple] = []
         barrier_cpu = 0.0
-        for shard, future in enumerate(futures):
-            if future is None:
-                continue
-            result = future.result()
-            if result[0] == "fast":
-                _, shard_meta, blobs_out, wall, cpu = result
-                meta.extend(shard_meta)
-                for dest, blob in blobs_out.items():
-                    self._inbound_blobs.setdefault(dest, []).append(blob)
-            else:
-                _, capture, wall, cpu = result
-                captures.append(capture)
-            self.stats.busy_wall_seconds += wall
-            self.stats.busy_cpu_seconds += cpu
-            self.stats.shard_cpu_seconds[shard] = (
-                self.stats.shard_cpu_seconds.get(shard, 0.0) + cpu
-            )
-            barrier_cpu = max(barrier_cpu, cpu)
+        try:
+            for shard, items in enumerate(work):
+                if phase == "deliver" and not items:
+                    futures.append(None)
+                    continue
+                blobs = (
+                    self._inbound_blobs.pop(shard, None) if remote else None
+                )
+                futures.append(
+                    self._handles[shard].submit(
+                        "run_phase", phase, round_no, items, fast, blobs,
+                        remote, barrier_seq,
+                    )
+                )
+            self._inbound_blobs = {}
+            for shard, future in enumerate(futures):
+                if future is None:
+                    continue
+                result = future.result()
+                if result[0] == "fast":
+                    _, shard_meta, blobs_out, wall, cpu = result
+                    meta.extend(shard_meta)
+                    for dest, blob in blobs_out.items():
+                        self._inbound_blobs.setdefault(dest, []).append(blob)
+                else:
+                    _, capture, wall, cpu = result
+                    captures.append(capture)
+                self.stats.busy_wall_seconds += wall
+                self.stats.busy_cpu_seconds += cpu
+                self.stats.shard_cpu_seconds[shard] = (
+                    self.stats.shard_cpu_seconds.get(shard, 0.0) + cpu
+                )
+                barrier_cpu = max(barrier_cpu, cpu)
+        except BrokenProcessPool as exc:
+            raise RuntimeError(
+                f"parallel worker of shard {shard} died during the "
+                f"{phase!r} phase of round {round_no}"
+            ) from exc
         self.stats.critical_cpu_seconds += barrier_cpu
         if captures:
             network.merge_captures(captures)
@@ -1040,21 +868,17 @@ class ParallelShardedPolicy(ExecutionPolicy):
         return work
 
     def begin_nodes(self, round_no, nodes, network) -> bool:
-        if not self._ensure_started():
-            return False
+        self._ensure_started()
         self._barrier("begin", round_no, self._lifecycle_work(nodes), network)
         return True
 
     def end_nodes(self, round_no, nodes, network) -> bool:
-        if not self._ensure_started():
-            return False
+        self._ensure_started()
         self._barrier("end", round_no, self._lifecycle_work(nodes), network)
         return True
 
     def deliver(self, batch, nodes_get, network) -> None:
-        if not self._ensure_started():
-            _deliver_sharded(batch, nodes_get, network, self.workers)
-            return
+        self._ensure_started()
         remote = bool(batch) and isinstance(batch[0], RemoteSend)
         work: List[List[tuple]] = [[] for _ in range(self.workers)]
         if remote:
@@ -1082,15 +906,15 @@ class ParallelShardedPolicy(ExecutionPolicy):
         workers started fails loudly inside the replica rather than
         silently diverging.
         """
-        if not self._started or self.mode == "inline":
+        if self._handles is None:
             return
-        self._handles[node.node_id % self.workers].admit(node.node_id)
+        self._handles[node.node_id % self.workers].call("admit", node.node_id)
         self.stats.admitted_nodes += 1
 
     def notify_remove(self, node_id: int) -> None:
-        if not self._started or self.mode == "inline":
+        if self._handles is None:
             return
-        self._handles[node_id % self.workers].remove(node_id)
+        self._handles[node_id % self.workers].call("remove", node_id)
         self.stats.removed_nodes += 1
 
     # -- reporting sync & shutdown -----------------------------------------
@@ -1103,12 +927,12 @@ class ParallelShardedPolicy(ExecutionPolicy):
         setup baseline plus the summed per-worker run deltas.
         Idempotent — safe to call after every ``run``.
         """
-        if not self._started or self.mode == "inline":
+        if self._handles is None:
             return
         run_ops: Dict[str, int] = {}
         sim_nodes = session.simulator.nodes
         for handle in self._handles:
-            report = handle.collect()
+            report = handle.call("collect")
             for key, delta in report["ops"].items():
                 run_ops[key] = run_ops.get(key, 0) + delta
             for node_id, state in report["nodes"].items():
@@ -1122,22 +946,14 @@ class ParallelShardedPolicy(ExecutionPolicy):
         """Shut the worker pools down; the policy can be rebound/reused.
 
         ``stats`` and ``mode`` keep their final values for post-run
-        inspection (the scaling benchmark reads them after the run).
+        inspection (the benchmark reads them after the run).
         """
-        if self._handles is not None:
-            seen = set()
-            for handle in self._handles:
-                executor = handle._executor
-                if executor is None or id(executor) in seen:
-                    continue
-                # lint: allow[DET105] in-process dedup of live
-                # executor objects during shutdown; never ordered
-                seen.add(id(executor))
-                executor.shutdown(wait=True)
+        for handle in self._handles or ():
+            if handle._executor is not None:
+                handle._executor.shutdown(wait=True)
         self._handles = None
         self._bootstrap = None
         self._parent_baseline = None
-        self._started = False
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
@@ -1146,41 +962,19 @@ class ParallelShardedPolicy(ExecutionPolicy):
         )
 
 
-def make_policy(
-    name: str,
-    shards: int = 4,
-    workers: Optional[int] = None,
-    parallel_backend: str = "auto",
-) -> ExecutionPolicy:
+def make_policy(name: str, workers: int = 4) -> ExecutionPolicy:
     """Build a policy from its CLI/scenario name.
 
     Args:
-        name: ``"serial"``, ``"sharded"``, ``"parallel"``,
-            ``"population"`` or ``"daemon"``.
-        shards: partition count for ``sharded`` (also the ``parallel``
-            worker count when ``workers`` is not given).
-        workers: worker count for ``parallel``.
-        parallel_backend: executor selection for ``parallel`` (see
-            :class:`ParallelShardedPolicy`).
+        name: one of :data:`POLICY_NAMES`.
+        workers: process count for ``parallel`` (ignored otherwise).
     """
     if name == "serial":
         return SerialPolicy()
-    if name == "sharded":
-        return ShardedPolicy(shards=shards)
+    if name == "parallel":
+        return ParallelShardedPolicy(workers=workers)
     if name == "daemon":
         return DaemonPolicy()
-    if name == "parallel":
-        return ParallelShardedPolicy(
-            workers=workers if workers is not None else shards,
-            backend=parallel_backend,
-        )
-    if name == "population":
-        # Lazy: the population tier pulls in numpy-backed modules the
-        # serial fast path never needs.
-        from repro.sim.population import PopulationPolicy
-
-        return PopulationPolicy()
     raise ValueError(
-        f"unknown execution policy {name!r}; expected 'serial', 'sharded', "
-        "'parallel', 'population' or 'daemon'"
+        f"unknown execution policy {name!r}; expected one of {POLICY_NAMES}"
     )

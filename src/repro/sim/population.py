@@ -54,7 +54,6 @@ import numpy as np
 from repro.core.verification import ack_hash, serve_hashes
 from repro.crypto.homomorphic import HomomorphicHasher
 from repro.scenarios.spec import ScenarioResult, ScenarioSpec
-from repro.sim.execution import SerialPolicy
 from repro.sim.message import Message
 from repro.sim.metrics import SpilledMeter
 from repro.sim.trace import ColumnarRoundSpill
@@ -63,7 +62,6 @@ __all__ = [
     "PlaneCalibrationTap",
     "PoissonDegreeSampler",
     "PopulationPlane",
-    "PopulationPolicy",
     "PopulationResult",
     "build_population_result",
     "wire_population",
@@ -415,17 +413,6 @@ class PopulationPlane:
 
     def close(self) -> None:
         self.spill.close()
-
-
-class PopulationPolicy(SerialPolicy):
-    """Execution policy name for population-tier runs.
-
-    The plane itself attaches to the engine (not the policy), so this
-    is a thin marker over :class:`SerialPolicy`: selecting
-    ``policy="population"`` runs the cohort on the plain serial path.
-    Population specs run identically under the other policies too —
-    the differential suite exercises exactly that.
-    """
 
 
 def wire_population(spec: ScenarioSpec, session) -> None:

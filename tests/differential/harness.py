@@ -18,17 +18,20 @@ coverage.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import os
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.scenarios.spec import ScenarioResult, ScenarioSpec
-from repro.sim.execution import ExecutionPolicy
+from repro.sim.execution import ExecutionPolicy, ParallelShardedPolicy
 from repro.sim.trace import TraceRecorder
 
 __all__ = [
     "RunRecord",
     "record_scenario",
+    "replicas",
+    "serial_reference",
     "workers_under_test",
     "small_spec",
     "SMALL",
@@ -52,6 +55,12 @@ FIXED_SCALE = {
 def workers_under_test(default: int = 2) -> int:
     """Worker count under test; the CI parallel-policy job sweeps it."""
     return int(os.environ.get("REPRO_TEST_WORKERS", default))
+
+
+def replicas(workers: int) -> ParallelShardedPolicy:
+    """The parallel policy's replica machinery, driven in-process: same
+    partition, capture and merge code as worker processes, no pools."""
+    return ParallelShardedPolicy(workers=workers, backend="serialized")
 
 
 def small_spec(name: str, **extra) -> ScenarioSpec:
@@ -89,11 +98,6 @@ class RunRecord:
     continuity: Optional[float]
     ops: Dict[str, int]
 
-    def __eq__(self, other: object) -> bool:  # pragma: no cover - dataclass
-        if not isinstance(other, RunRecord):
-            return NotImplemented
-        return self.__dict__ == other.__dict__
-
     def diff(self, other: "RunRecord") -> List[str]:
         """Names of the fields that differ (for readable assertions)."""
         return [
@@ -122,7 +126,7 @@ def record_scenario(
     policy: Optional[ExecutionPolicy],
     trace: bool = True,
     drop_rule=None,
-    config_overrides: Optional[Dict] = None,
+    prepare: Optional[Callable] = None,
 ) -> RunRecord:
     """Run ``spec`` under ``policy`` and capture a full :class:`RunRecord`.
 
@@ -133,21 +137,13 @@ def record_scenario(
             ``trace=None``.
         drop_rule: optional fault-injection predicate added to the
             parent network before the run (also forces full fidelity).
-        config_overrides: extra :class:`~repro.core.config.PagConfig`
-            fields; PAG protocol only.  Refused for replica-backed
-            policies (their workers rebuild from the bare spec, so the
-            overrides would silently not reach them — use a spec field
-            like ``ScenarioSpec.batch_verify`` instead).
+        prepare: called with the built session before the first round
+            (parent side only: replica workers rebuild from the bare
+            spec and never see it).
     """
-    if config_overrides:
-        if policy is not None and hasattr(policy, "bind_scenario"):
-            raise ValueError(
-                "config_overrides do not propagate to replica workers; "
-                "encode the knob in the spec instead"
-            )
-        session = spec.build_pag_with(policy, **config_overrides)
-    else:
-        session = spec.build(policy)
+    session = spec.build(policy)
+    if prepare is not None:
+        prepare(session)
     tap = None
     if trace:
         tap = TraceRecorder()
@@ -187,3 +183,14 @@ def record_scenario(
         # them, so close here rather than leak on every recorded run.
         for plane in getattr(session.simulator, "planes", ()):
             plane.close()
+
+
+@functools.lru_cache(maxsize=None)
+def serial_reference(name: str, trace: bool = True) -> RunRecord:
+    """The serial record of ``small_spec(name)``, run once per session.
+
+    Every policy is compared against this same deterministic run (that
+    it *is* deterministic is ``test_determinism``'s job), so the suite
+    pays for it once instead of once per policy under test.
+    """
+    return record_scenario(small_spec(name), None, trace=trace)

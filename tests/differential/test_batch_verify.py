@@ -1,25 +1,25 @@
-"""Batched monitor verification is observably invisible.
+"""The deferred monitor fold is observably invisible.
 
-``PagConfig.batch_verify`` (default on) lets the monitor engine fold a
-round's message-8 lifts with one Straus multi-exponentiation where the
-individual lifted values never reach the wire.  The acceptance bar is
-the differential one: verdicts, ordered traces, meter snapshots, byte
-counts and operation tallies must be bit-identical with the knob on and
-off, across the whole scenario registry and under every execution
-policy.  The fold genuinely engages when a node has a single monitor
-(no peers to broadcast lifted values to), so that shape gets dedicated
-coverage — including the assertion that the batched path actually ran.
+A monitor engine folds a round's message-8 lifts with one Straus
+multi-exponentiation wherever the individual lifted values never reach
+the wire; a ``lift_transform`` hook (a lying monitor) or
+``monitor_cross_checks`` forces the other path, one materialised lift
+per pair.  With a single monitor per node no lifted value is ever
+broadcast, so both paths put the same bytes on the wire and the
+acceptance bar is the differential one: a run whose engines all carry
+the identity hook must match the default run in verdicts, ordered
+trace, meter snapshot and operation tallies, across the whole scenario
+registry.  (The batched-vs-per-pair algebra itself is unit-tested in
+``tests/core/test_verification.py`` and
+``tests/crypto/test_multi_powmod.py``.)
 """
-
-import dataclasses
 
 import pytest
 
 from repro.scenarios import get_scenario, scenario_names
-from repro.sim.execution import ParallelShardedPolicy, ShardedPolicy
-
 from tests.differential.harness import (
     record_scenario,
+    replicas,
     small_spec,
     workers_under_test,
 )
@@ -33,23 +33,31 @@ PAG_SCENARIOS = [
 ]
 
 
-def _batch_off(spec):
-    return dataclasses.replace(spec, batch_verify=False)
+def _single_monitor_spec(name="fig7", **extra):
+    """A spec whose nodes have exactly one monitor: the shape where
+    lifted pairs never leave the engine, so every lift defers."""
+    return small_spec(name, monitors_per_node=1, **extra)
+
+
+def _materialise_lifts(session):
+    """Hand every engine its behaviour's lift hook — the base identity
+    for honest nodes — which switches the deferred fold off."""
+    for node in [*session.nodes.values(), *session.pending.values()]:
+        node.monitor.set_behavior_hooks(
+            node.monitor.active, node.behavior.transform_lifted
+        )
 
 
 @pytest.mark.parametrize("name", PAG_SCENARIOS)
 def test_batch_off_is_bit_identical_across_registry(name):
-    """Full registry: the fold strategy never changes an observable."""
-    spec = small_spec(name)
+    """Full registry at fm=1: the fold never changes an observable."""
+    spec = _single_monitor_spec(name)
     on = record_scenario(spec, None, trace=True)
-    off = record_scenario(_batch_off(spec), None, trace=True)
-    assert on == off, f"{name}: batch_verify changed {on.diff(off)}"
-
-
-def _single_monitor_spec(name="fig7", **extra):
-    """A spec whose nodes have exactly one monitor: the only shape where
-    lifted pairs never leave the engine, so lifts defer into the batch."""
-    return small_spec(name, monitors_per_node=1, **extra)
+    off = record_scenario(
+        spec, None, trace=True, prepare=_materialise_lifts
+    )
+    assert on.messages_sent > 0
+    assert on == off, f"{name}: the deferred fold changed {on.diff(off)}"
 
 
 def test_deferred_fold_engages_with_single_monitors():
@@ -66,51 +74,21 @@ def test_deferred_fold_engages_with_single_monitors():
         + hasher.cold_powmods
         + hasher.batched_lifts
     )
-    # And the unbatched twin performed zero batched lifts but tallied
-    # the same protocol-level operation count.
-    twin = _batch_off(spec).build(None)
+    # And the materialising twin performed zero batched lifts but
+    # tallied the same protocol-level operation count.
+    twin = spec.build(None)
+    _materialise_lifts(twin)
     twin.run(spec.rounds)
     assert twin.context.hasher.batched_lifts == 0
     assert twin.context.hasher.operations == hasher.operations
 
 
-@pytest.mark.parametrize("name", ["fig7", "selfish", "churn"])
-def test_single_monitor_batch_on_off_identical(name):
-    spec = _single_monitor_spec(name)
-    on = record_scenario(spec, None, trace=True)
-    off = record_scenario(_batch_off(spec), None, trace=True)
-    assert on.messages_sent > 0
-    assert on == off, f"{name} fm=1: batch_verify changed {on.diff(off)}"
-
-
 def test_deferred_fold_identical_under_every_policy():
-    """fm=1 with batch on, under serial / sharded / worker-backed
-    replicas (both merge modes): all equal, and equal to batch off."""
+    """fm=1 on worker replicas, both merge modes: equal to serial."""
     spec = _single_monitor_spec()
-    reference = record_scenario(spec, None, trace=True)
-    policies = [
-        ("sharded", ShardedPolicy(shards=3)),
-        (
-            "parallel-thread",
-            ParallelShardedPolicy(workers=WORKERS, backend="thread"),
-        ),
-        (
-            "parallel-serialized",
-            ParallelShardedPolicy(workers=WORKERS + 1, backend="serialized"),
-        ),
-    ]
-    for label, policy in policies:
-        record = record_scenario(spec, policy, trace=True)
+    for trace in (True, False):
+        reference = record_scenario(spec, None, trace=trace)
+        record = record_scenario(spec, replicas(WORKERS + 1), trace=trace)
         assert record == reference, (
-            f"fm=1 under {label}: mismatch in {record.diff(reference)}"
+            f"fm=1, trace={trace}: mismatch in {record.diff(reference)}"
         )
-    # Replica workers inherit the spec-level knob: a batch-off parallel
-    # run equals the batch-on serial reference bit for bit.
-    off_policy = ParallelShardedPolicy(workers=WORKERS, backend="thread")
-    off = record_scenario(_batch_off(spec), off_policy, trace=True)
-    assert off == reference, f"mismatch in {off.diff(reference)}"
-    # Metadata fast path too (no tap installed).
-    fast_ref = record_scenario(spec, None, trace=False)
-    fast_policy = ParallelShardedPolicy(workers=WORKERS, backend="thread")
-    fast = record_scenario(spec, fast_policy, trace=False)
-    assert fast == fast_ref, f"mismatch in {fast.diff(fast_ref)}"

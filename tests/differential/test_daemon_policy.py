@@ -15,13 +15,17 @@ import pytest
 from repro.scenarios import scenario_names
 from repro.sim.execution import DaemonPolicy
 
-from tests.differential.harness import record_scenario, small_spec
+from tests.differential.harness import (
+    record_scenario,
+    serial_reference,
+    small_spec,
+)
 
 
 @pytest.mark.parametrize("name", scenario_names())
 def test_wire_round_tripped_runs_are_bit_identical(name):
     spec = small_spec(name)
-    reference = record_scenario(spec, None, trace=True)
+    reference = serial_reference(name)
     assert reference.messages_sent > 0
     policy = DaemonPolicy()
     record = record_scenario(spec, policy, trace=True)

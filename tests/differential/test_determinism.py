@@ -8,13 +8,14 @@ replica executes a node, not what the node does.
 
 import pytest
 
-from repro.sim.execution import (
-    ParallelShardedPolicy,
-    SerialPolicy,
-    ShardedPolicy,
-)
+from repro.sim.execution import ParallelShardedPolicy, SerialPolicy
 
-from tests.differential.harness import record_scenario, small_spec
+from tests.differential.harness import (
+    record_scenario,
+    replicas,
+    serial_reference,
+    small_spec,
+)
 
 
 def _spec():
@@ -25,11 +26,11 @@ def _spec():
     "make",
     [
         lambda: SerialPolicy(),
-        lambda: ShardedPolicy(shards=4),
-        lambda: ParallelShardedPolicy(workers=3, backend="thread"),
+        lambda: replicas(3),
         lambda: ParallelShardedPolicy(workers=2, backend="process"),
     ],
-    ids=["serial", "sharded", "parallel-thread", "parallel-process"],
+    # "sharded": the shard/replica machinery driven in this process.
+    ids=["serial", "sharded", "parallel-process"],
 )
 def test_same_seed_twice_is_identical(make):
     spec = _spec()
@@ -40,9 +41,9 @@ def test_same_seed_twice_is_identical(make):
 
 def test_worker_count_does_not_change_results():
     spec = _spec()
-    reference = record_scenario(spec, None, trace=True)
+    reference = serial_reference("selfish")
     for workers in (1, 2, 5, 9):
-        policy = ParallelShardedPolicy(workers=workers, backend="thread")
+        policy = replicas(workers)
         record = record_scenario(spec, policy, trace=True)
         assert record == reference, (
             f"workers={workers}: mismatch in {record.diff(reference)}"
@@ -51,9 +52,9 @@ def test_worker_count_does_not_change_results():
 
 def test_worker_count_does_not_change_fast_path_results():
     spec = _spec()
-    reference = record_scenario(spec, None, trace=False)
+    reference = serial_reference("selfish", trace=False)
     for workers in (2, 4):
-        policy = ParallelShardedPolicy(workers=workers, backend="thread")
+        policy = replicas(workers)
         record = record_scenario(spec, policy, trace=False)
         assert record == reference, (
             f"workers={workers}: mismatch in {record.diff(reference)}"
@@ -62,9 +63,9 @@ def test_worker_count_does_not_change_fast_path_results():
 
 def test_churn_schedule_is_deterministic_under_parallel():
     spec = small_spec("churn")
-    reference = record_scenario(spec, None, trace=True)
+    reference = serial_reference("churn")
     for workers in (2, 3):
-        policy = ParallelShardedPolicy(workers=workers, backend="thread")
+        policy = replicas(workers)
         record = record_scenario(spec, policy, trace=True)
         assert record == reference, (
             f"workers={workers}: mismatch in {record.diff(reference)}"

@@ -31,8 +31,8 @@ from repro.scenarios.fuzz import (  # noqa: E402
     spec_to_json,
 )
 
-#: Two-policy cross-check keeps Hypothesis examples fast; the nightly
-#: ``repro fuzz`` lane covers the full three-policy matrix.
+#: The same serial-vs-worker-processes cross-check as the nightly
+#: ``repro fuzz`` lane, at a smaller scale.
 CONFIG = FuzzConfig(
     iterations=1,
     policies=("serial", "parallel"),

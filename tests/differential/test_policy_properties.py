@@ -19,11 +19,13 @@ from repro.scenarios.spec import (  # noqa: E402
     ChurnEvent,
     ScenarioSpec,
 )
-from repro.sim.execution import ParallelShardedPolicy  # noqa: E402
 from repro.sim.faults import RandomLoss  # noqa: E402
 from repro.sim.rng import SeedSequence  # noqa: E402
 
-from tests.differential.harness import record_scenario  # noqa: E402
+from tests.differential.harness import (  # noqa: E402
+    record_scenario,
+    replicas,
+)
 
 STRATEGIES = st.sampled_from(
     ["free-rider", "partial-forwarder", "silent-receiver",
@@ -66,12 +68,9 @@ def specs(draw):
 @given(
     spec=specs(),
     workers=st.integers(min_value=1, max_value=5),
-    backend=st.sampled_from(["thread", "serialized"]),
     with_loss=st.booleans(),
 )
-def test_random_scenarios_are_policy_invariant(
-    spec, workers, backend, with_loss
-):
+def test_random_scenarios_are_policy_invariant(spec, workers, with_loss):
     def drop_rule():
         if not with_loss:
             return None
@@ -84,7 +83,7 @@ def test_random_scenarios_are_policy_invariant(
     reference = record_scenario(
         spec, None, trace=True, drop_rule=drop_rule()
     )
-    policy = ParallelShardedPolicy(workers=workers, backend=backend)
+    policy = replicas(workers)
     record = record_scenario(
         spec, policy, trace=True, drop_rule=drop_rule()
     )

@@ -5,7 +5,7 @@ per-node strategy map, rate steps) — validation, protocol semantics,
 and CDF golden checks locking each registered scenario's measured
 series (every number below is a deterministic function of the spec's
 seed; the differential suite separately proves the same runs are
-bit-identical under sharded and parallel execution).
+bit-identical under parallel execution).
 """
 
 import dataclasses

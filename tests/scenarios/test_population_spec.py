@@ -35,9 +35,13 @@ def test_population_must_exceed_cohort():
 
 
 def test_population_policy_requires_population():
-    with pytest.raises(ValueError, match="needs population"):
-        _spec(policy="population")
-    _spec(policy="population", population=100)
+    """``population`` alone selects the tier (the plane attaches to the
+    engine under any policy); the retired marker policy name is
+    rejected with or without it."""
+    assert _spec(population=100).policy is None
+    for extra in ({}, {"population": 100}):
+        with pytest.raises(ValueError, match="unknown execution policy"):
+            _spec(policy="population", **extra)
 
 
 def test_spill_dir_requires_population(tmp_path):
@@ -96,7 +100,7 @@ def test_deviants_must_fit_the_cohort():
 
 
 def test_cohort_equivalent_strips_population_and_pins_fanout():
-    spec = _spec(population=100_000, policy="population")
+    spec = _spec(population=100_000, policy="daemon")
     cohort = spec.cohort_equivalent()
     assert cohort.population == 0
     assert cohort.policy is None
@@ -124,7 +128,7 @@ def test_population_config_derives_fanout_from_population():
 def test_fig9_1m_registration():
     spec = get_scenario("fig9-1m")
     assert spec.population == 1_000_000
-    assert spec.policy == "population"
+    assert spec.policy is None
     assert spec.nodes == 120
     assert spec.rounds == 60
     assert spec.warmup_rounds == 4

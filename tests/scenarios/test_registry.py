@@ -11,7 +11,8 @@ from repro.scenarios import (
     run_scenario,
     scenario_names,
 )
-from repro.sim.execution import ShardedPolicy
+
+from tests.differential.harness import replicas
 
 PAPER_NAMES = {"fig7", "fig7-acting", "fig8", "fig9", "fig10",
                "table1", "table2"}
@@ -97,7 +98,7 @@ def test_selfish_scenario_convicts_its_deviant():
 
 
 def test_churn_scenario_removes_nodes_and_convicts_them():
-    result = run_scenario("churn", execution_policy=ShardedPolicy(shards=4))
+    result = run_scenario("churn", execution_policy=replicas(4))
     spec = get_scenario("churn")
     departed = {event.node_id for event in spec.churn}
     assert departed == {5, 11}
@@ -132,7 +133,7 @@ def test_pag_scenario_identical_under_sharded_policy():
     serial = run_scenario("fig7", nodes=16, rounds=6)
     sharded = run_scenario(
         "fig7", nodes=16, rounds=6,
-        execution_policy=ShardedPolicy(shards=4),
+        execution_policy=replicas(4),
     )
     assert sharded.node_kbps == serial.node_kbps
     assert sharded.messages_sent == serial.messages_sent

@@ -1,6 +1,6 @@
 """Scenario-registry edge cases through the execution policies.
 
-Three previously-untested paths through the sharded/parallel drain:
+Three previously-untested paths through the parallel drain:
 a churn schedule that removes a *monitored* node while its monitors
 still hold open obligations, an adversary mix that resolves to zero
 deviants, and shard counts so high that every shard holds at most one
@@ -11,13 +11,9 @@ import pytest
 
 from repro.scenarios import get_scenario, register_scenario, scenario_names
 from repro.scenarios.spec import AdversaryGroup, ChurnEvent, ScenarioSpec
-from repro.sim.execution import (
-    ParallelShardedPolicy,
-    SerialPolicy,
-    ShardedPolicy,
-)
+from repro.sim.execution import ParallelShardedPolicy, SerialPolicy
 
-from tests.differential.harness import record_scenario
+from tests.differential.harness import record_scenario, replicas
 
 
 def test_churn_removes_monitored_node_mid_stream_under_all_policies():
@@ -37,8 +33,7 @@ def test_churn_removes_monitored_node_mid_stream_under_all_policies():
     assert reference.verdicts, "departed node should be convicted"
     assert {v[0] for v in reference.verdicts} == {4}
     for policy in (
-        ShardedPolicy(shards=5),
-        ParallelShardedPolicy(workers=3, backend="thread"),
+        replicas(5),
         ParallelShardedPolicy(workers=2, backend="process"),
     ):
         record = record_scenario(spec, policy, trace=True)
@@ -64,8 +59,7 @@ def test_zero_adversary_mix_resolves_to_honest_run():
     reference = record_scenario(honest, SerialPolicy(), trace=True)
     for policy in (
         SerialPolicy(),
-        ShardedPolicy(shards=4),
-        ParallelShardedPolicy(workers=2, backend="thread"),
+        replicas(4),
     ):
         record = record_scenario(spec, policy, trace=True)
         assert record.verdicts == []
@@ -83,10 +77,8 @@ def test_single_node_shards_match_serial():
     )
     reference = record_scenario(spec, SerialPolicy(), trace=True)
     for policy in (
-        ShardedPolicy(shards=8),
-        ShardedPolicy(shards=23),
-        ParallelShardedPolicy(workers=8, backend="serialized"),
-        ParallelShardedPolicy(workers=11, backend="thread"),
+        replicas(8),
+        replicas(23),
     ):
         record = record_scenario(spec, policy, trace=True)
         assert record == reference, f"mismatch in {record.diff(reference)}"

@@ -1,25 +1,33 @@
 """Tests for the pluggable execution policies.
 
-The acceptance bar of the sharded-core refactor: a SerialPolicy run is
+The acceptance bar of the policy seam: a SerialPolicy run is
 bit-identical to the pre-policy engine (golden numbers recorded from
-the seed code on the same fixed-seed scenarios), and a ShardedPolicy
-run reproduces the same per-node byte totals, message counts, and
-operation counts at any shard count.
+the seed code on the same fixed-seed scenarios), and the shard
+partition/capture/merge contract of ParallelShardedPolicy — driven
+in-process through its ``serialized`` backend — reproduces the same
+per-node byte totals, message counts, drop decisions and operation
+counts at any shard count.
 """
+
+import functools
 
 import pytest
 
-from repro.core import PagConfig, PagSession
+from repro.core import PagSession
+from repro.scenarios.spec import ScenarioSpec
 from repro.sim.engine import Simulator
 from repro.sim.execution import (
+    DaemonPolicy,
+    ParallelShardedPolicy,
     SerialPolicy,
-    ShardedPolicy,
     make_policy,
 )
 from repro.sim.faults import RandomLoss
 from repro.sim.network import Network
 from repro.sim.rng import SeedSequence
 from repro.sim.trace import TraceRecorder
+
+from tests.differential.harness import replicas as _sharded
 
 # Golden numbers measured on the pre-refactor engine (PR 1) for the
 # fixed-seed fig7-style scenario: PagConfig.for_system_size(n, 300 Kbps),
@@ -41,17 +49,35 @@ GOLDEN = {
 }
 
 
-def _run(n, rounds, policy=None, drop_rule=None):
-    config = PagConfig.for_system_size(n, stream_rate_kbps=300.0)
-    session = PagSession.create(
-        n, config=config, execution_policy=policy
+def _run(
+    n, rounds, policy=None, drop_rule=None, tap=None, hook=None, rate=300.0
+):
+    """A fig7-style session built from a spec (worker replicas rebuild
+    from it), run to completion and synced."""
+    spec = ScenarioSpec(
+        name="execution",
+        nodes=n,
+        rounds=rounds,
+        warmup_rounds=1,
+        stream_rate_kbps=rate,
     )
+    session = spec.build(policy)
+    network = session.simulator.network
     if drop_rule is not None:
-        session.simulator.network.add_drop_rule(drop_rule)
-    session.run(rounds)
-    meter = session.simulator.network.meter
+        network.add_drop_rule(drop_rule)
+    if tap is not None:
+        network.add_tap(tap)
+    if hook is not None:
+        session.simulator.add_round_hook(lambda r: hook(session, r))
+    try:
+        session.run(rounds)
+        if policy is not None:
+            policy.sync_session(session)
+    finally:
+        if policy is not None:
+            policy.close()
     per_node = {
-        nid: meter.node_bytes(nid)
+        nid: network.meter.node_bytes(nid)
         for nid in [0] + sorted(session.nodes)
     }
     return session, per_node
@@ -68,11 +94,15 @@ def test_serial_policy_matches_pre_refactor_goldens(n, rounds):
         assert per_node[node] == expected
 
 
+@functools.lru_cache(maxsize=None)
+def _serial_bytes_20_8():
+    return _run(20, 8, SerialPolicy())[1]
+
+
 @pytest.mark.parametrize("shards", [1, 3, 4, 7])
 def test_sharded_policy_matches_serial_bytes(shards):
-    _, serial = _run(20, 8, SerialPolicy())
-    session, sharded = _run(20, 8, ShardedPolicy(shards=shards))
-    assert sharded == serial
+    session, sharded = _run(20, 8, _sharded(shards))
+    assert sharded == _serial_bytes_20_8()
     golden = GOLDEN[(20, 8)]
     assert session.simulator.network.messages_sent == golden["messages_sent"]
     assert session.context.hasher.operations == golden["hashes"]
@@ -80,7 +110,7 @@ def test_sharded_policy_matches_serial_bytes(shards):
 
 def test_sharded_policy_with_stateful_drop_rule_matches_serial():
     """Drop rules consume their RNG once per send in send order; the
-    sharded merge must replay that exact order."""
+    shard merge must replay that exact order."""
 
     def loss():
         return RandomLoss(
@@ -92,9 +122,7 @@ def test_sharded_policy_with_stateful_drop_rule_matches_serial():
     serial_rule = loss()
     _, serial = _run(20, 8, SerialPolicy(), drop_rule=serial_rule)
     sharded_rule = loss()
-    session, sharded = _run(
-        20, 8, ShardedPolicy(shards=4), drop_rule=sharded_rule
-    )
+    session, sharded = _run(20, 8, _sharded(4), drop_rule=sharded_rule)
     assert serial_rule.dropped > 0
     assert sharded_rule.dropped == serial_rule.dropped
     assert sharded == serial
@@ -102,20 +130,12 @@ def test_sharded_policy_with_stateful_drop_rule_matches_serial():
 
 
 def test_sharded_policy_taps_see_all_traffic_in_order():
-    config = PagConfig.for_system_size(16, stream_rate_kbps=300.0)
-    runs = {}
-    for name, policy in (
-        ("serial", SerialPolicy()),
-        ("sharded", ShardedPolicy(shards=3)),
-    ):
-        tap = TraceRecorder()
-        s = PagSession.create(16, config=config, execution_policy=policy)
-        s.simulator.network.add_tap(tap)
-        s.run(6)
-        runs[name] = tap
-    assert len(runs["serial"]) == len(runs["sharded"])
-    assert runs["serial"].kinds() == runs["sharded"].kinds()
-    assert runs["serial"].total_bytes() == runs["sharded"].total_bytes()
+    serial, sharded = TraceRecorder(), TraceRecorder()
+    _run(16, 6, SerialPolicy(), tap=serial)
+    _run(16, 6, _sharded(3), tap=sharded)
+    assert len(serial) == len(sharded)
+    assert serial.kinds() == sharded.kinds()
+    assert serial.total_bytes() == sharded.total_bytes()
 
 
 def test_churn_mid_round_with_inflight_traffic_under_sharding():
@@ -124,28 +144,23 @@ def test_churn_mid_round_with_inflight_traffic_under_sharding():
     while drop rules keep firing for everyone else."""
 
     def run(policy):
-        session = PagSession.create(
-            16,
-            config=PagConfig.for_system_size(16, stream_rate_kbps=150.0),
-            execution_policy=policy,
-        )
         rule = RandomLoss(
             probability=0.1,
             kinds={"ack"},
             rng=SeedSequence(23).stream("loss"),
         )
-        session.simulator.network.add_drop_rule(rule)
 
-        def churn_hook(round_no):
+        def churn_hook(session, round_no):
             if round_no == 4:
                 session.remove_node(7)
 
-        session.simulator.add_round_hook(churn_hook)
-        session.run(10)
+        session, _ = _run(
+            16, 10, policy, drop_rule=rule, hook=churn_hook, rate=150.0
+        )
         return session, rule
 
     serial_session, serial_rule = run(SerialPolicy())
-    sharded_session, sharded_rule = run(ShardedPolicy(shards=5))
+    sharded_session, sharded_rule = run(_sharded(5))
     assert 7 not in sharded_session.nodes
     assert serial_rule.dropped > 0
     assert sharded_rule.dropped == serial_rule.dropped
@@ -173,13 +188,14 @@ def test_session_remove_node_unknown_id_raises_value_error():
 
 def test_make_policy():
     assert isinstance(make_policy("serial"), SerialPolicy)
-    sharded = make_policy("sharded", shards=6)
-    assert isinstance(sharded, ShardedPolicy)
-    assert sharded.shards == 6
+    assert isinstance(make_policy("daemon"), DaemonPolicy)
+    parallel = make_policy("parallel", workers=6)
+    assert isinstance(parallel, ParallelShardedPolicy)
+    assert (parallel.workers, parallel.backend) == (6, "process")
     with pytest.raises(ValueError, match="unknown execution policy"):
         make_policy("quantum")
-    with pytest.raises(ValueError, match="shard count"):
-        ShardedPolicy(shards=0)
+    with pytest.raises(ValueError, match="worker count"):
+        ParallelShardedPolicy(workers=0)
 
 
 def test_capture_guards():

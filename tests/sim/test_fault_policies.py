@@ -3,7 +3,7 @@
 The contract under test is threefold: (1) each declarative
 :class:`~repro.sim.faults.FaultSpec` wired through
 ``ScenarioSpec.fault_schedule`` produces identical traffic, verdicts
-and per-injector counters under serial, sharded and parallel execution
+and per-injector counters under serial and parallel execution
 (rules only evaluate on the parent network — replica workers run in
 capture mode); (2) fault schedules are deterministic functions of the
 spec seed; (3) malformed declarations fail loudly at construction, not
@@ -32,7 +32,7 @@ from repro.sim.faults import (
     RandomLoss,
 )
 
-POLICIES = ("serial", "sharded", "parallel")
+POLICIES = ("serial", "parallel")
 
 EXCHANGE = ("key_request", "key_response", "serve", "attestation", "ack")
 
@@ -88,7 +88,7 @@ def test_injector_bit_identical_across_policies(name):
         policy: fingerprint(run_spec(FAULTS[name], policy))
         for policy in POLICIES
     }
-    assert records["serial"] == records["sharded"] == records["parallel"]
+    assert records["serial"] == records["parallel"]
     stats = records["serial"]["fault_stats"]
     assert list(stats) == [f"{FAULTS[name].kind}[0]"]
 

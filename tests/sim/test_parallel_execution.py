@@ -1,27 +1,30 @@
 """Unit tests for the worker-backed parallel execution policy.
 
 The differential suite (tests/differential/) proves bit-identity across
-the whole registry; these tests pin the policy's mechanics — mode
-resolution, the inline fallback, membership guards, the metadata merge
-guard, reporting sync idempotence, and the golden numbers under real
-worker pools.
+the whole registry; these tests pin the policy's mechanics — backend
+selection, the named errors (no bootstrap, unpicklable bootstrap, a dead
+worker), membership guards, the metadata merge guard, reporting sync
+idempotence, and the golden numbers under real worker processes.
 """
+
+import contextlib
+import os
+import signal
 
 import pytest
 
-from repro.core import PagConfig, PagSession
+from repro.core import PagSession
 from repro.scenarios.spec import ScenarioSpec
 from repro.sim.execution import (
     ParallelShardedPolicy,
     SerialPolicy,
-    ShardedPolicy,
     make_policy,
 )
 from repro.sim.network import Network, RemoteSend
 
 # Golden numbers measured on the pre-refactor engine (PR 1); the
 # parallel backend must land on them exactly (see tests/sim/
-# test_execution.py for the serial/sharded assertions on the same run).
+# test_execution.py for the serial assertions on the same run).
 GOLDEN_20_8 = {"messages_sent": 6103, "hashes": 45710}
 
 
@@ -35,14 +38,36 @@ def _spec(n=20, rounds=8):
     )
 
 
-@pytest.mark.parametrize("backend", ["serialized", "thread", "process"])
-def test_parallel_policy_matches_pre_refactor_goldens(backend):
-    policy = ParallelShardedPolicy(workers=3, backend=backend)
-    spec = _spec()
+@contextlib.contextmanager
+def _synced_run(spec, workers=2, backend="serialized"):
+    """``spec`` run to completion on replicas and synced back; yields
+    ``(policy, session)`` and closes the policy on exit."""
+    policy = ParallelShardedPolicy(workers=workers, backend=backend)
     session = spec.build(policy)
     try:
         session.run(spec.rounds)
         policy.sync_session(session)
+        yield policy, session
+    finally:
+        policy.close()
+
+
+def _cache_buckets(hasher):
+    return (
+        hasher.operations,
+        hasher.memo_hits,
+        hasher.fixed_base_hits,
+        hasher.cold_powmods,
+        hasher.batched_lifts,
+        hasher.shared_ladder_seeds,
+    )
+
+
+@pytest.mark.parametrize("backend", ["serialized", "process"])
+def test_parallel_policy_matches_pre_refactor_goldens(backend):
+    with _synced_run(_spec(), workers=3, backend=backend) as (
+        policy, session
+    ):
         assert (
             session.simulator.network.messages_sent
             == GOLDEN_20_8["messages_sent"]
@@ -53,48 +78,49 @@ def test_parallel_policy_matches_pre_refactor_goldens(backend):
         assert policy.stats.critical_cpu_seconds <= (
             policy.stats.busy_cpu_seconds + 1e-9
         )
-    finally:
-        policy.close()
 
 
 def test_sync_session_is_idempotent():
-    policy = ParallelShardedPolicy(workers=2, backend="serialized")
-    spec = _spec(n=10, rounds=4)
-    session = spec.build(policy)
-    try:
-        session.run(spec.rounds)
-        policy.sync_session(session)
+    with _synced_run(_spec(n=10, rounds=4)) as (policy, session):
         hashes = session.context.hasher.operations
         verdicts = session.all_verdicts()
         policy.sync_session(session)
         assert session.context.hasher.operations == hashes
         assert session.all_verdicts() == verdicts
+
+
+def test_without_bootstrap_raises_naming_scenario_build():
+    """A hand-assembled session has no spec to rebuild replicas from;
+    the first round says so instead of quietly running in-process."""
+    policy = ParallelShardedPolicy(workers=4)
+    session = PagSession.create(12, execution_policy=policy)
+    with pytest.raises(RuntimeError, match=r"ScenarioSpec\.build"):
+        session.run(1)
+    assert policy.mode == "unstarted"
+    policy.sync_session(session)  # nothing started: a no-op
+    policy.close()
+
+
+def test_dead_worker_is_a_named_error_not_a_hang():
+    """A worker process killed between two rounds: the next barrier
+    raises promptly, naming shard, phase and round, and close() still
+    works."""
+    policy = ParallelShardedPolicy(workers=2)
+    spec = _spec(n=10, rounds=4)
+    session = spec.build(policy)
+    try:
+        session.run(1)
+        (pid,) = policy._handles[0]._executor._processes
+        os.kill(pid, signal.SIGKILL)
+        with pytest.raises(
+            RuntimeError,
+            match=r"shard 0 died during the 'begin' phase of round 1",
+        ):
+            session.run(1)
     finally:
         policy.close()
-
-
-def test_without_bootstrap_degrades_to_inline_sharding():
-    """A hand-assembled session has no spec to rebuild replicas from;
-    the policy must fall back to the in-process sharded loop and still
-    match serial."""
-    config = PagConfig.for_system_size(12, stream_rate_kbps=300.0)
-    serial = PagSession.create(12, config=config)
-    serial.run(5)
-    policy = ParallelShardedPolicy(workers=4)
-    session = PagSession.create(12, config=config, execution_policy=policy)
-    session.run(5)
-    assert policy.mode == "inline"
-    assert "no scenario bootstrap" in policy.fallback_reason
-    assert (
-        session.simulator.network.meter.snapshot()
-        == serial.simulator.network.meter.snapshot()
-    )
-    assert (
-        session.context.hasher.operations
-        == serial.context.hasher.operations
-    )
-    policy.sync_session(session)  # no-op in inline mode
-    policy.close()
+    policy.close()  # idempotent
+    assert spec.run(policy).messages_sent > 0  # and reusable
 
 
 def test_adding_adhoc_nodes_after_start_is_rejected():
@@ -116,7 +142,7 @@ def test_adding_adhoc_nodes_after_start_is_rejected():
         policy.close()
 
 
-@pytest.mark.parametrize("backend", ["serialized", "thread", "process"])
+@pytest.mark.parametrize("backend", ["serialized", "process"])
 def test_spec_declared_arrivals_are_mirrored_onto_replicas(backend):
     """A JoinEvent admits the same node on the parent and its owning
     worker replica; the run stays bit-identical to serial."""
@@ -153,17 +179,7 @@ def test_policy_is_reusable_after_close():
 
 
 def test_make_policy_parallel():
-    policy = make_policy("parallel", workers=6)
-    assert isinstance(policy, ParallelShardedPolicy)
-    assert policy.workers == 6
-    # workers defaults to the shards value when not given.
-    assert make_policy("parallel", shards=3).workers == 3
-    assert isinstance(make_policy("serial"), SerialPolicy)
-    assert isinstance(make_policy("sharded", shards=2), ShardedPolicy)
-    with pytest.raises(ValueError, match="unknown execution policy"):
-        make_policy("quantum")
-    with pytest.raises(ValueError, match="worker count"):
-        ParallelShardedPolicy(workers=0)
+    assert make_policy("parallel").workers == 4
     with pytest.raises(ValueError, match="unknown parallel backend"):
         ParallelShardedPolicy(backend="gpu")
 
@@ -181,25 +197,6 @@ def test_explicit_process_backend_with_unpicklable_bootstrap_raises():
     policy._bootstrap = Unpicklable()
     with pytest.raises(RuntimeError, match="process backend requested"):
         policy._ensure_started()
-    policy.close()
-
-
-def test_auto_backend_falls_back_to_threads_on_unpicklable_bootstrap():
-    policy = ParallelShardedPolicy(workers=2, backend="auto")
-
-    class UnpicklableSpecLike:
-        def __call__(self):
-            return ScenarioSpec(
-                name="fallback", nodes=6, rounds=3, warmup_rounds=1
-            ).build()
-
-        def __reduce__(self):
-            raise TypeError("cannot pickle this bootstrap")
-
-    policy._bootstrap = UnpicklableSpecLike()
-    assert policy._ensure_started()
-    assert policy.mode == "thread"
-    assert "not picklable" in policy.fallback_reason
     policy.close()
 
 
@@ -246,12 +243,7 @@ def test_sync_reconciles_cache_hit_rates():
     crypto-counter deltas onto the parent, so the hasher's cache buckets
     must travel too — otherwise ``cache_stats()`` divides parent-local
     hits by a denominator missing the grafted calls."""
-    spec = _spec()
-    policy = ParallelShardedPolicy(workers=2, backend="thread")
-    session = spec.build(policy)
-    try:
-        session.run(spec.rounds)
-        policy.sync_session(session)
+    with _synced_run(_spec()) as (_, session):
         hasher = session.context.hasher
         stats = hasher.cache_stats()
         calls = (
@@ -266,37 +258,13 @@ def test_sync_reconciles_cache_hit_rates():
         # The run did real hashing through the workers, so the grafted
         # buckets dominate the parent's setup-time tallies.
         assert calls == GOLDEN_20_8["hashes"]
-    finally:
-        policy.close()
 
 
 def test_sync_cache_graft_is_idempotent():
-    spec = _spec()
-    policy = ParallelShardedPolicy(workers=2, backend="thread")
-    session = spec.build(policy)
-    try:
-        session.run(spec.rounds)
+    with _synced_run(_spec()) as (policy, session):
+        first = _cache_buckets(session.context.hasher)
         policy.sync_session(session)
-        hasher = session.context.hasher
-        first = (
-            hasher.operations,
-            hasher.memo_hits,
-            hasher.fixed_base_hits,
-            hasher.cold_powmods,
-            hasher.batched_lifts,
-            hasher.shared_ladder_seeds,
-        )
-        policy.sync_session(session)
-        assert (
-            hasher.operations,
-            hasher.memo_hits,
-            hasher.fixed_base_hits,
-            hasher.cold_powmods,
-            hasher.batched_lifts,
-            hasher.shared_ladder_seeds,
-        ) == first
-    finally:
-        policy.close()
+        assert _cache_buckets(session.context.hasher) == first
 
 
 def test_shared_ladder_table_is_adopted_and_matches_serial():
@@ -306,13 +274,9 @@ def test_shared_ladder_table_is_adopted_and_matches_serial():
     spec = _spec()
     serial = spec.build(SerialPolicy())
     serial.run(spec.rounds)
-    policy = ParallelShardedPolicy(workers=3, backend="thread")
-    session = spec.build(policy)
-    try:
+    with _synced_run(spec, workers=3) as (policy, session):
         table = policy._bootstrap.shared_ladders
         assert table is not None and len(table) > 0
-        session.run(spec.rounds)
-        policy.sync_session(session)
         assert (
             session.simulator.network.meter.snapshot()
             == serial.simulator.network.meter.snapshot()
@@ -322,5 +286,3 @@ def test_shared_ladder_table_is_adopted_and_matches_serial():
         assert session.context.hasher.operations == GOLDEN_20_8["hashes"]
         # The grafted seed counter proves the table was consulted.
         assert session.context.hasher.shared_ladder_seeds > 0
-    finally:
-        policy.close()

@@ -50,7 +50,6 @@ def _spec(**kwargs):
     kwargs.setdefault("rounds", 6)
     kwargs.setdefault("warmup_rounds", 2)
     kwargs.setdefault("population", 64)
-    kwargs.setdefault("policy", "population")
     return ScenarioSpec(**kwargs)
 
 
@@ -173,7 +172,6 @@ def test_population_distribution_matches_full_fidelity():
         rounds=rounds,
         warmup_rounds=warmup,
         population=48,
-        policy="population",
     ).run()
     full_values = np.array(sorted(full.node_kbps.values()))
     pop_values = np.concatenate(

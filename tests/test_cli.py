@@ -22,12 +22,10 @@ class TestParser:
 
     def test_run_scenario_and_policy_flags(self):
         args = build_parser().parse_args(
-            ["run", "--scenario", "fig9", "--policy", "sharded",
-             "--shards", "8"]
+            ["run", "--scenario", "fig9", "--policy", "daemon"]
         )
         assert args.scenario == "fig9"
-        assert args.policy == "sharded"
-        assert args.shards == 8
+        assert args.policy == "daemon"
         with pytest.raises(SystemExit):
             build_parser().parse_args(["run", "--policy", "psychic"])
 
@@ -41,7 +39,8 @@ class TestParser:
 
     def test_workers_and_shards_reject_non_positive_counts(self):
         """Satellite regression: ``--workers 0`` and negatives used to
-        parse fine and only fail (or be ignored) much later."""
+        parse fine and only fail (or be ignored) much later.  (The
+        retired ``--shards`` is rejected whatever its value.)"""
         for flag, value in (
             ("--workers", "0"),
             ("--workers", "-2"),
@@ -62,8 +61,52 @@ class TestParser:
         with pytest.raises(SystemExit, match="--workers"):
             main(
                 ["run", "--nodes", "8", "--rounds", "2",
-                 "--policy", "sharded", "--workers", "2"]
+                 "--policy", "daemon", "--workers", "2"]
             )
+
+    def test_parallel_policy_requires_a_scenario(self):
+        """Bugfix: a hand-built session has no spec to rebuild worker
+        replicas from; this used to report parallel and run inline."""
+        with pytest.raises(
+            SystemExit, match="--policy parallel requires --scenario"
+        ):
+            main(["run", "--nodes", "8", "--rounds", "2",
+                  "--policy", "parallel"])
+
+    def test_parallel_workers_default_to_the_scenarios(self):
+        from repro.cli import _policy_from
+
+        for extra, expected in (([], 2), (["--workers", "3"], 3)):
+            args = build_parser().parse_args(
+                ["run", "--scenario", "fig9-parallel",
+                 "--policy", "parallel", *extra]
+            )
+            assert _policy_from(args).workers == expected
+
+    def test_retired_names_are_rejected_naming_the_valid_ones(
+        self, capsys
+    ):
+        from repro.scenarios.spec import ScenarioSpec
+        from repro.sim.execution import ParallelShardedPolicy, make_policy
+
+        with pytest.raises(SystemExit):
+            main(["run", "--scenario", "fig9", "--policy", "sharded"])
+        assert "'serial', 'parallel', 'daemon'" in capsys.readouterr().err
+        # A retired flag is argparse's plain "unrecognized arguments".
+        with pytest.raises(SystemExit):
+            main(["run", "--scenario", "fig9", "--shards", "3"])
+        assert "unrecognized arguments: --shards" in capsys.readouterr().err
+        valid = r"\('serial', 'parallel', 'daemon'\)"
+        for name in ("sharded", "population"):
+            with pytest.raises(ValueError, match=valid):
+                ScenarioSpec(name="retired", policy=name)
+            with pytest.raises(ValueError, match=valid):
+                make_policy(name)
+        for backend in ("thread", "auto"):
+            with pytest.raises(
+                ValueError, match=r"\('process', 'serialized'\)"
+            ):
+                ParallelShardedPolicy(backend=backend)
 
     def test_workers_accepted_with_parallel_policy(self):
         args = build_parser().parse_args(
@@ -92,7 +135,7 @@ class TestCommands:
     def test_run_named_scenario(self, capsys):
         code = main(
             ["run", "--scenario", "selfish", "--rounds", "10",
-             "--policy", "sharded", "--shards", "3"]
+             "--policy", "parallel", "--workers", "2"]
         )
         assert code == 0
         out = capsys.readouterr().out
@@ -222,7 +265,7 @@ class TestFuzzCommand:
         out = tmp_path / "fuzz.json"
         code = main([
             "fuzz", "--iterations", "2", "--seed", "42",
-            "--policies", "serial,sharded", "--json", str(out),
+            "--policies", "serial,parallel", "--json", str(out),
         ])
         assert code == 0
         assert "all invariants held" in capsys.readouterr().out
@@ -232,7 +275,7 @@ class TestFuzzCommand:
         assert report["ok"] is True
         assert report["iterations"] == 2
         assert report["violations"] == []
-        assert report["config"]["policies"] == ["serial", "sharded"]
+        assert report["config"]["policies"] == ["serial", "parallel"]
         assert report["totals"]["faults"] >= 2
 
     def test_fuzz_replay_from_bare_spec(self, capsys, tmp_path):
@@ -258,7 +301,7 @@ class TestFuzzCommand:
         path = tmp_path / "spec.json"
         path.write_text(json.dumps(spec_to_json(spec)))
         code = main([
-            "fuzz", "--replay", str(path), "--policies", "serial,sharded",
+            "fuzz", "--replay", str(path), "--policies", "serial,parallel",
         ])
         out = capsys.readouterr().out
         assert code == 0
