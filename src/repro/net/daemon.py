@@ -225,7 +225,10 @@ class _PeerLink:
     The reader task splits the inbound stream into session payloads
     (buffered until the owning step delivers them) and ``StepMark``
     barriers (queued for the step loop to await).  Per-link FIFO makes
-    the mark a delivery barrier for everything sent before it.
+    the mark a delivery barrier for everything sent before it.  When
+    the stream ends, for whatever reason, the reader queues the reason
+    as a final ``str`` in place of a mark, so a step loop waiting on
+    this link wakes up to a dead peer instead of waiting for ever.
     """
 
     def __init__(self, shard: int, conn: Connection) -> None:
@@ -239,17 +242,19 @@ class _PeerLink:
         self.reader = asyncio.get_running_loop().create_task(self._read())
 
     async def _read(self) -> None:
-        while True:
-            try:
+        cause = "end of stream"
+        try:
+            while True:
                 message = await recv_message(self.conn)
-            except (TransportError, asyncio.CancelledError):
-                return
-            if message is None:
-                return
-            if isinstance(message, wire.StepMark):
-                await self.marks.put(message)
-            else:
-                self.payloads.append(message)
+                if message is None:
+                    break
+                if isinstance(message, wire.StepMark):
+                    self.marks.put_nowait(message)
+                else:
+                    self.payloads.append(message)
+        except (TransportError, wire.WireError) as exc:
+            cause = f"{type(exc).__name__}: {exc}"
+        self.marks.put_nowait(cause)
 
     def take_payloads(self) -> List[object]:
         taken = self.payloads
@@ -447,6 +452,11 @@ class NodeDaemon:
             for shard in sorted(self._peers):
                 link = self._peers[shard]
                 mark = await link.marks.get()
+                if isinstance(mark, str):
+                    raise DaemonError(
+                        f"peer shard {shard} closed its link in round "
+                        f"{round_no} step {step}: {mark}"
+                    )
                 if mark.round_no != round_no or mark.step != step:
                     raise DaemonError(
                         f"peer {shard} at step {mark.round_no}/"

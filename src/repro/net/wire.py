@@ -33,12 +33,22 @@ Kind bytes < 64 are session traffic (:mod:`repro.core.messages`);
 bytes >= 64 are control frames defined at the bottom of this module:
 64-75 the daemon runtime (join handshake, round barriers), 76-81 the
 supervised service (health, event stream, operator control).
+
+Cost model: a payload is written into one ``bytearray`` and read by one
+cursor that indexes it in place — one- and two-byte varints (nearly all
+of a session's) cost an index and a compare, and only magnitudes,
+strings and blobs are ever sliced out.  The two loops that carry most
+of the bytes, serve entries and ``key_response`` buffermaps, keep that
+cursor in a local and hand anything unusual (a long varint, a
+non-canonical one, a cut payload) back to the reader, so every input
+is refused by the same check, with the same error, as field-by-field
+decoding would (``tests/net/golden_wire_errors_v1.json``).
 """
 
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Tuple, Type
 
 from repro.core.messages import (
@@ -152,132 +162,181 @@ class WireValidationError(WireError):
 
 
 class _Writer:
-    __slots__ = ("_parts",)
+    """Appends primitives to one ``bytearray`` (``buf``)."""
 
-    def __init__(self) -> None:
-        self._parts: List[bytes] = []
+    __slots__ = ("buf",)
+
+    def __init__(self, header: bytes = b"") -> None:
+        self.buf = bytearray(header)
 
     def u8(self, value: int) -> None:
-        self._parts.append(bytes((value,)))
+        self.buf.append(value)
 
     def varint(self, value: int) -> None:
         if value < 0:
             raise WireValidationError(
                 f"cannot encode negative varint {value}"
             )
-        out = bytearray()
-        while True:
-            byte = value & 0x7F
+        buf = self.buf
+        while value > 0x7F:
+            buf.append(value & 0x7F | 0x80)
             value >>= 7
-            if value:
-                out.append(byte | 0x80)
-            else:
-                out.append(byte)
-                break
-        self._parts.append(bytes(out))
+        buf.append(value)
 
     def id(self, value: int) -> None:
         """Zigzag varint; encode refuses negatives (ids are >= 0 on the
         wire — the in-memory ``-1`` defaults never travel)."""
         if value < 0:
             raise WireValidationError(f"cannot encode negative id {value}")
-        self.varint(value << 1)
+        if value < 0x40:
+            self.buf.append(value << 1)
+        else:
+            self.varint(value << 1)
 
     def bool(self, value: bool) -> None:
-        self.u8(1 if value else 0)
+        self.buf.append(1 if value else 0)
 
     def bigint(self, value: int) -> None:
         if value < 0:
             raise WireValidationError(
                 f"cannot encode negative integer {value}"
             )
-        raw = value.to_bytes((value.bit_length() + 7) // 8, "big")
-        if len(raw) > _MAX_BIGINT_BYTES:
+        size = (value.bit_length() + 7) >> 3
+        if size > _MAX_BIGINT_BYTES:
             raise WireValidationError(
-                f"integer of {len(raw)} bytes exceeds the "
+                f"integer of {size} bytes exceeds the "
                 f"{_MAX_BIGINT_BYTES}-byte wire bound"
             )
-        self.varint(len(raw))
-        self._parts.append(raw)
+        self.varint(size)
+        self.buf += value.to_bytes(size, "big")
 
     def string(self, value: str) -> None:
         raw = value.encode("utf-8")
         if len(raw) > _MAX_STRING_BYTES:
             raise WireValidationError("string exceeds the wire bound")
         self.varint(len(raw))
-        self._parts.append(raw)
+        self.buf += raw
 
     def blob(self, value: bytes) -> None:
         if len(value) > MAX_FRAME_BYTES:
             raise WireValidationError("blob exceeds the frame bound")
         self.varint(len(value))
-        self._parts.append(bytes(value))
+        self.buf += value
+
+    def raw(self, data: bytes) -> None:
+        """Verbatim bytes (tests craft non-canonical fields with it)."""
+        self.buf += data
 
     def getvalue(self) -> bytes:
-        return b"".join(self._parts)
+        return bytes(self.buf)
 
 
 class _Reader:
+    """One cursor (``pos``) walking ``data``; nothing is sliced off but
+    the magnitudes, strings and blobs themselves."""
+
     __slots__ = ("data", "pos")
 
     def __init__(self, data: bytes) -> None:
         self.data = data
         self.pos = 0
 
+    def _truncated(self, n: int, pos: int) -> WireTruncatedError:
+        return WireTruncatedError(
+            f"field needs {n} bytes at offset {pos}, "
+            f"payload has {max(len(self.data) - pos, 0)} left"
+        )
+
     def _take(self, n: int) -> bytes:
-        end = self.pos + n
+        pos = self.pos
+        end = pos + n
         if end > len(self.data):
-            raise WireTruncatedError(
-                f"field needs {n} bytes at offset {self.pos}, "
-                f"payload has {len(self.data) - self.pos} left"
-            )
-        chunk = self.data[self.pos:end]
+            raise self._truncated(n, pos)
         self.pos = end
-        return chunk
+        return self.data[pos:end]
 
     def u8(self) -> int:
-        return self._take(1)[0]
+        pos = self.pos
+        if pos >= len(self.data):
+            raise self._truncated(1, pos)
+        self.pos = pos + 1
+        return self.data[pos]
 
     def varint(self, bound: Optional[int] = None) -> int:
-        result = 0
-        shift = 0
-        for _ in range(10):
-            byte = self.u8()
-            result |= (byte & 0x7F) << shift
-            if not byte & 0x80:
-                if byte == 0 and shift:
+        data = self.data
+        pos = self.pos
+        try:
+            result = data[pos]
+            pos += 1
+            if result > 0x7F:
+                shift = 7
+                result &= 0x7F
+                while True:
+                    byte = data[pos]
+                    pos += 1
+                    result |= (byte & 0x7F) << shift
+                    if byte < 0x80:
+                        break
+                    shift += 7
+                    if shift == 70:
+                        raise WireValidationError(
+                            "varint longer than 10 bytes"
+                        )
+                if byte == 0:
                     raise WireValidationError(
                         "non-canonical varint (redundant trailing zero)"
                     )
-                if bound is not None and result > bound:
-                    raise WireValidationError(
-                        f"varint {result} exceeds bound {bound}"
-                    )
-                return result
-            shift += 7
-        raise WireValidationError("varint longer than 10 bytes")
+        except IndexError:
+            raise self._truncated(1, pos) from None
+        self.pos = pos
+        if bound is not None and result > bound:
+            raise WireValidationError(
+                f"varint {result} exceeds bound {bound}"
+            )
+        return result
 
     def id(self) -> int:
-        raw = self.varint(bound=_MAX_ID_RAW)
-        value = (raw >> 1) if not raw & 1 else -((raw + 1) >> 1)
-        if value < 0:
-            raise WireValidationError(f"negative id {value} on the wire")
-        return value
+        data = self.data
+        pos = self.pos
+        end = len(data)
+        raw = data[pos] if pos < end else 0x80
+        if raw < 0x80:
+            self.pos = pos + 1
+        elif pos + 1 < end and 0 < data[pos + 1] < 0x80:
+            raw = raw & 0x7F | data[pos + 1] << 7
+            self.pos = pos + 2
+        else:  # three bytes or more, non-canonical, or cut short
+            raw = self.varint(bound=_MAX_ID_RAW)
+        if raw & 1:
+            raise WireValidationError(
+                f"negative id {-((raw + 1) >> 1)} on the wire"
+            )
+        return raw >> 1
 
     def bool(self) -> bool:
         value = self.u8()
-        if value not in (0, 1):
+        if value > 1:
             raise WireValidationError(f"boolean byte must be 0/1, got {value}")
-        return bool(value)
+        return value == 1
 
     def bigint(self) -> int:
-        length = self.varint(bound=_MAX_BIGINT_BYTES)
-        raw = self._take(length)
-        if length and raw[0] == 0:
+        data = self.data
+        pos = self.pos
+        length = data[pos] if pos < len(data) else 0x80
+        if length < 0x80:
+            pos += 1
+        else:
+            length = self.varint(bound=_MAX_BIGINT_BYTES)
+            pos = self.pos
+        end = pos + length
+        if end > len(data):
+            raise self._truncated(length, pos)
+        if length and data[pos] == 0:
             raise WireValidationError(
                 "non-canonical integer (leading zero byte)"
             )
-        return int.from_bytes(raw, "big")
+        self.pos = end
+        return int.from_bytes(data[pos:end], "big")
 
     def string(self) -> str:
         length = self.varint(bound=_MAX_STRING_BYTES)
@@ -302,56 +361,89 @@ class _Reader:
 # ---------------------------------------------------------------------------
 
 
-def _put_update(w: _Writer, update: Update) -> None:
-    w.id(update.uid)
-    w.id(update.round_created)
-    w.id(update.expiry_round)
-    w.varint(update.payload_bytes)
-    w.varint(update.session)
-
-
-def _get_update(r: _Reader) -> Update:
-    return Update(
-        uid=r.id(),
-        round_created=r.id(),
-        expiry_round=r.id(),
-        payload_bytes=r.varint(bound=1 << 30),
-        session=r.varint(bound=_MAX_SESSION),
-    )
-
-
-def _put_entry(w: _Writer, entry: ServeEntry) -> None:
-    _put_update(w, entry.update)
-    w.varint(entry.count)
-    w.u8((1 if entry.has_payload else 0) | (2 if entry.ack_only else 0))
-
-
-def _get_entry(r: _Reader) -> ServeEntry:
-    update = _get_update(r)
-    count = r.varint(bound=_MAX_COUNT)
-    if count < 1:
-        raise WireValidationError("serve entry count must be positive")
-    flags = r.u8()
-    if flags > 3:
-        raise WireValidationError(f"unknown serve entry flags {flags:#x}")
-    return ServeEntry(
-        update=update,
-        count=count,
-        has_payload=bool(flags & 1),
-        ack_only=bool(flags & 2),
-    )
+#: ``(bound, zigzag)`` of the six varints heading a serve entry, in
+#: wire order: the update's uid, round_created and expiry_round (ids),
+#: its payload_bytes and session, then the entry's count.
+_ENTRY_VARINTS = (
+    (_MAX_ID_RAW, True),
+    (_MAX_ID_RAW, True),
+    (_MAX_ID_RAW, True),
+    (1 << 30, False),
+    (_MAX_SESSION, False),
+    (_MAX_COUNT, False),
+)
 
 
 def _put_entries(w: _Writer, entries: Tuple[ServeEntry, ...]) -> None:
     w.varint(len(entries))
     for entry in entries:
-        _put_entry(w, entry)
+        update = entry.update
+        w.id(update.uid)
+        w.id(update.round_created)
+        w.id(update.expiry_round)
+        w.varint(update.payload_bytes)
+        w.varint(update.session)
+        w.varint(entry.count)
+        w.u8((1 if entry.has_payload else 0) | (2 if entry.ack_only else 0))
 
 
 def _get_entries(r: _Reader) -> Tuple[ServeEntry, ...]:
-    return tuple(
-        _get_entry(r) for _ in range(r.varint(bound=_MAX_ENTRIES))
-    )
+    """The entry list of a serve, accusation or probe.
+
+    This loop carries most of a session's decoded bytes, so it walks a
+    local cursor: one- and two-byte varints are read in place, anything
+    longer (or cut short) goes through the reader, which raises what
+    the field-by-field path would.
+    """
+    count = r.varint(bound=_MAX_ENTRIES)
+    data = r.data
+    pos = r.pos
+    end = len(data)
+    entries = []
+    for _ in range(count):
+        fields = []
+        for bound, zigzag in _ENTRY_VARINTS:
+            value = data[pos] if pos < end else 0x80
+            pos += 1
+            if value > 0x7F:
+                follow = data[pos] if pos < end else 0
+                pos += 1
+                if 0 < follow < 0x80:
+                    value = value & 0x7F | follow << 7
+                else:  # longer, non-canonical or cut short
+                    r.pos = pos - 2
+                    value = r.varint(bound=bound)
+                    pos = r.pos
+            if value > bound:
+                raise WireValidationError(
+                    f"varint {value} exceeds bound {bound}"
+                )
+            if zigzag:
+                if value & 1:
+                    raise WireValidationError(
+                        f"negative id {-((value + 1) >> 1)} on the wire"
+                    )
+                value >>= 1
+            fields.append(value)
+        uid, created, expiry, size, session, copies = fields
+        if copies < 1:
+            raise WireValidationError("serve entry count must be positive")
+        if pos >= end:
+            raise r._truncated(1, pos)
+        flags = data[pos]
+        pos += 1
+        if flags > 3:
+            raise WireValidationError(f"unknown serve entry flags {flags:#x}")
+        entries.append(
+            ServeEntry(
+                Update(uid, created, expiry, size, session),
+                copies,
+                flags & 1 == 1,
+                flags & 2 == 2,
+            )
+        )
+    r.pos = pos
+    return tuple(entries)
 
 
 def _put_signed_ack(w: _Writer, ack: SignedAck) -> None:
@@ -366,13 +458,15 @@ def _put_signed_ack(w: _Writer, ack: SignedAck) -> None:
 
 
 def _get_signed_ack(r: _Reader) -> SignedAck:
+    # Positional, in field order: round_no, receiver, server,
+    # hash_total, key_prime_count, signature.
     return SignedAck(
-        round_no=r.id(),
-        receiver=r.id(),
-        server=r.id(),
-        hash_total=r.bigint(),
-        key_prime_count=r.varint(bound=_MAX_PRIME_COUNT),
-        signature=r.bigint(),
+        r.id(),
+        r.id(),
+        r.id(),
+        r.bigint(),
+        r.varint(bound=_MAX_PRIME_COUNT),
+        r.bigint(),
     )
 
 
@@ -388,13 +482,10 @@ def _put_attestation(w: _Writer, att: SignedAttestation) -> None:
 
 
 def _get_attestation(r: _Reader) -> SignedAttestation:
+    # Positional, in field order: round_no, server, receiver,
+    # hash_forward, hash_ack_only, signature.
     return SignedAttestation(
-        round_no=r.id(),
-        server=r.id(),
-        receiver=r.id(),
-        hash_forward=r.bigint(),
-        hash_ack_only=r.bigint(),
-        signature=r.bigint(),
+        r.id(), r.id(), r.id(), r.bigint(), r.bigint(), r.bigint()
     )
 
 
@@ -410,6 +501,14 @@ class _Schema:
     encode: Callable  # (writer, message) -> None
     decode: Callable  # (reader, sender, recipient, round_no) -> message
     control: bool = False
+    #: ``[version][kind]``, the two bytes every payload of this kind
+    #: starts with.
+    header: bytes = field(init=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(
+            self, "header", bytes((WIRE_VERSION, self.kind_byte))
+        )
 
 
 _BY_BYTE: Dict[int, _Schema] = {}
@@ -483,23 +582,35 @@ def _key_response() -> Tuple[_EncodeFn, _DecodeFn]:
     ) -> KeyResponse:
         prime = r.bigint()
         count = r.varint(bound=_MAX_BUFFERMAP)
+        data = r.data
+        pos = r.pos
+        end = len(data)
+        from_bytes = int.from_bytes
         uids = []
         last = -1
         for _ in range(count):
-            uid = r.bigint()
+            size = data[pos] if pos < end else 0x80
+            start = pos + 1
+            pos = start + size
+            if size > 0x7F or pos > end:  # long, or cut short
+                r.pos = start - 1
+                uid = r.bigint()
+                pos = r.pos
+            elif size and data[start] == 0:
+                raise WireValidationError(
+                    "non-canonical integer (leading zero byte)"
+                )
+            else:
+                uid = from_bytes(data[start:pos], "big")
             if uid <= last:
                 raise WireValidationError(
                     "buffermap uids must be strictly increasing"
                 )
             uids.append(uid)
             last = uid
+        r.pos = pos
         return KeyResponse(
-            sender=sender,
-            recipient=recipient,
-            round_no=round_no,
-            prime=prime,
-            buffermap=frozenset(uids),
-            signature=r.bigint(),
+            sender, recipient, round_no, prime, frozenset(uids), r.bigint()
         )
 
     return encode, decode
@@ -1529,16 +1640,12 @@ def encode_message(message: Any) -> bytes:
         raise WireUnknownKindError(
             f"no wire schema for message type {type(message).__name__!r}"
         )
-    w = _Writer()
-    w.u8(WIRE_VERSION)
-    w.u8(schema.kind_byte)
-    if schema.control:
-        schema.encode(w, message)
-    else:
+    w = _Writer(schema.header)
+    if not schema.control:
         w.id(message.sender)
         w.id(message.recipient)
         w.id(message.round_no)
-        schema.encode(w, message)
+    schema.encode(w, message)
     payload = w.getvalue()
     if len(payload) > MAX_FRAME_BYTES:
         raise WireValidationError(
@@ -1569,10 +1676,7 @@ def decode_message(payload: bytes) -> Any:
     if schema.control:
         message = schema.decode(r)
     else:
-        sender = r.id()
-        recipient = r.id()
-        round_no = r.id()
-        message = schema.decode(r, sender, recipient, round_no)
+        message = schema.decode(r, r.id(), r.id(), r.id())
     r.expect_end()
     return message
 
@@ -1601,21 +1705,35 @@ class FrameAssembler:
         self._buffer = bytearray()
 
     def feed(self, data: bytes) -> List[bytes]:
-        self._buffer.extend(data)
+        # A chunk is walked where it lies; only what follows its last
+        # whole frame is kept, so the buffer is touched once per feed
+        # (and copied into only while a frame is pending).
+        buffer = self._buffer
+        if buffer:
+            buffer += data
+            data = buffer
         payloads: List[bytes] = []
-        while True:
-            if len(self._buffer) < 4:
-                return payloads
-            (length,) = struct.unpack_from(">I", self._buffer)
-            if length > MAX_FRAME_BYTES:
-                raise WireValidationError(
-                    f"frame of {length} bytes exceeds the "
-                    f"{MAX_FRAME_BYTES}-byte bound"
-                )
-            if len(self._buffer) < 4 + length:
-                return payloads
-            payloads.append(bytes(self._buffer[4:4 + length]))
-            del self._buffer[:4 + length]
+        pos = 0
+        end = len(data)
+        try:
+            while end - pos >= 4:
+                body = pos + 4
+                length = int.from_bytes(data[pos:body], "big")
+                if length > MAX_FRAME_BYTES:
+                    raise WireValidationError(
+                        f"frame of {length} bytes exceeds the "
+                        f"{MAX_FRAME_BYTES}-byte bound"
+                    )
+                if end - body < length:
+                    break
+                pos = body + length
+                payloads.append(bytes(data[body:pos]))
+        finally:
+            if data is buffer:
+                del buffer[:pos]
+            else:
+                buffer += data[pos:]
+        return payloads
 
     @property
     def buffered(self) -> int:

@@ -12,15 +12,21 @@ import asyncio
 
 import pytest
 
+from repro.net import wire
 from repro.net.daemon import (
     DaemonError,
+    NodeDaemon,
+    SessionCoordinator,
     owned_node_ids,
+    recv_message,
     run_coordinated_session,
+    send_message,
     spec_digest,
     spec_from_json,
     spec_to_json,
     validate_daemon_spec,
 )
+from repro.net.transport import connect, listen, reset_memory_transport
 from repro.scenarios import get_scenario
 
 from tests.differential.harness import record_scenario, small_spec
@@ -144,3 +150,77 @@ def test_unix_socket_session_matches_serial_verdicts():
         run_coordinated_session(spec, shards=2, scheme="unix")
     )
     assert _daemon_verdicts(result) == _serial_verdicts(spec)
+
+
+# ---------------------------------------------------------------------------
+# A peer that dies mid-round: a named error, not a hang
+# ---------------------------------------------------------------------------
+
+
+async def _session_with_a_failing_peer(misbehave):
+    """Shard 0 is a real daemon, shard 1 a fake that joins honestly and
+    then, on the first ``RoundStart``, runs ``misbehave(peer_link)``
+    and goes quiet with its control link open.
+
+    Returns the coordinator's and the real daemon's exceptions.
+    """
+    spec = small_spec("fig7")
+    daemon = NodeDaemon("mem://real-0")
+    real = await daemon.start()
+    quiet = asyncio.Event()
+
+    async def fake_daemon(control):
+        join = await recv_message(control)
+        peer = await connect(join.peers[0])
+        await send_message(peer, wire.PeerHello(shard=join.shard))
+        await send_message(control, wire.JoinAccept(
+            shard=join.shard,
+            nodes_owned=0,
+            spec_digest=spec_digest(join.spec_json),
+        ))
+        assert isinstance(await recv_message(control), wire.RoundStart)
+        await misbehave(peer)
+        await quiet.wait()
+
+    fake = await listen("mem://fake-1", fake_daemon)
+    serving = asyncio.ensure_future(daemon.serve_forever())
+    try:
+        coordinator = SessionCoordinator(spec, [real, fake.endpoint])
+        outcomes = await asyncio.wait_for(
+            asyncio.gather(coordinator.run(), serving, return_exceptions=True),
+            5,
+        )
+    finally:
+        quiet.set()
+        await fake.close()
+    return outcomes
+
+
+async def _hang_up(peer):
+    await peer.close()
+
+
+async def _send_garbage(peer):
+    await peer.send(b"\x01\x03 not a serve body")
+
+
+@pytest.mark.parametrize(
+    "misbehave, cause",
+    [(_hang_up, "end of stream"), (_send_garbage, "Wire")],
+    ids=["hangs-up", "malformed-frame"],
+)
+def test_dead_peer_link_is_a_named_error_not_a_hang(misbehave, cause):
+    reset_memory_transport()
+    try:
+        coordinator_error, daemon_error = asyncio.run(
+            _session_with_a_failing_peer(misbehave)
+        )
+    finally:
+        reset_memory_transport()
+    assert isinstance(daemon_error, DaemonError)
+    assert "peer shard 1 closed its link in round 0 step 0" in str(
+        daemon_error
+    )
+    assert cause in str(daemon_error)
+    assert isinstance(coordinator_error, DaemonError)
+    assert "hung up mid-session" in str(coordinator_error)

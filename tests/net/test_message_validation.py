@@ -296,7 +296,7 @@ def test_serve_entry_unknown_flags_rejected():
 
 def test_non_canonical_varint_rejected():
     def body(w):
-        w._parts.append(b"\x80\x00")  # varint 0 with a redundant group
+        w.raw(b"\x80\x00")  # varint 0 with a redundant group
 
     with pytest.raises(WireValidationError, match="non-canonical"):
         decode_message(_craft(1, body))
@@ -308,7 +308,7 @@ def test_bigint_with_leading_zero_rejected():
         w.id(11)
         w.id(4)
         w.varint(2)
-        w._parts.append(b"\x00\x11")  # 0x11 padded with a zero byte
+        w.raw(b"\x00\x11")  # 0x11 padded with a zero byte
 
     with pytest.raises(WireValidationError, match="leading zero"):
         decode_message(_craft(1, body))

@@ -44,9 +44,15 @@ from repro.net.wire import (
 )
 
 from tests.net.fixtures import all_messages, session_messages
+from tests.net.live_traffic import live_key_response, live_serve
 
 MESSAGES = all_messages()
 IDS = [type(m).__name__ for m in MESSAGES]
+
+#: The fuzzers also chew on two frames of a real run, whose entry and
+#: buffermap loops run a hundred times where the fixtures' run twice.
+FUZZED = MESSAGES + [live_serve(), live_key_response()]
+FUZZED_IDS = IDS + ["live-Serve", "live-KeyResponse"]
 
 
 # ---------------------------------------------------------------------------
@@ -349,7 +355,7 @@ def test_investigate_response_round_trip(
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("message", MESSAGES, ids=IDS)
+@pytest.mark.parametrize("message", FUZZED, ids=FUZZED_IDS)
 def test_every_truncation_offset_raises_wire_error(message):
     payload = encode_message(message)
     for cut in range(len(payload)):
@@ -364,7 +370,7 @@ def test_trailing_garbage_raises_wire_error(message):
         decode_message(payload + b"\x00")
 
 
-@pytest.mark.parametrize("message", MESSAGES, ids=IDS)
+@pytest.mark.parametrize("message", FUZZED, ids=FUZZED_IDS)
 def test_byte_flips_never_escape_wire_error(message):
     """Flipping any payload byte either still decodes (to *something*)
     or raises a WireError — never an unhandled exception reaching the
