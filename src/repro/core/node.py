@@ -50,7 +50,12 @@ from repro.core.messages import (
 )
 from repro.core.monitor import MonitorEngine
 from repro.core.state import OutgoingExchange, PagNodeState
-from repro.core.verification import ack_hash, hash_entries, serve_hashes
+from repro.core.verification import (
+    ack_hash,
+    hash_product,
+    serve_hashes,
+    split_products,
+)
 from repro.crypto.primes import PrimePool
 from repro.gossip.source import StreamSchedule
 from repro.gossip.updates import Update, UpdateStore
@@ -203,9 +208,9 @@ class PagNode(SimNode):
         )
         entries = self.behavior.filter_serve(entries, successor, round_no)
         key_prev, key_count = self._serving_key(round_no)
-        hash_forward, hash_ack_only = serve_hashes(
-            self.context.hasher, entries, prime
-        )
+        hasher = self.context.hasher
+        products = split_products(hasher, entries)
+        hash_forward, hash_ack_only = serve_hashes(hasher, products, prime)
         unsigned = SignedAttestation(
             round_no=round_no,
             server=self.node_id,
@@ -226,7 +231,7 @@ class PagNode(SimNode):
             entries=entries,
             key_prev=key_prev,
             key_prime_count=key_count,
-            expected_ack_hash=ack_hash(self.context.hasher, entries, key_prev),
+            expected_ack_hash=ack_hash(hasher, products, key_prev),
             served=True,
         )
         self.state.outgoing[(round_no, successor)] = exchange
@@ -329,13 +334,16 @@ class PagNode(SimNode):
             for update, count in self._forward_items(round_no)
         )
         key_prev, key_count = self._serving_key(round_no)
+        hasher = self.context.hasher
         return OutgoingExchange(
             successor=successor,
             round_no=round_no,
             entries=entries,
             key_prev=key_prev,
             key_prime_count=key_count,
-            expected_ack_hash=ack_hash(self.context.hasher, entries, key_prev),
+            expected_ack_hash=ack_hash(
+                hasher, split_products(hasher, entries), key_prev
+            ),
             served=False,
         )
 
@@ -472,14 +480,16 @@ class PagNode(SimNode):
             server, attestation.payload_bytes_desc(), attestation.signature
         ):
             return
-        expected = serve_hashes(self.context.hasher, serve.entries, prime)
+        hasher = self.context.hasher
+        products = split_products(hasher, serve.entries)
+        expected = serve_hashes(hasher, products, prime)
         if (attestation.hash_forward, attestation.hash_ack_only) != expected:
             return  # "the attestation ... can be verified by node B"
         self._ingest_serve(serve, round_no)
         if not self.behavior.sends_ack(server, round_no):
             return
         ack = self._sign_ack(
-            round_no, server, serve.entries, serve.key_prev,
+            round_no, server, products, serve.key_prev,
             serve.key_prime_count,
         )
         self.state.acks_sent[(round_no, server)] = ack
@@ -494,7 +504,7 @@ class PagNode(SimNode):
         if self.behavior.declares_to_monitors(server, round_no):
             self._declare_to_monitors(round_no, server, attestation, ack)
             if self.context.config.monitor_cross_checks:
-                self._send_self_checks(round_no, server, serve)
+                self._send_self_checks(round_no, server, products)
 
     def _ingest_serve(self, serve: Serve, round_no: int) -> None:
         forward_set = self.state.forward_set(round_no)
@@ -508,11 +518,11 @@ class PagNode(SimNode):
         self,
         round_no: int,
         server: int,
-        entries: Tuple[ServeEntry, ...],
+        products: Tuple[int, int],
         key_prev: int,
         key_prime_count: int,
     ) -> SignedAck:
-        total = ack_hash(self.context.hasher, entries, key_prev)
+        total = ack_hash(self.context.hasher, products, key_prev)
         unsigned = SignedAck(
             round_no=round_no,
             receiver=self.node_id,
@@ -635,17 +645,14 @@ class PagNode(SimNode):
                 )
 
     def _send_self_checks(
-        self, round_no: int, server: int, serve: Serve
+        self, round_no: int, server: int, products: Tuple[int, int]
     ) -> None:
         """Section V-B: compute the lifted pair ourselves and send it,
         signed, to every monitor, so they can check each other."""
         key, _count = self.state.round_key(round_no)
-        forward = [e for e in serve.entries if not e.ack_only]
-        ack_only = [e for e in serve.entries if e.ack_only]
-        from repro.core.verification import hash_entries
-
-        lifted_forward = hash_entries(self.context.hasher, forward, key)
-        lifted_ack_only = hash_entries(self.context.hasher, ack_only, key)
+        forward, ack_only = products
+        lifted_forward = hash_product(self.context.hasher, forward, key)
+        lifted_ack_only = hash_product(self.context.hasher, ack_only, key)
         for monitor in self.context.monitors_of(self.node_id):
             check = SelfCheck(
                 sender=self.node_id,
@@ -673,7 +680,7 @@ class PagNode(SimNode):
         ack = self._sign_ack(
             message.exchange_round,
             message.accuser,
-            message.entries,
+            split_products(self.context.hasher, message.entries),
             message.key_prev,
             message.key_prime_count,
         )

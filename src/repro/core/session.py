@@ -163,28 +163,32 @@ class PagSession:
     def shared_ladder_table(
         self, rounds: int
     ) -> "SharedLadderTable | None":
-        """Precomputed fixed-base ladders for the run's update contents.
+        """Precomputed fixed-base tables for the run's update contents.
 
         The stream schedule is deterministic, so the update-content
         bases a ``rounds``-long run will hash — the dominant
         session-lifetime bases of the fixed-base cache — are known
-        before the first round.  This builds their ladder levels once
+        before the first round.  This builds their narrow tables once
         (read-only, plain int tuples) so worker replicas of a parallel
         run adopt them instead of each rebuilding identical tables; see
         :meth:`HomomorphicHasher.adopt_shared_ladders
         <repro.crypto.homomorphic.HomomorphicHasher.adopt_shared_ladders>`.
 
-        Returns None when the active backend does not use the ladder
-        fast path (gmpy2 beats it outright), so callers can skip the
-        build entirely.
+        Returns None when the active backend does not use the table
+        fast path (gmpy2 beats it outright) or the link primes are too
+        wide for one (``narrow_layout``), so callers can skip the build
+        entirely.
         """
-        from repro.crypto.backend import SharedLadderTable
+        from repro.crypto.backend import SharedLadderTable, narrow_layout
         from repro.gossip.updates import content_integer
 
         hasher = self.context.hasher
-        if not getattr(hasher, "_use_fixed_base", False):
-            return None
         config = self.context.config
+        if (
+            not getattr(hasher, "_use_fixed_base", False)
+            or narrow_layout(config.sim_prime_bits) is None
+        ):
+            return None
         # Replay the release schedule to count the uids exactly (the
         # fractional-rate carry makes a closed form fragile).
         schedule = StreamSchedule(
@@ -199,10 +203,7 @@ class PagSession:
         total = min(schedule.total_released(), _SHARED_LADDER_MAX_BASES)
         bases = [content_integer(uid, 0) for uid in range(total)]
         return SharedLadderTable.build(
-            bases,
-            hasher.modulus,
-            window=4,
-            capacity_bits=config.sim_prime_bits,
+            bases, hasher.modulus, config.sim_prime_bits
         )
 
     def admit_node(self, node_id: int) -> None:

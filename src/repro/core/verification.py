@@ -9,14 +9,16 @@ tests exercise the math in isolation.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Callable, Iterable, Sequence, Tuple
+from typing import Callable, Iterable, Tuple
 
 from repro.core.messages import RelayPair, ServeEntry
 from repro.crypto.homomorphic import HomomorphicHasher
 from repro.gossip.updates import content_integer
 
 __all__ = [
+    "split_products",
     "entries_product",
+    "hash_product",
     "hash_entries",
     "serve_hashes",
     "ack_hash",
@@ -47,28 +49,49 @@ def _entry_power(
     return powmod(content_integer(uid, session), count, modulus)
 
 
-def entries_product(
+def split_products(
     hasher: HomomorphicHasher, entries: Iterable[ServeEntry]
-) -> int:
-    """``prod u^count mod M`` over serve entries (1 for an empty set).
+) -> Tuple[int, int]:
+    """``(forward, ack_only)``: ``prod u^count mod M`` over each list.
 
-    Reception multiplicities become exponents, as required for the
-    monitors "to match the hashes of received updates with the ones of
-    forwarded messages" (section V-D).
+    One pass over an exchange's entries with the two-list split of
+    section V-D; an empty list multiplies to 1.  Reception
+    multiplicities become exponents, as required for the monitors "to
+    match the hashes of received updates with the ones of forwarded
+    messages".  Each party computes the pair once per exchange from the
+    entries it holds and hands it to :func:`serve_hashes`,
+    :func:`ack_hash` and its self-checks.
     """
-    acc = 1
+    forward = ack_only = 1
     modulus = hasher.modulus
     powmod = hasher.backend.powmod
     for entry in entries:
         update = entry.update
-        acc = (
-            acc
-            * _entry_power(
-                update.uid, update.session, entry.count, modulus, powmod
-            )
-            % modulus
+        power = _entry_power(
+            update.uid, update.session, entry.count, modulus, powmod
         )
-    return acc
+        if entry.ack_only:
+            ack_only = ack_only * power % modulus
+        else:
+            forward = forward * power % modulus
+    return forward, ack_only
+
+
+def entries_product(
+    hasher: HomomorphicHasher, entries: Iterable[ServeEntry]
+) -> int:
+    """``prod u^count mod M`` over serve entries (1 for an empty set)."""
+    forward, ack_only = split_products(hasher, entries)
+    return forward * ack_only % hasher.modulus
+
+
+def hash_product(
+    hasher: HomomorphicHasher, product: int, exponent: int
+) -> int:
+    """Hash of an entries product under ``exponent`` (neutral for 1)."""
+    if product == 1:
+        return 1 % hasher.modulus
+    return hasher.hash(product, exponent)
 
 
 def hash_entries(
@@ -77,36 +100,31 @@ def hash_entries(
     exponent: int,
 ) -> int:
     """Hash of the entries' product under ``exponent``."""
-    product = entries_product(hasher, entries)
-    if product == 1:
-        return 1 % hasher.modulus
-    return hasher.hash(product, exponent)
+    return hash_product(hasher, entries_product(hasher, entries), exponent)
 
 
 def serve_hashes(
-    hasher: HomomorphicHasher,
-    entries: Sequence[ServeEntry],
-    prime: int,
+    hasher: HomomorphicHasher, products: Tuple[int, int], prime: int
 ) -> Tuple[int, int]:
     """The attestation pair (forward hash, ack-only hash) under a prime.
 
-    Message 4 of Fig. 5, with the two-list split of section V-D.
+    Message 4 of Fig. 5, from an exchange's :func:`split_products`.
     """
-    forward = [e for e in entries if not e.ack_only]
-    ack_only = [e for e in entries if e.ack_only]
+    forward, ack_only = products
     return (
-        hash_entries(hasher, forward, prime),
-        hash_entries(hasher, ack_only, prime),
+        hash_product(hasher, forward, prime),
+        hash_product(hasher, ack_only, prime),
     )
 
 
 def ack_hash(
-    hasher: HomomorphicHasher,
-    entries: Sequence[ServeEntry],
-    key_prev: int,
+    hasher: HomomorphicHasher, products: Tuple[int, int], key_prev: int
 ) -> int:
     """Message 5 hash: full served product under the server's K(R-1, A)."""
-    return hash_entries(hasher, entries, key_prev)
+    forward, ack_only = products
+    return hash_product(
+        hasher, forward * ack_only % hasher.modulus, key_prev
+    )
 
 
 def lift_attested(

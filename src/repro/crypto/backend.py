@@ -34,7 +34,9 @@ __all__ = [
     "PythonBackend",
     "Gmpy2Backend",
     "FixedBaseCache",
+    "NarrowLayout",
     "SharedLadderTable",
+    "narrow_layout",
     "window_schedule",
     "available_backends",
     "resolve_backend",
@@ -307,26 +309,24 @@ def window_schedule(exponent: int, window: int) -> Tuple[int, ...]:
 class FixedBaseCache:
     """Fixed-base exponentiation: one base raised to many exponents.
 
-    Two call sites repeatedly exponentiate the same base: buffermap and
-    serve-membership hashing (each update content is hashed under a
-    fresh prime per link per round) and the monitor rekey path
-    (message 8 of Fig. 6 raises the same attested hash to several
-    cofactors).  Precomputing the radix-``2^w`` table
-    ``base^(j * 2^(w*i)) mod M`` turns every subsequent exponentiation
-    into ~``bits/w`` modular multiplications with *no* squarings,
-    versus ``bits`` squarings plus multiplications for a cold ``pow``.
+    The monitor rekey path (message 8 of Fig. 6) raises the same
+    attested hash to several wide cofactors.  Precomputing the
+    radix-``2^w`` table ``base^(j * 2^(w*i)) mod M`` turns every
+    subsequent exponentiation into ~``bits/w`` modular multiplications
+    with *no* squarings, versus ``bits`` squarings plus multiplications
+    for a cold ``pow``.  (The narrow per-link primes read a
+    :class:`NarrowLayout` table instead.)
 
     ``window=1`` degenerates to the classic power ladder — one multiply
-    per table level, so the table amortises after a single reuse; use
-    it for bases expected to see only a few wide exponents.  ``window=4``
-    quarters the per-call multiplies at a table cost of 15 multiplies
-    per 4 exponent bits; use it for heavily reused bases.  The table
-    grows lazily with the widest exponent seen.
+    per table level, so the table amortises after a single reuse; it is
+    what the hasher builds for wide exponents.  Wider windows trade
+    ``2^w - 1`` table multiplies per level for fewer per-call ones.  The
+    table grows lazily with the widest exponent seen.
 
-    The table is one flat sequence, level after level: entry
-    ``i * (2^w - 1) + j - 1`` holds ``base^(j * 2^(w*i))``.  A flat
-    layout lets many bases be read through one precomputed index list
-    (:func:`window_schedule`, :meth:`powmod_scheduled`).
+    The table is one flat list, level after level: entry
+    ``i * (2^w - 1) + j - 1`` holds ``base^(j * 2^(w*i))``, read through
+    a precomputed index list (:func:`window_schedule`,
+    :meth:`powmod_scheduled`).
     """
 
     __slots__ = ("base", "modulus", "window", "_mask", "_table")
@@ -340,39 +340,18 @@ class FixedBaseCache:
         self.modulus = modulus
         self.window = window
         self._mask = (1 << window) - 1
-        self._table: Sequence[int] = []
-
-    @classmethod
-    def from_shared(
-        cls,
-        base: int,
-        modulus: int,
-        window: int,
-        table: Tuple[int, ...],
-    ) -> "FixedBaseCache":
-        """Wrap a precomputed (read-only) flat table without rebuilding.
-
-        ``table`` comes from a :class:`SharedLadderTable` and is adopted
-        by reference — no copy, safe across threads and cheap across
-        forked processes.  Lazy growth replaces it with a local list
-        (:meth:`_grow`), so the shared tuple is never touched.
-        """
-        cache = cls(base, modulus, window)
-        cache._table = table
-        return cache
+        self._table: List[int] = []
 
     @property
     def levels(self) -> int:
         """Table depth: exponents below ``2^(window * levels)`` are covered."""
         return len(self._table) // self._mask
 
-    def _grow(self, levels: int) -> Sequence[int]:
+    def _grow(self, levels: int) -> List[int]:
         """Extend the table to at least ``levels`` levels; returns it."""
         m = self.modulus
         mask = self._mask
         table = self._table
-        if not isinstance(table, list):
-            table = self._table = list(table)
         while len(table) < levels * mask:
             # Generator of the next level: base^(2^(w*i)) is the previous
             # level's widest entry times its own generator (j = 2^w - 1
@@ -410,10 +389,103 @@ class FixedBaseCache:
         return acc
 
 
-class SharedLadderTable:
-    """Precomputed, read-only fixed-base tables for hot bases.
+class NarrowLayout:
+    """Shape of the fixed-base table read by one width of link primes.
 
-    A :class:`FixedBaseCache` is rebuilt from scratch by every hasher
+    Every narrow exponent the protocol hashes under is a per-link prime
+    from :class:`~repro.crypto.primes.PrimePool` or
+    :func:`~repro.crypto.primes.generate_prime`, which force the top two
+    bits and bit 0.  The table is cut to that family: the exponent is
+    split into 4-bit middle windows, as many as leave at most 12 bits
+    for the two end windows (4 to 6 bits each), and every window stores
+    ``base^(digit * 2^shift)`` only for the digits a family member can
+    show: odd ones in the low window, ``11xx..`` ones in the top window,
+    all of them (digit 0 as the int ``1``) in the middle.  A family
+    exponent therefore reads exactly one entry per window, whose
+    product is the power: at 32 bits ``[6 | 4 | 4 | 4 | 4 | 4 | 6]`` =
+    32 + 5 * 16 + 16 = 128 entries and always seven factors, where a
+    uniform radix-16 table needs 120 entries, up to eight factors and a
+    digit test per window (fixed-base windowing with non-uniform
+    windows, HAC 14.6.3).  With 5-bit middle windows it would be six
+    factors from 176 entries: 2% faster end to end and 2.5 MiB more on
+    a 53 MiB run, which is why the middle windows are not wider.
+
+    The layout is a pure function of the exponent's bit length, defined
+    for 8 to 64 bits (:func:`narrow_layout`); a table serves the one
+    width it was built for.
+    """
+
+    __slots__ = ("bits", "entries", "_low", "_top", "_picks")
+
+    def __init__(self, bits: int) -> None:
+        if not 8 <= bits <= 64:
+            raise ValueError("narrow layouts cover 8- to 64-bit primes")
+        middles = max(0, -(-(bits - 12) // 4))
+        ends = bits - 4 * middles  # 8..12 bits for the two end windows
+        self.bits = bits
+        self._low = ends // 2
+        self._top = ends - self._low
+        #: (shift, mask, table offset) per window, low to high; the
+        #: forced bits are shifted or masked out of the end digits.
+        picks = [(1, (1 << (self._low - 1)) - 1, 0)]
+        offset = 1 << (self._low - 1)
+        for middle in range(middles):
+            picks.append((self._low + 4 * middle, 15, offset))
+            offset += 16
+        picks.append((bits - self._top, (1 << (self._top - 2)) - 1, offset))
+        self._picks = tuple(picks)
+        self.entries = offset + (1 << (self._top - 2))
+
+    def indices(self, exponent: int) -> Optional[Tuple[int, ...]]:
+        """Table indices whose entries multiply to ``base ** exponent``.
+
+        None when ``exponent`` is not a family member of this width
+        (even, a top bit clear, or another bit length).
+        """
+        if not exponent & 1 or exponent >> (self.bits - 2) != 3:
+            return None
+        return tuple(
+            [
+                offset + (exponent >> shift & mask)
+                for shift, mask, offset in self._picks
+            ]
+        )
+
+    def table(self, base: int, modulus: int) -> Tuple[int, ...]:
+        """The flat table of ``base``: a tuple of ``entries`` residues."""
+        m = modulus
+        generator = base % m  # base^(2^shift) of the window being filled
+        table = []
+        entry, stride = generator, generator * generator % m
+        for _ in range(1 << (self._low - 1)):  # odd digits 1, 3, 5, ...
+            table.append(entry)
+            entry = entry * stride % m
+        generator = table[-1] * generator % m
+        for _ in range(len(self._picks) - 2):
+            entry = 1
+            for _ in range(16):
+                table.append(entry)
+                entry = entry * generator % m
+            generator = entry
+        entry = pow(generator, 3 << (self._top - 2), m)  # digit 1100..0
+        for _ in range(1 << (self._top - 2)):
+            table.append(entry)
+            entry = entry * generator % m
+        return tuple(table)
+
+
+_NARROW_LAYOUTS = {bits: NarrowLayout(bits) for bits in range(8, 65)}
+
+
+def narrow_layout(bits: int) -> Optional[NarrowLayout]:
+    """The table layout for ``bits``-wide link primes (8..64), else None."""
+    return _NARROW_LAYOUTS.get(bits)
+
+
+class SharedLadderTable:
+    """Precomputed, read-only narrow tables for hot bases.
+
+    A narrow fixed-base table is rebuilt from scratch by every hasher
     that meets a base — which means every worker replica of a parallel
     run rebuilds *identical* tables for the session-lifetime bases (the
     deterministic update contents a stream schedule will release).  This
@@ -424,59 +496,47 @@ class SharedLadderTable:
 
     Entries are keyed by the raw base value exactly as hashers see it
     (update contents are *not* pre-reduced), and every table is one
-    immutable flat tuple in :class:`FixedBaseCache` layout — adopters
-    hold it by reference, so concurrent readers can never observe a
-    mutation.
+    immutable flat tuple in :class:`NarrowLayout` order for ``bits``-wide
+    primes — adopters hold it by reference, so concurrent readers can
+    never observe a mutation.
     """
 
-    __slots__ = ("modulus", "window", "_entries")
+    __slots__ = ("modulus", "bits", "_entries")
 
     def __init__(
         self,
         modulus: int,
-        window: int,
+        bits: int,
         entries: Dict[int, Tuple[int, ...]],
     ) -> None:
         if modulus <= 1:
             raise ValueError("modulus must exceed 1")
-        if window < 1:
-            raise ValueError("window must be at least 1 bit")
+        if narrow_layout(bits) is None:
+            raise ValueError(f"no narrow table layout for {bits}-bit primes")
         self.modulus = modulus
-        self.window = window
-        #: base -> flat table, directly adoptable by
-        #: FixedBaseCache.from_shared.
+        self.bits = bits
+        #: base -> flat table, adopted by reference.
         self._entries = entries
 
     @classmethod
     def build(
-        cls,
-        bases: Iterable[int],
-        modulus: int,
-        window: int = 4,
-        capacity_bits: int = 64,
+        cls, bases: Iterable[int], modulus: int, bits: int
     ) -> "SharedLadderTable":
-        """Precompute tables covering ``capacity_bits`` exponents.
+        """Precompute the tables ``bits``-wide link primes read.
 
         Args:
             bases: base values (deduplicated; stored under the raw,
                 unreduced key the hashers use).
             modulus: the session modulus.
-            window: radix width (4 matches the hasher's choice for the
-                narrow per-link prime exponents).
-            capacity_bits: widest exponent the shared tables must cover;
-                wider exponents grow locally in the adopting cache.
+            bits: width of the session's link primes.
         """
-        levels_needed = max(1, -(-capacity_bits // window))
-        entries = {}
+        table = cls(modulus, bits, {})
+        layout = _NARROW_LAYOUTS[bits]
+        entries = table._entries
         for base in bases:
-            if base in entries:
-                continue
-            # Reuse FixedBaseCache's own (tested) table construction and
-            # freeze the result, so the shared layout can never drift
-            # from what from_shared adopters expect.
-            cache = FixedBaseCache(base, modulus, window=window)
-            entries[base] = tuple(cache._grow(levels_needed))
-        return cls(modulus, window, entries)
+            if base not in entries:
+                entries[base] = layout.table(base, modulus)
+        return table
 
     def get(self, base: int) -> Optional[Tuple[int, ...]]:
         """The flat table for ``base``, or None when not tabled."""
@@ -491,5 +551,5 @@ class SharedLadderTable:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"<SharedLadderTable bases={len(self._entries)} "
-            f"window={self.window} modulus_bits={self.modulus.bit_length()}>"
+            f"bits={self.bits} modulus_bits={self.modulus.bit_length()}>"
         )

@@ -29,7 +29,9 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Iterable, List, Optional, Sequence
+from math import prod
+from operator import itemgetter
+from typing import Any, Iterable, List, Optional, Sequence, Tuple
 
 from repro.crypto.backend import (
     Backend,
@@ -37,7 +39,7 @@ from repro.crypto.backend import (
     PythonBackend,
     SharedLadderTable,
     default_backend,
-    window_schedule,
+    narrow_layout,
 )
 from repro.crypto.primes import generate_prime, is_prime, product
 
@@ -66,7 +68,7 @@ _MEMO_MAX = 1 << 9
 #: Bound on the per-base fixed-base ladder cache used by hot bases.
 _FIXED_BASE_MAX = 1024
 
-#: The power ladder beats built-in ``pow`` when squarings dominate: for
+#: A fixed-base table beats built-in ``pow`` when squarings dominate: for
 #: small exponents (the per-link primes; pow re-reduces the wide update
 #: base every call) and at production modulus widths (where each C-level
 #: multiply is expensive enough to amortise the interpreter loop).  For
@@ -74,10 +76,15 @@ _FIXED_BASE_MAX = 1024
 _SMALL_EXPONENT_BITS = 64
 _WIDE_MODULUS_BITS = 256
 
-#: Window of the tables built for narrow exponents (many reuses, a
-#: quarter of the multiplies); :meth:`HomomorphicHasher.hash_many`
-#: decomposes its exponent once at this width.
-_NARROW_WINDOW = 4
+#: Tag of a wide-exponent power ladder in ``_fixed_bases`` (narrow
+#: tables are tagged with their prime width, 8..64).
+_LADDER = 0
+
+
+def _family_indices(exponent: int) -> Optional[Tuple[int, ...]]:
+    """Narrow-table indices of a link-prime-shaped exponent, else None."""
+    layout = narrow_layout(exponent.bit_length())
+    return layout.indices(exponent) if layout is not None else None
 
 
 def make_modulus(bits: int, rng: random.Random) -> int:
@@ -160,12 +167,13 @@ class HomomorphicHasher:
         #: memo collapses those to one exponentiation (while `operations`
         #: still counts every protocol-level evaluation).
         self._memo: dict = {}
-        #: fixed-base fast path: per-base power ladders, built from the
+        #: fixed-base fast path: base -> (tag, table), built from the
         #: second hashing of a base onward (building costs one pow).
         #: Covers the buffermap/serve membership hashes (the same update
-        #: contents hashed under a fresh prime per link per round) and
-        #: the monitor rekey path (the same attested hash raised to many
-        #: cofactors).
+        #: contents hashed under a fresh prime per link per round; tag =
+        #: the prime width, a flat NarrowLayout tuple) and the monitor
+        #: rekey path (the same attested hash raised to many cofactors;
+        #: tag = _LADDER, a 1-bit FixedBaseCache).  One table per base.
         self._fixed_bases: dict = {}
         self._hot_candidates: set = set()
         #: read-only precomputed ladder levels for session-lifetime
@@ -189,6 +197,17 @@ class HomomorphicHasher:
         Args:
             update: update content as an integer (any size; reduced mod M).
             exponent: hashing key — a prime or a product of primes.
+
+        A narrow exponent of the link-prime family (odd, top two bits
+        set, 8 to 64 bits: everything ``PrimePool`` and
+        ``generate_prime`` return) reads the base's
+        :class:`~repro.crypto.backend.NarrowLayout` table, built for
+        that width on the base's second sighting.  Any other narrow
+        exponent — even, a top bit clear, under 8 bits (the empty
+        round key 1), or of a width the base's table was not built for
+        (a two-prime round key beside 32-bit link primes) — is a
+        builtin ``pow`` in the ``cold_powmods`` bucket: ~1,100 of the
+        305,777 calls of a 120-node, 10-round run.
         """
         if exponent <= 0:
             raise ValueError("hash exponent must be positive")
@@ -198,11 +217,14 @@ class HomomorphicHasher:
         if self._use_fixed_base and (
             exponent.bit_length() <= _SMALL_EXPONENT_BITS
         ):
-            cache = self._fixed_bases.get(update)
-            if cache is not None:
-                self.fixed_base_hits += 1
-                return cache.powmod(exponent)
-            return self._warm_base(update, exponent)
+            indices = _family_indices(exponent)
+            if indices is None:
+                self.cold_powmods += 1
+                return self._powmod(update, exponent, self.modulus)
+            table = self._table_for(update, exponent.bit_length())
+            if table is None:
+                return self._powmod(update, exponent, self.modulus)
+            return prod([table[i] for i in indices]) % self.modulus
         # Wide exponents (round-key and cofactor products): each
         # evaluation costs tens of microseconds and the same hash is
         # recomputed by the server, the receiver and the monitors, so
@@ -214,12 +236,11 @@ class HomomorphicHasher:
             self.memo_hits += 1
             return result
         if self._use_fixed_base and self._wide_modulus:
-            cache = self._fixed_bases.get(update)
-            if cache is not None:
-                self.fixed_base_hits += 1
-                result = cache.powmod(exponent)
+            ladder = self._table_for(update, _LADDER)
+            if ladder is None:
+                result = self._powmod(update, exponent, self.modulus)
             else:
-                result = self._warm_base(update, exponent)
+                result = ladder.powmod(exponent)
         else:
             self.cold_powmods += 1
             result = self._powmod(update, exponent, self.modulus)
@@ -233,81 +254,84 @@ class HomomorphicHasher:
 
         The membership hashes of one link — B's buffermap (message 2 of
         Fig. 5) and A's ownership test of its forward set — raise many
-        update contents to the *same* fresh prime.  For a narrow
-        exponent the window digits are derived once and every tabled
-        base only walks the shared index schedule; counters are settled
-        once per batch.  Values, counters and cache evolution are
-        exactly those of the per-item loop: a first sighting is a cold
-        ``pow``, a second builds the table, evictions happen in order.
-        Wide exponents and backends without the table fast path simply
-        run :meth:`hash` per item.
+        update contents to the *same* fresh prime.  The table indices
+        are derived once, the bases' tables gathered, and when every
+        base holds one of the prime's width the whole batch is one
+        comprehension of ``len(indices)`` factors per base, counters
+        settled once.  A batch that meets a base without such a table
+        runs :meth:`hash` per item, so values, counters and cache
+        evolution are always those of the per-item loop: a first
+        sighting is a cold ``pow``, a second builds the table,
+        evictions happen in order.  Wide and off-family exponents and
+        backends without the table fast path take the per-item path.
         """
         if exponent <= 0:
             raise ValueError("hash exponent must be positive")
-        if not self._use_fixed_base or (
-            exponent.bit_length() > _SMALL_EXPONENT_BITS
-        ):
-            return [self.hash(update, exponent) for update in updates]
-        schedule = window_schedule(exponent, _NARROW_WINDOW)
-        fixed_bases = self._fixed_bases
-        results = []
-        hits = 0
-        for update in updates:
-            cache = fixed_bases.get(update)
-            if cache is None:
-                results.append(self._warm_base(update, exponent))
-                continue
-            hits += 1
-            if cache.window == _NARROW_WINDOW:
-                results.append(cache.powmod_scheduled(schedule))
-            else:
-                results.append(cache.powmod(exponent))
-        self.operations += len(results)
-        self.fixed_base_hits += hits
-        return results
+        updates = list(updates)
+        indices = _family_indices(exponent) if self._use_fixed_base else None
+        if indices is not None:
+            entries = list(map(self._fixed_bases.get, updates))
+            if None not in entries:
+                bits = exponent.bit_length()
+                pick = itemgetter(*indices)
+                modulus = self.modulus
+                results = [
+                    prod(pick(table)) % modulus
+                    for tag, table in entries
+                    if tag == bits
+                ]
+                if len(results) == len(entries):
+                    self.operations += len(results)
+                    self.fixed_base_hits += len(results)
+                    return results
+        return [self.hash(update, exponent) for update in updates]
 
-    def _warm_base(self, update: int, exponent: int) -> int:
-        """Track base reuse; build its window table on second sighting.
+    def _table_for(self, update: int, tag: int) -> Any:
+        """The table of ``update`` serving exponents of shape ``tag``.
 
-        Narrow exponents (per-link primes) get a 4-bit window — many
-        reuses, quarter the multiplies; wide ones (cofactor and round-key
-        products) a 1-bit ladder, which amortises after a single reuse.
+        ``tag`` is a link-prime width (a flat narrow table comes back)
+        or ``_LADDER`` (a 1-bit :class:`FixedBaseCache`, which amortises
+        after a single reuse of a wide exponent).  Books the call: a
+        held or adopted table is a ``fixed_base_hit``; None means the
+        caller runs a cold ``pow`` — the base's first sighting, or a
+        base whose table has another shape; the second sighting builds
+        the table, which costs about one ``pow`` and is booked as one.
 
-        Bases present in an adopted :class:`SharedLadderTable` skip the
-        whole warm-up: the precomputed levels are wrapped in a local
-        cache at the cost of two list copies, no exponentiations.
+        Bases present in an adopted :class:`SharedLadderTable` of this
+        width skip the warm-up: the precomputed tuple is held by
+        reference, no exponentiations.
         """
-        shared = self._shared_ladders
-        if shared is not None:
-            entry = shared.get(update)
-            if entry is not None:
-                if len(self._fixed_bases) >= self.fixed_base_max:
-                    self._evict(self._fixed_bases)
-                cache = FixedBaseCache.from_shared(
-                    update, self.modulus, shared.window, entry
-                )
-                self._fixed_bases[update] = cache
+        entry = self._fixed_bases.get(update)
+        if entry is not None:
+            if entry[0] == tag:
                 self.fixed_base_hits += 1
-                self.shared_ladder_seeds += 1
-                return cache.powmod(exponent)
-        hot = self._hot_candidates
-        if update in hot:
-            if len(self._fixed_bases) >= self.fixed_base_max:
-                self._evict(self._fixed_bases)
-            window = (
-                _NARROW_WINDOW
-                if exponent.bit_length() <= _SMALL_EXPONENT_BITS
-                else 1
-            )
-            cache = FixedBaseCache(update, self.modulus, window=window)
-            self._fixed_bases[update] = cache
-            self.cold_powmods += 1  # table construction costs one pow
-            return cache.powmod(exponent)
-        hot.add(update)
-        if len(hot) > self.fixed_base_max * 4:
-            hot.clear()
-        self.cold_powmods += 1
-        return self._powmod(update, exponent, self.modulus)
+                return entry[1]
+            self.cold_powmods += 1
+            return None
+        table: Any = None
+        shared = self._shared_ladders
+        if shared is not None and shared.bits == tag:
+            table = shared.get(update)
+        if table is not None:
+            self.fixed_base_hits += 1
+            self.shared_ladder_seeds += 1
+        else:
+            self.cold_powmods += 1
+            hot = self._hot_candidates
+            if update not in hot:
+                hot.add(update)
+                if len(hot) > self.fixed_base_max * 4:
+                    hot.clear()
+                return None
+            layout = narrow_layout(tag)
+            if layout is None:
+                table = FixedBaseCache(update, self.modulus)
+            else:
+                table = layout.table(update, self.modulus)
+        if len(self._fixed_bases) >= self.fixed_base_max:
+            self._evict(self._fixed_bases)
+        self._fixed_bases[update] = (tag, table)
+        return table
 
     def adopt_shared_ladders(
         self, table: Optional[SharedLadderTable]

@@ -51,7 +51,11 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.core.verification import ack_hash, serve_hashes
+from repro.core.verification import (
+    ack_hash,
+    serve_hashes,
+    split_products,
+)
 from repro.crypto.homomorphic import HomomorphicHasher
 from repro.scenarios.spec import ScenarioResult, ScenarioSpec
 from repro.sim.message import Message
@@ -385,9 +389,10 @@ class PopulationPlane:
         ops_before = hasher.operations
         memo_before = hasher.memoised_operations
         if serve is not None:
-            ack_hash(hasher, serve.entries, serve.key_prev)
+            products = split_products(hasher, serve.entries)
+            ack_hash(hasher, products, serve.key_prev)
             if prime > 1:
-                serve_hashes(hasher, serve.entries, prime)
+                serve_hashes(hasher, products, prime)
             real_ops = hasher.operations - ops_before
             hasher.memoised_operations += real_ops * (
                 max(1, self.fanout) - 1

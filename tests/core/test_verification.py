@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.messages import ServeEntry
+from repro.core.messages import Serve, ServeEntry
 from repro.core.verification import (
     ack_hash,
     combine_lifted,
@@ -14,10 +14,12 @@ from repro.core.verification import (
     hash_entries,
     lift_attested,
     serve_hashes,
+    split_products,
 )
 from repro.crypto.homomorphic import fresh_hasher
 from repro.crypto.primes import generate_distinct_primes, product
 from repro.gossip.updates import Update
+from tests.net.live_traffic import SCENARIOS, live_messages
 
 
 def entry(uid, count=1, ack_only=False, payload=True):
@@ -50,15 +52,53 @@ class TestEntriesProduct:
         assert a == b
 
 
+def _reference_product(hasher, entries):
+    """The fold :func:`split_products` replaces, with nothing shared."""
+    acc = 1
+    for e in entries:
+        acc = acc * pow(e.update.content, e.count, hasher.modulus)
+        acc %= hasher.modulus
+    return acc
+
+
+@pytest.mark.parametrize("label", sorted(SCENARIOS))
+def test_split_products_on_live_serves(label, hasher):
+    """One pass with two accumulators equals a fold per filtered list,
+    and the pair's product is the fold over all entries (the ack hash's
+    base), on every ``Serve`` of a real run."""
+    serves = [m for m in live_messages(label) if type(m) is Serve]
+    shapes = set()
+    for serve in serves:
+        forward = [e for e in serve.entries if not e.ack_only]
+        ack_only = [e for e in serve.entries if e.ack_only]
+        pair = split_products(hasher, serve.entries)
+        assert pair == (
+            _reference_product(hasher, forward),
+            _reference_product(hasher, ack_only),
+        )
+        total = _reference_product(hasher, serve.entries)
+        assert pair[0] * pair[1] % hasher.modulus == total
+        assert entries_product(hasher, serve.entries) == total
+        shapes.add((bool(forward), bool(ack_only)))
+        if any(e.count > 1 for e in serve.entries):
+            shapes.add("count>1")
+    # Empty serves, all-ack-only, forward-only, mixed, multiplicities.
+    assert shapes >= {
+        (False, False), (False, True), (True, False), (True, True), "count>1"
+    }
+
+
 class TestServeHashes:
     def test_splits_forward_and_ack_only(self, hasher):
         entries = [entry(1), entry(2, ack_only=True)]
-        fwd, ack = serve_hashes(hasher, entries, 65537)
+        fwd, ack = serve_hashes(
+            hasher, split_products(hasher, entries), 65537
+        )
         assert fwd == hash_entries(hasher, [entries[0]], 65537)
         assert ack == hash_entries(hasher, [entries[1]], 65537)
 
     def test_empty_lists_hash_to_identity(self, hasher):
-        fwd, ack = serve_hashes(hasher, [], 65537)
+        fwd, ack = serve_hashes(hasher, split_products(hasher, []), 65537)
         assert fwd == 1
         assert ack == 1
 
@@ -89,7 +129,9 @@ class TestLiftAndCombine:
             lift_attested(hasher, hash_entries(hasher, s3, p3), p1 * p2),
         ]
         obligation = combine_lifted(hasher, lifted)
-        successor_ack = ack_hash(hasher, s1 + s2 + s3, key)
+        successor_ack = ack_hash(
+            hasher, split_products(hasher, s1 + s2 + s3), key
+        )
         assert obligation == successor_ack
 
     def test_tampered_set_breaks_the_pipeline(self, hasher):
@@ -102,7 +144,9 @@ class TestLiftAndCombine:
         ]
         obligation = combine_lifted(hasher, lifted)
         # Forwarding a different set cannot match.
-        forged = ack_hash(hasher, [entry(1), entry(9)], p1 * p2)
+        forged = ack_hash(
+            hasher, split_products(hasher, [entry(1), entry(9)]), p1 * p2
+        )
         assert obligation != forged
 
 
@@ -140,7 +184,9 @@ def test_pipeline_property(update_specs, n_preds, data):
                 hasher, hash_entries(hasher, batch, primes[i]), cofactor
             )
         )
-    assert combine_lifted(hasher, lifted) == ack_hash(hasher, entries, key)
+    assert combine_lifted(hasher, lifted) == ack_hash(
+        hasher, split_products(hasher, entries), key
+    )
 
 
 class TestBatchVerifier:

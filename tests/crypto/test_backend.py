@@ -14,10 +14,12 @@ from hypothesis import strategies as st
 from repro.crypto.backend import (
     FixedBaseCache,
     Gmpy2Backend,
+    NarrowLayout,
     PythonBackend,
     available_backends,
     default_backend,
     gmpy2_available,
+    narrow_layout,
     resolve_backend,
 )
 from repro.crypto.homomorphic import HomomorphicHasher, make_modulus
@@ -236,3 +238,57 @@ def test_fixed_base_cache_table_grows_lazily():
     small_levels = cache.levels
     cache.powmod(1 << 300)
     assert cache.levels > small_levels
+
+
+# ---------------------------------------------------------------------------
+# Narrow table layout
+# ---------------------------------------------------------------------------
+
+
+@given(
+    bits=st.integers(min_value=8, max_value=64),
+    base=st.integers(min_value=0, max_value=1 << 600),
+    modulus=st.integers(min_value=2, max_value=1 << 200),
+    data=st.data(),
+)
+@settings(max_examples=120, deadline=None)
+def test_narrow_layout_reads_every_family_exponent(bits, base, modulus, data):
+    """For every width the layout covers, the product of one entry per
+    window is ``pow(base, e, M)`` for any exponent shaped like a link
+    prime (odd, top two bits set), and every other exponent is refused."""
+    layout = narrow_layout(bits)
+    table = layout.table(base, modulus)
+    assert len(table) == layout.entries
+    free = st.integers(min_value=0, max_value=(1 << (bits - 3)) - 1)
+    for _ in range(4):
+        exponent = (3 << (bits - 2)) | (data.draw(free) << 1) | 1
+        indices = layout.indices(exponent)
+        assert len(indices) == 2 + max(0, -(-(bits - 12) // 4))
+        product = 1
+        for index in indices:
+            product = product * table[index] % modulus
+        assert product == pow(base, exponent, modulus)
+        for other in (
+            exponent - 1,  # even
+            exponent ^ (1 << (bits - 2)),  # second-highest bit clear
+            exponent >> 1,  # one bit short
+            exponent >> 2,  # two bits short
+            exponent << 1 | 1,  # one bit long
+        ):
+            assert layout.indices(other) is None
+
+
+def test_narrow_layout_widths_and_budget():
+    assert narrow_layout(7) is None and narrow_layout(65) is None
+    for bits in (7, 65):
+        with pytest.raises(ValueError):
+            NarrowLayout(bits)
+    layout = narrow_layout(32)
+    # [6 low bits, odd | 4 | 4 | 4 | 4 | 4 | 6 top bits, top two set]
+    assert layout.entries == 32 + 5 * 16 + 16 == 128
+    assert len(layout.indices((1 << 32) - 1)) == 7
+    # Every extreme digit lands inside its own window.
+    assert layout.indices((1 << 32) - 1)[-1] == 127
+    assert layout.indices((3 << 30) | 1) == (0, 32, 48, 64, 80, 96, 112)
+    # No width's table outgrows two entries a bit.
+    assert all(narrow_layout(b).entries <= 4 * b for b in range(8, 65))

@@ -22,6 +22,7 @@ from repro.crypto.backend import (
     PythonBackend,
     SharedLadderTable,
     gmpy2_available,
+    narrow_layout,
     window_schedule,
 )
 from repro.crypto.homomorphic import HomomorphicHasher, make_modulus
@@ -55,8 +56,9 @@ def _pair(modulus=MODULUS_128, backend=None, table=None, **bounds):
 def _state(hasher):
     return (
         {name: getattr(hasher, name) for name in COUNTERS},
-        # insertion order is the eviction order
-        [(base, c.window) for base, c in hasher._fixed_bases.items()],
+        # insertion order is the eviction order; the tag is the prime
+        # width a narrow table was built for, 0 for a wide ladder
+        [(base, tag) for base, (tag, _) in hasher._fixed_bases.items()],
         set(hasher._hot_candidates),
         list(hasher._memo.items()),
     )
@@ -87,6 +89,13 @@ def _contents(count, seed, bits=1024):
     return [rng.getrandbits(bits) | 1 for _ in range(count)]
 
 
+def _family(bits):
+    """Every exponent shaped like a ``bits``-wide link prime."""
+    return st.integers(min_value=0, max_value=(1 << (bits - 3)) - 1).map(
+        lambda free: (3 << (bits - 2)) | (free << 1) | 1
+    )
+
+
 def test_first_second_and_later_sightings():
     batch, loop = _pair()
     bases = _contents(12, seed=1)
@@ -114,28 +123,87 @@ def test_batch_that_crosses_the_eviction_bound():
 
 def test_adopted_shared_ladder_table():
     bases = _contents(8, seed=3)
-    table = SharedLadderTable.build(
-        bases[:5], MODULUS_128, window=4, capacity_bits=32
-    )
+    table = SharedLadderTable.build(bases[:5], MODULUS_128, 32)
     batch, loop = _pair(table=table)
     for prime in _primes(3, seed=3):
         _step(batch, loop, bases, prime)
     assert batch.shared_ladder_seeds == 5
-    # Shared tables narrower than the exponent grow locally, not in place.
+    # Adopters hold the flat tuple itself, cut to the 32-bit family.
+    for base in bases[:5]:
+        assert batch._fixed_bases[base] == (32, table.get(base))
+        assert batch._fixed_bases[base][1] is table.get(base)
+        assert len(table.get(base)) == narrow_layout(32).entries == 128
+    # A table serves the one width it was built for: a wider prime is a
+    # builtin pow per base, and nothing grows.
+    cold = batch.cold_powmods
     wide_prime = _primes(1, seed=33, bits=48)[0]
     _step(batch, loop, bases, wide_prime)
-    assert all(len(table.get(base)) == 8 * 15 for base in bases[:5])
+    assert batch.cold_powmods == cold + 8
+    assert all(len(table.get(base)) == 128 for base in bases[:5])
 
 
-def test_adopted_table_of_another_window():
+def test_adopted_table_of_another_width():
     bases = _contents(4, seed=4)
-    table = SharedLadderTable.build(
-        bases, MODULUS_128, window=3, capacity_bits=32
-    )
+    table = SharedLadderTable.build(bases, MODULUS_128, 16)
     batch, loop = _pair(table=table)
-    for prime in _primes(2, seed=4):
+    # 32-bit primes never adopt a 16-bit table: the usual warm-up runs.
+    for prime in _primes(3, seed=4):
         _step(batch, loop, bases, prime)
-    assert batch.fixed_base_hits == 8
+    assert batch.shared_ladder_seeds == 0
+    assert batch.cold_powmods == 8 and batch.fixed_base_hits == 4
+    # ...and the bases, now tabled at 32 bits, take no second table.
+    _step(batch, loop, bases, _primes(1, seed=44, bits=16)[0])
+    assert batch.shared_ladder_seeds == 0 and batch.cold_powmods == 12
+    assert [tag for tag, _ in batch._fixed_bases.values()] == [32] * 4
+
+
+def test_off_family_narrow_exponents_are_cold_powmods():
+    batch, loop = _pair()
+    bases = _contents(5, seed=10)
+    for prime in _primes(3, seed=10):
+        _step(batch, loop, bases, prime)
+    prime = _primes(1, seed=11)[0]
+
+    def cold_only(batch_bases, exponents):
+        before = _state(batch)
+        for done, exponent in enumerate(exponents, start=1):
+            _step(batch, loop, batch_bases, exponent)
+            assert batch.cold_powmods == (
+                before[0]["cold_powmods"] + len(batch_bases) * done
+            )
+        # Only two counters moved: no table built, adopted or evicted,
+        # no base remembered.
+        after = _state(batch)
+        assert after[1:] == before[1:]
+        assert after[0]["fixed_base_hits"] == before[0]["fixed_base_hits"]
+
+    # Shaped like no link prime: even, a top bit clear, under 8 bits.
+    # The warm-up never hears of the two untabled bases riding along.
+    shapeless = [prime - 1, prime ^ (1 << 30), 1, 101]
+    cold_only(bases + _contents(2, seed=15), shapeless)
+    # Shaped like a link prime of another width (one and two bits short,
+    # 16 bits, a 64-bit two-prime round key): the 32-bit tables the
+    # bases hold do not serve them.
+    other_width = [
+        prime >> 1 | 1,
+        prime >> 2 | 1,
+        _primes(1, seed=12, bits=16)[0],
+        prime * _primes(1, seed=13)[0] | (3 << 62),
+    ]
+    assert [e.bit_length() for e in other_width] == [31, 30, 16, 64]
+    cold_only(bases, other_width)
+
+
+def test_one_narrow_table_per_base_within_budget():
+    batch, loop = _pair()
+    bases = _contents(6, seed=14)
+    for bits in (32, 16, 48, 32, 64, 16):
+        for prime in _primes(3, seed=bits, bits=bits):
+            _step(batch, loop, bases, prime)
+    # The first width to see a base twice owns its table for good.
+    assert list(batch._fixed_bases) == bases
+    for tag, table in batch._fixed_bases.values():
+        assert tag == 32 and len(table) == 128
 
 
 def test_repeated_bases_inside_one_batch():
@@ -167,7 +235,8 @@ def test_wide_exponents_take_the_per_item_path(modulus):
         _step(batch, loop, bases, prime)
     assert batch.memo_hits > 0
     # Narrow batches after wide ones: at a 512-bit modulus the bases now
-    # hold 1-bit ladders, which the narrow kernel must read correctly.
+    # hold 1-bit ladders, which serve wide exponents only; the narrow
+    # kernel must not read them as tables.
     for prime in _primes(3, seed=66):
         _step(batch, loop, bases + _contents(2, seed=67), prime)
 
@@ -204,16 +273,15 @@ def test_gmpy2_backend_batches_like_the_loop():
 def test_batch_equals_loop_on_random_schedules(data, fixed_base_max, share):
     pool = _contents(9, seed=9, bits=256)
     table = (
-        SharedLadderTable.build(
-            pool[:3], MODULUS_128, window=4, capacity_bits=16
-        )
-        if share
-        else None
+        SharedLadderTable.build(pool[:3], MODULUS_128, 16) if share else None
     )
     batch, loop = _pair(
         table=table, fixed_base_max=fixed_base_max, memo_max=4
     )
     exponents = st.one_of(
+        _family(16),
+        _family(32),
+        st.integers(min_value=8, max_value=64).flatmap(_family),
         st.integers(min_value=1, max_value=(1 << 64) + 5),
         st.integers(min_value=1, max_value=1 << 16),
         st.integers(min_value=1 << 64, max_value=1 << 130),
