@@ -23,6 +23,8 @@ from repro.sim.message import Message, WireSizes
 
 __all__ = [
     "ServeEntry",
+    "ack_payload",
+    "attestation_payload",
     "SignedAck",
     "SignedAttestation",
     "KeyRequest",
@@ -100,6 +102,39 @@ class ServeEntry:
         return body
 
 
+def ack_payload(
+    round_no: int,
+    receiver: int,
+    server: int,
+    hash_total: int,
+    key_prime_count: int,
+) -> bytes:
+    """What B signs in a :class:`SignedAck`, from its fields in order.
+
+    The signer calls this before the object exists, so an exhibit is
+    built once, with its signature.
+    """
+    return (
+        f"ack|{round_no}|{receiver}|{server}|"
+        f"{hash_total}|{key_prime_count}".encode()
+    )
+
+
+def attestation_payload(
+    round_no: int,
+    server: int,
+    receiver: int,
+    hash_forward: int,
+    hash_ack_only: int,
+) -> bytes:
+    """What A signs in a :class:`SignedAttestation` (see
+    :func:`ack_payload`)."""
+    return (
+        f"att|{round_no}|{server}|{receiver}|"
+        f"{hash_forward}|{hash_ack_only}".encode()
+    )
+
+
 @dataclass(frozen=True, slots=True)
 class SignedAck:
     """Message 5 content: ``<Ack, R, B, A, H(prod u_i)_(K(R-1,A), M)>_B``.
@@ -125,9 +160,12 @@ class SignedAck:
     signature: int
 
     def payload_bytes_desc(self) -> bytes:
-        return (
-            f"ack|{self.round_no}|{self.receiver}|{self.server}|"
-            f"{self.hash_total}|{self.key_prime_count}".encode()
+        return ack_payload(
+            self.round_no,
+            self.receiver,
+            self.server,
+            self.hash_total,
+            self.key_prime_count,
         )
 
     def wire_bytes(self, sizes: WireSizes) -> int:
@@ -150,9 +188,12 @@ class SignedAttestation:
     signature: int
 
     def payload_bytes_desc(self) -> bytes:
-        return (
-            f"att|{self.round_no}|{self.server}|{self.receiver}|"
-            f"{self.hash_forward}|{self.hash_ack_only}".encode()
+        return attestation_payload(
+            self.round_no,
+            self.server,
+            self.receiver,
+            self.hash_forward,
+            self.hash_ack_only,
         )
 
     def wire_bytes(self, sizes: WireSizes) -> int:
@@ -209,12 +250,19 @@ class Serve(Message):
     kind: ClassVar[str] = "serve"
 
     def size_bytes(self, sizes: WireSizes) -> int:
-        body = sum(entry.wire_bytes(sizes) for entry in self.entries)
+        # sum(entry.wire_bytes(sizes)) in closed form (id, count and
+        # flags per entry, plus the payloads that travel): one Serve
+        # per exchange carries the whole forward set.
+        entries = self.entries
+        payloads = sum(
+            [e.update.payload_bytes for e in entries if e.has_payload]
+        )
         key_bytes = self.key_prime_count * sizes.prime
         return (
             sizes.header
             + key_bytes
-            + body
+            + len(entries) * (sizes.update_id + _COUNT_BYTES + 1)
+            + payloads
             + sizes.signature
             + sizes.encryption_overhead
         )

@@ -18,7 +18,6 @@ protocol exactly once.
 
 from __future__ import annotations
 
-from dataclasses import replace
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.core.accusations import VerdictLog
@@ -47,11 +46,19 @@ from repro.core.messages import (
     ServeEntry,
     SignedAck,
     SignedAttestation,
+    ack_payload,
+    attestation_payload,
 )
 from repro.core.monitor import MonitorEngine
-from repro.core.state import OutgoingExchange, PagNodeState
+from repro.core.state import (
+    ForwardSet,
+    OutgoingExchange,
+    PagNodeState,
+    ServePlan,
+)
 from repro.core.verification import (
     ack_hash,
+    entry_power,
     hash_product,
     serve_hashes,
     split_products,
@@ -164,6 +171,7 @@ class PagNode(SimNode):
 
     def end_round(self, round_no: int) -> None:
         self._queue_accusations(round_no)
+        self._forward_set(round_no).plan = None  # its serves are over
         self.monitor.end_round(round_no)
         self.store.drop_expired(round_no)
         horizon = round_no - self.context.config.playout_delay_rounds - 4
@@ -184,9 +192,30 @@ class PagNode(SimNode):
     # Server side (A in Fig. 5)
     # ------------------------------------------------------------------
 
-    def _forward_items(self, round_no: int) -> List[Tuple[Update, int]]:
+    def _forward_set(self, round_no: int) -> ForwardSet:
         """What this node must serve in ``round_no`` (with counts)."""
-        return self.state.forward_set(round_no - 1).items()
+        return self.state.forward_set(round_no - 1)
+
+    def _serve_plan(self, round_no: int) -> ServePlan:
+        """The round's serves, as far as they do not depend on the
+        successor; kept on the forward set, which drops it on ``add``."""
+        forward_set = self._forward_set(round_no)
+        plan = forward_set.plan
+        if plan is None:
+            hasher = self.context.hasher
+            owned_ack_only = not self.context.config.forward_owned_ghosts
+            contents = []
+            rows = []
+            for update, count in forward_set.items():
+                expiring = update.expires_next_round(round_no)
+                contents.append(update.content)
+                fresh = ServeEntry(update, count, True, expiring)
+                owned = ServeEntry(
+                    update, count, False, expiring or owned_ack_only
+                )
+                rows.append((entry_power(hasher, update, count), fresh, owned))
+            plan = forward_set.plan = ServePlan(contents, rows)
+        return plan
 
     def _serving_key(self, round_no: int) -> Tuple[int, int]:
         """``K(round_no - 1, self)`` and its prime count, for the Ack."""
@@ -196,34 +225,30 @@ class PagNode(SimNode):
         round_no = message.round_no
         successor = message.sender
         self.context_decrypt()
-        if not self.context.signer.verify(
+        signer = self.context.signer
+        if not signer.verify(
             successor,
             self._key_response_desc(message),
             message.signature,
         ):
             return
         prime = message.prime
-        entries = self._classify_entries(
-            self._forward_items(round_no), message.buffermap, prime, round_no
-        )
-        entries = self.behavior.filter_serve(entries, successor, round_no)
-        key_prev, key_count = self._serving_key(round_no)
         hasher = self.context.hasher
-        products = split_products(hasher, entries)
-        hash_forward, hash_ack_only = serve_hashes(hasher, products, prime)
-        unsigned = SignedAttestation(
-            round_no=round_no,
-            server=self.node_id,
-            receiver=successor,
-            hash_forward=hash_forward,
-            hash_ack_only=hash_ack_only,
-            signature=0,
+        entries, products = self._classify_entries(
+            round_no, message.buffermap, prime
         )
-        attestation = replace(
-            unsigned,
-            signature=self.context.signer.sign(
-                self.node_id, unsigned.payload_bytes_desc()
-            ),
+        served = self.behavior.filter_serve(entries, successor, round_no)
+        if served is not entries:
+            entries = served
+            products = split_products(hasher, entries)
+        key_prev, key_count = self._serving_key(round_no)
+        hash_forward, hash_ack_only = serve_hashes(hasher, products, prime)
+        exhibit = (
+            round_no, self.node_id, successor, hash_forward, hash_ack_only
+        )
+        attestation = SignedAttestation(
+            *exhibit,
+            signer.sign(self.node_id, attestation_payload(*exhibit)),
         )
         exchange = OutgoingExchange(
             successor=successor,
@@ -257,32 +282,26 @@ class PagNode(SimNode):
         )
 
     def _classify_entries(
-        self,
-        items: List[Tuple[Update, int]],
-        buffermap: frozenset,
-        prime: int,
-        round_no: int,
-    ) -> Tuple[ServeEntry, ...]:
-        """Split the forward set into payload / ack-only entries for one
-        successor (sections V-A and V-D)."""
-        ghosts_forward = self.context.config.forward_owned_ghosts
-        hashes = self.context.hasher.hash_many(
-            [update.content for update, _count in items], prime
-        )
+        self, round_no: int, buffermap: frozenset, prime: int
+    ) -> Tuple[Tuple[ServeEntry, ...], Tuple[int, int]]:
+        """One successor's payload / ack-only entries (sections V-A and
+        V-D) and their ``(forward, ack_only)`` products, in one pass
+        over the round's plan."""
+        plan = self._serve_plan(round_no)
+        hasher = self.context.hasher
+        modulus = hasher.modulus
+        forward = ack_only = 1
         entries = []
-        for (update, count), hashed in zip(items, hashes):
-            owned = hashed in buffermap
-            expiring = update.expires_next_round(round_no)
-            ack_only = expiring or (owned and not ghosts_forward)
-            entries.append(
-                ServeEntry(
-                    update=update,
-                    count=count,
-                    has_payload=not owned,
-                    ack_only=ack_only,
-                )
-            )
-        return tuple(entries)
+        for hashed, (power, fresh, owned) in zip(
+            hasher.hash_many(plan.contents, prime), plan.rows
+        ):
+            entry = owned if hashed in buffermap else fresh
+            entries.append(entry)
+            if entry.ack_only:
+                ack_only = ack_only * power % modulus
+            else:
+                forward = forward * power % modulus
+        return tuple(entries), (forward, ack_only)
 
     def _on_ack(self, message: Ack) -> None:
         ack = message.ack
@@ -325,13 +344,7 @@ class PagNode(SimNode):
         split.
         """
         entries = tuple(
-            ServeEntry(
-                update=update,
-                count=count,
-                has_payload=True,
-                ack_only=update.expires_next_round(round_no),
-            )
-            for update, count in self._forward_items(round_no)
+            fresh for _power, fresh, _owned in self._serve_plan(round_no).rows
         )
         key_prev, key_count = self._serving_key(round_no)
         hasher = self.context.hasher
@@ -523,19 +536,10 @@ class PagNode(SimNode):
         key_prime_count: int,
     ) -> SignedAck:
         total = ack_hash(self.context.hasher, products, key_prev)
-        unsigned = SignedAck(
-            round_no=round_no,
-            receiver=self.node_id,
-            server=server,
-            hash_total=total,
-            key_prime_count=key_prime_count,
-            signature=0,
-        )
-        return replace(
-            unsigned,
-            signature=self.context.signer.sign(
-                self.node_id, unsigned.payload_bytes_desc()
-            ),
+        exhibit = (round_no, self.node_id, server, total, key_prime_count)
+        return SignedAck(
+            *exhibit,
+            self.context.signer.sign(self.node_id, ack_payload(*exhibit)),
         )
 
     def _declare_to_monitors(
@@ -738,18 +742,22 @@ class PagSourceNode(PagNode):
         super().__init__(node_id, network, context)
         self.schedule = schedule
         self.released: List[Update] = []
-        self._round_chunks: Dict[int, List[Update]] = {}
+        #: round -> the chunks released in it, served as a forward set.
+        self._round_chunks: Dict[int, ForwardSet] = {}
         self._source_keys: Dict[int, int] = {}
 
     def begin_round(self, round_no: int) -> None:
         chunks = self.schedule.release(round_no)
         self.released.extend(chunks)
-        self._round_chunks[round_no] = chunks
+        forward_set = self._round_chunks[round_no] = ForwardSet()
+        for chunk in chunks:
+            forward_set.add(chunk, 1)
         self._source_keys[round_no] = self._prime_pool.take()
         super().begin_round(round_no)
 
-    def _forward_items(self, round_no: int) -> List[Tuple[Update, int]]:
-        return [(u, 1) for u in self._round_chunks.get(round_no, [])]
+    def _forward_set(self, round_no: int) -> ForwardSet:
+        forward_set = self._round_chunks.get(round_no)
+        return ForwardSet() if forward_set is None else forward_set
 
     def _serving_key(self, round_no: int) -> Tuple[int, int]:
         key = self._source_keys.get(round_no)

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
-from typing import Protocol
+from typing import Dict, Protocol
 
 from repro.crypto.keystore import CryptoCounters, KeyStore
 
@@ -65,12 +65,18 @@ class TokenSigner:
     """Deterministic signature tokens for fast large-scale simulation."""
 
     counters: CryptoCounters = field(default_factory=CryptoCounters)
+    #: signer id -> ``b"token-sig:" + id`` (8 bytes, big-endian).
+    _prefixes: Dict[int, bytes] = field(
+        default_factory=dict, repr=False, compare=False
+    )
 
-    @staticmethod
-    def _token(signer_id: int, payload: bytes) -> int:
-        material = signer_id.to_bytes(8, "big") + payload
+    def _token(self, signer_id: int, payload: bytes) -> int:
+        prefix = self._prefixes.get(signer_id)
+        if prefix is None:
+            prefix = b"token-sig:" + signer_id.to_bytes(8, "big")
+            self._prefixes[signer_id] = prefix
         return int.from_bytes(
-            hashlib.sha256(b"token-sig:" + material).digest(), "big"
+            hashlib.sha256(prefix + payload).digest(), "big"
         )
 
     def sign(self, signer_id: int, payload: bytes) -> int:

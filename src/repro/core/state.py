@@ -10,12 +10,12 @@ design (section IV-A).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from repro.core.messages import ServeEntry, SignedAck
 from repro.gossip.updates import Update
 
-__all__ = ["OutgoingExchange", "ForwardSet", "PagNodeState"]
+__all__ = ["OutgoingExchange", "ServePlan", "ForwardSet", "PagNodeState"]
 
 
 @dataclass
@@ -37,6 +37,20 @@ class OutgoingExchange:
         return self.ack is not None
 
 
+class ServePlan(NamedTuple):
+    """What every serve of one forward set shares (sections V-A, V-D).
+
+    Attributes:
+        contents: the items' hash inputs, in uid order.
+        rows: per item ``(u^count mod M, entry when the successor lacks
+            the update, entry when it owns it)``; the entries are shared
+            by every serve of the round.
+    """
+
+    contents: List[int]
+    rows: List[Tuple[int, ServeEntry, ServeEntry]]
+
+
 @dataclass
 class ForwardSet:
     """Updates a node must forward next round, with multiplicities.
@@ -49,12 +63,17 @@ class ForwardSet:
 
     counts: Dict[int, int] = field(default_factory=dict)
     updates: Dict[int, Update] = field(default_factory=dict)
+    #: the serving node's derivation of the current contents; every
+    #: :meth:`add` drops it, so a reception that arrives between two
+    #: serves of a round (a delayed pair) is in the second one.
+    plan: Optional[ServePlan] = field(default=None, repr=False, compare=False)
 
     def add(self, update: Update, count: int) -> None:
         if count < 1:
             raise ValueError("reception count must be positive")
         self.updates[update.uid] = update
         self.counts[update.uid] = self.counts.get(update.uid, 0) + count
+        self.plan = None
 
     def items(self) -> List[Tuple[Update, int]]:
         return [

@@ -13,9 +13,10 @@ from typing import Callable, Iterable, Tuple
 
 from repro.core.messages import RelayPair, ServeEntry
 from repro.crypto.homomorphic import HomomorphicHasher
-from repro.gossip.updates import content_integer
+from repro.gossip.updates import Update, content_integer
 
 __all__ = [
+    "entry_power",
     "split_products",
     "entries_product",
     "hash_product",
@@ -47,6 +48,17 @@ def _entry_power(
     re-reducing the 1024-bit content each time.
     """
     return powmod(content_integer(uid, session), count, modulus)
+
+
+def entry_power(hasher: HomomorphicHasher, update: Update, count: int) -> int:
+    """``u^count mod M``: one update's factor in every product below."""
+    return _entry_power(
+        update.uid,
+        update.session,
+        count,
+        hasher.modulus,
+        hasher.backend.powmod,
+    )
 
 
 def split_products(

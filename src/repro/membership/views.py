@@ -84,6 +84,9 @@ class ViewProvider:
     _monitor_cache: Dict[int, List[int]] = field(
         default_factory=dict, repr=False
     )
+    _monitored_cache: Dict[int, List[int]] = field(
+        default_factory=dict, repr=False
+    )
 
     def __post_init__(self) -> None:
         n = self.directory.size
@@ -153,12 +156,22 @@ class ViewProvider:
         return list(self._monitor_cache[node_id])
 
     def monitored_by(self, monitor_id: int) -> List[int]:
-        """All nodes whose monitor set contains ``monitor_id``."""
-        return [
-            m
-            for m in self.directory.members
-            if monitor_id in self.monitors(m)
-        ]
+        """All nodes whose monitor set contains ``monitor_id``.
+
+        Cached per monitor, like the monitor sets it inverts: the
+        directory is immutable by convention, monitor sets are
+        session-stable, and the simulator's ``remove_node`` /
+        ``admit_node`` change who runs, not who is in either.  Callers
+        get a copy.
+        """
+        watched = self._monitored_cache.get(monitor_id)
+        if watched is None:
+            watched = self._monitored_cache[monitor_id] = [
+                m
+                for m in self.directory.members
+                if monitor_id in self.monitors(m)
+            ]
+        return list(watched)
 
     def prune_rounds_before(self, round_no: int) -> None:
         """Drop cached views older than ``round_no`` (memory hygiene)."""

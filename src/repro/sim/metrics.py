@@ -99,12 +99,14 @@ class BandwidthMeter:
         series = self.up_series.get(sender)
         if series is None:
             series = self.up_series[sender] = []
-        _grow(series, rnd)
+        if len(series) <= rnd:
+            _grow(series, rnd)
         series[rnd] += size
         series = self.down_series.get(recipient)
         if series is None:
             series = self.down_series[recipient] = []
-        _grow(series, rnd)
+        if len(series) <= rnd:
+            _grow(series, rnd)
         series[rnd] += size
         if rnd + 1 > self.rounds_seen:
             self.rounds_seen = rnd + 1

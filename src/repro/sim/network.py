@@ -143,11 +143,13 @@ class Network:
             message.sender, message.recipient, size, self.current_round
         )
         self.messages_sent += 1
-        if not self._apply_rules(message):
+        rules = self.drop_rules
+        if not (rules and self._apply_rules(message)):
             for tap in self.taps:
                 tap.observe(message, size)
             self._queue.append(message)
-        self._release_delayed()
+        if rules:
+            self._release_delayed()
 
     def _apply_rules(self, message: Message) -> bool:
         """Run drop rules; True when the message was withheld.

@@ -2,6 +2,7 @@
 
 import dataclasses
 
+import pytest
 
 from repro.core.messages import (
     Accusation,
@@ -26,6 +27,7 @@ from repro.core.messages import (
 )
 from repro.gossip.updates import Update
 from repro.sim.message import WireSizes
+from tests.net.live_traffic import SCENARIOS, live_messages
 
 SIZES = WireSizes()
 
@@ -100,6 +102,27 @@ class TestMessageSizes:
         assert wide.size_bytes(SIZES) - base.size_bytes(SIZES) == (
             3 * SIZES.prime
         )
+
+    @pytest.mark.parametrize(
+        "sizes",
+        [SIZES, WireSizes(update_id=5, update_payload=100, header=3)],
+        ids=["default", "non-default"],
+    )
+    @pytest.mark.parametrize("label", sorted(SCENARIOS))
+    def test_serve_size_is_the_sum_of_its_entries(self, label, sizes):
+        """``Serve.size_bytes`` prices its entries in closed form: equal
+        to the per-entry sum on every ``Serve`` of two real runs."""
+        serves = [m for m in live_messages(label) if type(m) is Serve]
+        assert any(s.entries for s in serves)
+        for serve in serves:
+            envelope = Serve(
+                sender=serve.sender, recipient=serve.recipient,
+                round_no=serve.round_no, key_prev=serve.key_prev,
+                key_prime_count=serve.key_prime_count,
+            ).size_bytes(sizes)
+            assert serve.size_bytes(sizes) - envelope == sum(
+                entry.wire_bytes(sizes) for entry in serve.entries
+            )
 
     def test_serve_entry_filters(self):
         serve = Serve(

@@ -138,6 +138,9 @@ class TestMonitors:
         for node in range(15):
             for mon in views.monitors(node):
                 assert node in views.monitored_by(mon)
+        watched = views.monitored_by(3)
+        views.monitored_by(3).clear()  # a caller's copy, not the cache
+        assert views.monitored_by(3) == watched != []
 
     def test_validation(self):
         with pytest.raises(ValueError):
