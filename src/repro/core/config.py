@@ -57,8 +57,8 @@ class PagConfig:
             ghost obligations do not cascade.  This is the ablation knob
             listed in DESIGN.md section 6.
         crypto_backend: modular-arithmetic backend for the homomorphic
-            hash: ``"auto"`` (gmpy2 when installed, else pure Python),
-            ``"python"`` or ``"gmpy2"``.  ``"auto"`` also honours the
+            hash: ``"auto"`` (width-aware, see ``resolve_backend``),
+            ``"python"``, ``"openssl"``, ``"gmpy2"``.  ``"auto"`` honours the
             ``REPRO_CRYPTO_BACKEND`` environment variable.  Backends are
             arithmetic-only; operation counts are identical across them.
         monitor_cross_checks: enable the section V-B option "to check

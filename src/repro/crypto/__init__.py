@@ -15,6 +15,7 @@ from repro.crypto.backend import (
     Backend,
     FixedBaseCache,
     Gmpy2Backend,
+    OpenSSLBackend,
     PythonBackend,
     available_backends,
     default_backend,
@@ -55,6 +56,7 @@ __all__ = [
     "Gmpy2Backend",
     "HomomorphicHasher",
     "KeyStore",
+    "OpenSSLBackend",
     "PrimePool",
     "PythonBackend",
     "available_backends",

@@ -7,16 +7,21 @@ primitive behind a tiny interface so the rest of the codebase never
 calls ``pow`` directly on the hot path:
 
 * :class:`PythonBackend` — CPython's built-in three-argument ``pow``;
-  always available, the default.
-* :class:`Gmpy2Backend` — GMP via ``gmpy2`` when the package is
-  installed; an order of magnitude faster at the paper's 512-bit sizes.
+  always available, and what every simulation-size run uses.
+* :class:`OpenSSLBackend` — libcrypto's ``BN_mod_exp``, the library the
+  paper measured with, through the copy CPython's ``_hashlib`` links:
+  no package to install, 11x builtin ``pow`` at the paper's 512 bits.
+* :class:`Gmpy2Backend` — GMP via ``gmpy2`` when it is installed.
 
 Selection
 ---------
-``resolve_backend("auto")`` (the default) picks gmpy2 when importable
-and falls back to pure Python.  The choice can be forced per process
-with the ``REPRO_CRYPTO_BACKEND`` environment variable (``python``,
-``gmpy2`` or ``auto``) or per session via ``PagConfig.crypto_backend``.
+``resolve_backend("auto", bits)`` (the default) is width-aware: gmpy2
+when importable; else openssl for moduli of ``_WIDE_MODULUS_BITS`` and
+up when libcrypto can be reached; else pure Python, so simulation-size
+runs keep builtin ``pow`` and never import ``ctypes``.  A name
+(``python``, ``openssl``, ``gmpy2``) can be forced per process with the
+``REPRO_CRYPTO_BACKEND`` environment variable or per session via
+``PagConfig.crypto_backend``, and raises when it cannot be built.
 
 Operation *counting* is deliberately not done here: backends are pure
 arithmetic, and the Table I accounting lives at the protocol layer
@@ -27,12 +32,14 @@ backends can never change reported operation counts.
 from __future__ import annotations
 
 import os
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+import threading
+from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 __all__ = [
     "Backend",
     "PythonBackend",
     "Gmpy2Backend",
+    "OpenSSLBackend",
     "FixedBaseCache",
     "NarrowLayout",
     "SharedLadderTable",
@@ -43,9 +50,18 @@ __all__ = [
     "default_backend",
     "gmpy2_available",
     "multi_powmod",
+    "powmod",
 ]
 
 _ENV_VAR = "REPRO_CRYPTO_BACKEND"
+
+#: Width from which interpreted bigint arithmetic is worth leaving:
+#: ``auto`` hands moduli this wide to libcrypto (builtin ``pow`` ->
+#: ``BN_mod_exp`` with conversions: 128 b 36 -> 21 us, 256 b 147 -> 25,
+#: 512 b 751 -> 66), and on the Python backend the hasher builds
+#: wide-exponent ladders from here.  Narrower moduli are the simulation
+#: sizes, whose runs must not import ``ctypes``.
+_WIDE_MODULUS_BITS = 256
 
 try:  # pragma: no cover - exercised only where gmpy2 is installed
     import gmpy2 as _gmpy2
@@ -222,8 +238,112 @@ class Gmpy2Backend(Backend):
         return int(acc % m)
 
 
+#: Exponents below this go to builtin ``pow`` under :class:`OpenSSLBackend`:
+#: a ``BN_mod_exp`` call costs ~10 us before its first squaring (five FFI
+#: calls, byte conversions, a Montgomery context).  1,024-bit base over a
+#: 512-bit modulus, builtin vs native by exponent width: 2 b 2.7 vs 10.1
+#: us, 6 b 8.6 vs 9.5, 8 b 13.6 vs 11.6, 16 b 28 vs 13, 32 b 53 vs 13
+#: (three series cross between 6 and 10 bits).  What matters is ``u^count``,
+#: count <= 3, of ``core.verification``; negative exponents go the same way.
+_NATIVE_MIN_EXPONENT = 1 << 8
+
+
+def _load_libcrypto() -> Any:
+    """libcrypto, through the shared object CPython's ``_hashlib`` is.
+
+    That file resolves the interpreter's own ``BN_*`` symbols with no
+    ``find_library`` and no package.  The one place ``ctypes`` is
+    imported.  Raises :class:`RuntimeError` naming the cause when
+    ``_hashlib`` is absent, built in, or links libcrypto statically.
+    """
+    try:
+        import _hashlib
+        import ctypes
+
+        lib = ctypes.CDLL(_hashlib.__file__)
+        bn = ctypes.c_void_p
+        lib.BN_new.restype = lib.BN_CTX_new.restype = bn
+        lib.BN_bin2bn.restype = bn
+        lib.BN_bin2bn.argtypes = [ctypes.c_char_p, ctypes.c_int, bn]
+        lib.BN_bn2bin.argtypes = [bn, ctypes.c_char_p]
+        lib.BN_mod_exp.argtypes = [bn] * 5
+        lib.new_buffer = ctypes.create_string_buffer
+    except (ImportError, OSError, AttributeError) as error:
+        raise RuntimeError(
+            f"libcrypto is not reachable through _hashlib ({error}); "
+            f"use the 'python' backend"
+        ) from error
+    return lib
+
+
+class _BigNumScratch(threading.local):
+    """One thread's operands: four BIGNUMs, a ``BN_CTX``, an out buffer.
+
+    ``ctypes`` drops the GIL inside every foreign call and threads
+    switch between the calls of one exponentiation, so each thread gets
+    its own set on first use (never freed: a few hundred bytes).
+    """
+
+    def __init__(self, lib: Any) -> None:
+        #: operands: base, exponent, modulus, as ``BN_mod_exp`` takes them.
+        self.result, *self.operands = [lib.BN_new() for _ in range(4)]
+        self.ctx = lib.BN_CTX_new()
+        self.out = lib.new_buffer(128)
+
+
+class OpenSSLBackend(Backend):
+    """libcrypto's ``BN_mod_exp`` via ``ctypes`` — what the paper timed.
+
+    Construction raises :class:`RuntimeError` when libcrypto cannot be
+    reached.  Results equal builtin ``pow`` for every input: what
+    ``BN_mod_exp`` does not take (a negative operand, a modulus of zero)
+    and exponents too short to repay the call go to ``pow`` itself.
+    """
+
+    name = "openssl"
+
+    def __init__(self) -> None:
+        self._lib = _load_libcrypto()
+        self._scratch = _BigNumScratch(self._lib)
+
+    def powmod(self, base: int, exponent: int, modulus: int) -> int:
+        if exponent < _NATIVE_MIN_EXPONENT or modulus <= 0 or base < 0:
+            return pow(base, exponent, modulus)
+        lib = self._lib
+        own = self._scratch
+        for value, number in zip((base, exponent, modulus), own.operands):
+            raw = value.to_bytes((value.bit_length() + 7) >> 3, "big")
+            lib.BN_bin2bn(raw, len(raw), number)
+        if not lib.BN_mod_exp(own.result, *own.operands, own.ctx):
+            return pow(base, exponent, modulus)  # libcrypto out of memory
+        out = own.out
+        if len(raw) > len(out):  # raw: the modulus, which bounds the result
+            out = own.out = lib.new_buffer(len(raw))
+        return int.from_bytes(out[: lib.BN_bn2bin(own.result, out)], "big")
+
+    def multi_powmod(
+        self, pairs: Iterable[Tuple[int, int]], modulus: int
+    ) -> int:
+        """The fold of native ``powmod``s: Straus's value by definition,
+        and at 66 us a 512-bit pair ahead of an interpreted chain."""
+        if modulus <= 0:
+            raise ValueError("modulus must be positive")
+        acc = 1 % modulus
+        for base, exponent in pairs:
+            if exponent < 0:
+                raise ValueError("exponents must be non-negative")
+            acc = acc * self.powmod(base, exponent, modulus) % modulus
+        return acc
+
+
 def gmpy2_available() -> bool:
     return _gmpy2 is not None
+
+
+def powmod(base: int, exponent: int, modulus: int) -> int:
+    """``pow`` on the process's backend for the modulus's width."""
+    backend = default_backend(modulus.bit_length())
+    return backend.powmod(base, exponent, modulus)
 
 
 def multi_powmod(
@@ -234,54 +354,76 @@ def multi_powmod(
     """``prod base_i ** exp_i mod modulus`` via one interleaved pass.
 
     Convenience wrapper over :meth:`Backend.multi_powmod` using the
-    process-default backend when none is given.
+    process's backend for the modulus's width when none is given.
     """
-    return (backend or default_backend()).multi_powmod(pairs, modulus)
+    backend = backend or default_backend(modulus.bit_length())
+    return backend.multi_powmod(pairs, modulus)
+
+
+#: name -> class, in ``auto``'s order of preference at wide moduli: the
+#: one list behind availability, resolution and its error text.
+_BACKENDS: Dict[str, type[Backend]] = {
+    "gmpy2": Gmpy2Backend,
+    "openssl": OpenSSLBackend,
+    "python": PythonBackend,
+}
+
+#: name -> the process's instance, None when it cannot be built here.
+_instances: Dict[str, Optional[Backend]] = {}
+
+
+def _instance(name: str) -> Optional[Backend]:
+    if name not in _instances:
+        try:
+            _instances[name] = _BACKENDS[name]()
+        except RuntimeError:
+            _instances[name] = None
+    return _instances[name]
 
 
 def available_backends() -> List[str]:
-    names = ["python"]
-    if gmpy2_available():
-        names.append("gmpy2")
-    return names
+    """Names that can be built here, ``auto``'s wide-modulus choice first."""
+    return [name for name in _BACKENDS if _instance(name) is not None]
 
 
-def resolve_backend(choice: Optional[str] = None) -> Backend:
-    """Build the backend named by ``choice`` / the environment.
+def resolve_backend(choice: Optional[str] = None, bits: int = 0) -> Backend:
+    """The backend named by ``choice`` / the environment, for a width.
 
     Args:
-        choice: ``"python"``, ``"gmpy2"``, ``"auto"`` or None.  None
+        choice: a name of ``_BACKENDS``, ``"auto"`` or None.  None
             defers to the ``REPRO_CRYPTO_BACKEND`` environment variable,
             itself defaulting to ``auto``.
+        bits: width of the moduli (for a prime search, of the
+            candidates) the caller exponentiates under; read by ``auto``.
 
-    ``auto`` prefers gmpy2 when importable, else pure Python.  Asking
-    for gmpy2 explicitly when it is missing raises, so a mis-provisioned
-    deployment fails loudly instead of silently running 10x slower.
+    ``auto`` is gmpy2 when importable, else openssl from
+    ``_WIDE_MODULUS_BITS`` up when libcrypto loads, else Python: the one
+    place that rule lives.  An explicit name that cannot be built
+    raises :class:`RuntimeError`, so a mis-provisioned deployment fails
+    loudly instead of silently running 10x slower.
     """
     if choice is None:
         choice = os.environ.get(_ENV_VAR, "auto")
     choice = choice.lower()
     if choice == "auto":
-        return Gmpy2Backend() if gmpy2_available() else PythonBackend()
-    if choice == "python":
-        return PythonBackend()
-    if choice == "gmpy2":
-        return Gmpy2Backend()
-    raise ValueError(
-        f"unknown crypto backend {choice!r}; "
-        f"expected one of: auto, python, gmpy2"
-    )
+        if gmpy2_available():
+            choice = "gmpy2"
+        elif bits >= _WIDE_MODULUS_BITS and _instance("openssl") is not None:
+            choice = "openssl"
+        else:
+            choice = "python"
+    elif choice not in _BACKENDS:
+        raise ValueError(
+            f"unknown crypto backend {choice!r}; "
+            f"expected one of: auto, {', '.join(reversed(_BACKENDS))}"
+        )
+    # Building again what could not be built raises, naming the cause.
+    return _instance(choice) or _BACKENDS[choice]()
 
 
-_default: Optional[Backend] = None
-
-
-def default_backend() -> Backend:
-    """Process-wide backend singleton (env-selected, built lazily)."""
-    global _default
-    if _default is None:
-        _default = resolve_backend()
-    return _default
+def default_backend(bits: int = 0) -> Backend:
+    """The environment-selected backend for ``bits``-wide moduli."""
+    return resolve_backend(None, bits)
 
 
 def window_schedule(exponent: int, window: int) -> Tuple[int, ...]:

@@ -34,8 +34,10 @@ from operator import itemgetter
 from typing import Any, Iterable, List, Optional, Sequence, Tuple
 
 from repro.crypto.backend import (
+    _WIDE_MODULUS_BITS,
     Backend,
     FixedBaseCache,
+    OpenSSLBackend,
     PythonBackend,
     SharedLadderTable,
     default_backend,
@@ -74,7 +76,6 @@ _FIXED_BASE_MAX = 1024
 #: multiply is expensive enough to amortise the interpreter loop).  For
 #: wide exponents over a narrow simulation modulus, built-in pow wins.
 _SMALL_EXPONENT_BITS = 64
-_WIDE_MODULUS_BITS = 256
 
 #: Tag of a wide-exponent power ladder in ``_fixed_bases`` (narrow
 #: tables are tagged with their prime width, 8..64).
@@ -119,7 +120,7 @@ class HomomorphicHasher:
             the protocol-call level (one per :meth:`hash`/:meth:`rekey`),
             so backend swaps and result caching never change the tally.
         backend: modular-arithmetic provider; None selects the process
-            default (gmpy2 when installed, else built-in ``pow``).
+            default for the modulus width (``resolve_backend``).
         memo_max: entry bound of the wide-exponent memo (memory ceiling
             for long runs; the oldest half is evicted when full).
         fixed_base_max: bound on the number of bases holding a
@@ -160,7 +161,7 @@ class HomomorphicHasher:
                 "makes discrete roots easy and breaks one-wayness"
             )
         if self.backend is None:
-            self.backend = default_backend()
+            self.backend = default_backend(self.modulus.bit_length())
         self._powmod = self.backend.powmod
         #: (value, exponent) -> hash result.  The same exchange hash is
         #: recomputed by the server, the receiver, and the monitors; the
@@ -179,11 +180,16 @@ class HomomorphicHasher:
         #: read-only precomputed ladder levels for session-lifetime
         #: bases (see :meth:`adopt_shared_ladders`).
         self._shared_ladders: Optional[SharedLadderTable] = None
-        #: the ladder only beats C-level pow when pow itself runs in
-        #: the interpreter's bigint code, not when gmpy2 is active.
-        self._use_fixed_base = isinstance(self.backend, PythonBackend)
-        self._wide_modulus = (
-            self.modulus.bit_length() >= _WIDE_MODULUS_BITS
+        #: narrow tables: seven interpreted multiplies beat builtin pow
+        #: and any FFI call, but not gmpy2's own ints.
+        self._use_fixed_base = isinstance(
+            self.backend, (PythonBackend, OpenSSLBackend)
+        )
+        #: the wide ladder only beats pow when pow itself runs in the
+        #: interpreter's bigint code, and only at production widths.
+        self._use_ladder = (
+            isinstance(self.backend, PythonBackend)
+            and self.modulus.bit_length() >= _WIDE_MODULUS_BITS
         )
 
     @property
@@ -235,7 +241,7 @@ class HomomorphicHasher:
         if result is not None:
             self.memo_hits += 1
             return result
-        if self._use_fixed_base and self._wide_modulus:
+        if self._use_ladder:
             ladder = self._table_for(update, _LADDER)
             if ladder is None:
                 result = self._powmod(update, exponent, self.modulus)
@@ -342,7 +348,7 @@ class HomomorphicHasher:
         the worker pools start) and adopted by every replica's hasher,
         so per-shard replicas stop rebuilding identical ladder tables
         for the session-lifetime bases.  A no-op under backends that do
-        not use the ladder fast path (gmpy2 beats it outright).
+        not use the table fast path (gmpy2 beats it outright).
         """
         if table is None:
             return

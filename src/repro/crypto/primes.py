@@ -289,14 +289,13 @@ def generate_prime(bits: int, rng: random.Random) -> int:
     if bits == 2:
         return rng.choice((2, 3))
     rounds = _search_rounds(bits)
+    powmod = default_backend(bits).powmod
     while True:
         candidate = rng.getrandbits(bits)
         candidate |= (1 << (bits - 1)) | (1 << (bits - 2)) | 1
         verdict = _small_prime_verdict(candidate)
         if verdict is None:
-            verdict, _ = _miller_rabin_tests(
-                candidate, rng, rounds, default_backend().powmod
-            )
+            verdict, _ = _miller_rabin_tests(candidate, rng, rounds, powmod)
         if verdict:
             return candidate
 
@@ -388,7 +387,7 @@ class PrimePool:
     the search tester: ``_search_rounds(bits)`` Miller-Rabin rounds
     (8 at 512 bits) instead of :func:`is_prime`'s worst-case 40, for the
     same ``2**-80`` (module docstring).  The exponentiations of those
-    rounds go through the process-wide crypto backend.
+    rounds go through the process's crypto backend for that width.
 
     The pool consumes randomness only from its own ``rng`` and in a
     fixed order, so draws are reproducible under a fixed seed.  Primes
@@ -479,7 +478,7 @@ class PrimePool:
             if k < span:
                 run = len(range(k, span, p))
                 survivors[k::p] = b"\x01" * run
-        powmod = default_backend().powmod
+        powmod = default_backend(bits).powmod
         for k in range(span):
             if survivors[k]:
                 continue

@@ -19,6 +19,7 @@ import math
 import random
 from dataclasses import dataclass
 
+from repro.crypto.backend import powmod
 from repro.crypto.primes import generate_prime
 
 __all__ = [
@@ -62,7 +63,7 @@ class RsaPublicKey:
         """Raw RSA encryption of an integer already below the modulus."""
         if not 0 <= message < self.modulus:
             raise ValueError("message out of range for raw RSA")
-        return pow(message, self.exponent, self.modulus)
+        return powmod(message, self.exponent, self.modulus)
 
     def encrypt(self, plaintext: bytes) -> int:
         """Encrypt a short byte string (must fit under the modulus)."""
@@ -79,7 +80,7 @@ class RsaPublicKey:
         """Verify a signature produced by the matching private key."""
         if not 0 <= signature < self.modulus:
             return False
-        recovered = pow(signature, self.exponent, self.modulus)
+        recovered = powmod(signature, self.exponent, self.modulus)
         return recovered == _signature_representative(message, self.modulus)
 
 
@@ -100,8 +101,8 @@ class RsaPrivateKey:
         dp = d % (p - 1)
         dq = d % (q - 1)
         q_inv = pow(q, -1, p)
-        m1 = pow(base % p, dp, p)
-        m2 = pow(base % q, dq, q)
+        m1 = powmod(base % p, dp, p)
+        m2 = powmod(base % q, dq, q)
         h = (q_inv * (m1 - m2)) % p
         return m2 + h * q
 

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.crypto import backend as backend_module
 from repro.crypto.backend import (
     FixedBaseCache,
     Gmpy2Backend,
@@ -30,10 +31,7 @@ needs_gmpy2 = pytest.mark.skipif(
 
 
 def _backends():
-    backends = [PythonBackend()]
-    if gmpy2_available():
-        backends.append(Gmpy2Backend())
-    return backends
+    return [resolve_backend(name) for name in reversed(available_backends())]
 
 
 def _all_backend_params():
@@ -50,14 +48,45 @@ def test_python_backend_always_available():
     assert resolve_backend("python").name == "python"
 
 
-def test_auto_resolution_matches_availability():
-    backend = resolve_backend("auto")
-    assert backend.name == ("gmpy2" if gmpy2_available() else "python")
+def test_auto_resolution_matches_availability(monkeypatch):
+    """``auto`` is width-aware: gmpy2 > openssl (wide moduli) > python."""
+    monkeypatch.delenv("REPRO_CRYPTO_BACKEND", raising=False)
+    available = available_backends()
+    narrow = "gmpy2" if gmpy2_available() else "python"
+    assert resolve_backend("auto").name == narrow
+    assert resolve_backend("auto", 128).name == narrow
+    assert resolve_backend("auto", 255).name == narrow
+    assert resolve_backend("auto", 256).name == available[0]
+    assert resolve_backend("auto", 512).name == available[0]
+    assert default_backend(512) is resolve_backend("auto", 512)
+    assert available == [
+        name for name in ("gmpy2", "openssl", "python") if name in available
+    ]
+
+    def unreachable():
+        raise RuntimeError("libcrypto is linked statically")
+
+    monkeypatch.setattr(backend_module, "_load_libcrypto", unreachable)
+    monkeypatch.setattr(backend_module, "_instances", {})
+    assert "openssl" not in available_backends()
+    assert resolve_backend("auto", 512).name == narrow
+    with pytest.raises(RuntimeError, match="linked statically"):
+        resolve_backend("openssl")
+
+
+def test_narrow_auto_is_the_builtin_itself(monkeypatch):
+    """Below the cutoff nothing wraps ``pow``: same object, same bound."""
+    monkeypatch.delenv("REPRO_CRYPTO_BACKEND", raising=False)
+    if gmpy2_available():
+        pytest.skip("auto is gmpy2 at every width here")
+    backend = default_backend(128)
+    assert type(backend) is PythonBackend and backend.powmod is pow
+    assert backend is default_backend() is resolve_backend("python")
 
 
 def test_unknown_backend_rejected():
-    with pytest.raises(ValueError):
-        resolve_backend("openssl")
+    with pytest.raises(ValueError, match="auto, python, openssl, gmpy2"):
+        resolve_backend("mbedtls")
 
 
 def test_env_var_selects_backend(monkeypatch):

@@ -16,22 +16,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.crypto.backend import (
-    Gmpy2Backend,
     PythonBackend,
     SharedLadderTable,
-    gmpy2_available,
+    available_backends,
     multi_powmod,
     narrow_layout,
+    resolve_backend,
 )
 from repro.crypto.homomorphic import HomomorphicHasher, make_modulus
 from repro.crypto.primes import PrimePool
 
 
 def _backends():
-    backends = [PythonBackend()]
-    if gmpy2_available():
-        backends.append(Gmpy2Backend())
-    return backends
+    return [resolve_backend(name) for name in reversed(available_backends())]
 
 
 def _all_backend_params():

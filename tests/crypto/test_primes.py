@@ -9,7 +9,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.crypto import primes as primes_module
-from repro.crypto.backend import Backend, PythonBackend, gmpy2_available
+from repro.crypto.backend import (
+    Backend,
+    available_backends,
+    resolve_backend,
+)
 from repro.crypto.primes import (
     SMALL_PRIMES,
     PrimePool,
@@ -566,7 +570,7 @@ class _CountingBackend(Backend):
 
 def test_wide_search_exponentiates_through_the_backend(monkeypatch):
     backend = _CountingBackend()
-    monkeypatch.setattr(primes_module, "default_backend", lambda: backend)
+    monkeypatch.setattr(primes_module, "default_backend", lambda bits: backend)
     narrow = PrimePool(32, random.Random(4))
     narrow.take_many(30)
     generate_prime(64, random.Random(4))
@@ -584,12 +588,9 @@ def test_wide_search_exponentiates_through_the_backend(monkeypatch):
 
 
 def _search_backends():
-    backends = [PythonBackend(), _CountingBackend()]
-    if gmpy2_available():
-        from repro.crypto.backend import Gmpy2Backend
-
-        backends.append(Gmpy2Backend())
-    return backends
+    return [_CountingBackend()] + [
+        resolve_backend(name) for name in available_backends()
+    ]
 
 
 @pytest.mark.parametrize("bits", [256, 512])
@@ -597,7 +598,7 @@ def test_search_draws_the_same_primes_on_every_backend(monkeypatch, bits):
     outcomes = []
     for backend in _search_backends():
         monkeypatch.setattr(
-            primes_module, "default_backend", lambda backend=backend: backend
+            primes_module, "default_backend", lambda bits, b=backend: b
         )
         rng = random.Random(bits)
         pool = PrimePool(bits, rng)

@@ -121,3 +121,30 @@ def test_default_rng_fallback_is_deterministic():
     # ... and a different parameter set derives a different stream.
     c = generate_keypair(bits=320)
     assert c.public != a.public
+
+
+@pytest.mark.parametrize("choice", ["python", "auto"])
+def test_sign_verify_parity_with_builtin_pow(monkeypatch, keypair, choice):
+    """The key operations go through the width-aware backend primitive
+    (libcrypto under ``auto`` at these widths) and must stay the
+    textbook values: CRT halves, public operation, accept and reject."""
+    monkeypatch.setenv("REPRO_CRYPTO_BACKEND", choice)
+    wide = generate_keypair(bits=1024, rng=random.Random(2))
+    for pair in (keypair, wide):
+        public, private = pair.public, pair.private
+        n, e, d = public.modulus, public.exponent, private.private_exponent
+        p, q = private.prime_p, private.prime_q
+        for i in range(8):
+            message = b"declaration %d" % i
+            signature = private.sign(message)
+            representative = pow(signature, e, n)
+            assert signature == pow(representative, d, n)
+            m1 = pow(representative % p, d % (p - 1), p)
+            m2 = pow(representative % q, d % (q - 1), q)
+            assert signature == m2 + (pow(q, -1, p) * (m1 - m2)) % p * q
+            assert public.verify(message, signature)
+            assert not public.verify(message, signature ^ 1)
+            assert public.encrypt_int(representative) == pow(
+                representative, e, n
+            )
+            assert private.decrypt_int(signature) == pow(signature, d, n)

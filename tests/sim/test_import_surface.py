@@ -9,6 +9,10 @@ Likewise ``repro.net`` (the wire codec, transports and daemon) belongs
 to the fleet alone: a serial, parallel, accusation-path, paper-size or
 population run must finish without it, which is what lets a change to
 the codec promise those benchmark workloads cannot move.
+
+And ``ctypes`` (the libcrypto backend's FFI) belongs to paper-size
+arithmetic alone: ``auto`` hands a 128-bit simulation modulus to
+builtin ``pow`` without importing it, and a 512-bit one to libcrypto.
 """
 
 import os
@@ -26,14 +30,32 @@ import sys
 
 import repro.cli
 import repro.scenarios
+from repro.crypto.backend import gmpy2_available
 from repro.scenarios import get_scenario
 
 assert "numpy" not in sys.modules, "importing the CLI loaded numpy"
+assert "ctypes" not in sys.modules, "importing the CLI loaded ctypes"
 
 result = get_scenario("fig9", nodes=14, rounds=6).run()
 assert result.messages_sent > 0
 assert len(result.cdf()) == len(result.node_kbps) > 0
 assert "numpy" not in sys.modules, "a serial run loaded numpy"
+assert "ctypes" not in sys.modules, "a simulation-size run loaded ctypes"
+assert gmpy2_available() or result.session.context.hasher.backend.powmod is pow
+"""
+
+_PAPER_SIZE = """
+import sys
+
+from repro.crypto.backend import default_backend
+from repro.scenarios import get_scenario
+
+spec = get_scenario("table1", nodes=4, rounds=1, warmup_rounds=0)
+session = spec.build_pag_with(None, sim_modulus_bits=512, sim_prime_bits=512)
+session.run(spec.rounds)
+name = session.context.hasher.backend.name
+assert name == default_backend(512).name != "python", name
+assert ("ctypes" in sys.modules) == (name == "openssl")
 """
 
 _POPULATION = """
@@ -72,9 +94,11 @@ for name, overrides in (
 
 
 def _run_fresh(script):
+    env = dict(os.environ, PYTHONPATH=_SRC)
+    env.pop("REPRO_CRYPTO_BACKEND", None)  # the default resolution
     done = subprocess.run(
         [sys.executable, "-c", script],
-        env=dict(os.environ, PYTHONPATH=_SRC),
+        env=env,
         capture_output=True,
         text=True,
         timeout=120,
@@ -84,6 +108,14 @@ def _run_fresh(script):
 
 def test_cli_and_serial_run_never_load_numpy():
     _run_fresh(_SERIAL)
+
+
+def test_only_paper_size_arithmetic_leaves_builtin_pow():
+    from repro.crypto.backend import available_backends
+
+    if available_backends() == ["python"]:
+        pytest.skip("no native backend here: auto is builtin pow throughout")
+    _run_fresh(_PAPER_SIZE)
 
 
 def test_building_a_population_spec_loads_numpy():
