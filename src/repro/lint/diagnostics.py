@@ -51,9 +51,6 @@ RULES: Dict[str, str] = {
         "an ordered sink; sort first"
     ),
     "WIRE201": "message kind has no registered wire codec",
-    "WIRE202": (
-        "unbounded varint read in a wire decoder (pass bound=...)"
-    ),
     "WIRE203": "wire kind has no fixture in tests/net/fixtures.py",
     "WIRE204": "wire kind has no golden frame in golden_wire_v1.json",
     "WIRE205": (

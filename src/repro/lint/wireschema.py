@@ -1,27 +1,25 @@
 """Wire-schema cross-check (WIRE2xx rules).
 
 The v1 wire format is a compatibility contract: every message kind a
-PAG session can emit must have a registered codec, bounded decoders, a
-fixture in ``tests/net/fixtures.py`` and a pinned frame in
+PAG session can emit must have a registered codec, a fixture in
+``tests/net/fixtures.py`` and a pinned frame in
 ``tests/net/golden_wire_v1.json``.  Adding a message type without full
 wire coverage should fail ``repro lint`` at push time, not a 3 AM
 daemon run when the first unencodable message hits the transport.
 
 The check imports the live registries (:mod:`repro.core.messages`,
 :mod:`repro.net.wire`) into a :class:`WireModel` and verifies the
-model; tests inject mutated models to prove each rule fires.  The
-bounds rule (WIRE202) is AST-based: a reader-side ``varint()`` call in
-``net/wire.py`` that passes no ``bound=`` accepts up to ``2**70`` —
-every structural count on the wire must declare its ceiling.
+model; tests inject mutated models to prove each rule fires.  (That
+every varint read is bounded needs no rule: ``_Reader.varint`` takes
+its bound as a required argument.)
 """
 
 from __future__ import annotations
 
-import ast
 import importlib.util
 import inspect
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import List, Optional, Set, Tuple
 
@@ -43,10 +41,6 @@ class WireModel:
     fixture_classes: Set[str]
     #: class names appearing in golden_wire_v1.json frame keys.
     golden_classes: Set[str]
-    #: ``r.varint()`` calls without a bound: (line, col).
-    unbounded_varints: List[Tuple[int, int]] = field(
-        default_factory=list
-    )
     wire_path: str = "src/repro/net/wire.py"
     messages_path: str = "src/repro/core/messages.py"
     fixtures_path: str = "tests/net/fixtures.py"
@@ -65,34 +59,6 @@ def _load_fixture_module(path: Path):
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
-
-
-def _scan_unbounded_varints(
-    source: str,
-) -> List[Tuple[int, int]]:
-    """Reader-side ``varint()`` calls without a ``bound=``.
-
-    Writer calls always pass the value positionally
-    (``w.varint(len(...))``), reader calls pass at most the ``bound``
-    keyword — so a zero-argument ``.varint()`` call is precisely an
-    unbounded read.
-    """
-    tree = ast.parse(source)
-    hits: List[Tuple[int, int]] = []
-    for node in ast.walk(tree):
-        if not isinstance(node, ast.Call):
-            continue
-        func = node.func
-        if not (
-            isinstance(func, ast.Attribute) and func.attr == "varint"
-        ):
-            continue
-        if node.args:
-            continue  # writer side: varint(value)
-        if any(kw.arg == "bound" for kw in node.keywords):
-            continue
-        hits.append((node.lineno, node.col_offset + 1))
-    return hits
 
 
 def build_model(repo_root: Path) -> WireModel:
@@ -131,7 +97,6 @@ def build_model(repo_root: Path) -> WireModel:
                 golden_classes.add(cls_name)
 
     wire_file = Path(inspect.getsourcefile(wire) or "")
-    unbounded = _scan_unbounded_varints(wire_file.read_text())
 
     def rel(path: Path) -> str:
         try:
@@ -144,7 +109,6 @@ def build_model(repo_root: Path) -> WireModel:
         message_classes=message_classes,
         fixture_classes=fixture_classes,
         golden_classes=golden_classes,
-        unbounded_varints=unbounded,
         wire_path=rel(wire_file),
         messages_path=rel(
             Path(inspect.getsourcefile(messages) or "messages.py")
@@ -172,18 +136,6 @@ def check_model(model: WireModel) -> List[Diagnostic]:
                     "in net/wire.py",
                 )
             )
-
-    for line, col in model.unbounded_varints:
-        out.append(
-            Diagnostic(
-                model.wire_path,
-                line,
-                col,
-                "WIRE202",
-                "reader varint() without bound= accepts values up to "
-                "2**70; declare the structural ceiling",
-            )
-        )
 
     if model.has_test_assets:
         for _, name, _, lineno in model.registered:

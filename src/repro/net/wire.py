@@ -23,14 +23,26 @@ Primitive layer:
   (no leading zero byte; zero is the empty string).  Hashes, primes,
   cofactors and signatures are arbitrary-precision integers.
 
-The ``attestation_relay`` kind carries a *pair list*: one entry
+Layouts: a frame kind's wire form is declared once, as one ``name=field
+type`` row per field of its dataclass, in declaration order
+(``_layout``; ``STRUCT`` for a nested object).  A field type is a
+``put``/``get`` pair: a primitive above, ``VARINT(bound)`` (there is no
+varint without its bound), ``OPTIONAL``, ``LIST``, a ``STRUCT``.  Rows
+are composed into one ``put`` and one ``get`` per kind at import, so a
+field's position and bound have one owner and both directions enforce
+them: the encoder refuses what the decoder would.  Three things are
+not field lists and stay hand-written: the two volume loops (field
+types ``ENTRIES`` and ``BUFFERMAP``, see the cost model), kind 7, and
+``JoinRequest``'s cross-field ``shard < shards`` rule.
+
+The ``attestation_relay`` kind (7) carries a *pair list*: one entry
 round-trips to the simulator's :class:`AttestationRelay`, two or more
 decode to an :class:`AttestationRelayBatch` — the signed
 (hash, cofactor) pair list the fm>1 batched fold consumes (one outer
 signature, one wire message, one multi-exponentiation at the monitor).
 
 Kind bytes < 64 are session traffic (:mod:`repro.core.messages`);
-bytes >= 64 are control frames defined at the bottom of this module:
+bytes >= 64 are control frames declared at the bottom of this module:
 64-75 the daemon runtime (join handshake, round barriers), 76-81 the
 supervised service (health, event stream, operator control).
 
@@ -47,9 +59,10 @@ decoding would (``tests/net/golden_wire_errors_v1.json``).
 
 from __future__ import annotations
 
+import dataclasses
 import struct
-from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Tuple, Type
+from dataclasses import dataclass
+from typing import Any, Callable, Dict, List, NamedTuple, Optional, Tuple, Type
 
 from repro.core.messages import (
     Accusation,
@@ -91,7 +104,6 @@ __all__ = [
     "encodable",
     "frame",
     "FrameAssembler",
-    "registered_kinds",
     "JoinRequest",
     "JoinAccept",
     "JoinReject",
@@ -119,7 +131,8 @@ WIRE_VERSION = 1
 #: a single payload byte is read (no attacker-controlled allocation).
 MAX_FRAME_BYTES = 1 << 20
 
-# Structural bounds, enforced at decode before anything touches crypto.
+# Structural bounds: enforced at decode before anything touches crypto,
+# and at encode, so the sender of a bad frame fails, not its peer's link.
 _MAX_BIGINT_BYTES = 4096
 _MAX_ENTRIES = 1 << 16
 _MAX_BUFFERMAP = 1 << 20
@@ -156,6 +169,10 @@ class WireValidationError(WireError):
     """A structurally complete frame carries out-of-bounds values."""
 
 
+def _exceeds(value: int, bound: int) -> WireValidationError:
+    return WireValidationError(f"varint {value} exceeds bound {bound}")
+
+
 # ---------------------------------------------------------------------------
 # Primitive readers/writers
 # ---------------------------------------------------------------------------
@@ -185,11 +202,18 @@ class _Writer:
 
     def id(self, value: int) -> None:
         """Zigzag varint; encode refuses negatives (ids are >= 0 on the
-        wire — the in-memory ``-1`` defaults never travel)."""
+        wire — the in-memory ``-1`` defaults never travel) and, like
+        decode, raw values past ``_MAX_ID_RAW``."""
         if value < 0:
             raise WireValidationError(f"cannot encode negative id {value}")
         if value < 0x40:
             self.buf.append(value << 1)
+        elif value < 0x2000:  # two bytes, the other common case
+            buf = self.buf
+            buf.append(value << 1 & 0x7F | 0x80)
+            buf.append(value >> 6)
+        elif value << 1 > _MAX_ID_RAW:
+            raise _exceeds(value << 1, _MAX_ID_RAW)
         else:
             self.varint(value << 1)
 
@@ -262,7 +286,7 @@ class _Reader:
         self.pos = pos + 1
         return self.data[pos]
 
-    def varint(self, bound: Optional[int] = None) -> int:
+    def varint(self, bound: int) -> int:
         data = self.data
         pos = self.pos
         try:
@@ -289,10 +313,8 @@ class _Reader:
         except IndexError:
             raise self._truncated(1, pos) from None
         self.pos = pos
-        if bound is not None and result > bound:
-            raise WireValidationError(
-                f"varint {result} exceeds bound {bound}"
-            )
+        if result > bound:
+            raise _exceeds(result, bound)
         return result
 
     def id(self) -> int:
@@ -306,7 +328,7 @@ class _Reader:
             raw = raw & 0x7F | data[pos + 1] << 7
             self.pos = pos + 2
         else:  # three bytes or more, non-canonical, or cut short
-            raw = self.varint(bound=_MAX_ID_RAW)
+            raw = self.varint(_MAX_ID_RAW)
         if raw & 1:
             raise WireValidationError(
                 f"negative id {-((raw + 1) >> 1)} on the wire"
@@ -326,7 +348,7 @@ class _Reader:
         if length < 0x80:
             pos += 1
         else:
-            length = self.varint(bound=_MAX_BIGINT_BYTES)
+            length = self.varint(_MAX_BIGINT_BYTES)
             pos = self.pos
         end = pos + length
         if end > len(data):
@@ -339,14 +361,14 @@ class _Reader:
         return int.from_bytes(data[pos:end], "big")
 
     def string(self) -> str:
-        length = self.varint(bound=_MAX_STRING_BYTES)
+        length = self.varint(_MAX_STRING_BYTES)
         try:
             return self._take(length).decode("utf-8")
         except UnicodeDecodeError as exc:
             raise WireValidationError(f"invalid utf-8 string: {exc}") from exc
 
     def blob(self) -> bytes:
-        length = self.varint(bound=MAX_FRAME_BYTES)
+        length = self.varint(MAX_FRAME_BYTES)
         return bytes(self._take(length))
 
     def expect_end(self) -> None:
@@ -357,9 +379,135 @@ class _Reader:
 
 
 # ---------------------------------------------------------------------------
-# Shared sub-object schemas
+# Field types
 # ---------------------------------------------------------------------------
 
+
+class _FieldType(NamedTuple):
+    """How one value travels: ``put`` appends it to a writer, ``get``
+    reads it back.  A type states its bound once; both enforce it."""
+
+    put: Callable[[_Writer, Any], None]
+    get: Callable[[_Reader], Any]
+
+
+ID = _FieldType(_Writer.id, _Reader.id)
+BIGINT = _FieldType(_Writer.bigint, _Reader.bigint)
+BOOL = _FieldType(_Writer.bool, _Reader.bool)
+STRING = _FieldType(_Writer.string, _Reader.string)
+BLOB = _FieldType(_Writer.blob, _Reader.blob)
+
+
+def VARINT(bound: int) -> _FieldType:
+    """An unsigned varint of at most ``bound``."""
+
+    def put(w: _Writer, value: int) -> None:
+        if value > bound:
+            raise _exceeds(value, bound)
+        w.varint(value)
+
+    def get(r: _Reader) -> int:
+        return r.varint(bound)
+
+    return _FieldType(put, get)
+
+
+PRIME_COUNT = VARINT(_MAX_PRIME_COUNT)
+SHARD = VARINT(1 << 16)
+ROUND = VARINT(1 << 32)
+TALLY = VARINT(_MAX_TALLY)
+
+
+def OPTIONAL(kind: _FieldType) -> _FieldType:
+    """A presence byte, then the value unless it is ``None``."""
+    put_value, get_value = kind
+
+    def put(w: _Writer, value: Any) -> None:
+        w.bool(value is not None)
+        if value is not None:
+            put_value(w, value)
+
+    def get(r: _Reader) -> Any:
+        return get_value(r) if r.bool() else None
+
+    return _FieldType(put, get)
+
+
+def LIST(kind: _FieldType, bound: int) -> _FieldType:
+    """A count of at most ``bound``, then that many values (a tuple)."""
+    put_count, get_count = VARINT(bound)
+    put_item, get_item = kind
+
+    def put(w: _Writer, items: Tuple[Any, ...]) -> None:
+        put_count(w, len(items))
+        for item in items:
+            put_item(w, item)
+
+    def get(r: _Reader) -> Tuple[Any, ...]:
+        return tuple([get_item(r) for _ in range(get_count(r))])
+
+    return _FieldType(put, get)
+
+
+def STRUCT(
+    cls: Type,
+    check: Optional[Callable[[Any], None]] = None,
+    /,
+    **rows: _FieldType,
+) -> _FieldType:
+    """The layout of a dataclass: one ``name=field type`` row per
+    declared field, in declaration order, which is wire order and lets
+    ``get`` build the object positionally.  Rows that are not exactly
+    the declared fields are a ``TypeError``, at import.  ``check`` is a
+    rule across fields (it raises), run on the object both ways."""
+    declared = tuple(f.name for f in dataclasses.fields(cls))
+    if tuple(rows) != declared:
+        raise TypeError(
+            f"layout of {cls.__name__} lists {tuple(rows)}, "
+            f"the class declares {declared}"
+        )
+    putters = tuple((kind.put, name) for name, kind in rows.items())
+    getters = tuple(kind.get for kind in rows.values())
+
+    def put(w: _Writer, value: Any) -> None:
+        if value is None:
+            raise WireValidationError(f"message carries no {cls.__name__}")
+        if check is not None:
+            check(value)
+        for put_field, name in putters:
+            put_field(w, getattr(value, name))
+
+    def get(r: _Reader) -> Any:
+        value = cls(*[get_field(r) for get_field in getters])
+        if check is not None:
+            check(value)
+        return value
+
+    return _FieldType(put, get)
+
+
+SIGNED_ACK = STRUCT(
+    SignedAck,
+    round_no=ID,
+    receiver=ID,
+    server=ID,
+    hash_total=BIGINT,
+    key_prime_count=PRIME_COUNT,
+    signature=BIGINT,
+)
+
+SIGNED_ATTESTATION = STRUCT(
+    SignedAttestation,
+    round_no=ID,
+    server=ID,
+    receiver=ID,
+    hash_forward=BIGINT,
+    hash_ack_only=BIGINT,
+    signature=BIGINT,
+)
+
+
+# -- the two volume loops, kept as cursor code ------------------------------
 
 #: ``(bound, zigzag)`` of the six varints heading a serve entry, in
 #: wire order: the update's uid, round_created and expiry_round (ids),
@@ -375,7 +523,10 @@ _ENTRY_VARINTS = (
 
 
 def _put_entries(w: _Writer, entries: Tuple[ServeEntry, ...]) -> None:
+    if len(entries) > _MAX_ENTRIES:
+        raise _exceeds(len(entries), _MAX_ENTRIES)
     w.varint(len(entries))
+    # The hot loop: payload_bytes, session and count go out unchecked.
     for entry in entries:
         update = entry.update
         w.id(update.uid)
@@ -395,12 +546,14 @@ def _get_entries(r: _Reader) -> Tuple[ServeEntry, ...]:
     longer (or cut short) goes through the reader, which raises what
     the field-by-field path would.
     """
-    count = r.varint(bound=_MAX_ENTRIES)
+    count = r.varint(_MAX_ENTRIES)
     data = r.data
     pos = r.pos
     end = len(data)
     entries = []
     for _ in range(count):
+        # (3.11 compiles ``fields.append`` 6 us a serve slower if the
+        # module also has ``from dataclasses import fields``.)
         fields = []
         for bound, zigzag in _ENTRY_VARINTS:
             value = data[pos] if pos < end else 0x80
@@ -412,12 +565,10 @@ def _get_entries(r: _Reader) -> Tuple[ServeEntry, ...]:
                     value = value & 0x7F | follow << 7
                 else:  # longer, non-canonical or cut short
                     r.pos = pos - 2
-                    value = r.varint(bound=bound)
+                    value = r.varint(bound)
                     pos = r.pos
             if value > bound:
-                raise WireValidationError(
-                    f"varint {value} exceeds bound {bound}"
-                )
+                raise _exceeds(value, bound)
             if zigzag:
                 if value & 1:
                     raise WireValidationError(
@@ -446,47 +597,53 @@ def _get_entries(r: _Reader) -> Tuple[ServeEntry, ...]:
     return tuple(entries)
 
 
-def _put_signed_ack(w: _Writer, ack: SignedAck) -> None:
-    if ack is None:
-        raise WireValidationError("message carries no SignedAck")
-    w.id(ack.round_no)
-    w.id(ack.receiver)
-    w.id(ack.server)
-    w.bigint(ack.hash_total)
-    w.varint(ack.key_prime_count)
-    w.bigint(ack.signature)
+ENTRIES = _FieldType(_put_entries, _get_entries)
 
 
-def _get_signed_ack(r: _Reader) -> SignedAck:
-    # Positional, in field order: round_no, receiver, server,
-    # hash_total, key_prime_count, signature.
-    return SignedAck(
-        r.id(),
-        r.id(),
-        r.id(),
-        r.bigint(),
-        r.varint(bound=_MAX_PRIME_COUNT),
-        r.bigint(),
-    )
+def _put_buffermap(w: _Writer, buffermap: frozenset[int]) -> None:
+    # Buffermap members are *encrypted* uids (section V-A), i.e.
+    # wide integers; sorted order makes the encoding canonical.
+    uids = sorted(buffermap)
+    if len(uids) > _MAX_BUFFERMAP:
+        raise _exceeds(len(uids), _MAX_BUFFERMAP)
+    w.varint(len(uids))
+    for uid in uids:
+        w.bigint(uid)
 
 
-def _put_attestation(w: _Writer, att: SignedAttestation) -> None:
-    if att is None:
-        raise WireValidationError("message carries no SignedAttestation")
-    w.id(att.round_no)
-    w.id(att.server)
-    w.id(att.receiver)
-    w.bigint(att.hash_forward)
-    w.bigint(att.hash_ack_only)
-    w.bigint(att.signature)
+def _get_buffermap(r: _Reader) -> frozenset[int]:
+    count = r.varint(_MAX_BUFFERMAP)
+    data = r.data
+    pos = r.pos
+    end = len(data)
+    from_bytes = int.from_bytes
+    uids = []
+    last = -1
+    for _ in range(count):
+        size = data[pos] if pos < end else 0x80
+        start = pos + 1
+        pos = start + size
+        if size > 0x7F or pos > end:  # long, or cut short
+            r.pos = start - 1
+            uid = r.bigint()
+            pos = r.pos
+        elif size and data[start] == 0:
+            raise WireValidationError(
+                "non-canonical integer (leading zero byte)"
+            )
+        else:
+            uid = from_bytes(data[start:pos], "big")
+        if uid <= last:
+            raise WireValidationError(
+                "buffermap uids must be strictly increasing"
+            )
+        uids.append(uid)
+        last = uid
+    r.pos = pos
+    return frozenset(uids)
 
 
-def _get_attestation(r: _Reader) -> SignedAttestation:
-    # Positional, in field order: round_no, server, receiver,
-    # hash_forward, hash_ack_only, signature.
-    return SignedAttestation(
-        r.id(), r.id(), r.id(), r.bigint(), r.bigint(), r.bigint()
-    )
+BUFFERMAP = _FieldType(_put_buffermap, _get_buffermap)
 
 
 # ---------------------------------------------------------------------------
@@ -494,586 +651,241 @@ def _get_attestation(r: _Reader) -> SignedAttestation:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+#: The first control kind byte; a kind below it is a ``Message``.
+_CONTROL_KINDS = 64
+_ENVELOPE = dict(sender=ID, recipient=ID, round_no=ID)
+
+
+@dataclass(frozen=True, slots=True)
 class _Schema:
     kind_byte: int
     cls: Type
-    encode: Callable  # (writer, message) -> None
-    decode: Callable  # (reader, sender, recipient, round_no) -> message
-    control: bool = False
+    put: Callable[[_Writer, Any], None]
+    get: Callable[[_Reader], Any]
     #: ``[version][kind]``, the two bytes every payload of this kind
     #: starts with.
-    header: bytes = field(init=False)
+    header: bytes
 
-    def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "header", bytes((WIRE_VERSION, self.kind_byte))
-        )
+    @property
+    def control(self) -> bool:
+        return self.kind_byte >= _CONTROL_KINDS
 
 
 _BY_BYTE: Dict[int, _Schema] = {}
 _BY_CLASS: Dict[Type, _Schema] = {}
 
-#: Encoder half of a codec pair: ``(writer, message) -> None``.
-_EncodeFn = Callable[..., None]
-#: Decoder half: ``(reader[, sender, recipient, round_no]) -> message``.
-_DecodeFn = Callable[..., Any]
-#: A builder producing one ``(encode, decode)`` pair.
-_BuildFn = Callable[[], Tuple[_EncodeFn, _DecodeFn]]
+
+def _register(kind_byte: int, cls: Type, codec: _FieldType) -> None:
+    if kind_byte in _BY_BYTE:
+        raise ValueError(f"duplicate kind byte {kind_byte}")
+    _BY_BYTE[kind_byte] = _BY_CLASS[cls] = _Schema(
+        kind_byte, cls, *codec, bytes((WIRE_VERSION, kind_byte))
+    )
 
 
-def _register(schema: _Schema) -> None:
-    if schema.kind_byte in _BY_BYTE:
-        raise ValueError(f"duplicate kind byte {schema.kind_byte}")
-    _BY_BYTE[schema.kind_byte] = schema
-    _BY_CLASS[schema.cls] = schema
-
-
-def _session(
-    kind_byte: int, cls: Type
-) -> Callable[[_BuildFn], _BuildFn]:
-    """Register a session-message schema from a builder returning
-    ``(encode, decode)``."""
-
-    def wrap(build: _BuildFn) -> _BuildFn:
-        encode, decode = build()
-        _register(_Schema(kind_byte, cls, encode, decode))
-        return build
-
-    return wrap
+def _layout(
+    kind_byte: int,
+    cls: Type,
+    check: Optional[Callable[[Any], None]] = None,
+    /,
+    **rows: _FieldType,
+) -> None:
+    """Register ``cls`` under ``kind_byte``; ``check`` and ``rows`` are
+    :func:`STRUCT`'s.  A session kind (byte < 64) is a ``Message``: its
+    rows are its own fields, the envelope it inherits goes in front."""
+    if kind_byte < _CONTROL_KINDS:
+        rows = {**_ENVELOPE, **rows}
+    _register(kind_byte, cls, STRUCT(cls, check, **rows))
 
 
 # -- messages 1-5 -----------------------------------------------------------
 
+_layout(1, KeyRequest, signature=BIGINT)
 
-@_session(1, KeyRequest)
-def _key_request() -> Tuple[_EncodeFn, _DecodeFn]:
-    def encode(w: _Writer, m: KeyRequest) -> None:
-        w.bigint(m.signature)
+_layout(2, KeyResponse, prime=BIGINT, buffermap=BUFFERMAP, signature=BIGINT)
 
-    def decode(
-        r: _Reader, sender: int, recipient: int, round_no: int
-    ) -> KeyRequest:
-        return KeyRequest(
-            sender=sender,
-            recipient=recipient,
-            round_no=round_no,
-            signature=r.bigint(),
-        )
+_layout(
+    3,
+    Serve,
+    key_prev=BIGINT,
+    key_prime_count=PRIME_COUNT,
+    entries=ENTRIES,
+    signature=BIGINT,
+)
 
-    return encode, decode
+_layout(4, Attestation, attestation=SIGNED_ATTESTATION)
 
-
-
-@_session(2, KeyResponse)
-def _key_response() -> Tuple[_EncodeFn, _DecodeFn]:
-    def encode(w: _Writer, m: KeyResponse) -> None:
-        w.bigint(m.prime)
-        # Buffermap members are *encrypted* uids (section V-A), i.e.
-        # wide integers; sorted order makes the encoding canonical.
-        uids = sorted(m.buffermap)
-        w.varint(len(uids))
-        for uid in uids:
-            w.bigint(uid)
-        w.bigint(m.signature)
-
-    def decode(
-        r: _Reader, sender: int, recipient: int, round_no: int
-    ) -> KeyResponse:
-        prime = r.bigint()
-        count = r.varint(bound=_MAX_BUFFERMAP)
-        data = r.data
-        pos = r.pos
-        end = len(data)
-        from_bytes = int.from_bytes
-        uids = []
-        last = -1
-        for _ in range(count):
-            size = data[pos] if pos < end else 0x80
-            start = pos + 1
-            pos = start + size
-            if size > 0x7F or pos > end:  # long, or cut short
-                r.pos = start - 1
-                uid = r.bigint()
-                pos = r.pos
-            elif size and data[start] == 0:
-                raise WireValidationError(
-                    "non-canonical integer (leading zero byte)"
-                )
-            else:
-                uid = from_bytes(data[start:pos], "big")
-            if uid <= last:
-                raise WireValidationError(
-                    "buffermap uids must be strictly increasing"
-                )
-            uids.append(uid)
-            last = uid
-        r.pos = pos
-        return KeyResponse(
-            sender, recipient, round_no, prime, frozenset(uids), r.bigint()
-        )
-
-    return encode, decode
-
-
-
-@_session(3, Serve)
-def _serve() -> Tuple[_EncodeFn, _DecodeFn]:
-    def encode(w: _Writer, m: Serve) -> None:
-        w.bigint(m.key_prev)
-        w.varint(m.key_prime_count)
-        _put_entries(w, m.entries)
-        w.bigint(m.signature)
-
-    def decode(
-        r: _Reader, sender: int, recipient: int, round_no: int
-    ) -> Serve:
-        return Serve(
-            sender=sender,
-            recipient=recipient,
-            round_no=round_no,
-            key_prev=r.bigint(),
-            key_prime_count=r.varint(bound=_MAX_PRIME_COUNT),
-            entries=_get_entries(r),
-            signature=r.bigint(),
-        )
-
-    return encode, decode
-
-
-
-@_session(4, Attestation)
-def _attestation() -> Tuple[_EncodeFn, _DecodeFn]:
-    def encode(w: _Writer, m: Attestation) -> None:
-        _put_attestation(w, m.attestation)
-
-    def decode(
-        r: _Reader, sender: int, recipient: int, round_no: int
-    ) -> Attestation:
-        return Attestation(
-            sender=sender,
-            recipient=recipient,
-            round_no=round_no,
-            attestation=_get_attestation(r),
-        )
-
-    return encode, decode
-
-
-
-@_session(5, Ack)
-def _ack() -> Tuple[_EncodeFn, _DecodeFn]:
-    def encode(w: _Writer, m: Ack) -> None:
-        _put_signed_ack(w, m.ack)
-
-    def decode(
-        r: _Reader, sender: int, recipient: int, round_no: int
-    ) -> Ack:
-        return Ack(
-            sender=sender,
-            recipient=recipient,
-            round_no=round_no,
-            ack=_get_signed_ack(r),
-        )
-
-    return encode, decode
-
-
+_layout(5, Ack, ack=SIGNED_ACK)
 
 # -- messages 6-9 and the declaration seam ----------------------------------
 
-
-@_session(6, AckCopy)
-def _ack_copy() -> Tuple[_EncodeFn, _DecodeFn]:
-    def encode(w: _Writer, m: AckCopy) -> None:
-        _put_signed_ack(w, m.ack)
-
-    def decode(
-        r: _Reader, sender: int, recipient: int, round_no: int
-    ) -> AckCopy:
-        return AckCopy(
-            sender=sender,
-            recipient=recipient,
-            round_no=round_no,
-            ack=_get_signed_ack(r),
-        )
-
-    return encode, decode
+_layout(6, AckCopy, ack=SIGNED_ACK)
 
 
+# Kind 7 is written by hand: its byte serves two classes, told apart by
+# the pair count.  On the wire both are the batch's fields; a lone
+# relay is a batch of one whose declarer is its sender (it is never
+# forwarded).
 
-def _put_relay_pair(w: _Writer, pair: RelayPair) -> None:
-    _put_attestation(w, pair.attestation)
-    if pair.cofactor < 1:
+
+def _put_cofactor(w: _Writer, value: int) -> None:
+    if value < 1:
         raise WireValidationError("relay cofactor must be positive")
-    w.bigint(pair.cofactor)
-    w.varint(pair.cofactor_prime_count)
+    w.bigint(value)
 
 
-def _get_relay_pair(r: _Reader) -> RelayPair:
-    attestation = _get_attestation(r)
-    cofactor = r.bigint()
-    if cofactor < 1:
+def _get_cofactor(r: _Reader) -> int:
+    value = r.bigint()
+    if value < 1:
         raise WireValidationError("relay cofactor must be positive")
-    return RelayPair(
-        attestation=attestation,
-        cofactor=cofactor,
-        cofactor_prime_count=r.varint(bound=_MAX_PRIME_COUNT),
-    )
+    return value
 
 
-def _encode_relay(w: _Writer, m: AttestationRelay) -> None:
-    w.id(m.sender)  # the declarer: a lone relay is never forwarded
-    w.varint(1)
-    _put_relay_pair(
+_RELAY_PAIRS = LIST(
+    STRUCT(
+        RelayPair,
+        attestation=SIGNED_ATTESTATION,
+        cofactor=_FieldType(_put_cofactor, _get_cofactor),
+        cofactor_prime_count=PRIME_COUNT,
+    ),
+    _MAX_PAIRS,
+)
+
+
+def _get_relay_pairs(r: _Reader) -> Tuple[RelayPair, ...]:
+    pairs = _RELAY_PAIRS.get(r)
+    if not pairs:
+        raise WireValidationError("zero-length relay pair list")
+    return pairs
+
+
+_RELAY_FRAME = STRUCT(
+    AttestationRelayBatch,
+    **_ENVELOPE,
+    declarer=ID,
+    pairs=_FieldType(_RELAY_PAIRS.put, _get_relay_pairs),
+    signature=BIGINT,
+)
+
+
+def _put_relay(w: _Writer, m: AttestationRelay) -> None:
+    pair = RelayPair(m.attestation, m.cofactor, m.cofactor_prime_count)
+    _RELAY_FRAME.put(
         w,
-        RelayPair(
-            attestation=m.attestation,
-            cofactor=m.cofactor,
-            cofactor_prime_count=m.cofactor_prime_count,
+        AttestationRelayBatch(
+            m.sender, m.recipient, m.round_no, m.sender, (pair,), m.signature
         ),
     )
-    w.bigint(m.signature)
 
 
-def _encode_relay_batch(w: _Writer, m: AttestationRelayBatch) -> None:
+def _put_relay_batch(w: _Writer, m: AttestationRelayBatch) -> None:
     if len(m.pairs) < 2:
         raise WireValidationError(
             "a relay batch needs at least two pairs; send a lone pair "
             "as a plain attestation_relay"
         )
-    w.id(m.declarer)
-    w.varint(len(m.pairs))
-    for pair in m.pairs:
-        _put_relay_pair(w, pair)
-    w.bigint(m.signature)
+    _RELAY_FRAME.put(w, m)
 
 
-def _decode_relay(
-    r: _Reader, sender: int, recipient: int, round_no: int
-) -> AttestationRelay | AttestationRelayBatch:
-    declarer = r.id()
-    count = r.varint(bound=_MAX_PAIRS)
-    if count < 1:
-        raise WireValidationError("zero-length relay pair list")
-    pairs = tuple(_get_relay_pair(r) for _ in range(count))
-    signature = r.bigint()
-    if count == 1:
-        if declarer != sender:
-            raise WireValidationError(
-                "a single-pair relay must come from its declarer"
-            )
-        pair = pairs[0]
-        return AttestationRelay(
-            sender=sender,
-            recipient=recipient,
-            round_no=round_no,
-            attestation=pair.attestation,
-            cofactor=pair.cofactor,
-            cofactor_prime_count=pair.cofactor_prime_count,
-            signature=signature,
+def _get_relay(r: _Reader) -> AttestationRelay | AttestationRelayBatch:
+    batch: AttestationRelayBatch = _RELAY_FRAME.get(r)
+    if len(batch.pairs) > 1:
+        return batch
+    if batch.declarer != batch.sender:
+        raise WireValidationError(
+            "a single-pair relay must come from its declarer"
         )
-    return AttestationRelayBatch(
-        sender=sender,
-        recipient=recipient,
-        round_no=round_no,
-        declarer=declarer,
-        pairs=pairs,
-        signature=signature,
+    (pair,) = batch.pairs
+    return AttestationRelay(
+        batch.sender,
+        batch.recipient,
+        batch.round_no,
+        pair.attestation,
+        pair.cofactor,
+        pair.cofactor_prime_count,
+        batch.signature,
     )
 
 
-_register(_Schema(7, AttestationRelay, _encode_relay, _decode_relay))
-_BY_CLASS[AttestationRelayBatch] = _Schema(
-    7, AttestationRelayBatch, _encode_relay_batch, _decode_relay
+_register(7, AttestationRelay, _FieldType(_put_relay, _get_relay))
+_BY_CLASS[AttestationRelayBatch] = dataclasses.replace(
+    _BY_BYTE[7], cls=AttestationRelayBatch, put=_put_relay_batch
 )
 
+_layout(
+    8,
+    MonitorBroadcast,
+    monitored=ID,
+    predecessor=ID,
+    lifted_forward=BIGINT,
+    lifted_ack_only=BIGINT,
+    ack=SIGNED_ACK,
+    signature=BIGINT,
+)
 
-@_session(8, MonitorBroadcast)
-def _monitor_broadcast() -> Tuple[_EncodeFn, _DecodeFn]:
-    def encode(w: _Writer, m: MonitorBroadcast) -> None:
-        w.id(m.monitored)
-        w.id(m.predecessor)
-        w.bigint(m.lifted_forward)
-        w.bigint(m.lifted_ack_only)
-        _put_signed_ack(w, m.ack)
-        w.bigint(m.signature)
+_layout(9, AckRelay, server=ID, ack=SIGNED_ACK, signature=BIGINT)
 
-    def decode(
-        r: _Reader, sender: int, recipient: int, round_no: int
-    ) -> MonitorBroadcast:
-        return MonitorBroadcast(
-            sender=sender,
-            recipient=recipient,
-            round_no=round_no,
-            monitored=r.id(),
-            predecessor=r.id(),
-            lifted_forward=r.bigint(),
-            lifted_ack_only=r.bigint(),
-            ack=_get_signed_ack(r),
-            signature=r.bigint(),
-        )
+_layout(10, DeclarationAck, server=ID, exchange_round=ID, signature=BIGINT)
 
-    return encode, decode
-
-
-
-@_session(9, AckRelay)
-def _ack_relay() -> Tuple[_EncodeFn, _DecodeFn]:
-    def encode(w: _Writer, m: AckRelay) -> None:
-        w.id(m.server)
-        _put_signed_ack(w, m.ack)
-        w.bigint(m.signature)
-
-    def decode(
-        r: _Reader, sender: int, recipient: int, round_no: int
-    ) -> AckRelay:
-        return AckRelay(
-            sender=sender,
-            recipient=recipient,
-            round_no=round_no,
-            server=r.id(),
-            ack=_get_signed_ack(r),
-            signature=r.bigint(),
-        )
-
-    return encode, decode
-
-
-
-@_session(10, DeclarationAck)
-def _declaration_ack() -> Tuple[_EncodeFn, _DecodeFn]:
-    def encode(w: _Writer, m: DeclarationAck) -> None:
-        w.id(m.server)
-        w.id(m.exchange_round)
-        w.bigint(m.signature)
-
-    def decode(
-        r: _Reader, sender: int, recipient: int, round_no: int
-    ) -> DeclarationAck:
-        return DeclarationAck(
-            sender=sender,
-            recipient=recipient,
-            round_no=round_no,
-            server=r.id(),
-            exchange_round=r.id(),
-            signature=r.bigint(),
-        )
-
-    return encode, decode
-
-
-
-@_session(11, SelfCheck)
-def _self_check() -> Tuple[_EncodeFn, _DecodeFn]:
-    def encode(w: _Writer, m: SelfCheck) -> None:
-        w.id(m.predecessor)
-        w.bigint(m.lifted_forward)
-        w.bigint(m.lifted_ack_only)
-        w.bigint(m.signature)
-
-    def decode(
-        r: _Reader, sender: int, recipient: int, round_no: int
-    ) -> SelfCheck:
-        return SelfCheck(
-            sender=sender,
-            recipient=recipient,
-            round_no=round_no,
-            predecessor=r.id(),
-            lifted_forward=r.bigint(),
-            lifted_ack_only=r.bigint(),
-            signature=r.bigint(),
-        )
-
-    return encode, decode
-
-
+_layout(
+    11,
+    SelfCheck,
+    predecessor=ID,
+    lifted_forward=BIGINT,
+    lifted_ack_only=BIGINT,
+    signature=BIGINT,
+)
 
 # -- accusation path and investigations -------------------------------------
 
+_layout(
+    12,
+    Accusation,
+    accused=ID,
+    exchange_round=ID,
+    entries=ENTRIES,
+    key_prev=BIGINT,
+    key_prime_count=PRIME_COUNT,
+    attestation=OPTIONAL(SIGNED_ATTESTATION),
+    signature=BIGINT,
+)
 
-@_session(12, Accusation)
-def _accusation() -> Tuple[_EncodeFn, _DecodeFn]:
-    def encode(w: _Writer, m: Accusation) -> None:
-        w.id(m.accused)
-        w.id(m.exchange_round)
-        _put_entries(w, m.entries)
-        w.bigint(m.key_prev)
-        w.varint(m.key_prime_count)
-        w.bool(m.attestation is not None)
-        if m.attestation is not None:
-            _put_attestation(w, m.attestation)
-        w.bigint(m.signature)
+_layout(
+    13,
+    MonitorProbe,
+    accuser=ID,
+    exchange_round=ID,
+    entries=ENTRIES,
+    key_prev=BIGINT,
+    key_prime_count=PRIME_COUNT,
+    signature=BIGINT,
+)
 
-    def decode(
-        r: _Reader, sender: int, recipient: int, round_no: int
-    ) -> Accusation:
-        return Accusation(
-            sender=sender,
-            recipient=recipient,
-            round_no=round_no,
-            accused=r.id(),
-            exchange_round=r.id(),
-            entries=_get_entries(r),
-            key_prev=r.bigint(),
-            key_prime_count=r.varint(bound=_MAX_PRIME_COUNT),
-            attestation=_get_attestation(r) if r.bool() else None,
-            signature=r.bigint(),
-        )
+_layout(14, ProbeAck, ack=SIGNED_ACK)
 
-    return encode, decode
+_layout(15, Confirm, ack=SIGNED_ACK, signature=BIGINT)
 
+_layout(16, Nack, accused=ID, accuser=ID, exchange_round=ID, signature=BIGINT)
 
+_layout(
+    17, InvestigateRequest, successor=ID, exchange_round=ID, signature=BIGINT
+)
 
-@_session(13, MonitorProbe)
-def _monitor_probe() -> Tuple[_EncodeFn, _DecodeFn]:
-    def encode(w: _Writer, m: MonitorProbe) -> None:
-        w.id(m.accuser)
-        w.id(m.exchange_round)
-        _put_entries(w, m.entries)
-        w.bigint(m.key_prev)
-        w.varint(m.key_prime_count)
-        w.bigint(m.signature)
-
-    def decode(
-        r: _Reader, sender: int, recipient: int, round_no: int
-    ) -> MonitorProbe:
-        return MonitorProbe(
-            sender=sender,
-            recipient=recipient,
-            round_no=round_no,
-            accuser=r.id(),
-            exchange_round=r.id(),
-            entries=_get_entries(r),
-            key_prev=r.bigint(),
-            key_prime_count=r.varint(bound=_MAX_PRIME_COUNT),
-            signature=r.bigint(),
-        )
-
-    return encode, decode
-
-
-
-@_session(14, ProbeAck)
-def _probe_ack() -> Tuple[_EncodeFn, _DecodeFn]:
-    def encode(w: _Writer, m: ProbeAck) -> None:
-        _put_signed_ack(w, m.ack)
-
-    def decode(
-        r: _Reader, sender: int, recipient: int, round_no: int
-    ) -> ProbeAck:
-        return ProbeAck(
-            sender=sender,
-            recipient=recipient,
-            round_no=round_no,
-            ack=_get_signed_ack(r),
-        )
-
-    return encode, decode
-
-
-
-@_session(15, Confirm)
-def _confirm() -> Tuple[_EncodeFn, _DecodeFn]:
-    def encode(w: _Writer, m: Confirm) -> None:
-        _put_signed_ack(w, m.ack)
-        w.bigint(m.signature)
-
-    def decode(
-        r: _Reader, sender: int, recipient: int, round_no: int
-    ) -> Confirm:
-        return Confirm(
-            sender=sender,
-            recipient=recipient,
-            round_no=round_no,
-            ack=_get_signed_ack(r),
-            signature=r.bigint(),
-        )
-
-    return encode, decode
-
-
-
-@_session(16, Nack)
-def _nack() -> Tuple[_EncodeFn, _DecodeFn]:
-    def encode(w: _Writer, m: Nack) -> None:
-        w.id(m.accused)
-        w.id(m.accuser)
-        w.id(m.exchange_round)
-        w.bigint(m.signature)
-
-    def decode(
-        r: _Reader, sender: int, recipient: int, round_no: int
-    ) -> Nack:
-        return Nack(
-            sender=sender,
-            recipient=recipient,
-            round_no=round_no,
-            accused=r.id(),
-            accuser=r.id(),
-            exchange_round=r.id(),
-            signature=r.bigint(),
-        )
-
-    return encode, decode
-
-
-
-@_session(17, InvestigateRequest)
-def _investigate_request() -> Tuple[_EncodeFn, _DecodeFn]:
-    def encode(w: _Writer, m: InvestigateRequest) -> None:
-        w.id(m.successor)
-        w.id(m.exchange_round)
-        w.bigint(m.signature)
-
-    def decode(
-        r: _Reader, sender: int, recipient: int, round_no: int
-    ) -> InvestigateRequest:
-        return InvestigateRequest(
-            sender=sender,
-            recipient=recipient,
-            round_no=round_no,
-            successor=r.id(),
-            exchange_round=r.id(),
-            signature=r.bigint(),
-        )
-
-    return encode, decode
-
-
-
-@_session(18, InvestigateResponse)
-def _investigate_response() -> Tuple[_EncodeFn, _DecodeFn]:
-    def encode(w: _Writer, m: InvestigateResponse) -> None:
-        w.id(m.successor)
-        w.id(m.exchange_round)
-        w.bool(m.ack is not None)
-        if m.ack is not None:
-            _put_signed_ack(w, m.ack)
-        w.bool(m.accused_instead)
-        w.bigint(m.signature)
-
-    def decode(
-        r: _Reader, sender: int, recipient: int, round_no: int
-    ) -> InvestigateResponse:
-        return InvestigateResponse(
-            sender=sender,
-            recipient=recipient,
-            round_no=round_no,
-            successor=r.id(),
-            exchange_round=r.id(),
-            ack=_get_signed_ack(r) if r.bool() else None,
-            accused_instead=r.bool(),
-            signature=r.bigint(),
-        )
-
-    return encode, decode
-
+_layout(
+    18,
+    InvestigateResponse,
+    successor=ID,
+    exchange_round=ID,
+    ack=OPTIONAL(SIGNED_ACK),
+    accused_instead=BOOL,
+    signature=BIGINT,
+)
 
 
 # ---------------------------------------------------------------------------
 # Daemon control frames (kind bytes >= 64): join handshake + barriers
 # ---------------------------------------------------------------------------
+# Each dataclass sits directly above its layout: a new frame is one edit.
 
 
 @dataclass(frozen=True)
@@ -1094,6 +906,25 @@ class JoinRequest:
     kind = "join_request"
 
 
+def _check_join_shard(m: JoinRequest) -> None:
+    if m.shards < 1 or m.shard >= m.shards:
+        raise WireValidationError(
+            f"join shard {m.shard} outside 0..{m.shards - 1}"
+        )
+
+
+_layout(
+    64,
+    JoinRequest,
+    _check_join_shard,
+    shard=SHARD,
+    shards=SHARD,
+    spec_json=BLOB,
+    peers=LIST(STRING, 1 << 16),
+    batch_relays=BOOL,
+)
+
+
 @dataclass(frozen=True)
 class JoinAccept:
     """Daemon -> coordinator: session built, peer links up."""
@@ -1104,12 +935,24 @@ class JoinAccept:
     kind = "join_accept"
 
 
+_layout(
+    65,
+    JoinAccept,
+    shard=SHARD,
+    nodes_owned=VARINT(1 << 32),
+    spec_digest=STRING,
+)
+
+
 @dataclass(frozen=True)
 class JoinReject:
     """Daemon -> coordinator: cannot host this scenario."""
 
     reason: str
     kind = "join_reject"
+
+
+_layout(66, JoinReject, reason=STRING)
 
 
 @dataclass(frozen=True)
@@ -1120,12 +963,18 @@ class PeerHello:
     kind = "peer_hello"
 
 
+_layout(67, PeerHello, shard=SHARD)
+
+
 @dataclass(frozen=True)
 class RoundStart:
     """Coordinator -> daemons: run the begin fan-out of a round."""
 
     round_no: int
     kind = "round_start"
+
+
+_layout(68, RoundStart, round_no=ROUND)
 
 
 @dataclass(frozen=True)
@@ -1136,6 +985,9 @@ class StepMark:
     round_no: int
     step: int
     kind = "step_mark"
+
+
+_layout(69, StepMark, round_no=ROUND, step=ROUND)
 
 
 @dataclass(frozen=True)
@@ -1151,6 +1003,17 @@ class StepDone:
     kind = "step_done"
 
 
+_layout(
+    70,
+    StepDone,
+    round_no=ROUND,
+    step=ROUND,
+    delivered=TALLY,
+    sent_remote=TALLY,
+    pending_local=TALLY,
+)
+
+
 @dataclass(frozen=True)
 class StepGo:
     """Coordinator -> daemons: run the next step, or (``proceed`` False)
@@ -1162,6 +1025,9 @@ class StepGo:
     kind = "step_go"
 
 
+_layout(71, StepGo, round_no=ROUND, step=ROUND, proceed=BOOL)
+
+
 @dataclass(frozen=True)
 class RoundDone:
     """Daemon -> coordinator: end fan-out of the round completed."""
@@ -1170,11 +1036,17 @@ class RoundDone:
     kind = "round_done"
 
 
+_layout(72, RoundDone, round_no=ROUND)
+
+
 @dataclass(frozen=True)
 class CollectRequest:
     """Coordinator -> daemons: report your shard's outcomes."""
 
     kind = "collect"
+
+
+_layout(73, CollectRequest)
 
 
 @dataclass(frozen=True)
@@ -1185,11 +1057,17 @@ class SessionReport:
     kind = "session_report"
 
 
+_layout(74, SessionReport, payload=BLOB)
+
+
 @dataclass(frozen=True)
 class Shutdown:
     """Coordinator -> daemon: close links and exit cleanly."""
 
     kind = "shutdown"
+
+
+_layout(75, Shutdown)
 
 
 # ---------------------------------------------------------------------------
@@ -1202,6 +1080,9 @@ class HealthRequest:
     """Observer -> service: report the supervised session's state."""
 
     kind = "health_request"
+
+
+_layout(76, HealthRequest)
 
 
 @dataclass(frozen=True)
@@ -1219,6 +1100,20 @@ class HealthReport:
     kind = "health_report"
 
 
+_layout(
+    77,
+    HealthReport,
+    state=STRING,
+    scenario=STRING,
+    current_round=ROUND,
+    total_rounds=ROUND,
+    nodes=VARINT(1 << 32),
+    subscribers=VARINT(1 << 16),
+    events_published=TALLY,
+    restarts=VARINT(1 << 16),
+)
+
+
 @dataclass(frozen=True)
 class SubscribeRequest:
     """Observer -> service: switch this link to the event stream.
@@ -1229,6 +1124,9 @@ class SubscribeRequest:
 
     kinds: Tuple[str, ...] = ()
     kind = "subscribe"
+
+
+_layout(78, SubscribeRequest, kinds=LIST(STRING, 1 << 8))
 
 
 @dataclass(frozen=True)
@@ -1244,6 +1142,9 @@ class EventFrame:
     payload: bytes
     dropped: int = 0
     kind = "event"
+
+
+_layout(79, EventFrame, seq=TALLY, payload=BLOB, dropped=TALLY)
 
 
 @dataclass(frozen=True)
@@ -1262,6 +1163,9 @@ class ControlRequest:
     kind = "control_request"
 
 
+_layout(80, ControlRequest, op=STRING, node_id=OPTIONAL(ID), arg=STRING)
+
+
 @dataclass(frozen=True)
 class ControlResponse:
     """Service -> operator: outcome of one control operation.
@@ -1277,332 +1181,12 @@ class ControlResponse:
     kind = "control_response"
 
 
-def _control(
-    kind_byte: int, cls: Type
-) -> Callable[[_BuildFn], _BuildFn]:
-    def wrap(build: _BuildFn) -> _BuildFn:
-        encode, decode = build()
-        _register(_Schema(kind_byte, cls, encode, decode, control=True))
-        return build
-
-    return wrap
-
-
-@_control(64, JoinRequest)
-def _join_request() -> Tuple[_EncodeFn, _DecodeFn]:
-    def encode(w: _Writer, m: JoinRequest) -> None:
-        w.varint(m.shard)
-        w.varint(m.shards)
-        w.blob(m.spec_json)
-        w.varint(len(m.peers))
-        for peer in m.peers:
-            w.string(peer)
-        w.bool(m.batch_relays)
-
-    def decode(r: _Reader) -> JoinRequest:
-        shard = r.varint(bound=1 << 16)
-        shards = r.varint(bound=1 << 16)
-        if shards < 1 or shard >= shards:
-            raise WireValidationError(
-                f"join shard {shard} outside 0..{shards - 1}"
-            )
-        return JoinRequest(
-            shard=shard,
-            shards=shards,
-            spec_json=r.blob(),
-            peers=tuple(
-                r.string() for _ in range(r.varint(bound=1 << 16))
-            ),
-            batch_relays=r.bool(),
-        )
-
-    return encode, decode
-
-
-
-@_control(65, JoinAccept)
-def _join_accept() -> Tuple[_EncodeFn, _DecodeFn]:
-    def encode(w: _Writer, m: JoinAccept) -> None:
-        w.varint(m.shard)
-        w.varint(m.nodes_owned)
-        w.string(m.spec_digest)
-
-    def decode(r: _Reader) -> JoinAccept:
-        return JoinAccept(
-            shard=r.varint(bound=1 << 16),
-            nodes_owned=r.varint(bound=1 << 32),
-            spec_digest=r.string(),
-        )
-
-    return encode, decode
-
-
-
-@_control(66, JoinReject)
-def _join_reject() -> Tuple[_EncodeFn, _DecodeFn]:
-    def encode(w: _Writer, m: JoinReject) -> None:
-        w.string(m.reason)
-
-    def decode(r: _Reader) -> JoinReject:
-        return JoinReject(reason=r.string())
-
-    return encode, decode
-
-
-
-@_control(67, PeerHello)
-def _peer_hello() -> Tuple[_EncodeFn, _DecodeFn]:
-    def encode(w: _Writer, m: PeerHello) -> None:
-        w.varint(m.shard)
-
-    def decode(r: _Reader) -> PeerHello:
-        return PeerHello(shard=r.varint(bound=1 << 16))
-
-    return encode, decode
-
-
-
-@_control(68, RoundStart)
-def _round_start() -> Tuple[_EncodeFn, _DecodeFn]:
-    def encode(w: _Writer, m: RoundStart) -> None:
-        w.varint(m.round_no)
-
-    def decode(r: _Reader) -> RoundStart:
-        return RoundStart(round_no=r.varint(bound=1 << 32))
-
-    return encode, decode
-
-
-
-@_control(69, StepMark)
-def _step_mark() -> Tuple[_EncodeFn, _DecodeFn]:
-    def encode(w: _Writer, m: StepMark) -> None:
-        w.varint(m.round_no)
-        w.varint(m.step)
-
-    def decode(r: _Reader) -> StepMark:
-        return StepMark(
-            round_no=r.varint(bound=1 << 32),
-            step=r.varint(bound=1 << 32),
-        )
-
-    return encode, decode
-
-
-
-@_control(70, StepDone)
-def _step_done() -> Tuple[_EncodeFn, _DecodeFn]:
-    def encode(w: _Writer, m: StepDone) -> None:
-        w.varint(m.round_no)
-        w.varint(m.step)
-        w.varint(m.delivered)
-        w.varint(m.sent_remote)
-        w.varint(m.pending_local)
-
-    def decode(r: _Reader) -> StepDone:
-        return StepDone(
-            round_no=r.varint(bound=1 << 32),
-            step=r.varint(bound=1 << 32),
-            delivered=r.varint(bound=_MAX_TALLY),
-            sent_remote=r.varint(bound=_MAX_TALLY),
-            pending_local=r.varint(bound=_MAX_TALLY),
-        )
-
-    return encode, decode
-
-
-
-@_control(71, StepGo)
-def _step_go() -> Tuple[_EncodeFn, _DecodeFn]:
-    def encode(w: _Writer, m: StepGo) -> None:
-        w.varint(m.round_no)
-        w.varint(m.step)
-        w.bool(m.proceed)
-
-    def decode(r: _Reader) -> StepGo:
-        return StepGo(
-            round_no=r.varint(bound=1 << 32),
-            step=r.varint(bound=1 << 32),
-            proceed=r.bool(),
-        )
-
-    return encode, decode
-
-
-
-@_control(72, RoundDone)
-def _round_done() -> Tuple[_EncodeFn, _DecodeFn]:
-    def encode(w: _Writer, m: RoundDone) -> None:
-        w.varint(m.round_no)
-
-    def decode(r: _Reader) -> RoundDone:
-        return RoundDone(round_no=r.varint(bound=1 << 32))
-
-    return encode, decode
-
-
-
-@_control(73, CollectRequest)
-def _collect_request() -> Tuple[_EncodeFn, _DecodeFn]:
-    def encode(w: _Writer, m: CollectRequest) -> None:
-        pass
-
-    def decode(r: _Reader) -> CollectRequest:
-        return CollectRequest()
-
-    return encode, decode
-
-
-
-@_control(74, SessionReport)
-def _session_report() -> Tuple[_EncodeFn, _DecodeFn]:
-    def encode(w: _Writer, m: SessionReport) -> None:
-        w.blob(m.payload)
-
-    def decode(r: _Reader) -> SessionReport:
-        return SessionReport(payload=r.blob())
-
-    return encode, decode
-
-
-
-@_control(75, Shutdown)
-def _shutdown() -> Tuple[_EncodeFn, _DecodeFn]:
-    def encode(w: _Writer, m: Shutdown) -> None:
-        pass
-
-    def decode(r: _Reader) -> Shutdown:
-        return Shutdown()
-
-    return encode, decode
-
-
-
-@_control(76, HealthRequest)
-def _health_request() -> Tuple[_EncodeFn, _DecodeFn]:
-    def encode(w: _Writer, m: HealthRequest) -> None:
-        pass
-
-    def decode(r: _Reader) -> HealthRequest:
-        return HealthRequest()
-
-    return encode, decode
-
-
-
-@_control(77, HealthReport)
-def _health_report() -> Tuple[_EncodeFn, _DecodeFn]:
-    def encode(w: _Writer, m: HealthReport) -> None:
-        w.string(m.state)
-        w.string(m.scenario)
-        w.varint(m.current_round)
-        w.varint(m.total_rounds)
-        w.varint(m.nodes)
-        w.varint(m.subscribers)
-        w.varint(m.events_published)
-        w.varint(m.restarts)
-
-    def decode(r: _Reader) -> HealthReport:
-        return HealthReport(
-            state=r.string(),
-            scenario=r.string(),
-            current_round=r.varint(bound=1 << 32),
-            total_rounds=r.varint(bound=1 << 32),
-            nodes=r.varint(bound=1 << 32),
-            subscribers=r.varint(bound=1 << 16),
-            events_published=r.varint(bound=_MAX_TALLY),
-            restarts=r.varint(bound=1 << 16),
-        )
-
-    return encode, decode
-
-
-
-@_control(78, SubscribeRequest)
-def _subscribe_request() -> Tuple[_EncodeFn, _DecodeFn]:
-    def encode(w: _Writer, m: SubscribeRequest) -> None:
-        w.varint(len(m.kinds))
-        for name in m.kinds:
-            w.string(name)
-
-    def decode(r: _Reader) -> SubscribeRequest:
-        return SubscribeRequest(
-            kinds=tuple(
-                r.string() for _ in range(r.varint(bound=1 << 8))
-            ),
-        )
-
-    return encode, decode
-
-
-
-@_control(79, EventFrame)
-def _event_frame() -> Tuple[_EncodeFn, _DecodeFn]:
-    def encode(w: _Writer, m: EventFrame) -> None:
-        w.varint(m.seq)
-        w.blob(m.payload)
-        w.varint(m.dropped)
-
-    def decode(r: _Reader) -> EventFrame:
-        return EventFrame(
-            seq=r.varint(bound=_MAX_TALLY),
-            payload=r.blob(),
-            dropped=r.varint(bound=_MAX_TALLY),
-        )
-
-    return encode, decode
-
-
-
-@_control(80, ControlRequest)
-def _control_request() -> Tuple[_EncodeFn, _DecodeFn]:
-    def encode(w: _Writer, m: ControlRequest) -> None:
-        w.string(m.op)
-        w.bool(m.node_id is not None)
-        if m.node_id is not None:
-            w.id(m.node_id)
-        w.string(m.arg)
-
-    def decode(r: _Reader) -> ControlRequest:
-        return ControlRequest(
-            op=r.string(),
-            node_id=r.id() if r.bool() else None,
-            arg=r.string(),
-        )
-
-    return encode, decode
-
-
-
-@_control(81, ControlResponse)
-def _control_response() -> Tuple[_EncodeFn, _DecodeFn]:
-    def encode(w: _Writer, m: ControlResponse) -> None:
-        w.bool(m.ok)
-        w.string(m.detail)
-        w.string(m.state)
-
-    def decode(r: _Reader) -> ControlResponse:
-        return ControlResponse(
-            ok=r.bool(),
-            detail=r.string(),
-            state=r.string(),
-        )
-
-    return encode, decode
-
+_layout(81, ControlResponse, ok=BOOL, detail=STRING, state=STRING)
 
 
 # ---------------------------------------------------------------------------
 # Public API
 # ---------------------------------------------------------------------------
-
-
-def registered_kinds() -> Dict[str, int]:
-    """kind string -> kind byte for every registered schema."""
-    return {
-        schema.cls.kind: schema.kind_byte
-        for schema in _BY_CLASS.values()
-    }
 
 
 def schema_table() -> List[Tuple[int, type, bool]]:
@@ -1641,11 +1225,7 @@ def encode_message(message: Any) -> bytes:
             f"no wire schema for message type {type(message).__name__!r}"
         )
     w = _Writer(schema.header)
-    if not schema.control:
-        w.id(message.sender)
-        w.id(message.recipient)
-        w.id(message.round_no)
-    schema.encode(w, message)
+    schema.put(w, message)
     payload = w.getvalue()
     if len(payload) > MAX_FRAME_BYTES:
         raise WireValidationError(
@@ -1673,10 +1253,7 @@ def decode_message(payload: bytes) -> Any:
     schema = _BY_BYTE.get(kind_byte)
     if schema is None:
         raise WireUnknownKindError(f"unknown kind byte {kind_byte}")
-    if schema.control:
-        message = schema.decode(r)
-    else:
-        message = schema.decode(r, r.id(), r.id(), r.id())
+    message = schema.get(r)
     r.expect_end()
     return message
 
@@ -1739,3 +1316,4 @@ class FrameAssembler:
     def buffered(self) -> int:
         """Bytes awaiting a complete frame (0 when drained)."""
         return len(self._buffer)
+

@@ -4,12 +4,7 @@ import copy
 
 import pytest
 
-from repro.lint.wireschema import (
-    _scan_unbounded_varints,
-    build_model,
-    check_model,
-    check_wire_schema,
-)
+from repro.lint.wireschema import build_model, check_model, check_wire_schema
 from tests.lint.markers import REPO_ROOT
 
 
@@ -33,9 +28,6 @@ class TestLiveModel:
         assert "Serve" in names
         assert "KeyRequest" in names
 
-    def test_no_unbounded_varints_in_wire(self, model):
-        assert model.unbounded_varints == []
-
 
 class TestMutations:
     def test_unregistered_message_trips_wire201(self, model):
@@ -54,14 +46,6 @@ class TestMutations:
             d.code == "WIRE201" and repr(dropped[1]) in d.message
             for d in diags
         )
-
-    def test_unbounded_varint_trips_wire202(self, model):
-        broken = copy.deepcopy(model)
-        broken.unbounded_varints.append((123, 9))
-        diags = [d for d in check_model(broken) if d.code == "WIRE202"]
-        assert len(diags) == 1
-        assert diags[0].line == 123
-        assert diags[0].col == 9
 
     def test_missing_fixture_trips_wire203(self, model):
         broken = copy.deepcopy(model)
@@ -107,17 +91,3 @@ class TestMutations:
         broken.golden_classes.clear()
         broken.has_test_assets = False
         assert check_model(broken) == []
-
-
-class TestVarintScan:
-    def test_reader_call_without_bound_is_flagged(self):
-        src = "def decode(r):\n    return r.varint()\n"
-        assert _scan_unbounded_varints(src) == [(2, 12)]
-
-    def test_bounded_reader_call_is_clean(self):
-        src = "def decode(r):\n    return r.varint(bound=1 << 16)\n"
-        assert _scan_unbounded_varints(src) == []
-
-    def test_writer_call_is_clean(self):
-        src = "def encode(w, n):\n    w.varint(n)\n"
-        assert _scan_unbounded_varints(src) == []

@@ -1,4 +1,4 @@
-"""Decode-side bounds checks, per message kind.
+"""Bounds checks, per message kind: decode side, and encode side.
 
 The validation satellite's contract: a crafted frame carrying negative
 ids, an oversized length, a zero-length pair list, a non-positive
@@ -6,23 +6,32 @@ cofactor or any non-canonical integer is rejected by the codec —
 *before* any signature verification or hash lifting could run on
 attacker-controlled values.  Each test hand-crafts the hostile bytes
 with the codec's own primitive writer, so the frame is structurally
-plausible right up to the rejected field.
+plausible right up to the rejected field.  A bound is stated once, in
+the kind's layout, so the encoder refuses what its decoder would (the
+last section; ``test_wire.py`` sweeps every bound in both directions).
 """
 
 import pytest
 
 from repro.core.messages import (
+    Ack,
+    Attestation,
     AttestationRelay,
     AttestationRelayBatch,
+    DeclarationAck,
     KeyRequest,
+    Serve,
 )
 from repro.net.wire import (
     MAX_FRAME_BYTES,
     WIRE_VERSION,
     FrameAssembler,
+    JoinRequest,
+    StepDone,
     WireUnknownKindError,
     WireValidationError,
     WireVersionError,
+    _Reader,
     _Writer,
     decode_message,
     encode_message,
@@ -339,8 +348,8 @@ def test_boolean_byte_must_be_zero_or_one():
 
 
 # ---------------------------------------------------------------------------
-# Envelope ids, update sessions, barrier tallies: varint bounds added
-# after `repro lint` WIRE202 flagged these reads as unbounded
+# Envelope ids, update sessions, barrier tallies: every varint read
+# carries a bound (`_Reader.varint` cannot be called without one)
 # ---------------------------------------------------------------------------
 
 
@@ -381,3 +390,31 @@ def test_oversized_step_done_tally_rejected():
 
     with pytest.raises(WireValidationError, match="exceeds bound"):
         decode_message(_craft(70, body))  # step_done (control)
+
+
+# ---------------------------------------------------------------------------
+# Encode side: the encoder refuses what its decoder refuses.  (Nothing
+# is decoded here: golden_wire_errors_v1.json pins every decode this
+# module attempts, by test name.)
+# ---------------------------------------------------------------------------
+
+
+def test_encoder_refuses_what_its_decoder_refuses():
+    tally = dict(delivered=0, sent_remote=0, pending_local=0)
+    refused = [
+        (StepDone(round_no=1 << 40, step=0, **tally), "exceeds bound"),
+        (Serve(7, 11, 4, key_prime_count=1 << 21), "exceeds bound"),
+        (DeclarationAck(1 << 50, 11, 4), "exceeds bound"),
+        (JoinRequest(3, 2, spec_json=b"{}", peers=()), "join shard 3"),
+        (Ack(7, 11, 4, ack=None), "carries no SignedAck"),
+        (Attestation(7, 11, 4), "carries no SignedAttestation"),
+    ]
+    for message, reason in refused:
+        with pytest.raises(WireValidationError, match=reason):
+            encode_message(message)
+
+
+def test_a_varint_cannot_be_read_without_its_bound():
+    with pytest.raises(TypeError):
+        _Reader(b"\x01").varint()
+    assert _Reader(b"\x01").varint(1) == 1

@@ -12,6 +12,8 @@ Three layers of assurance:
   :class:`~repro.net.wire.WireError`.
 """
 
+import dataclasses
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -22,6 +24,7 @@ from repro.core.messages import (
     AttestationRelay,
     AttestationRelayBatch,
     InvestigateResponse,
+    KeyRequest,
     KeyResponse,
     RelayPair,
     Serve,
@@ -30,6 +33,7 @@ from repro.core.messages import (
     SignedAttestation,
 )
 from repro.gossip.updates import Update
+from repro.net import wire
 from repro.net.wire import (
     MAX_FRAME_BYTES,
     WIRE_VERSION,
@@ -40,7 +44,7 @@ from repro.net.wire import (
     encodable,
     encode_message,
     frame,
-    registered_kinds,
+    schema_table,
 )
 
 from tests.net.fixtures import all_messages, session_messages
@@ -61,18 +65,14 @@ FUZZED_IDS = IDS + ["live-Serve", "live-KeyResponse"]
 
 
 def test_fixtures_cover_every_registered_kind():
-    covered = {type(m).kind for m in MESSAGES}
-    assert covered == set(registered_kinds())
+    covered = {type(m) for m in MESSAGES}
+    assert covered == {cls for _, cls, _ in schema_table()}
 
 
 def test_kind_bytes_split_session_and_control():
-    kinds = registered_kinds()
-    session = {type(m).kind for m in session_messages()}
-    for kind, byte in kinds.items():
-        if kind in session:
-            assert byte < 64, f"session kind {kind} above control range"
-        else:
-            assert byte >= 64, f"control kind {kind} in session range"
+    session = {type(m) for m in session_messages()}
+    for byte, cls, control in schema_table():
+        assert control == (cls not in session) == (byte >= 64), cls.kind
 
 
 @pytest.mark.parametrize("message", MESSAGES, ids=IDS)
@@ -88,6 +88,78 @@ def test_round_trip_is_exact(message):
 @pytest.mark.parametrize("message", MESSAGES, ids=IDS)
 def test_encoding_is_deterministic(message):
     assert encode_message(message) == encode_message(message)
+
+
+# -- the layout table: declared order, one kind byte each, two-way bounds
+
+
+@dataclasses.dataclass(frozen=True)
+class _Throwaway:
+    first: int
+    second: int
+    kind = "throwaway"
+
+
+@pytest.mark.parametrize(
+    "kind_byte, rows, error, names",
+    [
+        (99, dict(second=wire.ID, first=wire.ID), TypeError, "_Throwaway"),
+        (99, dict(first=wire.ID), TypeError, "_Throwaway"),
+        (64, dict(first=wire.ID, second=wire.ID), ValueError, "kind byte 64"),
+    ],
+    ids=["out-of-order", "omits-a-field", "duplicate-kind-byte"],
+)
+def test_bad_layout_is_refused_at_registration(kind_byte, rows, error, names):
+    before = schema_table()
+    with pytest.raises(error, match=names):
+        wire._layout(kind_byte, _Throwaway, **rows)
+    assert schema_table() == before
+
+
+def _serve_with_session(session):
+    entry = ServeEntry(Update(1, 0, 10, 100, session), 1, True, False)
+    return Serve(7, 11, 4, entries=(entry,))
+
+
+#: One field per bound constant: ``(bound, zigzag, build(value))``.
+BOUNDED = {
+    "prime-count": (
+        wire._MAX_PRIME_COUNT,
+        False,
+        lambda v: Serve(7, 11, 4, key_prime_count=v),
+    ),
+    "tally": (wire._MAX_TALLY, False, lambda v: wire.StepDone(1, 2, v, 0, 0)),
+    "session": (wire._MAX_SESSION, False, _serve_with_session),
+    "shard": (1 << 16, False, wire.PeerHello),
+    "round": (1 << 32, False, wire.RoundStart),
+    "id": (wire._MAX_ID_RAW >> 1, True, lambda v: KeyRequest(v, 11, 4)),
+}
+
+
+def _varint(value):
+    w = wire._Writer()
+    w.varint(value)
+    return w.getvalue()
+
+
+@pytest.mark.parametrize("name", sorted(BOUNDED))
+def test_value_at_its_bound_round_trips_and_the_next_is_refused(name):
+    bound, zigzag, build = BOUNDED[name]
+    payload = encode_message(build(bound))
+    assert decode_message(payload) == build(bound)
+    at, beyond = (_varint(v << zigzag) for v in (bound, bound + 1))
+    assert payload.count(at) == 1
+    with pytest.raises(WireValidationError, match="exceeds bound"):
+        decode_message(payload.replace(at, beyond))
+
+
+# A serve entry's own varints are written unchecked (the hot loop; the
+# entry *count* is checked): ``session`` is refused on decode only.
+@pytest.mark.parametrize("name", sorted(set(BOUNDED) - {"session"}))
+def test_encoder_refuses_what_its_decoder_refuses(name):
+    bound, _, build = BOUNDED[name]
+    with pytest.raises(WireValidationError, match="exceeds bound"):
+        encode_message(build(bound + 1))
 
 
 def test_framing_reassembles_under_arbitrary_chunking():
