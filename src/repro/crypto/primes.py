@@ -94,6 +94,7 @@ Miller-Rabin decision; only the number of rounds differs.
 from __future__ import annotations
 
 import random
+from bisect import bisect_right
 from collections import deque
 from functools import lru_cache
 from typing import Callable, Deque, Iterable, List, Optional, Set, Tuple
@@ -341,15 +342,24 @@ def product(values: Iterable[int]) -> int:
     return result
 
 
-#: Sieve bounds of the pool.  Crossing one more prime p out of a window
-#: costs ~0.3 us and spares each survivor an exponentiation with
-#: probability 1/p; with ~25 survivors per 256-candidate window and a
-#: builtin ``pow`` that grows with the square of the width (29 us at
-#: 128 bits, 110 at 256, 600 at 512) the two meet near
-#: ``p = 0.18 * bits**2``.  The optimum is flat, so the bound is rounded
-#: to ``bits**2 / 4`` -- 2**16 at the paper's 512 bits -- and capped
-#: there (a 2 ms table).  In the deterministic-witness range the bound
-#: stays at ``SMALL_PRIMES``: simulation runs must not move.
+#: Sieve bounds of the pool.  Crossing a prime p out of a 256-candidate
+#: window costs ~0.5 us while it strides (p <= 2 * window: 96 primes) and
+#: ~0.14 us above that (one C-level residue of a 512-bit base, a mark on
+#: the one window in p / 512 it hits), and spares each of the ~25
+#: survivors an exponentiation with probability 1/p.  That one costs 30 /
+#: 100 / 600 / 3,250 us at 128 / 256 / 512 / 1024 bits under builtin
+#: ``pow`` and 18 / 53 / 274 us at 256 / 512 / 1024 under libcrypto's
+#: ``BN_mod_exp``, which ``auto`` picks from 256 bits up
+#: (``.github/scripts/ci_prime_search.py`` is the stopwatch).  At the
+#: paper's 512 bits the two meet near ``p = 2**16.7`` for ``pow`` and
+#: ``2**13`` for libcrypto, whose measured cost a window is flat from
+#: 2**13 to 2**15 and 7% higher at 2**16.  The bound stays where ``pow``
+#: put it, ``bits**2 / 4`` capped at 2**16 (a 2 ms table): every backend
+#: must draw the same primes, so there is one depth, and moving it
+#: changes which candidates reach Miller-Rabin, hence the RNG stream and
+#: every prime above 78 bits of every seed.  In the deterministic-witness
+#: range the bound stays at ``SMALL_PRIMES``: simulation runs must not
+#: move.
 _SHALLOW_SIEVE_LIMIT = 1000
 _DEEP_SIEVE_LIMIT = 1 << 16
 
@@ -361,10 +371,49 @@ def _sieve_limit(bits: int) -> int:
 
 
 @lru_cache(maxsize=None)
-def _odd_primes_upto(limit: int) -> Tuple[int, ...]:
-    """Sieve table shared by every pool of a width (all candidates are
-    odd, so 2 is left out)."""
-    return tuple(_sieve_small_primes(limit)[1:])
+def _sieve_table(
+    limit: int, window: int
+) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
+    """Odd primes up to ``limit``, split at ``2 * window`` and shared by
+    every pool of that width and window (all candidates are odd, so 2 is
+    left out): those that can hit a window more than once, and the rest.
+    """
+    odd = _sieve_small_primes(limit)[1:]
+    cut = bisect_right(odd, 2 * window)
+    return tuple(odd[:cut]), tuple(odd[cut:])
+
+
+def _sieve_window(base: int, span: int, bits: int, window: int) -> bytearray:
+    """Cross the sieve's multiples out of ``base, base + 2, ...`` (``span``
+    odd candidates, ``span <= window``): ``result[k] == 0`` iff
+    ``base + 2k`` has no factor in the sieve or is one of its primes.
+    """
+    limit = _sieve_limit(bits)
+    # The table is built by the first refill that needs it, so building
+    # a session never pays for the deep one.
+    striding, single = _sieve_table(limit, window)
+    if base <= limit:
+        # The window can hold a sieve prime, which must survive; only
+        # the striding pass steps over it.
+        striding, single = striding + single, ()
+    crossed = bytearray(span)
+    negated = -base
+    for p in striding:
+        # Smallest k >= 0 with base + 2k = 0 (mod p): half of whichever
+        # of t, t + p is even.
+        t = negated % p
+        k = (t + p if t & 1 else t) >> 1
+        if p >= base:
+            k += p  # base + 2k is p itself, not a composite multiple
+        if k < span:
+            crossed[k::p] = b"\x01" * len(range(k, span, p))
+    # A prime above 2 * window divides at most one candidate, at k = t / 2
+    # when that is a whole number inside the window.
+    twice = 2 * span
+    for t in map(negated.__mod__, single):
+        if t < twice and not t & 1:
+            crossed[t >> 1] = 1
+    return crossed
 
 
 class PrimePool:
@@ -380,7 +429,9 @@ class PrimePool:
     simulation primes), 10% after the primes below 2**16 (512-bit paper
     primes; the depth follows the width, see ``_sieve_limit``) -- and
     those skip trial division entirely, since the sieve already
-    performed it.
+    performed it.  Crossing a 512-bit window is ~1.0 ms (0.14 us a
+    sieve prime) beside the ~36 exponentiations of its ~25 survivors:
+    1.9 ms under libcrypto (53 us each), 22 ms under builtin ``pow``.
 
     The window base is the pool's own uniform draw and every survivor of
     the window is tested, so above the deterministic range the pool uses
@@ -465,22 +516,10 @@ class PrimePool:
         top = (1 << bits) - 1
         if base + 2 * (span - 1) > top:
             span = (top - base) // 2 + 1
-        # survivors[k] == 0 <=> base + 2k has no factor in the sieve.
-        survivors = bytearray(span)
-        # The table is built by the first refill that needs it, so
-        # building a session never pays for the deep one.
-        for p in _odd_primes_upto(_sieve_limit(bits)):
-            # Smallest k >= 0 with base + 2k ≡ 0 (mod p); the modular
-            # inverse of 2 mod an odd p is (p + 1) // 2.
-            k = (-base % p) * ((p + 1) // 2) % p
-            if base + 2 * k == p:
-                k += p  # p itself is prime, not a composite multiple
-            if k < span:
-                run = len(range(k, span, p))
-                survivors[k::p] = b"\x01" * run
+        crossed = _sieve_window(base, span, bits, self.window)
         powmod = default_backend(bits).powmod
         for k in range(span):
-            if survivors[k]:
+            if crossed[k]:
                 continue
             candidate = base + 2 * k
             self.candidates_tested += 1

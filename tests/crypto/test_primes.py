@@ -1,5 +1,6 @@
 """Unit and property tests for prime generation."""
 
+import functools
 import hashlib
 import math
 import random
@@ -379,6 +380,110 @@ def test_generate_prime_is_frozen_at_simulation_widths():
         assert rng.getrandbits(32) == after
 
 
+#: Above the deterministic range, captured at the commit before the
+#: two-pass window sieve (4719338) at seed 20160627: (bits, count, window)
+#: -> (first four primes in hex, primes digest, state digest, candidates,
+#: witness tests).  A shallower sieve, another round count or a survivor
+#: lost or gained moves every one of them.
+_PAPER_POOL_GOLDEN = {
+    (128, 24, 256): (
+        [
+            "fc231b8101ac9c86f3c4ebceca4a4777",
+            "fc231b8101ac9c86f3c4ebceca4a47b5",
+            "fc231b8101ac9c86f3c4ebceca4a47df",
+            "fc231b8101ac9c86f3c4ebceca4a4885",
+        ],
+        "fc0b9b832d107711",
+        "d871686d1e9d2c14",
+        177,
+        905,
+    ),
+    (256, 12, 256): (
+        [
+            "d006de5b38deaa4d39ca5860117e93533c231b8101ac9c86f3c4ebceca4a47d5",
+            "d006de5b38deaa4d39ca5860117e93533c231b8101ac9c86f3c4ebceca4a4843",
+            "d006de5b38deaa4d39ca5860117e93533c231b8101ac9c86f3c4ebceca4a486d",
+            "d006de5b38deaa4d39ca5860117e93533c231b8101ac9c86f3c4ebceca4a48a9",
+        ],
+        "447a7bd28444f2c8",
+        "e791438845631d45",
+        123,
+        292,
+    ),
+    (512, 36, 256): (
+        [
+            "fda6d420a20202265f0afafc0fbf55700b92a26d23a5355b8523ce052c764ebc"
+            "9006de5b38deaa4d39ca5860117e93533c231b8101ac9c86f3c4ebceca4a4877",
+            "e462df147f7303a332af5bb2c0b5a43d7fd9d49df887f79fabdedaab3b9df711"
+            "83fde5ddacad318d32f43431e66dac6978d6cd1880d43c2175a19ab10732e511",
+            "e462df147f7303a332af5bb2c0b5a43d7fd9d49df887f79fabdedaab3b9df711"
+            "83fde5ddacad318d32f43431e66dac6978d6cd1880d43c2175a19ab10732e643",
+            "fb8e179004993b4ae68d62c4b50e01cd9e2d9e0d6a1a1ff37bc056fe3f392263"
+            "0f94200ec9e3e47bc54549f6e429a91496fecfd1b7e157b5006b7a88a0dd8f21",
+        ],
+        "e6088ec6ccc362eb",
+        "098d013872228085",
+        615,
+        867,
+    ),
+    (1024, 4, 256): (
+        [
+            "d73a5ba50318b4bfb08318ab73a4889fe1b430b19a312e39825d28e7f2da01e0"
+            "63b61beba39efa71eb9db073dcc5e41c0202d40cf851b15389463489c7f23924"
+            "fda6d420a20202265f0afafc0fbf55700b92a26d23a5355b8523ce052c764ebc"
+            "9006de5b38deaa4d39ca5860117e93533c231b8101ac9c86f3c4ebceca4a47df",
+            "f225c73fa3a5f73ab2700a1291111c44d92115e7b33cd9a5a8e30456c1601ab1"
+            "1e25a43a115b702119df3c95b4fd3b4d085a068b66dfdf55e5e67c7fc5f8a109"
+            "82d754f642113de0dba86db61f2ab94767473a4002989b89ef28876eeb17c0d4"
+            "38fd8a897773e0974d4136481ca63d7bedadc02ee372997fb42638aecfcfbbe5",
+            "c09a84aec44a6811798bf95629f9c26ba8104680ca2f1e70431d1ddccd5134c3"
+            "a11cd80c6354e1bcd9ad4d22d1c6b6f293ab87f71bdd267218470baf574cd909"
+            "f69c24c5d6107dc9f3c50ee6566b9568ed328747949dcf9c293039c136e097d1"
+            "978d335a20b0f9fc8cdbc3bcb319a63542948bb06f78fe5ac4d408524f293f33",
+            "f87b7084a20c537b472e202849a7f9db2dc498c050742b8ce8b1da275183c078"
+            "79a72aed7d19127cfff55ee0e7277a95397a0b19548e363f222896d5d3cd4f54"
+            "82d08b6e3538cf64acec0197ac1a06d6afd8230b6c2a4a92bdc88024b5980143"
+            "0a53413aed365d9be98cfbe49a83c343b44de70c31f8fa6af908625a45de947f",
+        ],
+        "1fdd743f9cd8faea",
+        "9d004c944c25a4e7",
+        132,
+        148,
+    ),
+    (512, 6, 64): (
+        [
+            "faf4a19cf9ba57f05ec67f530cea58c1e08dace3cf95986fcce7d5f0c2d3a9d0"
+            "44595da1bd6eb5bf1d47d605348fd3c97663067416c57a50512de85b3cc89e75",
+            "d148f3d1a0b054b168f9a84b6d8429e0d6f9264c6b6a62e1ae6d15d0e99c14f9"
+            "26f514b4d5597da601923dbf7325054fc4a55695bceed892d4734393b4e171c3",
+            "e6dada1556527adac486b5b35de2fe4bdd99b5f1eec560f47053d9c085a831f1"
+            "61bf5720d1e43c12b7fa1b04ca8071e8cc06365a5f3ad19af1edde56ed5abe65",
+            "d703e689e56d620fd8e9061bbbd0c07badfdcbe832cbad31b7faaa9f30858f2f"
+            "0222798c34e390372ea6c5b4d92715c12c17c966d331577becc555bb72a85849",
+        ],
+        "b97f951e6da99b06",
+        "2b5a7714b960431c",
+        110,
+        152,
+    ),
+}
+
+
+@pytest.mark.parametrize("bits, count, window", sorted(_PAPER_POOL_GOLDEN))
+def test_paper_width_pools_are_frozen(bits, count, window):
+    head, primes_digest, state_digest, candidates, witnesses = (
+        _PAPER_POOL_GOLDEN[bits, count, window]
+    )
+    rng = random.Random(20160627)
+    pool = PrimePool(bits, rng, window=window)
+    drawn = pool.take_many(count)
+    assert [f"{p:x}" for p in drawn[: len(head)]] == head
+    assert _digest(drawn) == primes_digest
+    assert _digest(rng.getstate()) == state_digest
+    assert pool.candidates_tested == candidates
+    assert pool.witness_tests == witnesses
+
+
 def test_serial_simulation_never_builds_the_deep_sieve(monkeypatch):
     from repro.api import run_scenario
 
@@ -389,7 +494,7 @@ def test_serial_simulation_never_builds_the_deep_sieve(monkeypatch):
         limits.append(limit)
         return sieve(limit)
 
-    primes_module._odd_primes_upto.cache_clear()
+    primes_module._sieve_table.cache_clear()
     monkeypatch.setattr(primes_module, "_sieve_small_primes", recording)
     try:
         result = run_scenario("fig9", nodes=14, rounds=6)
@@ -397,8 +502,14 @@ def test_serial_simulation_never_builds_the_deep_sieve(monkeypatch):
         assert limits and max(limits) <= 1000
         PrimePool(512, random.Random(1)).take()
         assert max(limits) == 1 << 16
+        # One table per (bound, window), whatever the number of pools.
+        PrimePool(512, random.Random(2)).take()
+        PrimePool(1024, random.Random(3)).take()
+        assert limits.count(1 << 16) == 1
+        PrimePool(512, random.Random(1), window=64).take()
+        assert limits.count(1 << 16) == 2
     finally:
-        primes_module._odd_primes_upto.cache_clear()
+        primes_module._sieve_table.cache_clear()
 
 
 # ---------------------------------------------------------------------------
@@ -606,3 +717,104 @@ def test_search_draws_the_same_primes_on_every_backend(monkeypatch, bits):
         assert all(type(p) is int for p in drawn)
         outcomes.append((drawn, pool.witness_tests, rng.getstate()))
     assert all(outcome == outcomes[0] for outcome in outcomes[1:])
+
+
+# ---------------------------------------------------------------------------
+# The window sieve against the per-prime loop it replaced (4719338).
+# ---------------------------------------------------------------------------
+
+
+@functools.lru_cache(maxsize=None)
+def _reference_table(limit):
+    return tuple(_sieve_small_primes(limit)[1:])
+
+
+def _reference_survivors(base, bits, span):
+    """The crossing loop as it stood before the two passes: every odd
+    sieve prime, one at a time, with the sieve prime itself stepped
+    over."""
+    survivors = bytearray(span)
+    for p in _reference_table(primes_module._sieve_limit(bits)):
+        k = (-base % p) * ((p + 1) // 2) % p
+        if base + 2 * k == p:
+            k += p
+        if k < span:
+            run = len(range(k, span, p))
+            survivors[k::p] = b"\x01" * run
+    return survivors
+
+
+def _span(base, bits, window):
+    """Candidates of a window at ``base``, cut at the top of the width
+    as ``_refill`` cuts it."""
+    return min(window, ((1 << bits) - 1 - base) // 2 + 1)
+
+
+def _lowest_base(bits):
+    return (0b11 << (bits - 2)) | 1
+
+
+@st.composite
+def _windows(draw):
+    bits = draw(st.integers(min_value=8, max_value=1024))
+    window = draw(st.integers(min_value=1, max_value=512))
+    top = (1 << bits) - 1
+    if draw(st.booleans()):
+        base = draw(st.integers(min_value=0, max_value=top))
+    else:  # near the top of the width, where the window is cut short
+        most = min(window, top >> 3)  # keeps the top two bits set
+        base = top - 2 * draw(st.integers(min_value=0, max_value=most))
+    return base | _lowest_base(bits), bits, window
+
+
+@given(_windows())
+@settings(max_examples=300, deadline=None)
+def test_window_sieve_matches_the_reference_loop(drawn):
+    base, bits, window = drawn
+    span = _span(base, bits, window)
+    assert 1 <= span <= window
+    assert primes_module._sieve_window(
+        base, span, bits, window
+    ) == _reference_survivors(base, bits, span)
+
+
+@pytest.mark.parametrize("bits", [8, 9, 10, 11, 12])
+def test_window_sieve_keeps_the_sieve_primes_inside_a_window(bits):
+    """Below the sieve bound a window can hold a sieve prime itself,
+    which is no composite multiple: every base of the narrow widths,
+    at the default window and at smaller ones."""
+    for window in (256, 64, 16, 1):
+        for base in range(_lowest_base(bits), 1 << bits, 2):
+            span = _span(base, bits, window)
+            assert primes_module._sieve_window(
+                base, span, bits, window
+            ) == _reference_survivors(base, bits, span), (base, window)
+    if bits == 10:
+        # The case that bites at the default window: 773 = 769 + 2 * 2.
+        assert is_prime(773)
+        assert primes_module._sieve_window(769, 128, 10, 256)[2] == 0
+
+
+def test_refill_tests_exactly_the_reference_survivors(monkeypatch):
+    """Through the pool itself: what reaches Miller-Rabin is the
+    reference's survivor set, window by window, short spans included."""
+    reached = []
+    monkeypatch.setattr(
+        primes_module,
+        "_miller_rabin_tests",
+        lambda n, *args: (reached.append(n), (False, 1))[1],
+    )
+    for bits, window in ((10, 256), (12, 64), (32, 256), (512, 256)):
+        pool = PrimePool(bits, random.Random(bits), window=window)
+        # The stubbed tester draws nothing, so a twin generator replays
+        # the window bases.
+        twin = random.Random(bits)
+        for _ in range(8):
+            base = twin.getrandbits(bits) | _lowest_base(bits)
+            del reached[:]
+            pool._refill()
+            span = _span(base, bits, window)
+            crossed = _reference_survivors(base, bits, span)
+            assert reached == [
+                base + 2 * k for k in range(span) if not crossed[k]
+            ]
