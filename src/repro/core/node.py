@@ -72,6 +72,12 @@ from repro.sim.node import SimNode
 
 __all__ = ["PagNode", "PagSourceNode"]
 
+#: KeyResponse descriptions signed and not yet verified, keyed by the
+#: signed fields (a message tampered in flight is another key); popped
+#: when read, cleared as a round ends.  Held in 448-byte pieces: whole,
+#: they left fig9_serial's C heap 1 MiB larger (PERFORMANCE.md).
+_pending_descs: Dict[tuple, List[bytes]] = {}
+
 
 class PagNode(SimNode):
     """A consumer node running PAG."""
@@ -176,6 +182,9 @@ class PagNode(SimNode):
         self.store.drop_expired(round_no)
         horizon = round_no - self.context.config.playout_delay_rounds - 4
         self.state.prune_before(horizon)
+        self.context.views.prune_rounds_before(horizon)
+        self.context.hasher.forget_links()
+        _pending_descs.clear()
         for rnd in [r for r in self._designations if r < horizon]:
             del self._designations[rnd]
 
@@ -441,7 +450,7 @@ class PagNode(SimNode):
             signature=0,
         )
         response.signature = self.context.signer.sign(
-            self.node_id, self._key_response_desc(response)
+            self.node_id, self._key_response_desc(response, leave=True)
         )
         self.context.counters_encrypt()
         self.send(response)
@@ -702,12 +711,22 @@ class PagNode(SimNode):
     # ------------------------------------------------------------------
 
     @staticmethod
-    def _key_response_desc(message: KeyResponse) -> bytes:
-        return (
+    def _key_response_desc(message: KeyResponse, leave: bool = False) -> bytes:
+        link = (message.round_no, message.sender, message.recipient)
+        key = (link, message.prime, message.buffermap)
+        pieces = _pending_descs.pop(key, None)
+        if pieces is not None:
+            return b"".join(pieces)
+        desc = (
             f"keyresp|{message.round_no}|{message.sender}|"
             f"{message.recipient}|{message.prime}|"
             f"{sorted(message.buffermap)}".encode()
         )
+        if leave:  # the signer's copy, for the verifier in this process
+            _pending_descs[key] = [
+                desc[i : i + 448] for i in range(0, len(desc), 448)
+            ]
+        return desc
 
     def _sign(self, description: str) -> int:
         return self.context.signer.sign(self.node_id, description.encode())

@@ -70,6 +70,10 @@ _MEMO_MAX = 1 << 9
 #: Bound on the per-base fixed-base ladder cache used by hot bases.
 _FIXED_BASE_MAX = 1024
 
+#: Backstop of the link memo for callers that never end a round (a node
+#: clears it then); ~9,000 entries are in flight in a 1,000-node step.
+_LINK_MAX = 1 << 15
+
 #: A fixed-base table beats built-in ``pow`` when squarings dominate: for
 #: small exponents (the per-link primes; pow re-reduces the wide update
 #: base every call) and at production modulus widths (where each C-level
@@ -168,6 +172,9 @@ class HomomorphicHasher:
         #: memo collapses those to one exponentiation (while `operations`
         #: still counts every protocol-level evaluation).
         self._memo: dict = {}
+        #: what one end of a link left for the other (same hasher): prime
+        #: -> (updates, results) of a batch, (update, prime) -> a ``hash``.
+        self._link: dict = {}
         #: fixed-base fast path: base -> (tag, table), built from the
         #: second hashing of a base onward (building costs one pow).
         #: Covers the buffermap/serve membership hashes (the same update
@@ -218,8 +225,8 @@ class HomomorphicHasher:
         if exponent <= 0:
             raise ValueError("hash exponent must be positive")
         self.operations += 1
-        # Narrow exponents (the per-link primes): fixed-base tables win
-        # and results repeat too rarely to be worth memoising.
+        # Narrow exponents (the per-link primes): fixed-base tables win,
+        # and the link's other end takes the result this end leaves.
         if self._use_fixed_base and (
             exponent.bit_length() <= _SMALL_EXPONENT_BITS
         ):
@@ -227,10 +234,13 @@ class HomomorphicHasher:
             if indices is None:
                 self.cold_powmods += 1
                 return self._powmod(update, exponent, self.modulus)
-            table = self._table_for(update, exponent.bit_length())
-            if table is None:
-                return self._powmod(update, exponent, self.modulus)
-            return prod([table[i] for i in indices]) % self.modulus
+            result = self._link.pop((update, exponent), None)
+            if result is not None:
+                self.memo_hits += 1
+                return result
+            result = self._hash_narrow(update, exponent, indices)
+            self._leave((update, exponent), result)
+            return result
         # Wide exponents (round-key and cofactor products): each
         # evaluation costs tens of microseconds and the same hash is
         # recomputed by the server, the receiver and the monitors, so
@@ -260,37 +270,72 @@ class HomomorphicHasher:
 
         The membership hashes of one link — B's buffermap (message 2 of
         Fig. 5) and A's ownership test of its forward set — raise many
-        update contents to the *same* fresh prime.  The table indices
-        are derived once, the bases' tables gathered, and when every
-        base holds one of the prime's width the whole batch is one
-        comprehension of ``len(indices)`` factors per base, counters
-        settled once.  A batch that meets a base without such a table
-        runs :meth:`hash` per item, so values, counters and cache
-        evolution are always those of the per-item loop: a first
-        sighting is a cold ``pow``, a second builds the table,
-        evictions happen in order.  Wide and off-family exponents and
-        backends without the table fast path take the per-item path.
+        update contents to the *same* fresh prime.  The first end leaves
+        ``(updates, results)`` under the prime; the second end takes
+        them (``memo_hits``) and hashes only the rest.  The kernel
+        derives the table indices once, gathers the bases' tables, and
+        when every base holds one of the prime's width it is one
+        comprehension of ``len(indices)`` factors per base; else it runs
+        per item (a first sighting is a cold ``pow``, a second builds
+        the table, evictions happen in order).  Values and
+        ``operations`` are always the per-item loop's; so are the
+        buckets when nothing was left under the prime.  Other exponents
+        and backends without tables take :meth:`hash` per item.
         """
         if exponent <= 0:
             raise ValueError("hash exponent must be positive")
         updates = list(updates)
         indices = _family_indices(exponent) if self._use_fixed_base else None
-        if indices is not None:
-            entries = list(map(self._fixed_bases.get, updates))
-            if None not in entries:
-                bits = exponent.bit_length()
-                pick = itemgetter(*indices)
-                modulus = self.modulus
-                results = [
-                    prod(pick(table)) % modulus
-                    for tag, table in entries
-                    if tag == bits
-                ]
-                if len(results) == len(entries):
-                    self.operations += len(results)
-                    self.fixed_base_hits += len(results)
-                    return results
-        return [self.hash(update, exponent) for update in updates]
+        if indices is None:
+            return [self.hash(update, exponent) for update in updates]
+        self.operations += len(updates)
+        left = self._link.pop(exponent, None)
+        if left is None or not updates:
+            results = self._hash_batch(updates, exponent, indices)
+            if left is None:
+                self._leave(exponent, (updates, results))
+            return results
+        known = dict(zip(*left))
+        results = list(map(known.get, updates))
+        rest = [u for u, result in zip(updates, results) if result is None]
+        self.memo_hits += len(updates) - len(rest)
+        fill = iter(self._hash_batch(rest, exponent, indices))
+        return [next(fill) if r is None else r for r in results]
+
+    def _hash_batch(
+        self, updates: List[int], exponent: int, indices: Any
+    ) -> List[int]:
+        """Link-prime hashes from the bases' tables; books their buckets."""
+        entries = list(map(self._fixed_bases.get, updates))
+        if None not in entries:
+            bits = exponent.bit_length()
+            pick = itemgetter(*indices)
+            modulus = self.modulus
+            results = [
+                prod(pick(table)) % modulus
+                for tag, table in entries
+                if tag == bits
+            ]
+            if len(results) == len(entries):
+                self.fixed_base_hits += len(results)
+                return results
+        return [self._hash_narrow(u, exponent, indices) for u in updates]
+
+    def _hash_narrow(self, update: int, exponent: int, indices: Any) -> int:
+        table = self._table_for(update, exponent.bit_length())
+        if table is None:
+            return self._powmod(update, exponent, self.modulus)
+        return prod([table[i] for i in indices]) % self.modulus
+
+    def _leave(self, key: Any, value: Any) -> None:
+        """Leave ``value`` in the link memo for the link's other end."""
+        if len(self._link) >= _LINK_MAX:
+            self._evict(self._link)
+        self._link[key] = value
+
+    def forget_links(self) -> None:
+        """A round ended: nobody will ask for what is still left."""
+        self._link.clear()
 
     def _table_for(self, update: int, tag: int) -> Any:
         """The table of ``update`` serving exponents of shape ``tag``.
@@ -455,14 +500,14 @@ class HomomorphicHasher:
     def cache_stats(self) -> dict:
         """Cache accounting, read by the benchmark's traced run.
 
-        Rates are fractions of the protocol-level calls that were
-        answered without a cold exponentiation; ``memo_entries`` and
-        ``fixed_base_entries`` report current occupancy against the
-        configured bounds.  The denominator is the full protocol-level
-        call count — every call lands in exactly one of the four
-        buckets, so ``calls`` equals :attr:`operations` even after a
-        parallel run grafts summed worker counter deltas back onto the
-        parent hasher.
+        Rates are fractions of the protocol-level calls answered
+        without a cold exponentiation (``memo_hits``: by the wide memo
+        or the link memo); ``memo_entries`` and ``fixed_base_entries``
+        are the wide memo's and the tables' occupancy against their
+        bounds.  The denominator is the full protocol-level call count
+        — every call lands in exactly one of the four buckets, so
+        ``calls`` equals :attr:`operations` even after a parallel run
+        grafts summed worker counter deltas back onto the parent hasher.
         """
         calls = (
             self.memo_hits

@@ -25,8 +25,9 @@ Design points:
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, field
-from typing import Dict, List
+from typing import Dict, List, Sequence
 
 from repro.membership.directory import Directory
 from repro.sim.rng import SeedSequence
@@ -45,6 +46,19 @@ def default_fanout(n: int) -> int:
     if n < 2:
         raise ValueError("fanout undefined for fewer than 2 nodes")
     return max(3, round(math.log10(n)))
+
+
+class _Without(Sequence[int]):
+    """What ``random.sample`` reads as ``items`` minus index ``skip``."""
+
+    def __init__(self, items: List[int], skip: int) -> None:
+        self._items, self._skip = items, skip
+
+    def __len__(self) -> int:
+        return len(self._items) - 1
+
+    def __getitem__(self, index: int) -> int:
+        return self._items[index + (index >= self._skip)]
 
 
 @dataclass
@@ -80,6 +94,10 @@ class ViewProvider:
     )
     _predecessor_cache: Dict[int, Dict[int, List[int]]] = field(
         default_factory=dict, repr=False
+    )
+    #: round -> the consumers that have arrived by it, in id order.
+    _eligible_cache: Dict[int, List[int]] = field(
+        default_factory=dict, repr=False, init=False
     )
     _monitor_cache: Dict[int, List[int]] = field(
         default_factory=dict, repr=False
@@ -118,13 +136,19 @@ class ViewProvider:
                 per_round[node_id] = []
                 return []
             rng = self.seeds.stream("succ", node_id, round_no)
-            candidates = [
-                m
-                for m in self.directory.members
-                if m != node_id
-                and m != self.directory.source_id
-                and active.get(m, 0) <= round_no
-            ]
+            eligible = self._eligible_cache.get(round_no)
+            if eligible is None:
+                eligible = self._eligible_cache[round_no] = [
+                    m
+                    for m in self.directory.members
+                    if m != self.directory.source_id
+                    and active.get(m, 0) <= round_no
+                ]
+            # Sorted like the members; the source is not among them.
+            own = bisect_left(eligible, node_id)
+            candidates: Sequence[int] = eligible
+            if eligible[own : own + 1] == [node_id]:
+                candidates = _Without(eligible, own)
             k = min(self.fanout, len(candidates))
             per_round[node_id] = sorted(rng.sample(candidates, k))
         return list(per_round[node_id])
@@ -158,23 +182,25 @@ class ViewProvider:
     def monitored_by(self, monitor_id: int) -> List[int]:
         """All nodes whose monitor set contains ``monitor_id``.
 
-        Cached per monitor, like the monitor sets it inverts: the
-        directory is immutable by convention, monitor sets are
-        session-stable, and the simulator's ``remove_node`` /
+        The monitor sets are inverted once, for every monitor, in member
+        order: the directory is immutable by convention, monitor sets
+        are session-stable, and the simulator's ``remove_node`` /
         ``admit_node`` change who runs, not who is in either.  Callers
         get a copy.
         """
-        watched = self._monitored_cache.get(monitor_id)
-        if watched is None:
-            watched = self._monitored_cache[monitor_id] = [
-                m
-                for m in self.directory.members
-                if monitor_id in self.monitors(m)
-            ]
-        return list(watched)
+        inverse = self._monitored_cache
+        if not inverse:
+            for member in self.directory.members:
+                for monitor in self.monitors(member):
+                    inverse.setdefault(monitor, []).append(member)
+        return list(inverse.get(monitor_id, ()))
 
     def prune_rounds_before(self, round_no: int) -> None:
         """Drop cached views older than ``round_no`` (memory hygiene)."""
-        for cache in (self._successor_cache, self._predecessor_cache):
+        for cache in (
+            self._successor_cache,
+            self._predecessor_cache,
+            self._eligible_cache,
+        ):
             for rnd in [r for r in cache if r < round_no]:
                 del cache[rnd]

@@ -7,7 +7,10 @@ they looked when sent), the hasher's protocol-level ``operations``, its
 four ``cache_stats()`` buckets and the signer's two counters.  Recorded
 before the per-round serve plan touched ``core/node.py``, so a change to
 the node, message, signing or send path that keeps these equal sent the
-same bytes and did the same accountable work.
+same bytes and did the same accountable work.  The bucket numbers alone
+were taken again when the hasher's link memo began answering one end of
+a link with what the other end had hashed (a link hit books as a
+``memo_hit``); everything else is the first recording.
 
 The stream digest, ``operations`` and the signer's counters do not
 depend on the crypto backend; the bucket split does under gmpy2 (it
@@ -49,9 +52,9 @@ GOLDEN: Dict[str, Dict[str, Any]] = {
         "operations": 13230,
         "signatures": 2794,
         "verifications": 2749,
-        "memo_hits": 105,
-        "fixed_base_hits": 12531,
-        "cold_powmods": 594,
+        "memo_hits": 2261,
+        "fixed_base_hits": 10390,
+        "cold_powmods": 579,
         "batched_lifts": 0,
     },
     "coalition-mixed": {
@@ -62,9 +65,9 @@ GOLDEN: Dict[str, Dict[str, Any]] = {
         "operations": 103234,
         "signatures": 11142,
         "verifications": 8937,
-        "memo_hits": 495,
-        "fixed_base_hits": 100428,
-        "cold_powmods": 2311,
+        "memo_hits": 13293,
+        "fixed_base_hits": 87741,
+        "cold_powmods": 2200,
         "batched_lifts": 0,
     },
     "fault-fuzz": {
@@ -75,9 +78,9 @@ GOLDEN: Dict[str, Dict[str, Any]] = {
         "operations": 49098,
         "signatures": 8043,
         "verifications": 6144,
-        "memo_hits": 425,
-        "fixed_base_hits": 47430,
-        "cold_powmods": 1243,
+        "memo_hits": 6518,
+        "fixed_base_hits": 41367,
+        "cold_powmods": 1213,
         "batched_lifts": 0,
     },
     "join-churn": {
@@ -88,9 +91,9 @@ GOLDEN: Dict[str, Dict[str, Any]] = {
         "operations": 101476,
         "signatures": 9662,
         "verifications": 8804,
-        "memo_hits": 588,
-        "fixed_base_hits": 98693,
-        "cold_powmods": 2195,
+        "memo_hits": 16233,
+        "fixed_base_hits": 83121,
+        "cold_powmods": 2122,
         "batched_lifts": 0,
     },
 }

@@ -1,13 +1,16 @@
 """``HomomorphicHasher.hash_many`` against the per-item loop it replaces.
 
 The batch entry point is the only way the node builds a buffermap and
-classifies a forward set, so its contract is strict equivalence with
-``[hash(b, e) for b in bases]``: the same values, the same movement of
-every counter ``cache_stats`` partitions ``operations`` into, and the
-same cache evolution (which bases hold a table, in which eviction
-order).  Each test drives two hashers over one modulus — one through
-the batch call, one through the loop — and compares them after every
-step.
+classifies a forward set.  Its values and its ``operations`` are always
+those of ``[hash(b, e) for b in bases]``.  The buckets ``cache_stats``
+partitions ``operations`` into, and the cache evolution (which bases
+hold a table, in which eviction order), are the loop's too whenever the
+call is the first end of its link, i.e. nothing was left under its
+prime; a second end reads what the first left and books those as
+``memo_hits``.  Each test drives two hashers over one modulus, one
+through the batch call and one through the loop, every call a first end
+(``_step`` empties the link memo), and compares them after every step;
+the tests at the bottom drive both ends.
 """
 
 import random
@@ -65,9 +68,14 @@ def _state(hasher):
 
 
 def _step(batch, loop, bases, exponent):
-    """One batch on each side; values, counters and caches must agree."""
+    """One batch on each side, every call the first end of its link;
+    values, counters and caches must agree."""
+    batch._link.clear()
     got = batch.hash_many(bases, exponent)
-    want = [loop.hash(base, exponent) for base in bases]
+    want = []
+    for base in bases:
+        loop._link.clear()
+        want.append(loop.hash(base, exponent))
     assert got == want
     assert want == [pow(base, exponent, loop.modulus) for base in bases]
     assert _state(batch) == _state(loop)
@@ -323,3 +331,173 @@ def test_window_schedule_rejects_negative_exponents():
     assert window_schedule(0, 4) == ()
     # 0x3 at level 1 (offset 15), 0x1 at level 0: indices 0 and 15 + 2.
     assert window_schedule(0x31, 4) == (0, 17)
+
+
+# -- both ends of a link ---------------------------------------------------
+
+
+def _buckets(hasher):
+    return {name: getattr(hasher, name) for name in COUNTERS}
+
+
+def test_second_end_reads_what_the_first_left_and_hashes_the_rest():
+    (hasher,) = _pair()[:1]
+    shared, only_b, only_a = (_contents(5, seed=s) for s in (31, 32, 33))
+    warm_up = _primes(2, seed=31)
+    for prime in warm_up:  # every base tabled, so the kernel is one pass
+        hasher._link.clear()
+        hasher.hash_many(shared + only_b + only_a, prime)
+    hasher._link.clear()
+    before = _buckets(hasher)
+    prime = _primes(1, seed=34)[0]
+    b_side = hasher.hash_many(shared + only_b, prime)
+    a_bases = [only_a[0]] + shared + only_a[1:] + shared[:1]
+    a_side = hasher.hash_many(a_bases, prime)
+    assert b_side == [pow(u, prime, hasher.modulus) for u in shared + only_b]
+    assert a_side == [pow(u, prime, hasher.modulus) for u in a_bases]
+    after = _buckets(hasher)
+    assert after["operations"] - before["operations"] == 10 + 11
+    assert after["memo_hits"] - before["memo_hits"] == 6  # shared, one twice
+    assert after["fixed_base_hits"] - before["fixed_base_hits"] == 10 + 5
+    assert after["cold_powmods"] == before["cold_powmods"]
+    # Popped when read: nothing under the prime stays, and a third
+    # call is a first end again.
+    assert prime not in hasher._link
+    assert hasher.hash_many(shared, prime) == b_side[:5]
+    assert hasher.fixed_base_hits == after["fixed_base_hits"] + 5
+    assert hasher._link.pop(prime) == (shared, b_side[:5])
+
+
+def test_second_end_with_untabled_rest_warms_it_like_a_first_sighting():
+    (hasher,) = _pair()[:1]
+    known, fresh = _contents(4, seed=35), _contents(3, seed=36)
+    p1, p2 = _primes(2, seed=35)
+    hasher.hash_many(known, p1)
+    assert hasher.hash_many(known + fresh, p1) == [
+        pow(u, p1, hasher.modulus) for u in known + fresh
+    ]
+    # known: cold at the first end, link hits at the second, so still
+    # on their first sighting; fresh: cold, first sighting too.
+    assert _buckets(hasher)["memo_hits"] == 4
+    assert hasher.cold_powmods == 7 and not hasher._fixed_bases
+    assert hasher._hot_candidates == set(known + fresh)
+    hasher.hash_many(known + fresh, p2)  # second sighting builds
+    assert len(hasher._fixed_bases) == 7
+    assert hasher.operations == 4 + 7 + 7 == sum(
+        hasher.cache_stats()[b]
+        for b in ("memo_hits", "fixed_base_hits", "cold_powmods")
+    )
+
+
+def test_empty_second_end_still_takes_the_entry():
+    (hasher,) = _pair()[:1]
+    prime = _primes(1, seed=37)[0]
+    hasher.hash_many(_contents(3, seed=37), prime)
+    assert hasher.hash_many([], prime) == []
+    assert not hasher._link
+
+
+def test_narrow_pair_is_hashed_once_and_tables_nothing():
+    """The attestation pair: A hashes a product under the link prime, B
+    hashes it again to check; B reads A's result, so a product met on
+    one link never reaches its second sighting."""
+    (hasher,) = _pair()[:1]
+    product = _contents(1, seed=38)[0]
+    primes = _primes(3, seed=38)
+    for prime in primes[:2]:
+        want = pow(product, prime, hasher.modulus)
+        assert hasher.hash(product, prime) == want  # A
+        assert hasher._link == {(product, prime): want}
+        assert hasher.hash(product, prime) == want  # B
+        assert not hasher._link
+    # Two links: first and second sighting on the A side, two link hits.
+    assert hasher.memo_hits == 2 and hasher.cold_powmods == 2
+    assert list(hasher._fixed_bases) == [product]
+    assert hasher.hash(product, primes[2]) == pow(
+        product, primes[2], hasher.modulus
+    )
+    assert hasher.fixed_base_hits == 1 and hasher.operations == 5
+    # The wide memo never sees a narrow result.
+    assert not hasher._memo
+
+
+def test_off_family_and_wide_exponents_leave_nothing():
+    (hasher,) = _pair()[:1]
+    bases = _contents(3, seed=39)
+    prime = _primes(1, seed=39)[0]
+    for exponent in (prime - 1, prime ^ (1 << 30), 1, 101, (1 << 200) + 1):
+        hasher.hash_many(bases, exponent)
+        hasher.hash(bases[0], exponent)
+    assert not hasher._link
+
+
+def test_unread_entries_stay_under_the_leak_cap(monkeypatch):
+    from repro.crypto import homomorphic
+
+    monkeypatch.setattr(homomorphic, "_LINK_MAX", 8)
+    (hasher,) = _pair()[:1]
+    bases = _contents(2, seed=40)
+    primes = _primes(30, seed=40)
+    for prime in primes:  # nobody ever asks again
+        hasher.hash_many(bases, prime)
+        hasher.hash(bases[0] * bases[1], prime)
+        assert len(hasher._link) <= 8
+    # The oldest half goes, so the entries still in flight are there.
+    assert primes[-1] in hasher._link
+    assert (bases[0] * bases[1], primes[-1]) in hasher._link
+    assert primes[0] not in hasher._link
+    hasher.forget_links()  # what a node does as its round ends
+    assert not hasher._link
+    # ...and a dropped entry costs a recomputation, never a value.
+    assert hasher.hash_many(bases, primes[0]) == [
+        pow(u, primes[0], hasher.modulus) for u in bases
+    ]
+    stats = hasher.cache_stats()
+    assert hasher.operations == sum(
+        stats[b]
+        for b in ("memo_hits", "fixed_base_hits", "cold_powmods")
+    )
+
+
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_values_and_operations_equal_the_loop_with_both_ends(data):
+    """No ``_link.clear()`` here: calls meet whatever earlier calls
+    left.  Values and ``operations`` are the plain loop's, and every
+    call lands in exactly one bucket."""
+    pool = _contents(7, seed=41, bits=256)
+    hasher = HomomorphicHasher(
+        modulus=MODULUS_128, backend=PythonBackend(), fixed_base_max=4
+    )
+    exponents = st.one_of(
+        st.sampled_from(_primes(3, seed=41)),
+        _family(16),
+        st.integers(min_value=1, max_value=1 << 16),
+        st.integers(min_value=1 << 64, max_value=1 << 130),
+    )
+    calls = data.draw(
+        st.lists(
+            st.tuples(
+                st.booleans(),
+                st.lists(st.sampled_from(pool), min_size=1, max_size=8),
+                exponents,
+            ),
+            min_size=1,
+            max_size=12,
+        )
+    )
+    expected_operations = 0
+    for batched, bases, exponent in calls:
+        want = [pow(base, exponent, MODULUS_128) for base in bases]
+        if batched:
+            assert hasher.hash_many(bases, exponent) == want
+        else:
+            assert [hasher.hash(base, exponent) for base in bases] == want
+        expected_operations += len(bases)
+        stats = hasher.cache_stats()
+        assert hasher.operations == expected_operations == (
+            stats["memo_hits"]
+            + stats["fixed_base_hits"]
+            + stats["cold_powmods"]
+            + stats["batched_lifts"]
+        )

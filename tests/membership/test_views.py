@@ -149,12 +149,33 @@ class TestMonitors:
 
 def test_prune_rounds_before():
     views = make_views()
-    views.successors(1, 0)
+    before = views.successors(1, 0)
     views.predecessors(1, 0)
     views.successors(1, 5)
     views.prune_rounds_before(3)
+    for cache in (
+        views._successor_cache,
+        views._predecessor_cache,
+        views._eligible_cache,
+    ):
+        assert 0 not in cache
+    assert 5 in views._successor_cache and 5 in views._eligible_cache
+    # A pruned round is redrawn, identically, and pruned again.
+    assert views.successors(1, 0) == before
+    assert 0 in views._eligible_cache
+    views.prune_rounds_before(3)
     assert 0 not in views._successor_cache
-    assert 5 in views._successor_cache
+    assert 0 not in views._eligible_cache
+
+
+def test_monitored_by_equals_the_per_monitor_scan():
+    views = make_views(n=40, monitors=4)
+    members = views.directory.members
+    for monitor in members:
+        assert views.monitored_by(monitor) == [
+            m for m in members if monitor in views.monitors(m)
+        ]
+    assert views.monitored_by(0) == []  # the source monitors nobody
 
 
 class TestPeerSampler:
@@ -207,3 +228,61 @@ def test_views_property_successors_well_formed(n, seed):
         assert node not in succ
         assert 0 not in succ
         assert len(set(succ)) == len(succ)
+
+
+def _reference_successors(views, node_id, round_no):
+    """The draw as it stood before the per-round eligible list: one
+    filtered copy of the membership per node per round."""
+    active = views.active_from
+    if active.get(node_id, 0) > round_no:
+        return []
+    rng = views.seeds.stream("succ", node_id, round_no)
+    candidates = [
+        m
+        for m in views.directory.members
+        if m != node_id
+        and m != views.directory.source_id
+        and active.get(m, 0) <= round_no
+    ]
+    return sorted(rng.sample(candidates, min(views.fanout, len(candidates))))
+
+
+@given(
+    n=st.integers(min_value=3, max_value=300),
+    seed=st.integers(0, 2**16),
+    fanout=st.integers(min_value=1, max_value=7),
+    data=st.data(),
+)
+@settings(max_examples=60, deadline=None)
+def test_successors_equal_the_reference_draw(n, seed, fanout, data):
+    """Bit-identical draws through the index-shifting view on both of
+    ``random.sample``'s branches (it copies a population of up to 21,
+    i.e. N <= 23 at fanout 3, and indexes a larger one), with arrivals
+    thinning the early rounds and the source, which is in no eligible
+    list, as a caller."""
+    arrivals = data.draw(
+        st.dictionaries(
+            st.integers(min_value=1, max_value=n - 1),
+            st.integers(min_value=1, max_value=3),
+            max_size=n // 2,
+        )
+    )
+    views = ViewProvider(
+        directory=Directory.of_size(n),
+        seeds=SeedSequence(seed),
+        fanout=min(fanout, n - 1),
+        monitors_per_node=1,
+        active_from=arrivals,
+    )
+    callers = sorted(
+        {0, 1, n // 2, n - 1}
+        | set(data.draw(st.lists(st.integers(0, n - 1), max_size=6)))
+    )
+    for round_no in range(4):
+        for node in callers:
+            drawn = views.successors(node, round_no)
+            assert drawn == _reference_successors(views, node, round_no)
+            drawn.clear()  # a caller's copy, not the cache
+            assert views.successors(node, round_no) == (
+                _reference_successors(views, node, round_no)
+            )
