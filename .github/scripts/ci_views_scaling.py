@@ -9,15 +9,19 @@ passes with the garbage collector off:
 * microseconds per first ``successors(node, round)`` call, every member
   over four rounds on a fresh provider per pass (a second call for the
   same pair is a dict read plus a list copy at any N);
+* microseconds per first ``monitors(node)`` call, every member once on
+  a fresh provider per pass (every replica of a parallel run pays this
+  for all N nodes inside its first barrier);
 * microseconds per ``monitored_by(monitor)`` call, every member once on
-  a fresh provider per pass, so the inversion of the monitor sets is
-  inside the timed region and shared by the N calls as in a run.
+  a fresh provider per pass, so the inversion of the monitor sets (and
+  the N ``monitors()`` draws under it) is inside the timed region and
+  shared by the N calls as in a run.
 
-Every draw is first checked equal to the list-comprehension draw the
-per-round eligible list replaced (kept below and in
-``tests/membership/test_views.py``), and every ``monitored_by`` answer
-to the per-monitor scan, so a table is never printed for views that
-name another node.
+Every draw is first checked equal to the list-comprehension draw it
+replaced (``reference_successors`` and ``reference_monitors``, kept
+below and in ``tests/membership/test_views.py``), and every
+``monitored_by`` answer to the per-monitor scan, so a table is never
+printed for views that name another node.
 
 This is the instrument PERFORMANCE.md's "Membership views" paragraph
 is read from; it uses only names a provider has always had, so
@@ -72,9 +76,27 @@ def reference_successors(
     return sorted(rng.sample(candidates, min(views.fanout, len(candidates))))
 
 
+def reference_monitors(views: ViewProvider, node_id: int) -> List[int]:
+    """The draw as it stood while ``monitors()`` built its candidates."""
+    rng = views.seeds.stream("mon", node_id)
+    candidates = [
+        m
+        for m in views.directory.members
+        if m != node_id and m != views.directory.source_id
+    ]
+    return sorted(
+        rng.sample(candidates, min(views.monitors_per_node, len(candidates)))
+    )
+
+
 def check(n: int) -> None:
     views = provider(n)
     members = views.directory.members
+    for node in members:
+        if views.monitors(node) != reference_monitors(views, node):
+            raise AssertionError(
+                f"N={n}: monitors({node}) differs from the reference draw"
+            )
     for round_no in range(ROUNDS):
         for node in members:
             if views.successors(node, round_no) != reference_successors(
@@ -112,6 +134,14 @@ def draw_all(n: int) -> int:
     return ROUNDS * len(members)
 
 
+def monitors_all(n: int) -> int:
+    views = provider(n)
+    members = views.directory.members
+    for node in members:
+        views.monitors(node)
+    return len(members)
+
+
 def invert_all(n: int) -> int:
     views = provider(n)
     members = views.directory.members
@@ -131,12 +161,16 @@ def main() -> int:
             f"consumer arriving in rounds 1-3, best of {PASSES} passes, "
             "gc off; all draws equal the reference"
         )
-        print("| N | fanout | us / successors() | us / monitored_by() |")
-        print("|---:|---:|---:|---:|")
+        print(
+            "| N | fanout | us / successors() | us / monitors() "
+            "| us / monitored_by() |"
+        )
+        print("|---:|---:|---:|---:|---:|")
         for n in SIZES:
             print(
                 f"| {n:,} | {default_fanout(n)} "
                 f"| {best_us(lambda: draw_all(n)):.1f} "
+                f"| {best_us(lambda: monitors_all(n)):.1f} "
                 f"| {best_us(lambda: invert_all(n)):.1f} |"
             )
     finally:

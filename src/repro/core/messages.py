@@ -15,8 +15,9 @@ fields exist for exactly this purpose.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import ClassVar, Optional, Tuple
+from dataclasses import dataclass, field, fields
+from operator import attrgetter
+from typing import ClassVar, Optional, Tuple, Type, TypeVar
 
 from repro.gossip.updates import Update
 from repro.sim.message import Message, WireSizes
@@ -49,6 +50,8 @@ __all__ = [
     "InvestigateResponse",
 ]
 
+_T = TypeVar("_T")
+
 #: Bytes used for a reception-multiplicity counter on the wire.
 _COUNT_BYTES = 2
 
@@ -71,6 +74,25 @@ def wire_kinds() -> frozenset:
     return frozenset(kinds)
 
 
+def _pickled_by_constructor(cls: Type[_T]) -> Type[_T]:
+    """Make a value class pickle as ``(cls, field values)``.
+
+    A ``frozen=True, slots=True`` dataclass otherwise pickles through
+    the Python-level ``_dataclass_getstate`` / ``_dataclass_setstate``
+    pair (a ``fields()`` call and an ``object.__setattr__`` per field),
+    half of what the parallel policy paid to pickle cross-shard
+    messages.  Read off the finished class (two or more fields, all
+    constructor arguments), the reduction cannot go stale.
+    """
+    names = [f.name for f in fields(cls)]  # type: ignore[arg-type]
+    values = attrgetter(*names)
+    cls.__reduce__ = (  # type: ignore[method-assign,assignment]
+        lambda self: (cls, values(self))
+    )
+    return cls
+
+
+@_pickled_by_constructor
 @dataclass(frozen=True, slots=True)
 class ServeEntry:
     """One update inside a Serve message.
@@ -135,6 +157,7 @@ def attestation_payload(
     )
 
 
+@_pickled_by_constructor
 @dataclass(frozen=True, slots=True)
 class SignedAck:
     """Message 5 content: ``<Ack, R, B, A, H(prod u_i)_(K(R-1,A), M)>_B``.
@@ -172,6 +195,7 @@ class SignedAck:
         return sizes.hash_value + sizes.signature + 12
 
 
+@_pickled_by_constructor
 @dataclass(frozen=True, slots=True)
 class SignedAttestation:
     """Message 4 content: ``<Attestation, R, A, B, H(.)_(p_j,M)>_A``.
@@ -339,6 +363,7 @@ class AttestationRelay(Message):
         )
 
 
+@_pickled_by_constructor
 @dataclass(frozen=True, slots=True)
 class RelayPair:
     """One (attestation, cofactor) pair inside a batched relay.

@@ -631,7 +631,7 @@ class SharedLadderTable:
     that meets a base — which means every worker replica of a parallel
     run rebuilds *identical* tables for the session-lifetime bases (the
     deterministic update contents a stream schedule will release).  This
-    table holds them once, built in the parent before the worker pools
+    table holds them once, built in the parent before the workers
     start: process workers inherit the pages for free on fork, and the
     structure is plain tuples of ints so it pickles cleanly for
     spawn-mode workers (it travels with the session bootstrap).

@@ -390,7 +390,7 @@ class HomomorphicHasher:
         """Serve fixed-base misses from a precomputed read-only table.
 
         Built once (typically in the parent of a parallel run, before
-        the worker pools start) and adopted by every replica's hasher,
+        the workers start) and adopted by every replica's hasher,
         so per-shard replicas stop rebuilding identical ladder tables
         for the session-lifetime bases.  A no-op under backends that do
         not use the table fast path (gmpy2 beats it outright).

@@ -30,9 +30,9 @@ Inside a replica scope the analyzer flags:
   parent, so a module global is exactly the channel through which
   replica state can leak into the authoritative session.
 
-The one legitimate global write (installing the per-process replica
-slot in the pool initializer) carries an allow pragma with its
-justification.
+No replica scope in ``src/`` writes a global today (a process worker's
+replica is a local of its request loop, ``_process_loop``); one that
+had to would carry an allow pragma with its justification.
 """
 
 from __future__ import annotations

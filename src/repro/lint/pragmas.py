@@ -1,10 +1,10 @@
 """``# lint: allow[RULE] justification`` pragma parsing.
 
 The determinism and parity analyzers have a small set of legitimate
-exceptions (the seeded-RNG factory itself, benchmark entropy, the
-per-process replica slot).  Those sites carry an explicit allow pragma
-*with a mandatory justification*, so every suppression is a reviewed,
-documented decision rather than a silent hole:
+exceptions (the seeded-RNG factory itself, benchmark entropy).  Those
+sites carry an explicit allow pragma *with a mandatory justification*,
+so every suppression is a reviewed, documented decision rather than a
+silent hole:
 
     rng = random.Random()  # lint: allow[DET102] fuzz CLI entropy only
 

@@ -51,7 +51,7 @@ def default_fanout(n: int) -> int:
 class _Without(Sequence[int]):
     """What ``random.sample`` reads as ``items`` minus index ``skip``."""
 
-    def __init__(self, items: List[int], skip: int) -> None:
+    def __init__(self, items: Sequence[int], skip: int) -> None:
         self._items, self._skip = items, skip
 
     def __len__(self) -> int:
@@ -170,11 +170,15 @@ class ViewProvider:
         """The stable monitor set of ``node_id`` for this session."""
         if node_id not in self._monitor_cache:
             rng = self.seeds.stream("mon", node_id)
-            candidates = [
-                m
-                for m in self.directory.members
-                if m != node_id and m != self.directory.source_id
-            ]
+            members = self.directory.members
+            candidates: Sequence[int] = members
+            # Everyone but the node and the source, unbuilt; the higher
+            # id goes first so the lower one keeps its index.
+            skips = {node_id, self.directory.source_id} - {None}
+            for skip in sorted(skips, reverse=True):
+                at = bisect_left(members, skip)
+                if members[at : at + 1] == [skip]:
+                    candidates = _Without(candidates, at)
             k = min(self.monitors_per_node, len(candidates))
             self._monitor_cache[node_id] = sorted(rng.sample(candidates, k))
         return list(self._monitor_cache[node_id])

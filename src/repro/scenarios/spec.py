@@ -669,7 +669,7 @@ class ScenarioSpec:
         ``policy`` knob.  Worker-backed policies are synced (reporting
         state pulled from the workers) before collection and closed
         afterwards, so callers never see half-run sessions or leaked
-        pools.
+        worker processes.
         """
         policy = execution_policy
         if policy is None:

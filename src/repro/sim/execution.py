@@ -8,22 +8,23 @@ differential suite holds them to it):
 
 * :class:`SerialPolicy` delivers a drain batch one message at a time in
   FIFO order — the reference schedule.
-* :class:`ParallelShardedPolicy` runs one worker process per shard.
+* :class:`ParallelShardedPolicy` runs one worker process per shard,
+  each a receive-execute-reply loop over one duplex pipe.
   Shard ``i`` owns the nodes with ``node_id % workers == i`` and holds a
   *replica* of the whole session, rebuilt deterministically from the
   scenario spec inside the worker.  The engine hands the policy the
   round barriers (``begin_round`` fan-out, every drain batch,
   ``end_round``); each worker executes only the lifecycle calls and
-  deliveries of its owned nodes, buffering sends in a private capture,
-  and the parent merges the captures by ``(trigger_index, seq)`` — the
-  exact order a serial walk would have produced.  Taps, drop rules, the
-  shared meter and the pending queue live only in the parent, so
-  traces, drops and byte accounting match :class:`SerialPolicy` by
-  construction.  PAG nodes interact exclusively through messages
-  (monitors defer their traffic to a next-round outbox), which is what
-  makes replica execution exact: a node's state is a pure function of
-  its constructor and the ordered lifecycle calls it receives, all of
-  which are routed to exactly one worker.
+  deliveries of its owned nodes, buffering and metering sends in a
+  private capture, and the parent merges the captures by
+  ``(trigger_index, seq)`` — the exact order a serial walk would have
+  produced.  Taps, drop rules, the shared meter and the pending queue
+  live only in the parent, so traces, drops and byte accounting match
+  :class:`SerialPolicy` by construction.  PAG nodes interact
+  exclusively through messages (monitors defer their traffic to a
+  next-round outbox), which is what makes replica execution exact: a
+  node's state is a pure function of its constructor and the ordered
+  lifecycle calls it receives, all routed to exactly one worker.
 * :class:`DaemonPolicy` is the serial schedule with every message
   round-tripped through the v1 wire codec (loopback, no sockets).
 
@@ -36,9 +37,11 @@ from __future__ import annotations
 import multiprocessing
 import pickle
 import time
-from concurrent.futures import Future, ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
+import traceback
+from contextlib import suppress
 from dataclasses import dataclass, field
+from multiprocessing.connection import Connection, wait
+from operator import attrgetter
 from typing import (
     TYPE_CHECKING,
     Callable,
@@ -134,8 +137,8 @@ class ExecutionPolicy:
         objects)."""
 
     def close(self) -> None:
-        """Release any execution resources (worker pools); the policy
-        may be reused afterwards."""
+        """Release any execution resources (worker processes); the
+        policy may be reused afterwards."""
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<{type(self).__name__} name={self.name!r}>"
@@ -230,31 +233,35 @@ class DaemonPolicy(ExecutionPolicy):
 # ---------------------------------------------------------------------------
 
 
+#: Snapshot key -> where the counter lives under ``session.context``,
+#: for every protocol-level operation count a worker reports and
+#: :func:`_apply_ops` grafts back.  The hasher's cache buckets travel
+#: with its operation count: every hash call lands in exactly one
+#: bucket, so grafting ``hashes`` without them would leave the parent's
+#: ``cache_stats()`` hit-rate denominator missing the workers' calls.
+_OP_COUNTERS = {
+    "hashes": "hasher.operations",
+    "hash_memo_hits": "hasher.memo_hits",
+    "hash_fixed_base_hits": "hasher.fixed_base_hits",
+    "hash_cold_powmods": "hasher.cold_powmods",
+    "hash_batched_lifts": "hasher.batched_lifts",
+    "hash_shared_ladder_seeds": "hasher.shared_ladder_seeds",
+    "encryptions": "counters.encryptions",
+    "decryptions": "counters.decryptions",
+    "prime_generations": "counters.prime_generations",
+    "signatures": "signer.counters.signatures",
+    "verifications": "signer.counters.verifications",
+}
+
+
 def _ops_snapshot(session) -> Dict[str, int]:
     """Protocol-level operation counters of a session (PAG only; the
-    AcTinG baseline keeps no crypto tallies).
-
-    The hasher's cache buckets travel with the operation count: every
-    protocol-level hash call lands in exactly one bucket, so grafting
-    ``hashes`` without them would leave the parent's
-    ``cache_stats()`` hit-rate denominator missing the workers' calls.
-    """
+    AcTinG baseline keeps no crypto tallies)."""
     context = getattr(session, "context", None)
     if context is None:
         return {}
-    hasher = context.hasher
     return {
-        "hashes": hasher.operations,
-        "hash_memo_hits": hasher.memo_hits,
-        "hash_fixed_base_hits": hasher.fixed_base_hits,
-        "hash_cold_powmods": hasher.cold_powmods,
-        "hash_batched_lifts": hasher.batched_lifts,
-        "hash_shared_ladder_seeds": hasher.shared_ladder_seeds,
-        "encryptions": context.counters.encryptions,
-        "decryptions": context.counters.decryptions,
-        "prime_generations": context.counters.prime_generations,
-        "signatures": context.signer.counters.signatures,
-        "verifications": context.signer.counters.verifications,
+        key: attrgetter(path)(context) for key, path in _OP_COUNTERS.items()
     }
 
 
@@ -270,31 +277,10 @@ def _apply_ops(session, baseline: Dict[str, int], run_ops: Dict[str, int]):
     context = getattr(session, "context", None)
     if context is None:
         return
-    hasher = context.hasher
-    hasher.operations = baseline["hashes"] + run_ops.get("hashes", 0)
-    for attr, key in (
-        ("memo_hits", "hash_memo_hits"),
-        ("fixed_base_hits", "hash_fixed_base_hits"),
-        ("cold_powmods", "hash_cold_powmods"),
-        ("batched_lifts", "hash_batched_lifts"),
-        ("shared_ladder_seeds", "hash_shared_ladder_seeds"),
-    ):
-        setattr(hasher, attr, baseline.get(key, 0) + run_ops.get(key, 0))
-    counters = context.counters
-    counters.encryptions = baseline["encryptions"] + run_ops.get(
-        "encryptions", 0
-    )
-    counters.decryptions = baseline["decryptions"] + run_ops.get(
-        "decryptions", 0
-    )
-    counters.prime_generations = baseline["prime_generations"] + run_ops.get(
-        "prime_generations", 0
-    )
-    signer = context.signer.counters
-    signer.signatures = baseline["signatures"] + run_ops.get("signatures", 0)
-    signer.verifications = baseline["verifications"] + run_ops.get(
-        "verifications", 0
-    )
+    for key, path in _OP_COUNTERS.items():
+        owner, _, attr = path.rpartition(".")
+        total = baseline[key] + run_ops.get(key, 0)
+        setattr(attrgetter(owner)(context), attr, total)
 
 
 def _export_node_state(node) -> Dict[str, object]:
@@ -350,7 +336,7 @@ class _SpecBootstrap:
     ``shared_ladders`` optionally carries a read-only
     :class:`~repro.crypto.backend.SharedLadderTable` built once in the
     parent: fork-mode process workers inherit its pages for free (the
-    bootstrap is created before the pools start), spawn-mode workers
+    bootstrap is created before the workers start), spawn-mode workers
     receive it pickled and in-process ``serialized`` replicas share it
     through this object, and every replica's hasher adopts it instead
     of rebuilding identical fixed-base tables.
@@ -422,15 +408,16 @@ class _ReplicaWorker:
         capture's ``trigger_index`` so the parent reconstructs the
         serial send order.
 
-        Returns ``("capture", capture, wall_s, cpu_s)`` or, with
-        ``fast`` set (no parent-side taps/drop rules),
-        ``("fast", meta, outbound_blobs, wall_s, cpu_s)`` where ``meta``
-        is ``[(trigger, seq, sender, recipient, size), ...]`` and
-        ``outbound_blobs`` maps destination shards to pickled
-        ``[(key, message), ...]`` lists.  Stash/blob keys are
-        ``(barrier_seq, trigger, seq)``: the parent's barrier counter
-        scopes them globally, so sends of different barriers can never
-        collide in a shared stash.
+        Returns ``(capture, meta, meter_rows, outbound_blobs, wall_s,
+        cpu_s)``: the capture itself and nothing else, or, with ``fast``
+        set (no parent-side taps/drop rules), ``None`` in its place,
+        ``meta`` as ``[(trigger, seq, sender, recipient, size), ...]``,
+        the per-node totals of the meter the capture filled (rows for
+        :meth:`~repro.sim.metrics.BandwidthMeter.add_round_rows`) and
+        pickled ``[(key, message), ...]`` lists by destination shard.
+        Stash/blob keys are ``(barrier_seq, trigger, seq)``: the
+        parent's barrier counter scopes them globally, so sends of
+        different barriers can never collide in a shared stash.
         """
         wall0 = time.perf_counter()
         cpu0 = time.thread_time()
@@ -461,55 +448,47 @@ class _ReplicaWorker:
                         continue
                     capture.trigger_index = index
                     node.on_message(message)
-            elif phase == "begin":
+            elif phase in ("begin", "end"):
                 for index, node_id in items:
                     node = nodes_get(node_id)
                     if node is None:
                         continue
                     capture.trigger_index = index
-                    node.begin_round(round_no)
-            elif phase == "end":
-                for index, node_id in items:
-                    node = nodes_get(node_id)
-                    if node is None:
-                        continue
-                    capture.trigger_index = index
-                    node.end_round(round_no)
+                    if phase == "begin":
+                        node.begin_round(round_no)
+                    else:
+                        node.end_round(round_no)
             else:  # pragma: no cover - protocol misuse
                 raise ValueError(f"unknown phase {phase!r}")
         finally:
             network.release_capture()
-        if not fast:
-            return (
-                "capture",
-                capture,
-                time.perf_counter() - wall0,
-                time.thread_time() - cpu0,
-            )
-        meta = []
+        meta: List[tuple] = []
+        meter_rows: List[tuple] = []
         outbound: Dict[int, list] = {}
-        stash = self._stash
-        for trigger, seq, message, size in capture.entries:
-            meta.append(
-                (trigger, seq, message.sender, message.recipient, size)
-            )
-            key = (barrier_seq, trigger, seq)
-            if self._shares_stash:
-                stash[key] = message
-                continue
-            dest = message.recipient % self.workers
-            if dest == self.shard:
-                stash[key] = message
-            else:
-                outbound.setdefault(dest, []).append((key, message))
-        blobs_out = {
-            dest: pickle.dumps(pairs, pickle.HIGHEST_PROTOCOL)
-            for dest, pairs in outbound.items()
-        }
+        if fast:
+            stash = self._stash
+            for trigger, seq, message, size in capture.entries:
+                meta.append(
+                    (trigger, seq, message.sender, message.recipient, size)
+                )
+                key = (barrier_seq, trigger, seq)
+                dest = message.recipient % self.workers
+                if self._shares_stash or dest == self.shard:
+                    stash[key] = message
+                else:
+                    outbound.setdefault(dest, []).append((key, message))
+            meter_rows = [
+                (n, t.bytes_up, t.messages_up, t.bytes_down, t.messages_down)
+                for n, t in capture.meter.totals.items()
+            ]
         return (
-            "fast",
+            None if fast else capture,
             meta,
-            blobs_out,
+            meter_rows,
+            {
+                dest: pickle.dumps(pairs, pickle.HIGHEST_PROTOCOL)
+                for dest, pairs in outbound.items()
+            },
             time.perf_counter() - wall0,
             time.thread_time() - cpu0,
         )
@@ -557,50 +536,90 @@ class _ReplicaWorker:
         return {"ops": ops, "nodes": nodes}
 
 
-#: Per-process replica, installed by the pool initializer.  Each shard
-#: owns a single-worker ProcessPoolExecutor, so one process hosts
-#: exactly one replica for its whole life.
-_PROCESS_REPLICA: Optional[_ReplicaWorker] = None
+def _process_loop(conn: Connection, ours: Connection, *replica_args) -> None:
+    """A shard's worker process: build the replica, then answer each
+    ``(op, args)`` with ``(True, result, None)`` or ``(False, exception,
+    formatted traceback)`` until told ``None`` or the parent is gone.
+    ``ours`` is the parent's end of the pipe: a forked child holds a
+    copy, and would never read EOF from a dead parent with it open."""
+    ours.close()
+    replica = _ReplicaWorker(*replica_args)
+    try:
+        for op, args in iter(conn.recv, None):
+            try:
+                reply = (True, getattr(replica, op)(*args), None)
+            except Exception as exc:  # noqa: BLE001 - raised in the parent
+                reply = (False, exc, traceback.format_exc())
+            conn.send(reply)
+    except (EOFError, OSError):  # parent gone: nobody left to answer
+        pass
 
 
-def _init_process_replica(  # lint: replica-scope
-    bootstrap, shard: int, workers: int
-) -> None:
-    # lint: allow[PAR302] pool initializer installing the per-process
-    # replica slot; runs only inside the worker process
-    global _PROCESS_REPLICA
-    _PROCESS_REPLICA = _ReplicaWorker(bootstrap, shard, workers)
-
-
-def _process_call(op: str, args: tuple):
-    """Run one :class:`_ReplicaWorker` method on this process's replica."""
-    return getattr(_PROCESS_REPLICA, op)(*args)
+class _RemoteTraceback(Exception):
+    """``__cause__`` of an exception re-raised from a worker; its text
+    is the traceback formatted where it was raised."""
 
 
 class _ShardHandle:
-    """Parent-side endpoint of one shard's worker: a process pool
-    (``process`` backend) or the replica itself (``serialized``)."""
+    """Parent-side endpoint of one shard's replica: a worker process
+    behind one duplex pipe (``process`` backend) or the replica itself
+    (``serialized``).  Every parent-to-replica call is a :meth:`submit`
+    and a :meth:`result`."""
 
-    def __init__(
-        self,
-        shard: int,
-        executor: Optional[ProcessPoolExecutor] = None,
-        local: Optional[_ReplicaWorker] = None,
-    ) -> None:
+    def __init__(self, shard: int, local=None, process=None, conn=None):
         self.shard = shard
-        self._executor = executor
-        self._local = local
+        self._local: Optional[_ReplicaWorker] = local
+        self.process = process
+        self._conn: Optional[Connection] = conn
+        #: a local replica's result, or True while a worker owes one.
+        self._owed: object = None
 
-    def submit(self, op: str, *args) -> Future:
+    def submit(self, op: str, *args) -> None:
         """Start ``_ReplicaWorker.<op>(*args)`` on the shard's replica."""
-        if self._local is None:
-            return self._executor.submit(_process_call, op, args)
-        future: Future = Future()
-        future.set_result(getattr(self._local, op)(*args))
-        return future
+        if self._local is not None:
+            self._owed = getattr(self._local, op)(*args)
+            return
+        with suppress(OSError):  # a dead worker: result() names it
+            self._conn.send((op, args))
+        self._owed = True
 
-    def call(self, op: str, *args):
-        return self.submit(op, *args).result()
+    def result(self, doing: str):
+        """What the submitted call returned.  What it raised is raised
+        again, the worker's traceback as its ``__cause__``; a dead
+        worker is a ``RuntimeError`` naming the shard and ``doing``.
+        Waits on the process as well as the pipe: an end of the pipe
+        that a forked sibling inherited would keep EOF from arriving."""
+        owed, self._owed = self._owed, None
+        if self._local is not None:
+            return owed
+        try:
+            if self._conn not in wait([self._conn, self.process.sentinel]):
+                raise EOFError
+            ok, value, remote = self._conn.recv()
+        except (EOFError, OSError) as exc:
+            raise RuntimeError(
+                f"parallel worker of shard {self.shard} died during {doing}"
+            ) from exc
+        if ok:
+            return value
+        raise value from _RemoteTraceback(remote)
+
+    def call(self, doing: str, op: str, *args):
+        self.submit(op, *args)
+        return self.result(doing)
+
+    def close(self) -> None:
+        """Stop the worker, taking the reply it may still owe first: it
+        would block writing a large one into a pipe nobody reads."""
+        if self.process is None:
+            return
+        if self._owed:
+            with suppress(Exception):  # dead, or moot by now
+                self.result("close")
+        with suppress(OSError):  # already dead
+            self._conn.send(None)
+        self.process.join()
+        self._conn.close()
 
 
 @dataclass
@@ -635,30 +654,21 @@ class ParallelStats:
 
 
 class ParallelShardedPolicy(ExecutionPolicy):
-    """Worker-backed shard execution, bit-identical to ``SerialPolicy``.
-
-    Shard ``i`` owns every node with ``node_id % workers == i`` and runs
-    that shard's lifecycle calls and deliveries on its own replica of
-    the session (see the module docstring for why replica execution is
-    exact).  The parent keeps the authoritative queue, meter, taps and
-    drop rules, merging worker captures in shard order by
-    ``(trigger_index, seq)``.
+    """Worker-backed shard execution, bit-identical to ``SerialPolicy``
+    (the module docstring says how, and why replica execution is exact).
 
     Args:
         workers: shard/worker count (>= 1).
         backend: ``"process"`` (the default and the only backend the
-            CLI, the registry and the fuzzer build: one single-worker
-            process pool per shard) or ``"serialized"`` (the same
+            CLI, the registry and the fuzzer build: one worker process
+            and one pipe per shard) or ``"serialized"`` (the same
             replica protocol driven synchronously in this process — the
             differential suite's cheap reference for the replica/merge
             logic).
 
-    The session-lifetime fixed-base ladders are precomputed once in the
-    parent and handed to every replica read-only, instead of letting
-    each worker rebuild identical tables.
-
     Replicas are rebuilt from a scenario spec, bound by
-    :meth:`ScenarioSpec.build <repro.scenarios.spec.ScenarioSpec.build>`;
+    :meth:`ScenarioSpec.build <repro.scenarios.spec.ScenarioSpec.build>`
+    (with the session's fixed-base ladders, built once in the parent);
     a session assembled by hand has nothing to rebuild from, and its
     first round raises a ``RuntimeError`` saying so.
 
@@ -671,11 +681,7 @@ class ParallelShardedPolicy(ExecutionPolicy):
 
     _BACKENDS = ("process", "serialized")
 
-    def __init__(
-        self,
-        workers: int = 4,
-        backend: str = "process",
-    ) -> None:
+    def __init__(self, workers: int = 4, backend: str = "process") -> None:
         if workers < 1:
             raise ValueError("worker count must be at least 1")
         if backend not in self._BACKENDS:
@@ -737,28 +743,26 @@ class ParallelShardedPolicy(ExecutionPolicy):
             context = multiprocessing.get_context(
                 "fork" if "fork" in start_methods else start_methods[0]
             )
-            self._handles = [
-                _ShardHandle(
-                    shard,
-                    executor=ProcessPoolExecutor(
-                        max_workers=1,
-                        mp_context=context,
-                        initializer=_init_process_replica,
-                        initargs=(self._bootstrap, shard, self.workers),
-                    ),
+            self._handles = []
+            for shard in range(self.workers):
+                # One at a time, the child's end closed before the next
+                # fork: no sibling inherits it, so a death reads as EOF.
+                ours, theirs = context.Pipe()
+                process = context.Process(
+                    target=_process_loop,
+                    args=(theirs, ours, self._bootstrap, shard, self.workers),
+                    daemon=True,
                 )
-                for shard in range(self.workers)
-            ]
+                process.start()
+                theirs.close()
+                self._handles.append(_ShardHandle(shard, None, process, ours))
         else:  # serialized
             stash: dict = {}
             self._handles = [
                 _ShardHandle(
                     shard,
-                    local=_ReplicaWorker(
-                        self._bootstrap,
-                        shard,
-                        self.workers,
-                        shared_stash=stash,
+                    _ReplicaWorker(
+                        self._bootstrap, shard, self.workers, stash
                     ),
                 )
                 for shard in range(self.workers)
@@ -767,6 +771,12 @@ class ParallelShardedPolicy(ExecutionPolicy):
         self.stats = ParallelStats()
         self._inbound_blobs = {}
         self._barrier_seq = 0
+
+    def worker_pids(self) -> List[int]:
+        """Process ids of the running workers, in shard order (empty
+        before the first round, after :meth:`close` and under the
+        ``serialized`` backend)."""
+        return [h.process.pid for h in self._handles or () if h.process]
 
     # -- barriers ----------------------------------------------------------
 
@@ -780,69 +790,57 @@ class ParallelShardedPolicy(ExecutionPolicy):
     ) -> None:
         """Scatter one phase to the shards, gather, merge in shard order.
 
-        When the parent network has no taps and no drop rules, the
-        barrier runs in metadata mode: workers return send metadata plus
-        pre-partitioned payload blobs, and the parent meters/queues
-        :class:`~repro.sim.network.RemoteSend` references without ever
-        materialising the messages (the dominant coordinator cost
-        otherwise).  Any tap or drop rule switches the barrier to full
-        captures, where every send crosses as a real message and the
-        network replays it through rules and taps in serial order —
+        With no taps and no drop rules on the parent network the
+        barrier runs in metadata mode (:meth:`Network.merge_remote
+        <repro.sim.network.Network.merge_remote>`): payloads stay in
+        the workers or cross between them as blobs the parent never
+        opens, and the rows of the meters the workers filled are added
+        to the parent's, so no send is metered twice.  Any tap or drop
+        rule switches to full captures, every send crossing as a real
+        message and replayed through rules and taps in serial order;
         both modes produce bit-identical accounting and schedules.
 
-        Lifecycle phases are always submitted to every shard (even with
-        no owned work) so replicas initialise eagerly; delivery skips
-        empty buckets.
-
-        A worker process that died (killed, out of memory, a failed
-        replica rebuild) surfaces here as a ``RuntimeError`` naming the
-        shard, phase and round; :meth:`close` stays safe afterwards.
+        Lifecycle phases go to every shard, delivery skips empty
+        buckets.  A dead worker (killed, out of memory, a failed
+        replica rebuild) is a ``RuntimeError`` naming shard, phase and
+        round; :meth:`close` stays safe afterwards.
         """
         wall0 = time.perf_counter()
         fast = not network.taps and not network.drop_rules
         barrier_seq = self._barrier_seq = self._barrier_seq + 1
-        futures: List[Optional[Future]] = []
         captures = []
         meta: List[tuple] = []
+        meter_rows: List[tuple] = []
         barrier_cpu = 0.0
-        try:
-            for shard, items in enumerate(work):
-                if phase == "deliver" and not items:
-                    futures.append(None)
-                    continue
-                blobs = (
-                    self._inbound_blobs.pop(shard, None) if remote else None
-                )
-                futures.append(
-                    self._handles[shard].submit(
-                        "run_phase", phase, round_no, items, fast, blobs,
-                        remote, barrier_seq,
-                    )
-                )
-            self._inbound_blobs = {}
-            for shard, future in enumerate(futures):
-                if future is None:
-                    continue
-                result = future.result()
-                if result[0] == "fast":
-                    _, shard_meta, blobs_out, wall, cpu = result
-                    meta.extend(shard_meta)
-                    for dest, blob in blobs_out.items():
-                        self._inbound_blobs.setdefault(dest, []).append(blob)
-                else:
-                    _, capture, wall, cpu = result
-                    captures.append(capture)
-                self.stats.busy_wall_seconds += wall
-                self.stats.busy_cpu_seconds += cpu
-                self.stats.shard_cpu_seconds[shard] = (
-                    self.stats.shard_cpu_seconds.get(shard, 0.0) + cpu
-                )
-                barrier_cpu = max(barrier_cpu, cpu)
-        except BrokenProcessPool as exc:
-            raise RuntimeError(
-                f"parallel worker of shard {shard} died during the "
-                f"{phase!r} phase of round {round_no}"
-            ) from exc
+        busy = []
+        for handle, items in zip(self._handles, work):
+            if phase == "deliver" and not items:
+                continue
+            blobs = (
+                self._inbound_blobs.pop(handle.shard, None) if remote else None
+            )
+            handle.submit(
+                "run_phase", phase, round_no, items, fast, blobs, remote,
+                barrier_seq,
+            )
+            busy.append(handle)
+        self._inbound_blobs = {}
+        for handle in busy:
+            capture, shard_meta, shard_rows, blobs_out, wall, cpu = (
+                handle.result(f"the {phase!r} phase of round {round_no}")
+            )
+            if capture is not None:
+                captures.append(capture)
+            meta.extend(shard_meta)
+            meter_rows.extend(shard_rows)
+            for dest, blob in blobs_out.items():
+                self._inbound_blobs.setdefault(dest, []).append(blob)
+            self.stats.busy_wall_seconds += wall
+            self.stats.busy_cpu_seconds += cpu
+            self.stats.shard_cpu_seconds[handle.shard] = (
+                self.stats.shard_cpu_seconds.get(handle.shard, 0.0) + cpu
+            )
+            barrier_cpu = max(barrier_cpu, cpu)
         self.stats.critical_cpu_seconds += barrier_cpu
         if captures:
             network.merge_captures(captures)
@@ -854,7 +852,8 @@ class ParallelShardedPolicy(ExecutionPolicy):
                         (barrier_seq, trigger, seq), sender, recipient, size
                     )
                     for trigger, seq, sender, recipient, size in meta
-                ]
+                ],
+                meter_rows,
             )
         self.stats.barriers += 1
         self.stats.wall_seconds += time.perf_counter() - wall0
@@ -881,16 +880,10 @@ class ParallelShardedPolicy(ExecutionPolicy):
         self._ensure_started()
         remote = bool(batch) and isinstance(batch[0], RemoteSend)
         work: List[List[tuple]] = [[] for _ in range(self.workers)]
-        if remote:
-            for index, send in enumerate(batch):
-                work[send.recipient % self.workers].append(
-                    (index, send.key)
-                )
-        else:
-            for index, message in enumerate(batch):
-                work[message.recipient % self.workers].append(
-                    (index, message)
-                )
+        for index, entry in enumerate(batch):
+            work[entry.recipient % self.workers].append(
+                (index, entry.key if remote else entry)
+            )
         self._barrier(
             "deliver", network.current_round, work, network, remote=remote
         )
@@ -908,13 +901,17 @@ class ParallelShardedPolicy(ExecutionPolicy):
         """
         if self._handles is None:
             return
-        self._handles[node.node_id % self.workers].call("admit", node.node_id)
+        self._handles[node.node_id % self.workers].call(
+            f"notify_add of node {node.node_id}", "admit", node.node_id
+        )
         self.stats.admitted_nodes += 1
 
     def notify_remove(self, node_id: int) -> None:
         if self._handles is None:
             return
-        self._handles[node_id % self.workers].call("remove", node_id)
+        self._handles[node_id % self.workers].call(
+            f"notify_remove of node {node_id}", "remove", node_id
+        )
         self.stats.removed_nodes += 1
 
     # -- reporting sync & shutdown -----------------------------------------
@@ -932,7 +929,7 @@ class ParallelShardedPolicy(ExecutionPolicy):
         run_ops: Dict[str, int] = {}
         sim_nodes = session.simulator.nodes
         for handle in self._handles:
-            report = handle.call("collect")
+            report = handle.call("sync_session", "collect")
             for key, delta in report["ops"].items():
                 run_ops[key] = run_ops.get(key, 0) + delta
             for node_id, state in report["nodes"].items():
@@ -943,14 +940,13 @@ class ParallelShardedPolicy(ExecutionPolicy):
             _apply_ops(session, self._parent_baseline, run_ops)
 
     def close(self) -> None:
-        """Shut the worker pools down; the policy can be rebound/reused.
+        """Stop and reap the workers; the policy can be rebound/reused.
 
         ``stats`` and ``mode`` keep their final values for post-run
         inspection (the benchmark reads them after the run).
         """
         for handle in self._handles or ():
-            if handle._executor is not None:
-                handle._executor.shutdown(wait=True)
+            handle.close()
         self._handles = None
         self._bootstrap = None
         self._parent_baseline = None

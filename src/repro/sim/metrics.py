@@ -111,6 +111,33 @@ class BandwidthMeter:
         if rnd + 1 > self.rounds_seen:
             self.rounds_seen = rnd + 1
 
+    def add_round_rows(
+        self, rows: Iterable[Tuple[int, int, int, int, int]], rnd: int
+    ) -> None:
+        """Meter round ``rnd`` from per-node ``(node, bytes_up,
+        messages_up, bytes_down, messages_down)`` rows: the totals of a
+        meter that saw that round only (a shard's send capture).
+        Leaves this meter as one :meth:`record` per underlying send
+        would (a direction with messages grows its series and
+        ``rounds_seen`` even at zero bytes), at O(nodes touched)."""
+        for node, bytes_up, messages_up, bytes_down, messages_down in rows:
+            total = self.totals[node]
+            total.bytes_up += bytes_up
+            total.messages_up += messages_up
+            total.bytes_down += bytes_down
+            total.messages_down += messages_down
+            for table, messages, size in (
+                (self.up_series, messages_up, bytes_up),
+                (self.down_series, messages_down, bytes_down),
+            ):
+                if messages:
+                    series = table.setdefault(node, [])
+                    if len(series) <= rnd:
+                        _grow(series, rnd)
+                    series[rnd] += size
+                    if rnd >= self.rounds_seen:
+                        self.rounds_seen = rnd + 1
+
     def node_series(
         self, node: int, direction: str = "both"
     ) -> List[int]:

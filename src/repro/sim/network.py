@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Deque, List, Optional, Protocol
+from typing import Callable, Deque, Iterable, List, Optional, Protocol
 
 from repro.sim.message import Message, WireSizes
 from repro.sim.metrics import BandwidthMeter
@@ -70,11 +70,11 @@ class RemoteSend:
     execution worker.
 
     The parallel policy's metadata fast path (no taps, no drop rules —
-    see :meth:`Network.merge_remote`) meters and orders sends from
-    worker-reported metadata alone; the payload either stays in the
-    worker that produced it or crosses as part of an opaque
-    pre-partitioned blob the parent never unpickles.  ``key`` is the
-    ``(trigger_index, seq)`` identity the owning worker uses to look the
+    see :meth:`Network.merge_remote`) orders sends from worker-reported
+    metadata alone; the payload either stays in the worker that
+    produced it or crosses as part of an opaque pre-partitioned blob
+    the parent never unpickles.  ``key`` is the ``(barrier_seq,
+    trigger_index, seq)`` identity the owning worker uses to look the
     payload back up at delivery time.
     """
 
@@ -240,12 +240,19 @@ class Network:
                 self._queue.append(message)
             self._release_delayed()
 
-    def merge_remote(self, sends: List[RemoteSend]) -> None:
+    def merge_remote(
+        self, sends: List[RemoteSend], meter_rows: Iterable[tuple]
+    ) -> None:
         """Fast-path merge of worker-held sends, from metadata alone.
 
         The caller passes :class:`RemoteSend` entries already in the
-        reconstructed serial order; each is metered and queued exactly
-        as :meth:`merge_captures` would have done with the full message.
+        reconstructed serial order, queued exactly as
+        :meth:`merge_captures` would have queued the full messages, and
+        the per-node rows of the shards' capture meters, which already
+        metered every one of those sends: the rows are added to the
+        shared meter for the current round (see
+        :meth:`BandwidthMeter.add_round_rows`; integer addition, so the
+        shard order does not matter).
         Only valid while no taps or drop rules are installed — those
         must observe real messages, so the parallel policy falls back to
         full captures whenever either is present.
@@ -255,10 +262,7 @@ class Network:
                 "metadata-only merge is invalid while taps or drop rules "
                 "are installed"
             )
-        record = self.meter.record
-        rnd = self.current_round
-        for send in sends:
-            record(send.sender, send.recipient, send.size, rnd)
+        self.meter.add_round_rows(meter_rows, self.current_round)
         self.messages_sent += len(sends)
         self._queue.extend(sends)
 

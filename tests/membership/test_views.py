@@ -286,3 +286,49 @@ def test_successors_equal_the_reference_draw(n, seed, fanout, data):
             assert views.successors(node, round_no) == (
                 _reference_successors(views, node, round_no)
             )
+
+
+def _reference_monitors(views, node_id):
+    """The draw as it stood while ``monitors()`` built its candidates:
+    one filtered copy of the membership per node."""
+    rng = views.seeds.stream("mon", node_id)
+    candidates = [
+        m
+        for m in views.directory.members
+        if m != node_id and m != views.directory.source_id
+    ]
+    return sorted(
+        rng.sample(candidates, min(views.monitors_per_node, len(candidates)))
+    )
+
+
+@given(
+    n=st.integers(min_value=3, max_value=300),
+    seed=st.integers(0, 2**16),
+    monitors=st.integers(min_value=1, max_value=7),
+    source=st.sampled_from(["first", "middle", "last", None]),
+)
+@settings(max_examples=60, deadline=None)
+def test_monitors_equal_the_reference_draw(n, seed, monitors, source):
+    """Bit-identical monitor sets through the doubly index-shifted view,
+    on both of ``random.sample``'s branches, for every member (the
+    source, whose two skips coincide, included), a source at either end
+    of the id range or absent, and a caller outside the membership."""
+    members = list(range(0, 2 * n, 2))
+    source_id = {
+        "first": members[0],
+        "middle": members[n // 2],
+        "last": members[-1],
+        None: None,
+    }[source]
+    views = ViewProvider(
+        directory=Directory(members=members, source_id=source_id),
+        seeds=SeedSequence(seed),
+        fanout=1,
+        monitors_per_node=min(monitors, n - 1),
+    )
+    for node in members + [1, 2 * n + 1]:
+        drawn = views.monitors(node)
+        assert drawn == _reference_monitors(views, node)
+        drawn.clear()  # a caller's copy, not the cache
+        assert views.monitors(node) == _reference_monitors(views, node)

@@ -3,6 +3,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.sim.metrics import BandwidthMeter, cdf_points, kbps
 
@@ -257,3 +259,64 @@ def test_merge_from_is_exact():
             merged.totals[node].messages_down
             == whole.totals[node].messages_down
         )
+
+
+def _round_rows(meter):
+    """What a parallel worker ships: per-node totals of a meter that
+    saw one round (``_ReplicaWorker.run_phase`` builds the same)."""
+    return [
+        (node, t.bytes_up, t.messages_up, t.bytes_down, t.messages_down)
+        for node, t in meter.totals.items()
+    ]
+
+
+@given(
+    sends=st.lists(
+        st.tuples(
+            st.integers(0, 9),  # sender
+            st.integers(0, 9),  # recipient
+            st.integers(0, 3).map(lambda size: size * 511),  # 0 is a size
+            st.integers(0, 3),  # shard that made the send
+        ),
+        max_size=40,
+    ),
+    rnd=st.integers(0, 5),
+    earlier=st.lists(
+        st.tuples(st.integers(0, 9), st.integers(0, 9), st.integers(0, 99)),
+        max_size=5,
+    ),
+    shard_order=st.permutations(range(4)),
+)
+@settings(max_examples=200, deadline=None)
+def test_round_rows_meter_what_one_record_per_send_meters(
+    sends, rnd, earlier, shard_order
+):
+    """One round of sends, metered once per send or as the per-shard
+    rows of the shards' own meters in any shard order: the same
+    snapshot and ``rounds_seen`` — also for a node whose only messages
+    carried zero bytes, whose series must exist and reach the round."""
+    direct = BandwidthMeter()
+    by_rows = BandwidthMeter()
+    for sender, recipient, size in earlier:  # round 0, already metered
+        direct.record(sender, recipient, size, 0)
+        by_rows.record(sender, recipient, size, 0)
+    shards = [BandwidthMeter() for _ in range(4)]
+    for sender, recipient, size, shard in sends:
+        direct.record(sender, recipient, size, rnd)
+        shards[shard].record(sender, recipient, size, rnd)
+    for shard in shard_order:
+        by_rows.add_round_rows(_round_rows(shards[shard]), rnd)
+    assert by_rows.snapshot() == direct.snapshot()
+    assert by_rows.rounds_seen == direct.rounds_seen
+
+
+def test_round_rows_grow_a_zero_byte_series():
+    meter = BandwidthMeter()
+    meter.add_round_rows([(4, 0, 2, 0, 0), (5, 0, 0, 0, 2)], 3)
+    reference = BandwidthMeter()
+    reference.record(4, 5, 0, 3)
+    reference.record(4, 5, 0, 3)
+    assert meter.snapshot() == reference.snapshot()
+    assert meter.up_series == {4: [0, 0, 0, 0]}
+    assert meter.down_series == {5: [0, 0, 0, 0]}
+    assert meter.rounds_seen == 4

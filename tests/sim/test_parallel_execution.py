@@ -10,10 +10,13 @@ idempotence, and the golden numbers under real worker processes.
 import contextlib
 import os
 import signal
+import threading
+import time
 
 import pytest
 
 from repro.core import PagSession
+from repro.scenarios import get_scenario
 from repro.scenarios.spec import ScenarioSpec
 from repro.sim.execution import (
     ParallelShardedPolicy,
@@ -63,6 +66,55 @@ def _cache_buckets(hasher):
     )
 
 
+@contextlib.contextmanager
+def _within(seconds):
+    """Fail, instead of hanging the suite, if the body outlasts
+    ``seconds``."""
+
+    def expired(signum, frame):
+        raise AssertionError(f"still blocked after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expired)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def _assert_reaped(pids):
+    """No worker left behind: every pid is gone from the process table
+    (a zombie would still answer signal 0)."""
+    assert pids
+    for pid in pids:
+        with pytest.raises(ProcessLookupError):
+            os.kill(pid, 0)
+
+
+@contextlib.contextmanager
+def _two_workers(n=10):
+    """Two worker processes one round into ``_spec(n, 4)``: yields
+    ``(policy, session, pids)``.  Whatever the body did to them, on the
+    way out close() returns within ten seconds, is idempotent, leaves
+    no worker behind, and the policy runs a spec again."""
+    policy = ParallelShardedPolicy(workers=2)
+    spec = _spec(n=n, rounds=4)
+    session = spec.build(policy)
+    try:
+        session.run(1)
+        pids = policy.worker_pids()
+        assert len(pids) == 2
+        yield policy, session, pids
+    finally:
+        with _within(10):
+            policy.close()
+    _assert_reaped(pids)
+    policy.close()
+    assert policy.worker_pids() == []
+    assert spec.run(policy).messages_sent > 0
+
+
 @pytest.mark.parametrize("backend", ["serialized", "process"])
 def test_parallel_policy_matches_pre_refactor_goldens(backend):
     with _synced_run(_spec(), workers=3, backend=backend) as (
@@ -105,22 +157,74 @@ def test_dead_worker_is_a_named_error_not_a_hang():
     """A worker process killed between two rounds: the next barrier
     raises promptly, naming shard, phase and round, and close() still
     works."""
-    policy = ParallelShardedPolicy(workers=2)
-    spec = _spec(n=10, rounds=4)
-    session = spec.build(policy)
-    try:
-        session.run(1)
-        (pid,) = policy._handles[0]._executor._processes
-        os.kill(pid, signal.SIGKILL)
-        with pytest.raises(
+    with _two_workers() as (policy, session, pids):
+        os.kill(pids[0], signal.SIGKILL)
+        with _within(5), pytest.raises(
             RuntimeError,
             match=r"shard 0 died during the 'begin' phase of round 1",
         ):
             session.run(1)
-    finally:
-        policy.close()
-    policy.close()  # idempotent
-    assert spec.run(policy).messages_sent > 0  # and reusable
+
+
+def test_worker_killed_mid_barrier_is_a_named_error_not_a_hang():
+    """Shard 0 dies while the parent is blocked waiting for its reply
+    and shard 1, which under ``fork`` holds a copy of the parent's end
+    of shard 0's pipe, is alive and has answered: the wait watches the
+    process as well as the pipe, so the barrier raises, and close()
+    takes shard 1's unread reply before it reaps both."""
+    with _two_workers() as (policy, session, pids):
+        os.kill(pids[0], signal.SIGSTOP)  # will not answer round 1
+        killer = threading.Timer(0.3, os.kill, (pids[0], signal.SIGKILL))
+        killer.start()
+        started = time.monotonic()
+        with _within(5), pytest.raises(
+            RuntimeError,
+            match=r"shard 0 died during the 'begin' phase of round 1",
+        ):
+            session.run(1)
+        assert time.monotonic() - started >= 0.25  # it was blocked
+        killer.join()
+
+
+@pytest.mark.parametrize(
+    "call, named",
+    [
+        (lambda policy, session: policy.sync_session(session),
+         r"shard 1 died during sync_session"),
+        (lambda policy, session: session.remove_node(3),
+         r"shard 1 died during notify_remove of node 3"),
+    ],
+    ids=["sync_session", "notify_remove"],
+)
+def test_every_call_names_a_dead_worker(call, named):
+    """Not only the barrier: reporting sync and membership calls turn a
+    dead worker into the same ``RuntimeError`` naming the shard and the
+    operation, never a bare ``EOFError`` or ``BrokenPipeError``."""
+    with _two_workers() as (policy, session, pids):
+        os.kill(pids[1], signal.SIGKILL)
+        with _within(5), pytest.raises(RuntimeError, match=named):
+            call(policy, session)
+
+
+def test_replica_exception_keeps_its_type_and_remote_traceback():
+    """What a replica raises arrives in the parent as the same type,
+    the traceback formatted in the worker chained as its cause, and
+    the worker lives on."""
+    from repro.sim.node import SimNode
+
+    with _two_workers(n=8) as (policy, session, pids):
+        with pytest.raises(ValueError, match="cannot admit") as raised:
+            session.simulator.add_node(
+                SimNode(99, session.simulator.network)
+            )
+        remote = str(raised.value.__cause__)
+        assert "Traceback (most recent call last)" in remote
+        assert "admit_node" in remote and "ValueError" in remote
+        session.run(1)  # shard 1 still answers
+        assert policy.worker_pids() == pids
+        # An error reply nobody read must not keep close() (on the way
+        # out of the fixture) from reaching the stop request.
+        policy._handles[1].submit("admit", 99)
 
 
 def test_adding_adhoc_nodes_after_start_is_rejected():
@@ -205,12 +309,12 @@ def test_merge_remote_refuses_taps_and_drop_rules():
     network.add_tap(lambda message, size: None)
     with pytest.raises(RuntimeError, match="metadata-only merge"):
         network.merge_remote(
-            [RemoteSend((1, 0, 0), sender=1, recipient=2, size=10)]
+            [RemoteSend((1, 0, 0), sender=1, recipient=2, size=10)], []
         )
     network = Network()
     network.add_drop_rule(lambda message: False)
     with pytest.raises(RuntimeError, match="metadata-only merge"):
-        network.merge_remote([])
+        network.merge_remote([], [])
 
 
 def test_merge_remote_meters_and_queues_in_order():
@@ -220,7 +324,7 @@ def test_merge_remote_meters_and_queues_in_order():
         RemoteSend((1, 0, 0), sender=1, recipient=2, size=100),
         RemoteSend((1, 0, 1), sender=2, recipient=1, size=50),
     ]
-    network.merge_remote(sends)
+    network.merge_remote(sends, [(1, 100, 1, 50, 1), (2, 50, 1, 100, 1)])
     assert network.messages_sent == 2
     assert network.pending() == 2
     assert network.pop() is sends[0]
@@ -286,3 +390,20 @@ def test_shared_ladder_table_is_adopted_and_matches_serial():
         assert session.context.hasher.operations == GOLDEN_20_8["hashes"]
         # The grafted seed counter proves the table was consulted.
         assert session.context.hasher.shared_ladder_seeds > 0
+
+
+@pytest.mark.slow
+def test_fig9_at_the_deployment_size_meters_what_serial_meters():
+    """The paper's 432 nodes on three worker processes: the parent's
+    meter, built from the workers' per-node rows (about forty barriers,
+    every node touched in each), is the serial meter cell for cell (so
+    digest for digest), with the serial message count."""
+
+    def outcome(**placement):
+        spec = get_scenario("fig9", nodes=432, rounds=6, **placement)
+        network = spec.run().session.simulator.network
+        return network.messages_sent, network.meter.snapshot()
+
+    serial = outcome()
+    assert serial[0] == 100980
+    assert outcome(policy="parallel", workers=3) == serial
