@@ -621,11 +621,8 @@ def _cmd_session(args) -> int:
 def _cmd_fuzz(args) -> int:
     import json
 
-    from repro.scenarios.fuzz import (
-        FuzzConfig,
-        run_fuzz,
-        spec_from_json,
-    )
+    from repro.scenarios.fuzz import FuzzConfig, run_fuzz
+    from repro.scenarios.spec import ScenarioSpec
 
     policies = tuple(
         name.strip() for name in args.policies.split(",") if name.strip()
@@ -647,7 +644,7 @@ def _cmd_fuzz(args) -> int:
                 print(f"{args.replay}: no violations to replay")
                 return 0
             payload = payload["violations"][0]["spec"]
-        replay_spec = spec_from_json(payload)
+        replay_spec = ScenarioSpec.from_json(payload)
         print(
             f"replaying {replay_spec.name}: {replay_spec.nodes} nodes, "
             f"{replay_spec.rounds} rounds, "

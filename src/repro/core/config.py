@@ -56,11 +56,6 @@ class PagConfig:
             updates (section V-D), applied also to duplicates so that
             ghost obligations do not cascade.  This is the ablation knob
             listed in DESIGN.md section 6.
-        crypto_backend: modular-arithmetic backend for the homomorphic
-            hash: ``"auto"`` (width-aware, see ``resolve_backend``),
-            ``"python"``, ``"openssl"``, ``"gmpy2"``.  ``"auto"`` honours the
-            ``REPRO_CRYPTO_BACKEND`` environment variable.  Backends are
-            arithmetic-only; operation counts are identical across them.
         monitor_cross_checks: enable the section V-B option "to check
             that monitors correctly compute and forward the hashes of
             updates": the monitored node also computes each lifted hash
@@ -85,7 +80,6 @@ class PagConfig:
     sim_modulus_bits: int = 128
     sim_prime_bits: int = 32
     seed: int = 20160627
-    crypto_backend: str = "auto"
     detection_enabled: bool = True
     forward_owned_ghosts: bool = False
     monitor_cross_checks: bool = False

@@ -8,7 +8,6 @@ from typing import List
 
 from repro.core.config import PagConfig
 from repro.core.signing import Signer, TokenSigner
-from repro.crypto.backend import resolve_backend
 from repro.crypto.homomorphic import HomomorphicHasher, make_modulus
 from repro.crypto.keystore import CryptoCounters
 from repro.membership.directory import Directory
@@ -73,12 +72,8 @@ class PagContext:
             active_from=dict(active_from or {}),
         )
         modulus_rng = seeds.stream("modulus")
-        backend = None
-        if config.crypto_backend != "auto":
-            backend = resolve_backend(config.crypto_backend)
         hasher = HomomorphicHasher(
-            modulus=make_modulus(config.sim_modulus_bits, modulus_rng),
-            backend=backend,
+            modulus=make_modulus(config.sim_modulus_bits, modulus_rng)
         )
         return cls(
             config=config,

@@ -20,8 +20,8 @@ when importable; else openssl for moduli of ``_WIDE_MODULUS_BITS`` and
 up when libcrypto can be reached; else pure Python, so simulation-size
 runs keep builtin ``pow`` and never import ``ctypes``.  A name
 (``python``, ``openssl``, ``gmpy2``) can be forced per process with the
-``REPRO_CRYPTO_BACKEND`` environment variable or per session via
-``PagConfig.crypto_backend``, and raises when it cannot be built.
+``REPRO_CRYPTO_BACKEND`` environment variable, the one selector, and
+raises when it cannot be built.
 
 Operation *counting* is deliberately not done here: backends are pure
 arithmetic, and the Table I accounting lives at the protocol layer
@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import os
 import threading
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 __all__ = [
     "Backend",
@@ -44,7 +44,6 @@ __all__ = [
     "NarrowLayout",
     "SharedLadderTable",
     "narrow_layout",
-    "window_schedule",
     "available_backends",
     "resolve_backend",
     "default_backend",
@@ -426,108 +425,44 @@ def default_backend(bits: int = 0) -> Backend:
     return resolve_backend(None, bits)
 
 
-def window_schedule(exponent: int, window: int) -> Tuple[int, ...]:
-    """Flat-table indices of the non-zero radix-``2^window`` digits.
-
-    The index of digit ``j`` at level ``i`` in a :class:`FixedBaseCache`
-    table is ``i * (2^window - 1) + j - 1``; indices come out ascending,
-    so the last one is the deepest entry the exponent needs.  Computed
-    once per exponent and shared by every base raised to it.
-    """
-    if exponent < 0:
-        raise ValueError("exponent must be non-negative")
-    mask = (1 << window) - 1
-    indices = []
-    offset = -1
-    while exponent:
-        digit = exponent & mask
-        if digit:
-            indices.append(offset + digit)
-        exponent >>= window
-        offset += mask
-    return tuple(indices)
-
-
 class FixedBaseCache:
     """Fixed-base exponentiation: one base raised to many exponents.
 
     The monitor rekey path (message 8 of Fig. 6) raises the same
-    attested hash to several wide cofactors.  Precomputing the
-    radix-``2^w`` table ``base^(j * 2^(w*i)) mod M`` turns every
-    subsequent exponentiation into ~``bits/w`` modular multiplications
+    attested hash to several wide cofactors.  The power ladder
+    ``table[i] = base^(2^i) mod M`` turns every subsequent
+    exponentiation into one modular multiplication per set exponent bit
     with *no* squarings, versus ``bits`` squarings plus multiplications
-    for a cold ``pow``.  (The narrow per-link primes read a
+    for a cold ``pow``; one multiply per table entry, so the table
+    amortises after a single reuse.  It grows lazily with the widest
+    exponent seen.  (The narrow per-link primes read a
     :class:`NarrowLayout` table instead.)
-
-    ``window=1`` degenerates to the classic power ladder — one multiply
-    per table level, so the table amortises after a single reuse; it is
-    what the hasher builds for wide exponents.  Wider windows trade
-    ``2^w - 1`` table multiplies per level for fewer per-call ones.  The
-    table grows lazily with the widest exponent seen.
-
-    The table is one flat list, level after level: entry
-    ``i * (2^w - 1) + j - 1`` holds ``base^(j * 2^(w*i))``, read through
-    a precomputed index list (:func:`window_schedule`,
-    :meth:`powmod_scheduled`).
     """
 
-    __slots__ = ("base", "modulus", "window", "_mask", "_table")
+    __slots__ = ("base", "modulus", "_table")
 
-    def __init__(self, base: int, modulus: int, window: int = 1) -> None:
+    def __init__(self, base: int, modulus: int) -> None:
         if modulus <= 1:
             raise ValueError("modulus must exceed 1")
-        if window < 1:
-            raise ValueError("window must be at least 1 bit")
         self.base = base % modulus
         self.modulus = modulus
-        self.window = window
-        self._mask = (1 << window) - 1
         self._table: List[int] = []
-
-    @property
-    def levels(self) -> int:
-        """Table depth: exponents below ``2^(window * levels)`` are covered."""
-        return len(self._table) // self._mask
-
-    def _grow(self, levels: int) -> List[int]:
-        """Extend the table to at least ``levels`` levels; returns it."""
-        m = self.modulus
-        mask = self._mask
-        table = self._table
-        while len(table) < levels * mask:
-            # Generator of the next level: base^(2^(w*i)) is the previous
-            # level's widest entry times its own generator (j = 2^w - 1
-            # plus j = 1).
-            top = table[-1] * table[-mask] % m if table else self.base
-            entry = top
-            table.append(entry)
-            for _ in range(mask - 1):
-                entry = entry * top % m
-                table.append(entry)
-        return table
 
     def powmod(self, exponent: int) -> int:
         """``base ** exponent mod modulus`` using the precomputed table."""
-        return self.powmod_scheduled(window_schedule(exponent, self.window))
-
-    def powmod_scheduled(self, schedule: Sequence[int]) -> int:
-        """``base ** e mod modulus`` for ``schedule = window_schedule(e, w)``.
-
-        The shared-exponent kernel: the caller decomposes the exponent
-        once and every base only walks the index list — the first factor
-        is taken as is, capacity is checked once against the deepest
-        index, and no digit is re-derived.
-        """
-        if not schedule:
-            return 1
-        table = self._table
-        if schedule[-1] >= len(table):
-            table = self._grow(schedule[-1] // self._mask + 1)
+        if exponent < 0:
+            raise ValueError("exponent must be non-negative")
         m = self.modulus
-        indices = iter(schedule)
-        acc = table[next(indices)]
-        for index in indices:
-            acc = acc * table[index] % m
+        table = self._table
+        while len(table) < exponent.bit_length():
+            table.append(table[-1] * table[-1] % m if table else self.base)
+        acc = 1
+        index = 0
+        while exponent:
+            if exponent & 1:
+                acc = acc * table[index] % m
+            exponent >>= 1
+            index += 1
         return acc
 
 

@@ -181,7 +181,7 @@ class HomomorphicHasher:
         #: contents hashed under a fresh prime per link per round; tag =
         #: the prime width, a flat NarrowLayout tuple) and the monitor
         #: rekey path (the same attested hash raised to many cofactors;
-        #: tag = _LADDER, a 1-bit FixedBaseCache).  One table per base.
+        #: tag = _LADDER, a FixedBaseCache ladder).  One table per base.
         self._fixed_bases: dict = {}
         self._hot_candidates: set = set()
         #: read-only precomputed ladder levels for session-lifetime
@@ -341,7 +341,7 @@ class HomomorphicHasher:
         """The table of ``update`` serving exponents of shape ``tag``.
 
         ``tag`` is a link-prime width (a flat narrow table comes back)
-        or ``_LADDER`` (a 1-bit :class:`FixedBaseCache`, which amortises
+        or ``_LADDER`` (a :class:`FixedBaseCache` ladder, which amortises
         after a single reuse of a wide exponent).  Books the call: a
         held or adopted table is a ``fixed_base_hit``; None means the
         caller runs a cold ``pow`` — the base's first sighting, or a

@@ -8,8 +8,9 @@ scenario spec in the join handshake, and drives the round-synchronous
 schedule as a sequence of barrier steps.
 
 Determinism model — *replica from spec*: every daemon rebuilds the
-**full** session from the canonical spec JSON (same seeds, same keys,
-same membership views) but executes only its owned nodes,
+**full** session from the spec's one JSON form (``ScenarioSpec.to_json``
+in canonical key order, shipped in ``JoinRequest``: same seeds, same
+keys, same membership views) but executes only its owned nodes,
 ``sorted(ids)[shard::shards]``.  Node state is a pure function of the
 ordered lifecycle calls a node receives, and every message crosses
 shards as v1 wire bytes, so the shards jointly execute one PAG
@@ -36,19 +37,18 @@ One round runs as a BSP superstep loop:
 4. after the rounds, ``CollectRequest`` gathers per-shard JSON reports
    and ``Shutdown`` closes the links.
 
-Scenarios with churn, arrivals, fault schedules or a population plane
-are rejected at join time — those are simulator-tier features; the
-daemon runs the plain protocol schedule.
+The handshake carries every spec field, but scenarios with churn,
+arrivals, fault schedules or a population plane are rejected at join
+time (:func:`validate_daemon_spec`) — those are simulator-tier
+features; the daemon runs the plain protocol schedule.
 """
 
 from __future__ import annotations
 
 import asyncio
-import dataclasses
 import hashlib
 import json
 from typing import (
-    TYPE_CHECKING,
     Any,
     Dict,
     Iterable,
@@ -64,9 +64,7 @@ from repro.core.messages import (
 )
 from repro.net import wire
 from repro.net.transport import Connection, TransportError, connect, listen
-
-if TYPE_CHECKING:
-    from repro.scenarios.spec import ScenarioSpec
+from repro.scenarios.spec import ScenarioSpec
 
 __all__ = [
     "DaemonError",
@@ -75,8 +73,6 @@ __all__ = [
     "run_coordinated_session",
     "recv_message",
     "send_message",
-    "spec_to_json",
-    "spec_from_json",
     "spec_digest",
     "validate_daemon_spec",
 ]
@@ -107,27 +103,8 @@ async def send_message(conn: Connection, message: Any) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Spec transfer: canonical JSON both sides rebuild from
+# Spec transfer: ScenarioSpec.to_json bytes both sides rebuild from
 # ---------------------------------------------------------------------------
-
-_SPEC_FIELDS = (
-    "name",
-    "description",
-    "paper_reference",
-    "protocol",
-    "nodes",
-    "rounds",
-    "warmup_rounds",
-    "stream_rate_kbps",
-    "update_bytes",
-    "fanout",
-    "monitors_per_node",
-    "adversaries",
-    "node_strategies",
-    "rate_schedule",
-    "detection_enabled",
-    "seed",
-)
 
 
 def validate_daemon_spec(spec: ScenarioSpec) -> None:
@@ -147,59 +124,6 @@ def validate_daemon_spec(spec: ScenarioSpec) -> None:
         raise DaemonError(
             "population-tier scenarios do not run on the daemon runtime"
         )
-
-
-def spec_to_json(spec: ScenarioSpec) -> bytes:
-    """Canonical JSON of a daemon-runnable :class:`ScenarioSpec`."""
-    validate_daemon_spec(spec)
-    payload = {}
-    for name in _SPEC_FIELDS:
-        value = getattr(spec, name)
-        if dataclasses.is_dataclass(value) and not isinstance(value, type):
-            value = dataclasses.asdict(value)
-        elif isinstance(value, tuple):
-            value = [
-                dataclasses.asdict(item)
-                if dataclasses.is_dataclass(item)
-                else list(item)
-                if isinstance(item, tuple)
-                else item
-                for item in value
-            ]
-        payload[name] = value
-    return json.dumps(payload, sort_keys=True, indent=None).encode()
-
-
-def spec_from_json(data: bytes) -> ScenarioSpec:
-    """Rebuild the :class:`ScenarioSpec` a coordinator shipped."""
-    from repro.scenarios.spec import AdversaryGroup, RateStep, ScenarioSpec
-
-    try:
-        payload = json.loads(data.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise DaemonError(f"undecodable scenario spec: {exc}") from exc
-    unknown = set(payload) - set(_SPEC_FIELDS)
-    if unknown:
-        raise DaemonError(
-            f"scenario spec carries unknown fields {sorted(unknown)}"
-        )
-    kwargs = dict(payload)
-    kwargs["adversaries"] = tuple(
-        AdversaryGroup(**group) for group in kwargs.get("adversaries", ())
-    )
-    kwargs["node_strategies"] = tuple(
-        (int(node_id), strategy)
-        for node_id, strategy in kwargs.get("node_strategies", ())
-    )
-    kwargs["rate_schedule"] = tuple(
-        RateStep(**step) for step in kwargs.get("rate_schedule", ())
-    )
-    try:
-        spec = ScenarioSpec(**kwargs)
-    except (TypeError, ValueError) as exc:
-        raise DaemonError(f"invalid scenario spec: {exc}") from exc
-    validate_daemon_spec(spec)
-    return spec
 
 
 def spec_digest(data: bytes) -> str:
@@ -357,9 +281,13 @@ class NodeDaemon:
         control = self._control
         assert join is not None and control is not None
         try:
-            spec = spec_from_json(join.spec_json)
-        except DaemonError as exc:
-            await self._send(control, wire.JoinReject(reason=str(exc)))
+            spec = ScenarioSpec.from_json(json.loads(join.spec_json))
+            validate_daemon_spec(spec)
+        except (ValueError, DaemonError) as exc:
+            await self._send(
+                control,
+                wire.JoinReject(reason=f"invalid scenario spec: {exc}"),
+            )
             return
         self.shard = join.shard
         self.shards = join.shards
@@ -616,7 +544,7 @@ class SessionCoordinator:
         self.batch_relays = batch_relays
 
     async def run(self) -> dict:
-        spec_json = spec_to_json(self.spec)
+        spec_json = json.dumps(self.spec.to_json(), sort_keys=True).encode()
         digest = spec_digest(spec_json)
         conns: List[Connection] = []
         try:

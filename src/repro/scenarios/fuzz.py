@@ -27,8 +27,9 @@ declaration seam is budgeted to one hit so a retry always lands in
 time.  Everything in the envelope must survive; a violation is a bug.
 
 Failures shrink greedily to a minimal still-failing spec and serialise
-to JSON (:func:`spec_to_json` / :func:`spec_from_json`), so a nightly
-CI failure replays locally with ``repro fuzz --replay report.json``.
+to the spec's one JSON form (``ScenarioSpec.to_json`` /
+``ScenarioSpec.from_json``, every field kept), so a nightly CI failure
+replays locally with ``repro fuzz --replay report.json``.
 """
 
 from __future__ import annotations
@@ -41,7 +42,6 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 from repro.scenarios.spec import ChurnEvent, ScenarioSpec
 from repro.sim.execution import POLICY_NAMES
 from repro.sim.faults import (
-    FAULT_SPEC_TYPES,
     BudgetFault,
     CorruptionFault,
     DelayFault,
@@ -62,8 +62,6 @@ __all__ = [
     "run_iteration",
     "shrink_spec",
     "run_fuzz",
-    "spec_to_json",
-    "spec_from_json",
 ]
 
 #: The five kinds of the Fig. 5 exchange.  Loss here is always
@@ -95,7 +93,7 @@ DELAY_KIND_CHOICES = (
     ("serve", "attestation", "ack", "declaration_ack"),
 )
 
-#: Corruption of the exchange plane is re-served by the probe, so any
+#: A corrupted exchange-plane message is re-served by the probe, so any
 #: number of hits recovers; the declaration seam only tolerates one hit
 #: per declaration (the redeclaration retry must land untouched).
 CORRUPT_EXCHANGE_KINDS = ("serve", "attestation", "ack")
@@ -453,75 +451,6 @@ def shrink_spec(
 
 
 # ----------------------------------------------------------------------
-# Spec (de)serialisation — the replayable repro artifact
-# ----------------------------------------------------------------------
-
-
-def fault_to_json(fault: FaultSpec) -> Dict[str, object]:
-    data = dataclasses.asdict(fault)
-    data["kind"] = fault.kind
-    return data
-
-
-def fault_from_json(data: Dict[str, object]) -> FaultSpec:
-    payload = dict(data)
-    kind = payload.pop("kind")
-    cls = FAULT_SPEC_TYPES.get(kind)
-    if cls is None:
-        raise ValueError(
-            f"unknown fault kind {kind!r}; expected one of "
-            f"{sorted(FAULT_SPEC_TYPES)}"
-        )
-    return cls(**{key: _tuplize(value) for key, value in payload.items()})
-
-
-def _tuplize(value: object) -> object:
-    if isinstance(value, list):
-        return tuple(_tuplize(item) for item in value)
-    return value
-
-
-def spec_to_json(spec: ScenarioSpec) -> Dict[str, object]:
-    """A JSON-safe dict replaying exactly this spec."""
-    return {
-        "name": spec.name,
-        "nodes": spec.nodes,
-        "rounds": spec.rounds,
-        "warmup_rounds": spec.warmup_rounds,
-        "seed": spec.seed,
-        "node_strategies": [list(pair) for pair in spec.node_strategies],
-        "churn": [
-            [event.after_round, event.node_id] for event in spec.churn
-        ],
-        "fault_schedule": [
-            fault_to_json(fault) for fault in spec.fault_schedule
-        ],
-    }
-
-
-def spec_from_json(data: Dict[str, object]) -> ScenarioSpec:
-    return ScenarioSpec(
-        name=str(data.get("name", "fuzz-replay")),
-        nodes=int(data["nodes"]),
-        rounds=int(data["rounds"]),
-        warmup_rounds=int(data.get("warmup_rounds", 2)),
-        seed=int(data["seed"]),
-        node_strategies=tuple(
-            (int(node), str(strategy))
-            for node, strategy in data.get("node_strategies", ())
-        ),
-        churn=tuple(
-            ChurnEvent(after_round=int(after), node_id=int(node))
-            for after, node in data.get("churn", ())
-        ),
-        fault_schedule=tuple(
-            fault_from_json(entry)
-            for entry in data.get("fault_schedule", ())
-        ),
-    )
-
-
-# ----------------------------------------------------------------------
 # Campaign driver
 # ----------------------------------------------------------------------
 
@@ -578,8 +507,8 @@ def run_fuzz(
                 {
                     "iteration": index,
                     "violations": violations,
-                    "spec": spec_to_json(shrunk),
-                    "original_spec": spec_to_json(spec),
+                    "spec": shrunk.to_json(),
+                    "original_spec": spec.to_json(),
                 }
             )
             if progress is not None:

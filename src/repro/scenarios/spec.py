@@ -14,9 +14,21 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
+from typing import (
+    TYPE_CHECKING,
+    Any,
+    Dict,
+    List,
+    Optional,
+    Tuple,
+    Union,
+    get_args,
+    get_origin,
+    get_type_hints,
+)
 
 from repro.sim.execution import POLICY_NAMES, ExecutionPolicy, make_policy
+from repro.sim.faults import FAULT_SPEC_TYPES, FaultSpec
 from repro.sim.metrics import cdf_points
 
 if TYPE_CHECKING:
@@ -205,7 +217,7 @@ class ScenarioSpec:
     churn: Tuple[ChurnEvent, ...] = ()
     arrivals: Tuple[JoinEvent, ...] = ()
     rate_schedule: Tuple[RateStep, ...] = ()
-    fault_schedule: Tuple[object, ...] = ()
+    fault_schedule: Tuple[FaultSpec, ...] = ()
     detection_enabled: bool = True
     seed: int = 20160627
     policy: Optional[str] = None
@@ -301,7 +313,6 @@ class ScenarioSpec:
                     "only"
                 )
             from repro.core.messages import wire_kinds
-            from repro.sim.faults import FaultSpec
 
             known_kinds = wire_kinds()
             for index, fault in enumerate(self.fault_schedule):
@@ -400,6 +411,29 @@ class ScenarioSpec:
         """
         cleaned = {k: v for k, v in overrides.items() if v is not None}
         return dataclasses.replace(self, **cleaned) if cleaned else self
+
+    # -- the one serialised form ---------------------------------------------
+
+    def to_json(self) -> Dict[str, Any]:
+        """Every field as JSON-ready data; :meth:`from_json` inverts it.
+
+        The replay format of ``repro fuzz`` and the payload of the daemon
+        join handshake.  Nested declarations become objects of their
+        fields, a fault entry carries its ``kind`` tag, and tuples become
+        lists.
+        """
+        return _encode(self)
+
+    @classmethod
+    def from_json(cls, data: Any) -> "ScenarioSpec":
+        """The spec :meth:`to_json` wrote, rebuilt exactly.
+
+        Driven by the field annotations: nested tuples and declarations
+        are restored by type.  An unknown field or fault kind, a missing
+        field or a value of the wrong shape raises a ``ValueError``
+        naming the field.
+        """
+        return _decode_fields(cls, data, "spec")
 
     def build_config(self, **config_overrides: Any) -> "PagConfig":
         """The :class:`~repro.core.config.PagConfig` this spec implies."""
@@ -703,6 +737,86 @@ class ScenarioSpec:
                         plane.close()
                     except Exception:
                         pass
+
+
+def _encode(value: Any) -> Any:
+    """JSON-ready form of a spec value (see :meth:`ScenarioSpec.to_json`)."""
+    if isinstance(value, tuple):
+        return [_encode(item) for item in value]
+    if dataclasses.is_dataclass(value) and not isinstance(value, type):
+        data = {
+            f.name: _encode(getattr(value, f.name))
+            for f in dataclasses.fields(value)
+        }
+        if isinstance(value, FaultSpec):
+            data["kind"] = value.kind
+        return data
+    return value
+
+
+def _decode(hint: Any, value: Any, where: str) -> Any:
+    """``value`` read back as type ``hint``; ``where`` names the field."""
+    origin = get_origin(hint)
+    if origin is Union:
+        if value is None and type(None) in get_args(hint):
+            return None
+        (inner,) = [a for a in get_args(hint) if a is not type(None)]
+        return _decode(inner, value, where)
+    if origin is tuple:
+        if not isinstance(value, list):
+            raise ValueError(f"{where}: expected a list, got {value!r}")
+        args = get_args(hint)
+        if len(args) == 2 and args[1] is Ellipsis:
+            args = (args[0],) * len(value)
+        elif len(value) != len(args):
+            raise ValueError(
+                f"{where}: expected {len(args)} items, got {value!r}"
+            )
+        return tuple(
+            _decode(arg, item, f"{where}[{index}]")
+            for index, (arg, item) in enumerate(zip(args, value))
+        )
+    if hint is FaultSpec and isinstance(value, dict):
+        kind = value.get("kind")
+        hint = FAULT_SPEC_TYPES.get(kind) if isinstance(kind, str) else None
+        if hint is None:
+            raise ValueError(
+                f"{where}: unknown fault kind {kind!r}; expected one of "
+                f"{sorted(FAULT_SPEC_TYPES)}"
+            )
+        value = {k: v for k, v in value.items() if k != "kind"}
+    if dataclasses.is_dataclass(hint):
+        return _decode_fields(hint, value, where)
+    if hint is float and type(value) is int:
+        return value
+    if type(value) is not hint:
+        raise ValueError(f"{where}: expected {hint.__name__}, got {value!r}")
+    return value
+
+
+def _decode_fields(cls: Any, data: Any, where: str) -> Any:
+    if not isinstance(data, dict):
+        raise ValueError(f"{where}: expected an object, got {data!r}")
+    fields = {f.name: f for f in dataclasses.fields(cls)}
+    unknown = sorted(set(data) - set(fields))
+    if unknown:
+        raise ValueError(f"{where}: unknown fields {unknown}")
+    missing = [
+        name
+        for name, f in fields.items()
+        if name not in data
+        and f.default is dataclasses.MISSING
+        and f.default_factory is dataclasses.MISSING
+    ]
+    if missing:
+        raise ValueError(f"{where}: missing fields {missing}")
+    hints = get_type_hints(cls)
+    return cls(
+        **{
+            name: _decode(hints[name], value, f"{where}.{name}")
+            for name, value in data.items()
+        }
+    )
 
 
 @dataclass

@@ -14,7 +14,7 @@ from repro.sim.execution import (
     SerialPolicy,
     make_policy,
 )
-from repro.sim.faults import LinkCut, NodeOutage, RandomLoss
+from repro.sim.faults import LinkCutFault, LossFault, OutageFault
 from repro.sim.message import Message, WireSizes
 from repro.sim.metrics import BandwidthMeter, NodeTraffic, cdf_points, kbps
 from repro.sim.network import Network, SendCapture
@@ -25,12 +25,12 @@ from repro.sim.trace import TraceRecord, TraceRecorder
 __all__ = [
     "BandwidthMeter",
     "ExecutionPolicy",
-    "LinkCut",
+    "LinkCutFault",
+    "LossFault",
     "Message",
     "Network",
-    "NodeOutage",
     "NodeTraffic",
-    "RandomLoss",
+    "OutageFault",
     "SeedSequence",
     "SendCapture",
     "SerialPolicy",

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Deque, Iterable, List, Optional, Protocol
+from typing import Any, Callable, Deque, Iterable, List, Optional, Protocol
 
 from repro.sim.message import Message, WireSizes
 from repro.sim.metrics import BandwidthMeter
@@ -177,14 +177,11 @@ class Network:
         the queue tap-observed but bypass the drop rules — one fault per
         message keeps schedules replayable.
         """
-        if not self.drop_rules:
-            return
+        rule: Any
         for rule in self.drop_rules:
-            take = getattr(rule, "take_released", None)
-            if take is None:
-                continue
-            for message in take():
-                self._enqueue_released(message)
+            if getattr(rule, "withholds_for_delay", False):
+                for message in rule.take_released():
+                    self._enqueue_released(message)
 
     def _enqueue_released(self, message: Message) -> None:
         size = message.size_bytes(self.sizes)
@@ -305,12 +302,11 @@ class Network:
         Flushed messages are delivered first in the new round, before
         any node's fan-out — the same position under every policy.
         """
+        rule: Any
         for rule in self.drop_rules:
-            flush = getattr(rule, "flush_delayed", None)
-            if flush is None:
-                continue
-            for message in flush():
-                self._enqueue_released(message)
+            if getattr(rule, "withholds_for_delay", False):
+                for message in rule.flush_delayed():
+                    self._enqueue_released(message)
 
     def fault_report(self) -> dict:
         """Per-injector fault counters (see ``sim/faults.fault_report``)."""

@@ -125,7 +125,7 @@ def test_tampered_key_response_misses_the_memo_and_is_rejected(field):
     tampered: List[KeyResponse] = []
 
     def tamper(message: Any) -> bool:
-        """Mutates in place and delivers, like ``sim.faults.Corruption``
+        """Mutates in place and delivers, like a ``CorruptionFault``
         (which knows no KeyResponse mutation)."""
         if (
             type(message) is KeyResponse

@@ -25,7 +25,9 @@ from repro.core.messages import (
 )
 from repro.core.verification import ack_hash, serve_hashes, split_products
 from repro.scenarios import get_scenario
-from repro.sim.faults import Corruption
+from repro.sim.faults import CorruptionFault
+from repro.sim.network import Network
+from repro.sim.rng import SeedSequence
 from tests.net.live_traffic import SCENARIOS
 
 
@@ -286,7 +288,10 @@ def test_shared_entries_survive_a_corruption_of_one_serve():
     assert second.entries[0] is shared
     before = repr(second)
     tampered = dataclasses.replace(first)  # the fixture is cached
-    assert Corruption(kinds={"serve"})(tampered) is False
+    corruption = CorruptionFault(kinds=("serve",)).build(
+        SeedSequence(0).stream("corruption"), Network()
+    )
+    assert corruption(tampered) is False
     assert tampered.entries[0] != shared
     assert first.entries[0] is shared and second.entries[0] is shared
     assert repr(second) == before

@@ -20,13 +20,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.crypto.backend import (
-    FixedBaseCache,
     Gmpy2Backend,
     PythonBackend,
     SharedLadderTable,
     gmpy2_available,
     narrow_layout,
-    window_schedule,
 )
 from repro.crypto.homomorphic import HomomorphicHasher, make_modulus
 from repro.crypto.primes import PrimePool
@@ -305,32 +303,6 @@ def test_batch_equals_loop_on_random_schedules(data, fixed_base_max, share):
     )
     for bases, exponent in steps:
         _step(batch, loop, bases, exponent)
-
-
-@given(
-    base=st.integers(min_value=0, max_value=1 << 300),
-    modulus=st.integers(min_value=2, max_value=1 << 200),
-    window=st.integers(min_value=1, max_value=6),
-    exponents=st.lists(
-        st.integers(min_value=0, max_value=1 << 140), min_size=1, max_size=6
-    ),
-)
-@settings(max_examples=60, deadline=None)
-def test_scheduled_powmod_matches_pow(base, modulus, window, exponents):
-    cache = FixedBaseCache(base, modulus, window=window)
-    for exponent in exponents:
-        schedule = window_schedule(exponent, window)
-        assert list(schedule) == sorted(set(schedule))
-        assert cache.powmod_scheduled(schedule) == pow(base, exponent, modulus)
-        assert cache.powmod(exponent) == pow(base, exponent, modulus)
-
-
-def test_window_schedule_rejects_negative_exponents():
-    with pytest.raises(ValueError):
-        window_schedule(-1, 4)
-    assert window_schedule(0, 4) == ()
-    # 0x3 at level 1 (offset 15), 0x1 at level 0: indices 0 and 15 + 2.
-    assert window_schedule(0x31, 4) == (0, 17)
 
 
 # -- both ends of a link ---------------------------------------------------

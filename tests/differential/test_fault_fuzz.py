@@ -23,13 +23,14 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import HealthCheck, example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
+from repro.scenarios import get_scenario  # noqa: E402
 from repro.scenarios.fuzz import (  # noqa: E402
     FuzzConfig,
     draw_spec,
     run_iteration,
-    spec_from_json,
-    spec_to_json,
 )
+from repro.scenarios.spec import ScenarioSpec  # noqa: E402
+from repro.sim.faults import OutageFault  # noqa: E402
 
 #: The same serial-vs-worker-processes cross-check as the nightly
 #: ``repro fuzz`` lane, at a smaller scale.
@@ -49,11 +50,7 @@ CONFIG = FuzzConfig(
 # Tier-1 must give the same answer on the same tree, so the six draws
 # are derandomized and no failing draw is kept in ``.hypothesis`` to be
 # replayed; random exploration belongs to the ``fuzz-smoke`` and nightly
-# ``repro fuzz`` lanes.
-#
-# OPEN FINDING, not fixed and not pinned (it would fail): entropy=50810
-# draws an outage plus a partition under which partial-forwarder 9 is
-# never convicted (first seen at PR 12's parent).
+# ``repro fuzz`` lanes.  The two open findings are pinned below.
 @settings(
     max_examples=6,
     deadline=None,
@@ -74,23 +71,51 @@ def test_fuzz_invariants_hold_on_random_draws(entropy):
     spec = draw_spec(random.Random(entropy), entropy, CONFIG)
     violations, _record = run_iteration(spec, CONFIG)
     assert not violations, (
-        f"{violations}; replay spec: {json.dumps(spec_to_json(spec))}"
+        f"{violations}; replay spec: {json.dumps(spec.to_json())}"
     )
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason=(
+        "open finding B (ROADMAP item 1): an outage plus a partition "
+        "under which partial-forwarder 9 is never convicted"
+    ),
+)
+def test_finding_b_entropy_50810_convicts_every_deviant():
+    spec = draw_spec(random.Random(50810), 50810, CONFIG)
+    violations, _record = run_iteration(spec, CONFIG)
+    assert not violations, violations
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason=(
+        "open finding A (ROADMAP item 1): fault-fuzz at 60x20 convicts "
+        "honest nodes 6, 9, 34, 36, 38 and 40"
+    ),
+)
+def test_finding_a_fault_fuzz_60x20_convicts_no_honest_node():
+    spec = get_scenario("fault-fuzz", nodes=60, rounds=20)
+    outaged = {
+        fault.node_id
+        for fault in spec.fault_schedule
+        if isinstance(fault, OutageFault)
+    }
+    convicted = set(spec.run().convicted)
+    assert convicted <= set(spec.deviant_nodes()) | outaged, convicted
 
 
 @given(entropy=st.integers(min_value=0, max_value=2**48))
 @settings(max_examples=20, deadline=None)
 def test_generated_specs_round_trip_through_json(entropy):
     """The shrunken-repro artifact is lossless: spec -> JSON -> spec is
-    the identity on everything that determines a run."""
+    the identity, field for field."""
     spec = draw_spec(random.Random(entropy), entropy, CONFIG)
-    clone = spec_from_json(json.loads(json.dumps(spec_to_json(spec))))
-    assert clone.nodes == spec.nodes
-    assert clone.rounds == spec.rounds
-    assert clone.seed == spec.seed
-    assert clone.node_strategies == spec.node_strategies
-    assert clone.churn == spec.churn
-    assert clone.fault_schedule == spec.fault_schedule
+    clone = ScenarioSpec.from_json(json.loads(json.dumps(spec.to_json())))
+    assert clone == spec
 
 
 @given(entropy=st.integers(min_value=0, max_value=2**48))

@@ -19,7 +19,8 @@ from repro.scenarios.spec import (  # noqa: E402
     ChurnEvent,
     ScenarioSpec,
 )
-from repro.sim.faults import RandomLoss  # noqa: E402
+from repro.sim.faults import LossFault  # noqa: E402
+from repro.sim.network import Network  # noqa: E402
 from repro.sim.rng import SeedSequence  # noqa: E402
 
 from tests.differential.harness import (  # noqa: E402
@@ -74,10 +75,8 @@ def test_random_scenarios_are_policy_invariant(spec, workers, with_loss):
     def drop_rule():
         if not with_loss:
             return None
-        return RandomLoss(
-            probability=0.1,
-            kinds={"ack", "serve"},
-            rng=SeedSequence(spec.seed).stream("differential-loss"),
+        return LossFault(probability=0.1, kinds=("ack", "serve")).build(
+            SeedSequence(spec.seed).stream("differential-loss"), Network()
         )
 
     reference = record_scenario(

@@ -11,21 +11,28 @@ plays).
 import pytest
 
 from repro.core import PagSession
-from repro.sim.faults import LinkCut, NodeOutage, RandomLoss
+from repro.sim.faults import LinkCutFault, LossFault, OutageFault
+from repro.sim.network import Network
 from repro.sim.rng import SeedSequence
+
+
+def _install(session, fault, seed=0):
+    """Build ``fault`` on the session's network, drawing from a seeded
+    ``loss`` stream, and install it."""
+    network = session.simulator.network
+    rule = fault.build(SeedSequence(seed).stream("loss"), network)
+    network.add_drop_rule(rule)
+    return rule
 
 
 def test_lost_acks_are_recovered_by_accusations():
     """Drop 20% of Acks: accusation -> probe -> Confirm exonerates."""
     session = PagSession.create(20)
-    loss = RandomLoss(
-        probability=0.2,
-        kinds={"ack"},
-        rng=SeedSequence(3).stream("loss"),
+    loss = _install(
+        session, LossFault(probability=0.2, kinds=("ack",)), seed=3
     )
-    session.simulator.network.add_drop_rule(loss)
     session.run(14)
-    assert loss.dropped > 0, "the fault injector never fired"
+    assert loss.hits > 0, "the fault injector never fired"
     assert session.all_verdicts() == [], [
         (v.node, v.reason) for v in session.all_verdicts()
     ]
@@ -37,28 +44,22 @@ def test_lost_serves_are_redelivered_through_probes():
     the server accuses, and the monitors' probe carries the content —
     the receiver still plays the stream."""
     session = PagSession.create(20)
-    loss = RandomLoss(
-        probability=0.1,
-        kinds={"serve"},
-        rng=SeedSequence(5).stream("loss"),
+    loss = _install(
+        session, LossFault(probability=0.1, kinds=("serve",)), seed=5
     )
-    session.simulator.network.add_drop_rule(loss)
     session.run(14)
-    assert loss.dropped > 0
+    assert loss.hits > 0
     assert session.all_verdicts() == []
     assert session.mean_continuity() > 0.95
 
 
 def test_lost_key_responses_handled():
     session = PagSession.create(20)
-    loss = RandomLoss(
-        probability=0.15,
-        kinds={"key_response"},
-        rng=SeedSequence(7).stream("loss"),
+    loss = _install(
+        session, LossFault(probability=0.15, kinds=("key_response",)), seed=7
     )
-    session.simulator.network.add_drop_rule(loss)
     session.run(14)
-    assert loss.dropped > 0
+    assert loss.hits > 0
     assert session.all_verdicts() == []
     assert session.mean_continuity() > 0.95
 
@@ -67,10 +68,9 @@ def test_cut_link_does_not_convict_either_endpoint():
     """A dead link between two honest nodes: every exchange across it
     fails, every accusation resolves through the probes."""
     session = PagSession.create(20)
-    cut = LinkCut.between(3, 11)
-    session.simulator.network.add_drop_rule(cut)
+    cut = _install(session, LinkCutFault(links=((3, 11), (11, 3))))
     session.run(14)
-    assert cut.dropped > 0
+    assert cut.hits > 0
     convicted = session.convicted_nodes()
     assert 3 not in convicted
     assert 11 not in convicted
@@ -81,8 +81,7 @@ def test_permanent_crash_is_convicted_as_unresponsive():
     crash from a refusal: a permanently silent node is convicted, and
     the rest of the membership keeps streaming."""
     session = PagSession.create(20)
-    outage = NodeOutage(node_id=9, first_round=3, last_round=10**9)
-    session.simulator.network.add_drop_rule(outage)
+    _install(session, OutageFault(node_id=9, first_round=3, last_round=10**9))
     session.run(14)
     # The partitioned node's own monitor engine indicts everyone it can
     # no longer hear; a deployment discounts verdicts from unreachable
@@ -123,12 +122,9 @@ def test_combined_loss_and_cheating_still_isolates_the_cheater():
     from repro.adversary.selfish import FreeRider
 
     session = PagSession.create(20, behaviors={7: FreeRider()})
-    loss = RandomLoss(
-        probability=0.1,
-        kinds={"ack"},
-        rng=SeedSequence(11).stream("loss"),
+    loss = _install(
+        session, LossFault(probability=0.1, kinds=("ack",)), seed=11
     )
-    session.simulator.network.add_drop_rule(loss)
     session.run(14)
     assert 7 in session.convicted_nodes()
     assert session.convicted_nodes() == {7}
@@ -137,14 +133,13 @@ def test_combined_loss_and_cheating_still_isolates_the_cheater():
 class TestFaultInjectors:
     def test_random_loss_validation(self):
         with pytest.raises(ValueError):
-            RandomLoss(probability=1.5)
+            LossFault(probability=1.5)
 
     def test_random_loss_kind_filter(self):
         from repro.core.messages import KeyRequest
 
-        loss = RandomLoss(
-            probability=1.0, kinds={"ack"},
-            rng=SeedSequence(1).stream("x"),
+        loss = LossFault(probability=1.0, kinds=("ack",)).build(
+            SeedSequence(1).stream("x"), Network()
         )
         msg = KeyRequest(sender=1, recipient=2, round_no=0)
         assert not loss(msg)
@@ -152,7 +147,9 @@ class TestFaultInjectors:
     def test_outage_window(self):
         from repro.core.messages import KeyRequest
 
-        outage = NodeOutage(node_id=1, first_round=5, last_round=6)
+        outage = OutageFault(node_id=1, first_round=5, last_round=6).build(
+            SeedSequence(1).stream("x"), Network()
+        )
         early = KeyRequest(sender=1, recipient=2, round_no=4)
         inside = KeyRequest(sender=1, recipient=2, round_no=5)
         other = KeyRequest(sender=3, recipient=4, round_no=5)

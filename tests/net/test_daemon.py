@@ -9,6 +9,7 @@ ownership arithmetic, and the unsupported-feature rejections.
 """
 
 import asyncio
+import json
 
 import pytest
 
@@ -22,12 +23,11 @@ from repro.net.daemon import (
     run_coordinated_session,
     send_message,
     spec_digest,
-    spec_from_json,
-    spec_to_json,
     validate_daemon_spec,
 )
 from repro.net.transport import connect, listen, reset_memory_transport
 from repro.scenarios import get_scenario
+from repro.scenarios.spec import ScenarioSpec
 
 from tests.differential.harness import record_scenario, small_spec
 
@@ -53,22 +53,88 @@ def _daemon_verdicts(result):
 # ---------------------------------------------------------------------------
 
 
+def _handshake_bytes(spec):
+    """The coordinator's canonical spec bytes."""
+    return json.dumps(spec.to_json(), sort_keys=True).encode()
+
+
 def test_spec_json_round_trip_is_exact():
     spec = small_spec("selfish")
-    data = spec_to_json(spec)
-    rebuilt = spec_from_json(data)
-    assert spec_to_json(rebuilt) == data
-    assert rebuilt.name == spec.name
-    assert rebuilt.nodes == spec.nodes
-    assert rebuilt.adversaries == spec.adversaries
+    data = _handshake_bytes(spec)
+    rebuilt = ScenarioSpec.from_json(json.loads(data))
+    assert rebuilt == spec
+    assert _handshake_bytes(rebuilt) == data
 
 
 def test_spec_digest_is_stable_and_content_sensitive():
     spec = small_spec("selfish")
-    data = spec_to_json(spec)
+    data = _handshake_bytes(spec)
     assert spec_digest(data) == spec_digest(data)
-    other = spec_to_json(small_spec("selfish", seed=99))
+    assert len(spec_digest(data)) == 16
+    other = _handshake_bytes(small_spec("selfish", seed=99))
     assert spec_digest(other) != spec_digest(data)
+
+
+async def _join_with(spec_json):
+    """Send one ``JoinRequest`` carrying ``spec_json`` to a real daemon;
+    its answer."""
+    daemon = NodeDaemon("mem://join-probe")
+    endpoint = await daemon.start()
+    serving = asyncio.ensure_future(daemon.serve_forever())
+    conn = await connect(endpoint)
+    await send_message(conn, wire.JoinRequest(
+        shard=0,
+        shards=1,
+        spec_json=spec_json,
+        peers=(endpoint,),
+        batch_relays=True,
+    ))
+    reply = await recv_message(conn)
+    await conn.close()
+    await asyncio.wait_for(serving, 5)
+    return reply
+
+
+@pytest.mark.parametrize(
+    "payload, named",
+    [
+        (b"{not json", "invalid scenario spec"),
+        (b'{"name": "x", "nodes": "ten"}', "spec.nodes"),
+        (b'{"name": "x", "turbo": true}', "unknown fields ['turbo']"),
+        (
+            b'{"name": "x", "fault_schedule": [{"kind": "telegram"}]}',
+            "unknown fault kind 'telegram'",
+        ),
+        (
+            b'{"name": "x", "churn": [[3, 4]]}',
+            "spec.churn[0]: expected an object",
+        ),
+    ],
+    ids=["undecodable", "wrong-type", "unknown-field", "unknown-fault",
+         "churn-pair"],
+)
+def test_malformed_spec_on_the_handshake_ends_in_join_reject(payload, named):
+    reset_memory_transport()
+    try:
+        reply = asyncio.run(_join_with(payload))
+    finally:
+        reset_memory_transport()
+    assert isinstance(reply, wire.JoinReject)
+    assert named in reply.reason
+
+
+def test_handshake_carries_simulator_tier_features_to_the_rejection():
+    """Churn, arrivals and faults travel in the handshake now; the
+    daemon decodes them and rejects the scenario by name."""
+    reset_memory_transport()
+    try:
+        reply = asyncio.run(
+            _join_with(_handshake_bytes(get_scenario("fault-fuzz")))
+        )
+    finally:
+        reset_memory_transport()
+    assert isinstance(reply, wire.JoinReject)
+    assert "uses fault_schedule" in reply.reason
 
 
 @pytest.mark.parametrize(

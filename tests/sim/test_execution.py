@@ -22,7 +22,7 @@ from repro.sim.execution import (
     SerialPolicy,
     make_policy,
 )
-from repro.sim.faults import RandomLoss
+from repro.sim.faults import LossFault
 from repro.sim.network import Network
 from repro.sim.rng import SeedSequence
 from repro.sim.trace import TraceRecorder
@@ -113,18 +113,16 @@ def test_sharded_policy_with_stateful_drop_rule_matches_serial():
     shard merge must replay that exact order."""
 
     def loss():
-        return RandomLoss(
-            probability=0.15,
-            kinds={"ack", "serve"},
-            rng=SeedSequence(11).stream("loss"),
+        return LossFault(probability=0.15, kinds=("ack", "serve")).build(
+            SeedSequence(11).stream("loss"), Network()
         )
 
     serial_rule = loss()
     _, serial = _run(20, 8, SerialPolicy(), drop_rule=serial_rule)
     sharded_rule = loss()
     session, sharded = _run(20, 8, _sharded(4), drop_rule=sharded_rule)
-    assert serial_rule.dropped > 0
-    assert sharded_rule.dropped == serial_rule.dropped
+    assert serial_rule.hits > 0
+    assert sharded_rule.hits == serial_rule.hits
     assert sharded == serial
     assert session.all_verdicts() == []
 
@@ -144,10 +142,8 @@ def test_churn_mid_round_with_inflight_traffic_under_sharding():
     while drop rules keep firing for everyone else."""
 
     def run(policy):
-        rule = RandomLoss(
-            probability=0.1,
-            kinds={"ack"},
-            rng=SeedSequence(23).stream("loss"),
+        rule = LossFault(probability=0.1, kinds=("ack",)).build(
+            SeedSequence(23).stream("loss"), Network()
         )
 
         def churn_hook(session, round_no):
@@ -162,8 +158,8 @@ def test_churn_mid_round_with_inflight_traffic_under_sharding():
     serial_session, serial_rule = run(SerialPolicy())
     sharded_session, sharded_rule = run(_sharded(5))
     assert 7 not in sharded_session.nodes
-    assert serial_rule.dropped > 0
-    assert sharded_rule.dropped == serial_rule.dropped
+    assert serial_rule.hits > 0
+    assert sharded_rule.hits == serial_rule.hits
     # The departed node is convicted as unresponsive, nobody else is.
     for session in (serial_session, sharded_session):
         convicted = session.convicted_nodes()

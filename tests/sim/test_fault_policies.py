@@ -17,20 +17,21 @@ import pytest
 from repro.scenarios.spec import ScenarioSpec
 from repro.sim.faults import (
     BudgetFault,
-    Corruption,
     CorruptionFault,
     DelayFault,
-    DelayRule,
-    LinkBudget,
-    LinkCut,
     LinkCutFault,
     LossFault,
-    NodeOutage,
     OutageFault,
-    Partition,
     PartitionFault,
-    RandomLoss,
 )
+from repro.sim.message import Message
+from repro.sim.network import Network
+from repro.sim.rng import derive_seed
+
+
+def _stream(seed, label):
+    """The rng stream a fault injector once derived by default."""
+    return random.Random(derive_seed(seed, "fault", label))
 
 POLICIES = ("serial", "parallel")
 
@@ -105,7 +106,7 @@ def test_fault_stats_fire_for_each_injector():
 def test_loss_schedule_is_deterministic_in_spec_seed():
     """Satellite regression: the same spec drops the same messages.
 
-    ``RandomLoss`` once defaulted to an unseeded shared rng, so two
+    The loss injector once defaulted to an unseeded shared rng, so two
     runs of one spec disagreed; the rng now derives from the spec seed.
     """
     first = fingerprint(run_spec(FAULTS["loss"], "serial", seed=7))
@@ -117,24 +118,25 @@ def test_loss_schedule_is_deterministic_in_spec_seed():
 
 
 def test_random_loss_default_rng_is_seed_derived():
-    """Injector-level: two default-constructed instances with the same
-    seed agree drop-for-drop; distinct seeds diverge."""
-    from repro.sim.message import Message
-
+    """Rule-level: a loss draws only from the stream ``build`` is given
+    (there is no default), so two rules built from the same derived
+    stream agree drop-for-drop; distinct seeds diverge."""
     messages = [
         Message(sender=s, recipient=r, round_no=0)
         for s in range(6)
         for r in range(6)
         if s != r
     ]
-    first = RandomLoss(probability=0.5, seed=99)
-    second = RandomLoss(probability=0.5, seed=99)
-    third = RandomLoss(probability=0.5, seed=100)
+    loss = LossFault(probability=0.5)
+    first = loss.build(_stream(99, "random-loss"), Network())
+    second = loss.build(_stream(99, "random-loss"), Network())
+    third = loss.build(_stream(100, "random-loss"), Network())
     picks_first = [first(m) for m in messages]
     picks_second = [second(m) for m in messages]
     picks_third = [third(m) for m in messages]
     assert picks_first == picks_second
-    assert first.dropped == second.dropped > 0
+    assert first.stats() == second.stats()
+    assert first.stats()["dropped"] > 0
     assert picks_first != picks_third
 
 
@@ -187,51 +189,61 @@ def test_outage_is_convicted_like_a_refusal():
 
 
 class TestDeclarationValidation:
-    """Satellite: malformed injector inputs raise at construction."""
+    """Satellite: malformed declarations raise at construction."""
 
     def test_link_cut_rejects_self_link(self):
         with pytest.raises(ValueError, match="self-link"):
-            LinkCut(links={(3, 3)})
+            LinkCutFault(links=((3, 3),))
 
     def test_link_cut_rejects_negative_ids(self):
         with pytest.raises(ValueError, match="negative"):
-            LinkCut(links={(-1, 2)})
+            LinkCutFault(links=((-1, 2),))
 
     def test_link_cut_rejects_non_pairs(self):
         with pytest.raises(ValueError, match="pair"):
-            LinkCut(links={(1, 2, 3)})
+            LinkCutFault(links=((1, 2, 3),))
 
     def test_outage_rejects_inverted_window(self):
         with pytest.raises(ValueError, match="window"):
-            NodeOutage(node_id=3, first_round=5, last_round=2)
+            OutageFault(node_id=3, first_round=5, last_round=2)
 
     def test_outage_rejects_negative_node(self):
         with pytest.raises(ValueError):
-            NodeOutage(node_id=-1, first_round=0, last_round=1)
+            OutageFault(node_id=-1, first_round=0, last_round=1)
 
     def test_random_loss_rejects_bad_probability(self):
         with pytest.raises(ValueError, match="probability"):
-            RandomLoss(probability=1.5)
+            LossFault(probability=1.5)
 
     def test_delay_rule_rejects_zero_triggers(self):
         with pytest.raises(ValueError, match="triggers"):
-            DelayRule(probability=0.5, triggers=0)
+            DelayFault(probability=0.5, triggers=0)
 
     def test_partition_rejects_empty_group(self):
         with pytest.raises(ValueError, match="group"):
-            Partition(group=set(), first_round=0, last_round=1)
+            PartitionFault(group=(), first_round=0, last_round=1)
 
     def test_partition_rejects_inverted_window(self):
         with pytest.raises(ValueError, match="window"):
-            Partition(group={1, 2}, first_round=4, last_round=1)
+            PartitionFault(group=(1, 2), first_round=4, last_round=1)
 
     def test_corruption_rejects_zero_budget(self):
         with pytest.raises(ValueError, match="max_corruptions"):
-            Corruption(max_corruptions=0)
+            CorruptionFault(max_corruptions=0)
+
+    def test_corruption_rejects_kinds_it_cannot_mutate(self):
+        with pytest.raises(ValueError, match="key_request"):
+            CorruptionFault(kinds=("serve", "key_request"))
 
     def test_budget_rejects_non_positive_rate(self):
         with pytest.raises(ValueError, match="budget must be positive"):
-            LinkBudget(node_kbps={3: 0.0})
+            BudgetFault(node_kbps=((3, 0.0),))
+
+    def test_budget_rejects_a_node_named_twice(self):
+        """Two budgets for one node are an error naming the node, not a
+        silent pick of the last one."""
+        with pytest.raises(ValueError, match="node 4 appears twice"):
+            BudgetFault(node_kbps=((4, 250.0), (4, 100.0)))
 
     def test_spec_rejects_unknown_message_kind(self):
         with pytest.raises(ValueError, match="unknown message kinds"):
@@ -305,12 +317,13 @@ def test_delayed_messages_bypass_further_rules():
     """One fault per message: a released message re-enters the queue
     without re-evaluation, so a delay rule can never re-hold it and a
     loss rule can never eat it (the schedule stays replayable)."""
-    from repro.sim.message import Message
-    from repro.sim.network import Network
-
     network = Network()
-    delay = DelayRule(probability=1.0, triggers=1, seed=5)
-    loss = RandomLoss(probability=1.0, seed=5)
+    delay = DelayFault(probability=1.0, triggers=1).build(
+        _stream(5, "delay"), network
+    )
+    loss = LossFault(probability=1.0).build(
+        _stream(5, "random-loss"), network
+    )
     network.add_drop_rule(delay)
     network.add_drop_rule(loss)
     network.begin_round(0)
@@ -324,4 +337,4 @@ def test_delayed_messages_bypass_further_rules():
     released = network.pop()
     assert released is not None and released.round_no == 0
     assert network.messages_dropped == 0
-    assert delay.delayed == 1 and delay.released == 1
+    assert delay.stats() == {"delayed": 1, "released": 1}

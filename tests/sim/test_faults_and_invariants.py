@@ -5,9 +5,10 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sim.faults import LinkCut, RandomLoss
+from repro.sim.faults import LinkCutFault, LossFault
 from repro.sim.message import Message
 from repro.sim.metrics import BandwidthMeter
+from repro.sim.network import Network
 
 transfers = st.lists(
     st.tuples(
@@ -48,7 +49,9 @@ def test_meter_window_sums_to_total(batch):
 @given(st.floats(min_value=0.0, max_value=1.0), st.integers(0, 2**16))
 @settings(max_examples=40)
 def test_random_loss_rate_tracks_probability(probability, seed):
-    loss = RandomLoss(probability=probability, rng=random.Random(seed))
+    loss = LossFault(probability=probability).build(
+        random.Random(seed), Network()
+    )
     trials = 400
     dropped = sum(
         1
@@ -59,8 +62,9 @@ def test_random_loss_rate_tracks_probability(probability, seed):
 
 
 def test_link_cut_is_directional_when_asked():
-    cut = LinkCut(links={(1, 2)})
+    rng, network = random.Random(0), Network()
+    cut = LinkCutFault(links=((1, 2),)).build(rng, network)
     assert cut(Message(sender=1, recipient=2, round_no=0))
     assert not cut(Message(sender=2, recipient=1, round_no=0))
-    both = LinkCut.between(1, 2)
+    both = LinkCutFault(links=((1, 2), (2, 1))).build(rng, network)
     assert both(Message(sender=2, recipient=1, round_no=0))

@@ -281,7 +281,6 @@ class TestFuzzCommand:
     def test_fuzz_replay_from_bare_spec(self, capsys, tmp_path):
         import json
 
-        from repro.scenarios.fuzz import spec_to_json
         from repro.scenarios.spec import ScenarioSpec
         from repro.sim.faults import LossFault
 
@@ -299,13 +298,31 @@ class TestFuzzCommand:
             seed=9,
         )
         path = tmp_path / "spec.json"
-        path.write_text(json.dumps(spec_to_json(spec)))
+        path.write_text(json.dumps(spec.to_json()))
         code = main([
             "fuzz", "--replay", str(path), "--policies", "serial,parallel",
         ])
         out = capsys.readouterr().out
         assert code == 0
         assert "replaying replay-me" in out
+
+    def test_fuzz_replay_rejects_the_old_churn_pair_form(self, tmp_path):
+        """A churn entry as an ``[after, node]`` pair (the retired fuzz
+        codec's form) is a named error, never misread."""
+        import json
+
+        from repro.scenarios.spec import ChurnEvent, ScenarioSpec
+
+        spec = ScenarioSpec(
+            name="old-form", nodes=10, rounds=7, warmup_rounds=2,
+            churn=(ChurnEvent(after_round=3, node_id=4),),
+        )
+        payload = spec.to_json()
+        payload["churn"] = [[3, 4]]
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValueError, match=r"spec\.churn\[0\]"):
+            main(["fuzz", "--replay", str(path)])
 
     def test_fuzz_replay_report_without_violations(self, capsys, tmp_path):
         import json
