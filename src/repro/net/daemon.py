@@ -37,6 +37,13 @@ One round runs as a BSP superstep loop:
 4. after the rounds, ``CollectRequest`` gathers per-shard JSON reports
    and ``Shutdown`` closes the links.
 
+A daemon's round, ``RoundStart`` through ``RoundDone``, is one
+collection epoch (:mod:`repro.sim.collection`): automatic cyclic
+collection is held off and the deferred collection runs after
+``RoundDone`` is sent, while the coordinator gathers the other shards.
+Two daemons in one event loop interleave their pauses; only the one
+that turned collection off turns it back on.
+
 The handshake carries every spec field, but scenarios with churn,
 arrivals, fault schedules or a population plane are rejected at join
 time (:func:`validate_daemon_spec`) — those are simulator-tier
@@ -65,6 +72,7 @@ from repro.core.messages import (
 from repro.net import wire
 from repro.net.transport import Connection, TransportError, connect, listen
 from repro.scenarios.spec import ScenarioSpec
+from repro.sim.collection import round_epoch
 
 __all__ = [
     "DaemonError",
@@ -316,7 +324,8 @@ class NodeDaemon:
             if message is None:
                 return
             if isinstance(message, wire.RoundStart):
-                await self._run_round(message.round_no)
+                with round_epoch():
+                    await self._run_round(message.round_no)
             elif isinstance(message, wire.CollectRequest):
                 await self._send(control, wire.SessionReport(
                     payload=json.dumps(self._report()).encode()

@@ -5,6 +5,14 @@ Grid'5000 deployment and OMNeT++ simulations): the engine executes the
 same message sequence the deployment would, with explicit byte and
 crypto-operation accounting, so the reported per-node Kbps derives from
 exactly the quantities the testbed measured.
+
+A round drains to quiescence, so what it allocates is dead by its
+barrier: automatic cyclic collection is held off for the round and the
+collection it deferred runs as the round ends
+(:func:`repro.sim.collection.round_epoch`), of the generation the
+interpreter chooses.  That covers every placement driven through
+:meth:`Simulator.run_round`: serial, the parallel parent,
+:class:`~repro.sim.execution.DaemonPolicy` and population planes.
 """
 
 from __future__ import annotations
@@ -12,6 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional
 
+from repro.sim.collection import round_epoch
 from repro.sim.execution import ExecutionPolicy, SerialPolicy
 from repro.sim.network import Network
 from repro.sim.node import SimNode
@@ -110,24 +119,26 @@ class Simulator:
         (a worker-backed policy runs them on its own shards — see
         :meth:`ExecutionPolicy.begin_nodes`); policies that decline get
         the engine's inline loop, byte-for-byte the pre-handoff path.
+        The round is one collection epoch (:mod:`repro.sim.collection`).
         """
-        round_no = self.current_round
-        self.network.begin_round(round_no)
-        ordered = self._ordered_nodes()
-        if not self.policy.begin_nodes(round_no, ordered, self.network):
-            for node in ordered:
-                node.begin_round(round_no)
-        self._drain(round_no)
-        if not self.policy.end_nodes(round_no, ordered, self.network):
-            for node in ordered:
-                node.end_round(round_no)
-        for plane in self.planes:
-            plane.end_round(round_no)
-        for hook in self.round_hooks:
-            hook(round_no)
-        if self.event_sink is not None:
-            self.event_sink(round_no)
-        self.current_round += 1
+        with round_epoch():
+            round_no = self.current_round
+            self.network.begin_round(round_no)
+            ordered = self._ordered_nodes()
+            if not self.policy.begin_nodes(round_no, ordered, self.network):
+                for node in ordered:
+                    node.begin_round(round_no)
+            self._drain(round_no)
+            if not self.policy.end_nodes(round_no, ordered, self.network):
+                for node in ordered:
+                    node.end_round(round_no)
+            for plane in self.planes:
+                plane.end_round(round_no)
+            for hook in self.round_hooks:
+                hook(round_no)
+            if self.event_sink is not None:
+                self.event_sink(round_no)
+            self.current_round += 1
 
     def run(self, rounds: int) -> None:
         """Execute ``rounds`` consecutive rounds."""

@@ -25,6 +25,12 @@ differential suite holds them to it):
   next-round outbox), which is what makes replica execution exact: a
   node's state is a pure function of its constructor and the ordered
   lifecycle calls it receives, all routed to exactly one worker.
+  A worker's round, from its ``begin`` barrier through its ``end``
+  reply, is one collection epoch (:mod:`repro.sim.collection`): the
+  cyclic collector waits for the barrier and runs while the parent
+  merges.  An exception a replica raises reaches the parent with its
+  type and remote traceback, or, when it does not pickle, as a
+  ``RuntimeError`` naming its type.
 * :class:`DaemonPolicy` is the serial schedule with every message
   round-tripped through the v1 wire codec (loopback, no sockets).
 
@@ -41,6 +47,7 @@ import traceback
 from contextlib import suppress
 from dataclasses import dataclass, field
 from multiprocessing.connection import Connection, wait
+from multiprocessing.reduction import ForkingPickler
 from operator import attrgetter
 from typing import (
     TYPE_CHECKING,
@@ -51,6 +58,7 @@ from typing import (
     Sequence,
 )
 
+from repro.sim import collection
 from repro.sim.network import RemoteSend
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -536,21 +544,50 @@ class _ReplicaWorker:
         return {"ops": ops, "nodes": nodes}
 
 
+def _portable(exc: Exception) -> Exception:
+    """``exc`` if it survives the pipe's pickling, else a
+    ``RuntimeError`` naming its type and message (an ``__init__`` that
+    takes other arguments than ``args``, or a lock in its state, would
+    otherwise fail in the parent's unpickling or kill the worker in
+    ``conn.send``)."""
+    try:
+        ForkingPickler.loads(ForkingPickler.dumps(exc))
+    except Exception:  # noqa: BLE001 - any pickling failure
+        return RuntimeError(
+            f"{type(exc).__qualname__}: {exc} (raised in the worker; "
+            "not picklable, so re-raised as RuntimeError)"
+        )
+    return exc
+
+
 def _process_loop(conn: Connection, ours: Connection, *replica_args) -> None:
     """A shard's worker process: build the replica, then answer each
     ``(op, args)`` with ``(True, result, None)`` or ``(False, exception,
     formatted traceback)`` until told ``None`` or the parent is gone.
     ``ours`` is the parent's end of the pipe: a forked child holds a
-    copy, and would never read EOF from a dead parent with it open."""
+    copy, and would never read EOF from a dead parent with it open.
+
+    A round, from its ``begin`` barrier through the ``end`` reply, is
+    one collection epoch (:mod:`repro.sim.collection`); the deferred
+    collection runs after the reply, while the parent merges, and after
+    every error reply."""
     ours.close()
+    collection.release_inherited()
     replica = _ReplicaWorker(*replica_args)
+    paused = False
     try:
         for op, args in iter(conn.recv, None):
+            phase = args[0] if op == "run_phase" else None
+            if phase == "begin" and not paused:
+                paused = collection.pause()
             try:
                 reply = (True, getattr(replica, op)(*args), None)
             except Exception as exc:  # noqa: BLE001 - raised in the parent
-                reply = (False, exc, traceback.format_exc())
+                reply = (False, _portable(exc), traceback.format_exc())
             conn.send(reply)
+            if phase == "end" or not reply[0]:
+                collection.resume(paused)
+                paused = False
     except (EOFError, OSError):  # parent gone: nobody left to answer
         pass
 

@@ -9,6 +9,7 @@ ownership arithmetic, and the unsupported-feature rejections.
 """
 
 import asyncio
+import gc
 import json
 
 import pytest
@@ -290,3 +291,52 @@ def test_dead_peer_link_is_a_named_error_not_a_hang(misbehave, cause):
     assert cause in str(daemon_error)
     assert isinstance(coordinator_error, DaemonError)
     assert "hung up mid-session" in str(coordinator_error)
+
+
+# ---------------------------------------------------------------------------
+# A daemon's round is one collection epoch
+# ---------------------------------------------------------------------------
+
+
+def _note_collector_state(monkeypatch):
+    """Patch every daemon to note the collector's state as each of its
+    rounds starts; returns the notes."""
+    seen = []
+    run_round = NodeDaemon._run_round
+
+    async def noting_run_round(self, round_no):
+        seen.append(gc.isenabled())
+        await run_round(self, round_no)
+
+    monkeypatch.setattr(NodeDaemon, "_run_round", noting_run_round)
+    return seen
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["on", "off"])
+def test_fleet_rounds_pause_and_restore_the_collector(monkeypatch, enabled):
+    """Two daemons in one event loop interleave their pauses: whichever
+    turned collection off turns it back on, and a caller's own disable
+    outlives the session."""
+    seen = _note_collector_state(monkeypatch)
+    spec = small_spec("fig7")
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        asyncio.run(run_coordinated_session(spec, shards=2, scheme="mem"))
+        after = gc.isenabled()
+    finally:
+        (gc.enable if was else gc.disable)()
+    assert len(seen) == 2 * spec.rounds and not any(seen)
+    assert after is enabled
+
+
+def test_a_peer_dying_mid_round_restores_the_collector(monkeypatch):
+    seen = _note_collector_state(monkeypatch)
+    reset_memory_transport()
+    try:
+        _, daemon_error = asyncio.run(_session_with_a_failing_peer(_hang_up))
+    finally:
+        reset_memory_transport()
+    assert isinstance(daemon_error, DaemonError)
+    assert seen == [False]
+    assert gc.isenabled()

@@ -8,6 +8,7 @@ idempotence, and the golden numbers under real worker processes.
 """
 
 import contextlib
+import gc
 import os
 import signal
 import threading
@@ -21,6 +22,8 @@ from repro.scenarios.spec import ScenarioSpec
 from repro.sim.execution import (
     ParallelShardedPolicy,
     SerialPolicy,
+    _RemoteTraceback,
+    _ReplicaWorker,
     make_policy,
 )
 from repro.sim.network import Network, RemoteSend
@@ -225,6 +228,63 @@ def test_replica_exception_keeps_its_type_and_remote_traceback():
         # An error reply nobody read must not keep close() (on the way
         # out of the fixture) from reaching the stop request.
         policy._handles[1].submit("admit", 99)
+
+
+class TwoArgError(Exception):
+    """Pickles, but its unpickling calls ``TwoArgError(message)``."""
+
+    def __init__(self, code, detail):
+        super().__init__(f"code {code}: {detail}")
+
+
+class LockedError(Exception):
+    """Does not pickle at all: its state holds a lock."""
+
+    def __init__(self):
+        super().__init__("holding a lock")
+        self.lock = threading.Lock()
+
+
+@pytest.mark.parametrize(
+    "exc, named",
+    [
+        (TwoArgError(7, "bad shard state"), "TwoArgError: code 7: bad shard"),
+        (LockedError(), "LockedError: holding a lock"),
+    ],
+    ids=["unpickles-wrong", "unpicklable"],
+)
+def test_replica_exception_that_does_not_pickle_is_named(
+    monkeypatch, exc, named
+):
+    """An exception that would not survive the pipe, raised by shard 0
+    mid-round, arrives as a ``RuntimeError`` naming its type and
+    message, the worker's traceback still its cause.  The worker lives
+    on, and its error reply ended the round's collection pause."""
+    run_phase = _ReplicaWorker.run_phase
+
+    def exploding_run_phase(self, phase, round_no, *args):
+        if self.shard == 0 and phase == "deliver" and round_no == 1:
+            raise exc
+        return run_phase(self, phase, round_no, *args)
+
+    def collector_state(self):
+        return gc.isenabled()
+
+    monkeypatch.setattr(_ReplicaWorker, "run_phase", exploding_run_phase)
+    monkeypatch.setattr(
+        _ReplicaWorker, "collector_state", collector_state, raising=False
+    )
+    with _two_workers(n=8) as (policy, session, pids):
+        with pytest.raises(RuntimeError, match=named) as raised:
+            session.run(1)
+        assert isinstance(raised.value.__cause__, _RemoteTraceback)
+        remote = str(raised.value.__cause__)
+        assert "Traceback (most recent call last)" in remote
+        assert "in exploding_run_phase" in remote
+        assert gc.isenabled()
+        assert policy._handles[0].call("the probe", "collector_state")
+        assert policy.worker_pids() == pids
+        monkeypatch.undo()  # the fixture's closing run forks clean workers
 
 
 def test_adding_adhoc_nodes_after_start_is_rejected():
