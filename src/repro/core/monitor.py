@@ -147,7 +147,7 @@ class MonitorEngine:
         self.first_round = first_round
         self.verdicts = VerdictLog()
         self.set_behavior_hooks(active, lift_transform)
-        #: (monitored, round) -> deferred same-modulus lift folds.
+        #: (monitored, round) -> folded pairs of relay batches.
         self._batch: Dict[Tuple[int, int], BatchVerifier] = {}
         #: (monitored, pred, round) pairs already folded from a wire
         #: batch — BatchVerifier adds are irreversible, so duplicate
@@ -199,14 +199,13 @@ class MonitorEngine:
         #: hook applied to lifted pairs before broadcasting (message 8);
         #: a lying monitor corrupts here (Behavior.transform_lifted).
         self.lift_transform = lift_transform
-        #: batched monitor verification: fold a round's message-8 lifts
-        #: with one multi-exponentiation where the individual lifted
-        #: values never reach the wire — the raw pairs of an
-        #: AttestationRelayBatch, and every pair of a node this engine
-        #: is the sole monitor of.  Lifts that *are* broadcast (peer
-        #: monitors exist), transformed (a lying monitor's hook) or
-        #: cross-checked against signed self-checks (section V-B
-        #: compares them value by value) must be materialised per pair.
+        #: batched monitor verification: fold the raw pairs of an
+        #: AttestationRelayBatch (a daemon fleet's batched message 7)
+        #: with one multi-exponentiation, since their individual lifted
+        #: values never reach the wire.  Lifts that are transformed (a
+        #: lying monitor's hook) or cross-checked against signed
+        #: self-checks (section V-B compares them value by value) must
+        #: be materialised per pair.
         self._fold_batched = lift_transform is None and not getattr(
             self.context.config, "monitor_cross_checks", False
         )
@@ -293,7 +292,7 @@ class MonitorEngine:
         peer monitors in place of per-pair MonitorBroadcasts, and every
         monitor folds the raw pairs through its round
         :class:`BatchVerifier` (one multi-exponentiation per obligation
-        instead of one wide ``pow`` per pair, now also when fm > 1).
+        instead of one wide ``pow`` per pair).
         """
         if not self.active:
             return
@@ -424,24 +423,6 @@ class MonitorEngine:
             self._fold_wire_pair(monitored, att, record.cofactor)
             self._relay_ack(predecessor, record.ack, round_no)
             return
-        if self._fold_batched and not any(
-            peer != self.host_id
-            for peer in self.context.monitors_of(monitored)
-        ):
-            # Sole monitor of X: the lifted pair would never leave this
-            # engine, so instead of one wide ``pow`` per pair the raw
-            # (hash, cofactor) pairs accumulate into the round's batch
-            # and fold in a single multi-exponentiation pass on demand.
-            # The ack-only lift is tallied but folded out: monitors
-            # acknowledge the expiring/duplicate list without adding it
-            # to the forwarding obligation (section V-D).
-            verifier = self._batch.setdefault(
-                (monitored, round_no), BatchVerifier(hasher)
-            )
-            verifier.add(att.hash_forward, record.cofactor)
-            verifier.add(att.hash_ack_only, record.cofactor, include=False)
-            self._relay_ack(predecessor, record.ack, round_no)
-            return
         lifted_forward = lift_attested(
             hasher, att.hash_forward, record.cofactor
         )
@@ -568,9 +549,10 @@ class MonitorEngine:
 
         The multiplicative combination of section V-C; 1 when the node
         received nothing that round.  Lifts that were materialised (for
-        broadcast, or received from peers) multiply directly; deferred
-        pairs fold through the round's :class:`BatchVerifier` in one
-        multi-exponentiation pass — the same product, bit for bit.
+        broadcast, or received from peers) multiply directly; the raw
+        pairs of relay batches fold through the round's
+        :class:`BatchVerifier` in one multi-exponentiation pass — the
+        same product, bit for bit.
         """
         per_pred = self._lifted.get((monitored, round_no), {})
         combined = combine_lifted(

@@ -11,7 +11,7 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Callable, Iterable, Tuple
 
-from repro.core.messages import RelayPair, ServeEntry
+from repro.core.messages import ServeEntry
 from repro.crypto.homomorphic import HomomorphicHasher
 from repro.gossip.updates import Update, content_integer
 
@@ -25,7 +25,6 @@ __all__ = [
     "ack_hash",
     "lift_attested",
     "combine_lifted",
-    "fold_wire_pairs",
     "BatchVerifier",
 ]
 
@@ -182,19 +181,17 @@ class BatchVerifier:
     so operation counts never depend on the fold strategy.
 
     The monitor engine drives this through :meth:`add`/:meth:`fold`
-    alone (lifts it had to materialise for broadcast stay in its
-    ``_lifted`` store and multiply in afterwards);
-    :meth:`add_lifted`/:meth:`verify` round out the class as a
-    standalone batched-verification primitive for mixed folds, where
-    some lifted values are already in hand.
+    alone, for the raw pairs of a daemon fleet's
+    :class:`~repro.core.messages.AttestationRelayBatch`; lifts it had
+    to materialise for broadcast stay in its ``_lifted`` store and
+    multiply in afterwards.
     """
 
-    __slots__ = ("hasher", "_pairs", "_factors", "_result")
+    __slots__ = ("hasher", "_pairs", "_result")
 
     def __init__(self, hasher: HomomorphicHasher) -> None:
         self.hasher = hasher
         self._pairs: list = []
-        self._factors: list = []
         self._result = None
 
     def add(self, base: int, exponent: int, include: bool = True) -> None:
@@ -218,19 +215,6 @@ class BatchVerifier:
             self._pairs.append((base, exponent))
             self._result = None
 
-    def add_lifted(self, lifted: int) -> None:
-        """Fold in an already-lifted value (a wire broadcast)."""
-        self._factors.append(lifted)
-        self._result = None
-
-    def __len__(self) -> int:
-        return len(self._pairs) + len(self._factors)
-
-    @property
-    def pending_pairs(self) -> int:
-        """Raw pairs awaiting the next multi-exponentiation fold."""
-        return len(self._pairs)
-
     def fold(self) -> int:
         """The accumulated obligation product (1 for an empty batch).
 
@@ -239,44 +223,7 @@ class BatchVerifier:
         """
         if self._result is None:
             hasher = self.hasher
-            modulus = hasher.modulus
-            acc = hasher.backend.multi_powmod(self._pairs, modulus)
-            for factor in self._factors:
-                acc = acc * factor % modulus
-            self._result = acc
+            self._result = hasher.backend.multi_powmod(
+                self._pairs, hasher.modulus
+            )
         return self._result
-
-    def verify(self, acknowledged: int) -> bool:
-        """Does the folded obligation match an acknowledged hash?"""
-        return self.fold() == acknowledged % self.hasher.modulus
-
-
-def fold_wire_pairs(
-    hasher: HomomorphicHasher, pairs: Iterable[RelayPair]
-) -> int:
-    """Fold wire-carried raw (hash, cofactor) pairs in one pass.
-
-    The fm>1 batched fold over an
-    :class:`~repro.core.messages.AttestationRelayBatch`'s pair list:
-    each pair contributes ``hash_forward ** cofactor`` to the
-    obligation product, while the acknowledge-only hash is tallied but
-    folded out (section V-D), exactly as the monitor engine does pair
-    by pair.  ``pairs`` is an iterable of
-    ``(hash_forward, hash_ack_only, cofactor)`` triples (or objects
-    exposing an ``attestation`` plus ``cofactor``, i.e.
-    :class:`~repro.core.messages.RelayPair`).  Bit-identical to the
-    sequential ``lift_attested``/``combine_lifted`` chain — one Straus
-    multi-exponentiation instead of one wide ``pow`` per pair.
-    """
-    verifier = BatchVerifier(hasher)
-    for pair in pairs:
-        attestation = getattr(pair, "attestation", None)
-        if attestation is not None:
-            forward = attestation.hash_forward
-            ack_only = attestation.hash_ack_only
-            cofactor = pair.cofactor
-        else:
-            forward, ack_only, cofactor = pair
-        verifier.add(forward, cofactor)
-        verifier.add(ack_only, cofactor, include=False)
-    return verifier.fold()

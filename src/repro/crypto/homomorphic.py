@@ -461,9 +461,12 @@ class HomomorphicHasher:
         self,
         attested: Sequence[tuple[int, int]],
         acknowledged: int,
-        batch: bool = True,
     ) -> bool:
         """Check the forwarding equation of section IV-B.
+
+        All pairs fold in one Straus multi-exponentiation pass (one
+        shared squaring chain); ``operations`` counts one
+        protocol-level lift per pair, booked as ``batched_lifts``.
 
         Args:
             attested: pairs ``(hash_value, cofactor)`` where hash_value is
@@ -472,11 +475,6 @@ class HomomorphicHasher:
                 primes for the round.
             acknowledged: ``H(prod of all updates)_(prod_i p_i, M)`` as
                 acknowledged by a successor.
-            batch: fold all pairs in one Straus multi-exponentiation pass
-                (one shared squaring chain) instead of one ``rekey`` per
-                pair.  The verdict and the operation tally are identical
-                either way — ``operations`` counts one protocol-level
-                lift per pair regardless of how the fold is computed.
 
         Returns:
             True when the homomorphically-raised attested hashes multiply
@@ -485,17 +483,14 @@ class HomomorphicHasher:
                 prod_j (H(S_j)_(p_j))^(prod_{i!=j} p_i)  mod M
                     == H(S_1 * ... * S_k)_(prod_i p_i)
         """
-        if batch:
-            pairs = list(attested)
-            for _hash_value, cofactor in pairs:
-                if cofactor <= 0:
-                    raise ValueError("hash exponent must be positive")
-            self.operations += len(pairs)
-            self.batched_lifts += len(pairs)
-            product = self.backend.multi_powmod(pairs, self.modulus)
-            return product == acknowledged % self.modulus
-        lifted = (self.rekey(h, cofactor) for h, cofactor in attested)
-        return self.combine(lifted) == acknowledged % self.modulus
+        pairs = list(attested)
+        for _hash_value, cofactor in pairs:
+            if cofactor <= 0:
+                raise ValueError("hash exponent must be positive")
+        self.operations += len(pairs)
+        self.batched_lifts += len(pairs)
+        product = self.backend.multi_powmod(pairs, self.modulus)
+        return product == acknowledged % self.modulus
 
     def cache_stats(self) -> dict:
         """Cache accounting, read by the benchmark's traced run.

@@ -19,7 +19,7 @@ points opt in without linter edits.
 Inside a replica scope the analyzer flags:
 
 * PAR301 — mutation of *parent-rooted* state: any assignment, deletion
-  or known mutator-method call (``.record``, ``.merge_from``,
+  or known mutator-method call (``.record``, ``.add_round_rows``,
   ``.add``, ``.append``, ...) whose receiver chain contains a
   parent-denoting identifier (``parent``, ``parent_session``,
   ``coordinator``, ...).  Replica code has no business holding such a
@@ -70,7 +70,7 @@ _MUTATORS = frozenset(
     {
         "add", "append", "appendleft", "extend", "insert", "update",
         "setdefault", "pop", "popitem", "clear", "remove", "discard",
-        "record", "merge_from", "push", "write", "add_verdict",
+        "record", "add_round_rows", "push", "write", "add_verdict",
         "admit_node", "remove_node", "reset",
     }
 )

@@ -16,15 +16,16 @@ differential suite holds them to it):
   round barriers (``begin_round`` fan-out, every drain batch,
   ``end_round``); each worker executes only the lifecycle calls and
   deliveries of its owned nodes, buffering and metering sends in a
-  private capture, and the parent merges the captures by
-  ``(trigger_index, seq)`` — the exact order a serial walk would have
-  produced.  Taps, drop rules, the shared meter and the pending queue
-  live only in the parent, so traces, drops and byte accounting match
-  :class:`SerialPolicy` by construction.  PAG nodes interact
-  exclusively through messages (monitors defer their traffic to a
-  next-round outbox), which is what makes replica execution exact: a
-  node's state is a pure function of its constructor and the ordered
-  lifecycle calls it receives, all routed to exactly one worker.
+  private capture, and the parent merges every shard's sends in one
+  pass ordered by ``(trigger_index, seq)`` — the exact order a serial
+  walk would have produced.  Taps, drop rules, the shared meter and the
+  pending queue live only in the parent, so traces, drops and byte
+  accounting match :class:`SerialPolicy` by construction.  PAG nodes
+  interact exclusively through messages (monitors defer their traffic
+  to a next-round outbox), which is what makes replica execution
+  exact: a node's state is a pure function of its constructor and the
+  ordered lifecycle calls it receives, all routed to exactly one
+  worker.
   A worker's round, from its ``begin`` barrier through its ``end``
   reply, is one collection epoch (:mod:`repro.sim.collection`): the
   cyclic collector waits for the barrier and runs while the parent
@@ -48,7 +49,7 @@ from contextlib import suppress
 from dataclasses import dataclass, field
 from multiprocessing.connection import Connection, wait
 from multiprocessing.reduction import ForkingPickler
-from operator import attrgetter
+from operator import attrgetter, itemgetter
 from typing import (
     TYPE_CHECKING,
     Callable,
@@ -401,7 +402,7 @@ class _ReplicaWorker:
         phase: str,
         round_no: int,
         items: List[tuple],
-        fast: bool,
+        with_payloads: bool,
         blobs: Optional[List[bytes]] = None,
         remote: bool = False,
         barrier_seq: int = 0,
@@ -409,23 +410,26 @@ class _ReplicaWorker:
         """Execute one barrier's work on the owned nodes.
 
         ``items`` is ``[(global_index, node_id), ...]`` for lifecycle
-        phases, ``[(global_index, message), ...]`` for full-fidelity
-        deliveries, and ``[(global_index, key), ...]`` for metadata-mode
-        deliveries (payloads looked up in the stash and in ``blobs``
-        shipped from other shards).  The global index becomes the
-        capture's ``trigger_index`` so the parent reconstructs the
-        serial send order.
+        phases, ``[(global_index, message), ...]`` for parent-held
+        deliveries, and ``[(global_index, key), ...]`` for worker-held
+        ones (payloads looked up in the stash and in ``blobs`` shipped
+        from other shards).  The global index becomes the capture's
+        ``trigger_index`` so the parent reconstructs the serial send
+        order.
 
-        Returns ``(capture, meta, meter_rows, outbound_blobs, wall_s,
-        cpu_s)``: the capture itself and nothing else, or, with ``fast``
-        set (no parent-side taps/drop rules), ``None`` in its place,
-        ``meta`` as ``[(trigger, seq, sender, recipient, size), ...]``,
-        the per-node totals of the meter the capture filled (rows for
-        :meth:`~repro.sim.metrics.BandwidthMeter.add_round_rows`) and
-        pickled ``[(key, message), ...]`` lists by destination shard.
-        Stash/blob keys are ``(barrier_seq, trigger, seq)``: the
-        parent's barrier counter scopes them globally, so sends of
-        different barriers can never collide in a shared stash.
+        Returns ``(sends, meter_rows, outbound_blobs, wall_s, cpu_s)``,
+        the one shape :meth:`Network.merge_remote
+        <repro.sim.network.Network.merge_remote>` takes: ``sends`` as
+        ``[(key, sender, recipient, size, message), ...]`` with ``key
+        = (barrier_seq, trigger, seq)``, ``meter_rows`` as the per-node
+        totals of the meter the capture filled.  With
+        ``with_payloads`` (the parent has taps or drop rules) each send
+        carries its message to the parent; otherwise ``message`` is
+        None, the payload stays in the stash under ``key`` or leaves in
+        ``outbound_blobs``, pickled ``[(key, message), ...]`` lists by
+        destination shard.  The parent's barrier counter scopes the
+        keys globally, so sends of different barriers can never collide
+        in a shared stash.
         """
         wall0 = time.perf_counter()
         cpu0 = time.thread_time()
@@ -470,29 +474,28 @@ class _ReplicaWorker:
                 raise ValueError(f"unknown phase {phase!r}")
         finally:
             network.release_capture()
-        meta: List[tuple] = []
-        meter_rows: List[tuple] = []
+        sends: List[tuple] = []
         outbound: Dict[int, list] = {}
-        if fast:
-            stash = self._stash
-            for trigger, seq, message, size in capture.entries:
-                meta.append(
-                    (trigger, seq, message.sender, message.recipient, size)
+        stash = self._stash
+        for trigger, seq, message, size in capture.entries:
+            key = (barrier_seq, trigger, seq)
+            if with_payloads:
+                sends.append(
+                    (key, message.sender, message.recipient, size, message)
                 )
-                key = (barrier_seq, trigger, seq)
-                dest = message.recipient % self.workers
-                if self._shares_stash or dest == self.shard:
-                    stash[key] = message
-                else:
-                    outbound.setdefault(dest, []).append((key, message))
-            meter_rows = [
+                continue
+            sends.append((key, message.sender, message.recipient, size, None))
+            dest = message.recipient % self.workers
+            if self._shares_stash or dest == self.shard:
+                stash[key] = message
+            else:
+                outbound.setdefault(dest, []).append((key, message))
+        return (
+            sends,
+            [
                 (n, t.bytes_up, t.messages_up, t.bytes_down, t.messages_down)
                 for n, t in capture.meter.totals.items()
-            ]
-        return (
-            None if fast else capture,
-            meta,
-            meter_rows,
+            ],
             {
                 dest: pickle.dumps(pairs, pickle.HIGHEST_PROTOCOL)
                 for dest, pairs in outbound.items()
@@ -825,17 +828,19 @@ class ParallelShardedPolicy(ExecutionPolicy):
         network: "Network",
         remote: bool = False,
     ) -> None:
-        """Scatter one phase to the shards, gather, merge in shard order.
+        """Scatter one phase to the shards, gather, merge in serial order.
 
-        With no taps and no drop rules on the parent network the
-        barrier runs in metadata mode (:meth:`Network.merge_remote
-        <repro.sim.network.Network.merge_remote>`): payloads stay in
+        Every shard answers with the one :meth:`_ReplicaWorker.run_phase`
+        shape; the parent sorts all shards' sends once and hands them
+        with the meter rows to one :meth:`Network.merge_remote
+        <repro.sim.network.Network.merge_remote>` call.  With no taps
+        and no drop rules on the parent network the payloads stay in
         the workers or cross between them as blobs the parent never
-        opens, and the rows of the meters the workers filled are added
-        to the parent's, so no send is metered twice.  Any tap or drop
-        rule switches to full captures, every send crossing as a real
-        message and replayed through rules and taps in serial order;
-        both modes produce bit-identical accounting and schedules.
+        opens; any tap or drop rule makes every send carry its message
+        to the parent, which replays it through rules and taps in
+        serial order.  Either way the rows of the meters the workers
+        filled are added once, so no send is metered twice, and
+        accounting and schedules are bit-identical to the serial ones.
 
         Lifecycle phases go to every shard, delivery skips empty
         buckets.  A dead worker (killed, out of memory, a failed
@@ -843,10 +848,9 @@ class ParallelShardedPolicy(ExecutionPolicy):
         round; :meth:`close` stays safe afterwards.
         """
         wall0 = time.perf_counter()
-        fast = not network.taps and not network.drop_rules
+        with_payloads = bool(network.taps or network.drop_rules)
         barrier_seq = self._barrier_seq = self._barrier_seq + 1
-        captures = []
-        meta: List[tuple] = []
+        sends: List[tuple] = []
         meter_rows: List[tuple] = []
         barrier_cpu = 0.0
         busy = []
@@ -857,18 +861,16 @@ class ParallelShardedPolicy(ExecutionPolicy):
                 self._inbound_blobs.pop(handle.shard, None) if remote else None
             )
             handle.submit(
-                "run_phase", phase, round_no, items, fast, blobs, remote,
-                barrier_seq,
+                "run_phase", phase, round_no, items, with_payloads, blobs,
+                remote, barrier_seq,
             )
             busy.append(handle)
         self._inbound_blobs = {}
         for handle in busy:
-            capture, shard_meta, shard_rows, blobs_out, wall, cpu = (
-                handle.result(f"the {phase!r} phase of round {round_no}")
+            shard_sends, shard_rows, blobs_out, wall, cpu = handle.result(
+                f"the {phase!r} phase of round {round_no}"
             )
-            if capture is not None:
-                captures.append(capture)
-            meta.extend(shard_meta)
+            sends.extend(shard_sends)
             meter_rows.extend(shard_rows)
             for dest, blob in blobs_out.items():
                 self._inbound_blobs.setdefault(dest, []).append(blob)
@@ -879,19 +881,9 @@ class ParallelShardedPolicy(ExecutionPolicy):
             )
             barrier_cpu = max(barrier_cpu, cpu)
         self.stats.critical_cpu_seconds += barrier_cpu
-        if captures:
-            network.merge_captures(captures)
-        if meta:
-            meta.sort()
-            network.merge_remote(
-                [
-                    RemoteSend(
-                        (barrier_seq, trigger, seq), sender, recipient, size
-                    )
-                    for trigger, seq, sender, recipient, size in meta
-                ],
-                meter_rows,
-            )
+        if sends:
+            sends.sort(key=itemgetter(0))
+            network.merge_remote(sends, meter_rows)
         self.stats.barriers += 1
         self.stats.wall_seconds += time.perf_counter() - wall0
 

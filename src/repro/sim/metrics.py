@@ -11,9 +11,10 @@ Storage is columnar: each node owns one per-round list per direction,
 so a window sum is one slice-add and a steady-state CDF over a large
 membership is a single pass over dense lists — no per-(node, round)
 dict probes.  Byte totals are identical to the seed's dict-of-pairs
-accounting (``tests/sim/test_metrics.py`` proves parity), and per-shard
-meters from a sharded drain merge losslessly via :meth:`merge_from`.
-Sums are Python integers, so no volume can overflow.
+accounting (``tests/sim/test_metrics.py`` proves parity), and the
+per-node rows of a parallel worker's one-round meter fold in losslessly
+via :meth:`BandwidthMeter.add_round_rows`.  Sums are Python integers,
+so no volume can overflow.
 
 :class:`BandwidthMeter` and :func:`cdf_points` are pure Python; only
 :class:`SpilledMeter`, the population tier's read side, works on the
@@ -65,6 +66,36 @@ def _grow(series: List[int], rnd: int) -> None:
     missing = rnd + 1 - len(series)
     if missing > 0:
         series.extend([0] * missing)
+
+
+def _resolve_window(
+    rounds_seen: int,
+    first_round: int,
+    last_round: int | None,
+    rate: bool = False,
+) -> int:
+    """Validate a round window and return its inclusive last round.
+
+    Every window reader of both meters shares this check: a negative
+    ``first_round`` would silently slice from the *end* of the
+    per-round lists (Python's negative indexing), and an inverted
+    window would silently sum nothing — both are caller bugs, so both
+    raise.  When ``last_round`` is None the window runs to the last
+    recorded round (-1 on an empty meter): a byte reader sums nothing
+    over it, while a ``rate`` reader has no duration to divide by and
+    rejects it as inverted too.
+    """
+    if first_round < 0:
+        raise ValueError(
+            f"first_round must be non-negative, got {first_round}"
+        )
+    last = rounds_seen - 1 if last_round is None else last_round
+    if last < first_round and (rate or last_round is not None):
+        raise ValueError(
+            f"inverted round window: last_round {last} precedes "
+            f"first_round {first_round}"
+        )
+    return last
 
 
 @dataclass(slots=True)
@@ -157,31 +188,6 @@ class BandwidthMeter:
         if direction not in ("both", "down", "up"):
             raise ValueError(f"unknown direction {direction!r}")
 
-    def _resolve_window(
-        self, first_round: int, last_round: int | None
-    ) -> int:
-        """Validate a round window and return its inclusive last round.
-
-        Every window-taking reader shares this check: a negative
-        ``first_round`` would silently slice from the *end* of the
-        per-round lists (Python's negative indexing), and an inverted
-        window would silently sum nothing — both are caller bugs, so
-        both raise.  When ``last_round`` is None the window runs to the
-        last recorded round (-1 on an empty meter, which the
-        rate-computing callers then reject as inverted).
-        """
-        if first_round < 0:
-            raise ValueError(
-                f"first_round must be non-negative, got {first_round}"
-            )
-        last = self.rounds_seen - 1 if last_round is None else last_round
-        if last_round is not None and last < first_round:
-            raise ValueError(
-                f"inverted round window: last_round {last} precedes "
-                f"first_round {first_round}"
-            )
-        return last
-
     def node_bytes(
         self,
         node: int,
@@ -201,7 +207,7 @@ class BandwidthMeter:
         raises; an empty meter with the default window sums to 0.
         """
         self._check_direction(direction)
-        last = self._resolve_window(first_round, last_round)
+        last = _resolve_window(self.rounds_seen, first_round, last_round)
         total = 0
         if direction in ("both", "up"):
             series = self.up_series.get(node)
@@ -222,12 +228,9 @@ class BandwidthMeter:
         direction: str = "both",
     ) -> float:
         """Average bandwidth of ``node`` in Kbps over a round window."""
-        last = self._resolve_window(first_round, last_round)
-        if last < first_round:
-            raise ValueError(
-                f"inverted round window: last_round {last} precedes "
-                f"first_round {first_round}"
-            )
+        last = _resolve_window(
+            self.rounds_seen, first_round, last_round, rate=True
+        )
         duration = (last - first_round + 1) * round_seconds
         return kbps(
             self.node_bytes(node, first_round, last, direction), duration
@@ -247,12 +250,9 @@ class BandwidthMeter:
         float factor; :class:`SpilledMeter` follows the same order.
         """
         self._check_direction(direction)
-        last = self._resolve_window(first_round, last_round)
-        if last < first_round:
-            raise ValueError(
-                f"inverted round window: last_round {last} precedes "
-                f"first_round {first_round}"
-            )
+        last = _resolve_window(
+            self.rounds_seen, first_round, last_round, rate=True
+        )
         duration = (last - first_round + 1) * round_seconds
         if duration <= 0:
             raise ValueError("duration must be positive")
@@ -294,8 +294,8 @@ class BandwidthMeter:
 
         Key-sorted totals and per-round series, independent of dict
         insertion order — two meters fed the same traffic through any
-        combination of direct records and :meth:`merge_from` produce
-        equal snapshots.  This is the byte-identity primitive of the
+        combination of direct records and :meth:`add_round_rows`
+        produce equal snapshots.  This is the byte-identity primitive of the
         differential execution-policy suite.
         """
         return {
@@ -318,36 +318,6 @@ class BandwidthMeter:
                 for node, series in sorted(self.down_series.items())
             },
         }
-
-    def merge_from(self, other: "BandwidthMeter") -> None:
-        """Fold another meter's accounting into this one.
-
-        Used by the sharded execution policy: each shard meters its
-        deliveries into a private meter, and the shards are merged in
-        shard-index order at batch end so the combined accounting is
-        deterministic.  Merging is exact — totals add, per-round series
-        add element-wise.
-        """
-        for node, traffic in other.totals.items():
-            mine = self.totals[node]
-            mine.bytes_up += traffic.bytes_up
-            mine.bytes_down += traffic.bytes_down
-            mine.messages_up += traffic.messages_up
-            mine.messages_down += traffic.messages_down
-        for target, source in (
-            (self.up_series, other.up_series),
-            (self.down_series, other.down_series),
-        ):
-            for node, series in source.items():
-                mine = target.get(node)
-                if mine is None:
-                    target[node] = list(series)
-                    continue
-                _grow(mine, len(series) - 1)
-                for rnd, size in enumerate(series):
-                    mine[rnd] += size
-        if other.rounds_seen > self.rounds_seen:
-            self.rounds_seen = other.rounds_seen
 
 
 class SpilledMeter:
@@ -395,22 +365,6 @@ class SpilledMeter:
             )
         )
 
-    def _resolve_window(
-        self, first_round: int, last_round: int | None
-    ) -> int:
-        # Same contract as BandwidthMeter._resolve_window.
-        if first_round < 0:
-            raise ValueError(
-                f"first_round must be non-negative, got {first_round}"
-            )
-        last = self.rounds_seen - 1 if last_round is None else last_round
-        if last_round is not None and last < first_round:
-            raise ValueError(
-                f"inverted round window: last_round {last} precedes "
-                f"first_round {first_round}"
-            )
-        return last
-
     def window_sums(
         self,
         first_round: int = 0,
@@ -419,7 +373,7 @@ class SpilledMeter:
     ):
         """Per-node int64 byte sums over a window (plane-local order)."""
         BandwidthMeter._check_direction(direction)
-        last = self._resolve_window(first_round, last_round)
+        last = _resolve_window(self.rounds_seen, first_round, last_round)
         if last < first_round:
             # Nothing written yet; the spill loaded numpy when built.
             import numpy as _np
@@ -446,12 +400,9 @@ class SpilledMeter:
         pass over the spill, no per-node dict.  Scaling matches
         :meth:`BandwidthMeter.all_node_kbps` operation for operation.
         """
-        last = self._resolve_window(first_round, last_round)
-        if last < first_round:
-            raise ValueError(
-                f"inverted round window: last_round {last} precedes "
-                f"first_round {first_round}"
-            )
+        last = _resolve_window(
+            self.rounds_seen, first_round, last_round, rate=True
+        )
         duration = (last - first_round + 1) * round_seconds
         if duration <= 0:
             raise ValueError("duration must be positive")
@@ -470,11 +421,7 @@ class SpilledMeter:
         if not 0 <= row < self.spill.n_nodes:
             return 0
         return int(
-            self.window_sums(
-                first_round,
-                self._resolve_window(first_round, last_round),
-                direction,
-            )[row]
+            self.window_sums(first_round, last_round, direction)[row]
         )
 
     def node_kbps(
@@ -485,7 +432,9 @@ class SpilledMeter:
         last_round: int | None = None,
         direction: str = "both",
     ) -> float:
-        last = self._resolve_window(first_round, last_round)
+        last = _resolve_window(
+            self.rounds_seen, first_round, last_round, rate=True
+        )
         duration = (last - first_round + 1) * round_seconds
         return kbps(
             self.node_bytes(node, first_round, last, direction), duration

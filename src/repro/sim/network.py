@@ -11,6 +11,12 @@ allows them to check each others' periodical exchanges").
 A :class:`TrafficTap` receives a copy of every message — this is how the
 *global passive opponent* of section III observes all network links, and
 how tests assert on protocol traffic.
+
+Under the parallel policy a replica's sends come back to the parent in
+one form, merged by :meth:`Network.merge_remote`: each send reaches the
+same count, drop-rule, tap and queue step as a serial :meth:`Network.send`,
+in serial order, so the opponent sees the same traffic under every
+placement.
 """
 
 from __future__ import annotations
@@ -39,19 +45,22 @@ DropRule = Callable[[Message], bool]
 
 @dataclass
 class SendCapture:
-    """Buffered sends of one execution shard.
+    """A replica's buffer of the sends one barrier made.
 
-    Deliveries of one shard meter into a private
-    :class:`~repro.sim.metrics.BandwidthMeter` and buffer their sends
-    as ``(trigger_index, seq, message, size)`` entries, where
+    While a parallel worker runs its share of a barrier, its network
+    meters each send into this private
+    :class:`~repro.sim.metrics.BandwidthMeter` and buffers it as a
+    ``(trigger_index, seq, message, size)`` entry, where
     ``trigger_index`` is the batch position of the delivery that caused
     the send (set by the policy before each delivery) and ``seq``
-    orders sends within one delivery.  Sorting the entries of all
-    shards by that pair reconstructs exactly the send order a serial
-    batch walk would produce, so a sharded drain merges back into the
-    bit-identical schedule.  Drop rules and taps are *not* consulted at
-    capture time — they may be stateful, so the network evaluates them
-    at merge time, in the reconstructed order.
+    orders sends within one delivery.  The worker hands back the
+    meter's per-node totals and one entry per send; sorting the entries
+    of all shards by ``(trigger_index, seq)`` reconstructs exactly the
+    send order a serial batch walk would produce, and
+    :meth:`Network.merge_remote` replays them in it.  Drop rules and
+    taps are *not* consulted at capture time — they may be stateful,
+    so the parent network evaluates them at merge time, in the
+    reconstructed order.
     """
 
     meter: BandwidthMeter = field(default_factory=BandwidthMeter)
@@ -69,8 +78,8 @@ class RemoteSend:
     """Queue entry standing in for a message whose payload lives in an
     execution worker.
 
-    The parallel policy's metadata fast path (no taps, no drop rules —
-    see :meth:`Network.merge_remote`) orders sends from worker-reported
+    With no taps and no drop rules on the parent network,
+    :meth:`Network.merge_remote` queues a replica's sends from their
     metadata alone; the payload either stays in the worker that
     produced it or crosses as part of an opaque pre-partitioned blob
     the parent never unpickles.  ``key`` is the ``(barrier_seq,
@@ -142,6 +151,15 @@ class Network:
         self.meter.record(
             message.sender, message.recipient, size, self.current_round
         )
+        self._route(message, size)
+
+    def _route(self, message: Message, size: int) -> None:
+        """Count, filter, observe and queue one metered send.
+
+        The one step a serial send and a merged replica send share
+        (:meth:`merge_remote`): drop rules run first, taps see what the
+        rules let through, and a delaying rule may release what it held.
+        """
         self.messages_sent += 1
         rules = self.drop_rules
         if not (rules and self._apply_rules(message)):
@@ -195,8 +213,8 @@ class Network:
         """Divert subsequent sends into an isolated :class:`SendCapture`.
 
         Used by sharded execution: while one shard's messages are being
-        delivered, any replies its nodes send are buffered (with their
-        own meter and tap log) instead of touching the shared state.
+        delivered, any replies its nodes send are metered and buffered
+        in the capture instead of touching the shared state.
         Nest-free: captures must be released before starting another.
         """
         if self._capture is not None:
@@ -212,56 +230,48 @@ class Network:
         self._capture = None
         return capture
 
-    def merge_captures(self, captures: List["SendCapture"]) -> None:
-        """Fold released shard captures back into the shared state.
+    def merge_remote(
+        self, sends: List[tuple], meter_rows: Iterable[tuple]
+    ) -> None:
+        """Merge one barrier's replica sends into the shared state.
 
-        Meters merge in shard-index order (addition, exact); the
-        buffered sends of all shards are interleaved by
-        ``(trigger_index, seq)`` — the order a serial walk of the batch
-        would have produced them in — and only then run through the
-        drop rules and taps, so stateful fault injectors and observers
-        see the same message sequence under either policy.
+        ``sends`` are ``(key, sender, recipient, size, message)``
+        entries sorted by ``key = (barrier_seq, trigger_index, seq)``:
+        the order a serial walk of the barrier would have sent them in
+        (see :class:`SendCapture`).  ``meter_rows`` are the per-node
+        totals of the shards' capture meters, which already metered
+        every one of those sends; they are added once for the current
+        round (:meth:`BandwidthMeter.add_round_rows`, integer addition,
+        so shard order does not matter).
+
+        A send carries its ``message`` when taps or drop rules are
+        installed; each then takes the step of :meth:`send` (rules,
+        taps, queue) in the merged order, so stateful injectors and
+        observers see the serial sequence.  Otherwise ``message`` is
+        None, the payload stays in its worker and the send queues as a
+        :class:`RemoteSend`; one of those meeting a tap or rule is a
+        ``RuntimeError``, since neither can observe a payload the
+        parent does not hold.
         """
         if self._capture is not None:
             raise RuntimeError("cannot merge while a capture is active")
-        entries: List[tuple] = []
-        for capture in captures:
-            self.meter.merge_from(capture.meter)
-            entries.extend(capture.entries)
-        entries.sort(key=lambda entry: (entry[0], entry[1]))
-        for _, _, message, size in entries:
-            self.messages_sent += 1
-            if not self._apply_rules(message):
-                for tap in self.taps:
-                    tap.observe(message, size)
-                self._queue.append(message)
-            self._release_delayed()
-
-    def merge_remote(
-        self, sends: List[RemoteSend], meter_rows: Iterable[tuple]
-    ) -> None:
-        """Fast-path merge of worker-held sends, from metadata alone.
-
-        The caller passes :class:`RemoteSend` entries already in the
-        reconstructed serial order, queued exactly as
-        :meth:`merge_captures` would have queued the full messages, and
-        the per-node rows of the shards' capture meters, which already
-        metered every one of those sends: the rows are added to the
-        shared meter for the current round (see
-        :meth:`BandwidthMeter.add_round_rows`; integer addition, so the
-        shard order does not matter).
-        Only valid while no taps or drop rules are installed — those
-        must observe real messages, so the parallel policy falls back to
-        full captures whenever either is present.
-        """
-        if self.taps or self.drop_rules:
-            raise RuntimeError(
-                "metadata-only merge is invalid while taps or drop rules "
-                "are installed"
-            )
         self.meter.add_round_rows(meter_rows, self.current_round)
-        self.messages_sent += len(sends)
-        self._queue.extend(sends)
+        if not (self.taps or self.drop_rules):
+            self.messages_sent += len(sends)
+            self._queue.extend(
+                RemoteSend(key, sender, recipient, size)
+                if message is None
+                else message
+                for key, sender, recipient, size, message in sends
+            )
+            return
+        for key, _sender, _recipient, size, message in sends:
+            if message is None:
+                raise RuntimeError(
+                    f"worker-held send {key!r} cannot be merged while "
+                    "taps or drop rules are installed"
+                )
+            self._route(message, size)
 
     def pending(self) -> int:
         return len(self._queue)

@@ -218,8 +218,6 @@ class TestBatchVerifier:
             [lift_attested(unbatched, h, c) for h, c in pairs],
         )
         assert verifier.fold() == reference
-        assert verifier.verify(reference)
-        assert not verifier.verify(reference + 1)
         # Identical protocol-level tallies, different buckets.
         assert batched.operations == unbatched.operations
         assert batched.batched_lifts == len(pairs)
@@ -247,16 +245,18 @@ class TestBatchVerifier:
         assert verifier.fold() == folded_only
 
     def test_prelifted_factors_multiply_in(self):
+        """A materialised lift (a broadcast value) multiplies into the
+        fold, as ``MonitorEngine.obligation`` combines them."""
         from repro.core.verification import BatchVerifier
 
         hasher = fresh_hasher(bits=128, seed=24)
         verifier = BatchVerifier(hasher)
         verifier.add(4242, 101)
-        verifier.add_lifted(7)  # a broadcast value: no tally, one factor
+        before = hasher.operations
+        combined = combine_lifted(hasher, [7, verifier.fold()])
         expected = pow(4242, 101, hasher.modulus) * 7 % hasher.modulus
-        assert verifier.fold() == expected
-        assert len(verifier) == 2
-        assert verifier.pending_pairs == 1
+        assert combined == expected
+        assert hasher.operations == before  # no tally for a factor
 
     def test_fold_memo_invalidated_by_accumulation(self):
         from repro.core.verification import BatchVerifier

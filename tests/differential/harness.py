@@ -10,9 +10,10 @@ differed, the records would differ.
 
 The harness instruments the parent network with a
 :class:`~repro.sim.trace.TraceRecorder` tap when asked — which also
-forces the parallel backend onto its full-fidelity capture path, so
-both of its merge modes (captures and metadata) get differential
-coverage.
+makes every replica send carry its payload back to the parent, so both
+kinds of send the parallel merge takes (parent-held payloads, replayed
+through taps and rules, and worker-held ones, queued from metadata) get
+differential coverage.
 """
 
 from __future__ import annotations
@@ -131,12 +132,13 @@ def record_scenario(
     """Run ``spec`` under ``policy`` and capture a full :class:`RunRecord`.
 
     Args:
-        trace: install a :class:`TraceRecorder` tap (forces the parallel
-            backend onto full-fidelity captures).  Without it the
-            backend uses its metadata fast path and the record carries
+        trace: install a :class:`TraceRecorder` tap (replica sends
+            carry their payloads to the parent).  Without it the
+            payloads stay in the workers and the record carries
             ``trace=None``.
         drop_rule: optional fault-injection predicate added to the
-            parent network before the run (also forces full fidelity).
+            parent network before the run (also brings the payloads to
+            the parent).
         prepare: called with the built session before the first round
             (parent side only: replica workers rebuild from the bare
             spec and never see it).
@@ -186,11 +188,12 @@ def record_scenario(
 
 
 @functools.lru_cache(maxsize=None)
-def serial_reference(name: str, trace: bool = True) -> RunRecord:
-    """The serial record of ``small_spec(name)``, run once per session.
+def serial_reference(name: str, trace: bool = True, **extra) -> RunRecord:
+    """The serial record of ``small_spec(name, **extra)``, run once per
+    session.
 
     Every policy is compared against this same deterministic run (that
     it *is* deterministic is ``test_determinism``'s job), so the suite
     pays for it once instead of once per policy under test.
     """
-    return record_scenario(small_spec(name), None, trace=trace)
+    return record_scenario(small_spec(name, **extra), None, trace=trace)

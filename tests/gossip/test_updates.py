@@ -129,7 +129,7 @@ class TestStreamSchedule:
             StreamSchedule(rate_kbps=10, playout_delay_rounds=0)
 
     @given(st.floats(min_value=10, max_value=5000))
-    @settings(max_examples=30)
+    @settings(max_examples=30, deadline=None)
     def test_release_rate_property(self, rate):
         sched = StreamSchedule(rate_kbps=rate)
         total = sum(len(sched.release(r)) for r in range(50))

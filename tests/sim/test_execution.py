@@ -199,8 +199,10 @@ def test_capture_guards():
     network.begin_capture()
     with pytest.raises(RuntimeError, match="already active"):
         network.begin_capture()
-    capture = network.release_capture()
+    with pytest.raises(RuntimeError, match="while a capture is active"):
+        network.merge_remote([], [])
+    network.release_capture()
     with pytest.raises(RuntimeError, match="no send capture"):
         network.release_capture()
-    network.merge_captures([capture])  # empty capture merges cleanly
+    network.merge_remote([], [])  # an empty barrier merges cleanly
     assert network.pending() == 0

@@ -239,28 +239,6 @@ def test_columnar_parity_on_fixed_seed_session():
             ) == reference.node_bytes(node, 4, direction=direction)
 
 
-def test_merge_from_is_exact():
-    whole = BandwidthMeter()
-    shard_a = BandwidthMeter()
-    shard_b = BandwidthMeter()
-    for i, (sender, recipient, size, rnd) in enumerate(
-        _random_traffic(seed=0xD1FF, messages=500)
-    ):
-        whole.record(sender, recipient, size, rnd)
-        (shard_a if i % 2 else shard_b).record(sender, recipient, size, rnd)
-    merged = BandwidthMeter()
-    merged.merge_from(shard_a)
-    merged.merge_from(shard_b)
-    assert merged.rounds_seen == whole.rounds_seen
-    for node in range(24):
-        assert merged.node_series(node) == whole.node_series(node)
-        assert merged.totals[node].bytes_up == whole.totals[node].bytes_up
-        assert (
-            merged.totals[node].messages_down
-            == whole.totals[node].messages_down
-        )
-
-
 def _round_rows(meter):
     """What a parallel worker ships: per-node totals of a meter that
     saw one round (``_ReplicaWorker.run_phase`` builds the same)."""

@@ -2,10 +2,11 @@
 
 The parallel execution backend leans on two meter properties:
 
-* ``merge_from`` is an exact fold — any partition of a traffic log into
-  per-shard meters, merged in any order, equals the single meter that
-  recorded everything directly (including rounds nobody touched and
-  nodes that only ever appear in one shard);
+* ``add_round_rows`` is an exact fold — any partition of a traffic log
+  into per-shard one-round meters, added as per-node rows in any shard
+  order, equals the single meter that recorded everything directly
+  (including rounds nobody touched and nodes that only ever appear in
+  one shard);
 * ``cdf_points`` is a pure function of the value multiset.
 
 Hypothesis explores the partitions the hand-written tests cannot.
@@ -38,6 +39,26 @@ def _meter_of(recorded):
     return meter
 
 
+def _add_rows(target, recorded, shard_of=lambda index: 0, order=(0,)):
+    """Meter ``recorded`` into ``target`` as a parallel barrier does:
+    each (shard, round) cell fills its own meter, whose per-node totals
+    are added as rows, shards taken in ``order``."""
+    cells = {}
+    for index, (sender, recipient, size, rnd) in enumerate(recorded):
+        cell = cells.setdefault((shard_of(index), rnd), BandwidthMeter())
+        cell.record(sender, recipient, size, rnd)
+    for (_shard, rnd), cell in sorted(
+        cells.items(), key=lambda item: (order.index(item[0][0]), item[0][1])
+    ):
+        target.add_round_rows(
+            [
+                (n, t.bytes_up, t.messages_up, t.bytes_down, t.messages_down)
+                for n, t in cell.totals.items()
+            ],
+            rnd,
+        )
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     recorded=events,
@@ -47,17 +68,17 @@ def _meter_of(recorded):
 def test_any_sharding_merges_back_to_the_reference(
     recorded, assignment, merge_order
 ):
-    """Partition events across 4 shard meters arbitrarily, merge in an
-    arbitrary shard order: totals, series and rounds_seen must equal the
-    single-meter reference byte for byte."""
+    """Partition events across 4 shards arbitrarily, add each shard's
+    per-round rows in an arbitrary shard order: totals, series and
+    rounds_seen must equal the single-meter reference byte for byte."""
     reference = _meter_of(recorded)
-    shards = [BandwidthMeter() for _ in range(4)]
-    for index, (sender, recipient, size, rnd) in enumerate(recorded):
-        shard = assignment[index % len(assignment)] if assignment else 0
-        shards[shard].record(sender, recipient, size, rnd)
     merged = BandwidthMeter()
-    for shard in merge_order:
-        merged.merge_from(shards[shard])
+    _add_rows(
+        merged,
+        recorded,
+        lambda index: assignment[index % len(assignment)] if assignment else 0,
+        list(merge_order),
+    )
     assert merged.snapshot() == reference.snapshot()
     node_ids = sorted(
         {s for s, _, _, _ in recorded} | {r for _, r, _, _ in recorded}
@@ -71,25 +92,13 @@ def test_any_sharding_merges_back_to_the_reference(
 @settings(max_examples=30, deadline=None)
 @given(recorded=events)
 def test_merge_into_nonempty_meter_adds_exactly(recorded):
-    """Merging onto a meter with prior traffic adds element-wise."""
+    """Rows added onto a meter with prior traffic, in earlier or later
+    rounds than it has seen, add element-wise."""
     base_traffic = [(0, 10, 100, 0), (1, 11, 50, 2)]
     combined = _meter_of(base_traffic + recorded)
     target = _meter_of(base_traffic)
-    target.merge_from(_meter_of(recorded))
+    _add_rows(target, recorded)
     assert target.snapshot() == combined.snapshot()
-
-
-def test_merge_from_empty_meters_and_empty_rounds():
-    """Empty shards and gap rounds (nobody sent) are preserved."""
-    reference = BandwidthMeter()
-    reference.record(1, 2, 700, 0)
-    reference.record(1, 2, 300, 5)  # rounds 1-4 are empty
-    merged = BandwidthMeter()
-    merged.merge_from(reference)
-    merged.merge_from(BandwidthMeter())  # no-op
-    assert merged.snapshot() == reference.snapshot()
-    assert merged.node_series(1, "up") == [700, 0, 0, 0, 0, 300]
-    assert merged.rounds_seen == 6
 
 
 @settings(max_examples=40, deadline=None)
@@ -98,12 +107,10 @@ def test_merge_from_empty_meters_and_empty_rounds():
     gap=st.integers(min_value=1, max_value=5),
 )
 def test_inverted_window_rejection_survives_merging(first, gap):
-    """node_kbps/all_node_kbps refuse inverted windows on merged meters
-    exactly as on directly-recorded ones."""
+    """node_kbps/all_node_kbps refuse inverted windows on meters filled
+    from rows exactly as on directly-recorded ones."""
     meter = BandwidthMeter()
-    shard = BandwidthMeter()
-    shard.record(1, 2, 100, first + gap + 1)
-    meter.merge_from(shard)
+    _add_rows(meter, [(1, 2, 100, first + gap + 1)])
     with pytest.raises(ValueError, match="inverted round window"):
         meter.node_kbps(1, first_round=first + gap, last_round=first)
     with pytest.raises(ValueError, match="inverted round window"):

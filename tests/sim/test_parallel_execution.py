@@ -3,7 +3,7 @@
 The differential suite (tests/differential/) proves bit-identity across
 the whole registry; these tests pin the policy's mechanics — backend
 selection, the named errors (no bootstrap, unpicklable bootstrap, a dead
-worker), membership guards, the metadata merge guard, reporting sync
+worker), membership guards, the barrier merge and its guard, reporting sync
 idempotence, and the golden numbers under real worker processes.
 """
 
@@ -13,6 +13,7 @@ import os
 import signal
 import threading
 import time
+from types import SimpleNamespace
 
 import pytest
 
@@ -26,6 +27,7 @@ from repro.sim.execution import (
     _ReplicaWorker,
     make_policy,
 )
+from repro.sim.message import Message
 from repro.sim.network import Network, RemoteSend
 
 # Golden numbers measured on the pre-refactor engine (PR 1); the
@@ -365,30 +367,52 @@ def test_explicit_process_backend_with_unpicklable_bootstrap_raises():
 
 
 def test_merge_remote_refuses_taps_and_drop_rules():
+    """A worker-held payload cannot be observed or filtered."""
+    held = [((1, 0, 0), 1, 2, 10, None)]
     network = Network()
     network.add_tap(lambda message, size: None)
-    with pytest.raises(RuntimeError, match="metadata-only merge"):
-        network.merge_remote(
-            [RemoteSend((1, 0, 0), sender=1, recipient=2, size=10)], []
-        )
+    with pytest.raises(RuntimeError, match="worker-held send"):
+        network.merge_remote(held, [])
     network = Network()
     network.add_drop_rule(lambda message: False)
-    with pytest.raises(RuntimeError, match="metadata-only merge"):
-        network.merge_remote([], [])
+    with pytest.raises(RuntimeError, match="worker-held send"):
+        network.merge_remote(held, [])
+    network.merge_remote([], [])  # nothing to observe: a valid merge
 
 
 def test_merge_remote_meters_and_queues_in_order():
     network = Network()
     network.current_round = 3
-    sends = [
-        RemoteSend((1, 0, 0), sender=1, recipient=2, size=100),
-        RemoteSend((1, 0, 1), sender=2, recipient=1, size=50),
-    ]
-    network.merge_remote(sends, [(1, 100, 1, 50, 1), (2, 50, 1, 100, 1)])
+    rows = [(1, 100, 1, 50, 1), (2, 50, 1, 100, 1)]
+    network.merge_remote(
+        [((1, 0, 0), 1, 2, 100, None), ((1, 0, 1), 2, 1, 50, None)], rows
+    )
     assert network.messages_sent == 2
     assert network.pending() == 2
-    assert network.pop() is sends[0]
+    first = network.pop()
+    assert isinstance(first, RemoteSend)
+    assert first.key == (1, 0, 0)
+    assert (first.sender, first.recipient, first.size) == (1, 2, 100)
     assert network.meter.node_bytes(1) == 150
+    assert network.meter.node_series(1, "up") == [0, 0, 0, 100]
+    # Parent-held payloads take the send path: rules, then taps, then
+    # the queue, in merged order; the rows meter dropped sends too.
+    seen = []
+    network = Network()
+    network.current_round = 3
+    network.add_tap(
+        SimpleNamespace(observe=lambda *observed: seen.append(observed))
+    )
+    network.add_drop_rule(lambda message: message.recipient == 9)
+    kept = Message(sender=1, recipient=2, round_no=3)
+    dropped = Message(sender=1, recipient=9, round_no=3)
+    network.merge_remote(
+        [((1, 0, 0), 1, 9, 40, dropped), ((1, 1, 0), 1, 2, 60, kept)],
+        [(1, 100, 2, 0, 0), (2, 0, 0, 60, 1), (9, 0, 0, 40, 1)],
+    )
+    assert (network.messages_sent, network.messages_dropped) == (2, 1)
+    assert seen == [(kept, 60)]
+    assert network.pop() is kept and network.pending() == 0
     assert network.meter.node_series(1, "up") == [0, 0, 0, 100]
 
 

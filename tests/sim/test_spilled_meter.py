@@ -6,8 +6,9 @@ an in-memory :class:`BandwidthMeter` read — integer window sums first,
 one multiply by ``8.0 / 1000.0 / duration`` — and the Hypothesis suite
 below holds it to that across random traffic, windows, directions and
 node offsets.  Second, the in-memory meter sums Python integers: when
-:meth:`BandwidthMeter.merge_from` pushes a node's cumulative volume
-past ``2**63 - 1`` every reader must still return the exact value.
+:meth:`BandwidthMeter.add_round_rows` pushes a node's cumulative
+volume past ``2**63 - 1`` every reader must still return the exact
+value.
 """
 
 import numpy as np
@@ -166,24 +167,26 @@ def test_spilled_window_past_written_rounds_zero_pads():
 
 
 # ---------------------------------------------------------------------------
-# Volumes beyond int64, introduced via merge_from.
+# Volumes beyond int64, introduced via add_round_rows.
 # ---------------------------------------------------------------------------
 
 #: Just over half of int64: one shard fits, two merged would wrap.
 _HALF_OVERFLOW = (1 << 62) + 1
 
 
-def _shard(sizes_by_round, sender=0, recipient=1):
-    meter = BandwidthMeter()
+def _add_shard(meter, sizes_by_round, sender=0, recipient=1):
+    """Add one shard's rows: a single ``sender -> recipient`` send of
+    each round's size, as a parallel barrier hands them back."""
     for rnd, size in enumerate(sizes_by_round):
-        meter.record(sender, recipient, size, rnd)
-    return meter
+        meter.add_round_rows(
+            [(sender, size, 1, 0, 0), (recipient, 0, 0, size, 1)], rnd
+        )
 
 
-def test_merge_from_beyond_int64_stays_exact():
+def test_round_rows_beyond_int64_stay_exact():
     merged = BandwidthMeter()
-    for shard in [_shard([_HALF_OVERFLOW, 3]) for _ in range(2)]:
-        merged.merge_from(shard)
+    for _ in range(2):
+        _add_shard(merged, [_HALF_OVERFLOW, 3])
     assert merged.totals[0].bytes_up == 2 * _HALF_OVERFLOW + 6
     assert merged.node_bytes(0, direction="up") == 2 * _HALF_OVERFLOW + 6
     assert merged.node_bytes(1, direction="down") == (
@@ -200,8 +203,8 @@ def test_overflowed_meter_matches_columnar_reference():
     # the same traffic directly.
     sizes = [_HALF_OVERFLOW, 17, 0, 4096]
     merged = BandwidthMeter()
-    merged.merge_from(_shard(sizes))
-    merged.merge_from(_shard(sizes))
+    _add_shard(merged, sizes)
+    _add_shard(merged, sizes)
     reference = BandwidthMeter()
     for rnd, size in enumerate(sizes):
         reference.record(0, 1, size, rnd)

@@ -1,19 +1,23 @@
-"""``fold_wire_pairs``: the monitor-side fold of a batched wire relay.
+"""The monitor-side fold of a batched wire relay.
 
 The fm>1 acceptance property: folding an ``AttestationRelayBatch``'s
-raw (hash, cofactor) pairs in one multi-exponentiation pass must be
-bit-identical to the sequential ``lift_attested``/``combine_lifted``
-chain the per-pair path runs — same product, same modulus, for both
-the RelayPair object form and the bare-triple form.
+raw (hash, cofactor) pairs through a :class:`BatchVerifier` in one
+multi-exponentiation pass, the way ``MonitorEngine._fold_wire_pair``
+feeds it, must be bit-identical to the sequential
+``lift_attested``/``combine_lifted`` chain the per-pair path runs —
+same product, same modulus.
 """
+
+from types import SimpleNamespace
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.messages import RelayPair, SignedAttestation
+from repro.core.monitor import MonitorEngine
 from repro.core.verification import (
+    BatchVerifier,
     combine_lifted,
-    fold_wire_pairs,
     lift_attested,
 )
 from repro.crypto import HomomorphicHasher
@@ -24,6 +28,17 @@ MODULUS = (2**61 - 1) * (2**31 - 1)
 
 def _hasher() -> HomomorphicHasher:
     return HomomorphicHasher(modulus=MODULUS)
+
+
+def _fold(hasher, triples) -> int:
+    """Fold ``(hash_forward, hash_ack_only, cofactor)`` triples as the
+    monitor folds a relay batch: the ack-only half is tallied, not
+    folded (section V-D)."""
+    verifier = BatchVerifier(hasher)
+    for forward, ack_only, cofactor in triples:
+        verifier.add(forward, cofactor)
+        verifier.add(ack_only, cofactor, include=False)
+    return verifier.fold()
 
 
 def _sequential(hasher, triples) -> int:
@@ -49,9 +64,7 @@ triples_st = st.lists(
 @settings(max_examples=60, deadline=None)
 @given(triples=triples_st)
 def test_fold_matches_sequential_lift_chain(triples):
-    assert fold_wire_pairs(_hasher(), triples) == _sequential(
-        _hasher(), triples
-    )
+    assert _fold(_hasher(), triples) == _sequential(_hasher(), triples)
 
 
 @settings(max_examples=40, deadline=None)
@@ -72,9 +85,17 @@ def test_relay_pair_form_matches_triple_form(triples):
         )
         for i, (forward, ack_only, cofactor) in enumerate(triples)
     )
-    assert fold_wire_pairs(_hasher(), pairs) == fold_wire_pairs(
-        _hasher(), triples
+    # The monitor's own per-pair step, on the wire form.
+    engine = SimpleNamespace(
+        context=SimpleNamespace(hasher=_hasher()),
+        _batch={},
+        _batch_seen=set(),
     )
+    for pair in pairs:
+        MonitorEngine._fold_wire_pair(
+            engine, 9, pair.attestation, pair.cofactor
+        )
+    assert engine._batch[(9, 4)].fold() == _fold(_hasher(), triples)
 
 
 def test_ack_only_hashes_are_tallied_but_folded_out():
@@ -82,9 +103,9 @@ def test_ack_only_hashes_are_tallied_but_folded_out():
     does evaluate it) but does not enter the obligation product."""
     triples = [(7, 11, 3), (13, 17, 5)]
     with_ack = _hasher()
-    fold_wire_pairs(with_ack, triples)
+    _fold(with_ack, triples)
     stripped = _hasher()
-    folded = fold_wire_pairs(
+    folded = _fold(
         stripped, [(f, 1 % MODULUS, c) for f, _a, c in triples]
     )
     assert folded == _sequential(_hasher(), triples)
@@ -94,5 +115,5 @@ def test_ack_only_hashes_are_tallied_but_folded_out():
 def test_neutral_bases_contribute_nothing():
     neutral = 1 % MODULUS
     hasher = _hasher()
-    assert fold_wire_pairs(hasher, [(neutral, neutral, 99)]) == neutral
+    assert _fold(hasher, [(neutral, neutral, 99)]) == neutral
     assert hasher.operations == 0
