@@ -81,9 +81,10 @@ def run_plain(n: int, rate: float):
         nodes[node_id] = PlainGossipNode(node_id, network, views)
         sim.add_node(nodes[node_id])
     sim.run(ROUNDS)
-    bw = network.meter.mean_kbps(
+    per_node = network.meter.all_node_kbps(
         sorted(nodes), first_round=WARMUP, direction="down"
     )
+    bw = sum(per_node.values()) / len(per_node)
     continuities = []
     for node in nodes.values():
         report = evaluate_playback(

@@ -14,7 +14,7 @@ All results are unidirectional Kbps, the unit of Figs. 7-9.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict
+from typing import Dict, List, Tuple
 
 from repro.core.config import PagConfig
 from repro.membership.views import default_fanout
@@ -23,6 +23,8 @@ from repro.sim.message import WireSizes
 __all__ = [
     "PagBandwidthModel",
     "ActingBandwidthModel",
+    "figure8_series",
+    "figure9_series",
     "plain_gossip_kbps",
     "pag_duplicate_factor",
     "acting_duplicate_factor",
@@ -273,3 +275,30 @@ def plain_gossip_kbps(
     per_chunk = update_bytes + sizes.update_id
     chunks = rate_kbps * 1000.0 / (update_bytes * 8.0)
     return _kbps(chunks * duplicate_factor * per_chunk)
+
+
+def figure8_series() -> List[Tuple[int, float]]:
+    """Fig. 8: ``(update size in kbit, PAG Kbps)`` at 1000 nodes and a
+    300 Kbps stream."""
+    return [
+        (
+            kb,
+            PagBandwidthModel.for_system(
+                1000, 300.0, update_bytes=int(kb * 125)
+            ).total_kbps(),
+        )
+        for kb in (1, 2, 5, 10, 20, 50, 100)
+    ]
+
+
+def figure9_series() -> List[Tuple[int, float, float]]:
+    """Fig. 9: ``(nodes, PAG Kbps, AcTinG Kbps)`` for a 300 Kbps stream
+    from 10^3 to 10^6 nodes."""
+    return [
+        (
+            n,
+            PagBandwidthModel.for_system(n, 300.0).total_kbps(),
+            ActingBandwidthModel.for_system(n, 300.0).total_kbps(),
+        )
+        for n in (10**3, 10**4, 10**5, 10**6)
+    ]

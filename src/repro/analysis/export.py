@@ -12,11 +12,10 @@ import json
 from pathlib import Path
 from typing import Dict, List
 
-from repro.analysis.bandwidth import ActingBandwidthModel, PagBandwidthModel
+from repro.analysis.bandwidth import figure8_series, figure9_series
 from repro.analysis.costs import table1_rows
 from repro.analysis.privacy import figure10_series
 from repro.analysis.quality import table2
-from repro.core.config import PagConfig
 
 __all__ = ["export_all", "EXPORTERS"]
 
@@ -29,25 +28,17 @@ def _write_csv(path: Path, header: List[str], rows: List[List]) -> None:
 
 
 def export_fig8(out_dir: Path) -> Path:
-    rows = []
-    for kb in (1, 2, 5, 10, 20, 50, 100):
-        config = PagConfig.for_system_size(
-            1000, stream_rate_kbps=300.0, update_bytes=int(kb * 125)
-        )
-        rows.append(
-            [kb, round(PagBandwidthModel(config=config).total_kbps(), 1)]
-        )
+    rows = [[kb, round(kbps, 1)] for kb, kbps in figure8_series()]
     path = out_dir / "fig8_update_size.csv"
     _write_csv(path, ["update_kbit", "bandwidth_kbps"], rows)
     return path
 
 
 def export_fig9(out_dir: Path) -> Path:
-    rows = []
-    for n in (10**3, 10**4, 10**5, 10**6):
-        pag = PagBandwidthModel.for_system(n, 300.0).total_kbps()
-        acting = ActingBandwidthModel.for_system(n, 300.0).total_kbps()
-        rows.append([n, round(pag, 1), round(acting, 1)])
+    rows = [
+        [n, round(pag, 1), round(acting, 1)]
+        for n, pag, acting in figure9_series()
+    ]
     path = out_dir / "fig9_scalability.csv"
     _write_csv(path, ["nodes", "pag_kbps", "acting_kbps"], rows)
     return path

@@ -33,6 +33,7 @@ from repro.core.accusations import FaultReason, Verdict, VerdictLog
 from repro.gossip.source import StreamSchedule
 from repro.gossip.updates import Update, UpdateStore
 from repro.membership.views import ViewProvider
+from repro.sim.engine import SimSession, Simulator
 from repro.sim.message import Message, WireSizes
 from repro.sim.network import Network
 from repro.sim.node import SimNode
@@ -441,13 +442,11 @@ class ActingSourceNode(SimNode):
 
 
 @dataclass
-class ActingSession:
+class ActingSession(SimSession[ActingNode]):
     """A ready-to-run AcTinG deployment (mirrors
     :class:`repro.core.session.PagSession`)."""
 
-    simulator: "Simulator"
     source: ActingSourceNode
-    nodes: Dict[int, ActingNode]
     config: ActingConfig
 
     @classmethod
@@ -459,7 +458,6 @@ class ActingSession:
         forging_nodes: Optional[Set[int]] = None,
     ) -> "ActingSession":
         from repro.membership.directory import Directory
-        from repro.sim.engine import Simulator
 
         if config is None:
             config = ActingConfig(
@@ -501,24 +499,6 @@ class ActingSession:
         return cls(
             simulator=simulator, source=source, nodes=nodes, config=config
         )
-
-    def run(self, rounds: int) -> None:
-        self.simulator.run(rounds)
-
-    def bandwidth_kbps(
-        self, warmup_rounds: int = 0, direction: str = "both"
-    ) -> Dict[int, float]:
-        return self.simulator.network.meter.all_node_kbps(
-            sorted(self.nodes),
-            first_round=warmup_rounds,
-            direction=direction,
-        )
-
-    def mean_bandwidth_kbps(
-        self, warmup_rounds: int = 0, direction: str = "both"
-    ) -> float:
-        values = self.bandwidth_kbps(warmup_rounds, direction)
-        return sum(values.values()) / len(values) if values else 0.0
 
     def all_verdicts(self) -> List[Verdict]:
         seen = set()

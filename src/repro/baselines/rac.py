@@ -33,7 +33,7 @@ from typing import ClassVar, Dict, List, Optional
 from repro.gossip.updates import Update, UpdateStore
 from repro.membership.directory import Directory
 from repro.membership.views import ViewProvider
-from repro.sim.engine import Simulator
+from repro.sim.engine import SimSession, Simulator
 from repro.sim.message import Message, WireSizes
 from repro.sim.network import Network
 from repro.sim.node import SimNode
@@ -218,12 +218,10 @@ class RacSourceNode(RacNode):
 
 
 @dataclass
-class RacSession:
+class RacSession(SimSession[RacNode]):
     """Small-N runnable RAC deployment for shape validation."""
 
-    simulator: Simulator
     source: RacSourceNode
-    nodes: Dict[int, RacNode]
     config: RacConfig
 
     @classmethod
@@ -253,17 +251,6 @@ class RacSession:
         return cls(
             simulator=simulator, source=source, nodes=nodes, config=config
         )
-
-    def run(self, rounds: int) -> None:
-        self.simulator.run(rounds)
-
-    def mean_bandwidth_kbps(
-        self, warmup_rounds: int = 0, direction: str = "both"
-    ) -> float:
-        values = self.simulator.network.meter.all_node_kbps(
-            sorted(self.nodes), first_round=warmup_rounds, direction=direction
-        )
-        return sum(values.values()) / len(values) if values else 0.0
 
 
 # ---------------------------------------------------------------------------

@@ -28,7 +28,7 @@ from repro.core.node import PagNode, PagSourceNode
 from repro.core.signing import Signer
 from repro.gossip.source import StreamSchedule
 from repro.membership.directory import Directory
-from repro.sim.engine import Simulator
+from repro.sim.engine import SimSession, Simulator
 from repro.sim.execution import ExecutionPolicy
 from repro.sim.network import Network
 from repro.streaming.player import PlaybackReport, evaluate_playback
@@ -44,23 +44,26 @@ _SHARED_LADDER_MAX_BASES = 8192
 
 
 @dataclass
-class PagSession:
+class PagSession(SimSession[PagNode]):
     """A ready-to-run PAG deployment.
 
     Build with :meth:`create`, drive with :meth:`run`, read results with
     the reporting helpers.
 
+    A node removed by :meth:`remove_node` (churn: it crashes between
+    rounds) stays in the membership views as successor and monitor — as
+    in a deployment where the membership service lags — so the
+    remaining nodes exercise the omission paths: servers accuse it,
+    probes go unanswered, and it is convicted as unresponsive
+    (accountability without failure detectors cannot distinguish a
+    crash from a refusal).
+
     Attributes:
         context: shared protocol context.
-        simulator: the round engine (exposes the bandwidth meter).
-        source: the stream source node.
-        nodes: consumer nodes by id.
     """
 
-    context: PagContext
-    simulator: Simulator
     source: PagSourceNode
-    nodes: Dict[int, PagNode]
+    context: PagContext
     #: nodes announced by the membership service but not yet arrived
     #: (join churn); :meth:`admit_node` moves them into the engine.
     pending: Dict[int, PagNode] = field(default_factory=dict)
@@ -157,9 +160,6 @@ class PagSession:
     # Driving
     # ------------------------------------------------------------------
 
-    def run(self, rounds: int) -> None:
-        self.simulator.run(rounds)
-
     def shared_ladder_table(
         self, rounds: int
     ) -> "SharedLadderTable | None":
@@ -228,23 +228,6 @@ class PagSession:
         self.nodes[node_id] = node
         self.simulator.add_node(node)
 
-    def remove_node(self, node_id: int) -> None:
-        """Churn: the node leaves (crashes) between rounds.
-
-        The membership views still name it as successor/monitor — as in
-        a deployment where the membership service lags — so the
-        remaining nodes exercise the omission paths: servers accuse it,
-        probes go unanswered, and it is convicted as unresponsive
-        (accountability without failure detectors cannot distinguish a
-        crash from a refusal).
-        """
-        if node_id == self.source.node_id:
-            raise ValueError("the source is assumed correct and present")
-        if node_id not in self.nodes:
-            raise ValueError(f"cannot remove unknown node id {node_id}")
-        del self.nodes[node_id]
-        self.simulator.remove_node(node_id)
-
     def set_behavior(self, node_id: int, behavior: Behavior) -> None:
         """Operator control: swap a consumer's behaviour between rounds.
 
@@ -296,33 +279,6 @@ class PagSession:
     # ------------------------------------------------------------------
     # Reporting
     # ------------------------------------------------------------------
-
-    def bandwidth_kbps(
-        self,
-        warmup_rounds: int = 0,
-        include_source: bool = False,
-        direction: str = "both",
-    ) -> Dict[int, float]:
-        """Per-node average bandwidth in Kbps after a warmup window.
-
-        Pass ``direction="down"`` for the unidirectional consumption the
-        paper's figures report.
-        """
-        node_ids = sorted(self.nodes)
-        if include_source:
-            node_ids = [self.source.node_id] + node_ids
-        return self.simulator.network.meter.all_node_kbps(
-            node_ids,
-            round_seconds=self.context.config.round_seconds,
-            first_round=warmup_rounds,
-            direction=direction,
-        )
-
-    def mean_bandwidth_kbps(
-        self, warmup_rounds: int = 0, direction: str = "both"
-    ) -> float:
-        values = self.bandwidth_kbps(warmup_rounds, direction=direction)
-        return sum(values.values()) / len(values) if values else 0.0
 
     def all_verdicts(
         self, exclude_detectors: Optional[Set[int]] = None
@@ -379,12 +335,6 @@ class PagSession:
             for node_id in self.nodes
         ]
         return sum(r.continuity for r in reports) / len(reports)
-
-    def total_chunks_due(self, warmup_rounds: int = 2) -> int:
-        """How many chunks the continuity judgement covers (guards
-        against vacuous 100% continuity in short runs)."""
-        any_node = next(iter(self.nodes))
-        return self.playback_report(any_node, warmup_rounds).chunks_due
 
     def crypto_report(self) -> Dict[str, int]:
         """Session-wide cryptographic operation counts (Table I units)."""

@@ -85,34 +85,22 @@ def render_fig7(
 
 @paper_renderer("fig8")
 def render_fig8() -> int:
-    from repro.analysis.bandwidth import PagBandwidthModel
-    from repro.core import PagConfig
+    from repro.analysis.bandwidth import figure8_series
 
     print("Fig. 8 — bandwidth vs update size (1000 nodes, 300 Kbps)")
     print(f"{'update kb':>10} {'Kbps':>8}")
-    for kb in (1, 2, 5, 10, 20, 50, 100):
-        config = PagConfig.for_system_size(
-            1000, stream_rate_kbps=300.0, update_bytes=int(kb * 125)
-        )
-        print(
-            f"{kb:>10} "
-            f"{PagBandwidthModel(config=config).total_kbps():>8.0f}"
-        )
+    for kb, kbps in figure8_series():
+        print(f"{kb:>10} {kbps:>8.0f}")
     return 0
 
 
 @paper_renderer("fig9")
 def render_fig9() -> int:
-    from repro.analysis.bandwidth import (
-        ActingBandwidthModel,
-        PagBandwidthModel,
-    )
+    from repro.analysis.bandwidth import figure9_series
 
     print("Fig. 9 — scalability with a 300 Kbps stream")
     print(f"{'nodes':>9} {'PAG':>8} {'AcTinG':>8}")
-    for n in (10**3, 10**4, 10**5, 10**6):
-        pag = PagBandwidthModel.for_system(n, 300.0).total_kbps()
-        acting = ActingBandwidthModel.for_system(n, 300.0).total_kbps()
+    for n, pag, acting in figure9_series():
         print(f"{n:>9} {pag:>8.0f} {acting:>8.0f}")
     print("(paper anchors: PAG 2500 / AcTinG 840 at 10^6)")
     return 0

@@ -667,20 +667,12 @@ class ScenarioSpec:
             joins_by_round.setdefault(
                 event.after_round, []
             ).append(event.node_id)
-        remove = getattr(session, "remove_node", None)
 
         def on_round(round_no: int) -> None:
             for node_id in sorted(joins_by_round.get(round_no, ())):
                 session.admit_node(node_id)
             for node_id in sorted(leaves_by_round.get(round_no, ())):
-                if remove is not None:
-                    remove(node_id)
-                else:
-                    # Sessions without a churn API (the acting baseline):
-                    # drop the node from the engine and the session's
-                    # own membership so reporting only sees live nodes.
-                    simulator.remove_node(node_id)
-                    session.nodes.pop(node_id, None)
+                session.remove_node(node_id)
 
         # Tagged so the service supervisor's manual-membership mode can
         # strip this hook and replay the same schedule through operator
@@ -846,12 +838,8 @@ class ScenarioResult:
         cls, spec: ScenarioSpec, session: Any
     ) -> "ScenarioResult":
         meter = session.simulator.network.meter
-        node_ids = sorted(session.nodes)
-        node_kbps = meter.all_node_kbps(
-            node_ids,
-            round_seconds=session.simulator.round_seconds,
-            first_round=spec.warmup_rounds,
-            direction="down",
+        node_kbps = session.bandwidth_kbps(
+            spec.warmup_rounds, direction="down"
         )
         mean = (
             sum(node_kbps.values()) / len(node_kbps) if node_kbps else 0.0

@@ -18,14 +18,14 @@ interpreter chooses.  That covers every placement driven through
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, Generic, List, Optional, TypeVar
 
 from repro.sim.collection import round_epoch
 from repro.sim.execution import ExecutionPolicy, SerialPolicy
 from repro.sim.network import Network
 from repro.sim.node import SimNode
 
-__all__ = ["Simulator", "RoundHook", "RoundSink"]
+__all__ = ["Simulator", "SimSession", "RoundHook", "RoundSink"]
 
 #: Callback invoked after each completed round: ``hook(round_no)``.
 RoundHook = Callable[[int], None]
@@ -175,9 +175,6 @@ class Simulator:
 
     # -- reporting helpers -------------------------------------------------
 
-    def node_ids(self) -> List[int]:
-        return [node.node_id for node in self._ordered_nodes()]
-
     def fault_report(self) -> Dict[str, Dict[str, int]]:
         """Per-injector fault counters of the run's network.
 
@@ -187,13 +184,59 @@ class Simulator:
         """
         return self.network.fault_report()
 
+
+NodeT = TypeVar("NodeT", bound=SimNode)
+
+
+@dataclass
+class SimSession(Generic[NodeT]):
+    """What every protocol's session shares: the engine, the stream
+    source and the consumers, driven and measured one way.
+
+    :class:`~repro.core.session.PagSession` and the AcTinG and RAC
+    baseline sessions build these three and add their own reporting.
+
+    Attributes:
+        simulator: the round engine (exposes the bandwidth meter).
+        source: the stream source node (assumed correct, never removed).
+        nodes: consumer nodes by id; the membership every bandwidth
+            reading covers.
+    """
+
+    simulator: Simulator
+    source: SimNode
+    nodes: Dict[int, NodeT]
+
+    def run(self, rounds: int) -> None:
+        self.simulator.run(rounds)
+
+    def remove_node(self, node_id: int) -> None:
+        """Churn: the consumer leaves (crashes) between rounds; from
+        then on the engine skips it and bandwidth readings omit it."""
+        if node_id == self.source.node_id:
+            raise ValueError("the source is assumed correct and present")
+        if node_id not in self.nodes:
+            raise ValueError(f"cannot remove unknown node id {node_id}")
+        del self.nodes[node_id]
+        self.simulator.remove_node(node_id)
+
     def bandwidth_kbps(
-        self, first_round: int = 0, last_round: Optional[int] = None
+        self, warmup_rounds: int = 0, direction: str = "both"
     ) -> Dict[int, float]:
-        """Per-node average bandwidth in Kbps over a round window."""
-        return self.network.meter.all_node_kbps(
-            self.node_ids(),
-            round_seconds=self.round_seconds,
-            first_round=first_round,
-            last_round=last_round,
+        """Per-consumer average bandwidth in Kbps after a warmup window.
+
+        Pass ``direction="down"`` for the unidirectional consumption the
+        paper's figures report.
+        """
+        return self.simulator.network.meter.all_node_kbps(
+            sorted(self.nodes),
+            round_seconds=self.simulator.round_seconds,
+            first_round=warmup_rounds,
+            direction=direction,
         )
+
+    def mean_bandwidth_kbps(
+        self, warmup_rounds: int = 0, direction: str = "both"
+    ) -> float:
+        values = self.bandwidth_kbps(warmup_rounds, direction)
+        return sum(values.values()) / len(values) if values else 0.0

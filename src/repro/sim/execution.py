@@ -506,15 +506,7 @@ class _ReplicaWorker:
 
     def remove(self, node_id: int) -> None:
         """Mirror a parent-side churn removal on the replica."""
-        session = self.session
-        remove = getattr(session, "remove_node", None)
-        if remove is not None:
-            remove(node_id)
-            return
-        self.simulator.remove_node(node_id)
-        nodes = getattr(session, "nodes", None)
-        if nodes is not None:
-            nodes.pop(node_id, None)
+        self.session.remove_node(node_id)
 
     def admit(self, node_id: int) -> None:
         """Mirror a parent-side join (admission) on the replica.

@@ -39,10 +39,6 @@ class WireSizes:
     update_id: int = 8
     encryption_overhead: int = 256
 
-    def scaled_hash(self, modulus_bits: int) -> int:
-        """Hash size for a non-default modulus (e.g. the 256-bit ablation)."""
-        return (modulus_bits + 7) // 8
-
 
 @dataclass(slots=True)
 class Message:

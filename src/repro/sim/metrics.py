@@ -16,6 +16,12 @@ per-node rows of a parallel worker's one-round meter fold in losslessly
 via :meth:`BandwidthMeter.add_round_rows`.  Sums are Python integers,
 so no volume can overflow.
 
+Each meter has one window reader: :meth:`BandwidthMeter.all_node_kbps`
+(node id -> Kbps, what a session's ``bandwidth_kbps`` returns) and
+:meth:`SpilledMeter.window_kbps_vector` (a Kbps vector over the
+population plane).  Exact byte counts are read from
+:meth:`BandwidthMeter.snapshot` or the ``totals``.
+
 :class:`BandwidthMeter` and :func:`cdf_points` are pure Python; only
 :class:`SpilledMeter`, the population tier's read side, works on the
 numpy arrays its spill hands back.
@@ -56,16 +62,17 @@ class NodeTraffic:
     messages_up: int = 0
     messages_down: int = 0
 
-    @property
-    def bytes_total(self) -> int:
-        return self.bytes_up + self.bytes_down
-
 
 def _grow(series: List[int], rnd: int) -> None:
     """Extend a per-round series with zeros so ``series[rnd]`` exists."""
     missing = rnd + 1 - len(series)
     if missing > 0:
         series.extend([0] * missing)
+
+
+def _check_direction(direction: str) -> None:
+    if direction not in ("both", "down", "up"):
+        raise ValueError(f"unknown direction {direction!r}")
 
 
 def _resolve_window(
@@ -169,73 +176,6 @@ class BandwidthMeter:
                     if rnd >= self.rounds_seen:
                         self.rounds_seen = rnd + 1
 
-    def node_series(
-        self, node: int, direction: str = "both"
-    ) -> List[int]:
-        """Per-round byte series for ``node``, padded to ``rounds_seen``."""
-        self._check_direction(direction)
-        out = [0] * self.rounds_seen
-        if direction in ("both", "up"):
-            for rnd, size in enumerate(self.up_series.get(node, ())):
-                out[rnd] += size
-        if direction in ("both", "down"):
-            for rnd, size in enumerate(self.down_series.get(node, ())):
-                out[rnd] += size
-        return out
-
-    @staticmethod
-    def _check_direction(direction: str) -> None:
-        if direction not in ("both", "down", "up"):
-            raise ValueError(f"unknown direction {direction!r}")
-
-    def node_bytes(
-        self,
-        node: int,
-        first_round: int = 0,
-        last_round: int | None = None,
-        direction: str = "both",
-    ) -> int:
-        """Bytes for ``node`` over a round window.
-
-        Args:
-            direction: ``"both"`` (up + down), ``"down"`` or ``"up"``.
-                The paper's figures report unidirectional consumption
-                (a 300 Kbps stream costs a receiver ~300 Kbps, not 600),
-                so figure reproductions use ``"down"``.
-
-        An explicitly inverted window or a negative ``first_round``
-        raises; an empty meter with the default window sums to 0.
-        """
-        self._check_direction(direction)
-        last = _resolve_window(self.rounds_seen, first_round, last_round)
-        total = 0
-        if direction in ("both", "up"):
-            series = self.up_series.get(node)
-            if series:
-                total += sum(series[first_round : last + 1])
-        if direction in ("both", "down"):
-            series = self.down_series.get(node)
-            if series:
-                total += sum(series[first_round : last + 1])
-        return total
-
-    def node_kbps(
-        self,
-        node: int,
-        round_seconds: float = 1.0,
-        first_round: int = 0,
-        last_round: int | None = None,
-        direction: str = "both",
-    ) -> float:
-        """Average bandwidth of ``node`` in Kbps over a round window."""
-        last = _resolve_window(
-            self.rounds_seen, first_round, last_round, rate=True
-        )
-        duration = (last - first_round + 1) * round_seconds
-        return kbps(
-            self.node_bytes(node, first_round, last, direction), duration
-        )
-
     def all_node_kbps(
         self,
         nodes: Iterable[int],
@@ -246,10 +186,13 @@ class BandwidthMeter:
     ) -> Dict[int, float]:
         """Per-node Kbps over a window, one slice-sum per node.
 
-        The integer window total is formed first and scaled by one
-        float factor; :class:`SpilledMeter` follows the same order.
+        ``direction`` is ``"both"`` (up + down), ``"up"`` or ``"down"``;
+        the paper's figures report ``"down"`` (a 300 Kbps stream costs a
+        receiver ~300 Kbps, not 600).  The integer window total is
+        formed first and scaled by one float factor;
+        :class:`SpilledMeter` follows the same order.
         """
-        self._check_direction(direction)
+        _check_direction(direction)
         last = _resolve_window(
             self.rounds_seen, first_round, last_round, rate=True
         )
@@ -273,21 +216,6 @@ class BandwidthMeter:
                     total += sum(series[first_round:stop])
             out[node] = total * scale
         return out
-
-    def mean_kbps(
-        self,
-        nodes: Iterable[int],
-        round_seconds: float = 1.0,
-        first_round: int = 0,
-        last_round: int | None = None,
-        direction: str = "both",
-    ) -> float:
-        values = self.all_node_kbps(
-            nodes, round_seconds, first_round, last_round, direction
-        )
-        if not values:
-            return 0.0
-        return sum(values.values()) / len(values)
 
     def snapshot(self) -> Dict[str, object]:
         """Canonical plain-data view of the whole meter.
@@ -326,44 +254,29 @@ class SpilledMeter:
     The population tier writes each round's dense per-node byte rows to
     a :class:`~repro.sim.trace.ColumnarRoundSpill` (fields ``up`` and
     ``down``) instead of keeping per-round series in RAM; this class is
-    the read side, exposing the :class:`BandwidthMeter` window readers
-    (``node_bytes`` / ``node_kbps`` / ``all_node_kbps`` / ``mean_kbps``)
-    over that spill.  Reads follow the meter's float contract exactly —
-    integer window sums first, then one multiply by
+    the read side.  Its one reader, :meth:`window_kbps_vector`, returns
+    a Kbps vector in plane-local row order (row ``i`` is plane node
+    ``i``) and follows :meth:`BandwidthMeter.all_node_kbps`'s float
+    contract exactly — integer window sums first, then one multiply by
     ``8.0 / 1000.0 / duration`` — so a spilled read of the same traffic
     is bit-identical to an in-memory meter read (the Hypothesis parity
     suite in ``tests/sim/test_spilled_meter.py`` holds it to that).
-
-    Args:
-        spill: the round store; rows index plane-local nodes ``0..n-1``.
-        node_offset: global id of plane-local node 0 — the population
-            tier numbers its vectorised plane after the cohort ids.
     """
 
-    __slots__ = ("spill", "node_offset")
+    __slots__ = ("spill",)
 
-    def __init__(self, spill, node_offset: int = 0) -> None:
+    def __init__(self, spill) -> None:
         for name in ("up", "down"):
             if name not in spill.fields:
                 raise ValueError(
                     f"spill lacks the {name!r} field; have "
                     f"{sorted(spill.fields)}"
                 )
-        if node_offset < 0:
-            raise ValueError("node offset cannot be negative")
         self.spill = spill
-        self.node_offset = node_offset
 
     @property
     def rounds_seen(self) -> int:
         return self.spill.rounds_written
-
-    def node_ids(self) -> List[int]:
-        return list(
-            range(
-                self.node_offset, self.node_offset + self.spill.n_nodes
-            )
-        )
 
     def window_sums(
         self,
@@ -372,7 +285,7 @@ class SpilledMeter:
         direction: str = "both",
     ):
         """Per-node int64 byte sums over a window (plane-local order)."""
-        BandwidthMeter._check_direction(direction)
+        _check_direction(direction)
         last = _resolve_window(self.rounds_seen, first_round, last_round)
         if last < first_round:
             # Nothing written yet; the spill loaded numpy when built.
@@ -409,70 +322,6 @@ class SpilledMeter:
         scale = 8.0 / 1000.0 / duration
         sums = self.window_sums(first_round, last, direction)
         return sums * scale
-
-    def node_bytes(
-        self,
-        node: int,
-        first_round: int = 0,
-        last_round: int | None = None,
-        direction: str = "both",
-    ) -> int:
-        row = node - self.node_offset
-        if not 0 <= row < self.spill.n_nodes:
-            return 0
-        return int(
-            self.window_sums(first_round, last_round, direction)[row]
-        )
-
-    def node_kbps(
-        self,
-        node: int,
-        round_seconds: float = 1.0,
-        first_round: int = 0,
-        last_round: int | None = None,
-        direction: str = "both",
-    ) -> float:
-        last = _resolve_window(
-            self.rounds_seen, first_round, last_round, rate=True
-        )
-        duration = (last - first_round + 1) * round_seconds
-        return kbps(
-            self.node_bytes(node, first_round, last, direction), duration
-        )
-
-    def all_node_kbps(
-        self,
-        nodes: Iterable[int],
-        round_seconds: float = 1.0,
-        first_round: int = 0,
-        last_round: int | None = None,
-        direction: str = "both",
-    ) -> Dict[int, float]:
-        values = self.window_kbps_vector(
-            round_seconds, first_round, last_round, direction
-        ).tolist()
-        out: Dict[int, float] = {}
-        for node in nodes:
-            row = node - self.node_offset
-            out[node] = (
-                values[row] if 0 <= row < self.spill.n_nodes else 0.0
-            )
-        return out
-
-    def mean_kbps(
-        self,
-        nodes: Iterable[int],
-        round_seconds: float = 1.0,
-        first_round: int = 0,
-        last_round: int | None = None,
-        direction: str = "both",
-    ) -> float:
-        values = self.all_node_kbps(
-            nodes, round_seconds, first_round, last_round, direction
-        )
-        if not values:
-            return 0.0
-        return sum(values.values()) / len(values)
 
 
 def cdf_points(

@@ -264,7 +264,6 @@ class PopulationPlane:
     def __init__(
         self,
         plane_size: int,
-        node_offset: int,
         tap: PlaneCalibrationTap,
         cohort_hasher: HomomorphicHasher,
         fanout: int,
@@ -276,7 +275,6 @@ class PopulationPlane:
         if fanout < 1:
             raise ValueError("plane fanout must be at least 1")
         self.plane_size = plane_size
-        self.node_offset = node_offset
         self.tap = tap
         self.fanout = fanout
         self.cohort_hasher = cohort_hasher
@@ -405,7 +403,7 @@ class PopulationPlane:
 
     def meter(self) -> SpilledMeter:
         """Windowed read access over the spilled plane rows."""
-        return SpilledMeter(self.spill, node_offset=self.node_offset)
+        return SpilledMeter(self.spill)
 
     def stats(self) -> Dict[str, object]:
         return {
@@ -438,7 +436,6 @@ def wire_population(spec: ScenarioSpec, session) -> None:
     config = session.context.config
     plane = PopulationPlane(
         plane_size=spec.population - spec.nodes,
-        node_offset=spec.nodes,
         tap=tap,
         cohort_hasher=session.context.hasher,
         fanout=config.fanout,

@@ -32,6 +32,52 @@ def test_fig9_csv_is_well_formed(artefacts):
         assert float(row["pag_kbps"]) > float(row["acting_kbps"])
 
 
+#: The Fig. 8 and Fig. 9 closed-form sweeps as exported and as printed:
+#: the CSV rows keep one decimal, the renderers none.
+FIG8_CSV = (
+    "update_kbit,bandwidth_kbps\r\n1,3075.2\r\n2,2042.7\r\n5,1423.2\r\n"
+    "10,1216.7\r\n20,1113.5\r\n50,1051.5\r\n100,1030.9\r\n"
+)
+FIG9_CSV = (
+    "nodes,pag_kbps,acting_kbps\r\n1000,1285.4,393.9\r\n"
+    "10000,2234.6,424.4\r\n100000,2525.5,455.3\r\n1000000,2841.3,486.8\r\n"
+)
+FIG8_PRINTED = """\
+Fig. 8 — bandwidth vs update size (1000 nodes, 300 Kbps)
+ update kb     Kbps
+         1     3075
+         2     2043
+         5     1423
+        10     1217
+        20     1113
+        50     1052
+       100     1031
+"""
+FIG9_PRINTED = """\
+Fig. 9 — scalability with a 300 Kbps stream
+    nodes      PAG   AcTinG
+     1000     1285      394
+    10000     2235      424
+   100000     2525      455
+  1000000     2841      487
+(paper anchors: PAG 2500 / AcTinG 840 at 10^6)
+"""
+
+
+def test_fig8_and_fig9_sweeps_export_and_print_the_same_grid(
+    artefacts, capsys
+):
+    from repro.scenarios.figures import render_fig8, render_fig9
+
+    written, _ = artefacts
+    assert written["fig8"].read_bytes() == FIG8_CSV.encode()
+    assert written["fig9"].read_bytes() == FIG9_CSV.encode()
+    assert render_fig8() == 0
+    assert capsys.readouterr().out == FIG8_PRINTED
+    assert render_fig9() == 0
+    assert capsys.readouterr().out == FIG9_PRINTED
+
+
 def test_fig10_fractions_cover_unit_interval(artefacts):
     written, _ = artefacts
     with written["fig10"].open() as handle:

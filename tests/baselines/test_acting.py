@@ -62,12 +62,8 @@ class TestSelfishActing:
         honest.run(12)
         selfish = ActingSession.create(30, selfish_nodes={7})
         selfish.run(12)
-        up_honest = honest.simulator.network.meter.node_kbps(
-            7, direction="up"
-        )
-        up_selfish = selfish.simulator.network.meter.node_kbps(
-            7, direction="up"
-        )
+        up_honest = honest.bandwidth_kbps(direction="up")[7]
+        up_selfish = selfish.bandwidth_kbps(direction="up")[7]
         assert up_selfish < up_honest
 
     def test_multiple_free_riders(self):

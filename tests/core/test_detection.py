@@ -126,12 +126,8 @@ def test_free_rider_saves_upload_bandwidth():
     honest = PagSession.create(N)
     honest.run(ROUNDS)
     cheat = run_with(FreeRider())
-    honest_up = honest.simulator.network.meter.node_kbps(
-        DEVIANT, direction="up"
-    )
-    cheat_up = cheat.simulator.network.meter.node_kbps(
-        DEVIANT, direction="up"
-    )
+    honest_up = honest.bandwidth_kbps(direction="up")[DEVIANT]
+    cheat_up = cheat.bandwidth_kbps(direction="up")[DEVIANT]
     assert cheat_up < honest_up
 
 

@@ -138,20 +138,14 @@ def test_strategy_map_claims_ids_before_groups():
 def test_join_churn_arrivals_are_absent_then_present():
     result = run_scenario("join-churn")
     spec = result.spec
-    meter = result.session.simulator.network.meter
+    up_series = result.session.simulator.network.meter.up_series
     for event in spec.arrivals:
         # Not a participant before its round: it uploads nothing and is
         # never drawn as a successor (downloads before the join are
         # membership-lag monitor fan-out only).
-        assert meter.node_bytes(
-            event.node_id, 0, event.after_round, direction="up"
-        ) == 0
-        assert meter.node_bytes(
-            event.node_id,
-            event.after_round + 1,
-            spec.rounds - 1,
-            direction="up",
-        ) > 0
+        uploads = up_series[event.node_id]
+        assert sum(uploads[: event.after_round + 1]) == 0
+        assert sum(uploads[event.after_round + 1 : spec.rounds]) > 0
         # Present in the final membership and the reported series.
         assert event.node_id in result.node_kbps
     # Only the crashed node is convicted — late arrival is not a fault.
@@ -172,11 +166,9 @@ def test_join_churn_monitor_duty_starts_at_arrival():
         for verdict in node.monitor.verdicts:
             assert verdict.exchange_round > first_round
     # The arrivals do receive declaration traffic once present.
-    meter = result.session.simulator.network.meter
+    down_series = result.session.simulator.network.meter.down_series
     for node_id, first_round in joined.items():
-        assert meter.node_bytes(
-            node_id, first_round, spec.rounds - 1, direction="down"
-        ) > 0
+        assert sum(down_series[node_id][first_round : spec.rounds]) > 0
 
 
 def test_coalition_mixed_convicts_every_deviant_strategy():

@@ -5,7 +5,7 @@ from typing import ClassVar
 
 import pytest
 
-from repro.sim.engine import Simulator
+from repro.sim.engine import SimSession, Simulator
 from repro.sim.message import Message, WireSizes
 from repro.sim.network import Network
 from repro.sim.node import SimNode
@@ -101,9 +101,10 @@ def test_self_send_rejected():
 def test_bandwidth_is_metered():
     sim, a, b = make_sim()
     sim.run_round()
-    # 4 messages of (24 + 4) bytes each.
-    assert sim.network.meter.node_bytes(0) == 4 * 28
-    assert sim.network.meter.node_bytes(1) == 4 * 28
+    # 4 messages of (24 + 4) bytes each, two each way.
+    totals = sim.network.meter.totals
+    for node in (0, 1):
+        assert (totals[node].bytes_up, totals[node].bytes_down) == (56, 56)
 
 
 def test_message_to_departed_node_is_dropped_silently():
@@ -121,7 +122,7 @@ def test_drop_rule_suppresses_delivery_but_still_meters():
     sim.run_round()
     assert b.received == 0
     assert a.received == 0
-    assert sim.network.meter.node_bytes(0) > 0
+    assert sim.network.meter.totals[0].bytes_up > 0
     assert sim.network.messages_dropped == 1
 
 
@@ -164,11 +165,26 @@ def test_runaway_message_loop_detected():
 
 
 def test_bandwidth_kbps_reporting():
+    """The session reader covers the consumers, in the simulator's
+    round length, after the warmup, per direction; the mean follows
+    membership down to an empty one."""
     sim, a, b = make_sim()
-    sim.run(2)
-    report = sim.bandwidth_kbps()
-    assert set(report) == {0, 1}
-    assert report[0] > 0
+    sim.round_seconds = 0.5
+    session = SimSession(simulator=sim, source=a, nodes={1: b})
+    session.run(2)
+    # Node 1 sends and receives 2 x 28 bytes a round: 448 bits each way
+    # per half-second round.
+    assert session.bandwidth_kbps() == pytest.approx({1: 1.792})
+    assert session.bandwidth_kbps(1, "down") == pytest.approx({1: 0.896})
+    assert session.mean_bandwidth_kbps(direction="up") == pytest.approx(0.896)
+    with pytest.raises(ValueError, match="source"):
+        session.remove_node(0)
+    with pytest.raises(ValueError, match="unknown node id 7"):
+        session.remove_node(7)
+    session.remove_node(1)
+    assert sorted(sim.nodes) == [0]
+    assert session.bandwidth_kbps() == {}
+    assert session.mean_bandwidth_kbps() == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -176,14 +192,19 @@ def test_bandwidth_kbps_reporting():
 # ---------------------------------------------------------------------------
 
 
+def _node_ids(sim):
+    return [node.node_id for node in sim._ordered_nodes()]
+
+
 def test_node_ids_cached_and_invalidated_by_membership_changes():
     sim, a, b = make_sim()
-    assert sim.node_ids() == [0, 1]
+    assert _node_ids(sim) == [0, 1]
+    assert sim._ordered_nodes() is sim._ordered_nodes()
     c = PingNode(5, sim.network, peer=0)
     sim.add_node(c)
-    assert sim.node_ids() == [0, 1, 5]
+    assert _node_ids(sim) == [0, 1, 5]
     sim.remove_node(1)
-    assert sim.node_ids() == [0, 5]
+    assert _node_ids(sim) == [0, 5]
 
 
 def test_rounds_run_correctly_after_remove_node():

@@ -76,8 +76,9 @@ def _run(
     finally:
         if policy is not None:
             policy.close()
+    totals = network.meter.snapshot()["totals"]
     per_node = {
-        nid: network.meter.node_bytes(nid)
+        nid: totals[nid][0] + totals[nid][1]
         for nid in [0] + sorted(session.nodes)
     }
     return session, per_node

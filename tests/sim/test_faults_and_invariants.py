@@ -2,6 +2,7 @@
 
 import random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -36,14 +37,23 @@ def test_meter_conservation(batch):
 @given(transfers)
 @settings(max_examples=60)
 def test_meter_window_sums_to_total(batch):
+    """A node's per-round series sum to its totals, and its two-way rate
+    is its upload rate plus its download rate."""
     meter = BandwidthMeter()
     for sender, recipient, size, rnd in batch:
         meter.record(sender, recipient, size, rnd)
-    for node in range(10):
-        total = meter.node_bytes(node)
-        up = meter.node_bytes(node, direction="up")
-        down = meter.node_bytes(node, direction="down")
-        assert total == up + down
+    snapshot = meter.snapshot()
+    for node, (up, down, _, _) in snapshot["totals"].items():
+        assert sum(snapshot["up_series"].get(node, ())) == up
+        assert sum(snapshot["down_series"].get(node, ())) == down
+    if not meter.rounds_seen:
+        return
+    nodes = range(10)
+    total = meter.all_node_kbps(nodes)
+    up = meter.all_node_kbps(nodes, direction="up")
+    down = meter.all_node_kbps(nodes, direction="down")
+    for node in nodes:
+        assert total[node] == pytest.approx(up[node] + down[node])
 
 
 @given(st.floats(min_value=0.0, max_value=1.0), st.integers(0, 2**16))

@@ -42,9 +42,14 @@ def test_node_bytes_window():
     meter.record(1, 2, 200, rnd=1)
     meter.record(2, 1, 50, rnd=1)
     meter.record(1, 2, 400, rnd=2)
-    assert meter.node_bytes(1, first_round=1, last_round=1) == 250
-    assert meter.node_bytes(1) == 750
-    assert meter.node_bytes(2) == 750
+    # Round 1 alone: 250 bytes each over 1 s = 2 kbps.
+    window = meter.all_node_kbps([1, 2], first_round=1, last_round=1)
+    assert window == pytest.approx({1: 2.0, 2: 2.0})
+    # The whole run: 750 bytes each over 3 s = 2 kbps.
+    assert meter.all_node_kbps([1, 2]) == pytest.approx({1: 2.0, 2: 2.0})
+    snapshot = meter.snapshot()
+    assert snapshot["up_series"] == {1: [100, 200, 400], 2: [0, 50]}
+    assert snapshot["down_series"] == {1: [0, 50], 2: [100, 200, 400]}
 
 
 def test_node_kbps_uses_window_duration():
@@ -52,16 +57,12 @@ def test_node_kbps_uses_window_duration():
     meter.record(1, 2, 1250, rnd=0)
     meter.record(1, 2, 1250, rnd=1)
     # 2500 bytes over 2 rounds of 1 s = 10 kbps.
-    assert meter.node_kbps(1) == pytest.approx(10.0)
+    assert meter.all_node_kbps([1])[1] == pytest.approx(10.0)
     # Only round 1: 1250 bytes over 1 s = 10 kbps.
-    assert meter.node_kbps(1, first_round=1) == pytest.approx(10.0)
-
-
-def test_mean_kbps():
-    meter = BandwidthMeter()
-    meter.record(1, 2, 1250, rnd=0)
-    assert meter.mean_kbps([1, 2]) == pytest.approx(10.0)
-    assert meter.mean_kbps([]) == 0.0
+    rates = meter.all_node_kbps([1], first_round=1)
+    assert rates[1] == pytest.approx(10.0)
+    # Half-second rounds double the rate.
+    assert meter.all_node_kbps([1], 0.5)[1] == pytest.approx(20.0)
 
 
 def test_cdf_points_from_mapping():
@@ -81,19 +82,9 @@ def test_node_kbps_rejects_inverted_window():
     meter.record(1, 2, 100, rnd=0)
     meter.record(1, 2, 100, rnd=1)
     with pytest.raises(ValueError, match="inverted round window"):
-        meter.node_kbps(1, first_round=2, last_round=1)
+        meter.all_node_kbps([1], first_round=2, last_round=1)
     with pytest.raises(ValueError, match="inverted round window"):
         meter.all_node_kbps([1, 2], first_round=5, last_round=0)
-
-
-def test_node_series_pads_to_rounds_seen():
-    meter = BandwidthMeter()
-    meter.record(1, 2, 100, rnd=0)
-    meter.record(3, 1, 50, rnd=3)
-    assert meter.node_series(1, "up") == [100, 0, 0, 0]
-    assert meter.node_series(1, "down") == [0, 0, 0, 50]
-    assert meter.node_series(1) == [100, 0, 0, 50]
-    assert meter.node_series(99) == [0, 0, 0, 0]
 
 
 # ---------------------------------------------------------------------------
@@ -113,6 +104,8 @@ class DictMeterBaseline:
     def __init__(self) -> None:
         self.per_round_up = {}
         self.per_round_down = {}
+        #: node -> [bytes_up, bytes_down, messages_up, messages_down]
+        self.totals = {}
         self.rounds_seen = 0
 
     def record(self, sender: int, recipient: int, size: int, rnd: int) -> None:
@@ -122,8 +115,37 @@ class DictMeterBaseline:
         self.per_round_down[key_down] = (
             self.per_round_down.get(key_down, 0) + size
         )
+        up = self.totals.setdefault(sender, [0, 0, 0, 0])
+        up[0] += size
+        up[2] += 1
+        down = self.totals.setdefault(recipient, [0, 0, 0, 0])
+        down[1] += size
+        down[3] += 1
         if rnd + 1 > self.rounds_seen:
             self.rounds_seen = rnd + 1
+
+    def snapshot(self):
+        """:meth:`BandwidthMeter.snapshot`'s form, rebuilt from the
+        ``(node, round)`` keys: a node's series runs to its last round
+        with a message in that direction."""
+
+        def series(cells):
+            out = {}
+            for (node, rnd), size in sorted(cells.items()):
+                row = out.setdefault(node, [])
+                row.extend([0] * (rnd + 1 - len(row)))
+                row[rnd] += size
+            return out
+
+        return {
+            "rounds_seen": self.rounds_seen,
+            "totals": {
+                node: tuple(counts)
+                for node, counts in sorted(self.totals.items())
+            },
+            "up_series": series(self.per_round_up),
+            "down_series": series(self.per_round_down),
+        }
 
     def node_bytes(
         self,
@@ -185,17 +207,11 @@ def test_columnar_parity_with_dict_accounting():
         for sender, recipient, size, rnd in traffic:
             columnar.record(sender, recipient, size, rnd)
             reference.record(sender, recipient, size, rnd)
-        assert columnar.rounds_seen == reference.rounds_seen
+        assert columnar.snapshot() == reference.snapshot()
         windows = [(0, None), (0, 5), (4, 19), (7, 7), (19, None)]
         nodes = list(range(26))  # includes ids the meter never saw
         for first, last in windows:
             for direction in ("both", "up", "down"):
-                for node in nodes:
-                    assert columnar.node_bytes(
-                        node, first, last, direction
-                    ) == reference.node_bytes(
-                        node, first, last, direction
-                    ), (node, first, last, direction)
                 assert columnar.all_node_kbps(
                     nodes, 1.0, first, last, direction
                 ) == reference.all_node_kbps(
@@ -229,14 +245,15 @@ def test_columnar_parity_on_fixed_seed_session():
     network.meter = FanoutMeter(meter, reference)
     session.run(8)
     network.meter = meter
-    for node in [0] + sorted(session.nodes):
+    assert meter.snapshot() == reference.snapshot()
+    nodes = [0] + sorted(session.nodes)
+    for first in (0, 4):
         for direction in ("both", "up", "down"):
-            assert meter.node_bytes(
-                node, direction=direction
-            ) == reference.node_bytes(node, direction=direction)
-            assert meter.node_bytes(
-                node, 4, direction=direction
-            ) == reference.node_bytes(node, 4, direction=direction)
+            assert meter.all_node_kbps(
+                nodes, first_round=first, direction=direction
+            ) == reference.all_node_kbps(
+                nodes, first_round=first, direction=direction
+            )
 
 
 def _round_rows(meter):

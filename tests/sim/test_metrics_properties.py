@@ -107,12 +107,10 @@ def test_merge_into_nonempty_meter_adds_exactly(recorded):
     gap=st.integers(min_value=1, max_value=5),
 )
 def test_inverted_window_rejection_survives_merging(first, gap):
-    """node_kbps/all_node_kbps refuse inverted windows on meters filled
-    from rows exactly as on directly-recorded ones."""
+    """all_node_kbps refuses inverted windows on meters filled from
+    rows exactly as on directly-recorded ones."""
     meter = BandwidthMeter()
     _add_rows(meter, [(1, 2, 100, first + gap + 1)])
-    with pytest.raises(ValueError, match="inverted round window"):
-        meter.node_kbps(1, first_round=first + gap, last_round=first)
     with pytest.raises(ValueError, match="inverted round window"):
         meter.all_node_kbps([1, 2], first_round=first + gap, last_round=first)
 
@@ -126,39 +124,33 @@ def test_inverted_window_rejection_survives_merging(first, gap):
 def test_every_window_reader_rejects_inverted_and_negative_windows(
     recorded, first, gap
 ):
-    """Satellite regression: ``node_kbps`` validated windows but the
-    byte reader feeding the CDF aggregation did not — an inverted window
-    silently summed nothing and a negative ``first_round`` sliced from
-    the *end* of the per-round columns.  All window readers now share
-    one validator."""
+    """Regression: an inverted window once silently summed nothing and
+    a negative ``first_round`` sliced from the *end* of the per-round
+    columns.  The window reader refuses both."""
     meter = _meter_of(recorded + [(0, 10, 100, first + gap + 1)])
     node_ids = sorted(
         {s for s, _, _, _ in recorded} | {r for _, r, _, _ in recorded} | {0}
     )
-    for call in (
-        lambda: meter.node_bytes(0, first_round=first + gap, last_round=first),
-        lambda: meter.node_kbps(0, first_round=first + gap, last_round=first),
-        lambda: meter.all_node_kbps(
-            node_ids, first_round=first + gap, last_round=first
-        ),
-    ):
+    for direction in ("both", "up", "down"):
         with pytest.raises(ValueError, match="inverted round window"):
-            call()
-    for call in (
-        lambda: meter.node_bytes(0, first_round=-first - 1),
-        lambda: meter.node_kbps(0, first_round=-first - 1),
-        lambda: meter.all_node_kbps(node_ids, first_round=-first - 1),
-    ):
+            meter.all_node_kbps(
+                node_ids,
+                first_round=first + gap,
+                last_round=first,
+                direction=direction,
+            )
         with pytest.raises(ValueError, match="non-negative"):
-            call()
+            meter.all_node_kbps(
+                node_ids, first_round=-first - 1, direction=direction
+            )
 
 
 @settings(max_examples=30, deadline=None)
 @given(recorded=events, first=st.integers(min_value=0, max_value=14))
 def test_valid_windows_still_agree_across_readers(recorded, first):
-    """The added validation must not change any valid-window sum: bytes
-    scaled by the window duration equal the kbps the aggregation (and
-    the CDF built from it) reports."""
+    """Window validation must not change any valid-window sum: the
+    window's bytes in the snapshot, scaled by its duration, equal the
+    kbps the reader (and the CDF built from it) reports."""
     meter = _meter_of(recorded)
     if meter.rounds_seen <= first:
         return
@@ -166,26 +158,29 @@ def test_valid_windows_still_agree_across_readers(recorded, first):
         {s for s, _, _, _ in recorded} | {r for _, r, _, _ in recorded}
     )
     bulk = meter.all_node_kbps(node_ids, first_round=first)
+    snapshot = meter.snapshot()
     duration = meter.rounds_seen - first
     for node in node_ids:
-        assert bulk[node] == pytest.approx(
-            meter.node_bytes(node, first_round=first) * 8.0 / 1000.0
-            / duration
-        )
-        assert bulk[node] == pytest.approx(
-            meter.node_kbps(node, first_round=first)
-        )
+        up = snapshot["up_series"].get(node, ())
+        down = snapshot["down_series"].get(node, ())
+        window = sum(up[first:]) + sum(down[first:])
+        assert bulk[node] == pytest.approx(window * 8.0 / 1000.0 / duration)
     assert cdf_points(bulk) == cdf_points(sorted(bulk.values()))
 
 
 def test_empty_meter_defaults_preserved():
-    """Default windows on an empty meter keep their seed semantics:
-    byte readers return nothing, rate readers reject (no duration)."""
+    """An empty meter snapshots to nothing, and the rate reader rejects
+    its default window (no duration to divide by)."""
     meter = BandwidthMeter()
-    assert meter.node_bytes(1) == 0
-    assert meter.node_series(1) == []
+    assert meter.snapshot() == {
+        "rounds_seen": 0,
+        "totals": {},
+        "up_series": {},
+        "down_series": {},
+    }
     with pytest.raises(ValueError, match="inverted round window"):
-        meter.node_kbps(1)
+        meter.all_node_kbps([1])
+    assert meter.all_node_kbps([], last_round=0) == {}
 
 
 @settings(max_examples=60, deadline=None)

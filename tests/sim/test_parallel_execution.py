@@ -17,9 +17,10 @@ from types import SimpleNamespace
 
 import pytest
 
+from repro.baselines import ActingSession
 from repro.core import PagSession
 from repro.scenarios import get_scenario
-from repro.scenarios.spec import ScenarioSpec
+from repro.scenarios.spec import ChurnEvent, ScenarioSpec
 from repro.sim.execution import (
     ParallelShardedPolicy,
     SerialPolicy,
@@ -308,6 +309,45 @@ def test_adding_adhoc_nodes_after_start_is_rejected():
         policy.close()
 
 
+def test_acting_churn_goes_through_the_session_on_every_replica(
+    monkeypatch,
+):
+    """An AcTinG spec's churn entry leaves through
+    ``ActingSession.remove_node`` — on the parent, and under the
+    ``serialized`` backend on the replica that owns the node too — and
+    both placements meter the same bytes."""
+    spec = ScenarioSpec(
+        name="acting-churn",
+        protocol="acting",
+        nodes=16,
+        rounds=8,
+        warmup_rounds=2,
+        churn=(ChurnEvent(after_round=3, node_id=6),),
+    )
+    removed = []
+    remove_node = ActingSession.remove_node
+
+    def spy(session, node_id):
+        removed.append(node_id)
+        remove_node(session, node_id)
+
+    monkeypatch.setattr(ActingSession, "remove_node", spy)
+    serial = spec.run()
+    assert removed == [6]
+    policy = ParallelShardedPolicy(workers=2, backend="serialized")
+    parallel = spec.run(policy)
+    assert removed == [6, 6, 6]
+    assert policy.stats.removed_nodes == 1
+    for result in (serial, parallel):
+        assert 6 not in result.session.nodes
+        assert 6 not in result.node_kbps
+    assert (
+        parallel.session.simulator.network.meter.snapshot()
+        == serial.session.simulator.network.meter.snapshot()
+    )
+    assert parallel.node_kbps == serial.node_kbps
+
+
 @pytest.mark.parametrize("backend", ["serialized", "process"])
 def test_spec_declared_arrivals_are_mirrored_onto_replicas(backend):
     """A JoinEvent admits the same node on the parent and its owning
@@ -330,9 +370,9 @@ def test_spec_declared_arrivals_are_mirrored_onto_replicas(backend):
     assert result.total_bytes == reference.total_bytes
     assert result.verdicts == reference.verdicts
     # The arrival is absent before its round and active after it.
-    meter = reference.session.simulator.network.meter
-    assert meter.node_bytes(7, 0, 2, direction="up") == 0
-    assert meter.node_bytes(7, 3, 5, direction="up") > 0
+    uploads = reference.session.simulator.network.meter.up_series[7]
+    assert sum(uploads[:3]) == 0
+    assert sum(uploads[3:6]) > 0
 
 
 def test_policy_is_reusable_after_close():
@@ -393,8 +433,8 @@ def test_merge_remote_meters_and_queues_in_order():
     assert isinstance(first, RemoteSend)
     assert first.key == (1, 0, 0)
     assert (first.sender, first.recipient, first.size) == (1, 2, 100)
-    assert network.meter.node_bytes(1) == 150
-    assert network.meter.node_series(1, "up") == [0, 0, 0, 100]
+    assert network.meter.snapshot()["totals"][1] == (100, 50, 1, 1)
+    assert network.meter.up_series[1] == [0, 0, 0, 100]
     # Parent-held payloads take the send path: rules, then taps, then
     # the queue, in merged order; the rows meter dropped sends too.
     seen = []
@@ -413,7 +453,7 @@ def test_merge_remote_meters_and_queues_in_order():
     assert (network.messages_sent, network.messages_dropped) == (2, 1)
     assert seen == [(kept, 60)]
     assert network.pop() is kept and network.pending() == 0
-    assert network.meter.node_series(1, "up") == [0, 0, 0, 100]
+    assert network.meter.up_series[1] == [0, 0, 0, 100]
 
 
 def test_stats_expose_shard_balance():

@@ -98,11 +98,9 @@ def test_plane_means_are_calibrated_to_the_cohort():
     result = spec.run()
     session = result.session
     honest = sorted(session.nodes)  # no deviants in this spec
-    cohort_mean = session.simulator.network.meter.mean_kbps(
-        honest,
-        round_seconds=session.simulator.round_seconds,
-        first_round=spec.warmup_rounds,
-        direction="down",
+    assert honest == sorted(session.bandwidth_kbps())
+    cohort_mean = session.mean_bandwidth_kbps(
+        spec.warmup_rounds, direction="down"
     )
     plane_mean = float(np.asarray(result.plane_kbps).mean())
     # Realized-mean normalisation pins the plane mean to the cohort
@@ -345,7 +343,6 @@ _SCRIPT = [
 def _scripted_plane(tmp_path, seed=7, plane_size=5_000, n_honest=10):
     return PopulationPlane(
         plane_size=plane_size,
-        node_offset=n_honest,
         tap=_ScriptedTap(n_honest, _SCRIPT),
         cohort_hasher=HomomorphicHasher(modulus=61 * 53),
         fanout=6,
@@ -416,7 +413,6 @@ def test_all_zero_degree_draw_applies_the_mean_unmodulated(tmp_path):
     # nothing, so the node gets exactly the honest mean.
     plane = PopulationPlane(
         plane_size=1,
-        node_offset=4,
         tap=_ScriptedTap(4, [{"serve": (4_000, 8_000)}] * 40),
         cohort_hasher=HomomorphicHasher(modulus=61 * 53),
         fanout=1,

@@ -5,7 +5,7 @@ promises that a spilled read of the same traffic is *bit-identical* to
 an in-memory :class:`BandwidthMeter` read — integer window sums first,
 one multiply by ``8.0 / 1000.0 / duration`` — and the Hypothesis suite
 below holds it to that across random traffic, windows, directions and
-node offsets.  Second, the in-memory meter sums Python integers: when
+round lengths.  Second, the in-memory meter sums Python integers: when
 :meth:`BandwidthMeter.add_round_rows` pushes a node's cumulative
 volume past ``2**63 - 1`` every reader must still return the exact
 value.
@@ -22,24 +22,24 @@ from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 
-def _paired(n_nodes, n_rounds, traffic, node_offset=0):
+def _paired(n_nodes, n_rounds, traffic):
     """Build a spill and an in-memory meter fed identical traffic.
 
     ``traffic`` is an (n_rounds, 2, n_nodes) nested list of byte rows
     (index 0 = up, 1 = down).  The in-memory meter has no "record a
     bare download" primitive, so the reference meter is fed through a
     sink/source node placed outside the metered universe and the
-    comparison only reads the real nodes.
+    comparison only reads the real nodes ``0..n_nodes-1``.
     """
     spill = ColumnarRoundSpill(n_nodes)
     meter = BandwidthMeter()
-    sink = node_offset + n_nodes + 1_000_000
+    sink = n_nodes + 1_000_000
     for rnd, (up_row, down_row) in enumerate(traffic):
         spill.append_round({"up": up_row, "down": down_row})
-        for local, size in enumerate(up_row):
-            meter.record(node_offset + local, sink, size, rnd)
-        for local, size in enumerate(down_row):
-            meter.record(sink, node_offset + local, size, rnd)
+        for node, size in enumerate(up_row):
+            meter.record(node, sink, size, rnd)
+        for node, size in enumerate(down_row):
+            meter.record(sink, node, size, rnd)
     return spill, meter
 
 
@@ -59,48 +59,39 @@ def traffic_case(draw):
         ]
         for _ in range(n_rounds)
     ]
-    node_offset = draw(st.integers(min_value=0, max_value=200))
     first = draw(st.integers(min_value=0, max_value=n_rounds - 1))
     last = draw(st.integers(min_value=first, max_value=n_rounds + 2))
     direction = draw(st.sampled_from(["both", "up", "down"]))
     seconds = draw(st.sampled_from([1.0, 0.5, 2.0, 0.25]))
-    return n_nodes, traffic, node_offset, first, last, direction, seconds
+    return n_nodes, traffic, first, last, direction, seconds
 
 
 @given(traffic_case())
 @settings(max_examples=60, deadline=None)
 def test_spilled_reads_match_in_memory_meter_bitwise(case):
-    n_nodes, traffic, offset, first, last, direction, seconds = case
-    spill, meter = _paired(n_nodes, len(traffic), traffic, offset)
+    n_nodes, traffic, first, last, direction, seconds = case
+    spill, meter = _paired(n_nodes, len(traffic), traffic)
     try:
-        spilled = SpilledMeter(spill, node_offset=offset)
-        nodes = spilled.node_ids()
-        assert nodes == [offset + i for i in range(n_nodes)]
+        spilled = SpilledMeter(spill)
         assert spilled.rounds_seen == len(traffic)
+        nodes = range(n_nodes)
+        # Row i of the vector is node i, value for value (same IEEE
+        # operations as the in-memory reader).
+        vector = spilled.window_kbps_vector(seconds, first, last, direction)
+        reference = meter.all_node_kbps(nodes, seconds, first, last, direction)
+        assert vector.tolist() == list(reference.values())
+        # The byte sums under it are the in-memory series' window sums.
+        snapshot = meter.snapshot()
+        sums = spilled.window_sums(first, last, direction).tolist()
         for node in nodes:
-            assert spilled.node_bytes(
-                node, first, last, direction
-            ) == meter.node_bytes(node, first, last, direction)
-            assert spilled.node_kbps(
-                node, seconds, first, last, direction
-            ) == meter.node_kbps(node, seconds, first, last, direction)
-        assert spilled.all_node_kbps(
-            nodes, seconds, first, last, direction
-        ) == meter.all_node_kbps(nodes, seconds, first, last, direction)
-        assert spilled.mean_kbps(
-            nodes, seconds, first, last, direction
-        ) == meter.mean_kbps(nodes, seconds, first, last, direction)
-        # The bulk vector behind the population CDF matches the
-        # per-node dict reader value for value (same IEEE operations).
-        vector = spilled.window_kbps_vector(
-            seconds, first, last, direction
-        )
-        assert vector.tolist() == [
-            spilled.all_node_kbps(
-                nodes, seconds, first, last, direction
-            )[node]
-            for node in nodes
-        ]
+            expected = 0
+            if direction != "down":
+                expected += sum(snapshot["up_series"][node][first : last + 1])
+            if direction != "up":
+                expected += sum(
+                    snapshot["down_series"][node][first : last + 1]
+                )
+            assert sums[node] == expected
     finally:
         spill.close()
 
@@ -108,14 +99,15 @@ def test_spilled_reads_match_in_memory_meter_bitwise(case):
 @given(traffic_case())
 @settings(max_examples=30, deadline=None)
 def test_spilled_default_window_matches_meter(case):
-    n_nodes, traffic, offset, _first, _last, direction, seconds = case
-    spill, meter = _paired(n_nodes, len(traffic), traffic, offset)
+    n_nodes, traffic, _first, _last, direction, seconds = case
+    spill, meter = _paired(n_nodes, len(traffic), traffic)
     try:
-        spilled = SpilledMeter(spill, node_offset=offset)
-        nodes = spilled.node_ids()
-        assert spilled.all_node_kbps(
-            nodes, seconds, direction=direction
-        ) == meter.all_node_kbps(nodes, seconds, direction=direction)
+        spilled = SpilledMeter(spill)
+        vector = spilled.window_kbps_vector(seconds, direction=direction)
+        reference = meter.all_node_kbps(
+            range(n_nodes), seconds, direction=direction
+        )
+        assert vector.tolist() == list(reference.values())
     finally:
         spill.close()
 
@@ -129,8 +121,6 @@ def test_spilled_meter_validation():
         spill.close()
     spill = ColumnarRoundSpill(2)
     try:
-        with pytest.raises(ValueError, match="negative"):
-            SpilledMeter(spill, node_offset=-1)
         spilled = SpilledMeter(spill)
         spill.append_round({"up": [1, 2], "down": [3, 4]})
         with pytest.raises(ValueError, match="non-negative"):
@@ -141,9 +131,8 @@ def test_spilled_meter_validation():
             spilled.window_kbps_vector(first_round=3, last_round=1)
         with pytest.raises(ValueError, match="unknown direction"):
             spilled.window_sums(direction="sideways")
-        # Outside the plane universe: bytes are 0, dict reads are 0.0.
-        assert spilled.node_bytes(99) == 0
-        assert spilled.all_node_kbps([99]) == {99: 0.0}
+        with pytest.raises(ValueError, match="unknown direction"):
+            spilled.window_kbps_vector(direction="sideways")
     finally:
         spill.close()
 
@@ -161,7 +150,8 @@ def test_spilled_window_past_written_rounds_zero_pads():
         np.testing.assert_array_equal(
             spilled.window_sums(5, 9, "both"), np.zeros(2, np.int64)
         )
-        assert spilled.node_kbps(0, 1.0, 5, 9) == 0.0
+        vector = spilled.window_kbps_vector(1.0, 5, 9, "both")
+        assert vector.tolist() == [0.0, 0.0]
     finally:
         spill.close()
 
@@ -188,14 +178,13 @@ def test_round_rows_beyond_int64_stay_exact():
     for _ in range(2):
         _add_shard(merged, [_HALF_OVERFLOW, 3])
     assert merged.totals[0].bytes_up == 2 * _HALF_OVERFLOW + 6
-    assert merged.node_bytes(0, direction="up") == 2 * _HALF_OVERFLOW + 6
-    assert merged.node_bytes(1, direction="down") == (
-        2 * _HALF_OVERFLOW + 6
-    )
-    assert merged.node_bytes(0, 1, 1, "up") == 6
+    assert merged.totals[1].bytes_down == 2 * _HALF_OVERFLOW + 6
+    snapshot = merged.snapshot()
+    assert snapshot["up_series"] == {0: [2 * _HALF_OVERFLOW, 6]}
+    assert snapshot["down_series"] == {1: [2 * _HALF_OVERFLOW, 6]}
     expected = kbps(2 * _HALF_OVERFLOW + 6, 2.0)
     assert merged.all_node_kbps([0], direction="up") == {0: expected}
-    assert merged.node_kbps(0, direction="up") == expected
+    assert merged.all_node_kbps([0], 1.0, 1, 1, "up") == {0: kbps(6, 1.0)}
 
 
 def test_overflowed_meter_matches_columnar_reference():
