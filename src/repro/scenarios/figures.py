@@ -244,13 +244,16 @@ def render_scenario_run(
             "with these flags (it is a paper-renderer override)"
         )
 
-    spec = get_scenario(
-        name,
-        nodes=nodes,
-        rounds=rounds,
-        stream_rate_kbps=rate,
-        population=population,
-    )
+    try:
+        spec = get_scenario(
+            name,
+            nodes=nodes,
+            rounds=rounds,
+            stream_rate_kbps=rate,
+            population=population,
+        )
+    except ValueError as exc:
+        raise SystemExit(f"error: {exc}") from None
     start = time.perf_counter()
     result = spec.run(execution_policy)
     wall = time.perf_counter() - start

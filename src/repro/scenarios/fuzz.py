@@ -303,6 +303,8 @@ def run_fingerprint(
     so equality across policies is the bit-identity invariant — any
     scheduling divergence shows up in the hash-operation count or the
     verdict set long before it would show in aggregate bandwidth.
+    The oracle reads ``trusted_convicts``: discounted detectors' verdicts
+    go *before* deduplicating, so other monitors' copies still convict.
     """
     result = spec.with_overrides(policy=policy, workers=workers).run()
     verdicts = tuple(
@@ -311,6 +313,7 @@ def run_fingerprint(
             for v in result.session.all_verdicts()
         )
     )
+    discounted = _excused_nodes(spec)[1]
     return {
         "messages_sent": result.messages_sent,
         "messages_dropped": result.messages_dropped,
@@ -318,6 +321,7 @@ def run_fingerprint(
         "total_bytes": result.total_bytes,
         "crypto_hashes": result.crypto_hashes,
         "verdicts": verdicts,
+        "trusted_convicts": sorted(result.session.convicted_nodes(discounted)),
         "fault_stats": result.fault_stats,
         "accusations": result.accusations,
         "continuity": result.continuity,
@@ -346,12 +350,9 @@ def evaluate_invariants(
     spec: ScenarioSpec, fingerprint: Dict[str, object]
 ) -> List[str]:
     """Invariant 1 and 2 violations for one run record."""
-    excused, discounted = _excused_nodes(spec)
+    excused = _excused_nodes(spec)[0]
     deviants = set(spec.deviant_nodes())
-    trusted = [
-        v for v in fingerprint["verdicts"] if v[3] not in discounted
-    ]
-    convicted = {v[0] for v in trusted}
+    convicted = set(fingerprint["trusted_convicts"])
     violations = []
     false_positives = sorted(convicted - excused)
     if false_positives:

@@ -278,28 +278,6 @@ class SpilledMeter:
     def rounds_seen(self) -> int:
         return self.spill.rounds_written
 
-    def window_sums(
-        self,
-        first_round: int = 0,
-        last_round: int | None = None,
-        direction: str = "both",
-    ):
-        """Per-node int64 byte sums over a window (plane-local order)."""
-        _check_direction(direction)
-        last = _resolve_window(self.rounds_seen, first_round, last_round)
-        if last < first_round:
-            # Nothing written yet; the spill loaded numpy when built.
-            import numpy as _np
-
-            return _np.zeros(self.spill.n_nodes, dtype=_np.int64)
-        sums = None
-        if direction != "down":
-            sums = self.spill.window_sum("up", first_round, last)
-        if direction != "up":
-            down = self.spill.window_sum("down", first_round, last)
-            sums = down if sums is None else sums + down
-        return sums
-
     def window_kbps_vector(
         self,
         round_seconds: float = 1.0,
@@ -309,19 +287,22 @@ class SpilledMeter:
     ):
         """Per-node Kbps over a window, as a float vector.
 
-        The bulk reader behind the population tier's CDF: one streamed
-        pass over the spill, no per-node dict.  Scaling matches
+        The bulk reader behind the population tier's CDF: one pass over
+        the spill in node blocks, no per-node dict, and no vector of
+        ``n_nodes`` entries but the result.  Scaling matches
         :meth:`BandwidthMeter.all_node_kbps` operation for operation.
         """
+        _check_direction(direction)
         last = _resolve_window(
             self.rounds_seen, first_round, last_round, rate=True
         )
         duration = (last - first_round + 1) * round_seconds
         if duration <= 0:
             raise ValueError("duration must be positive")
-        scale = 8.0 / 1000.0 / duration
-        sums = self.window_sums(first_round, last, direction)
-        return sums * scale
+        fields = ("up", "down") if direction == "both" else (direction,)
+        return self.spill.window_sum(
+            fields, first_round, last, scale=8.0 / 1000.0 / duration
+        )
 
 
 def cdf_points(

@@ -33,10 +33,10 @@ the fan-out credited to ``memoised_operations``, and a calibrated
 top-up so real + memoised plane totals reconcile with what a
 full-fidelity run of the plane would have cost.
 
-Per-round plane rows are written through to a
-:class:`~repro.sim.trace.ColumnarRoundSpill` as they are built, so the
-plane holds one round's working vectors and nothing per round;
-collection reads windows back through
+The plane keeps one ``uint16`` degree per driver per node; the draws,
+the row arithmetic and the write-through to a
+:class:`~repro.sim.trace.ColumnarRoundSpill` run over blocks of
+``NODE_BLOCK`` nodes, and collection reads windows back through
 :class:`~repro.sim.metrics.SpilledMeter`.
 """
 
@@ -60,7 +60,7 @@ from repro.crypto.homomorphic import HomomorphicHasher
 from repro.scenarios.spec import ScenarioResult, ScenarioSpec
 from repro.sim.message import Message
 from repro.sim.metrics import SpilledMeter
-from repro.sim.trace import ColumnarRoundSpill
+from repro.sim.trace import NODE_BLOCK, ColumnarRoundSpill
 
 __all__ = [
     "PlaneCalibrationTap",
@@ -95,7 +95,7 @@ _DEGREE_DRIVERS: Tuple[str, ...] = ("in", "out", "mon")
 
 
 class PoissonDegreeSampler:
-    """Exact Poisson(``lam``) draws of a fixed width from an alias table.
+    """Exact Poisson(``lam``) draws from an alias table.
 
     The support is truncated at the first ``K`` whose discarded tail
     ``P[X >= K]`` is below ``TAIL_BOUND`` (bounded by the geometric
@@ -109,17 +109,15 @@ class PoissonDegreeSampler:
     depend on ``lam`` (numpy's own sampler loops over ~``lam`` uniforms
     per draw below ``lam = 10``).
 
-    The scratch vectors a draw needs are allocated once, for ``width``
-    draws at a time.
+    Degrees come out as ``uint16``.  A draw runs a node block at a time
+    through scratch allocated once, consuming the generator in order.
     """
 
     TAIL_BOUND = 2.0**-60
 
-    def __init__(self, lam: float, width: int) -> None:
+    def __init__(self, lam: float) -> None:
         if not lam > 0:
             raise ValueError("Poisson rate must be positive")
-        if width < 1:
-            raise ValueError("sampler width must be at least 1")
         log_lam = math.log(lam)
         masses: List[float] = []
         while True:
@@ -156,38 +154,43 @@ class PoissonDegreeSampler:
         # ``_outcome[2 * column]`` is the alias, ``[2 * column + 1]``
         # the column itself: the accept bit is the low index bit, so
         # the select is a gather and not a data-dependent branch.
-        self._outcome = np.empty(2 * size, dtype=np.float64)
+        self._outcome = np.empty(2 * size, dtype=np.uint16)
         self._outcome[0::2] = self.alias
         self._outcome[1::2] = np.arange(size)
-        self._column = np.empty(width, dtype=np.intp)
-        self._threshold = np.empty(width, dtype=np.float64)
-        self._accept = np.empty(width, dtype=bool)
+        self._uniforms = np.empty(NODE_BLOCK, dtype=np.float64)
+        self._column = np.empty(NODE_BLOCK, dtype=np.intp)
+        self._threshold = np.empty(NODE_BLOCK, dtype=np.float64)
+        self._accept = np.empty(NODE_BLOCK, dtype=bool)
 
     def lookup(self, uniforms: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """Map ``width`` uniforms in [0, 1) to degrees, written to ``out``.
+        """Map up to ``NODE_BLOCK`` uniforms in [0, 1) to ``out`` (uint16).
 
         ``uniforms`` is used as scratch and holds the acceptance
-        fractions afterwards; ``out`` may be the same array.
+        fractions afterwards.
         """
-        size = self.size
-        column = self._column
-        np.multiply(uniforms, size, out=uniforms)
+        width = len(uniforms)
+        column, accept = self._column[:width], self._accept[:width]
+        np.multiply(uniforms, self.size, out=uniforms)
         # Truncation gives the column.  It is below ``size`` for every
         # double u < 1 (u * size falls at least half an ulp short of
         # size); the gathers clip all the same, which is also numpy's
         # cheaper mode, so a stray 1.0 cannot index past the tables.
         np.copyto(column, uniforms, casting="unsafe")
         np.subtract(uniforms, column, out=uniforms)
-        self.prob.take(column, out=self._threshold, mode="clip")
-        np.less(uniforms, self._threshold, out=self._accept)
-        np.left_shift(column, 1, out=column)
-        np.add(column, self._accept, out=column)
+        threshold = self._threshold[:width]
+        self.prob.take(column, out=threshold, mode="clip")
+        np.less(uniforms, threshold, out=accept)
+        column <<= 1
+        column += accept
         return self._outcome.take(column, out=out, mode="clip")
 
     def draw(self, rng: np.random.Generator, out: np.ndarray) -> np.ndarray:
-        """Fill ``out`` (float64, ``width`` long) with fresh degrees."""
-        rng.random(out=out)
-        return self.lookup(out, out)
+        """Fill ``out`` (uint16) with fresh degrees, one uniform each."""
+        for lo in range(0, len(out), NODE_BLOCK):
+            block = out[lo : lo + NODE_BLOCK]
+            uniforms = self._uniforms[: len(block)]
+            self.lookup(rng.random(out=uniforms), block)
+        return out
 
 
 class PlaneCalibrationTap:
@@ -288,19 +291,20 @@ class PopulationPlane:
             plane_size, directory=spill_dir, fields=("up", "down")
         )
         self._rng = np.random.default_rng(seed)
-        self._sampler = PoissonDegreeSampler(fanout, plane_size)
-        # One round's working set, reused every round: a degree vector
-        # per driver (with 1 / its realized mean), a float accumulator
-        # with its scratch, and the int64 rows the spill writes from.
+        self._sampler = PoissonDegreeSampler(fanout)
+        # All the plane keeps per node: the round's degrees per driver
+        # (with 1 / their realized mean).  The row build's float
+        # accumulator, its scratch and the int64 rows are a block wide.
         self._degrees = {
-            driver: np.empty(plane_size, dtype=np.float64)
+            driver: np.empty(plane_size, dtype=np.uint16)
             for driver in _DEGREE_DRIVERS
         }
         self._inv_mean: Dict[str, float] = {}
-        self._acc = np.empty(plane_size, dtype=np.float64)
-        self._term = np.empty(plane_size, dtype=np.float64)
+        block = min(plane_size, NODE_BLOCK)
+        self._acc = np.empty(block, dtype=np.float64)
+        self._term = np.empty(block, dtype=np.float64)
         self._rows = {
-            name: np.empty(plane_size, dtype=np.int64)
+            name: np.empty(block, dtype=np.int64)
             for name in self.spill.fields
         }
         self._cohort_ops_mark = cohort_hasher.operations
@@ -315,16 +319,19 @@ class PopulationPlane:
         that is zero everywhere modulates nothing: it becomes all ones.
         """
         for driver, degrees in self._degrees.items():
-            mean = float(self._sampler.draw(self._rng, degrees).mean())
+            self._sampler.draw(self._rng, degrees)
+            # Degrees are small integers, so the int64 sum is exact and
+            # the mean is the one a float64 vector's mean() would give.
+            mean = int(degrees.sum(dtype=np.int64)) / self.plane_size
             if mean <= 0.0:
-                degrees.fill(1.0)
+                degrees.fill(1)
                 mean = 1.0
             self._inv_mean[driver] = 1.0 / mean
 
     def _build_row(
-        self, driver_bytes: Counter, n_honest: int, out: np.ndarray
+        self, driver_bytes: Counter, n_honest: int, lo: int, out: np.ndarray
     ) -> None:
-        """Write one direction's per-node byte row to ``out``.
+        """Write one direction's byte row for nodes ``lo..`` to ``out``.
 
         ``driver_bytes`` is the honest cohort's bytes of the round per
         driver, every kind the driver modulates already summed.  Each
@@ -332,13 +339,13 @@ class PopulationPlane:
         ``bytes / n_honest / realized mean``: a row costs one
         multiply-add per driver however many kinds the round carried.
         """
-        acc, term = self._acc, self._term
+        acc, term = self._acc[: len(out)], self._term[: len(out)]
         acc.fill(driver_bytes["uniform"] / n_honest)
         for driver, degrees in self._degrees.items():
             total = driver_bytes[driver]
             if total:
                 weight = total / n_honest * self._inv_mean[driver]
-                np.multiply(degrees, weight, out=term)
+                np.multiply(degrees[lo : lo + len(out)], weight, out=term)
                 acc += term
         np.rint(acc, out=acc)
         np.copyto(out, acc, casting="unsafe")
@@ -356,9 +363,12 @@ class PopulationPlane:
             up_bytes[up_driver] += up_sum
             down_bytes[down_driver] += down_sum
         self._draw_degrees()
-        self._build_row(up_bytes, n_honest, self._rows["up"])
-        self._build_row(down_bytes, n_honest, self._rows["down"])
-        self.spill.append_round(self._rows)
+        for lo in range(0, self.plane_size, NODE_BLOCK):
+            width = min(NODE_BLOCK, self.plane_size - lo)
+            rows = {name: row[:width] for name, row in self._rows.items()}
+            self._build_row(up_bytes, n_honest, lo, rows["up"])
+            self._build_row(down_bytes, n_honest, lo, rows["down"])
+            self.spill.append_round(rows, start=lo)
         self._account_crypto(serve, prime, n_honest)
         self.rounds_done += 1
 

@@ -19,11 +19,15 @@ import shutil
 import tempfile
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Iterator, List, Mapping, Optional, Tuple
+from typing import Iterator, List, Mapping, Optional, Tuple, Union
 
 from repro.sim.message import Message
 
 __all__ = ["TraceRecord", "TraceRecorder", "ColumnarRoundSpill"]
+
+#: Nodes per block wherever the population tier streams a round: the
+#: plane's row build and write-through, and ``window_sum``'s reads.
+NODE_BLOCK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -104,18 +108,19 @@ class ColumnarRoundSpill:
     through: :meth:`append_round` hands each validated row's own buffer
     to the file, so a row is on disk (and the caller free to reuse its
     array) when the call returns, and the writer holds no rows in RAM
-    however long the run lasts.  Rows are raw little-endian int64, so a
+    however long the run lasts.  A writer may also hand a round over in
+    node blocks, in order.  Rows are raw little-endian int64, so a
     row's file offset is simply ``round * n_nodes * 8`` and windowed
-    reads stream back through one block of at most ``_CHUNK_BYTES``.
+    reads stream back one node block of each row at a time.
 
     Node ids are row indices ``0..n_nodes-1``; callers with a global id
     space put their offset on top (see
     :class:`~repro.sim.metrics.SpilledMeter`).
     """
 
-    #: Read-side budget: ``window_sum`` reads as many whole rows as fit
-    #: in this many bytes at a time (always at least one row).
-    _CHUNK_BYTES = 8 << 20
+    #: Read-side budget: ``window_sum`` reads each row in slices of at
+    #: most this many bytes (one node block; at least one node).
+    _CHUNK_BYTES = NODE_BLOCK * 8
 
     def __init__(
         self,
@@ -148,19 +153,27 @@ class ColumnarRoundSpill:
             name: open(path, "wb") for name, path in self._paths.items()
         }
         self._rounds_written = 0
+        #: Nodes of the current round written so far by block appends.
+        self._filled = 0
         self._closed = False
 
     def _ensure_open(self) -> None:
-        """Reject reads and writes on a closed spill explicitly.
+        """Reject use of a closed spill, or of one mid-round.
 
         Closing removes an owned directory, so a late ``read_round`` /
         ``window_sum`` would otherwise surface as a raw
-        ``FileNotFoundError`` from whatever path it opened first.
+        ``FileNotFoundError`` from whatever path it opened first.  A
+        round whose blocks stopped short would shift every later row.
         """
         if self._closed:
             raise RuntimeError(
                 "spill is closed (its files are gone); read the data "
                 "before close()"
+            )
+        if self._filled:
+            raise ValueError(
+                f"round {self._rounds_written} is incomplete: nodes "
+                f"{self._filled}..{self.n_nodes - 1} were never written"
             )
 
     def __enter__(self) -> "ColumnarRoundSpill":
@@ -174,38 +187,59 @@ class ColumnarRoundSpill:
         """Rounds appended so far (each one on disk)."""
         return self._rounds_written
 
-    def append_round(self, rows: Mapping[str, object]) -> None:
-        """Append one round: a dense row per field, all fields at once."""
-        self._ensure_open()
+    def append_round(
+        self, rows: Mapping[str, object], start: Optional[int] = None
+    ) -> None:
+        """Append one round: a dense row per field, all fields at once.
+
+        With ``start``, ``rows`` continue the current round from node
+        ``start`` (blocks in node order); a round left incomplete fails
+        the next whole-round append, read or close.
+        """
+        if not start or self._closed:
+            # A new round needs the last one whole.
+            self._ensure_open()
         if set(rows) != set(self.fields):
             raise ValueError(
                 f"round rows must cover exactly {sorted(self.fields)}, "
                 f"got {sorted(rows)}"
             )
         _np = self._np
+        width = self.n_nodes
+        if start is not None:
+            width = _np.size(rows[self.fields[0]])
+            if not start == self._filled < start + width <= self.n_nodes:
+                raise ValueError(
+                    f"a {width}-node block at node {start} does not "
+                    f"extend the round in order (written up to node "
+                    f"{self._filled} of {self.n_nodes})"
+                )
         staged = {}
         for name, row in rows.items():
             # "<i8" is the on-disk format: no copy for a contiguous
             # int64 row on a little-endian host, a byte swap elsewhere.
             arr = _np.ascontiguousarray(row, dtype="<i8")
-            if arr.shape != (self.n_nodes,):
+            if arr.shape != (width,):
                 raise ValueError(
                     f"field {name!r} row has shape {arr.shape}, "
-                    f"expected ({self.n_nodes},)"
+                    f"expected ({width},)"
                 )
             staged[name] = arr
         for name, arr in staged.items():
             # A row wider than the file object's buffer goes to the OS
             # straight from the array's memory.
             self._files[name].write(arr.data)
-        self.flush()
-        self._rounds_written += 1
+        self._filled = (start or 0) + width
+        if self._filled == self.n_nodes:
+            self._filled = 0
+            self.flush()
+            self._rounds_written += 1
 
     def flush(self) -> None:
         """Push anything the file objects still hold to the OS.
 
-        ``append_round`` ends with this, so between appends there is
-        nothing to push and the call costs one empty flush per field.
+        A round's last append ends with this, so between rounds there
+        is nothing to push and the call costs one empty flush per field.
         """
         if self._closed:
             return
@@ -238,20 +272,27 @@ class ColumnarRoundSpill:
         )
 
     def window_sum(
-        self, field_name: str, first_round: int, last_round: int
+        self,
+        field_name: Union[str, Tuple[str, ...]],
+        first_round: int,
+        last_round: int,
+        scale: Optional[float] = None,
     ):
         """Per-node sum over an inclusive round window, streamed.
 
-        Reads whole rows into one reusable block of at most
-        ``_CHUNK_BYTES`` (one row when a row alone is wider), so the
-        memory a window sum needs is set by that budget, not by the
-        node count times a round count.  Rounds beyond what was written
-        contribute zero (matching
+        ``field_name`` may also be a tuple of fields, summed together.
+        The sum is int64; with ``scale`` the result is the float64
+        vector ``sum * scale`` instead.  Either way the result is the
+        one vector of ``n_nodes`` entries the read allocates: the rows
+        are read and summed one node block at a time.
+        Rounds beyond what was written contribute zero (matching
         :class:`~repro.sim.metrics.BandwidthMeter`'s padded-series
         semantics).
         """
         self._ensure_open()
-        self._check_field(field_name)
+        names = (field_name,) if isinstance(field_name, str) else field_name
+        for name in names:
+            self._check_field(name)
         if first_round < 0:
             raise ValueError(
                 f"first_round must be non-negative, got {first_round}"
@@ -262,30 +303,20 @@ class ColumnarRoundSpill:
                 f"precedes first_round {first_round}"
             )
         _np = self._np
+        n_nodes = self.n_nodes
+        total = _np.zeros(n_nodes, "i8" if scale is None else "f8")
         last = min(last_round, self.rounds_written - 1)
-        total = _np.zeros(self.n_nodes, dtype=_np.int64)
         if last < first_round:
             return total
-        row_bytes = self.n_nodes * 8
-        chunk_rounds = min(
-            max(1, self._CHUNK_BYTES // row_bytes), last - first_round + 1
-        )
-        block = _np.empty((chunk_rounds, self.n_nodes), dtype="<i8")
-        with open(self._paths[field_name], "rb") as fh:
-            fh.seek(first_round * row_bytes)
-            rnd = first_round
-            while rnd <= last:
-                count = min(chunk_rounds, last - rnd + 1)
-                rows = block[:count]
-                if fh.readinto(rows) != count * row_bytes:
-                    raise OSError(
-                        f"short read from {self._paths[field_name]}"
-                    )
-                # Row by row: no (n_nodes,) temporary, and faster than
-                # an axis-0 reduction over a few wide rows.
-                for row in rows:
-                    total += row
-                rnd += count
+        block = max(1, self._CHUNK_BYTES // 8)
+        for lo in range(0, n_nodes, block):
+            acc = _np.zeros(min(block, n_nodes - lo), dtype=_np.int64)
+            for name in names:
+                path = self._paths[name]
+                for rnd in range(first_round, last + 1):
+                    at = (rnd * n_nodes + lo) * 8
+                    acc += _np.fromfile(path, "<i8", len(acc), offset=at)
+            total[lo : lo + len(acc)] = acc if scale is None else acc * scale
         return total
 
     def bytes_on_disk(self) -> int:
@@ -297,11 +328,14 @@ class ColumnarRoundSpill:
 
     def close(self) -> None:
         """Close the files and, when the spill owns its directory,
-        remove it."""
+        remove it (failing afterwards on an incomplete round)."""
         if self._closed:
             return
-        for fh in self._files.values():
-            fh.close()
-        self._closed = True
-        if self._owns_directory:
-            shutil.rmtree(self.directory, ignore_errors=True)
+        try:
+            self._ensure_open()
+        finally:
+            for fh in self._files.values():
+                fh.close()
+            self._closed = True
+            if self._owns_directory:
+                shutil.rmtree(self.directory, ignore_errors=True)

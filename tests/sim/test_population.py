@@ -26,6 +26,7 @@ build equals the kind-by-kind sum it replaced.
 
 import dataclasses
 import math
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -42,6 +43,7 @@ from repro.sim.population import (
     peak_rss_mb,
     wire_population,
 )
+from repro.sim.trace import NODE_BLOCK
 
 
 def _spec(**kwargs):
@@ -208,9 +210,9 @@ def _chi2_critical(dof, z=3.0902):
 @pytest.mark.parametrize("lam", [3, 6, 13, 40])
 def test_sampler_fits_the_poisson_pmf(lam):
     n = 1_200_000
-    sampler = PoissonDegreeSampler(lam, n)
+    sampler = PoissonDegreeSampler(lam)
     draws = sampler.draw(
-        np.random.default_rng(20260930 + lam), np.empty(n)
+        np.random.default_rng(20260930 + lam), np.empty(n, np.uint16)
     )
     assert draws.min() >= 0 and draws.max() < sampler.size
     assert np.array_equal(draws, np.rint(draws))
@@ -250,7 +252,7 @@ def test_sampler_fits_the_poisson_pmf(lam):
 
 @pytest.mark.parametrize("lam", [1, 3, 6, 13, 40])
 def test_alias_table_reconstructs_the_truncated_pmf(lam):
-    sampler = PoissonDegreeSampler(lam, 4)
+    sampler = PoissonDegreeSampler(lam)
     size = sampler.size
     assert sampler.prob.shape == sampler.alias.shape == (size,)
     assert ((sampler.prob >= 0.0) & (sampler.prob <= 1.0)).all()
@@ -277,7 +279,7 @@ def test_lookup_never_indexes_past_the_table(lam):
     # The largest double below 1 stays inside the last column at every
     # table size, powers of two (32, 64, 128 here) included; a caller's
     # stray 1.0 is clipped to the table rather than read past it.
-    sampler = PoissonDegreeSampler(lam, 4)
+    sampler = PoissonDegreeSampler(lam)
     size = sampler.size
     top = 1.0 - 2.0**-53
     assert int(top * size) == size - 1
@@ -285,7 +287,7 @@ def test_lookup_never_indexes_past_the_table(lam):
 
     def lookup():
         return sampler.lookup(
-            np.array([top, 0.0, edge, 1.0]), np.empty(4)
+            np.array([top, 0.0, edge, 1.0]), np.empty(4, np.uint16)
         )
 
     degrees = lookup()
@@ -299,9 +301,7 @@ def test_lookup_never_indexes_past_the_table(lam):
 
 def test_sampler_rejects_degenerate_arguments():
     with pytest.raises(ValueError, match="rate must be positive"):
-        PoissonDegreeSampler(0, 4)
-    with pytest.raises(ValueError, match="width must be at least 1"):
-        PoissonDegreeSampler(6, 0)
+        PoissonDegreeSampler(0)
 
 
 # ---------------------------------------------------------------------------
@@ -443,6 +443,119 @@ def test_spill_files_are_a_function_of_the_seed(tmp_path):
     assert files["a"] == files["b"]
     assert files["a"][0] != files["c"][0]
     assert files["a"][1] != files["c"][1]
+
+
+# ---------------------------------------------------------------------------
+# the blocked plane against the full-width build it replaced
+# ---------------------------------------------------------------------------
+
+
+def _full_width_draw(sampler, rng, n):
+    """One full-width alias draw, as float64 degrees (the old plane's)."""
+    uniforms = rng.random(n) * sampler.size
+    column = uniforms.astype(np.intp)
+    accept = (uniforms - column) < sampler.prob[column]
+    return np.where(accept, column, sampler.alias[column]).astype(
+        np.float64
+    )
+
+
+def _full_width_plane(seed, plane_size, n_honest, fanout=6):
+    """The old plane, round by round: float64 degree vectors of the
+    whole width and rows built over it.  Yields each round's
+    ``(up row, down row, {driver: 1 / realized mean})``."""
+    sampler = PoissonDegreeSampler(fanout)
+    rng = np.random.default_rng(seed)
+    for sums in _SCRIPT:
+        degrees, inv_mean = {}, {}
+        for driver in ("in", "out", "mon"):
+            draw = _full_width_draw(sampler, rng, plane_size)
+            mean = float(draw.mean())
+            if mean <= 0.0:
+                draw.fill(1.0)
+                mean = 1.0
+            degrees[driver], inv_mean[driver] = draw, 1.0 / mean
+        driver_bytes = ({}, {})
+        for kind, pair in sums.items():
+            for side, driver in enumerate(
+                _KIND_DRIVERS.get(kind, ("uniform", "uniform"))
+            ):
+                driver_bytes[side][driver] = (
+                    driver_bytes[side].get(driver, 0) + pair[side]
+                )
+        rows = []
+        for by_driver in driver_bytes:
+            acc = np.full(plane_size, by_driver.get("uniform", 0) / n_honest)
+            for driver, draw in degrees.items():
+                if by_driver.get(driver):
+                    weight = by_driver[driver] / n_honest * inv_mean[driver]
+                    acc += draw * weight
+            rows.append(np.rint(acc).astype(np.int64))
+        yield rows[0], rows[1], inv_mean
+
+
+@pytest.mark.parametrize(
+    "plane_size",
+    [1, NODE_BLOCK - 1, NODE_BLOCK, NODE_BLOCK + 1, NODE_BLOCK * 5 // 2],
+)
+def test_blocked_plane_writes_the_full_width_rows(tmp_path, plane_size):
+    n_honest = 10
+    plane = _scripted_plane(
+        tmp_path, seed=11, plane_size=plane_size, n_honest=n_honest
+    )
+    want_up, want_down = [], []
+    reference = _full_width_plane(11, plane_size, n_honest)
+    for rnd, (up, down, inv_mean) in enumerate(reference):
+        plane.end_round(rnd)
+        # The realized means are exact integer sums over the width, so
+        # they match the full-width vectors' float64 mean() exactly.
+        assert plane._inv_mean == inv_mean
+        want_up.append(up)
+        want_down.append(down)
+    plane.close()
+    for name, rows in (("up", want_up), ("down", want_down)):
+        assert (tmp_path / f"{name}.i64").read_bytes() == (
+            np.concatenate(rows).astype("<i8").tobytes()
+        )
+
+
+def test_blocked_draw_equals_one_full_width_draw():
+    sampler = PoissonDegreeSampler(6)
+    n = NODE_BLOCK * 5 // 2
+    full_rng = np.random.default_rng(99)
+    blocked_rng = np.random.default_rng(99)
+    full = _full_width_draw(sampler, full_rng, n)
+    blocked = np.empty(n, np.uint16)
+    for lo in range(0, n, NODE_BLOCK):
+        sampler.draw(blocked_rng, blocked[lo : lo + NODE_BLOCK])
+    np.testing.assert_array_equal(blocked, full)
+    # Both consumed the generator to the same point.
+    assert full_rng.random() == blocked_rng.random()
+
+
+def _end_round_peak(directory, plane_size):
+    plane = _scripted_plane(directory, plane_size=plane_size)
+    tracemalloc.start()
+    try:
+        plane.end_round(0)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+        plane.close()
+
+
+def test_end_round_working_memory_does_not_grow_with_the_plane(tmp_path):
+    # The uint16 degree vectors and the block-wide scratch are
+    # allocated with the plane; a round allocates neither a full-width
+    # temporary (even one byte per node would add 1 MiB between the two
+    # sizes) nor a float64 block.
+    peaks = []
+    for plane_size in (1 << 20, 1 << 21):
+        directory = tmp_path / str(plane_size)
+        directory.mkdir()
+        peaks.append(_end_round_peak(directory, plane_size))
+    assert peaks[1] - peaks[0] < 1 << 18, peaks
+    assert peaks[1] < NODE_BLOCK * 8, peaks
 
 
 # ---------------------------------------------------------------------------

@@ -4,12 +4,14 @@ Two contracts live here.  First, the :class:`SpilledMeter` docstring
 promises that a spilled read of the same traffic is *bit-identical* to
 an in-memory :class:`BandwidthMeter` read — integer window sums first,
 one multiply by ``8.0 / 1000.0 / duration`` — and the Hypothesis suite
-below holds it to that across random traffic, windows, directions and
-round lengths.  Second, the in-memory meter sums Python integers: when
-:meth:`BandwidthMeter.add_round_rows` pushes a node's cumulative
-volume past ``2**63 - 1`` every reader must still return the exact
-value.
+below holds it to that across random traffic, windows, directions,
+round lengths and read block widths.  Second, the in-memory meter
+sums Python integers: when :meth:`BandwidthMeter.add_round_rows`
+pushes a node's cumulative volume past ``2**63 - 1`` every reader
+must still return the exact value.
 """
+
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -63,35 +65,32 @@ def traffic_case(draw):
     last = draw(st.integers(min_value=first, max_value=n_rounds + 2))
     direction = draw(st.sampled_from(["both", "up", "down"]))
     seconds = draw(st.sampled_from([1.0, 0.5, 2.0, 0.25]))
-    return n_nodes, traffic, first, last, direction, seconds
+    # Nodes per read block: ragged last blocks and one-node blocks.
+    block = draw(st.integers(min_value=1, max_value=7))
+    return n_nodes, traffic, first, last, direction, seconds, block
 
 
 @given(traffic_case())
 @settings(max_examples=60, deadline=None)
 def test_spilled_reads_match_in_memory_meter_bitwise(case):
-    n_nodes, traffic, first, last, direction, seconds = case
+    n_nodes, traffic, first, last, direction, seconds, block = case
     spill, meter = _paired(n_nodes, len(traffic), traffic)
     try:
         spilled = SpilledMeter(spill)
         assert spilled.rounds_seen == len(traffic)
-        nodes = range(n_nodes)
         # Row i of the vector is node i, value for value (same IEEE
-        # operations as the in-memory reader).
-        vector = spilled.window_kbps_vector(seconds, first, last, direction)
-        reference = meter.all_node_kbps(nodes, seconds, first, last, direction)
+        # operations as the in-memory reader), whatever the block.
+        with mock.patch.object(
+            ColumnarRoundSpill, "_CHUNK_BYTES", block * 8
+        ):
+            vector = spilled.window_kbps_vector(
+                seconds, first, last, direction
+            )
+        reference = meter.all_node_kbps(
+            range(n_nodes), seconds, first, last, direction
+        )
+        assert vector.dtype == np.float64
         assert vector.tolist() == list(reference.values())
-        # The byte sums under it are the in-memory series' window sums.
-        snapshot = meter.snapshot()
-        sums = spilled.window_sums(first, last, direction).tolist()
-        for node in nodes:
-            expected = 0
-            if direction != "down":
-                expected += sum(snapshot["up_series"][node][first : last + 1])
-            if direction != "up":
-                expected += sum(
-                    snapshot["down_series"][node][first : last + 1]
-                )
-            assert sums[node] == expected
     finally:
         spill.close()
 
@@ -99,7 +98,7 @@ def test_spilled_reads_match_in_memory_meter_bitwise(case):
 @given(traffic_case())
 @settings(max_examples=30, deadline=None)
 def test_spilled_default_window_matches_meter(case):
-    n_nodes, traffic, _first, _last, direction, seconds = case
+    n_nodes, traffic, _first, _last, direction, seconds, _block = case
     spill, meter = _paired(n_nodes, len(traffic), traffic)
     try:
         spilled = SpilledMeter(spill)
@@ -124,13 +123,13 @@ def test_spilled_meter_validation():
         spilled = SpilledMeter(spill)
         spill.append_round({"up": [1, 2], "down": [3, 4]})
         with pytest.raises(ValueError, match="non-negative"):
-            spilled.window_sums(first_round=-1)
-        with pytest.raises(ValueError, match="inverted"):
-            spilled.window_sums(first_round=3, last_round=1)
+            spilled.window_kbps_vector(first_round=-1)
         with pytest.raises(ValueError, match="inverted"):
             spilled.window_kbps_vector(first_round=3, last_round=1)
-        with pytest.raises(ValueError, match="unknown direction"):
-            spilled.window_sums(direction="sideways")
+        # A default window starting past the last written round has no
+        # duration to divide by.
+        with pytest.raises(ValueError, match="inverted"):
+            spilled.window_kbps_vector(first_round=1)
         with pytest.raises(ValueError, match="unknown direction"):
             spilled.window_kbps_vector(direction="sideways")
     finally:
@@ -138,18 +137,15 @@ def test_spilled_meter_validation():
 
 
 def test_spilled_window_past_written_rounds_zero_pads():
-    spill = ColumnarRoundSpill(2)
+    spill, meter = _paired(2, 1, [[[5, 7], [11, 13]]])
     try:
-        spill.append_round({"up": [5, 7], "down": [11, 13]})
         spilled = SpilledMeter(spill)
-        np.testing.assert_array_equal(
-            spilled.window_sums(0, 10, "both"), np.array([16, 20])
+        # Rounds past the data add no bytes but do add duration.
+        assert spilled.window_kbps_vector(1.0, 0, 10, "both").tolist() == (
+            list(meter.all_node_kbps(range(2), 1.0, 0, 10, "both").values())
         )
-        # Fully-past window: sums are zero, rates are zero over the
-        # requested duration (not an error — the window is valid).
-        np.testing.assert_array_equal(
-            spilled.window_sums(5, 9, "both"), np.zeros(2, np.int64)
-        )
+        # Fully-past window: rates are zero over the requested duration
+        # (not an error — the window is valid).
         vector = spilled.window_kbps_vector(1.0, 5, 9, "both")
         assert vector.tolist() == [0.0, 0.0]
     finally:

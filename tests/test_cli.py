@@ -146,6 +146,41 @@ class TestCommands:
         with pytest.raises(KeyError, match="unknown scenario"):
             main(["run", "--scenario", "fig99"])
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (
+                "--scenario fig9 --rounds 2",
+                r"^error: warmup \(4\) must leave measurable rounds",
+            ),
+            (
+                "--scenario fig9-1m --population 20000 --nodes 12 --rounds 4",
+                r"^error: warmup \(4\) must leave measurable rounds",
+            ),
+            (
+                "--scenario fig9-1m --population 10 --nodes 12",
+                r"^error: population \(10\) must exceed",
+            ),
+        ],
+        ids=["fig9-rounds", "fig9-1m-rounds", "fig9-1m-population"],
+    )
+    def test_run_rejected_override_is_a_one_line_error(
+        self, argv, message
+    ):
+        with pytest.raises(SystemExit, match=message) as exc:
+            main(["run", *argv.split()])
+        assert "\n" not in str(exc.value.code)
+
+    def test_run_value_error_during_the_run_propagates(self, monkeypatch):
+        from repro.scenarios.spec import ScenarioSpec
+
+        def fail(self, *args, **kwargs):
+            raise ValueError("raised mid-run")
+
+        monkeypatch.setattr(ScenarioSpec, "run", fail)
+        with pytest.raises(ValueError, match="raised mid-run"):
+            main(["run", "--scenario", "fig9", "--rounds", "6"])
+
     def test_run_population_scenario(self, capsys, tmp_path):
         json_path = tmp_path / "pop.json"
         code = main(
