@@ -15,15 +15,18 @@ fields exist for exactly this purpose.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass, field, fields
 from operator import attrgetter
-from typing import ClassVar, Optional, Tuple, Type, TypeVar
+from typing import Any, ClassVar, Dict, Optional, Tuple, Type, TypeVar
 
 from repro.gossip.updates import Update
 from repro.sim.message import Message, WireSizes
 
 __all__ = [
     "ServeEntry",
+    "serve_entry",
+    "forget_expired_entries",
     "ack_payload",
     "attestation_payload",
     "SignedAck",
@@ -122,6 +125,37 @@ class ServeEntry:
         if self.has_payload:
             body += self.update.payload_bytes
         return body
+
+
+#: expiry round -> update's five fields -> (its Update, {count << 2 | flags:
+#: ServeEntry}); per process, as the wire decoder has no session.
+_INTERNED: Dict[int, Dict[tuple, Any]] = defaultdict(dict)
+
+
+def serve_entry(
+    update_key: tuple, count: int, flags: int, update: Optional[Update] = None
+) -> ServeEntry:
+    """The one entry per process of the update ``update_key`` (``uid,
+    round_created, expiry_round, payload_bytes, session``), ``count`` and
+    ``flags`` (1 has_payload, 2 ack_only, as on the wire); ``update`` is
+    used if none of its value is interned yet."""
+    values = _INTERNED[update_key[2]]
+    interned = values.get(update_key)
+    if interned is None:
+        interned = values[update_key] = (update or Update(*update_key), {})
+    code = count << 2 | flags
+    entry = interned[1].get(code)
+    if entry is None:
+        entry = interned[1][code] = ServeEntry(
+            interned[0], count, flags & 1 == 1, flags & 2 == 2
+        )
+    return entry
+
+
+def forget_expired_entries(round_no: int) -> None:
+    """Release the interned values of updates expired by ``round_no``."""
+    for expiry in [r for r in _INTERNED if r < round_no]:
+        del _INTERNED[expiry]
 
 
 def ack_payload(

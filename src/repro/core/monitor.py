@@ -88,7 +88,7 @@ MONITOR_COUNTER_KEYS: Tuple[str, ...] = (
 )
 
 
-@dataclass
+@dataclass(slots=True)
 class _ReceiverRecord:
     """Message 6/7 bookkeeping for one (monitored, predecessor, round)."""
 
@@ -384,7 +384,10 @@ class MonitorEngine:
         self, monitored: int, predecessor: int, round_no: int
     ) -> _ReceiverRecord:
         key = (monitored, predecessor, round_no)
-        return self._receiver_records.setdefault(key, _ReceiverRecord())
+        record = self._receiver_records.get(key)
+        if record is None:
+            record = self._receiver_records[key] = _ReceiverRecord()
+        return record
 
     def _maybe_process_pair(
         self, monitored: int, predecessor: int, round_no: int

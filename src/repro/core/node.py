@@ -48,6 +48,8 @@ from repro.core.messages import (
     SignedAttestation,
     ack_payload,
     attestation_payload,
+    forget_expired_entries,
+    serve_entry,
 )
 from repro.core.monitor import MonitorEngine
 from repro.core.state import (
@@ -182,8 +184,13 @@ class PagNode(SimNode):
         self.store.drop_expired(round_no)
         horizon = round_no - self.context.config.playout_delay_rounds - 4
         self.state.prune_before(horizon)
+        # Kept: this round's forward set and the one it served from (a
+        # KeyResponse held to the barrier is served from it next round).
+        for rnd in [r for r in self.state.forward_sets if r < round_no - 1]:
+            del self.state.forward_sets[rnd]
         self.context.views.prune_rounds_before(horizon)
         self.context.hasher.forget_links()
+        forget_expired_entries(round_no)
         _pending_descs.clear()
         for rnd in [r for r in self._designations if r < horizon]:
             del self._designations[rnd]
@@ -218,9 +225,13 @@ class PagNode(SimNode):
             for update, count in forward_set.items():
                 expiring = update.expires_next_round(round_no)
                 contents.append(update.content)
-                fresh = ServeEntry(update, count, True, expiring)
-                owned = ServeEntry(
-                    update, count, False, expiring or owned_ack_only
+                fields = (
+                    update.uid, update.round_created, update.expiry_round,
+                    update.payload_bytes, update.session,
+                )
+                fresh = serve_entry(fields, count, 1 | expiring << 1, update)
+                owned = serve_entry(
+                    fields, count, (expiring or owned_ack_only) << 1, update
                 )
                 rows.append((entry_power(hasher, update, count), fresh, owned))
             plan = forward_set.plan = ServePlan(contents, rows)

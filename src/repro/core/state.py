@@ -18,7 +18,7 @@ from repro.gossip.updates import Update
 __all__ = ["OutgoingExchange", "ServePlan", "ForwardSet", "PagNodeState"]
 
 
-@dataclass
+@dataclass(slots=True)
 class OutgoingExchange:
     """Server-side record of one serve to one successor."""
 
@@ -51,7 +51,7 @@ class ServePlan(NamedTuple):
     rows: List[Tuple[int, ServeEntry, ServeEntry]]
 
 
-@dataclass
+@dataclass(slots=True)
 class ForwardSet:
     """Updates a node must forward next round, with multiplicities.
 
@@ -153,7 +153,10 @@ class PagNodeState:
         return self._key_products[round_no] // own, len(primes) - 1
 
     def forward_set(self, round_no: int) -> ForwardSet:
-        return self.forward_sets.setdefault(round_no, ForwardSet())
+        forward_set = self.forward_sets.get(round_no)
+        if forward_set is None:
+            forward_set = self.forward_sets[round_no] = ForwardSet()
+        return forward_set
 
     def prune_before(self, round_no: int) -> None:
         """Drop state older than ``round_no`` (bounded memory)."""

@@ -86,21 +86,15 @@ class Update:
 class UpdateStore:
     """Per-node store of received updates.
 
-    Tracks what the node owns (for buffermaps and duplicate avoidance),
-    when each update arrived (for streaming quality metrics) and how
-    many times it was received in the previous round (the multiplicity
-    counters of section V-D, "Multiple receptions").
+    Tracks what the node owns (for buffermaps and duplicate avoidance)
+    and when each update arrived (for streaming quality metrics).
     """
 
     _updates: Dict[int, Update] = field(default_factory=dict)
     _arrival_round: Dict[int, int] = field(default_factory=dict)
-    _receipt_counts: Dict[int, int] = field(default_factory=dict)
 
     def add(self, update: Update, round_no: int) -> bool:
         """Record a reception; returns True if the update is new."""
-        self._receipt_counts[update.uid] = (
-            self._receipt_counts.get(update.uid, 0) + 1
-        )
         if update.uid in self._updates:
             return False
         self._updates[update.uid] = update
@@ -118,10 +112,6 @@ class UpdateStore:
 
     def arrival_round(self, uid: int) -> Optional[int]:
         return self._arrival_round.get(uid)
-
-    def receipt_count(self, uid: int) -> int:
-        """How many copies of ``uid`` arrived in total."""
-        return self._receipt_counts.get(uid, 0)
 
     def uids(self) -> Set[int]:
         return set(self._updates)

@@ -88,8 +88,8 @@ from repro.core.messages import (
     ServeEntry,
     SignedAck,
     SignedAttestation,
+    serve_entry,
 )
-from repro.gossip.updates import Update
 
 __all__ = [
     "WIRE_VERSION",
@@ -586,12 +586,7 @@ def _get_entries(r: _Reader) -> Tuple[ServeEntry, ...]:
         if flags > 3:
             raise WireValidationError(f"unknown serve entry flags {flags:#x}")
         entries.append(
-            ServeEntry(
-                Update(uid, created, expiry, size, session),
-                copies,
-                flags & 1 == 1,
-                flags & 2 == 2,
-            )
+            serve_entry((uid, created, expiry, size, session), copies, flags)
         )
     r.pos = pos
     return tuple(entries)

@@ -241,6 +241,12 @@ class ScenarioSpec:
             )
         if self.nodes < 2:
             raise ValueError("a scenario needs a source and a consumer")
+        fanout, monitors = self._resolved_fanout()
+        for name, size in (("fanout", fanout), ("monitor set size", monitors)):
+            if not 1 <= size < self.nodes:
+                raise ValueError(
+                    f"{name} {size} invalid for {self.nodes} nodes"
+                )
         if self.rounds < 1:
             raise ValueError("a scenario must run at least one round")
         if not 0 <= self.warmup_rounds < self.rounds:
@@ -450,19 +456,22 @@ class ScenarioSpec:
                 (step.from_round, step.rate_kbps)
                 for step in self.rate_schedule
             )
-        if self.fanout is not None:
-            overrides["fanout"] = self.fanout
-        elif self.population > 0:
-            # The cohort samples a population-sized deployment: its
-            # membership views use the *population's* size-dependent
-            # fanout (~log10 N of a million, not of the cohort).
-            from repro.membership.views import default_fanout
-
-            overrides["fanout"] = default_fanout(self.population)
+        overrides["fanout"] = self._resolved_fanout()[0]
         if self.monitors_per_node is not None:
             overrides["monitors_per_node"] = self.monitors_per_node
         overrides.update(config_overrides)
         return PagConfig.for_system_size(self.nodes, **overrides)
+
+    def _resolved_fanout(self) -> Tuple[int, int]:
+        """``(fanout, monitor-set size)``: unset, the size-dependent default
+        of the population sampled, else of the cohort; monitors mirror it."""
+        from repro.membership.views import default_fanout
+
+        fanout = self.fanout
+        if fanout is None:
+            fanout = default_fanout(self.population or self.nodes)
+        monitors = self.monitors_per_node
+        return fanout, fanout if monitors is None else monitors
 
     def deviant_nodes(self) -> Dict[int, str]:
         """Node id -> strategy name, placed evenly over the consumers.
@@ -550,19 +559,9 @@ class ScenarioSpec:
     def _build_acting(
         self, execution_policy: Optional[ExecutionPolicy]
     ) -> Any:
-        import math
-
         from repro.baselines.acting import ActingConfig, ActingSession
 
-        # Mirror ActingSession.create's size-dependent defaults, then
-        # apply the spec's explicit choices field by field.
-        default = max(3, round(math.log10(self.nodes)))
-        fanout = self.fanout if self.fanout is not None else default
-        monitors = (
-            self.monitors_per_node
-            if self.monitors_per_node is not None
-            else fanout
-        )
+        fanout, monitors = self._resolved_fanout()
         config = ActingConfig(
             fanout=fanout,
             monitors_per_node=monitors,
@@ -592,17 +591,12 @@ class ScenarioSpec:
         """
         if self.population <= 0:
             return dataclasses.replace(self, policy=None)
-        fanout = self.fanout
-        if fanout is None:
-            from repro.membership.views import default_fanout
-
-            fanout = default_fanout(self.population)
         return dataclasses.replace(
             self,
             policy=None,
             population=0,
             population_spill_dir=None,
-            fanout=fanout,
+            fanout=self._resolved_fanout()[0],
         )
 
     def _bind_policy(

@@ -1,13 +1,33 @@
 """Tests for the AcTinG baseline."""
 
+from collections import Counter
+
 import pytest
 
-from repro.baselines.acting import ActingConfig, ActingSession
+from repro.baselines.acting import ActingConfig, ActingServe, ActingSession
+
+
+class _Receptions:
+    """Counts every copy of an update delivered to a node."""
+
+    def __init__(self) -> None:
+        self.copies: Counter = Counter()
+
+    def observe(self, message, size):
+        if type(message) is ActingServe:
+            for update in message.updates:
+                self.copies[message.recipient, update.uid] += 1
 
 
 @pytest.fixture(scope="module")
-def honest_session():
+def receptions():
+    return _Receptions()
+
+
+@pytest.fixture(scope="module")
+def honest_session(receptions):
     s = ActingSession.create(30)
+    s.simulator.network.add_tap(receptions)
     s.run(15)
     return s
 
@@ -36,12 +56,14 @@ class TestHonestActing:
         mean_down = honest_session.mean_bandwidth_kbps(5, "down")
         assert 300 < mean_down < 700
 
-    def test_no_duplicate_payload_across_rounds(self, honest_session):
+    def test_no_duplicate_payload_across_rounds(
+        self, honest_session, receptions
+    ):
         """The request negotiation prevents cross-round duplicates; only
         same-round simultaneous proposals cause extra copies."""
         for node in list(honest_session.nodes.values())[:5]:
             for uid in list(node.store._arrival_round)[:50]:
-                assert node.store.receipt_count(uid) <= 4
+                assert receptions.copies[node.node_id, uid] <= 4
 
     def test_logs_grow_and_chain_verifies(self, honest_session):
         from repro.baselines.securelog import verify_segment

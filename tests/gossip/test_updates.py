@@ -63,7 +63,6 @@ class TestUpdateStore:
         assert store.add(u, round_no=0) is True
         assert store.add(u, round_no=1) is False
         assert len(store) == 1
-        assert store.receipt_count(1) == 2
         assert store.arrival_round(1) == 0
 
     def test_received_in_round(self):

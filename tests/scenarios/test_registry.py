@@ -69,6 +69,10 @@ def test_spec_validation():
         )
     with pytest.raises(ValueError, match="unknown adversary strategy"):
         AdversaryGroup(strategy="ddos")
+    with pytest.raises(ValueError, match="^monitor set size 5 invalid"):
+        ScenarioSpec(name="x", nodes=5, fanout=2, monitors_per_node=5)
+    with pytest.raises(ValueError, match="^fanout 0 invalid for 30 nodes"):
+        ScenarioSpec(name="x", fanout=0)
 
 
 def test_deviant_placement_is_deterministic_and_disjoint():

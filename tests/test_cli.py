@@ -161,8 +161,19 @@ class TestCommands:
                 "--scenario fig9-1m --population 10 --nodes 12",
                 r"^error: population \(10\) must exceed",
             ),
+            (
+                "--scenario fig9 --nodes 3 --rounds 6",
+                r"^error: fanout 3 invalid for 3 nodes$",
+            ),
+            (
+                "--scenario table1 --nodes 2",
+                r"^error: fanout 3 invalid for 2 nodes$",
+            ),
         ],
-        ids=["fig9-rounds", "fig9-1m-rounds", "fig9-1m-population"],
+        ids=[
+            "fig9-rounds", "fig9-1m-rounds", "fig9-1m-population",
+            "fig9-fanout", "table1-fanout",
+        ],
     )
     def test_run_rejected_override_is_a_one_line_error(
         self, argv, message
