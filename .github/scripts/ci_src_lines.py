@@ -8,9 +8,11 @@ modules of ``src/repro``.  A line is a newline-terminated line as
 ``wc -l`` counts it, blank lines and comments included, so the totals
 match ``find src/repro -name '*.py' | xargs cat | wc -l``.
 
-The figures are recorded, not judged: the step gates nothing.  It reads
-only files, so ``python .github/scripts/ci_src_lines.py <checkout>``
-counts another checkout.
+One figure is judged: the script exits 1 when ``src/repro`` holds more
+than ``SRC_CEILING`` lines, so a change that grows ``src/`` raises the
+constant in its own diff, where review sees it.  It reads only files,
+so ``python .github/scripts/ci_src_lines.py <checkout>`` counts another
+checkout (against this file's ceiling).
 
 Usage: python .github/scripts/ci_src_lines.py [ROOT]
 """
@@ -21,6 +23,10 @@ import sys
 from collections import Counter
 from pathlib import Path
 from typing import Dict
+
+#: Most lines ``src/repro`` may hold; raise it in the change that
+#: grows the tree.
+SRC_CEILING = 22_962
 
 
 def count_lines(path: Path) -> int:
@@ -44,8 +50,10 @@ def per_package(lines: Dict[Path, int]) -> Counter:
     return packages
 
 
-def report(root: Path) -> None:
+def report(root: Path) -> int:
+    """Print the per-package tables; return the ``src/repro`` total."""
     trees = (("src", root / "src" / "repro"), ("tests", root / "tests"))
+    src_total = 0
     for label, tree in trees:
         lines = module_lines(tree)
         total = sum(lines.values())
@@ -53,11 +61,19 @@ def report(root: Path) -> None:
         for package, count in sorted(per_package(lines).items()):
             print(f"  {package:<28} {count:>7,}")
         if label == "src":
+            src_total = total
             print("  ten largest modules:")
             largest = sorted(lines.items(), key=lambda item: -item[1])[:10]
             for relative, count in largest:
                 print(f"    {str(relative):<34} {count:>7,}")
+    return src_total
 
 
 if __name__ == "__main__":
-    report(Path(sys.argv[1] if len(sys.argv) > 1 else ".").resolve())
+    total = report(Path(sys.argv[1] if len(sys.argv) > 1 else ".").resolve())
+    if total > SRC_CEILING:
+        sys.exit(
+            f"src/repro holds {total:,} lines, over SRC_CEILING "
+            f"({SRC_CEILING:,}): raise the ceiling in the change that "
+            "grows it"
+        )

@@ -65,9 +65,8 @@ def run_scenario(
     Args:
         scenario: registry name (``"fig7"``) or a ``ScenarioSpec``.
         policy: execution policy — ``None`` (the spec's own knob, else
-            serial), a policy name (``"serial"``, ``"parallel"``,
-            ``"daemon"``), or a ready
-            :class:`~repro.sim.execution.ExecutionPolicy` instance.
+            serial), a policy name (``"serial"``, ``"parallel"``), or a
+            ready :class:`~repro.sim.execution.ExecutionPolicy` instance.
         workers: process count when ``policy`` names ``"parallel"``
             (default: the spec's ``workers``).
         **overrides: any ``ScenarioSpec`` field (``nodes``, ``rounds``,
@@ -140,9 +139,9 @@ def serve(
         SupervisorError,
     )
 
-    spec = _resolve(scenario, overrides)
-    if spec.policy not in (None, "serial", "daemon"):
-        spec = dataclasses.replace(spec, policy=None)
+    # The supervisor runs the serial schedule; a spec's own knob (e.g.
+    # fig9-parallel) is dropped.
+    spec = dataclasses.replace(_resolve(scenario, overrides), policy=None)
 
     async def _serve() -> ScenarioResult:
         supervisor = SessionSupervisor(

@@ -60,10 +60,9 @@ def _add_policy_flags(parser: argparse.ArgumentParser) -> None:
         choices=POLICY_NAMES,
         default=None,
         help=(
-            "where nodes execute (see repro.sim.execution); all are "
+            "where nodes execute (see repro.sim.execution); both are "
             "bit-identical: 'parallel' runs one worker process per "
-            "shard, 'daemon' round-trips every message through the v1 "
-            "wire codec. Default: the scenario's own policy knob, else "
+            "shard. Default: the scenario's own policy knob, else "
             "serial."
         ),
     )
@@ -340,15 +339,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--nodes", type=int, default=None)
     serve.add_argument("--rounds", type=int, default=None)
     serve.add_argument(
-        "--policy",
-        choices=("serial", "daemon"),
-        default=None,
-        help=(
-            "serial-schedule execution policy for the supervised run "
-            "(default serial; worker-replica policies are rejected)"
-        ),
-    )
-    serve.add_argument(
         "--round-delay",
         type=float,
         default=0.0,
@@ -450,10 +440,16 @@ def _cmd_run(args) -> int:
     nodes = args.nodes if args.nodes is not None else 30
     rounds = args.rounds if args.rounds is not None else 15
     rate = args.rate if args.rate is not None else 300.0
-    config = PagConfig.for_system_size(nodes, stream_rate_kbps=rate)
-    session = PagSession.create(
-        nodes, config=config, execution_policy=_policy_from(args)
-    )
+    policy = _policy_from(args)
+    if rounds < 1:
+        raise SystemExit(f"error: --rounds must be at least 1, got {rounds}")
+    try:
+        config = PagConfig.for_system_size(nodes, stream_rate_kbps=rate)
+        session = PagSession.create(
+            nodes, config=config, execution_policy=policy
+        )
+    except ValueError as exc:
+        raise SystemExit(f"error: {exc}") from None
     session.run(rounds)
     mean = session.mean_bandwidth_kbps(
         warmup_rounds=min(4, rounds - 1), direction="down"
@@ -536,6 +532,7 @@ def _cmd_daemon(args) -> int:
 
 def _cmd_session(args) -> int:
     import asyncio
+    import dataclasses
     import json
 
     from repro.net.daemon import (
@@ -543,12 +540,10 @@ def _cmd_session(args) -> int:
         run_coordinated_session,
         validate_daemon_spec,
     )
-    from repro.scenarios import get_scenario
+    from repro.scenarios.figures import scenario_or_exit
 
-    import dataclasses
-
-    spec = get_scenario(args.scenario).with_overrides(
-        nodes=args.nodes, rounds=args.rounds
+    spec = scenario_or_exit(
+        args.scenario, nodes=args.nodes, rounds=args.rounds
     )
     # The daemon runtime *is* the execution policy; strip the spec's
     # own knob so --verify-serial compares against the serial baseline.
@@ -690,16 +685,15 @@ def _cmd_serve(args) -> int:
     import asyncio
     import dataclasses
 
-    from repro.scenarios import get_scenario
+    from repro.scenarios.figures import scenario_or_exit
     from repro.service import ServiceServer, SessionSupervisor
 
-    spec = get_scenario(
+    spec = scenario_or_exit(
         args.scenario, nodes=args.nodes, rounds=args.rounds
     )
-    # The supervisor needs a serial-schedule policy; the spec's own
-    # knob (e.g. fig9-parallel) is replaced by the --policy choice.
-    policy = args.policy if args.policy == "daemon" else None
-    spec = dataclasses.replace(spec, policy=policy)
+    # The supervisor runs the serial schedule; the spec's own knob
+    # (e.g. fig9-parallel) is dropped.
+    spec = dataclasses.replace(spec, policy=None)
 
     async def serve() -> int:
         supervisor = SessionSupervisor(

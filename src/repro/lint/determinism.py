@@ -1,9 +1,9 @@
 """AST determinism analyzer (DET1xx rules).
 
 Everything the differential suite promises — bit-identical verdicts
-across serial/sharded/parallel/daemon policies, replayable fuzz
-campaigns — rests on one invariant: *no simulation code consumes
-ambient entropy*.  Randomness flows only through seeded
+across the serial and parallel policies and the daemon fleet,
+replayable fuzz campaigns — rests on one invariant: *no simulation
+code consumes ambient entropy*.  Randomness flows only through seeded
 ``random.Random`` instances derived from :mod:`repro.sim.rng`; time
 never feeds protocol state; container iteration that lands in ordered
 sinks (trace rows, meter records, verdict lists, wire encoders) is

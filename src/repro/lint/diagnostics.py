@@ -62,8 +62,8 @@ RULES: Dict[str, str] = {
         "verdict stores, counters live in the parent)"
     ),
     "PAR302": (
-        "replica-worker scope writes module-global state shared with "
-        "the parent process"
+        "replica-worker scope writes module-global state (the worker's "
+        "own copy, lost to the parent)"
     ),
     "PRG901": "allow pragma is missing its mandatory justification",
     "PRG902": "allow pragma suppresses nothing (remove it)",

@@ -6,9 +6,8 @@ The bug shape behind every past parity regression: code that runs
 out and mutating *parent-session* state — the authoritative meter,
 verdict stores, or crypto counters that only the coordinator may
 touch.  In a worker process such a write is silently lost (the
-replica's copy diverges); with in-process ``serialized`` replicas it
-lands twice (once in the replica capture, once directly), and either
-way serial and parallel runs stop being bit-identical.
+replica's copy diverges), and serial and parallel runs stop being
+bit-identical.
 
 Scopes are replica-side when they match a built-in pattern
 (``_ReplicaWorker``, module functions starting with ``_process_``,
@@ -25,10 +24,10 @@ Inside a replica scope the analyzer flags:
   ``coordinator``, ...).  Replica code has no business holding such a
   reference mutably: the merge happens in the parent, after collect.
 * PAR302 — writes to module-global state (``global X`` rebinding, or
-  mutator calls on module-level ``_UNDERSCORE``/``UPPER`` names).
-  In-process ``serialized`` replicas share the interpreter with the
-  parent, so a module global is exactly the channel through which
-  replica state can leak into the authoritative session.
+  mutator calls on module-level ``_UNDERSCORE``/``UPPER`` names).  A
+  module global written inside a worker is the worker's own copy: the
+  parent never sees the write, so state kept there is lost to the
+  authoritative session.
 
 No replica scope in ``src/`` writes a global today (a process worker's
 replica is a local of its request loop, ``_process_loop``); one that
@@ -187,9 +186,8 @@ class _ScopeChecker(ast.NodeVisitor):
                 node,
                 "PAR302",
                 f"replica scope {self.scope_name!r} rebinds module "
-                f"global {name!r}; shared module state leaks across "
-                "the parent/replica boundary when replicas run "
-                "in-process",
+                f"global {name!r}; a global written in a worker is "
+                "lost to the parent",
             )
         self.generic_visit(node)
 

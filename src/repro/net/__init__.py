@@ -9,10 +9,10 @@ UNIX-socket and in-memory loopback implementations
 hosting a shard of a session's nodes behind a join handshake
 (:mod:`repro.net.daemon`).
 
-The in-process ``DaemonPolicy`` (:mod:`repro.sim.execution`) drives
-every delivered message through this codec and is held bit-identical
-to ``SerialPolicy`` by the differential suite; the multi-process
-daemon path is held to verdict parity.
+The daemon fleet is held to the serial simulator's verdicts by
+``tests/net``; the codec itself is held to the identity on every send
+of every registry scenario by a tap on the serial run
+(``tests/differential``).
 """
 
 from __future__ import annotations

@@ -1206,8 +1206,7 @@ def encodable(message: object) -> bool:
     """Does this message type have a wire schema?
 
     Baseline protocols (the AcTinG comparator, the push baseline)
-    define their own message types outside the PAG wire catalogue; the
-    loopback policy passes those through unencoded.
+    define their own message types outside the PAG wire catalogue.
     """
     return type(message) in _BY_CLASS
 

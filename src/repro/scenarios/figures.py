@@ -20,6 +20,7 @@ import inspect
 from typing import Callable, Dict, Optional
 
 from repro.scenarios.registry import get_scenario
+from repro.scenarios.spec import ScenarioSpec
 from repro.sim.execution import ExecutionPolicy
 
 __all__ = [
@@ -33,6 +34,7 @@ __all__ = [
     "render_table1",
     "render_table2",
     "render_scenario_run",
+    "scenario_or_exit",
 ]
 
 #: Scenario name -> paper renderer.  A renderer declares the override
@@ -187,6 +189,15 @@ def render_detect(
     return 0 if convicted == {deviant} else 1
 
 
+def scenario_or_exit(name: str, **overrides) -> ScenarioSpec:
+    """``get_scenario(name, **overrides)``; an override the spec rejects
+    ends the command with a one-line ``error: ...`` (exit status 1)."""
+    try:
+        return get_scenario(name, **overrides)
+    except ValueError as exc:
+        raise SystemExit(f"error: {exc}") from None
+
+
 def render_scenario_run(
     name: str,
     nodes: Optional[int] = None,
@@ -244,16 +255,13 @@ def render_scenario_run(
             "with these flags (it is a paper-renderer override)"
         )
 
-    try:
-        spec = get_scenario(
-            name,
-            nodes=nodes,
-            rounds=rounds,
-            stream_rate_kbps=rate,
-            population=population,
-        )
-    except ValueError as exc:
-        raise SystemExit(f"error: {exc}") from None
+    spec = scenario_or_exit(
+        name,
+        nodes=nodes,
+        rounds=rounds,
+        stream_rate_kbps=rate,
+        population=population,
+    )
     start = time.perf_counter()
     result = spec.run(execution_policy)
     wall = time.perf_counter() - start

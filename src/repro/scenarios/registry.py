@@ -7,8 +7,8 @@ once.  Registering a new scenario
 (``register_scenario(ScenarioSpec(name="my-workload", ...))``)
 immediately makes it runnable from the CLI and the benchmarks.
 
-Specs carry an execution ``policy`` knob (serial / parallel / daemon —
-all bit-identical; see :mod:`repro.sim.execution`), so a scenario can
+Specs carry an execution ``policy`` knob (serial / parallel, which are
+bit-identical; see :mod:`repro.sim.execution`), so a scenario can
 declare that it defaults to worker processes; ``repro run --policy``
 and an explicit policy passed to ``run_scenario`` both override it.
 """

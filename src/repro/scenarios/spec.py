@@ -180,9 +180,8 @@ class ScenarioSpec:
             the identical fault schedule (PAG protocol only).
         detection_enabled: run the monitoring state machine.
         seed: root seed for all session randomness.
-        policy: default execution policy name (``"serial"``,
-            ``"parallel"`` — one worker process per shard — or
-            ``"daemon"``, the loopback wire-codec path); None lets the
+        policy: default execution policy name (``"serial"`` or
+            ``"parallel"``, one worker process per shard); None lets the
             engine default (serial) apply.  An explicit policy passed
             to :meth:`run` always wins.  All policies are bit-identical
             — this knob selects where nodes execute, never a different
@@ -249,6 +248,10 @@ class ScenarioSpec:
                 )
         if self.rounds < 1:
             raise ValueError("a scenario must run at least one round")
+        if self.stream_rate_kbps <= 0:
+            raise ValueError(
+                f"stream rate must be positive, got {self.stream_rate_kbps}"
+            )
         if not 0 <= self.warmup_rounds < self.rounds:
             raise ValueError(
                 f"warmup ({self.warmup_rounds}) must leave measurable "

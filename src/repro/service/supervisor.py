@@ -51,13 +51,6 @@ CONTROL_OPS: Tuple[str, ...] = (
     "pause", "resume", "churn", "admit", "strategy", "snapshot", "drain",
 )
 
-#: Execution policies whose node schedule runs in this process.  The
-#: supervisor rejects worker-replica policies (sharded/parallel/
-#: population): their node lifecycles live in worker processes, so
-#: boundary ops and live hooks cannot reach them.
-_SERIAL_SCHEDULE_POLICIES = (None, "serial", "daemon")
-
-
 class SupervisorError(Exception):
     """Unsupported spec or an operation in the wrong lifecycle state."""
 
@@ -100,8 +93,8 @@ class SessionSupervisor:
     """Owns one supervised scenario run.
 
     Args:
-        spec: the scenario to run.  Must use a serial-schedule
-            execution policy (serial or the loopback daemon policy).
+        spec: the scenario to run, on the serial policy (the spec's
+            ``policy`` must be None or ``"serial"``).
         schedule: scripted operator ops (each needs ``after_round``);
             the determinism oracle replays a live operator session
             through this.
@@ -120,11 +113,11 @@ class SessionSupervisor:
         round_delay: float = 0.0,
         manual_membership: bool = False,
     ) -> None:
-        if spec.policy not in _SERIAL_SCHEDULE_POLICIES:
+        if spec.policy == "parallel":
             raise SupervisorError(
-                f"the service supervisor needs a serial-schedule "
-                f"execution policy, not {spec.policy!r}; worker-replica "
-                "policies run node lifecycles out of process"
+                "the service supervisor needs a serial-schedule "
+                "execution policy, not 'parallel'; worker processes run "
+                "node lifecycles out of reach of boundary ops and hooks"
             )
         if spec.population:
             raise SupervisorError(
@@ -160,7 +153,6 @@ class SessionSupervisor:
         self.tap: Optional[SessionTap] = None
         self.result: Optional["ScenarioResult"] = None
         self.error: Optional[str] = None
-        self._policy = None
         self._schedule: Dict[int, List[ControlOp]] = {}
         for op in schedule:
             boundary = op.after_round + 1  # type: ignore[operator]
@@ -190,14 +182,13 @@ class SessionSupervisor:
         """Build the session and enter ``running`` (idempotent)."""
         if self.state != "init":
             return
-        self._policy = self.spec.make_policy()
         self.session = self._build_session()
         self.tap = SessionTap(self.session, self.bus)
         self.tap.attach()
         self._set_state("running")
 
     def _build_session(self) -> object:
-        session = self.spec.build(self._policy)
+        session = self.spec.build()
         if self.manual_membership:
             simulator = session.simulator
             simulator.round_hooks = [
@@ -244,9 +235,6 @@ class SessionSupervisor:
             if self.state not in ("stopped", "failed"):
                 self.error = self.error or "run aborted"
                 self._set_state("failed")
-            if self._policy is not None:
-                self._policy.close()
-                self._policy = None
 
     def stop(self) -> None:
         """Request a clean drain at the next round boundary."""
@@ -265,8 +253,6 @@ class SessionSupervisor:
 
         if self.tap is not None:
             self.tap.detach()
-        if self._policy is not None:
-            self._policy.sync_session(self.session)
         spec = self.spec
         if self.rounds_completed < spec.rounds:
             # Drained early: the declared steady-state window may not

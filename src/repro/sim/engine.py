@@ -11,8 +11,8 @@ barrier: automatic cyclic collection is held off for the round and the
 collection it deferred runs as the round ends
 (:func:`repro.sim.collection.round_epoch`), of the generation the
 interpreter chooses.  That covers every placement driven through
-:meth:`Simulator.run_round`: serial, the parallel parent,
-:class:`~repro.sim.execution.DaemonPolicy` and population planes.
+:meth:`Simulator.run_round`: serial, the parallel parent and
+population planes.
 """
 
 from __future__ import annotations

@@ -32,11 +32,13 @@ differential suite holds them to it):
   merges.  An exception a replica raises reaches the parent with its
   type and remote traceback, or, when it does not pickle, as a
   ``RuntimeError`` naming its type.
-* :class:`DaemonPolicy` is the serial schedule with every message
-  round-tripped through the v1 wire codec (loopback, no sockets).
 
-The third placement, a fleet of ``repro daemon`` processes, is not a
-policy: it lives in :mod:`repro.net.daemon`.
+The third placement, a fleet of ``repro daemon`` processes exchanging
+v1 wire frames, is not a policy: it lives in :mod:`repro.net.daemon`.
+A message therefore reaches its recipient either as the sender's own
+object (serially, or inside one worker's shard) or as a copy that
+crossed a real process boundary (a pickled cross-shard payload, a
+decoded wire frame).
 """
 
 from __future__ import annotations
@@ -73,13 +75,12 @@ __all__ = [
     "SerialPolicy",
     "ParallelShardedPolicy",
     "ParallelStats",
-    "DaemonPolicy",
     "make_policy",
 ]
 
 #: Every name :func:`make_policy`, ``ScenarioSpec.policy`` and ``repro
 #: run --policy`` accept.
-POLICY_NAMES = ("serial", "parallel", "daemon")
+POLICY_NAMES = ("serial", "parallel")
 
 #: ``nodes_get(node_id)`` -> the node instance, or None after churn.
 NodeLookup = Callable[[int], Optional["SimNode"]]
@@ -93,11 +94,9 @@ class ExecutionPolicy:
     may execute the round fan-out themselves (returning True), and
     membership changes are announced through :meth:`notify_add` /
     :meth:`notify_remove`.  The defaults decline ownership and ignore
-    membership, which keeps :class:`SerialPolicy` and
-    :class:`DaemonPolicy` on the engine's own inline loops.
+    membership, which keeps :class:`SerialPolicy` on the engine's own
+    inline loops.
     """
-
-    name: str = "abstract"
 
     def deliver(
         self,
@@ -149,9 +148,6 @@ class ExecutionPolicy:
         """Release any execution resources (worker processes); the
         policy may be reused afterwards."""
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<{type(self).__name__} name={self.name!r}>"
-
 
 class SerialPolicy(ExecutionPolicy):
     """One-at-a-time FIFO delivery — the reference schedule.
@@ -160,8 +156,6 @@ class SerialPolicy(ExecutionPolicy):
     shared queue, so the delivery order is identical to one-at-a-time
     queue popping (the pre-policy engine behaviour, bit for bit).
     """
-
-    name = "serial"
 
     def deliver(
         self,
@@ -176,65 +170,6 @@ class SerialPolicy(ExecutionPolicy):
                 # this.
                 continue
             recipient.on_message(message)
-
-
-class DaemonPolicy(ExecutionPolicy):
-    """Serial FIFO delivery through the v1 wire codec (loopback).
-
-    Every message whose type has a wire schema is encoded, framed,
-    reassembled and decoded before reaching its recipient — exactly the
-    byte path of the node daemon's loopback transport, without sockets
-    or an event loop.  Because the codec round-trip is the identity on
-    message values and the network meters sizes at send time, the
-    schedule, byte accounting, crypto-op counts and verdicts are
-    bit-identical to :class:`SerialPolicy`; the differential suite
-    holds that equality over the whole scenario registry.
-
-    Message types outside the PAG wire catalogue (the AcTinG baseline's
-    audit traffic, the push baseline) pass through unencoded and are
-    tallied in ``passthrough``.
-    """
-
-    name = "daemon"
-
-    def __init__(self) -> None:
-        self.frames = 0
-        self.bytes_on_wire = 0
-        self.passthrough = 0
-        self._assembler = None
-
-    def deliver(
-        self,
-        batch: Sequence["Message"],
-        nodes_get: NodeLookup,
-        network: "Network",
-    ) -> None:
-        # Lazy import: repro.net pulls in the message catalogue, which
-        # the bare engine path never needs.
-        from repro.net import wire
-
-        if self._assembler is None:
-            self._assembler = wire.FrameAssembler()
-        assembler = self._assembler
-        for message in batch:
-            recipient = nodes_get(message.recipient)
-            if recipient is None:
-                # Recipient left the system (churn); gossip tolerates
-                # this.
-                continue
-            if not wire.encodable(message):
-                self.passthrough += 1
-                recipient.on_message(message)
-                continue
-            payloads = assembler.feed(wire.frame(wire.encode_message(message)))
-            if len(payloads) != 1:  # pragma: no cover - codec invariant
-                raise RuntimeError(
-                    f"loopback frame did not reassemble 1:1 "
-                    f"({len(payloads)} payloads)"
-                )
-            self.frames += 1
-            self.bytes_on_wire += len(payloads[0]) + 4
-            recipient.on_message(wire.decode_message(payloads[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -344,11 +279,10 @@ class _SpecBootstrap:
 
     ``shared_ladders`` optionally carries a read-only
     :class:`~repro.crypto.backend.SharedLadderTable` built once in the
-    parent: fork-mode process workers inherit its pages for free (the
-    bootstrap is created before the workers start), spawn-mode workers
-    receive it pickled and in-process ``serialized`` replicas share it
-    through this object, and every replica's hasher adopts it instead
-    of rebuilding identical fixed-base tables.
+    parent: fork-mode workers inherit its pages for free (the bootstrap
+    is created before the workers start), spawn-mode workers receive it
+    pickled, and every replica's hasher adopts it instead of rebuilding
+    identical fixed-base tables.
     """
 
     def __init__(self, spec, shared_ladders=None) -> None:
@@ -367,35 +301,24 @@ class _SpecBootstrap:
 class _ReplicaWorker:
     """One shard's replica session and its execution loop.
 
-    Lives in a dedicated worker process (``process`` backend) or in the
-    parent process (``serialized`` backend, one instance per shard,
-    driven synchronously).  Executes only the lifecycle calls
-    and deliveries the parent routes here — the owned nodes — so the
+    Lives in a dedicated worker process.  Executes only the lifecycle
+    calls and deliveries the parent routes here — the owned nodes — so the
     replica's owned-node state tracks the authoritative schedule exactly
     while non-owned nodes stay frozen at construction and are never
     read.
     """
 
-    def __init__(
-        self,
-        bootstrap,
-        shard: int,
-        workers: int,
-        shared_stash: Optional[dict] = None,
-    ) -> None:
+    def __init__(self, bootstrap, shard: int, workers: int) -> None:
         self.session = bootstrap()
         self.simulator = self.session.simulator
         self.network = self.simulator.network
         self.shard = shard
         self.workers = workers
         self.baseline = _ops_snapshot(self.session)
-        #: payloads of sends awaiting their delivery barrier, keyed by
-        #: ``(barrier_seq, trigger, seq)``.  In-process replicas (the
-        #: serialized backend) share one stash, so no payload is ever
-        #: pickled; process workers keep a private stash for their
-        #: intra-shard sends and ship the rest as pre-partitioned blobs.
-        self._stash: dict = shared_stash if shared_stash is not None else {}
-        self._shares_stash = shared_stash is not None
+        #: payloads of intra-shard sends awaiting their delivery
+        #: barrier, keyed by ``(barrier_seq, trigger, seq)``; the rest
+        #: leave as pre-partitioned blobs.
+        self._stash: dict = {}
 
     def run_phase(
         self,
@@ -428,8 +351,7 @@ class _ReplicaWorker:
         None, the payload stays in the stash under ``key`` or leaves in
         ``outbound_blobs``, pickled ``[(key, message), ...]`` lists by
         destination shard.  The parent's barrier counter scopes the
-        keys globally, so sends of different barriers can never collide
-        in a shared stash.
+        keys globally, so sends of different barriers never collide.
         """
         wall0 = time.perf_counter()
         cpu0 = time.thread_time()
@@ -486,7 +408,7 @@ class _ReplicaWorker:
                 continue
             sends.append((key, message.sender, message.recipient, size, None))
             dest = message.recipient % self.workers
-            if self._shares_stash or dest == self.shard:
+            if dest == self.shard:
                 stash[key] = message
             else:
                 outbound.setdefault(dest, []).append((key, message))
@@ -593,24 +515,19 @@ class _RemoteTraceback(Exception):
 
 
 class _ShardHandle:
-    """Parent-side endpoint of one shard's replica: a worker process
-    behind one duplex pipe (``process`` backend) or the replica itself
-    (``serialized``).  Every parent-to-replica call is a :meth:`submit`
-    and a :meth:`result`."""
+    """Parent-side endpoint of one shard's worker process, behind one
+    duplex pipe.  Every parent-to-replica call is a :meth:`submit` and
+    a :meth:`result`."""
 
-    def __init__(self, shard: int, local=None, process=None, conn=None):
+    def __init__(self, shard: int, process, conn: Connection):
         self.shard = shard
-        self._local: Optional[_ReplicaWorker] = local
         self.process = process
-        self._conn: Optional[Connection] = conn
-        #: a local replica's result, or True while a worker owes one.
-        self._owed: object = None
+        self._conn = conn
+        #: True while the worker owes a reply.
+        self._owed = False
 
     def submit(self, op: str, *args) -> None:
         """Start ``_ReplicaWorker.<op>(*args)`` on the shard's replica."""
-        if self._local is not None:
-            self._owed = getattr(self._local, op)(*args)
-            return
         with suppress(OSError):  # a dead worker: result() names it
             self._conn.send((op, args))
         self._owed = True
@@ -621,9 +538,7 @@ class _ShardHandle:
         worker is a ``RuntimeError`` naming the shard and ``doing``.
         Waits on the process as well as the pipe: an end of the pipe
         that a forked sibling inherited would keep EOF from arriving."""
-        owed, self._owed = self._owed, None
-        if self._local is not None:
-            return owed
+        self._owed = False
         try:
             if self._conn not in wait([self._conn, self.process.sentinel]):
                 raise EOFError
@@ -643,8 +558,6 @@ class _ShardHandle:
     def close(self) -> None:
         """Stop the worker, taking the reply it may still owe first: it
         would block writing a large one into a pipe nobody reads."""
-        if self.process is None:
-            return
         if self._owed:
             with suppress(Exception):  # dead, or moot by now
                 self.result("close")
@@ -690,13 +603,8 @@ class ParallelShardedPolicy(ExecutionPolicy):
     (the module docstring says how, and why replica execution is exact).
 
     Args:
-        workers: shard/worker count (>= 1).
-        backend: ``"process"`` (the default and the only backend the
-            CLI, the registry and the fuzzer build: one worker process
-            and one pipe per shard) or ``"serialized"`` (the same
-            replica protocol driven synchronously in this process — the
-            differential suite's cheap reference for the replica/merge
-            logic).
+        workers: shard count, one worker process and one pipe each
+            (>= 1).
 
     Replicas are rebuilt from a scenario spec, bound by
     :meth:`ScenarioSpec.build <repro.scenarios.spec.ScenarioSpec.build>`
@@ -709,21 +617,11 @@ class ParallelShardedPolicy(ExecutionPolicy):
     playback or crypto counts off the session, then :meth:`close`.
     """
 
-    name = "parallel"
-
-    _BACKENDS = ("process", "serialized")
-
-    def __init__(self, workers: int = 4, backend: str = "process") -> None:
+    def __init__(self, workers: int = 4) -> None:
         if workers < 1:
             raise ValueError("worker count must be at least 1")
-        if backend not in self._BACKENDS:
-            raise ValueError(
-                f"unknown parallel backend {backend!r}; expected one of "
-                f"{self._BACKENDS}"
-            )
         self.workers = workers
-        self.backend = backend
-        #: ``backend`` once the workers are running, "unstarted" before.
+        #: "process" once the workers are running, "unstarted" before.
         self.mode = "unstarted"
         self.stats = ParallelStats()
         self._bootstrap = None
@@ -763,52 +661,39 @@ class ParallelShardedPolicy(ExecutionPolicy):
                 "ScenarioSpec.build(policy), a hand-assembled session "
                 "cannot run on workers"
             )
-        if self.backend == "process":
-            try:
-                pickle.dumps(self._bootstrap)
-            except Exception as exc:  # noqa: BLE001 - any pickling failure
-                raise RuntimeError(
-                    "process backend requested but unavailable: session "
-                    f"bootstrap is not picklable: {exc!r}"
-                ) from exc
-            start_methods = multiprocessing.get_all_start_methods()
-            context = multiprocessing.get_context(
-                "fork" if "fork" in start_methods else start_methods[0]
+        try:
+            pickle.dumps(self._bootstrap)
+        except Exception as exc:  # noqa: BLE001 - any pickling failure
+            raise RuntimeError(
+                "parallel workers unavailable: session bootstrap is not "
+                f"picklable: {exc!r}"
+            ) from exc
+        start_methods = multiprocessing.get_all_start_methods()
+        context = multiprocessing.get_context(
+            "fork" if "fork" in start_methods else start_methods[0]
+        )
+        self._handles = []
+        for shard in range(self.workers):
+            # One at a time, the child's end closed before the next
+            # fork: no sibling inherits it, so a death reads as EOF.
+            ours, theirs = context.Pipe()
+            process = context.Process(
+                target=_process_loop,
+                args=(theirs, ours, self._bootstrap, shard, self.workers),
+                daemon=True,
             )
-            self._handles = []
-            for shard in range(self.workers):
-                # One at a time, the child's end closed before the next
-                # fork: no sibling inherits it, so a death reads as EOF.
-                ours, theirs = context.Pipe()
-                process = context.Process(
-                    target=_process_loop,
-                    args=(theirs, ours, self._bootstrap, shard, self.workers),
-                    daemon=True,
-                )
-                process.start()
-                theirs.close()
-                self._handles.append(_ShardHandle(shard, None, process, ours))
-        else:  # serialized
-            stash: dict = {}
-            self._handles = [
-                _ShardHandle(
-                    shard,
-                    _ReplicaWorker(
-                        self._bootstrap, shard, self.workers, stash
-                    ),
-                )
-                for shard in range(self.workers)
-            ]
-        self.mode = self.backend
+            process.start()
+            theirs.close()
+            self._handles.append(_ShardHandle(shard, process, ours))
+        self.mode = "process"
         self.stats = ParallelStats()
         self._inbound_blobs = {}
         self._barrier_seq = 0
 
     def worker_pids(self) -> List[int]:
         """Process ids of the running workers, in shard order (empty
-        before the first round, after :meth:`close` and under the
-        ``serialized`` backend)."""
-        return [h.process.pid for h in self._handles or () if h.process]
+        before the first round and after :meth:`close`)."""
+        return [h.process.pid for h in self._handles or ()]
 
     # -- barriers ----------------------------------------------------------
 
@@ -975,7 +860,7 @@ class ParallelShardedPolicy(ExecutionPolicy):
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"<ParallelShardedPolicy workers={self.workers} "
-            f"backend={self.backend!r} mode={self.mode!r}>"
+            f"mode={self.mode!r}>"
         )
 
 
@@ -990,8 +875,6 @@ def make_policy(name: str, workers: int = 4) -> ExecutionPolicy:
         return SerialPolicy()
     if name == "parallel":
         return ParallelShardedPolicy(workers=workers)
-    if name == "daemon":
-        return DaemonPolicy()
     raise ValueError(
         f"unknown execution policy {name!r}; expected one of {POLICY_NAMES}"
     )

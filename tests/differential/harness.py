@@ -10,10 +10,16 @@ differed, the records would differ.
 
 The harness instruments the parent network with a
 :class:`~repro.sim.trace.TraceRecorder` tap when asked — which also
-makes every replica send carry its payload back to the parent, so both
+makes every worker send carry its payload back to the parent, so both
 kinds of send the parallel merge takes (parent-held payloads, replayed
 through taps and rules, and worker-held ones, queued from metadata) get
-differential coverage.
+differential coverage.  Parallel runs use real worker processes, so a
+cross-shard payload reaches its recipient as a pickled copy.
+
+The traced serial reference of each scenario also carries a
+:class:`CodecTap`, which puts every send through the daemon wire codec
+and back: daemons exchange v1 frames, and the tap covers the scenarios
+the fleet rejects (churn, arrivals, rate ramps, faults).
 """
 
 from __future__ import annotations
@@ -21,17 +27,18 @@ from __future__ import annotations
 import dataclasses
 import functools
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
+from repro.net import wire
 from repro.scenarios.spec import ScenarioResult, ScenarioSpec
-from repro.sim.execution import ExecutionPolicy, ParallelShardedPolicy
+from repro.sim.execution import ExecutionPolicy
 from repro.sim.trace import TraceRecorder
 
 __all__ = [
+    "CodecTap",
     "RunRecord",
     "record_scenario",
-    "replicas",
     "serial_reference",
     "workers_under_test",
     "small_spec",
@@ -58,12 +65,6 @@ def workers_under_test(default: int = 2) -> int:
     return int(os.environ.get("REPRO_TEST_WORKERS", default))
 
 
-def replicas(workers: int) -> ParallelShardedPolicy:
-    """The parallel policy's replica machinery, driven in-process: same
-    partition, capture and merge code as worker processes, no pools."""
-    return ParallelShardedPolicy(workers=workers, backend="serialized")
-
-
 def small_spec(name: str, **extra) -> ScenarioSpec:
     """A registry spec at differential-suite scale.
 
@@ -86,9 +87,60 @@ def small_spec(name: str, **extra) -> ScenarioSpec:
     return dataclasses.replace(spec, policy=None)
 
 
+def printed_fields(message) -> List[str]:
+    """The ``repr`` of each field of ``message``, a frozenset's members
+    sorted: a frozenset prints in its hash table's order, which depends
+    on how it was built, so a decoded buffermap equals the sent one but
+    may print differently.  A field whose value changes type (``1`` for
+    ``True``, ``1.0`` for ``1``) still shows."""
+    printed = []
+    for f in dataclasses.fields(message):
+        value = getattr(message, f.name)
+        if isinstance(value, frozenset):
+            printed.append(f"frozenset({sorted(value)!r})")
+        else:
+            printed.append(repr(value))
+    return printed
+
+
+class CodecTap:
+    """A network tap putting every send through the daemon wire path.
+
+    Each encodable message is encoded, framed, reassembled by a
+    ``FrameAssembler`` and decoded; the decoded message must match the
+    original in type, ``==`` and :func:`printed_fields`, and re-encode
+    to the same bytes.  Messages without a wire schema (the AcTinG
+    baseline's) are counted in ``unencodable``.
+    """
+
+    def __init__(self) -> None:
+        self.assembler = wire.FrameAssembler()
+        self.encoded = 0
+        self.unencodable = 0
+
+    def observe(self, message, size: int) -> None:
+        if not wire.encodable(message):
+            self.unencodable += 1
+            return
+        payload = wire.encode_message(message)
+        (received,) = self.assembler.feed(wire.frame(payload))
+        decoded = wire.decode_message(received)
+        kind = type(message).__name__
+        assert type(decoded) is type(message), f"{kind} decodes retyped"
+        assert decoded == message, f"{kind} decodes unequal: {message!r}"
+        assert printed_fields(decoded) == printed_fields(message), (
+            f"{kind} prints differently after decoding"
+        )
+        assert wire.encode_message(decoded) == payload, (
+            f"{kind} re-encodes to other bytes"
+        )
+        self.encoded += 1
+
+
 @dataclass
 class RunRecord:
-    """Everything observable about one scenario run."""
+    """Everything observable about one scenario run (``codec`` is the
+    serial reference's :class:`CodecTap`, outside the comparison)."""
 
     meter: Dict[str, object]
     trace: Optional[List[tuple]]
@@ -98,13 +150,14 @@ class RunRecord:
     node_kbps: Dict[int, float]
     continuity: Optional[float]
     ops: Dict[str, int]
+    codec: Optional[CodecTap] = field(default=None, compare=False)
 
     def diff(self, other: "RunRecord") -> List[str]:
         """Names of the fields that differ (for readable assertions)."""
         return [
-            key
-            for key in self.__dict__
-            if getattr(self, key) != getattr(other, key)
+            f.name
+            for f in dataclasses.fields(self)
+            if f.compare and getattr(self, f.name) != getattr(other, f.name)
         ]
 
 
@@ -194,6 +247,18 @@ def serial_reference(name: str, trace: bool = True, **extra) -> RunRecord:
 
     Every policy is compared against this same deterministic run (that
     it *is* deterministic is ``test_determinism``'s job), so the suite
-    pays for it once instead of once per policy under test.
+    pays for it once instead of once per policy under test.  The run is
+    traced and also carries a :class:`CodecTap`, kept as the record's
+    ``codec``; taps only observe, so the untraced reference is the
+    same record without its trace.
     """
-    return record_scenario(small_spec(name, **extra), None, trace=trace)
+    if not trace:
+        return dataclasses.replace(serial_reference(name, **extra), trace=None)
+    codec = CodecTap()
+    record = record_scenario(
+        small_spec(name, **extra),
+        None,
+        prepare=lambda session: session.simulator.network.add_tap(codec),
+    )
+    record.codec = codec
+    return record

@@ -12,7 +12,6 @@ from repro.sim.execution import ParallelShardedPolicy, SerialPolicy
 
 from tests.differential.harness import (
     record_scenario,
-    replicas,
     serial_reference,
     small_spec,
 )
@@ -26,11 +25,9 @@ def _spec():
     "make",
     [
         lambda: SerialPolicy(),
-        lambda: replicas(3),
-        lambda: ParallelShardedPolicy(workers=2, backend="process"),
+        lambda: ParallelShardedPolicy(workers=2),
     ],
-    # "sharded": the shard/replica machinery driven in this process.
-    ids=["serial", "sharded", "parallel-process"],
+    ids=["serial", "parallel-process"],
 )
 def test_same_seed_twice_is_identical(make):
     spec = _spec()
@@ -43,7 +40,7 @@ def test_worker_count_does_not_change_results():
     spec = _spec()
     reference = serial_reference("selfish")
     for workers in (1, 2, 5, 9):
-        policy = replicas(workers)
+        policy = ParallelShardedPolicy(workers=workers)
         record = record_scenario(spec, policy, trace=True)
         assert record == reference, (
             f"workers={workers}: mismatch in {record.diff(reference)}"
@@ -54,7 +51,7 @@ def test_worker_count_does_not_change_fast_path_results():
     spec = _spec()
     reference = serial_reference("selfish", trace=False)
     for workers in (2, 4):
-        policy = replicas(workers)
+        policy = ParallelShardedPolicy(workers=workers)
         record = record_scenario(spec, policy, trace=False)
         assert record == reference, (
             f"workers={workers}: mismatch in {record.diff(reference)}"
@@ -65,7 +62,7 @@ def test_churn_schedule_is_deterministic_under_parallel():
     spec = small_spec("churn")
     reference = serial_reference("churn")
     for workers in (2, 3):
-        policy = replicas(workers)
+        policy = ParallelShardedPolicy(workers=workers)
         record = record_scenario(spec, policy, trace=True)
         assert record == reference, (
             f"workers={workers}: mismatch in {record.diff(reference)}"

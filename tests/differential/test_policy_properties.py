@@ -19,14 +19,12 @@ from repro.scenarios.spec import (  # noqa: E402
     ChurnEvent,
     ScenarioSpec,
 )
+from repro.sim.execution import ParallelShardedPolicy  # noqa: E402
 from repro.sim.faults import LossFault  # noqa: E402
 from repro.sim.network import Network  # noqa: E402
 from repro.sim.rng import SeedSequence  # noqa: E402
 
-from tests.differential.harness import (  # noqa: E402
-    record_scenario,
-    replicas,
-)
+from tests.differential.harness import record_scenario  # noqa: E402
 
 STRATEGIES = st.sampled_from(
     ["free-rider", "partial-forwarder", "silent-receiver",
@@ -82,7 +80,7 @@ def test_random_scenarios_are_policy_invariant(spec, workers, with_loss):
     reference = record_scenario(
         spec, None, trace=True, drop_rule=drop_rule()
     )
-    policy = replicas(workers)
+    policy = ParallelShardedPolicy(workers=workers)
     record = record_scenario(
         spec, policy, trace=True, drop_rule=drop_rule()
     )

@@ -10,10 +10,9 @@ scenarios keep streaming — under both execution policies.
 import pytest
 
 from repro.scenarios import get_scenario, scenario_names
-from repro.sim.execution import SerialPolicy
+from repro.sim.execution import ParallelShardedPolicy, SerialPolicy
 from repro.sim.faults import OutageFault
 
-from tests.differential.harness import replicas
 
 #: Scale every scenario down to smoke size (the benchmarks exercise the
 #: registry at figure scale).
@@ -72,7 +71,9 @@ def test_every_scenario_runs_and_measures(name):
         assert result.verdicts == 0, result.convicted
 
 
-@pytest.mark.parametrize("policy", [SerialPolicy(), replicas(4)])
+@pytest.mark.parametrize(
+    "policy", [SerialPolicy(), ParallelShardedPolicy(workers=4)]
+)
 def test_adversarial_scenarios_convict_under_both_policies(policy):
     result = _small("selfish").run(policy)
     deviants = set(_small("selfish").deviant_nodes())
@@ -80,6 +81,6 @@ def test_adversarial_scenarios_convict_under_both_policies(policy):
 
 
 def test_churn_scenario_streams_through_departures():
-    result = get_scenario("churn").run(replicas(3))
+    result = get_scenario("churn").run(ParallelShardedPolicy(workers=3))
     assert result.continuity > 0.9
     assert set(result.convicted) == {5, 11}

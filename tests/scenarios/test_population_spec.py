@@ -100,7 +100,7 @@ def test_deviants_must_fit_the_cohort():
 
 
 def test_cohort_equivalent_strips_population_and_pins_fanout():
-    spec = _spec(population=100_000, policy="daemon")
+    spec = _spec(population=100_000, policy="parallel")
     cohort = spec.cohort_equivalent()
     assert cohort.population == 0
     assert cohort.policy is None

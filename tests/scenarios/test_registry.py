@@ -11,8 +11,8 @@ from repro.scenarios import (
     run_scenario,
     scenario_names,
 )
+from repro.sim.execution import ParallelShardedPolicy
 
-from tests.differential.harness import replicas
 
 PAPER_NAMES = {"fig7", "fig7-acting", "fig8", "fig9", "fig10",
                "table1", "table2"}
@@ -73,6 +73,8 @@ def test_spec_validation():
         ScenarioSpec(name="x", nodes=5, fanout=2, monitors_per_node=5)
     with pytest.raises(ValueError, match="^fanout 0 invalid for 30 nodes"):
         ScenarioSpec(name="x", fanout=0)
+    with pytest.raises(ValueError, match="^stream rate must be positive"):
+        ScenarioSpec(name="x", stream_rate_kbps=0.0)
 
 
 def test_deviant_placement_is_deterministic_and_disjoint():
@@ -102,7 +104,9 @@ def test_selfish_scenario_convicts_its_deviant():
 
 
 def test_churn_scenario_removes_nodes_and_convicts_them():
-    result = run_scenario("churn", execution_policy=replicas(4))
+    result = run_scenario(
+        "churn", execution_policy=ParallelShardedPolicy(workers=4)
+    )
     spec = get_scenario("churn")
     departed = {event.node_id for event in spec.churn}
     assert departed == {5, 11}
@@ -137,7 +141,7 @@ def test_pag_scenario_identical_under_sharded_policy():
     serial = run_scenario("fig7", nodes=16, rounds=6)
     sharded = run_scenario(
         "fig7", nodes=16, rounds=6,
-        execution_policy=replicas(4),
+        execution_policy=ParallelShardedPolicy(workers=4),
     )
     assert sharded.node_kbps == serial.node_kbps
     assert sharded.messages_sent == serial.messages_sent

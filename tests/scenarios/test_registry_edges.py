@@ -13,7 +13,7 @@ from repro.scenarios import get_scenario, register_scenario, scenario_names
 from repro.scenarios.spec import AdversaryGroup, ChurnEvent, ScenarioSpec
 from repro.sim.execution import ParallelShardedPolicy, SerialPolicy
 
-from tests.differential.harness import record_scenario, replicas
+from tests.differential.harness import record_scenario
 
 
 def test_churn_removes_monitored_node_mid_stream_under_all_policies():
@@ -33,8 +33,8 @@ def test_churn_removes_monitored_node_mid_stream_under_all_policies():
     assert reference.verdicts, "departed node should be convicted"
     assert {v[0] for v in reference.verdicts} == {4}
     for policy in (
-        replicas(5),
-        ParallelShardedPolicy(workers=2, backend="process"),
+        ParallelShardedPolicy(workers=5),
+        ParallelShardedPolicy(workers=2),
     ):
         record = record_scenario(spec, policy, trace=True)
         assert record == reference, f"mismatch in {record.diff(reference)}"
@@ -59,7 +59,7 @@ def test_zero_adversary_mix_resolves_to_honest_run():
     reference = record_scenario(honest, SerialPolicy(), trace=True)
     for policy in (
         SerialPolicy(),
-        replicas(4),
+        ParallelShardedPolicy(workers=4),
     ):
         record = record_scenario(spec, policy, trace=True)
         assert record.verdicts == []
@@ -77,8 +77,8 @@ def test_single_node_shards_match_serial():
     )
     reference = record_scenario(spec, SerialPolicy(), trace=True)
     for policy in (
-        replicas(8),
-        replicas(23),
+        ParallelShardedPolicy(workers=8),
+        ParallelShardedPolicy(workers=23),
     ):
         record = record_scenario(spec, policy, trace=True)
         assert record == reference, f"mismatch in {record.diff(reference)}"

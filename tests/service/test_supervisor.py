@@ -207,31 +207,6 @@ class TestLiveControl:
         assert "result" in holder
 
 
-class TestEventOrderDeterminism:
-    def _event_log(self, policy):
-        from repro.service.events import EventBus
-
-        bus = EventBus()
-        sub = bus.subscribe()
-        spec = _base(
-            policy=policy, node_strategies=((7, "free-rider"),)
-        )
-        SessionSupervisor(spec, bus=bus).run()
-        events, dropped = sub.drain()
-        assert dropped == 0
-        return [(e.kind, e.round_no, e.data) for e in events]
-
-    def test_stream_is_identical_under_serial_and_daemon(self):
-        """The loopback daemon policy re-encodes every message over
-        the real wire codec; the event stream must not notice."""
-        serial = self._event_log(None)
-        daemon = self._event_log("daemon")
-        # The state events differ only in the scenario payload, which
-        # is policy-independent too — require full equality.
-        assert serial == daemon
-        assert any(kind == "verdict" for kind, _, _ in serial)
-
-
 class TestEarlyDrain:
     def test_drain_before_warmup_still_collects(self):
         supervisor = SessionSupervisor(

@@ -3,10 +3,9 @@
 The acceptance bar of the policy seam: a SerialPolicy run is
 bit-identical to the pre-policy engine (golden numbers recorded from
 the seed code on the same fixed-seed scenarios), and the shard
-partition/capture/merge contract of ParallelShardedPolicy — driven
-in-process through its ``serialized`` backend — reproduces the same
-per-node byte totals, message counts, drop decisions and operation
-counts at any shard count.
+partition/capture/merge contract of ParallelShardedPolicy, on worker
+processes, reproduces the same per-node byte totals, message counts,
+drop decisions and operation counts at any shard count.
 """
 
 import functools
@@ -17,7 +16,6 @@ from repro.core import PagSession
 from repro.scenarios.spec import ScenarioSpec
 from repro.sim.engine import Simulator
 from repro.sim.execution import (
-    DaemonPolicy,
     ParallelShardedPolicy,
     SerialPolicy,
     make_policy,
@@ -26,8 +24,6 @@ from repro.sim.faults import LossFault
 from repro.sim.network import Network
 from repro.sim.rng import SeedSequence
 from repro.sim.trace import TraceRecorder
-
-from tests.differential.harness import replicas as _sharded
 
 # Golden numbers measured on the pre-refactor engine (PR 1) for the
 # fixed-seed fig7-style scenario: PagConfig.for_system_size(n, 300 Kbps),
@@ -102,7 +98,7 @@ def _serial_bytes_20_8():
 
 @pytest.mark.parametrize("shards", [1, 3, 4, 7])
 def test_sharded_policy_matches_serial_bytes(shards):
-    session, sharded = _run(20, 8, _sharded(shards))
+    session, sharded = _run(20, 8, ParallelShardedPolicy(workers=shards))
     assert sharded == _serial_bytes_20_8()
     golden = GOLDEN[(20, 8)]
     assert session.simulator.network.messages_sent == golden["messages_sent"]
@@ -121,7 +117,9 @@ def test_sharded_policy_with_stateful_drop_rule_matches_serial():
     serial_rule = loss()
     _, serial = _run(20, 8, SerialPolicy(), drop_rule=serial_rule)
     sharded_rule = loss()
-    session, sharded = _run(20, 8, _sharded(4), drop_rule=sharded_rule)
+    session, sharded = _run(
+        20, 8, ParallelShardedPolicy(workers=4), drop_rule=sharded_rule
+    )
     assert serial_rule.hits > 0
     assert sharded_rule.hits == serial_rule.hits
     assert sharded == serial
@@ -131,7 +129,7 @@ def test_sharded_policy_with_stateful_drop_rule_matches_serial():
 def test_sharded_policy_taps_see_all_traffic_in_order():
     serial, sharded = TraceRecorder(), TraceRecorder()
     _run(16, 6, SerialPolicy(), tap=serial)
-    _run(16, 6, _sharded(3), tap=sharded)
+    _run(16, 6, ParallelShardedPolicy(workers=3), tap=sharded)
     assert len(serial) == len(sharded)
     assert serial.kinds() == sharded.kinds()
     assert serial.total_bytes() == sharded.total_bytes()
@@ -157,7 +155,7 @@ def test_churn_mid_round_with_inflight_traffic_under_sharding():
         return session, rule
 
     serial_session, serial_rule = run(SerialPolicy())
-    sharded_session, sharded_rule = run(_sharded(5))
+    sharded_session, sharded_rule = run(ParallelShardedPolicy(workers=5))
     assert 7 not in sharded_session.nodes
     assert serial_rule.hits > 0
     assert sharded_rule.hits == serial_rule.hits
@@ -185,10 +183,9 @@ def test_session_remove_node_unknown_id_raises_value_error():
 
 def test_make_policy():
     assert isinstance(make_policy("serial"), SerialPolicy)
-    assert isinstance(make_policy("daemon"), DaemonPolicy)
     parallel = make_policy("parallel", workers=6)
     assert isinstance(parallel, ParallelShardedPolicy)
-    assert (parallel.workers, parallel.backend) == (6, "process")
+    assert (parallel.workers, parallel.mode) == (6, "unstarted")
     with pytest.raises(ValueError, match="unknown execution policy"):
         make_policy("quantum")
     with pytest.raises(ValueError, match="worker count"):

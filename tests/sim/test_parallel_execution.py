@@ -1,10 +1,10 @@
 """Unit tests for the worker-backed parallel execution policy.
 
 The differential suite (tests/differential/) proves bit-identity across
-the whole registry; these tests pin the policy's mechanics — backend
-selection, the named errors (no bootstrap, unpicklable bootstrap, a dead
-worker), membership guards, the barrier merge and its guard, reporting sync
-idempotence, and the golden numbers under real worker processes.
+the whole registry; these tests pin the policy's mechanics — the named
+errors (no bootstrap, unpicklable bootstrap, a dead worker), membership
+guards, the barrier merge and its guard, reporting sync idempotence,
+and the golden numbers under real worker processes.
 """
 
 import contextlib
@@ -20,7 +20,7 @@ import pytest
 from repro.baselines import ActingSession
 from repro.core import PagSession
 from repro.scenarios import get_scenario
-from repro.scenarios.spec import ChurnEvent, ScenarioSpec
+from repro.scenarios.spec import ChurnEvent, ScenarioResult, ScenarioSpec
 from repro.sim.execution import (
     ParallelShardedPolicy,
     SerialPolicy,
@@ -48,10 +48,10 @@ def _spec(n=20, rounds=8):
 
 
 @contextlib.contextmanager
-def _synced_run(spec, workers=2, backend="serialized"):
-    """``spec`` run to completion on replicas and synced back; yields
-    ``(policy, session)`` and closes the policy on exit."""
-    policy = ParallelShardedPolicy(workers=workers, backend=backend)
+def _synced_run(spec, workers=2):
+    """``spec`` run to completion on worker processes and synced back;
+    yields ``(policy, session)`` and closes the policy on exit."""
+    policy = ParallelShardedPolicy(workers=workers)
     session = spec.build(policy)
     try:
         session.run(spec.rounds)
@@ -121,11 +121,8 @@ def _two_workers(n=10):
     assert spec.run(policy).messages_sent > 0
 
 
-@pytest.mark.parametrize("backend", ["serialized", "process"])
-def test_parallel_policy_matches_pre_refactor_goldens(backend):
-    with _synced_run(_spec(), workers=3, backend=backend) as (
-        policy, session
-    ):
+def test_parallel_policy_matches_pre_refactor_goldens():
+    with _synced_run(_spec(), workers=3) as (policy, session):
         assert (
             session.simulator.network.messages_sent
             == GOLDEN_20_8["messages_sent"]
@@ -294,7 +291,7 @@ def test_adding_adhoc_nodes_after_start_is_rejected():
     """Only spec-declared arrivals can join a running parallel session:
     an arbitrary add fails inside the replica (no pending instance to
     admit) instead of silently diverging."""
-    policy = ParallelShardedPolicy(workers=2, backend="serialized")
+    policy = ParallelShardedPolicy(workers=2)
     spec = _spec(n=8, rounds=4)
     session = spec.build(policy)
     try:
@@ -313,9 +310,10 @@ def test_acting_churn_goes_through_the_session_on_every_replica(
     monkeypatch,
 ):
     """An AcTinG spec's churn entry leaves through
-    ``ActingSession.remove_node`` — on the parent, and under the
-    ``serialized`` backend on the replica that owns the node too — and
-    both placements meter the same bytes."""
+    ``ActingSession.remove_node`` — on the parent, and in the worker
+    whose replica owns the node (the spy is patched in before the fork
+    and reports through ``collect``) — and both placements meter the
+    same bytes."""
     spec = ScenarioSpec(
         name="acting-churn",
         protocol="acting",
@@ -326,17 +324,34 @@ def test_acting_churn_goes_through_the_session_on_every_replica(
     )
     removed = []
     remove_node = ActingSession.remove_node
+    collect = _ReplicaWorker.collect
 
     def spy(session, node_id):
         removed.append(node_id)
         remove_node(session, node_id)
 
+    def reporting_collect(self):
+        return {**collect(self), "removed": list(removed)}
+
     monkeypatch.setattr(ActingSession, "remove_node", spy)
+    monkeypatch.setattr(_ReplicaWorker, "collect", reporting_collect)
     serial = spec.run()
     assert removed == [6]
-    policy = ParallelShardedPolicy(workers=2, backend="serialized")
-    parallel = spec.run(policy)
-    assert removed == [6, 6, 6]
+    removed.clear()
+    policy = ParallelShardedPolicy(workers=2)
+    session = spec.build(policy)
+    try:
+        session.run(spec.rounds)
+        reports = [
+            handle.call("the probe", "collect") for handle in policy._handles
+        ]
+        policy.sync_session(session)
+    finally:
+        policy.close()
+    parallel = ScenarioResult.collect(spec, session)
+    assert removed == [6]
+    # Node 6 belongs to shard 0, which alone hears of its departure.
+    assert [report["removed"] for report in reports] == [[6], []]
     assert policy.stats.removed_nodes == 1
     for result in (serial, parallel):
         assert 6 not in result.session.nodes
@@ -348,8 +363,7 @@ def test_acting_churn_goes_through_the_session_on_every_replica(
     assert parallel.node_kbps == serial.node_kbps
 
 
-@pytest.mark.parametrize("backend", ["serialized", "process"])
-def test_spec_declared_arrivals_are_mirrored_onto_replicas(backend):
+def test_spec_declared_arrivals_are_mirrored_onto_replicas():
     """A JoinEvent admits the same node on the parent and its owning
     worker replica; the run stays bit-identical to serial."""
     from repro.scenarios.spec import JoinEvent
@@ -362,7 +376,7 @@ def test_spec_declared_arrivals_are_mirrored_onto_replicas(backend):
         arrivals=(JoinEvent(after_round=2, node_id=7),),
     )
     reference = spec.run()
-    policy = ParallelShardedPolicy(workers=3, backend=backend)
+    policy = ParallelShardedPolicy(workers=3)
     result = spec.run(policy)
     assert policy.stats.admitted_nodes == 1
     assert result.node_kbps == reference.node_kbps
@@ -376,7 +390,7 @@ def test_spec_declared_arrivals_are_mirrored_onto_replicas(backend):
 
 
 def test_policy_is_reusable_after_close():
-    policy = ParallelShardedPolicy(workers=2, backend="serialized")
+    policy = ParallelShardedPolicy(workers=2)
     results = []
     for _ in range(2):
         spec = _spec(n=10, rounds=4)
@@ -386,12 +400,10 @@ def test_policy_is_reusable_after_close():
 
 def test_make_policy_parallel():
     assert make_policy("parallel").workers == 4
-    with pytest.raises(ValueError, match="unknown parallel backend"):
-        ParallelShardedPolicy(backend="gpu")
 
 
 def test_explicit_process_backend_with_unpicklable_bootstrap_raises():
-    policy = ParallelShardedPolicy(workers=2, backend="process")
+    policy = ParallelShardedPolicy(workers=2)
 
     class Unpicklable:
         def __call__(self):  # pragma: no cover - never built
@@ -401,7 +413,7 @@ def test_explicit_process_backend_with_unpicklable_bootstrap_raises():
             raise TypeError("cannot pickle this bootstrap")
 
     policy._bootstrap = Unpicklable()
-    with pytest.raises(RuntimeError, match="process backend requested"):
+    with pytest.raises(RuntimeError, match="parallel workers unavailable"):
         policy._ensure_started()
     policy.close()
 
@@ -457,7 +469,7 @@ def test_merge_remote_meters_and_queues_in_order():
 
 
 def test_stats_expose_shard_balance():
-    policy = ParallelShardedPolicy(workers=2, backend="serialized")
+    policy = ParallelShardedPolicy(workers=2)
     spec = _spec(n=10, rounds=4)
     spec.run(policy)
     stats = policy.stats

@@ -22,10 +22,10 @@ class TestParser:
 
     def test_run_scenario_and_policy_flags(self):
         args = build_parser().parse_args(
-            ["run", "--scenario", "fig9", "--policy", "daemon"]
+            ["run", "--scenario", "fig9", "--policy", "serial"]
         )
         assert args.scenario == "fig9"
-        assert args.policy == "daemon"
+        assert args.policy == "serial"
         with pytest.raises(SystemExit):
             build_parser().parse_args(["run", "--policy", "psychic"])
 
@@ -61,7 +61,7 @@ class TestParser:
         with pytest.raises(SystemExit, match="--workers"):
             main(
                 ["run", "--nodes", "8", "--rounds", "2",
-                 "--policy", "daemon", "--workers", "2"]
+                 "--policy", "serial", "--workers", "2"]
             )
 
     def test_parallel_policy_requires_a_scenario(self):
@@ -86,26 +86,37 @@ class TestParser:
     def test_retired_names_are_rejected_naming_the_valid_ones(
         self, capsys
     ):
+        from repro.scenarios.fuzz import FuzzConfig
         from repro.scenarios.spec import ScenarioSpec
         from repro.sim.execution import ParallelShardedPolicy, make_policy
 
-        with pytest.raises(SystemExit):
-            main(["run", "--scenario", "fig9", "--policy", "sharded"])
-        assert "'serial', 'parallel', 'daemon'" in capsys.readouterr().err
+        for name in ("sharded", "daemon"):
+            with pytest.raises(SystemExit):
+                main(["run", "--scenario", "fig9", "--policy", name])
+            err = capsys.readouterr().err
+            assert f"invalid choice: '{name}'" in err
+            assert "'serial', 'parallel')" in err
         # A retired flag is argparse's plain "unrecognized arguments".
         with pytest.raises(SystemExit):
             main(["run", "--scenario", "fig9", "--shards", "3"])
         assert "unrecognized arguments: --shards" in capsys.readouterr().err
-        valid = r"\('serial', 'parallel', 'daemon'\)"
-        for name in ("sharded", "population"):
+        with pytest.raises(SystemExit):
+            main(["serve", "--scenario", "fig9", "--listen", "mem://x",
+                  "--policy", "serial"])
+        assert (
+            "unrecognized arguments: --policy serial"
+            in capsys.readouterr().err
+        )
+        valid = r"\('serial', 'parallel'\)$"
+        for name in ("sharded", "population", "daemon"):
             with pytest.raises(ValueError, match=valid):
                 ScenarioSpec(name="retired", policy=name)
             with pytest.raises(ValueError, match=valid):
                 make_policy(name)
-        for backend in ("thread", "auto"):
-            with pytest.raises(
-                ValueError, match=r"\('process', 'serialized'\)"
-            ):
+            with pytest.raises(ValueError, match=valid):
+                FuzzConfig(policies=("serial", name))
+        for backend in ("process", "serialized"):
+            with pytest.raises(TypeError, match="'backend'"):
                 ParallelShardedPolicy(backend=backend)
 
     def test_workers_accepted_with_parallel_policy(self):
@@ -169,10 +180,18 @@ class TestCommands:
                 "--scenario table1 --nodes 2",
                 r"^error: fanout 3 invalid for 2 nodes$",
             ),
+            (
+                "--scenario fig9 --rate -5 --rounds 6 --nodes 10",
+                r"^error: stream rate must be positive, got -5.0$",
+            ),
+            ("--nodes 3 --rounds 2", r"^error: fanout 3 invalid for 3 nodes$"),
+            ("--rounds 0", r"^error: --rounds must be at least 1, got 0$"),
+            ("--rate -5", r"^error: stream rate must be positive$"),
         ],
         ids=[
             "fig9-rounds", "fig9-1m-rounds", "fig9-1m-population",
-            "fig9-fanout", "table1-fanout",
+            "fig9-fanout", "table1-fanout", "fig9-rate",
+            "no-scenario-fanout", "no-scenario-rounds", "no-scenario-rate",
         ],
     )
     def test_run_rejected_override_is_a_one_line_error(
@@ -425,10 +444,26 @@ class TestDaemonSessionCommands:
         with pytest.raises(DaemonError, match="churn"):
             main(["session", "--scenario", "churn"])
 
-    def test_daemon_policy_flag_accepted_on_run(self, capsys):
-        code = main(
-            ["run", "--nodes", "12", "--rounds", "4",
-             "--policy", "daemon"]
-        )
-        assert code == 0
-        assert "mean download" in capsys.readouterr().out
+    def test_session_rejected_override_is_a_one_line_error(self):
+        with pytest.raises(
+            SystemExit, match=r"^error: fanout 3 invalid for 3 nodes$"
+        ) as exc:
+            main(["session", "--scenario", "fig9", "--nodes", "3",
+                  "--rounds", "6"])
+        assert "\n" not in str(exc.value.code)
+
+    def test_serve_rejected_override_is_a_one_line_error_before_listening(
+        self, monkeypatch
+    ):
+        import repro.service
+
+        def never(*args, **kwargs):
+            raise AssertionError("serve listened before validating")
+
+        monkeypatch.setattr(repro.service, "ServiceServer", never)
+        with pytest.raises(
+            SystemExit, match=r"^error: warmup \(4\) must leave measurable"
+        ) as exc:
+            main(["serve", "--scenario", "fig9", "--listen", "mem://x",
+                  "--rounds", "1", "--nodes", "8"])
+        assert "\n" not in str(exc.value.code)
