@@ -6,7 +6,7 @@ a membership; we compare what each node pays in bandwidth and what
 stream quality it experiences, across the accountable+private protocol
 (PAG), the accountable-only baseline (AcTinG), and unprotected push
 gossip.  RAC is evaluated analytically (it cannot stream at all — see
-Table II and benchmarks/bench_table2_video_quality.py).
+Table II: ``repro run --scenario table2``).
 
 Run:
     python examples/live_streaming.py [n_nodes] [rate_kbps]

@@ -2,8 +2,8 @@
 
 Runs three registered scenarios — the honest Fig. 7 workload, a
 free-rider conviction, and mid-stream churn — then declares and runs a
-custom scenario, all through the repro.api facade the CLI and
-benchmarks are built on.  Run with::
+custom scenario, all through the repro.api facade the CLI is
+built on.  Run with::
 
     PYTHONPATH=src python examples/scenario_registry.py
 """

@@ -21,7 +21,7 @@ setup(
         # numpy carries the population tier (repro.sim.population and
         # its columnar spill); nothing else imports it.
         "analysis": ["numpy>=1.24"],
-        "dev": ["pytest", "pytest-benchmark", "hypothesis"],
+        "dev": ["pytest", "hypothesis"],
     },
     entry_points={
         "console_scripts": ["repro = repro.cli:main"],

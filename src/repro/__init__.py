@@ -24,8 +24,9 @@ Package map:
 * :mod:`repro.verifier` — the Dolev-Yao engine reproducing the ProVerif
   analysis.
 
-See DESIGN.md for the system inventory and EXPERIMENTS.md for the
-paper-vs-measured results.
+See README.md for the CLI, the scenario registry and the package
+layout; ``repro run --scenario NAME`` prints each figure and table next
+to the paper's values.
 """
 
 from __future__ import annotations

@@ -6,7 +6,7 @@ the hardware used" (section VII-C).  Two reproductions are provided:
 
 * closed-form operation counts per node per second, derived from the
   protocol's message complexity;
-* the Table I generator used by ``benchmarks/bench_table1_crypto_costs``.
+* the Table I generator behind ``repro run --scenario table1``.
 
 The signature count agrees with the simulator's counters; the hash
 count does not yet.  At 60 nodes, 15 rounds and 300 Kbps the simulator

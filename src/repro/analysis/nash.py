@@ -11,8 +11,8 @@ deviations by running the packet-level protocol: a deviation's utility
 is computed from the deviator's *measured* bandwidth, *measured*
 playback continuity, and whether the monitoring infrastructure convicted
 it.  The claim is verified (not assumed) by
-``tests/analysis/test_nash.py`` and ``benchmarks/bench_nash_deviations``
-over the whole deviation catalogue of :mod:`repro.adversary.selfish`.
+``tests/analysis/test_nash.py`` over the whole deviation catalogue of
+:mod:`repro.adversary.selfish`.
 """
 
 from __future__ import annotations

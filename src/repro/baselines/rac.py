@@ -20,9 +20,11 @@ Two artefacts here:
 * :class:`RacNode`/:class:`RacSession` — a runnable simulation of the
   ring-broadcast-with-cover-traffic structure, used at small N to
   validate the model's shape (per-node bandwidth ∝ N × cell rate);
-* :func:`rac_max_payload_kbps` — the capacity model used by the
-  Table II bench, calibrated to RAC's published operating point (the
-  ``RAC_OVERHEAD_CALIBRATION`` constant; see DESIGN.md substitutions).
+* :func:`rac_max_payload_kbps` — the capacity model behind Table II,
+  calibrated to RAC's published operating point (the
+  ``RAC_OVERHEAD_CALIBRATION`` constant stands in for the onion,
+  acknowledgement and audit overheads beyond RAC's structural N-fold
+  broadcast cost).
 """
 
 from __future__ import annotations

@@ -10,7 +10,7 @@ Usage::
     python -m repro watch tcp://127.0.0.1:PORT [--raw]
     python -m repro ctl tcp://127.0.0.1:PORT churn --node 5
     python -m repro verify [--fanout F]
-    python -m repro lint [PATHS ...] [--rules] [--no-wire-check]
+    python -m repro lint [PATHS ...] [--rules]
 
 ``run --scenario NAME`` dispatches through the scenario registry; when
 the name has a registered paper renderer (``fig7``..``table2``,
@@ -176,7 +176,7 @@ def build_parser() -> argparse.ArgumentParser:
         "lint",
         help=(
             "static project-invariant analysis: determinism (DET1xx), "
-            "wire-schema coverage (WIRE2xx), policy parity (PAR3xx)"
+            "policy parity (PAR3xx)"
         ),
     )
     lint.add_argument(
@@ -188,14 +188,6 @@ def build_parser() -> argparse.ArgumentParser:
     lint.add_argument(
         "--rules", action="store_true",
         help="list every rule code and exit",
-    )
-    lint.add_argument(
-        "--no-wire-check", action="store_true",
-        help="skip the wire-schema cross-check",
-    )
-    lint.add_argument(
-        "--root", default=None, metavar="DIR",
-        help="repository root for locating tests/net assets",
     )
 
     daemon = sub.add_parser(
@@ -498,16 +490,36 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_lint(args) -> int:
-    from repro.lint.runner import main as lint_main
+    from pathlib import Path
 
-    argv = list(args.paths)
+    from repro.lint.diagnostics import RULES, summarize
+    from repro.lint.runner import lint_paths
+
     if args.rules:
-        argv.append("--rules")
-    if args.no_wire_check:
-        argv.append("--no-wire-check")
-    if args.root is not None:
-        argv.extend(["--root", args.root])
-    return lint_main(argv)
+        width = max(len(code) for code in RULES)
+        for code, summary in sorted(RULES.items()):
+            print(f"{code:<{width}}  {summary}")
+        return 0
+
+    paths = [Path(p) for p in args.paths] or [Path(__file__).resolve().parent]
+    missing = [p for p in paths if not p.exists()]
+    if missing:
+        for p in missing:
+            print(f"repro lint: no such path: {p}", file=sys.stderr)
+        return 2
+
+    diagnostics = lint_paths(paths)
+    for diag in diagnostics:
+        print(diag.render())
+    total, by_code = summarize(diagnostics)
+    if total:
+        histogram = ", ".join(
+            f"{code}: {count}" for code, count in by_code.items()
+        )
+        print(f"Found {total} finding(s) ({histogram})")
+        return 1
+    print("repro lint: all clean")
+    return 0
 
 
 def _cmd_daemon(args) -> int:

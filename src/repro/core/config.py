@@ -35,14 +35,12 @@ class PagConfig:
         buffermap_depth: rounds of owned updates advertised in each
             KeyResponse (the paper's tuned value is 4).
         round_seconds: wall-clock duration of one round.
-        modulus_bits: wire size of the homomorphic hash modulus (512).
-        prime_bits: wire size of the per-link primes (512).
-        signature_bytes: wire size of one RSA signature (RSA-2048 = 256).
         sim_modulus_bits: modulus actually used for the in-simulation
             algebra.  The homomorphic identities are exact at any size,
             so simulations may compute with a smaller modulus while wire
-            costs are still priced at ``modulus_bits`` (see DESIGN.md,
-            "Substitutions").
+            costs are still priced at the paper's sizes (512-bit hashes
+            and primes, RSA-2048 signatures) by
+            :class:`~repro.sim.message.WireSizes`.
         sim_prime_bits: prime size used for the in-simulation algebra.
         seed: root seed for all randomness in the session.
         detection_enabled: run the monitoring state machine (can be
@@ -54,8 +52,8 @@ class PagConfig:
             the serve, which monitors acknowledge without propagation
             checks — the same mechanism the paper introduces for expiring
             updates (section V-D), applied also to duplicates so that
-            ghost obligations do not cascade.  This is the ablation knob
-            listed in DESIGN.md section 6.
+            ghost obligations do not cascade.  This is an ablation knob:
+            no registry scenario turns it on.
         monitor_cross_checks: enable the section V-B option "to check
             that monitors correctly compute and forward the hashes of
             updates": the monitored node also computes each lifted hash
@@ -74,9 +72,6 @@ class PagConfig:
     playout_delay_rounds: int = 10
     buffermap_depth: int = 4
     round_seconds: float = 1.0
-    modulus_bits: int = 512
-    prime_bits: int = 512
-    signature_bytes: int = 256
     sim_modulus_bits: int = 128
     sim_prime_bits: int = 32
     seed: int = 20160627
@@ -109,13 +104,3 @@ class PagConfig:
         fanout = overrides.pop("fanout", default_fanout(n))
         monitors = overrides.pop("monitors_per_node", fanout)
         return cls(fanout=fanout, monitors_per_node=monitors, **overrides)
-
-    @property
-    def hash_bytes(self) -> int:
-        """Wire size of one homomorphic hash value."""
-        return (self.modulus_bits + 7) // 8
-
-    @property
-    def prime_bytes(self) -> int:
-        """Wire size of one link prime."""
-        return (self.prime_bits + 7) // 8

@@ -697,7 +697,8 @@ class PagNode(SimNode):
             return
         # Late ingestion: the payloads are still useful for playback,
         # but probed entries do not re-enter the forwarding obligation
-        # (see DESIGN.md: failure-path simplification).
+        # (a simplification of the failure path: a probe answer never
+        # opens new obligations).
         for entry in message.entries:
             if entry.has_payload:
                 self.store.add(entry.update, message.round_no)

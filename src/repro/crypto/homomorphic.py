@@ -19,7 +19,7 @@ recovering an update from its hash would require inverting unpadded RSA.
 
 The paper recommends a 512-bit modulus (following the 2014 ENISA report)
 and notes that 256 bits may be acceptable; both are exercised in the
-benchmarks.  Updates hashed here are arbitrary integers; real updates are
+crypto tests.  Updates hashed here are arbitrary integers; real updates are
 *larger* than the modulus, which is exactly why the hash is not
 invertible ("nodes cannot decrypt the hashed updates, as the value of the
 modulus M is smaller than the size of updates").

@@ -1,12 +1,10 @@
 """Project-invariant static analysis (``repro lint``).
 
-Three analyzer families guard the invariants the differential suite
+Two analyzer families guard the invariants the differential suite
 can only probe dynamically:
 
 * :mod:`repro.lint.determinism` — DET1xx: no ambient entropy, no wall
   clock, no address-keyed or hash-ordered data feeding ordered sinks.
-* :mod:`repro.lint.wireschema` — WIRE2xx: total wire-format coverage
-  (codec + bounds + fixture + golden frame per message kind).
 * :mod:`repro.lint.parity` — PAR3xx: replica-worker code never mutates
   parent-session state or shared module globals.
 
@@ -17,7 +15,7 @@ See ``docs/INVARIANTS.md`` for the rule catalogue and the
 from __future__ import annotations
 
 from repro.lint.diagnostics import RULES, Diagnostic
-from repro.lint.runner import lint_file, lint_paths, lint_source, main
+from repro.lint.runner import lint_file, lint_paths, lint_source
 
 __all__ = [
     "RULES",
@@ -25,5 +23,4 @@ __all__ = [
     "lint_file",
     "lint_paths",
     "lint_source",
-    "main",
 ]

@@ -19,8 +19,8 @@ __all__ = ["Diagnostic", "RULES", "rule_exists"]
 
 
 #: code -> one-line summary.  Codes are grouped by family: DET1xx are
-#: determinism rules, WIRE2xx wire-schema coverage rules, PAR3xx
-#: policy-parity rules, PRG9xx pragma hygiene.
+#: determinism rules, PAR3xx policy-parity rules, PRG9xx pragma
+#: hygiene.
 RULES: Dict[str, str] = {
     "DET101": (
         "call on the module-level random singleton (use a seeded "
@@ -49,13 +49,6 @@ RULES: Dict[str, str] = {
     "DET107": (
         "filesystem-order iteration (os.listdir, glob, iterdir) feeds "
         "an ordered sink; sort first"
-    ),
-    "WIRE201": "message kind has no registered wire codec",
-    "WIRE203": "wire kind has no fixture in tests/net/fixtures.py",
-    "WIRE204": "wire kind has no golden frame in golden_wire_v1.json",
-    "WIRE205": (
-        "stale wire coverage: fixture or golden entry names an "
-        "unregistered kind"
     ),
     "PAR301": (
         "replica-worker scope mutates parent-session state (meters, "

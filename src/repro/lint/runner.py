@@ -1,37 +1,26 @@
-"""The ``repro lint`` driver: walk, analyze, suppress, report.
+"""The ``repro lint`` driver: walk, analyze, suppress.
 
 Runs the AST analyzers (:mod:`determinism <repro.lint.determinism>`,
 :mod:`parity <repro.lint.parity>`) over every Python file under the
-given paths, applies ``# lint: allow[RULE]`` pragmas, appends pragma
-hygiene findings, runs the wire-schema cross-check once per
-invocation, and renders everything ruff-style::
+given paths, applies ``# lint: allow[RULE]`` pragmas and appends pragma
+hygiene findings.  ``repro lint`` (:mod:`repro.cli`) renders the
+sorted findings ruff-style::
 
     src/repro/sim/faults.py:116:12: DET102 random.Random() without ...
-
-Exit status is the number of findings clamped to 1, so CI gates on it
-directly.
 """
 
 from __future__ import annotations
 
-import argparse
 import ast
-import sys
 from pathlib import Path
 from typing import Iterable, List, Optional, Sequence
 
 from repro.lint.determinism import analyze_determinism
-from repro.lint.diagnostics import (
-    RULES,
-    Diagnostic,
-    sort_diagnostics,
-    summarize,
-)
+from repro.lint.diagnostics import Diagnostic, sort_diagnostics
 from repro.lint.parity import analyze_parity
 from repro.lint.pragmas import scan_pragmas
-from repro.lint.wireschema import check_wire_schema
 
-__all__ = ["lint_file", "lint_paths", "main"]
+__all__ = ["lint_file", "lint_paths"]
 
 _SKIP_DIRS = {"__pycache__", ".hypothesis", ".pytest_cache", ".git"}
 
@@ -80,89 +69,9 @@ def lint_file(path: Path, display: Optional[str] = None) -> List[
     return lint_source(display or str(path), path.read_text())
 
 
-def lint_paths(
-    paths: Sequence[Path],
-    repo_root: Optional[Path] = None,
-    wire_check: bool = True,
-) -> List[Diagnostic]:
-    """Analyze every file under ``paths`` plus the wire cross-check."""
+def lint_paths(paths: Sequence[Path]) -> List[Diagnostic]:
+    """Analyze every file under ``paths``."""
     diagnostics: List[Diagnostic] = []
     for file_path in _iter_python_files(list(paths)):
         diagnostics.extend(lint_file(file_path))
-    if wire_check:
-        diagnostics.extend(check_wire_schema(repo_root))
     return sort_diagnostics(diagnostics)
-
-
-def _default_paths() -> List[Path]:
-    """The repro package itself, wherever this install lives."""
-    return [Path(__file__).resolve().parent.parent]
-
-
-def _print_rules() -> None:
-    width = max(len(code) for code in RULES)
-    for code, summary in sorted(RULES.items()):
-        print(f"{code:<{width}}  {summary}")
-
-
-def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="repro lint",
-        description=(
-            "Static project-invariant linter: determinism, "
-            "wire-schema coverage, policy parity."
-        ),
-    )
-    parser.add_argument(
-        "paths",
-        nargs="*",
-        type=Path,
-        help="files or directories to lint (default: the repro "
-        "package sources)",
-    )
-    parser.add_argument(
-        "--rules",
-        action="store_true",
-        help="list every rule code and exit",
-    )
-    parser.add_argument(
-        "--no-wire-check",
-        action="store_true",
-        help="skip the wire-schema cross-check (pure AST pass only)",
-    )
-    parser.add_argument(
-        "--root",
-        type=Path,
-        default=None,
-        help="repository root for locating tests/net assets "
-        "(default: the current directory)",
-    )
-    args = parser.parse_args(argv)
-
-    if args.rules:
-        _print_rules()
-        return 0
-
-    paths = [Path(p) for p in args.paths] or _default_paths()
-    missing = [p for p in paths if not p.exists()]
-    if missing:
-        for p in missing:
-            print(f"repro lint: no such path: {p}", file=sys.stderr)
-        return 2
-
-    diagnostics = lint_paths(
-        paths,
-        repo_root=args.root,
-        wire_check=not args.no_wire_check,
-    )
-    for diag in diagnostics:
-        print(diag.render())
-    total, by_code = summarize(diagnostics)
-    if total:
-        histogram = ", ".join(
-            f"{code}: {count}" for code, count in by_code.items()
-        )
-        print(f"Found {total} finding(s) ({histogram})")
-        return 1
-    print("repro lint: all clean")
-    return 0

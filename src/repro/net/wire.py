@@ -1188,10 +1188,10 @@ def schema_table() -> List[Tuple[int, type, bool]]:
     """``(kind_byte, message class, is_control)`` per registered schema.
 
     Ordered by kind byte then class name.  This is the coverage
-    contract the ``repro lint`` wire cross-check verifies: every row
-    must have a fixture in ``tests/net/fixtures.py`` and a pinned
-    frame in ``tests/net/golden_wire_v1.json``, and every message
-    class must appear here.
+    contract ``tests/net/test_wire.py`` and ``test_wire_golden.py``
+    check: every row has a fixture in ``tests/net/fixtures.py`` and a
+    pinned frame in ``tests/net/golden_wire_v1.json``, and every
+    message class with a wire ``kind`` appears here.
     """
     return sorted(
         (

@@ -3,7 +3,7 @@
 The paper's evaluation is a matrix of named workloads; this package
 declares them once (:mod:`repro.scenarios.registry`), describes each as
 pure data (:class:`~repro.scenarios.spec.ScenarioSpec`) and gives the
-CLI, the benchmarks and the tests a single way to build, run, and
+CLI, the repo benchmark and the tests a single way to build, run, and
 measure them.  Start with::
 
     from repro.scenarios import run_scenario

@@ -1,11 +1,11 @@
 """Registry of the paper's named scenarios.
 
 Every reproduction entry point — ``repro run --scenario NAME``, the
-``benchmarks/bench_fig*`` suite, and the integration tests — resolves
-its workload here, so the paper's evaluation matrix is declared exactly
+``bench/`` workloads, and the integration tests — resolves its
+workload here, so the paper's evaluation matrix is declared exactly
 once.  Registering a new scenario
 (``register_scenario(ScenarioSpec(name="my-workload", ...))``)
-immediately makes it runnable from the CLI and the benchmarks.
+immediately makes it runnable from the CLI.
 
 Specs carry an execution ``policy`` knob (serial / parallel, which are
 bit-identical; see :mod:`repro.sim.execution`), so a scenario can

@@ -5,8 +5,8 @@ sizes, monitor counts, adversary mixes, churn, stream rates (Figs.
 7-10, Tables I-II).  A :class:`ScenarioSpec` captures one cell of that
 matrix as data: what to build, how long to run it, and which window to
 measure.  Everything that used to be hand-wired per call site (CLI
-subcommands, ``benchmarks/bench_fig*.py``, integration tests) builds
-from a spec instead, so a new workload is one declaration, not another
+subcommands, ``bench/`` workloads, integration tests) builds from a
+spec instead, so a new workload is one declaration, not another
 copy of the session plumbing.
 """
 

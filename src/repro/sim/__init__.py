@@ -2,8 +2,10 @@
 
 Replaces the paper's Grid'5000 deployment and OMNeT++ simulations with a
 single engine that executes the protocols' real message sequences and
-meters every byte (see DESIGN.md, section 4, for the substitution
-argument).
+meters every byte.  The substitution keeps what the paper measures,
+bytes and crypto operations per node, exact; it does not model link
+timing: a round is one synchronous step, and loss, delay and outages
+are injected by :mod:`repro.sim.faults`.
 """
 
 from __future__ import annotations

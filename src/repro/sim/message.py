@@ -24,7 +24,6 @@ class WireSizes:
         signature: one RSA signature (RSA-2048 -> 256 bytes).
         hash_value: one homomorphic hash (512-bit modulus -> 64 bytes).
         prime: one hashing prime (512 bits -> 64 bytes).
-        update_payload: one content chunk (938 bytes in the paper).
         update_id: compact identifier of an update (sequence number).
         encryption_overhead: padding/session-key overhead when a message
             body is encrypted under a recipient's public key (hybrid
@@ -35,7 +34,6 @@ class WireSizes:
     signature: int = 256
     hash_value: int = 64
     prime: int = 64
-    update_payload: int = 938
     update_id: int = 8
     encryption_overhead: int = 256
 

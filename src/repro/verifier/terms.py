@@ -1,9 +1,9 @@
 """Symbolic term algebra for the Dolev-Yao analysis of PAG.
 
 The paper verifies privacy property P1 with ProVerif (section VI-A); we
-reproduce the analysis with a small, purpose-built symbolic engine (see
-DESIGN.md, substitutions).  Messages are terms; the attacker is a
-deduction system over sets of terms.
+reproduce the analysis with a small, purpose-built symbolic engine in
+place of ProVerif.  Messages are terms; the attacker is a deduction
+system over sets of terms.
 
 The algebra models exactly the operations PAG relies on:
 

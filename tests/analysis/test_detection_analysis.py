@@ -2,7 +2,13 @@
 
 import pytest
 
-from repro.adversary.selfish import ContactAvoider, FreeRider
+from repro.adversary.selfish import (
+    ContactAvoider,
+    DeclarationSkipper,
+    FreeRider,
+    PartialForwarder,
+    SilentReceiver,
+)
 from repro.analysis.detection import (
     detection_latency,
     selfish_population_impact,
@@ -21,6 +27,25 @@ class TestDetectionLatency:
     def test_contact_avoider_caught(self):
         result = detection_latency(ContactAvoider())
         assert result.first_conviction_round is not None
+        assert result.latency_rounds <= 4
+
+    @pytest.mark.parametrize(
+        "behavior",
+        [
+            PartialForwarder(keep_fraction=0.5, seed=1),
+            SilentReceiver(),
+            DeclarationSkipper(),
+        ],
+        ids=lambda behavior: type(behavior).__name__,
+    )
+    def test_other_strategies_caught_within_four_rounds(self, behavior):
+        """Log-less monitoring checks every exchange every round, so
+        each selfish strategy is convicted soon after it first deviates
+        (a silent receiver has no violation round to count from)."""
+        result = detection_latency(behavior)
+        assert result.first_conviction_round is not None
+        if result.latency_rounds is not None:
+            assert result.latency_rounds <= 4
 
     def test_latency_none_when_never_convicted(self):
         from repro.core.behavior import CorrectBehavior

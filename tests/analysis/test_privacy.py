@@ -48,11 +48,17 @@ class TestClosedForms:
 
     def test_more_monitors_improve_privacy(self):
         """Fig. 10: the PAG-5-monitors curve sits below PAG-3-monitors
-        (more predecessors must collude)."""
+        (more predecessors must collude), and at 30% attackers every
+        extra monitor (with the coupled fanout) lowers the bound."""
         for c in [0.1, 0.3, 0.5, 0.7]:
             assert pag_discovery_probability(
                 c, fanout=5
             ) <= pag_discovery_probability(c, fanout=3)
+        bounds = [
+            pag_discovery_probability(0.3, fanout=f) for f in range(3, 7)
+        ]
+        assert bounds == sorted(bounds, reverse=True)
+        assert len(set(bounds)) == len(bounds)
 
     def test_ordering_acting_worst(self):
         for c in [0.05, 0.1, 0.3]:
@@ -68,6 +74,20 @@ class TestFigure10Series:
         assert points[0].attacker_fraction == 0.0
         assert points[-1].attacker_fraction == 1.0
         assert len(points) == 21
+
+    def test_curves_are_ordered_at_every_point(self):
+        """Fig. 10's four curves never cross: minimum <= PAG-5 <= PAG-3
+        <= AcTinG on the whole grid, and at 10% attackers PAG-3 stays
+        within 10 points of the minimum."""
+        points = figure10_series()
+        for p in points:
+            assert p.theoretical_minimum <= p.pag_5_monitors + 1e-9
+            assert p.pag_5_monitors <= p.pag_3_monitors + 1e-9
+            assert p.pag_3_monitors <= p.acting + 1e-9
+        at_10 = next(
+            p for p in points if p.attacker_fraction == pytest.approx(0.10)
+        )
+        assert at_10.pag_3_monitors - at_10.theoretical_minimum < 0.10
 
     def test_monotone_curves(self):
         points = figure10_series()
@@ -109,3 +129,28 @@ class TestMonteCarloCrossValidation:
         mc = sum(rates) / len(rates)
         closed = pag_discovery_probability(c, fanout=3)
         assert abs(mc - closed) < 0.12, (mc, closed)
+
+    def test_more_monitors_discover_no_more_on_a_real_topology(self):
+        """The PAG-5 curve's gain is structural, not only closed-form:
+        with five predecessors, "all but two" is a taller order."""
+        n = 200
+        for c in (0.3, 0.5):
+            rates = {}
+            for monitors in (3, 5):
+                views = ViewProvider(
+                    directory=Directory.of_size(n),
+                    seeds=SeedSequence(17),
+                    fanout=monitors,
+                    monitors_per_node=monitors,
+                )
+                rng = SeedSequence(19).stream("mc", int(c * 100), monitors)
+                consumers = list(views.directory.consumers())
+                total = 0.0
+                for _trial in range(3):
+                    members = set(rng.sample(consumers, int(n * c)))
+                    rate, _, _ = Coalition(members=members).discovery_rate(
+                        views, [1, 2]
+                    )
+                    total += rate
+                rates[monitors] = total / 3
+            assert rates[5] <= rates[3] + 0.03, (c, rates)

@@ -105,7 +105,7 @@ class TestMessageSizes:
 
     @pytest.mark.parametrize(
         "sizes",
-        [SIZES, WireSizes(update_id=5, update_payload=100, header=3)],
+        [SIZES, WireSizes(update_id=5, header=3)],
         ids=["default", "non-default"],
     )
     @pytest.mark.parametrize("label", sorted(SCENARIOS))

@@ -7,6 +7,7 @@ from repro.core.signing import RsaSigner, TokenSigner
 from repro.core.state import ForwardSet, PagNodeState
 from repro.crypto.keystore import KeyStore
 from repro.gossip.updates import Update
+from repro.sim.message import WireSizes
 
 
 def update(uid):
@@ -102,9 +103,12 @@ class TestPagConfig:
         assert PagConfig.for_system_size(1000, fanout=5).fanout == 5
 
     def test_wire_byte_helpers(self):
-        cfg = PagConfig()
-        assert cfg.hash_bytes == 64
-        assert cfg.prime_bytes == 64
+        """The wire is priced at the paper's sizes by ``WireSizes``,
+        whatever the in-simulation modulus and prime widths."""
+        sizes = WireSizes()
+        assert (sizes.hash_value, sizes.prime, sizes.signature) == (
+            64, 64, 256
+        )
 
 
 class TestSigners:

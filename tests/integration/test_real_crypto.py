@@ -1,7 +1,8 @@
 """End-to-end run with genuine RSA signatures and paper-size parameters.
 
 Most tests use small in-simulation primes/moduli and token signatures
-(the algebra is exact at any size; see DESIGN.md substitutions).  This
+(the algebra is exact at any size, and ``WireSizes`` prices the wire at
+the paper's sizes whatever the in-simulation widths).  This
 suite runs the real thing at small scale: RSA-signed messages and the
 paper's 512-bit homomorphic modulus with 512-bit primes, to show the
 protocol is not relying on any small-parameter artefact.
@@ -56,4 +57,4 @@ def test_paper_size_hash_values_fit_wire_size():
     session.run(4)
     hasher = session.context.hasher
     assert hasher.modulus.bit_length() <= 512
-    assert hasher.byte_size <= session.context.config.hash_bytes
+    assert hasher.byte_size <= session.simulator.network.sizes.hash_value

@@ -14,8 +14,8 @@ from repro.sim.execution import ParallelShardedPolicy, SerialPolicy
 from repro.sim.faults import OutageFault
 
 
-#: Scale every scenario down to smoke size (the benchmarks exercise the
-#: registry at figure scale).
+#: Scale every scenario down to smoke size (``repro run --scenario NAME``
+#: runs the registry at figure scale).
 SMALL = dict(nodes=16, rounds=8, warmup_rounds=2)
 
 #: Scenarios whose declared membership/churn/arrival/ramp schedule must

@@ -1,13 +1,14 @@
 """End-to-end ``repro lint``: clean tree, CLI wiring, mutations."""
 
-import json
 import os
-import shutil
 import subprocess
 import sys
 
+import pytest
+
+from repro.cli import main
 from repro.lint.diagnostics import RULES
-from repro.lint.runner import lint_source, main
+from repro.lint.runner import lint_source
 from tests.lint.markers import REPO_ROOT
 
 SRC_TREE = REPO_ROOT / "src" / "repro"
@@ -25,21 +26,25 @@ def _cli(*argv, cwd=None):
     )
 
 
+def _lint(*argv):
+    return main(["lint", *argv])
+
+
 class TestCleanTree:
     def test_src_tree_is_clean(self, capsys):
-        code = main([str(SRC_TREE), "--root", str(REPO_ROOT)])
+        code = _lint(str(SRC_TREE))
         out = capsys.readouterr().out
         assert code == 0, out
         assert "repro lint: all clean" in out
 
     def test_rules_listing(self, capsys):
-        assert main(["--rules"]) == 0
+        assert _lint("--rules") == 0
         out = capsys.readouterr().out
         for rule in RULES:
             assert rule in out
 
     def test_missing_path_exits_2(self, capsys):
-        assert main(["no_such_file_xyz.py"]) == 2
+        assert _lint("no_such_file_xyz.py") == 2
         err = capsys.readouterr().err
         assert "no such path" in err
 
@@ -47,7 +52,15 @@ class TestCleanTree:
         proc = _cli("--rules")
         assert proc.returncode == 0, proc.stderr
         assert "DET101" in proc.stdout
-        assert "WIRE205" in proc.stdout
+        assert "PAR302" in proc.stdout
+
+    @pytest.mark.parametrize(
+        "flag", [["--no-wire-check"], ["--root", "."]], ids=["wire", "root"]
+    )
+    def test_retired_wire_flags_are_rejected(self, flag, capsys):
+        with pytest.raises(SystemExit):
+            _lint(*flag)
+        assert "unrecognized arguments" in capsys.readouterr().err
 
 
 class TestMutations:
@@ -59,7 +72,7 @@ class TestMutations:
             "import random\n\n\ndef jitter(scale):\n"
             "    return scale * random.random()\n"
         )
-        proc = _cli(str(bad), "--no-wire-check")
+        proc = _cli(str(bad))
         assert proc.returncode == 1, proc.stdout
         assert "DET101" in proc.stdout
         assert "Found 1 finding(s)" in proc.stdout
@@ -70,33 +83,10 @@ class TestMutations:
             "_SLOT = {}\n\n\ndef _process_batch(rows):\n"
             "    _SLOT['last'] = rows\n"
         )
-        code = main([str(bad), "--no-wire-check"])
+        code = _lint(str(bad))
         out = capsys.readouterr().out
         assert code == 1
         assert "PAR302" in out
-
-    def test_dropped_golden_frame_fails(self, tmp_path, capsys):
-        # A fake repo root whose golden file lost one pinned frame:
-        # the cross-check must notice the uncovered wire kind.
-        net_dir = tmp_path / "tests" / "net"
-        net_dir.mkdir(parents=True)
-        shutil.copy(
-            REPO_ROOT / "tests" / "net" / "fixtures.py",
-            net_dir / "fixtures.py",
-        )
-        golden_src = REPO_ROOT / "tests" / "net" / "golden_wire_v1.json"
-        golden = json.loads(golden_src.read_text())
-        frames = golden["frames"]
-        dropped = next(k for k in frames if k.endswith("-Serve"))
-        del frames[dropped]
-        (net_dir / "golden_wire_v1.json").write_text(json.dumps(golden))
-        clean = tmp_path / "clean.py"
-        clean.write_text("VALUE = 1\n")
-        code = main([str(clean), "--root", str(tmp_path)])
-        out = capsys.readouterr().out
-        assert code == 1
-        assert "WIRE204" in out
-        assert "'Serve'" in out
 
     def test_unparseable_file_reports_prg903(self):
         diags = lint_source("broken.py", "def f(:\n")

@@ -2,9 +2,11 @@
 
 Three layers of assurance:
 
-* deterministic fixtures — every registered kind byte round-trips
+* deterministic fixtures — every message class with a wire ``kind``
+  has a registered codec, every registered kind byte round-trips
   exactly (``decode(encode(m)) == m``) and the fixture list covers the
-  whole registry, so adding a schema without a fixture fails here;
+  whole registry, so adding a message without a schema, or a schema
+  without a fixture, fails here;
 * Hypothesis round-trips — randomised field values over every session
   kind, including the batched relay's pair lists;
 * fuzzing — truncation at *every* byte offset, byte flips at every
@@ -18,6 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core import messages
 from repro.core.messages import (
     Accusation,
     Ack,
@@ -67,6 +70,18 @@ FUZZED_IDS = IDS + ["live-Serve", "live-KeyResponse"]
 def test_fixtures_cover_every_registered_kind():
     covered = {type(m) for m in MESSAGES}
     assert covered == {cls for _, cls, _ in schema_table()}
+
+
+def test_every_message_kind_has_a_registered_codec():
+    registered = {cls for _, cls, _ in schema_table()}
+    kinds = [getattr(messages, name) for name in messages.__all__]
+    unregistered = [
+        cls.__name__
+        for cls in kinds
+        if isinstance(getattr(cls, "kind", None), str)
+        and cls not in registered
+    ]
+    assert unregistered == []
 
 
 def test_kind_bytes_split_session_and_control():
