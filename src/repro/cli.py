@@ -566,9 +566,12 @@ def _cmd_session(args) -> int:
         endpoints = [
             item.strip() for item in args.daemons.split(",") if item.strip()
         ]
-        coordinator = SessionCoordinator(
-            spec, endpoints, batch_relays=batch_relays
-        )
+        try:
+            coordinator = SessionCoordinator(
+                spec, endpoints, batch_relays=batch_relays
+            )
+        except ValueError as exc:
+            raise SystemExit(f"error: {exc}") from None
         result = asyncio.run(coordinator.run())
     else:
         result = asyncio.run(
@@ -779,6 +782,11 @@ def _cmd_ctl(args) -> int:
     return 0 if ok else 1
 
 
+#: Verbs that reach other processes: a bad endpoint, a refused dial or
+#: a protocol refusal ends them with one ``error: ...`` line (status 1).
+_NETWORK_VERBS = frozenset({"daemon", "session", "serve", "watch", "ctl"})
+
+
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     handler = {
@@ -794,7 +802,15 @@ def main(argv: Optional[List[str]] = None) -> int:
         "watch": _cmd_watch,
         "ctl": _cmd_ctl,
     }[args.command]
-    return handler(args)
+    if args.command not in _NETWORK_VERBS:
+        return handler(args)
+    from repro.net.daemon import DaemonError
+    from repro.net.transport import TransportError
+
+    try:
+        return handler(args)
+    except (DaemonError, TransportError) as exc:
+        raise SystemExit(f"error: {exc}") from None
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised via __main__

@@ -525,7 +525,6 @@ class PagNode(SimNode):
             round_no, server, products, serve.key_prev,
             serve.key_prime_count,
         )
-        self.state.acks_sent[(round_no, server)] = ack
         self.send(
             Ack(
                 sender=self.node_id,

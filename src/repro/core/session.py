@@ -10,15 +10,7 @@ playback quality).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import (
-    TYPE_CHECKING,
-    Callable,
-    Dict,
-    List,
-    Mapping,
-    Optional,
-    Set,
-)
+from typing import Callable, Dict, List, Mapping, Optional, Set
 
 from repro.core.accusations import Verdict
 from repro.core.behavior import Behavior
@@ -33,14 +25,7 @@ from repro.sim.execution import ExecutionPolicy
 from repro.sim.network import Network
 from repro.streaming.player import PlaybackReport, evaluate_playback
 
-if TYPE_CHECKING:
-    from repro.crypto.backend import SharedLadderTable
-
 __all__ = ["PagSession"]
-
-#: Ceiling on the bases precomputed into a shared ladder table (memory
-#: guard for very long runs; ~1 KB per base at the simulation modulus).
-_SHARED_LADDER_MAX_BASES = 8192
 
 
 @dataclass
@@ -159,52 +144,6 @@ class PagSession(SimSession[PagNode]):
     # ------------------------------------------------------------------
     # Driving
     # ------------------------------------------------------------------
-
-    def shared_ladder_table(
-        self, rounds: int
-    ) -> "SharedLadderTable | None":
-        """Precomputed fixed-base tables for the run's update contents.
-
-        The stream schedule is deterministic, so the update-content
-        bases a ``rounds``-long run will hash — the dominant
-        session-lifetime bases of the fixed-base cache — are known
-        before the first round.  This builds their narrow tables once
-        (read-only, plain int tuples) so worker replicas of a parallel
-        run adopt them instead of each rebuilding identical tables; see
-        :meth:`HomomorphicHasher.adopt_shared_ladders
-        <repro.crypto.homomorphic.HomomorphicHasher.adopt_shared_ladders>`.
-
-        Returns None when the active backend does not use the table
-        fast path (gmpy2 beats it outright) or the link primes are too
-        wide for one (``narrow_layout``), so callers can skip the build
-        entirely.
-        """
-        from repro.crypto.backend import SharedLadderTable, narrow_layout
-        from repro.gossip.updates import content_integer
-
-        hasher = self.context.hasher
-        config = self.context.config
-        if (
-            not getattr(hasher, "_use_fixed_base", False)
-            or narrow_layout(config.sim_prime_bits) is None
-        ):
-            return None
-        # Replay the release schedule to count the uids exactly (the
-        # fractional-rate carry makes a closed form fragile).
-        schedule = StreamSchedule(
-            rate_kbps=config.stream_rate_kbps,
-            update_bytes=config.update_bytes,
-            playout_delay_rounds=config.playout_delay_rounds,
-            round_seconds=config.round_seconds,
-            rate_schedule=config.rate_schedule,
-        )
-        for round_no in range(max(0, rounds)):
-            schedule.release(round_no)
-        total = min(schedule.total_released(), _SHARED_LADDER_MAX_BASES)
-        bases = [content_integer(uid, 0) for uid in range(total)]
-        return SharedLadderTable.build(
-            bases, hasher.modulus, config.sim_prime_bits
-        )
 
     def admit_node(self, node_id: int) -> None:
         """Join churn: a pre-announced node arrives between rounds.

@@ -113,9 +113,6 @@ class PagNodeState:
         default_factory=dict
     )
 
-    #: acks this node signed, for idempotent re-sending: (round, server).
-    acks_sent: Dict[Tuple[int, int], SignedAck] = field(default_factory=dict)
-
     def issue_prime(self, round_no: int, predecessor: int, prime: int) -> None:
         per_round = self.primes_issued.setdefault(round_no, {})
         if predecessor in per_round:
@@ -167,6 +164,6 @@ class PagNodeState:
         ):
             for rnd in [r for r in store if r < round_no]:
                 del store[rnd]
-        for keyed in (self.outgoing, self.pending_serves, self.acks_sent):
+        for keyed in (self.outgoing, self.pending_serves):
             for key in [k for k in keyed if k[0] < round_no]:
                 del keyed[key]

@@ -42,7 +42,6 @@ __all__ = [
     "OpenSSLBackend",
     "FixedBaseCache",
     "NarrowLayout",
-    "SharedLadderTable",
     "narrow_layout",
     "available_backends",
     "resolve_backend",
@@ -557,76 +556,3 @@ _NARROW_LAYOUTS = {bits: NarrowLayout(bits) for bits in range(8, 65)}
 def narrow_layout(bits: int) -> Optional[NarrowLayout]:
     """The table layout for ``bits``-wide link primes (8..64), else None."""
     return _NARROW_LAYOUTS.get(bits)
-
-
-class SharedLadderTable:
-    """Precomputed, read-only narrow tables for hot bases.
-
-    A narrow fixed-base table is rebuilt from scratch by every hasher
-    that meets a base — which means every worker replica of a parallel
-    run rebuilds *identical* tables for the session-lifetime bases (the
-    deterministic update contents a stream schedule will release).  This
-    table holds them once, built in the parent before the workers
-    start: process workers inherit the pages for free on fork, and the
-    structure is plain tuples of ints so it pickles cleanly for
-    spawn-mode workers (it travels with the session bootstrap).
-
-    Entries are keyed by the raw base value exactly as hashers see it
-    (update contents are *not* pre-reduced), and every table is one
-    immutable flat tuple in :class:`NarrowLayout` order for ``bits``-wide
-    primes — adopters hold it by reference, so concurrent readers can
-    never observe a mutation.
-    """
-
-    __slots__ = ("modulus", "bits", "_entries")
-
-    def __init__(
-        self,
-        modulus: int,
-        bits: int,
-        entries: Dict[int, Tuple[int, ...]],
-    ) -> None:
-        if modulus <= 1:
-            raise ValueError("modulus must exceed 1")
-        if narrow_layout(bits) is None:
-            raise ValueError(f"no narrow table layout for {bits}-bit primes")
-        self.modulus = modulus
-        self.bits = bits
-        #: base -> flat table, adopted by reference.
-        self._entries = entries
-
-    @classmethod
-    def build(
-        cls, bases: Iterable[int], modulus: int, bits: int
-    ) -> "SharedLadderTable":
-        """Precompute the tables ``bits``-wide link primes read.
-
-        Args:
-            bases: base values (deduplicated; stored under the raw,
-                unreduced key the hashers use).
-            modulus: the session modulus.
-            bits: width of the session's link primes.
-        """
-        table = cls(modulus, bits, {})
-        layout = _NARROW_LAYOUTS[bits]
-        entries = table._entries
-        for base in bases:
-            if base not in entries:
-                entries[base] = layout.table(base, modulus)
-        return table
-
-    def get(self, base: int) -> Optional[Tuple[int, ...]]:
-        """The flat table for ``base``, or None when not tabled."""
-        return self._entries.get(base)
-
-    def __contains__(self, base: int) -> bool:
-        return base in self._entries
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"<SharedLadderTable bases={len(self._entries)} "
-            f"bits={self.bits} modulus_bits={self.modulus.bit_length()}>"
-        )

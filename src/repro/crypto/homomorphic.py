@@ -39,7 +39,6 @@ from repro.crypto.backend import (
     FixedBaseCache,
     OpenSSLBackend,
     PythonBackend,
-    SharedLadderTable,
     default_backend,
     narrow_layout,
 )
@@ -146,9 +145,6 @@ class HomomorphicHasher:
     fixed_base_hits: int = field(default=0, compare=False)
     cold_powmods: int = field(default=0, compare=False)
     batched_lifts: int = field(default=0, compare=False)
-    #: fixed-base tables answered from a shared precomputed ladder
-    #: instead of being rebuilt (subset of ``fixed_base_hits``).
-    shared_ladder_seeds: int = field(default=0, compare=False)
     #: population-tier accounting: protocol-level hashes that were never
     #: evaluated because an equivalence class representative had already
     #: been computed (``PopulationPlane``).  Deliberately NOT part of
@@ -181,12 +177,10 @@ class HomomorphicHasher:
         #: contents hashed under a fresh prime per link per round; tag =
         #: the prime width, a flat NarrowLayout tuple) and the monitor
         #: rekey path (the same attested hash raised to many cofactors;
-        #: tag = _LADDER, a FixedBaseCache ladder).  One table per base.
+        #: tag = _LADDER, a FixedBaseCache ladder).  One table per base;
+        #: every hasher, a worker replica's included, builds its own.
         self._fixed_bases: dict = {}
         self._hot_candidates: set = set()
-        #: read-only precomputed ladder levels for session-lifetime
-        #: bases (see :meth:`adopt_shared_ladders`).
-        self._shared_ladders: Optional[SharedLadderTable] = None
         #: narrow tables: seven interpreted multiplies beat builtin pow
         #: and any FFI call, but not gmpy2's own ints.
         self._use_fixed_base = isinstance(
@@ -343,66 +337,33 @@ class HomomorphicHasher:
         ``tag`` is a link-prime width (a flat narrow table comes back)
         or ``_LADDER`` (a :class:`FixedBaseCache` ladder, which amortises
         after a single reuse of a wide exponent).  Books the call: a
-        held or adopted table is a ``fixed_base_hit``; None means the
-        caller runs a cold ``pow`` — the base's first sighting, or a
-        base whose table has another shape; the second sighting builds
-        the table, which costs about one ``pow`` and is booked as one.
-
-        Bases present in an adopted :class:`SharedLadderTable` of this
-        width skip the warm-up: the precomputed tuple is held by
-        reference, no exponentiations.
+        held table is a ``fixed_base_hit``; None means the caller runs
+        a cold ``pow`` — the base's first sighting, or a base whose
+        table has another shape; the second sighting builds the table,
+        which costs about one ``pow`` and is booked as one.
         """
         entry = self._fixed_bases.get(update)
-        if entry is not None:
-            if entry[0] == tag:
-                self.fixed_base_hits += 1
-                return entry[1]
-            self.cold_powmods += 1
-            return None
-        table: Any = None
-        shared = self._shared_ladders
-        if shared is not None and shared.bits == tag:
-            table = shared.get(update)
-        if table is not None:
+        if entry is not None and entry[0] == tag:
             self.fixed_base_hits += 1
-            self.shared_ladder_seeds += 1
+            return entry[1]
+        self.cold_powmods += 1
+        if entry is not None:
+            return None
+        hot = self._hot_candidates
+        if update not in hot:
+            hot.add(update)
+            if len(hot) > self.fixed_base_max * 4:
+                hot.clear()
+            return None
+        layout = narrow_layout(tag)
+        if layout is None:
+            table: Any = FixedBaseCache(update, self.modulus)
         else:
-            self.cold_powmods += 1
-            hot = self._hot_candidates
-            if update not in hot:
-                hot.add(update)
-                if len(hot) > self.fixed_base_max * 4:
-                    hot.clear()
-                return None
-            layout = narrow_layout(tag)
-            if layout is None:
-                table = FixedBaseCache(update, self.modulus)
-            else:
-                table = layout.table(update, self.modulus)
+            table = layout.table(update, self.modulus)
         if len(self._fixed_bases) >= self.fixed_base_max:
             self._evict(self._fixed_bases)
         self._fixed_bases[update] = (tag, table)
         return table
-
-    def adopt_shared_ladders(
-        self, table: Optional[SharedLadderTable]
-    ) -> None:
-        """Serve fixed-base misses from a precomputed read-only table.
-
-        Built once (typically in the parent of a parallel run, before
-        the workers start) and adopted by every replica's hasher,
-        so per-shard replicas stop rebuilding identical ladder tables
-        for the session-lifetime bases.  A no-op under backends that do
-        not use the table fast path (gmpy2 beats it outright).
-        """
-        if table is None:
-            return
-        if table.modulus != self.modulus:
-            raise ValueError(
-                "shared ladder table was built for a different modulus"
-            )
-        if self._use_fixed_base:
-            self._shared_ladders = table
 
     @staticmethod
     def _evict(memo: dict) -> None:
@@ -515,13 +476,7 @@ class HomomorphicHasher:
             "fixed_base_hits": self.fixed_base_hits,
             "cold_powmods": self.cold_powmods,
             "batched_lifts": self.batched_lifts,
-            "shared_ladder_seeds": self.shared_ladder_seeds,
             "memoised_operations": self.memoised_operations,
-            "shared_ladder_bases": (
-                len(self._shared_ladders)
-                if self._shared_ladders is not None
-                else 0
-            ),
             "memo_hit_rate": self.memo_hits / calls if calls else 0.0,
             "fixed_base_hit_rate": (
                 self.fixed_base_hits / calls if calls else 0.0

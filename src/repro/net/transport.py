@@ -221,11 +221,15 @@ async def listen(
             raise TransportError(
                 f"bad tcp port in {endpoint!r}"
             ) from exc
-        server = await asyncio.start_server(handle, host, port)
-        bound_port = server.sockets[0].getsockname()[1]
-        return _StreamListener(f"tcp://{host}:{bound_port}", server)
-
-    server = await asyncio.start_unix_server(handle, path=rest)
+        start = asyncio.start_server(handle, host, port)
+    else:
+        start = asyncio.start_unix_server(handle, path=rest)
+    try:
+        server = await start
+    except OSError as exc:
+        raise TransportError(f"cannot listen on {endpoint}: {exc}") from exc
+    if scheme == "tcp":
+        endpoint = f"tcp://{host}:{server.sockets[0].getsockname()[1]}"
     return _StreamListener(endpoint, server)
 
 

@@ -588,7 +588,7 @@ class ScenarioSpec:
         Strips the population knobs while pinning the population's
         derived fanout (and through it the mirrored monitor count), so
         the resulting spec builds the *same cohort* — the bit-identity
-        oracle the differential suite checks, and the bootstrap replica
+        oracle the differential suite checks, and the spec replica
         workers rebuild from.  For non-population specs this is just
         the spec with the policy knob stripped.
         """
@@ -607,7 +607,7 @@ class ScenarioSpec:
         execution_policy: Optional[ExecutionPolicy],
         session: Any,
     ) -> None:
-        """Hand a replica-capable policy its session bootstrap.
+        """Hand a replica-capable policy the spec its workers rebuild.
 
         Worker-backed policies rebuild the session inside each worker
         from this spec (stripped of its own policy field and population

@@ -189,7 +189,6 @@ _OP_COUNTERS = {
     "hash_fixed_base_hits": "hasher.fixed_base_hits",
     "hash_cold_powmods": "hasher.cold_powmods",
     "hash_batched_lifts": "hasher.batched_lifts",
-    "hash_shared_ladder_seeds": "hasher.shared_ladder_seeds",
     "encryptions": "counters.encryptions",
     "decryptions": "counters.decryptions",
     "prime_generations": "counters.prime_generations",
@@ -269,35 +268,6 @@ def _apply_node_state(node, state: Dict[str, object]) -> None:
         node.released = state["released"]
 
 
-class _SpecBootstrap:
-    """Rebuild a scenario's session inside a worker.
-
-    Picklable by construction: a :class:`~repro.scenarios.spec.ScenarioSpec`
-    is frozen plain data, and ``spec.build()`` is a deterministic
-    function of the spec (all randomness is seed-derived), so every
-    replica starts from byte-identical state.
-
-    ``shared_ladders`` optionally carries a read-only
-    :class:`~repro.crypto.backend.SharedLadderTable` built once in the
-    parent: fork-mode workers inherit its pages for free (the bootstrap
-    is created before the workers start), spawn-mode workers receive it
-    pickled, and every replica's hasher adopts it instead of rebuilding
-    identical fixed-base tables.
-    """
-
-    def __init__(self, spec, shared_ladders=None) -> None:
-        self.spec = spec
-        self.shared_ladders = shared_ladders
-
-    def __call__(self):
-        session = self.spec.build()
-        if self.shared_ladders is not None:
-            context = getattr(session, "context", None)
-            if context is not None:
-                context.hasher.adopt_shared_ladders(self.shared_ladders)
-        return session
-
-
 class _ReplicaWorker:
     """One shard's replica session and its execution loop.
 
@@ -305,11 +275,13 @@ class _ReplicaWorker:
     calls and deliveries the parent routes here — the owned nodes — so the
     replica's owned-node state tracks the authoritative schedule exactly
     while non-owned nodes stay frozen at construction and are never
-    read.
+    read.  The replica is ``spec.build()``: a deterministic function of
+    the frozen spec (all randomness is seed-derived), so every replica
+    starts byte-identical to the parent's session.
     """
 
-    def __init__(self, bootstrap, shard: int, workers: int) -> None:
-        self.session = bootstrap()
+    def __init__(self, spec, shard: int, workers: int) -> None:
+        self.session = spec.build()
         self.simulator = self.session.simulator
         self.network = self.simulator.network
         self.shard = shard
@@ -340,7 +312,7 @@ class _ReplicaWorker:
         ``trigger_index`` so the parent reconstructs the serial send
         order.
 
-        Returns ``(sends, meter_rows, outbound_blobs, wall_s, cpu_s)``,
+        Returns ``(sends, meter_rows, outbound_blobs, cpu_s)``,
         the one shape :meth:`Network.merge_remote
         <repro.sim.network.Network.merge_remote>` takes: ``sends`` as
         ``[(key, sender, recipient, size, message), ...]`` with ``key
@@ -353,7 +325,6 @@ class _ReplicaWorker:
         destination shard.  The parent's barrier counter scopes the
         keys globally, so sends of different barriers never collide.
         """
-        wall0 = time.perf_counter()
         cpu0 = time.thread_time()
         network = self.network
         network.current_round = round_no
@@ -422,7 +393,6 @@ class _ReplicaWorker:
                 dest: pickle.dumps(pairs, pickle.HIGHEST_PROTOCOL)
                 for dest, pairs in outbound.items()
             },
-            time.perf_counter() - wall0,
             time.thread_time() - cpu0,
         )
 
@@ -571,7 +541,7 @@ class _ShardHandle:
 class ParallelStats:
     """Execution accounting of one parallel run.
 
-    ``wall`` times are parent-observed; ``busy``/``critical`` come from
+    ``wall_seconds`` is parent-observed; ``busy``/``critical`` come from
     per-worker clocks inside :meth:`_ReplicaWorker.run_phase`:
     ``busy_cpu_seconds`` sums every worker's thread CPU time, and
     ``critical_cpu_seconds`` sums, per barrier, only the *slowest*
@@ -582,7 +552,6 @@ class ParallelStats:
 
     barriers: int = 0
     wall_seconds: float = 0.0
-    busy_wall_seconds: float = 0.0
     busy_cpu_seconds: float = 0.0
     critical_cpu_seconds: float = 0.0
     shard_cpu_seconds: Dict[int, float] = field(default_factory=dict)
@@ -606,11 +575,11 @@ class ParallelShardedPolicy(ExecutionPolicy):
         workers: shard count, one worker process and one pipe each
             (>= 1).
 
-    Replicas are rebuilt from a scenario spec, bound by
-    :meth:`ScenarioSpec.build <repro.scenarios.spec.ScenarioSpec.build>`
-    (with the session's fixed-base ladders, built once in the parent);
-    a session assembled by hand has nothing to rebuild from, and its
-    first round raises a ``RuntimeError`` saying so.
+    Each worker rebuilds its replica from the scenario spec bound by
+    :meth:`ScenarioSpec.build <repro.scenarios.spec.ScenarioSpec.build>`,
+    fixed-base tables and all; a session assembled by hand has nothing
+    to rebuild from, and its first round raises a ``RuntimeError``
+    saying so.
 
     After ``session.run(...)`` call :meth:`sync_session` (done
     automatically by ``ScenarioSpec.run``) before reading verdicts,
@@ -624,7 +593,7 @@ class ParallelShardedPolicy(ExecutionPolicy):
         #: "process" once the workers are running, "unstarted" before.
         self.mode = "unstarted"
         self.stats = ParallelStats()
-        self._bootstrap = None
+        self._spec = None
         self._parent_baseline: Optional[Dict[str, int]] = None
         #: one per shard while the workers run, None before and after.
         self._handles: Optional[List[_ShardHandle]] = None
@@ -634,7 +603,8 @@ class ParallelShardedPolicy(ExecutionPolicy):
     # -- wiring ------------------------------------------------------------
 
     def bind_scenario(self, spec, session) -> None:
-        """Bind the replica bootstrap (called by ``ScenarioSpec.build``).
+        """Bind the spec the replicas are rebuilt from (called by
+        ``ScenarioSpec.build``).
 
         Must happen before the first round; the parent session's
         operation counters are snapshotted here as the setup baseline
@@ -645,16 +615,14 @@ class ParallelShardedPolicy(ExecutionPolicy):
                 "cannot rebind a running ParallelShardedPolicy; close() it "
                 "first"
             )
-        builder = getattr(session, "shared_ladder_table", None)
-        ladders = builder(spec.rounds) if builder is not None else None
-        self._bootstrap = _SpecBootstrap(spec, shared_ladders=ladders)
+        self._spec = spec
         self._parent_baseline = _ops_snapshot(session)
 
     def _ensure_started(self) -> None:
         """Start the workers on first use."""
         if self._handles is not None:
             return
-        if self._bootstrap is None:
+        if self._spec is None:
             raise RuntimeError(
                 "ParallelShardedPolicy has no scenario to rebuild its "
                 "worker replicas from: build the session with "
@@ -662,10 +630,10 @@ class ParallelShardedPolicy(ExecutionPolicy):
                 "cannot run on workers"
             )
         try:
-            pickle.dumps(self._bootstrap)
+            pickle.dumps(self._spec)
         except Exception as exc:  # noqa: BLE001 - any pickling failure
             raise RuntimeError(
-                "parallel workers unavailable: session bootstrap is not "
+                "parallel workers unavailable: scenario spec is not "
                 f"picklable: {exc!r}"
             ) from exc
         start_methods = multiprocessing.get_all_start_methods()
@@ -679,7 +647,7 @@ class ParallelShardedPolicy(ExecutionPolicy):
             ours, theirs = context.Pipe()
             process = context.Process(
                 target=_process_loop,
-                args=(theirs, ours, self._bootstrap, shard, self.workers),
+                args=(theirs, ours, self._spec, shard, self.workers),
                 daemon=True,
             )
             process.start()
@@ -744,14 +712,13 @@ class ParallelShardedPolicy(ExecutionPolicy):
             busy.append(handle)
         self._inbound_blobs = {}
         for handle in busy:
-            shard_sends, shard_rows, blobs_out, wall, cpu = handle.result(
+            shard_sends, shard_rows, blobs_out, cpu = handle.result(
                 f"the {phase!r} phase of round {round_no}"
             )
             sends.extend(shard_sends)
             meter_rows.extend(shard_rows)
             for dest, blob in blobs_out.items():
                 self._inbound_blobs.setdefault(dest, []).append(blob)
-            self.stats.busy_wall_seconds += wall
             self.stats.busy_cpu_seconds += cpu
             self.stats.shard_cpu_seconds[handle.shard] = (
                 self.stats.shard_cpu_seconds.get(handle.shard, 0.0) + cpu
@@ -854,7 +821,7 @@ class ParallelShardedPolicy(ExecutionPolicy):
         for handle in self._handles or ():
             handle.close()
         self._handles = None
-        self._bootstrap = None
+        self._spec = None
         self._parent_baseline = None
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

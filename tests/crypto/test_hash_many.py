@@ -22,9 +22,7 @@ from hypothesis import strategies as st
 from repro.crypto.backend import (
     Gmpy2Backend,
     PythonBackend,
-    SharedLadderTable,
     gmpy2_available,
-    narrow_layout,
 )
 from repro.crypto.homomorphic import HomomorphicHasher, make_modulus
 from repro.crypto.primes import PrimePool
@@ -35,23 +33,20 @@ COUNTERS = (
     "fixed_base_hits",
     "cold_powmods",
     "batched_lifts",
-    "shared_ladder_seeds",
 )
 
 MODULUS_128 = make_modulus(128, random.Random(2016))
 MODULUS_512 = make_modulus(512, random.Random(2017))
 
 
-def _pair(modulus=MODULUS_128, backend=None, table=None, **bounds):
+def _pair(modulus=MODULUS_128, backend=None, **bounds):
     """(batch, loop): two identically configured hashers."""
-    hashers = []
-    for _ in range(2):
-        hasher = HomomorphicHasher(
+    return [
+        HomomorphicHasher(
             modulus=modulus, backend=backend or PythonBackend(), **bounds
         )
-        hasher.adopt_shared_ladders(table)
-        hashers.append(hasher)
-    return hashers
+        for _ in range(2)
+    ]
 
 
 def _state(hasher):
@@ -127,42 +122,6 @@ def test_batch_that_crosses_the_eviction_bound():
         _step(batch, loop, bases, prime)
 
 
-def test_adopted_shared_ladder_table():
-    bases = _contents(8, seed=3)
-    table = SharedLadderTable.build(bases[:5], MODULUS_128, 32)
-    batch, loop = _pair(table=table)
-    for prime in _primes(3, seed=3):
-        _step(batch, loop, bases, prime)
-    assert batch.shared_ladder_seeds == 5
-    # Adopters hold the flat tuple itself, cut to the 32-bit family.
-    for base in bases[:5]:
-        assert batch._fixed_bases[base] == (32, table.get(base))
-        assert batch._fixed_bases[base][1] is table.get(base)
-        assert len(table.get(base)) == narrow_layout(32).entries == 128
-    # A table serves the one width it was built for: a wider prime is a
-    # builtin pow per base, and nothing grows.
-    cold = batch.cold_powmods
-    wide_prime = _primes(1, seed=33, bits=48)[0]
-    _step(batch, loop, bases, wide_prime)
-    assert batch.cold_powmods == cold + 8
-    assert all(len(table.get(base)) == 128 for base in bases[:5])
-
-
-def test_adopted_table_of_another_width():
-    bases = _contents(4, seed=4)
-    table = SharedLadderTable.build(bases, MODULUS_128, 16)
-    batch, loop = _pair(table=table)
-    # 32-bit primes never adopt a 16-bit table: the usual warm-up runs.
-    for prime in _primes(3, seed=4):
-        _step(batch, loop, bases, prime)
-    assert batch.shared_ladder_seeds == 0
-    assert batch.cold_powmods == 8 and batch.fixed_base_hits == 4
-    # ...and the bases, now tabled at 32 bits, take no second table.
-    _step(batch, loop, bases, _primes(1, seed=44, bits=16)[0])
-    assert batch.shared_ladder_seeds == 0 and batch.cold_powmods == 12
-    assert [tag for tag, _ in batch._fixed_bases.values()] == [32] * 4
-
-
 def test_off_family_narrow_exponents_are_cold_powmods():
     batch, loop = _pair()
     bases = _contents(5, seed=10)
@@ -177,7 +136,7 @@ def test_off_family_narrow_exponents_are_cold_powmods():
             assert batch.cold_powmods == (
                 before[0]["cold_powmods"] + len(batch_bases) * done
             )
-        # Only two counters moved: no table built, adopted or evicted,
+        # Only two counters moved: no table built or evicted,
         # no base remembered.
         after = _state(batch)
         assert after[1:] == before[1:]
@@ -273,17 +232,11 @@ def test_gmpy2_backend_batches_like_the_loop():
 @given(
     data=st.data(),
     fixed_base_max=st.integers(min_value=1, max_value=6),
-    share=st.booleans(),
 )
 @settings(max_examples=60, deadline=None)
-def test_batch_equals_loop_on_random_schedules(data, fixed_base_max, share):
+def test_batch_equals_loop_on_random_schedules(data, fixed_base_max):
     pool = _contents(9, seed=9, bits=256)
-    table = (
-        SharedLadderTable.build(pool[:3], MODULUS_128, 16) if share else None
-    )
-    batch, loop = _pair(
-        table=table, fixed_base_max=fixed_base_max, memo_max=4
-    )
+    batch, loop = _pair(fixed_base_max=fixed_base_max, memo_max=4)
     exponents = st.one_of(
         _family(16),
         _family(32),

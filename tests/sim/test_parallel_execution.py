@@ -2,7 +2,7 @@
 
 The differential suite (tests/differential/) proves bit-identity across
 the whole registry; these tests pin the policy's mechanics — the named
-errors (no bootstrap, unpicklable bootstrap, a dead worker), membership
+errors (no spec, unpicklable spec, a dead worker), membership
 guards, the barrier merge and its guard, reporting sync idempotence,
 and the golden numbers under real worker processes.
 """
@@ -68,7 +68,6 @@ def _cache_buckets(hasher):
         hasher.fixed_base_hits,
         hasher.cold_powmods,
         hasher.batched_lifts,
-        hasher.shared_ladder_seeds,
     )
 
 
@@ -406,13 +405,10 @@ def test_explicit_process_backend_with_unpicklable_bootstrap_raises():
     policy = ParallelShardedPolicy(workers=2)
 
     class Unpicklable:
-        def __call__(self):  # pragma: no cover - never built
-            raise AssertionError
-
         def __reduce__(self):
-            raise TypeError("cannot pickle this bootstrap")
+            raise TypeError("cannot pickle this spec")
 
-    policy._bootstrap = Unpicklable()
+    policy._spec = Unpicklable()
     with pytest.raises(RuntimeError, match="parallel workers unavailable"):
         policy._ensure_started()
     policy.close()
@@ -507,25 +503,22 @@ def test_sync_cache_graft_is_idempotent():
         assert _cache_buckets(session.context.hasher) == first
 
 
-def test_shared_ladder_table_is_adopted_and_matches_serial():
-    """The ladder table shipped to the replicas is a pure CPU saving:
-    they answer fixed-base misses from it, and bytes, verdicts and
-    operation counts stay those of the serial run."""
+def test_three_workers_match_serial():
+    """Replicas that build their own fixed-base tables meter the serial
+    run's bytes and reach its verdicts and operation counts."""
     spec = _spec()
     serial = spec.build(SerialPolicy())
     serial.run(spec.rounds)
-    with _synced_run(spec, workers=3) as (policy, session):
-        table = policy._bootstrap.shared_ladders
-        assert table is not None and len(table) > 0
+    with _synced_run(spec, workers=3) as (_, session):
         assert (
             session.simulator.network.meter.snapshot()
             == serial.simulator.network.meter.snapshot()
         )
         assert session.all_verdicts() == serial.all_verdicts()
         assert session.crypto_report() == serial.crypto_report()
-        assert session.context.hasher.operations == GOLDEN_20_8["hashes"]
-        # The grafted seed counter proves the table was consulted.
-        assert session.context.hasher.shared_ladder_seeds > 0
+        operations = session.context.hasher.operations
+        assert operations == serial.context.hasher.operations
+        assert operations == GOLDEN_20_8["hashes"]
 
 
 @pytest.mark.slow

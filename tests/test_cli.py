@@ -1,5 +1,9 @@
 """Tests for the command-line interface."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -402,6 +406,14 @@ class TestFuzzCommand:
             main(["fuzz", "--policies", "serial,warp"])
 
 
+_SPEC = ["--scenario", "fig9", "--nodes", "10", "--rounds", "6"]
+#: Port 1 is privileged: nothing a test run starts listens there.
+_CLOSED = "tcp://127.0.0.1:1"
+_REFUSED = f"cannot connect to {_CLOSED}"
+_BAD_LISTEN = "endpoint 'bogus://x' is not tcp://, unix:// or mem://"
+_NO_DIR = "unix:///nonexistent-repro-dir/daemon.sock"
+
+
 class TestDaemonSessionCommands:
     def test_daemon_parser_requires_listen(self):
         args = build_parser().parse_args(
@@ -439,10 +451,41 @@ class TestDaemonSessionCommands:
         assert "relay batches" in out
 
     def test_session_rejects_daemon_unsupported_scenarios(self):
-        from repro.net.daemon import DaemonError
-
-        with pytest.raises(DaemonError, match="churn"):
+        with pytest.raises(
+            SystemExit, match=r"^error: scenario 'churn' uses churn"
+        ):
             main(["session", "--scenario", "churn"])
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["session", *_SPEC, "--daemons", ","], "a session needs"),
+            (["session", *_SPEC, "--daemons", _CLOSED], _REFUSED),
+            (["watch", _CLOSED], _REFUSED),
+            (["ctl", _CLOSED, "health"], _REFUSED),
+            (["ctl", _CLOSED, "pause"], _REFUSED),
+            (["daemon", "--listen", "bogus://x"], _BAD_LISTEN),
+            (["daemon", "--listen", _NO_DIR], f"cannot listen on {_NO_DIR}"),
+            (["serve", *_SPEC, "--listen", "bogus://x"], _BAD_LISTEN),
+        ],
+    )
+    def test_network_failure_is_a_one_line_error(self, argv, message):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert str(exc.value.code).startswith(f"error: {message}")
+        assert "\n" not in str(exc.value.code)
+
+    def test_network_failure_exits_1_without_a_traceback(self):
+        argv = [sys.executable, "-m", "repro", "daemon", "--listen"]
+        done = subprocess.run(
+            [*argv, "bogus://x"],
+            capture_output=True,
+            text=True,
+            timeout=60,
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+        )
+        assert done.returncode == 1
+        assert done.stderr == f"error: {_BAD_LISTEN}\n"
 
     def test_session_rejected_override_is_a_one_line_error(self):
         with pytest.raises(
