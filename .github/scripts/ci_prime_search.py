@@ -110,7 +110,7 @@ def search(bits: int, backend_name: str) -> Tuple[float, float]:
     """``(witnesses per prime, ms per prime)`` under one backend."""
     backend = resolve_backend(backend_name)
     selector = primes.default_backend
-    primes.default_backend = lambda bits: backend
+    primes.default_backend = lambda *_: backend  # older trees pass a width
     try:
         pool = run_windows(bits)
         found = len(pool._seen)

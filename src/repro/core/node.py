@@ -444,7 +444,8 @@ class PagNode(SimNode):
             return
         if self.state.prime_for(round_no, predecessor) is not None:
             return  # idempotence: one prime per link per round
-        prime = self._fresh_prime(round_no)
+        # Pooled primes never repeat, so no link shares another's prime.
+        prime = self._prime_pool.take()
         self.state.issue_prime(round_no, predecessor, prime)
         self.context.counters.prime_generations += 1
         buffermap = frozenset(
@@ -465,13 +466,6 @@ class PagNode(SimNode):
         )
         self.context.counters_encrypt()
         self.send(response)
-
-    def _fresh_prime(self, round_no: int) -> int:
-        issued = set(self.state.primes_issued.get(round_no, {}).values())
-        while True:
-            prime = self._prime_pool.take()
-            if prime not in issued:
-                return prime
 
     def _buffermap_contents(self, round_no: int) -> List[int]:
         """Contents advertised in this round's buffermaps.

@@ -7,7 +7,7 @@ primitive behind a tiny interface so the rest of the codebase never
 calls ``pow`` directly on the hot path:
 
 * :class:`PythonBackend` — CPython's built-in three-argument ``pow``;
-  always available, and what every simulation-size run uses.
+  always available.
 * :class:`OpenSSLBackend` — libcrypto's ``BN_mod_exp``, the library the
   paper measured with, through the copy CPython's ``_hashlib`` links:
   no package to install, 11x builtin ``pow`` at the paper's 512 bits.
@@ -15,11 +15,14 @@ calls ``pow`` directly on the hot path:
 
 Selection
 ---------
-``resolve_backend("auto", bits)`` (the default) is width-aware: gmpy2
-when importable; else openssl for moduli of ``_WIDE_MODULUS_BITS`` and
-up when libcrypto can be reached; else pure Python, so simulation-size
-runs keep builtin ``pow`` and never import ``ctypes``.  A name
-(``python``, ``openssl``, ``gmpy2``) can be forced per process with the
+``resolve_backend("auto")`` (the default) is the first backend that can
+be built here: gmpy2 when importable, else openssl when libcrypto can be
+reached, else pure Python.  The modulus width plays no part: under
+openssl, :meth:`OpenSSLBackend.powmod` hands each exponentiation to
+builtin ``pow`` or to ``BN_mod_exp`` by the size of its operands (the
+one crossover, ``_BUILTIN_MAX_WORK``), so link primes and ``u^count``
+at simulation widths stay on builtin ``pow``.  A name (``python``,
+``openssl``, ``gmpy2``) can be forced per process with the
 ``REPRO_CRYPTO_BACKEND`` environment variable, the one selector, and
 raises when it cannot be built.
 
@@ -52,14 +55,6 @@ __all__ = [
 ]
 
 _ENV_VAR = "REPRO_CRYPTO_BACKEND"
-
-#: Width from which interpreted bigint arithmetic is worth leaving:
-#: ``auto`` hands moduli this wide to libcrypto (builtin ``pow`` ->
-#: ``BN_mod_exp`` with conversions: 128 b 36 -> 21 us, 256 b 147 -> 25,
-#: 512 b 751 -> 66), and on the Python backend the hasher builds
-#: wide-exponent ladders from here.  Narrower moduli are the simulation
-#: sizes, whose runs must not import ``ctypes``.
-_WIDE_MODULUS_BITS = 256
 
 try:  # pragma: no cover - exercised only where gmpy2 is installed
     import gmpy2 as _gmpy2
@@ -236,14 +231,26 @@ class Gmpy2Backend(Backend):
         return int(acc % m)
 
 
-#: Exponents below this go to builtin ``pow`` under :class:`OpenSSLBackend`:
-#: a ``BN_mod_exp`` call costs ~10 us before its first squaring (five FFI
-#: calls, byte conversions, a Montgomery context).  1,024-bit base over a
-#: 512-bit modulus, builtin vs native by exponent width: 2 b 2.7 vs 10.1
-#: us, 6 b 8.6 vs 9.5, 8 b 13.6 vs 11.6, 16 b 28 vs 13, 32 b 53 vs 13
-#: (three series cross between 6 and 10 bits).  What matters is ``u^count``,
-#: count <= 3, of ``core.verification``; negative exponents go the same way.
-_NATIVE_MIN_EXPONENT = 1 << 8
+#: The crossover between builtin ``pow`` and ``BN_mod_exp``, in exponent
+#: bits times modulus bits.  A native call costs ~10 us before its first
+#: squaring (five FFI calls, byte conversions, a Montgomery context),
+#: while builtin ``pow`` grows with exponent bits times (at these widths,
+#: about linearly) modulus bits, so the two cross at one product.
+#: Builtin / native us per call by exponent width, base twice the
+#: modulus wide, best of 7 (2-core Xeon, CPython 3.11, OpenSSL 3.0):
+#:
+#:   modulus  exponent: builtin / native                      crossover
+#:     64 b   48 b 12.7/13.7   64 b 16.4/17.1   96 b 26.1/16.3   ~72 b
+#:    128 b   28 b  9.0/10.3   32 b 10.5/10.1   40 b 13.8/10.7   ~32-36 b
+#:    256 b   14 b 12.4/15.7   18 b 16.5/17.0   24 b 22.4/17.5   ~20 b
+#:    512 b    7 b 14.8/16.8    9 b 18.5/18.7   12 b 24.0/13.4   ~9-10 b
+#:   1024 b    3 b 13.0/13.6    4 b 22.6/21.3    6 b 39.3/22.9   ~4 b
+#:
+#: Products up to 36 x 128 = 9 x 512 stay on builtin ``pow``: ``u^count``
+#: at every width and the 32-bit link primes of a 128-bit simulation
+#: modulus.  Round keys, cofactor lifts, ack hashes, 512-bit link primes
+#: and Miller-Rabin rounds above the deterministic range go native.
+_BUILTIN_MAX_WORK = 36 * 128
 
 
 def _load_libcrypto() -> Any:
@@ -295,7 +302,8 @@ class OpenSSLBackend(Backend):
     Construction raises :class:`RuntimeError` when libcrypto cannot be
     reached.  Results equal builtin ``pow`` for every input: what
     ``BN_mod_exp`` does not take (a negative operand, a modulus of zero)
-    and exponents too short to repay the call go to ``pow`` itself.
+    and operands too short to repay the call (``_BUILTIN_MAX_WORK``) go
+    to ``pow`` itself.
     """
 
     name = "openssl"
@@ -303,9 +311,18 @@ class OpenSSLBackend(Backend):
     def __init__(self) -> None:
         self._lib = _load_libcrypto()
         self._scratch = _BigNumScratch(self._lib)
+        # One bound object for every reader: ``core.verification``'s
+        # ``u^count`` cache keys on it, and a fresh one per access would
+        # compare by ``__eq__`` on each of fig9's ~130k hits.
+        self.powmod = self.powmod  # type: ignore[method-assign]
 
     def powmod(self, base: int, exponent: int, modulus: int) -> int:
-        if exponent < _NATIVE_MIN_EXPONENT or modulus <= 0 or base < 0:
+        if (
+            exponent.bit_length() * modulus.bit_length() <= _BUILTIN_MAX_WORK
+            or exponent < 0
+            or modulus <= 0
+            or base < 0
+        ):
             return pow(base, exponent, modulus)
         lib = self._lib
         own = self._scratch
@@ -322,8 +339,10 @@ class OpenSSLBackend(Backend):
     def multi_powmod(
         self, pairs: Iterable[Tuple[int, int]], modulus: int
     ) -> int:
-        """The fold of native ``powmod``s: Straus's value by definition,
-        and at 66 us a 512-bit pair ahead of an interpreted chain."""
+        """The fold of ``powmod``s: Straus's value by definition, and
+        ahead of an interpreted chain once the pairs go native (two
+        pairs of 64-bit cofactors: 28 against 46 us at a 128-bit
+        modulus, 56 against 220 at 512 bits)."""
         if modulus <= 0:
             raise ValueError("modulus must be positive")
         acc = 1 % modulus
@@ -339,9 +358,8 @@ def gmpy2_available() -> bool:
 
 
 def powmod(base: int, exponent: int, modulus: int) -> int:
-    """``pow`` on the process's backend for the modulus's width."""
-    backend = default_backend(modulus.bit_length())
-    return backend.powmod(base, exponent, modulus)
+    """``pow`` on the process's backend."""
+    return default_backend().powmod(base, exponent, modulus)
 
 
 def multi_powmod(
@@ -352,14 +370,14 @@ def multi_powmod(
     """``prod base_i ** exp_i mod modulus`` via one interleaved pass.
 
     Convenience wrapper over :meth:`Backend.multi_powmod` using the
-    process's backend for the modulus's width when none is given.
+    process's backend when none is given.
     """
-    backend = backend or default_backend(modulus.bit_length())
+    backend = backend or default_backend()
     return backend.multi_powmod(pairs, modulus)
 
 
-#: name -> class, in ``auto``'s order of preference at wide moduli: the
-#: one list behind availability, resolution and its error text.
+#: name -> class, in ``auto``'s order of preference: the one list behind
+#: availability, resolution and its error text.
 _BACKENDS: Dict[str, type[Backend]] = {
     "gmpy2": Gmpy2Backend,
     "openssl": OpenSSLBackend,
@@ -380,36 +398,29 @@ def _instance(name: str) -> Optional[Backend]:
 
 
 def available_backends() -> List[str]:
-    """Names that can be built here, ``auto``'s wide-modulus choice first."""
+    """Names that can be built here, ``auto``'s choice first."""
     return [name for name in _BACKENDS if _instance(name) is not None]
 
 
-def resolve_backend(choice: Optional[str] = None, bits: int = 0) -> Backend:
-    """The backend named by ``choice`` / the environment, for a width.
+def resolve_backend(choice: Optional[str] = None) -> Backend:
+    """The backend named by ``choice`` or by the environment.
 
     Args:
         choice: a name of ``_BACKENDS``, ``"auto"`` or None.  None
             defers to the ``REPRO_CRYPTO_BACKEND`` environment variable,
             itself defaulting to ``auto``.
-        bits: width of the moduli (for a prime search, of the
-            candidates) the caller exponentiates under; read by ``auto``.
 
-    ``auto`` is gmpy2 when importable, else openssl from
-    ``_WIDE_MODULUS_BITS`` up when libcrypto loads, else Python: the one
-    place that rule lives.  An explicit name that cannot be built
-    raises :class:`RuntimeError`, so a mis-provisioned deployment fails
-    loudly instead of silently running 10x slower.
+    ``auto`` is the first of ``_BACKENDS`` that can be built: gmpy2 when
+    importable, else openssl when libcrypto loads, else Python.  An
+    explicit name that cannot be built raises :class:`RuntimeError`, so
+    a mis-provisioned deployment fails loudly instead of silently
+    running 10x slower.
     """
     if choice is None:
         choice = os.environ.get(_ENV_VAR, "auto")
     choice = choice.lower()
     if choice == "auto":
-        if gmpy2_available():
-            choice = "gmpy2"
-        elif bits >= _WIDE_MODULUS_BITS and _instance("openssl") is not None:
-            choice = "openssl"
-        else:
-            choice = "python"
+        choice = next(name for name in _BACKENDS if _instance(name))
     elif choice not in _BACKENDS:
         raise ValueError(
             f"unknown crypto backend {choice!r}; "
@@ -419,9 +430,9 @@ def resolve_backend(choice: Optional[str] = None, bits: int = 0) -> Backend:
     return _instance(choice) or _BACKENDS[choice]()
 
 
-def default_backend(bits: int = 0) -> Backend:
-    """The environment-selected backend for ``bits``-wide moduli."""
-    return resolve_backend(None, bits)
+def default_backend() -> Backend:
+    """The environment-selected backend."""
+    return resolve_backend(None)
 
 
 class FixedBaseCache:

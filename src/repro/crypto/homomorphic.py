@@ -34,7 +34,6 @@ from operator import itemgetter
 from typing import Any, Iterable, List, Optional, Sequence, Tuple
 
 from repro.crypto.backend import (
-    _WIDE_MODULUS_BITS,
     Backend,
     FixedBaseCache,
     OpenSSLBackend,
@@ -84,6 +83,10 @@ _SMALL_EXPONENT_BITS = 64
 #: tables are tagged with their prime width, 8..64).
 _LADDER = 0
 
+#: Modulus width from which the ladder beats builtin ``pow`` on a wide
+#: exponent (the Python backend only: libcrypto beats both).
+_LADDER_MIN_MODULUS_BITS = 256
+
 
 def _family_indices(exponent: int) -> Optional[Tuple[int, ...]]:
     """Narrow-table indices of a link-prime-shaped exponent, else None."""
@@ -123,7 +126,7 @@ class HomomorphicHasher:
             the protocol-call level (one per :meth:`hash`/:meth:`rekey`),
             so backend swaps and result caching never change the tally.
         backend: modular-arithmetic provider; None selects the process
-            default for the modulus width (``resolve_backend``).
+            default (``resolve_backend``).
         memo_max: entry bound of the wide-exponent memo (memory ceiling
             for long runs; the oldest half is evicted when full).
         fixed_base_max: bound on the number of bases holding a
@@ -161,7 +164,7 @@ class HomomorphicHasher:
                 "makes discrete roots easy and breaks one-wayness"
             )
         if self.backend is None:
-            self.backend = default_backend(self.modulus.bit_length())
+            self.backend = default_backend()
         self._powmod = self.backend.powmod
         #: (value, exponent) -> hash result.  The same exchange hash is
         #: recomputed by the server, the receiver, and the monitors; the
@@ -190,7 +193,7 @@ class HomomorphicHasher:
         #: interpreter's bigint code, and only at production widths.
         self._use_ladder = (
             isinstance(self.backend, PythonBackend)
-            and self.modulus.bit_length() >= _WIDE_MODULUS_BITS
+            and self.modulus.bit_length() >= _LADDER_MIN_MODULUS_BITS
         )
 
     @property
@@ -303,13 +306,21 @@ class HomomorphicHasher:
         entries = list(map(self._fixed_bases.get, updates))
         if None not in entries:
             bits = exponent.bit_length()
-            pick = itemgetter(*indices)
             modulus = self.modulus
-            results = [
-                prod(pick(table)) % modulus
-                for tag, table in entries
-                if tag == bits
-            ]
+            if len(indices) == 7:  # 29 to 32 bits: every registry scenario
+                a, b, c, d, e, f, g = indices
+                results = [
+                    t[a] * t[b] * t[c] * t[d] * t[e] * t[f] * t[g] % modulus
+                    for tag, t in entries
+                    if tag == bits
+                ]
+            else:
+                pick = itemgetter(*indices)
+                results = [
+                    prod(pick(table)) % modulus
+                    for tag, table in entries
+                    if tag == bits
+                ]
             if len(results) == len(entries):
                 self.fixed_base_hits += len(results)
                 return results

@@ -97,6 +97,7 @@ import random
 from bisect import bisect_right
 from collections import deque
 from functools import lru_cache
+from math import prod
 from typing import Callable, Deque, Iterable, List, Optional, Set, Tuple
 
 from repro.crypto.backend import default_backend
@@ -290,7 +291,7 @@ def generate_prime(bits: int, rng: random.Random) -> int:
     if bits == 2:
         return rng.choice((2, 3))
     rounds = _search_rounds(bits)
-    powmod = default_backend(bits).powmod
+    powmod = default_backend().powmod
     while True:
         candidate = rng.getrandbits(bits)
         candidate |= (1 << (bits - 1)) | (1 << (bits - 2)) | 1
@@ -344,12 +345,13 @@ def product(values: Iterable[int]) -> int:
 
 #: Sieve bounds of the pool.  Crossing a prime p out of a 256-candidate
 #: window costs ~0.5 us while it strides (p <= 2 * window: 96 primes) and
-#: ~0.14 us above that (one C-level residue of a 512-bit base, a mark on
-#: the one window in p / 512 it hits), and spares each of the ~25
-#: survivors an exponentiation with probability 1/p.  That one costs 30 /
-#: 100 / 600 / 3,250 us at 128 / 256 / 512 / 1024 bits under builtin
-#: ``pow`` and 18 / 53 / 274 us at 256 / 512 / 1024 under libcrypto's
-#: ``BN_mod_exp``, which ``auto`` picks from 256 bits up
+#: ~0.08 us above that (a residue of the base's remainder modulo the
+#: product of p's group, a mark on the one window in p / 512 it hits),
+#: and spares each of the ~25 survivors an exponentiation with
+#: probability 1/p.  That one costs 30 / 100 / 600 / 3,250 us at 128 /
+#: 256 / 512 / 1024 bits under builtin ``pow`` and 18 / 53 / 274 us at
+#: 256 / 512 / 1024 under libcrypto's
+#: ``BN_mod_exp``, which ``auto`` picks wherever it loads
 #: (``.github/scripts/ci_prime_search.py`` is the stopwatch).  At the
 #: paper's 512 bits the two meet near ``p = 2**16.7`` for ``pow`` and
 #: ``2**13`` for libcrypto, whose measured cost a window is flat from
@@ -370,17 +372,30 @@ def _sieve_limit(bits: int) -> int:
     return min(_DEEP_SIEVE_LIMIT, bits * bits // 4)
 
 
+#: Sieve primes per remainder group: a 512-bit window base is reduced
+#: once modulo the group's ~180-bit product, and each prime of the group
+#: then divides that short remainder.  Per window of the 6,445 primes of
+#: a 512-bit sieve: 0.73 ms one residue of the base per prime, 0.65 ms
+#: in groups of 8, 0.53 ms of 12, 0.54 ms of 16; no change at 32 bits.
+_SIEVE_GROUP = 12
+
+
 @lru_cache(maxsize=None)
 def _sieve_table(
     limit: int, window: int
-) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
+) -> Tuple[Tuple[int, ...], Tuple[Tuple[int, Tuple[int, ...]], ...]]:
     """Odd primes up to ``limit``, split at ``2 * window`` and shared by
     every pool of that width and window (all candidates are odd, so 2 is
-    left out): those that can hit a window more than once, and the rest.
+    left out): those that can hit a window more than once, and the rest
+    as ``(product, primes)`` groups of ``_SIEVE_GROUP``.
     """
     odd = _sieve_small_primes(limit)[1:]
     cut = bisect_right(odd, 2 * window)
-    return tuple(odd[:cut]), tuple(odd[cut:])
+    groups = (
+        tuple(odd[i : i + _SIEVE_GROUP])
+        for i in range(cut, len(odd), _SIEVE_GROUP)
+    )
+    return tuple(odd[:cut]), tuple((prod(g), g) for g in groups)
 
 
 def _sieve_window(base: int, span: int, bits: int, window: int) -> bytearray:
@@ -391,11 +406,12 @@ def _sieve_window(base: int, span: int, bits: int, window: int) -> bytearray:
     limit = _sieve_limit(bits)
     # The table is built by the first refill that needs it, so building
     # a session never pays for the deep one.
-    striding, single = _sieve_table(limit, window)
+    striding, groups = _sieve_table(limit, window)
     if base <= limit:
         # The window can hold a sieve prime, which must survive; only
         # the striding pass steps over it.
-        striding, single = striding + single, ()
+        striding += tuple(p for _, group in groups for p in group)
+        groups = ()
     crossed = bytearray(span)
     negated = -base
     for p in striding:
@@ -408,11 +424,13 @@ def _sieve_window(base: int, span: int, bits: int, window: int) -> bytearray:
         if k < span:
             crossed[k::p] = b"\x01" * len(range(k, span, p))
     # A prime above 2 * window divides at most one candidate, at k = t / 2
-    # when that is a whole number inside the window.
+    # when that is a whole number inside the window; t is -base mod p,
+    # taken from -base mod the product of p's group.
     twice = 2 * span
-    for t in map(negated.__mod__, single):
-        if t < twice and not t & 1:
-            crossed[t >> 1] = 1
+    for group_product, group in groups:
+        for t in map((negated % group_product).__mod__, group):
+            if t < twice and not t & 1:
+                crossed[t >> 1] = 1
     return crossed
 
 
@@ -429,16 +447,17 @@ class PrimePool:
     simulation primes), 10% after the primes below 2**16 (512-bit paper
     primes; the depth follows the width, see ``_sieve_limit``) -- and
     those skip trial division entirely, since the sieve already
-    performed it.  Crossing a 512-bit window is ~1.0 ms (0.14 us a
-    sieve prime) beside the ~36 exponentiations of its ~25 survivors:
-    1.9 ms under libcrypto (53 us each), 22 ms under builtin ``pow``.
+    performed it.  Crossing a 512-bit window is ~1 ms (0.08 us a
+    non-striding sieve prime) beside the ~36 exponentiations of its ~25
+    survivors: 1.9 ms under libcrypto (53 us each), 22 ms under builtin
+    ``pow``.
 
     The window base is the pool's own uniform draw and every survivor of
     the window is tested, so above the deterministic range the pool uses
     the search tester: ``_search_rounds(bits)`` Miller-Rabin rounds
     (8 at 512 bits) instead of :func:`is_prime`'s worst-case 40, for the
     same ``2**-80`` (module docstring).  The exponentiations of those
-    rounds go through the process's crypto backend for that width.
+    rounds go through the process's crypto backend.
 
     The pool consumes randomness only from its own ``rng`` and in a
     fixed order, so draws are reproducible under a fixed seed.  Primes
@@ -517,7 +536,7 @@ class PrimePool:
         if base + 2 * (span - 1) > top:
             span = (top - base) // 2 + 1
         crossed = _sieve_window(base, span, bits, self.window)
-        powmod = default_backend(bits).powmod
+        powmod = default_backend().powmod
         for k in range(span):
             if crossed[k]:
                 continue

@@ -13,9 +13,11 @@ from hypothesis import strategies as st
 
 from repro.crypto import backend as backend_module
 from repro.crypto.backend import (
+    _BUILTIN_MAX_WORK,
     FixedBaseCache,
     Gmpy2Backend,
     NarrowLayout,
+    OpenSSLBackend,
     PythonBackend,
     available_backends,
     default_backend,
@@ -24,6 +26,7 @@ from repro.crypto.backend import (
     resolve_backend,
 )
 from repro.crypto.homomorphic import HomomorphicHasher, make_modulus
+from repro.crypto.primes import PrimePool
 
 needs_gmpy2 = pytest.mark.skipif(
     not gmpy2_available(), reason="gmpy2 not installed"
@@ -49,19 +52,22 @@ def test_python_backend_always_available():
 
 
 def test_auto_resolution_matches_availability(monkeypatch):
-    """``auto`` is width-aware: gmpy2 > openssl (wide moduli) > python."""
+    """``auto`` is the first backend that builds: gmpy2 > openssl >
+    python, the same at every modulus width (it is not told one)."""
     monkeypatch.delenv("REPRO_CRYPTO_BACKEND", raising=False)
     available = available_backends()
-    narrow = "gmpy2" if gmpy2_available() else "python"
-    assert resolve_backend("auto").name == narrow
-    assert resolve_backend("auto", 128).name == narrow
-    assert resolve_backend("auto", 255).name == narrow
-    assert resolve_backend("auto", 256).name == available[0]
-    assert resolve_backend("auto", 512).name == available[0]
-    assert default_backend(512) is resolve_backend("auto", 512)
     assert available == [
         name for name in ("gmpy2", "openssl", "python") if name in available
     ]
+    assert resolve_backend("auto").name == available[0]
+    assert default_backend() is resolve_backend("auto")
+    if not gmpy2_available() and "openssl" in available:
+        assert type(default_backend()) is OpenSSLBackend
+        for bits in (64, 128, 255, 256, 512, 2048):
+            hasher = HomomorphicHasher(
+                modulus=make_modulus(bits, random.Random(bits))
+            )
+            assert hasher.backend is default_backend()
 
     def unreachable():
         raise RuntimeError("libcrypto is linked statically")
@@ -69,19 +75,68 @@ def test_auto_resolution_matches_availability(monkeypatch):
     monkeypatch.setattr(backend_module, "_load_libcrypto", unreachable)
     monkeypatch.setattr(backend_module, "_instances", {})
     assert "openssl" not in available_backends()
-    assert resolve_backend("auto", 512).name == narrow
+    narrow = "gmpy2" if gmpy2_available() else "python"
+    assert resolve_backend("auto").name == narrow
     with pytest.raises(RuntimeError, match="linked statically"):
         resolve_backend("openssl")
 
 
+class _CountingLib:
+    """libcrypto with its ``BN_mod_exp`` calls counted."""
+
+    def __init__(self, lib):
+        self._lib = lib
+        self.native_calls = 0
+
+    def __getattr__(self, name):
+        return getattr(self._lib, name)
+
+    def BN_mod_exp(self, *operands):
+        self.native_calls += 1
+        return self._lib.BN_mod_exp(*operands)
+
+
 def test_narrow_auto_is_the_builtin_itself(monkeypatch):
-    """Below the cutoff nothing wraps ``pow``: same object, same bound."""
-    monkeypatch.delenv("REPRO_CRYPTO_BACKEND", raising=False)
-    if gmpy2_available():
-        pytest.skip("auto is gmpy2 at every width here")
-    backend = default_backend(128)
+    """Forced ``python`` is ``pow`` itself; under openssl, the crossover
+    keeps a 128-bit modulus's ``u^count`` and 32-bit link primes on
+    builtin ``pow`` and sends its round keys to ``BN_mod_exp``."""
+    monkeypatch.setenv("REPRO_CRYPTO_BACKEND", "python")
+    backend = default_backend()
     assert type(backend) is PythonBackend and backend.powmod is pow
-    assert backend is default_backend() is resolve_backend("python")
+    assert backend is resolve_backend("python")
+    if "openssl" not in available_backends():
+        pytest.skip("libcrypto is not reachable through _hashlib")
+    native = resolve_backend("openssl")
+    lib = _CountingLib(native._lib)
+    monkeypatch.setattr(native, "_lib", lib)
+    rng = random.Random(128)
+    modulus = make_modulus(128, rng)
+    contents = [rng.getrandbits(1024) for _ in range(20)]
+    pool = PrimePool(32, rng)
+    link_primes = pool.take_many(20)
+    for content, prime in zip(contents, link_primes):
+        for count in (1, 2, 3):  # u^count, core.verification's factor
+            assert native.powmod(content, count, modulus) == pow(
+                content, count, modulus
+            )
+        assert native.powmod(content, prime, modulus) == pow(
+            content, prime, modulus
+        )
+    assert lib.native_calls == 0
+    round_keys = [p * q for p, q in zip(link_primes, link_primes[1:])]
+    for content, key in zip(contents, round_keys):
+        assert native.powmod(content, key, modulus) == pow(
+            content, key, modulus
+        )
+    assert lib.native_calls == len(round_keys)
+    # The boundary, 36 x 128 = 9 x 512 = _BUILTIN_MAX_WORK:
+    for bits, widths in ((128, (36, 37)), (512, (9, 10))):
+        modulus = (1 << bits) - 1
+        before = lib.native_calls
+        for width in widths:
+            native.powmod(3, (1 << width) - 1, modulus)
+        assert lib.native_calls == before + 1
+    assert _BUILTIN_MAX_WORK == 36 * 128 == 9 * 512
 
 
 def test_unknown_backend_rejected():

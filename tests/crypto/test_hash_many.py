@@ -23,6 +23,7 @@ from repro.crypto.backend import (
     Gmpy2Backend,
     PythonBackend,
     gmpy2_available,
+    narrow_layout,
 )
 from repro.crypto.homomorphic import HomomorphicHasher, make_modulus
 from repro.crypto.primes import PrimePool
@@ -204,6 +205,26 @@ def test_wide_exponents_take_the_per_item_path(modulus):
     # kernel must not read them as tables.
     for prime in _primes(3, seed=66):
         _step(batch, loop, bases + _contents(2, seed=67), prime)
+
+
+@pytest.mark.parametrize(
+    "modulus", [MODULUS_128, MODULUS_512], ids=["m128", "m512"]
+)
+@pytest.mark.parametrize("bits, factors", [(32, 7), (48, 11)])
+def test_table_products_equal_pow_at_32_and_48_bits(modulus, bits, factors):
+    """Once every base holds a table, the batch kernel multiplies a
+    32-bit prime's seven entries in one fixed-arity expression and any
+    other width's through ``prod``: both against per-item ``pow``."""
+    batch, loop = _pair(modulus=modulus)
+    bases = _contents(8, seed=bits)
+    primes = _primes(4, seed=bits, bits=bits)
+    for prime in primes:
+        _step(batch, loop, bases, prime)
+    assert all(
+        len(narrow_layout(bits).indices(prime)) == factors for prime in primes
+    )
+    # the first prime is a cold pow, the second builds the tables
+    assert batch.fixed_base_hits == 2 * len(bases)
 
 
 @pytest.mark.parametrize("exponent", [0, -1, -(1 << 70)])

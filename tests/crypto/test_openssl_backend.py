@@ -3,8 +3,8 @@
 The backend marshals Python ints through bytes into scratch BIGNUMs and
 back, so what can go wrong is not the arithmetic but its edges: a base
 wider than the modulus, zero operands, results with leading zero bytes,
-even moduli (libcrypto leaves Montgomery for them), exponents below the
-builtin crossover, and two threads sharing one backend object.  Every
+even moduli (libcrypto leaves Montgomery for them), operands either side
+of the builtin crossover, and two threads sharing one backend object.  Every
 value is compared with builtin ``pow``.
 """
 
@@ -16,7 +16,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.crypto.backend import (
-    _NATIVE_MIN_EXPONENT,
+    _BUILTIN_MAX_WORK,
     PythonBackend,
     available_backends,
     resolve_backend,
@@ -37,6 +37,9 @@ def backend():
     return resolve_backend("openssl")
 
 
+_M512 = (1 << 512) - 2  # the test adds one: 512 bits, odd
+
+
 def _wide(max_bits):
     """Integers of every width up to ``max_bits``, short ones included."""
     return st.integers(min_value=1, max_value=max_bits).flatmap(
@@ -49,8 +52,10 @@ def _wide(max_bits):
 @example(base=(1 << 600) + 1, exponent=1 << 64, modulus=(1 << 512) - 1)
 @example(base=7, exponent=0, modulus=1 << 512)
 @example(base=7, exponent=1, modulus=1 << 512)
-@example(base=7, exponent=_NATIVE_MIN_EXPONENT - 1, modulus=(1 << 512) - 1)
-@example(base=7, exponent=_NATIVE_MIN_EXPONENT, modulus=(1 << 512) - 1)
+# the widest call left to builtin pow at a 512-bit modulus, and the
+# narrowest one handed to BN_mod_exp
+@example(base=7, exponent=(1 << _BUILTIN_MAX_WORK // 512) - 1, modulus=_M512)
+@example(base=7, exponent=1 << _BUILTIN_MAX_WORK // 512, modulus=_M512)
 @example(base=3, exponent=1 << 64, modulus=1 << 512)  # even modulus
 @example(base=1 << 64, exponent=1 << 10, modulus=1 << 512)  # result 0
 @example(base=2, exponent=600, modulus=(1 << 1024) - 1)  # leading zero bytes

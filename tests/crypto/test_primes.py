@@ -681,7 +681,7 @@ class _CountingBackend(Backend):
 
 def test_wide_search_exponentiates_through_the_backend(monkeypatch):
     backend = _CountingBackend()
-    monkeypatch.setattr(primes_module, "default_backend", lambda bits: backend)
+    monkeypatch.setattr(primes_module, "default_backend", lambda: backend)
     narrow = PrimePool(32, random.Random(4))
     narrow.take_many(30)
     generate_prime(64, random.Random(4))
@@ -709,7 +709,7 @@ def test_search_draws_the_same_primes_on_every_backend(monkeypatch, bits):
     outcomes = []
     for backend in _search_backends():
         monkeypatch.setattr(
-            primes_module, "default_backend", lambda bits, b=backend: b
+            primes_module, "default_backend", lambda b=backend: b
         )
         rng = random.Random(bits)
         pool = PrimePool(bits, rng)
@@ -793,6 +793,39 @@ def test_window_sieve_keeps_the_sieve_primes_inside_a_window(bits):
         # The case that bites at the default window: 773 = 769 + 2 * 2.
         assert is_prime(773)
         assert primes_module._sieve_window(769, 128, 10, 256)[2] == 0
+
+
+@pytest.mark.parametrize("bits", [32, 512])
+def test_grouped_remainders_cross_what_single_primes_cross(bits):
+    """The primes above ``2 * window`` take their residue from the base
+    reduced modulo their group's product: random bases of the 32-bit
+    simulation width and the paper's 512, full windows and the short
+    last window of the width, against the one-prime-at-a-time loop."""
+    rng = random.Random(bits)
+    top = (1 << bits) - 1
+    bases = [rng.getrandbits(bits) | _lowest_base(bits) for _ in range(40)]
+    bases += [top - 2 * rng.randrange(255) for _ in range(10)]
+    for base in bases:
+        span = _span(base, bits, 256)
+        assert primes_module._sieve_window(
+            base, span, bits, 256
+        ) == _reference_survivors(base, bits, span), base
+    assert any(_span(base, bits, 256) < 256 for base in bases)
+    limit = primes_module._sieve_limit(bits)
+    _, groups = primes_module._sieve_table(limit, 256)
+    assert all(product == math.prod(group) for product, group in groups)
+    assert [p for _, group in groups for p in group] == [
+        p for p in _reference_table(limit) if p > 512
+    ]
+
+
+def test_grouped_remainders_step_over_a_base_below_the_sieve_bound():
+    """``base <= limit``: every sieve prime strides, so the primes inside
+    the window survive, on a full window and a short one."""
+    for base, span in ((3, 256), (513, 256), (601, 40), (991, 5)):
+        assert primes_module._sieve_window(
+            base, span, 32, 256
+        ) == _reference_survivors(base, 32, span), base
 
 
 def test_refill_tests_exactly_the_reference_survivors(monkeypatch):

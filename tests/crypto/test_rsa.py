@@ -125,8 +125,8 @@ def test_default_rng_fallback_is_deterministic():
 
 @pytest.mark.parametrize("choice", ["python", "auto"])
 def test_sign_verify_parity_with_builtin_pow(monkeypatch, keypair, choice):
-    """The key operations go through the width-aware backend primitive
-    (libcrypto under ``auto`` at these widths) and must stay the
+    """The key operations go through the backend primitive (libcrypto
+    under ``auto`` wherever it loads) and must stay the
     textbook values: CRT halves, public operation, accept and reject."""
     monkeypatch.setenv("REPRO_CRYPTO_BACKEND", choice)
     wide = generate_keypair(bits=1024, rng=random.Random(2))

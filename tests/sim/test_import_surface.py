@@ -10,9 +10,10 @@ to the fleet alone: a serial, parallel, accusation-path, paper-size or
 population run must finish without it, which is what lets a change to
 the codec promise those benchmark workloads cannot move.
 
-And ``ctypes`` (the libcrypto backend's FFI) belongs to paper-size
-arithmetic alone: ``auto`` hands a 128-bit simulation modulus to
-builtin ``pow`` without importing it, and a 512-bit one to libcrypto.
+And ``ctypes`` (the libcrypto backend's FFI) is loaded by the first
+backend resolution that picks libcrypto, never by an import: ``auto``
+picks it at every modulus width when it loads, and a run forced onto
+``python`` never imports it and exponentiates with ``pow`` itself.
 """
 
 import os
@@ -30,7 +31,6 @@ import sys
 
 import repro.cli
 import repro.scenarios
-from repro.crypto.backend import gmpy2_available
 from repro.scenarios import get_scenario
 
 assert "numpy" not in sys.modules, "importing the CLI loaded numpy"
@@ -40,22 +40,24 @@ result = get_scenario("fig9", nodes=14, rounds=6).run()
 assert result.messages_sent > 0
 assert len(result.cdf()) == len(result.node_kbps) > 0
 assert "numpy" not in sys.modules, "a serial run loaded numpy"
-assert "ctypes" not in sys.modules, "a simulation-size run loaded ctypes"
-assert gmpy2_available() or result.session.context.hasher.backend.powmod is pow
+assert "ctypes" not in sys.modules, "a forced-python run loaded ctypes"
+assert result.session.context.hasher.backend.powmod is pow
 """
 
-_PAPER_SIZE = """
+_AUTO = """
 import sys
 
-from repro.crypto.backend import default_backend
 from repro.scenarios import get_scenario
 
+assert "ctypes" not in sys.modules, "importing the scenarios loaded ctypes"
+result = get_scenario("fig9", nodes=14, rounds=6).run()
+simulation = result.session.context.hasher.backend
+assert simulation.name != "python", simulation.name
 spec = get_scenario("table1", nodes=4, rounds=1, warmup_rounds=0)
 session = spec.build_pag_with(None, sim_modulus_bits=512, sim_prime_bits=512)
 session.run(spec.rounds)
-name = session.context.hasher.backend.name
-assert name == default_backend(512).name != "python", name
-assert ("ctypes" in sys.modules) == (name == "openssl")
+assert session.context.hasher.backend is simulation
+assert ("ctypes" in sys.modules) == (simulation.name == "openssl")
 """
 
 _POPULATION = """
@@ -93,9 +95,11 @@ for name, overrides in (
 """
 
 
-def _run_fresh(script):
+def _run_fresh(script, backend=None):
     env = dict(os.environ, PYTHONPATH=_SRC)
     env.pop("REPRO_CRYPTO_BACKEND", None)  # the default resolution
+    if backend is not None:
+        env["REPRO_CRYPTO_BACKEND"] = backend
     done = subprocess.run(
         [sys.executable, "-c", script],
         env=env,
@@ -107,15 +111,15 @@ def _run_fresh(script):
 
 
 def test_cli_and_serial_run_never_load_numpy():
-    _run_fresh(_SERIAL)
+    _run_fresh(_SERIAL, backend="python")
 
 
-def test_only_paper_size_arithmetic_leaves_builtin_pow():
+def test_auto_is_one_native_backend_at_every_width():
     from repro.crypto.backend import available_backends
 
     if available_backends() == ["python"]:
         pytest.skip("no native backend here: auto is builtin pow throughout")
-    _run_fresh(_PAPER_SIZE)
+    _run_fresh(_AUTO)
 
 
 def test_building_a_population_spec_loads_numpy():
