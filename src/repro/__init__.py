@@ -11,7 +11,7 @@ Package map:
 * :mod:`repro.core` — the protocol itself (start with
   :class:`repro.core.PagSession`);
 * :mod:`repro.scenarios` — the declarative registry of the paper's
-  evaluation matrix (start with :func:`repro.scenarios.run_scenario`);
+  evaluation matrix (start with :func:`repro.api.run_scenario`);
 * :mod:`repro.crypto` — primes, RSA, the homomorphic hash;
 * :mod:`repro.sim` — the round-synchronous simulation substrate;
 * :mod:`repro.membership`, :mod:`repro.gossip`, :mod:`repro.streaming`

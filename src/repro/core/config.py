@@ -45,15 +45,6 @@ class PagConfig:
         seed: root seed for all randomness in the session.
         detection_enabled: run the monitoring state machine (can be
             disabled for pure bandwidth measurements of the data path).
-        forward_owned_ghosts: when True, updates a receiver already owns
-            re-enter its forwarding obligation (a literal reading of
-            section V's S_A semantics).  Default False: already-owned and
-            about-to-expire updates go on the acknowledge-only list of
-            the serve, which monitors acknowledge without propagation
-            checks — the same mechanism the paper introduces for expiring
-            updates (section V-D), applied also to duplicates so that
-            ghost obligations do not cascade.  This is an ablation knob:
-            no registry scenario turns it on.
         monitor_cross_checks: enable the section V-B option "to check
             that monitors correctly compute and forward the hashes of
             updates": the monitored node also computes each lifted hash
@@ -76,7 +67,6 @@ class PagConfig:
     sim_prime_bits: int = 32
     seed: int = 20160627
     detection_enabled: bool = True
-    forward_owned_ghosts: bool = False
     monitor_cross_checks: bool = False
 
     def __post_init__(self) -> None:

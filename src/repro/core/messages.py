@@ -111,8 +111,8 @@ class ServeEntry:
         ack_only: True when the entry joins the receiver's
             acknowledge-only list (expiring next round, or already owned)
             rather than its forwarding obligation (section V-D
-            "Expiration of updates", extended to duplicates; see
-            PagConfig.forward_owned_ghosts).
+            "Expiration of updates", extended to duplicates so that
+            ghost obligations do not cascade).
     """
 
     update: Update

@@ -201,7 +201,7 @@ class MonitorEngine:
         self.lift_transform = lift_transform
         #: batched monitor verification: fold the raw pairs of an
         #: AttestationRelayBatch (a daemon fleet's batched message 7)
-        #: with one multi-exponentiation, since their individual lifted
+        #: in one pass, since their individual lifted
         #: values never reach the wire.  Lifts that are transformed (a
         #: lying monitor's hook) or cross-checked against signed
         #: self-checks (section V-B compares them value by value) must
@@ -291,8 +291,8 @@ class MonitorEngine:
         never materialised: the same signed batch is forwarded to the
         peer monitors in place of per-pair MonitorBroadcasts, and every
         monitor folds the raw pairs through its round
-        :class:`BatchVerifier` (one multi-exponentiation per obligation
-        instead of one wide ``pow`` per pair).
+        :class:`BatchVerifier` (one fold per obligation instead of a
+        stored lift per pair).
         """
         if not self.active:
             return
@@ -554,8 +554,8 @@ class MonitorEngine:
         received nothing that round.  Lifts that were materialised (for
         broadcast, or received from peers) multiply directly; the raw
         pairs of relay batches fold through the round's
-        :class:`BatchVerifier` in one multi-exponentiation pass — the
-        same product, bit for bit.
+        :class:`BatchVerifier` in one pass — the same product, bit for
+        bit.
         """
         per_pred = self._lifted.get((monitored, round_no), {})
         combined = combine_lifted(

@@ -219,7 +219,6 @@ class PagNode(SimNode):
         plan = forward_set.plan
         if plan is None:
             hasher = self.context.hasher
-            owned_ack_only = not self.context.config.forward_owned_ghosts
             contents = []
             rows = []
             for update, count in forward_set.items():
@@ -230,9 +229,8 @@ class PagNode(SimNode):
                     update.payload_bytes, update.session,
                 )
                 fresh = serve_entry(fields, count, 1 | expiring << 1, update)
-                owned = serve_entry(
-                    fields, count, (expiring or owned_ack_only) << 1, update
-                )
+                # Already owned: acknowledge-only, whatever its expiry.
+                owned = serve_entry(fields, count, 2, update)
                 rows.append((entry_power(hasher, update, count), fresh, owned))
             plan = forward_set.plan = ServePlan(contents, rows)
         return plan

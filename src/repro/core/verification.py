@@ -165,14 +165,11 @@ class BatchVerifier:
     """Batched monitor verification: one fold for a round's lift pairs.
 
     A monitor's obligation for a (monitored, round) cell is the product
-    of per-predecessor message-8 lifts, ``prod_j H(S_j)^(c_j) mod M``.
-    Computed pair by pair that costs one wide modular exponentiation per
-    predecessor; because every pair shares the session modulus, the whole
-    fold is a single multi-exponentiation
-    (:meth:`~repro.crypto.backend.Backend.multi_powmod`, Straus's
-    interleaving) — one shared squaring chain for the batch instead of
-    one per pair.  The result is bit-identical to the per-pair fold: the
-    algebra is the same product, evaluated in one pass.
+    of per-predecessor message-8 lifts, ``prod_j H(S_j)^(c_j) mod M``:
+    one backend ``powmod`` per pair, multiplied together, once per
+    batch.  The result is bit-identical to the sequential
+    :func:`lift_attested`/:func:`combine_lifted` chain, with no lift
+    stored per pair.
 
     Accounting follows the hasher's protocol-level convention: each
     non-neutral pair added counts one :attr:`HomomorphicHasher.operations`
@@ -219,11 +216,13 @@ class BatchVerifier:
         """The accumulated obligation product (1 for an empty batch).
 
         Memoised until the next accumulation, so repeated server-side
-        checks of one round pay the multi-exponentiation once.
+        checks of one round pay the fold once.
         """
         if self._result is None:
-            hasher = self.hasher
-            self._result = hasher.backend.multi_powmod(
-                self._pairs, hasher.modulus
-            )
+            modulus = self.hasher.modulus
+            powmod = self.hasher.backend.powmod
+            acc = 1 % modulus
+            for base, exponent in self._pairs:
+                acc = acc * powmod(base, exponent, modulus) % modulus
+            self._result = acc
         return self._result

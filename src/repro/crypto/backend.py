@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import os
 import threading
-from typing import Any, Dict, Iterable, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 __all__ = [
     "Backend",
@@ -50,7 +50,6 @@ __all__ = [
     "resolve_backend",
     "default_backend",
     "gmpy2_available",
-    "multi_powmod",
     "powmod",
 ]
 
@@ -62,31 +61,11 @@ except ImportError:  # pragma: no cover - the common case in CI
     _gmpy2 = None
 
 
-def _multi_powmod_window(bits: int) -> int:
-    """Window width for an interleaved multi-exponentiation.
-
-    Standard windowing trade-off: per pair the table costs ``2^w - 2``
-    multiplies while each window of the shared squaring pass costs at
-    most one multiply per pair, so wider exponents amortise wider
-    windows.  The thresholds mirror the usual square-and-multiply
-    break-evens; the result is exact for every width, only the constant
-    factor moves.
-    """
-    if bits <= 8:
-        return 1
-    if bits <= 24:
-        return 2
-    if bits <= 96:
-        return 3
-    return 4
-
-
 class Backend:
     """Modular arithmetic primitive provider.
 
-    Subclasses implement :meth:`powmod`; :meth:`mulmod` and
-    :meth:`multi_powmod` have portable defaults.  Backends are stateless
-    and shareable across hashers.
+    Subclasses implement :meth:`powmod`.  Backends are stateless and
+    shareable across hashers.
     """
 
     name: str = "abstract"
@@ -94,59 +73,6 @@ class Backend:
     def powmod(self, base: int, exponent: int, modulus: int) -> int:
         """``base ** exponent mod modulus`` for non-negative exponents."""
         raise NotImplementedError
-
-    def mulmod(self, a: int, b: int, modulus: int) -> int:
-        return (a * b) % modulus
-
-    def multi_powmod(
-        self, pairs: Iterable[Tuple[int, int]], modulus: int
-    ) -> int:
-        """``prod base_i ** exp_i mod modulus`` in one interleaved pass.
-
-        Straus's algorithm (interleaved windowed multi-exponentiation,
-        the small-batch end of Straus/Pippenger): all exponents share a
-        single squaring chain — ``max_bits`` squarings total instead of
-        ``k * max_bits`` — while per-pair window tables keep the
-        multiply count at ``~bits/w`` each.  The result is bit-identical
-        to folding per-pair ``powmod`` results, for any input.
-
-        Args:
-            pairs: iterable of ``(base, exponent)`` with non-negative
-                exponents; an empty batch folds to the identity.
-            modulus: shared modulus (> 0).
-        """
-        if modulus <= 0:
-            raise ValueError("modulus must be positive")
-        live = []
-        for base, exponent in pairs:
-            if exponent < 0:
-                raise ValueError("exponents must be non-negative")
-            if exponent:
-                live.append((base % modulus, exponent))
-        if not live:
-            return 1 % modulus
-        if len(live) == 1:
-            return self.powmod(live[0][0], live[0][1], modulus)
-        bits = max(exponent.bit_length() for _, exponent in live)
-        w = _multi_powmod_window(bits)
-        mask = (1 << w) - 1
-        tables = []
-        for base, _exponent in live:
-            table = [base]
-            for _ in range(mask - 1):
-                table.append(table[-1] * base % modulus)
-            tables.append(table)
-        acc = 1
-        for i in range((bits + w - 1) // w - 1, -1, -1):
-            if acc != 1:
-                for _ in range(w):
-                    acc = acc * acc % modulus
-            shift = w * i
-            for table, (_base, exponent) in zip(tables, live):
-                digit = (exponent >> shift) & mask
-                if digit:
-                    acc = acc * table[digit - 1] % modulus
-        return acc % modulus
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<{type(self).__name__} name={self.name!r}>"
@@ -177,58 +103,9 @@ class Gmpy2Backend(Backend):
                 "gmpy2 is not installed; use the 'python' backend"
             )
         self._powmod = _gmpy2.powmod
-        self._mpz = _gmpy2.mpz
 
     def powmod(self, base: int, exponent: int, modulus: int) -> int:
         return int(self._powmod(base, exponent, modulus))
-
-    def mulmod(self, a: int, b: int, modulus: int) -> int:
-        return int(self._mpz(a) * b % modulus)
-
-    def multi_powmod(
-        self, pairs: Iterable[Tuple[int, int]], modulus: int
-    ) -> int:
-        """Straus interleaving over ``mpz`` limbs (GMP multiplies).
-
-        Same algorithm and window policy as the portable default — the
-        interleaved squaring chain is shared — with every product
-        running in GMP, so the batched fold keeps its edge over per-pair
-        ``powmod`` even on the fast backend.
-        """
-        if modulus <= 0:
-            raise ValueError("modulus must be positive")
-        mpz = self._mpz
-        m = mpz(modulus)
-        live = []
-        for base, exponent in pairs:
-            if exponent < 0:
-                raise ValueError("exponents must be non-negative")
-            if exponent:
-                live.append((mpz(base) % m, exponent))
-        if not live:
-            return 1 % modulus
-        if len(live) == 1:
-            return int(self._powmod(live[0][0], live[0][1], m))
-        bits = max(exponent.bit_length() for _, exponent in live)
-        w = _multi_powmod_window(bits)
-        mask = (1 << w) - 1
-        tables = []
-        for base, _exponent in live:
-            table = [base]
-            for _ in range(mask - 1):
-                table.append(table[-1] * base % m)
-            tables.append(table)
-        acc = mpz(1)
-        for i in range((bits + w - 1) // w - 1, -1, -1):
-            if acc != 1:
-                for _ in range(w):
-                    acc = acc * acc % m
-            shift = w * i
-            for table, (_base, exponent) in zip(tables, live):
-                digit = (exponent >> shift) & mask
-                if digit:
-                    acc = acc * table[digit - 1] % m
-        return int(acc % m)
 
 
 #: The crossover between builtin ``pow`` and ``BN_mod_exp``, in exponent
@@ -336,22 +213,6 @@ class OpenSSLBackend(Backend):
             out = own.out = lib.new_buffer(len(raw))
         return int.from_bytes(out[: lib.BN_bn2bin(own.result, out)], "big")
 
-    def multi_powmod(
-        self, pairs: Iterable[Tuple[int, int]], modulus: int
-    ) -> int:
-        """The fold of ``powmod``s: Straus's value by definition, and
-        ahead of an interpreted chain once the pairs go native (two
-        pairs of 64-bit cofactors: 28 against 46 us at a 128-bit
-        modulus, 56 against 220 at 512 bits)."""
-        if modulus <= 0:
-            raise ValueError("modulus must be positive")
-        acc = 1 % modulus
-        for base, exponent in pairs:
-            if exponent < 0:
-                raise ValueError("exponents must be non-negative")
-            acc = acc * self.powmod(base, exponent, modulus) % modulus
-        return acc
-
 
 def gmpy2_available() -> bool:
     return _gmpy2 is not None
@@ -360,20 +221,6 @@ def gmpy2_available() -> bool:
 def powmod(base: int, exponent: int, modulus: int) -> int:
     """``pow`` on the process's backend."""
     return default_backend().powmod(base, exponent, modulus)
-
-
-def multi_powmod(
-    pairs: Iterable[Tuple[int, int]],
-    modulus: int,
-    backend: Optional[Backend] = None,
-) -> int:
-    """``prod base_i ** exp_i mod modulus`` via one interleaved pass.
-
-    Convenience wrapper over :meth:`Backend.multi_powmod` using the
-    process's backend when none is given.
-    """
-    backend = backend or default_backend()
-    return backend.multi_powmod(pairs, modulus)
 
 
 #: name -> class, in ``auto``'s order of preference: the one list behind

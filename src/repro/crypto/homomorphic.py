@@ -31,7 +31,7 @@ import random
 from dataclasses import dataclass, field
 from math import prod
 from operator import itemgetter
-from typing import Any, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Iterable, List, Optional, Tuple
 
 from repro.crypto.backend import (
     Backend,
@@ -142,7 +142,7 @@ class HomomorphicHasher:
     fixed_base_max: int = field(default=_FIXED_BASE_MAX, compare=False)
     #: cache accounting: protocol-level calls answered by the memo, by a
     #: fixed-base table, by a cold exponentiation, or folded into a
-    #: batched multi-exponentiation (every call lands in exactly one
+    #: monitor's ``BatchVerifier`` (every call lands in exactly one
     #: bucket, so their sum always equals ``operations``).
     memo_hits: int = field(default=0, compare=False)
     fixed_base_hits: int = field(default=0, compare=False)
@@ -428,41 +428,6 @@ class HomomorphicHasher:
         for h in hashes:
             acc = (acc * h) % self.modulus
         return acc
-
-    def verify_forwarding(
-        self,
-        attested: Sequence[tuple[int, int]],
-        acknowledged: int,
-    ) -> bool:
-        """Check the forwarding equation of section IV-B.
-
-        All pairs fold in one Straus multi-exponentiation pass (one
-        shared squaring chain); ``operations`` counts one
-        protocol-level lift per pair, booked as ``batched_lifts``.
-
-        Args:
-            attested: pairs ``(hash_value, cofactor)`` where hash_value is
-                ``H(S_j)_(p_j, M)`` declared by predecessor j and cofactor
-                is ``prod_{i != j} p_i``, the product of the node's other
-                primes for the round.
-            acknowledged: ``H(prod of all updates)_(prod_i p_i, M)`` as
-                acknowledged by a successor.
-
-        Returns:
-            True when the homomorphically-raised attested hashes multiply
-            to the acknowledged hash:
-
-                prod_j (H(S_j)_(p_j))^(prod_{i!=j} p_i)  mod M
-                    == H(S_1 * ... * S_k)_(prod_i p_i)
-        """
-        pairs = list(attested)
-        for _hash_value, cofactor in pairs:
-            if cofactor <= 0:
-                raise ValueError("hash exponent must be positive")
-        self.operations += len(pairs)
-        self.batched_lifts += len(pairs)
-        product = self.backend.multi_powmod(pairs, self.modulus)
-        return product == acknowledged % self.modulus
 
     def cache_stats(self) -> dict:
         """Cache accounting, read by the benchmark's traced run.

@@ -54,22 +54,6 @@ class CryptoCounters:
             "prime_generations": self.prime_generations,
         }
 
-    def add(self, other: "CryptoCounters") -> None:
-        self.signatures += other.signatures
-        self.verifications += other.verifications
-        self.encryptions += other.encryptions
-        self.decryptions += other.decryptions
-        self.homomorphic_hashes += other.homomorphic_hashes
-        self.prime_generations += other.prime_generations
-
-    def reset(self) -> None:
-        self.signatures = 0
-        self.verifications = 0
-        self.encryptions = 0
-        self.decryptions = 0
-        self.homomorphic_hashes = 0
-        self.prime_generations = 0
-
 
 #: Default seed for key generation.  The keystore's documented
 #: contract is "seeded randomness so two runs produce identical keys";

@@ -8,8 +8,8 @@ can only probe dynamically:
 * :mod:`repro.lint.parity` — PAR3xx: replica-worker code never mutates
   parent-session state or shared module globals.
 
-See ``docs/INVARIANTS.md`` for the rule catalogue and the
-``# lint: allow[RULE] justification`` pragma syntax.
+See ``docs/INVARIANTS.md`` for the rule catalogue.  No comment
+silences a finding: a site the rules flag is rewritten.
 """
 
 from __future__ import annotations

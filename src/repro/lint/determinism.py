@@ -32,9 +32,7 @@ This analyzer enforces the whole class statically:
 * DET107 — filesystem-order iteration (``os.listdir``, ``glob``,
   ``Path.iterdir``) feeding the same sinks without ``sorted(...)``.
 
-Legitimate exceptions (the seeded-stream factory itself, benchmark
-entropy) carry ``# lint: allow[RULE] justification`` pragmas — see
-:mod:`repro.lint.pragmas`.
+No comment silences a finding: a flagged site is rewritten.
 """
 
 from __future__ import annotations
@@ -192,10 +190,9 @@ class _DeterminismVisitor(ast.NodeVisitor):
         self.path = path
         self.imports = imports
         self.diagnostics: List[Diagnostic] = []
-        #: comprehension nodes discharged by an order-free reducer.
-        #: Keyed by id() legitimately: the set lives for one in-process
-        #: AST walk and never orders or crosses anything.
-        self._order_free_comps: Set[int] = set()
+        #: comprehension nodes discharged by an order-free reducer
+        #: (the nodes themselves: they hash by identity, no id() key).
+        self._order_free_comps: Set[ast.AST] = set()
 
     def _report(
         self, node: ast.AST, code: str, message: str
@@ -221,9 +218,7 @@ class _DeterminismVisitor(ast.NodeVisitor):
                         arg,
                         (ast.ListComp, ast.GeneratorExp, ast.SetComp),
                     ):
-                        # lint: allow[DET105] one-walk, in-process
-                        # node-identity memo; order-free by definition
-                        self._order_free_comps.add(id(arg))
+                        self._order_free_comps.add(arg)
             elif node.func.id in ("list", "tuple"):
                 for arg in node.args:
                     if _is_set_expr(arg):
@@ -408,7 +403,7 @@ class _DeterminismVisitor(ast.NodeVisitor):
     def _visit_comp(
         self, node: ast.AST, generators: List[ast.comprehension]
     ) -> None:
-        if id(node) in self._order_free_comps:
+        if node in self._order_free_comps:
             return
         for gen in generators:
             if _is_set_expr(gen.iter):

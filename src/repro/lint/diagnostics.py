@@ -5,9 +5,8 @@ renders them ruff-style (``path:line:col: CODE message``) so editors
 and CI annotate findings the same way they annotate ruff's.
 
 The catalogue in :data:`RULES` is the single source of truth for rule
-codes: the pragma parser validates ``# lint: allow[CODE]`` comments
-against it, ``repro lint --rules`` prints it, and
-``docs/INVARIANTS.md`` documents it.
+codes: ``repro lint --rules`` prints it, and ``docs/INVARIANTS.md``
+documents it.
 """
 
 from __future__ import annotations
@@ -15,12 +14,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Tuple
 
-__all__ = ["Diagnostic", "RULES", "rule_exists"]
+__all__ = ["Diagnostic", "RULES"]
 
 
 #: code -> one-line summary.  Codes are grouped by family: DET1xx are
-#: determinism rules, PAR3xx policy-parity rules, PRG9xx pragma
-#: hygiene.
+#: determinism rules, PAR3xx policy-parity rules, and PRG903 reports a
+#: file no rule could read.
 RULES: Dict[str, str] = {
     "DET101": (
         "call on the module-level random singleton (use a seeded "
@@ -58,14 +57,8 @@ RULES: Dict[str, str] = {
         "replica-worker scope writes module-global state (the worker's "
         "own copy, lost to the parent)"
     ),
-    "PRG901": "allow pragma is missing its mandatory justification",
-    "PRG902": "allow pragma suppresses nothing (remove it)",
-    "PRG903": "allow pragma names an unknown rule code",
+    "PRG903": "file does not parse, so no rule could check it",
 }
-
-
-def rule_exists(code: str) -> bool:
-    return code in RULES
 
 
 @dataclass(frozen=True, order=True)

@@ -9,11 +9,10 @@ touch.  In a worker process such a write is silently lost (the
 replica's copy diverges), and serial and parallel runs stop being
 bit-identical.
 
-Scopes are replica-side when they match a built-in pattern
-(``_ReplicaWorker``, module functions starting with ``_process_``,
-``NodeDaemon``, ``_PeerLink``) or carry a ``# lint: replica-scope``
-marker comment on the ``def``/``class`` line, so new worker entry
-points opt in without linter edits.
+Scopes are replica-side when their name matches a pattern of
+``_SCOPE_PATTERNS`` (``_ReplicaWorker``, module functions starting with
+``_process_``, ``NodeDaemon``, ``_PeerLink``); a new worker entry point
+is named to match, or added there.
 
 Inside a replica scope the analyzer flags:
 
@@ -30,18 +29,16 @@ Inside a replica scope the analyzer flags:
   authoritative session.
 
 No replica scope in ``src/`` writes a global today (a process worker's
-replica is a local of its request loop, ``_process_loop``); one that
-had to would carry an allow pragma with its justification.
+replica is a local of its request loop, ``_process_loop``).
 """
 
 from __future__ import annotations
 
 import ast
 import re
-from typing import List, Optional, Sequence, Set
+from typing import List, Set
 
 from repro.lint.diagnostics import Diagnostic
-from repro.lint.pragmas import REPLICA_SCOPE_MARK
 
 __all__ = ["analyze_parity"]
 
@@ -93,24 +90,9 @@ def _chain_tokens(node: ast.AST) -> Set[str]:
             return tokens
 
 
-def _is_replica_scope(
-    node: ast.AST, source_lines: Sequence[str]
-) -> bool:
+def _is_replica_scope(node: ast.AST) -> bool:
     name = getattr(node, "name", "")
-    if any(p.match(name) for p in _SCOPE_PATTERNS):
-        return True
-    lineno = getattr(node, "lineno", 0)
-    if 1 <= lineno <= len(source_lines):
-        if REPLICA_SCOPE_MARK.search(source_lines[lineno - 1]):
-            return True
-        # Decorated defs: the marker may sit on the decorator line.
-        for deco in getattr(node, "decorator_list", ()):
-            dline = getattr(deco, "lineno", 0)
-            if 1 <= dline <= len(source_lines) and (
-                REPLICA_SCOPE_MARK.search(source_lines[dline - 1])
-            ):
-                return True
-    return False
+    return any(p.match(name) for p in _SCOPE_PATTERNS)
 
 
 class _ScopeChecker(ast.NodeVisitor):
@@ -257,13 +239,8 @@ def _module_global_names(tree: ast.Module) -> Set[str]:
     return names
 
 
-def analyze_parity(
-    path: str, tree: ast.Module, source: Optional[str] = None
-) -> List[Diagnostic]:
+def analyze_parity(path: str, tree: ast.Module) -> List[Diagnostic]:
     """Run the PAR3xx rules over one parsed module."""
-    source_lines: Sequence[str] = (
-        source.splitlines() if source is not None else ()
-    )
     module_globals = _module_global_names(tree)
     diagnostics: List[Diagnostic] = []
 
@@ -273,9 +250,7 @@ def analyze_parity(
                 child,
                 (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef),
             ):
-                child_in_scope = in_scope or _is_replica_scope(
-                    child, source_lines
-                )
+                child_in_scope = in_scope or _is_replica_scope(child)
                 child_name = (
                     f"{scope_name}.{child.name}" if scope_name
                     else child.name

@@ -1,10 +1,10 @@
-"""The ``repro lint`` driver: walk, analyze, suppress.
+"""The ``repro lint`` driver: walk and analyze.
 
 Runs the AST analyzers (:mod:`determinism <repro.lint.determinism>`,
 :mod:`parity <repro.lint.parity>`) over every Python file under the
-given paths, applies ``# lint: allow[RULE]`` pragmas and appends pragma
-hygiene findings.  ``repro lint`` (:mod:`repro.cli`) renders the
-sorted findings ruff-style::
+given paths; a file that does not parse is one PRG903 finding.
+``repro lint`` (:mod:`repro.cli`) renders the sorted findings
+ruff-style::
 
     src/repro/sim/faults.py:116:12: DET102 random.Random() without ...
 """
@@ -18,7 +18,6 @@ from typing import Iterable, List, Optional, Sequence
 from repro.lint.determinism import analyze_determinism
 from repro.lint.diagnostics import Diagnostic, sort_diagnostics
 from repro.lint.parity import analyze_parity
-from repro.lint.pragmas import scan_pragmas
 
 __all__ = ["lint_file", "lint_paths"]
 
@@ -51,16 +50,7 @@ def lint_source(path: str, source: str) -> List[Diagnostic]:
                 f"file does not parse: {exc.msg}",
             )
         ]
-    raw = analyze_determinism(path, tree)
-    raw += analyze_parity(path, tree, source)
-    table = scan_pragmas(source)
-    kept = [
-        diag
-        for diag in raw
-        if not table.suppresses(diag.line, diag.code)
-    ]
-    kept.extend(table.hygiene_diagnostics(path))
-    return kept
+    return analyze_determinism(path, tree) + analyze_parity(path, tree)
 
 
 def lint_file(path: Path, display: Optional[str] = None) -> List[

@@ -39,7 +39,7 @@ The ``attestation_relay`` kind (7) carries a *pair list*: one entry
 round-trips to the simulator's :class:`AttestationRelay`, two or more
 decode to an :class:`AttestationRelayBatch` — the signed
 (hash, cofactor) pair list the fm>1 batched fold consumes (one outer
-signature, one wire message, one multi-exponentiation at the monitor).
+signature, one wire message, one fold at the monitor).
 
 Kind bytes < 64 are session traffic (:mod:`repro.core.messages`);
 bytes >= 64 are control frames declared at the bottom of this module:

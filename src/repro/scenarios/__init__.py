@@ -6,8 +6,8 @@ pure data (:class:`~repro.scenarios.spec.ScenarioSpec`) and gives the
 CLI, the repo benchmark and the tests a single way to build, run, and
 measure them.  Start with::
 
-    from repro.scenarios import run_scenario
-    result = run_scenario("fig7", nodes=240)
+    from repro.scenarios import get_scenario
+    result = get_scenario("fig7", nodes=240).run()
     result.cdf()          # the Fig. 7 series
 """
 
@@ -17,7 +17,6 @@ from repro.scenarios.registry import (
     all_scenarios,
     get_scenario,
     register_scenario,
-    run_scenario,
     scenario_names,
 )
 from repro.scenarios.spec import (
@@ -43,6 +42,5 @@ __all__ = [
     "all_scenarios",
     "get_scenario",
     "register_scenario",
-    "run_scenario",
     "scenario_names",
 ]

@@ -10,22 +10,21 @@ immediately makes it runnable from the CLI.
 Specs carry an execution ``policy`` knob (serial / parallel, which are
 bit-identical; see :mod:`repro.sim.execution`), so a scenario can
 declare that it defaults to worker processes; ``repro run --policy``
-and an explicit policy passed to ``run_scenario`` both override it.
+and an explicit policy passed to :meth:`ScenarioSpec.run` both
+override it.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List
 
 from repro.scenarios.spec import (
     AdversaryGroup,
     ChurnEvent,
     JoinEvent,
     RateStep,
-    ScenarioResult,
     ScenarioSpec,
 )
-from repro.sim.execution import ExecutionPolicy
 from repro.sim.faults import (
     CorruptionFault,
     DelayFault,
@@ -38,7 +37,6 @@ __all__ = [
     "get_scenario",
     "scenario_names",
     "all_scenarios",
-    "run_scenario",
 ]
 
 _REGISTRY: Dict[str, ScenarioSpec] = {}
@@ -74,15 +72,6 @@ def scenario_names() -> List[str]:
 
 def all_scenarios() -> List[ScenarioSpec]:
     return [_REGISTRY[name] for name in scenario_names()]
-
-
-def run_scenario(
-    name: str,
-    execution_policy: Optional[ExecutionPolicy] = None,
-    **overrides: Any,
-) -> ScenarioResult:
-    """Resolve, build, run, and measure a named scenario."""
-    return get_scenario(name, **overrides).run(execution_policy)
 
 
 # ---------------------------------------------------------------------------

@@ -130,14 +130,3 @@ def test_free_rider_saves_upload_bandwidth():
     cheat_up = cheat.bandwidth_kbps(direction="up")[DEVIANT]
     assert cheat_up < honest_up
 
-
-def test_ghost_forwarding_ablation_still_detects():
-    """With the literal S_A semantics (owned updates re-enter the
-    obligation), detection still works and honest nodes stay clean."""
-    config = PagConfig(forward_owned_ghosts=True, playout_delay_rounds=6)
-    session = PagSession.create(
-        16, config=config, behaviors={DEVIANT: FreeRider()}
-    )
-    session.run(10)
-    assert DEVIANT in session.convicted_nodes()
-    assert session.convicted_nodes() == {DEVIANT}

@@ -34,7 +34,6 @@ from tests.net.live_traffic import SCENARIOS
 def _two_pass_entries(node, round_no, buffermap, prime):
     """The classification the fused pass replaced, nothing shared."""
     modulus = node.context.hasher.modulus
-    ghosts_forward = node.context.config.forward_owned_ghosts
     entries = []
     for update, count in node._forward_set(round_no).items():
         owned = pow(update.content, prime, modulus) in buffermap
@@ -44,7 +43,7 @@ def _two_pass_entries(node, round_no, buffermap, prime):
                 update=update,
                 count=count,
                 has_payload=not owned,
-                ack_only=expiring or (owned and not ghosts_forward),
+                ack_only=expiring or owned,
             )
         )
     return tuple(entries)

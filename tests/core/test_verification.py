@@ -16,7 +16,12 @@ from repro.core.verification import (
     serve_hashes,
     split_products,
 )
-from repro.crypto.homomorphic import fresh_hasher
+from repro.crypto.backend import available_backends, resolve_backend
+from repro.crypto.homomorphic import (
+    HomomorphicHasher,
+    fresh_hasher,
+    make_modulus,
+)
 from repro.crypto.primes import generate_distinct_primes, product
 from repro.gossip.updates import Update
 from tests.net.live_traffic import SCENARIOS, live_messages
@@ -221,6 +226,30 @@ class TestBatchVerifier:
         # Identical protocol-level tallies, different buckets.
         assert batched.operations == unbatched.operations
         assert batched.batched_lifts == len(pairs)
+
+    @pytest.mark.parametrize("backend", available_backends())
+    def test_monitor_shaped_batch_exact(self, backend):
+        """The obligation's shape: k attested hashes, each raised to the
+        product of the *other* primes, fold to the full-key hash of the
+        combined product, on every backend."""
+        from repro.core.verification import BatchVerifier
+
+        rng = random.Random(42)
+        modulus = make_modulus(256, rng)
+        primes = [101, 257, 65537, 4294967311]
+        full_key = product(primes)
+        updates = [rng.getrandbits(300) | 1 for _ in primes]
+        verifier = BatchVerifier(
+            HomomorphicHasher(
+                modulus=modulus, backend=resolve_backend(backend)
+            )
+        )
+        for u, p in zip(updates, primes):
+            verifier.add(pow(u, p, modulus), full_key // p)
+        combined = 1
+        for u in updates:
+            combined = combined * u % modulus
+        assert verifier.fold() == pow(combined, full_key, modulus)
 
     def test_neutral_pairs_are_skipped_like_lift_attested(self):
         from repro.core.verification import BatchVerifier

@@ -11,6 +11,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.verification import (
+    BatchVerifier,
+    combine_lifted,
+    lift_attested,
+)
 from repro.crypto import backend as backend_module
 from repro.crypto.backend import (
     _BUILTIN_MAX_WORK,
@@ -179,15 +184,6 @@ def test_powmod_matches_builtin_pow(backend, base, exponent, modulus):
     )
 
 
-@pytest.mark.parametrize("backend", _all_backend_params())
-def test_mulmod_matches_builtin(backend):
-    rng = random.Random(5)
-    for _ in range(50):
-        a, b = rng.getrandbits(256), rng.getrandbits(256)
-        m = rng.randrange(2, 1 << 128)
-        assert backend.mulmod(a, b, m) == a * b % m
-
-
 @needs_gmpy2
 def test_gmpy2_returns_plain_ints():
     backend = Gmpy2Backend()
@@ -196,8 +192,8 @@ def test_gmpy2_returns_plain_ints():
 
 
 # ---------------------------------------------------------------------------
-# Protocol-level parity: hash / rekey / combine / verify_forwarding and
-# identical operation accounting across backends.
+# Protocol-level parity: hash / rekey / combine / the forwarding check
+# and identical operation accounting across backends.
 # ---------------------------------------------------------------------------
 
 
@@ -207,6 +203,20 @@ def _fresh_pair():
     return [
         HomomorphicHasher(modulus=modulus, backend=b) for b in _backends()
     ]
+
+
+def _forwarding_checks(hasher, attested, acknowledged):
+    """The forwarding equation of section IV-B both ways a monitor
+    evaluates it: per-pair lifts multiplied, and one batched fold."""
+    expected = acknowledged % hasher.modulus
+    lifted = [lift_attested(hasher, h, c) for h, c in attested]
+    verifier = BatchVerifier(hasher)
+    for h, c in attested:
+        verifier.add(h, c)
+    return (
+        combine_lifted(hasher, lifted) == expected,
+        verifier.fold() == expected,
+    )
 
 
 def _exercise(hasher, rng):
@@ -234,7 +244,7 @@ def _exercise(hasher, rng):
         (hasher.hash(u2, p2), p1),
     ]
     acknowledged = hasher.hash(u1, p1 * p2) * hasher.hash(u2, p1 * p2)
-    outputs.append(hasher.verify_forwarding(pairs, acknowledged))
+    outputs.extend(_forwarding_checks(hasher, pairs, acknowledged))
     return outputs
 
 
@@ -281,8 +291,12 @@ def test_verify_forwarding_parity_with_seed_semantics(backend):
     acknowledged = hasher.hash(
         updates[0] * updates[1] * updates[2], full_key
     )
-    assert hasher.verify_forwarding(attested, acknowledged)
-    assert not hasher.verify_forwarding(attested, acknowledged + 1)
+    assert _forwarding_checks(hasher, attested, acknowledged) == (
+        True, True
+    )
+    assert _forwarding_checks(hasher, attested, acknowledged + 1) == (
+        False, False
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,6 @@ from hypothesis import strategies as st
 
 from repro.crypto.backend import (
     _BUILTIN_MAX_WORK,
-    PythonBackend,
     available_backends,
     resolve_backend,
 )
@@ -77,24 +76,6 @@ def test_powmod_edges_answer_as_builtin_does(backend):
         backend.powmod(5, wide, 0)
     with pytest.raises(ValueError):
         backend.powmod(7, -1, 77)  # not invertible
-
-
-@given(
-    pairs=st.lists(st.tuples(_wide(1024), _wide(1024)), max_size=5),
-    modulus=_wide(1024),
-)
-@settings(max_examples=60, deadline=None)
-def test_multi_powmod_is_the_fold_and_equals_straus(backend, pairs, modulus):
-    modulus += 1
-    expected = 1 % modulus
-    for base, exponent in pairs:
-        expected = expected * pow(base, exponent, modulus) % modulus
-    assert backend.multi_powmod(pairs, modulus) == expected
-    assert PythonBackend().multi_powmod(pairs, modulus) == expected
-    with pytest.raises(ValueError):
-        backend.multi_powmod(pairs + [(2, -1)], modulus)
-    with pytest.raises(ValueError):
-        backend.multi_powmod(pairs, 0)
 
 
 def test_one_backend_object_serves_four_threads(backend):

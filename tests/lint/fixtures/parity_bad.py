@@ -30,7 +30,3 @@ def helper_outside_scope(parent):
     # Not a replica scope: the parent merging into itself is the
     # design, so this must NOT be flagged.
     parent.meter.record(1)
-
-
-def marked_scope(coordinator, item):  # lint: replica-scope
-    coordinator.queue.append(item)  # expect[PAR301]

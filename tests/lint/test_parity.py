@@ -10,7 +10,7 @@ FIXTURE = FIXTURES / "parity_bad.py"
 
 def _par(source: str):
     tree = ast.parse(source)
-    return analyze_parity("snippet.py", tree, source)
+    return analyze_parity("snippet.py", tree)
 
 
 class TestParFixture:
@@ -56,21 +56,3 @@ class TestParUnits:
         diags = _par(src)
         assert [d.code for d in diags] == ["PAR302"]
         assert diags[0].line == 3
-
-    def test_scope_marker_must_sit_on_def_line(self):
-        # A standalone comment line above the def is not a marker.
-        src = (
-            "# lint: replica-scope\n"
-            "def fan_out_batch(parent, item):\n"
-            "    parent.queue.append(item)\n"
-        )
-        assert _par(src) == []
-
-    def test_decorated_scope_marker(self):
-        src = (
-            "@wraps  # lint: replica-scope\n"
-            "def fan_out(parent, item):\n"
-            "    parent.queue.append(item)\n"
-        )
-        diags = _par(src)
-        assert [d.code for d in diags] == ["PAR301"]

@@ -88,7 +88,16 @@ class TestMutations:
         assert code == 1
         assert "PAR302" in out
 
+    def test_allow_comment_does_not_hide_a_finding(self):
+        diags = lint_source(
+            "jitter.py",
+            "import random\n\n\ndef jitter(scale):\n"
+            "    return scale * random.random()  # lint: allow[DET101] why\n",
+        )
+        assert [(d.line, d.code) for d in diags] == [(5, "DET101")]
+
     def test_unparseable_file_reports_prg903(self):
         diags = lint_source("broken.py", "def f(:\n")
         assert [d.code for d in diags] == ["PRG903"]
         assert "does not parse" in diags[0].message
+        assert "does not parse" in RULES["PRG903"]

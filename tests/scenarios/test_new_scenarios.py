@@ -18,7 +18,6 @@ from repro.scenarios import (
     JoinEvent,
     RateStep,
     get_scenario,
-    run_scenario,
     scenario_names,
 )
 from repro.scenarios.spec import ScenarioSpec
@@ -136,7 +135,7 @@ def test_strategy_map_claims_ids_before_groups():
 
 
 def test_join_churn_arrivals_are_absent_then_present():
-    result = run_scenario("join-churn")
+    result = get_scenario("join-churn").run()
     spec = result.spec
     up_series = result.session.simulator.network.meter.up_series
     for event in spec.arrivals:
@@ -157,7 +156,7 @@ def test_join_churn_arrivals_are_absent_then_present():
 def test_join_churn_monitor_duty_starts_at_arrival():
     """A late-arriving monitor enters the declaration rotation and never
     issues verdicts about exchanges it did not observe."""
-    result = run_scenario("join-churn")
+    result = get_scenario("join-churn").run()
     spec = result.spec
     joined = {e.node_id: e.after_round + 1 for e in spec.arrivals}
     for node_id, first_round in joined.items():
@@ -172,7 +171,7 @@ def test_join_churn_monitor_duty_starts_at_arrival():
 
 
 def test_coalition_mixed_convicts_every_deviant_strategy():
-    result = run_scenario("coalition-mixed")
+    result = get_scenario("coalition-mixed").run()
     deviants = result.spec.deviant_nodes()
     # The map pins three distinct strategies; the group adds two more.
     assert len(set(deviants.values())) == 4
@@ -180,7 +179,7 @@ def test_coalition_mixed_convicts_every_deviant_strategy():
 
 
 def test_rate_ramp_releases_track_the_schedule():
-    result = run_scenario("rate-ramp")
+    result = get_scenario("rate-ramp").run()
     spec = result.spec
     schedule = result.session.source.schedule
     assert schedule.rate_for(0) == 150.0
@@ -228,7 +227,7 @@ GOLDEN = {
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_cdf_golden(name):
-    result = run_scenario(name)
+    result = get_scenario(name).run()
     golden = GOLDEN[name]
     assert result.mean_kbps == pytest.approx(golden["mean"], abs=1e-3)
     cdf = result.cdf()

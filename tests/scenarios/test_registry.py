@@ -8,7 +8,6 @@ from repro.scenarios import (
     ScenarioSpec,
     get_scenario,
     register_scenario,
-    run_scenario,
     scenario_names,
 )
 from repro.sim.execution import ParallelShardedPolicy
@@ -96,7 +95,7 @@ def test_deviant_placement_is_deterministic_and_disjoint():
 
 
 def test_selfish_scenario_convicts_its_deviant():
-    result = run_scenario("selfish", rounds=10)
+    result = get_scenario("selfish", rounds=10).run()
     deviants = set(get_scenario("selfish").deviant_nodes())
     assert set(result.convicted) == deviants
     assert result.verdicts > 0
@@ -104,9 +103,7 @@ def test_selfish_scenario_convicts_its_deviant():
 
 
 def test_churn_scenario_removes_nodes_and_convicts_them():
-    result = run_scenario(
-        "churn", execution_policy=ParallelShardedPolicy(workers=4)
-    )
+    result = get_scenario("churn").run(ParallelShardedPolicy(workers=4))
     spec = get_scenario("churn")
     departed = {event.node_id for event in spec.churn}
     assert departed == {5, 11}
@@ -116,7 +113,7 @@ def test_churn_scenario_removes_nodes_and_convicts_them():
 
 
 def test_acting_scenario_runs_and_measures():
-    result = run_scenario("fig7-acting", nodes=20, rounds=8)
+    result = get_scenario("fig7-acting", nodes=20, rounds=8).run()
     assert result.spec.protocol == "acting"
     assert result.mean_kbps > 300.0  # payload floor
     assert result.continuity is None  # PAG-only measurement
@@ -124,7 +121,7 @@ def test_acting_scenario_runs_and_measures():
 
 
 def test_scenario_result_cdf_and_summary():
-    result = run_scenario("fig7", nodes=16, rounds=6)
+    result = get_scenario("fig7", nodes=16, rounds=6).run()
     cdf = result.cdf()
     assert len(cdf) == 15
     assert cdf[-1][1] == pytest.approx(100.0)
@@ -138,11 +135,9 @@ def test_scenario_result_cdf_and_summary():
 
 
 def test_pag_scenario_identical_under_sharded_policy():
-    serial = run_scenario("fig7", nodes=16, rounds=6)
-    sharded = run_scenario(
-        "fig7", nodes=16, rounds=6,
-        execution_policy=ParallelShardedPolicy(workers=4),
-    )
+    spec = get_scenario("fig7", nodes=16, rounds=6)
+    serial = spec.run()
+    sharded = spec.run(ParallelShardedPolicy(workers=4))
     assert sharded.node_kbps == serial.node_kbps
     assert sharded.messages_sent == serial.messages_sent
     assert sharded.total_bytes == serial.total_bytes

@@ -2,14 +2,15 @@
 
 The fm>1 acceptance property: folding an ``AttestationRelayBatch``'s
 raw (hash, cofactor) pairs through a :class:`BatchVerifier` in one
-multi-exponentiation pass, the way ``MonitorEngine._fold_wire_pair``
-feeds it, must be bit-identical to the sequential
-``lift_attested``/``combine_lifted`` chain the per-pair path runs —
-same product, same modulus.
+pass, the way ``MonitorEngine._fold_wire_pair`` feeds it, must be
+bit-identical to the sequential ``lift_attested``/``combine_lifted``
+chain the per-pair path runs — same product, same modulus — on every
+available backend.
 """
 
 from types import SimpleNamespace
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -21,13 +22,17 @@ from repro.core.verification import (
     lift_attested,
 )
 from repro.crypto import HomomorphicHasher
+from repro.crypto.backend import available_backends, resolve_backend
 
 # A composite (RSA-style) test modulus, wide enough for real folds.
 MODULUS = (2**61 - 1) * (2**31 - 1)
 
 
-def _hasher() -> HomomorphicHasher:
-    return HomomorphicHasher(modulus=MODULUS)
+def _hasher(backend=None) -> HomomorphicHasher:
+    """A hasher on ``backend`` (None: the process's default)."""
+    return HomomorphicHasher(
+        modulus=MODULUS, backend=resolve_backend(backend)
+    )
 
 
 def _fold(hasher, triples) -> int:
@@ -61,10 +66,13 @@ triples_st = st.lists(
 )
 
 
+@pytest.mark.parametrize("backend", available_backends())
 @settings(max_examples=60, deadline=None)
 @given(triples=triples_st)
-def test_fold_matches_sequential_lift_chain(triples):
-    assert _fold(_hasher(), triples) == _sequential(_hasher(), triples)
+def test_fold_matches_sequential_lift_chain(backend, triples):
+    assert _fold(_hasher(backend), triples) == _sequential(
+        _hasher(backend), triples
+    )
 
 
 @settings(max_examples=40, deadline=None)
