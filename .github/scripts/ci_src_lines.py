@@ -26,7 +26,7 @@ from typing import Dict
 
 #: Most lines ``src/repro`` may hold; raise it in the change that
 #: grows the tree.
-SRC_CEILING = 22_047
+SRC_CEILING = 21_663
 
 
 def count_lines(path: Path) -> int:

@@ -2,8 +2,8 @@
 
 Usage::
 
-    python -m repro run [--nodes N] [--rounds R] [--rate KBPS]
-    python -m repro run --scenario fig9 [--nodes 240] [--policy parallel]
+    python -m repro run --scenario fig9 [--nodes N] [--rounds R] [--rate KBPS]
+    python -m repro run --scenario fig9 [--policy parallel] [--workers W]
     python -m repro run --scenario detect --strategy silent-receiver
     python -m repro scenarios
     python -m repro serve --scenario fig7 --listen tcp://127.0.0.1:0
@@ -12,12 +12,13 @@ Usage::
     python -m repro verify [--fanout F]
     python -m repro lint [PATHS ...] [--rules]
 
-``run --scenario NAME`` dispatches through the scenario registry; when
-the name has a registered paper renderer (``fig7``..``table2``,
-``detect``) the figure/table is printed next to the paper's reference
-values.  ``serve``/``watch``/``ctl`` expose the supervised service
-mode — a live session with health, an NDJSON event stream, and
-operator control applied at round boundaries (see repro.service).
+``run --scenario NAME`` dispatches through the scenario registry (an
+ad-hoc run is a named scenario plus overrides); when the name has a
+registered paper renderer (``fig7``..``table2``, ``detect``) the
+figure/table is printed next to the paper's reference values.
+``serve``/``watch``/``ctl`` expose the supervised service mode — a live
+session with health, an NDJSON event stream, and operator control
+applied at round boundaries (see repro.service).
 """
 
 from __future__ import annotations
@@ -80,9 +81,9 @@ def _add_policy_flags(parser: argparse.ArgumentParser) -> None:
 def _policy_from(args):
     """Build the execution policy the ``repro run`` flags describe.
 
-    ``--policy parallel`` rebuilds its worker replicas from a scenario
-    spec, so it needs ``--scenario``; its worker count defaults to that
-    scenario's ``workers`` field.
+    ``--policy parallel`` rebuilds its worker replicas from the
+    scenario spec; its worker count defaults to that scenario's
+    ``workers`` field.
     """
     from repro.sim.execution import make_policy
 
@@ -95,8 +96,6 @@ def _policy_from(args):
         return None
     if args.policy != "parallel":
         return make_policy(args.policy)
-    if args.scenario is None:
-        raise SystemExit("error: --policy parallel requires --scenario")
     workers = args.workers
     if workers is None:
         from repro.scenarios import get_scenario
@@ -116,11 +115,11 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     run = sub.add_parser(
-        "run", help="run an honest PAG session or a named scenario"
+        "run", help="run a named scenario, with overrides"
     )
     run.add_argument(
         "--scenario",
-        default=None,
+        required=True,
         help="named scenario from the registry (see 'repro scenarios')",
     )
     run.add_argument("--nodes", type=int, default=None)
@@ -131,8 +130,8 @@ def build_parser() -> argparse.ArgumentParser:
         type=_positive_int,
         default=None,
         help=(
-            "with --scenario: population-tier size override (caps a "
-            "million-node scenario to smoke scale, or scales one up)"
+            "population-tier size override (caps a million-node "
+            "scenario to smoke scale, or scales one up)"
         ),
     )
     run.add_argument(
@@ -140,8 +139,8 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="PATH",
         help=(
-            "with --scenario: also write the run summary (wall clock, "
-            "bytes, CDF) as JSON to PATH"
+            "also write the run summary (wall clock, bytes, CDF) as "
+            "JSON to PATH"
         ),
     )
     run.add_argument(
@@ -242,14 +241,6 @@ def build_parser() -> argparse.ArgumentParser:
         choices=("mem", "tcp", "unix"),
         default="mem",
         help="transport scheme for --local-daemons (default mem)",
-    )
-    session.add_argument(
-        "--no-batch-relays",
-        action="store_true",
-        help=(
-            "send attestation relays one per frame instead of "
-            "coalescing same-monitor relays into one signed batch"
-        ),
     )
     session.add_argument(
         "--verify-serial",
@@ -407,57 +398,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_run(args) -> int:
-    if args.scenario is not None:
-        from repro.scenarios.figures import render_scenario_run
+    from repro.scenarios.figures import render_scenario_run
 
-        return render_scenario_run(
-            args.scenario,
-            nodes=args.nodes,
-            rounds=args.rounds,
-            rate=args.rate,
-            execution_policy=_policy_from(args),
-            json_out=args.json,
-            population=args.population,
-            strategy=args.strategy,
-        )
-    if args.json is not None:
-        raise SystemExit("error: --json requires --scenario")
-    if args.population is not None:
-        raise SystemExit("error: --population requires --scenario")
-    if args.strategy is not None:
-        raise SystemExit("error: --strategy requires --scenario")
-
-    from repro.core import PagConfig, PagSession
-
-    nodes = args.nodes if args.nodes is not None else 30
-    rounds = args.rounds if args.rounds is not None else 15
-    rate = args.rate if args.rate is not None else 300.0
-    policy = _policy_from(args)
-    if rounds < 1:
-        raise SystemExit(f"error: --rounds must be at least 1, got {rounds}")
-    try:
-        config = PagConfig.for_system_size(nodes, stream_rate_kbps=rate)
-        session = PagSession.create(
-            nodes, config=config, execution_policy=policy
-        )
-    except ValueError as exc:
-        raise SystemExit(f"error: {exc}") from None
-    session.run(rounds)
-    mean = session.mean_bandwidth_kbps(
-        warmup_rounds=min(4, rounds - 1), direction="down"
+    return render_scenario_run(
+        args.scenario,
+        nodes=args.nodes,
+        rounds=args.rounds,
+        rate=args.rate,
+        execution_policy=_policy_from(args),
+        json_out=args.json,
+        population=args.population,
+        strategy=args.strategy,
     )
-    print(f"{nodes} nodes, {rounds} rounds, {rate:.0f} Kbps stream")
-    print(f"mean download      : {mean:.0f} Kbps per node")
-    print(f"mean continuity    : {session.mean_continuity():.1%}")
-    print(f"verdicts           : {len(session.all_verdicts())}")
-    ops = session.crypto_report()
-    node_rounds = len(session.nodes) * session.current_round
-    print(
-        f"crypto per node-sec: {ops['signatures'] / node_rounds:.1f} "
-        f"signatures, {ops['homomorphic_hashes'] / node_rounds:.0f} "
-        "homomorphic hashes"
-    )
-    return 0
 
 
 def _cmd_scenarios(args) -> int:
@@ -561,15 +513,12 @@ def _cmd_session(args) -> int:
     # own knob so --verify-serial compares against the serial baseline.
     spec = dataclasses.replace(spec, policy=None)
     validate_daemon_spec(spec)
-    batch_relays = not args.no_batch_relays
     if args.daemons is not None:
         endpoints = [
             item.strip() for item in args.daemons.split(",") if item.strip()
         ]
         try:
-            coordinator = SessionCoordinator(
-                spec, endpoints, batch_relays=batch_relays
-            )
+            coordinator = SessionCoordinator(spec, endpoints)
         except ValueError as exc:
             raise SystemExit(f"error: {exc}") from None
         result = asyncio.run(coordinator.run())
@@ -579,7 +528,6 @@ def _cmd_session(args) -> int:
                 spec,
                 shards=args.local_daemons,
                 scheme=args.transport,
-                batch_relays=batch_relays,
             )
         )
     print(

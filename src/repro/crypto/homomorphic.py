@@ -463,12 +463,6 @@ class HomomorphicHasher:
             "fixed_base_max": self.fixed_base_max,
         }
 
-    def reset_counter(self) -> int:
-        """Return the operation count and reset it to zero."""
-        count = self.operations
-        self.operations = 0
-        return count
-
 
 def fresh_hasher(
     bits: int = DEFAULT_MODULUS_BITS, seed: int | None = None

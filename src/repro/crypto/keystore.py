@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Dict, Optional
+from typing import Dict
 
 from repro.crypto.rsa import RsaKeyPair, RsaPublicKey, generate_keypair
 
@@ -95,43 +95,9 @@ class KeyStore:
             raise KeyError(f"node {node_id} has no registered key pair")
         return self._pairs[node_id]
 
-    def known_nodes(self) -> list[int]:
-        return sorted(self._pairs)
-
     def __contains__(self, node_id: int) -> bool:
         return node_id in self._pairs
 
     def __len__(self) -> int:
         return len(self._pairs)
 
-
-def signed_blob(
-    keystore: KeyStore,
-    signer: int,
-    payload: bytes,
-    counters: Optional[CryptoCounters] = None,
-) -> tuple[bytes, int]:
-    """Sign ``payload`` with the signer's key; returns (payload, signature).
-
-    Mirrors the paper's ``<m>X`` notation.  Counts one signature.
-    """
-    pair = keystore.register(signer)
-    if counters is not None:
-        counters.signatures += 1
-    return payload, pair.private.sign(payload)
-
-
-def check_signed_blob(
-    keystore: KeyStore,
-    signer: int,
-    payload: bytes,
-    signature: int,
-    counters: Optional[CryptoCounters] = None,
-) -> bool:
-    """Verify a ``<m>X`` blob against the registered public key."""
-    if counters is not None:
-        counters.verifications += 1
-    return keystore.public_key(signer).verify(payload, signature)
-
-
-__all__ += ["signed_blob", "check_signed_blob"]

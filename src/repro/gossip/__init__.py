@@ -1,13 +1,7 @@
-"""Gossip dissemination substrate: updates, source, buffermaps, push gossip."""
+"""Gossip dissemination substrate: updates, source, push gossip."""
 
 from __future__ import annotations
 
-from repro.gossip.buffermap import (
-    DEFAULT_BUFFERMAP_DEPTH,
-    HashedBuffermap,
-    PlainBuffermap,
-    buffermap_hash_count,
-)
 from repro.gossip.dissemination import (
     PlainGossipNode,
     PlainSourceNode,
@@ -17,15 +11,11 @@ from repro.gossip.source import StreamSchedule
 from repro.gossip.updates import Update, UpdateStore, content_integer
 
 __all__ = [
-    "DEFAULT_BUFFERMAP_DEPTH",
-    "HashedBuffermap",
-    "PlainBuffermap",
     "PlainGossipNode",
     "PlainSourceNode",
     "PushMessage",
     "StreamSchedule",
     "Update",
     "UpdateStore",
-    "buffermap_hash_count",
     "content_integer",
 ]

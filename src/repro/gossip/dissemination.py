@@ -4,11 +4,9 @@ This is the textbook protocol of section II-A (Fig. 1): each round, a
 node forwards the updates it received during the previous round to
 ``f`` uniformly random successors.  It provides no accountability (a
 selfish node can silently drop everything) and no privacy (updates and
-their routes are visible to any observer).  It serves as:
-
-* the dissemination engine reused by the baselines, and
-* the lower envelope for bandwidth comparisons (any accountable or
-  private protocol pays at least this much).
+their routes are visible to any observer).  It is the lower envelope
+for bandwidth comparisons: any accountable or private protocol pays at
+least this much (``examples/live_streaming.py`` runs it beside PAG).
 """
 
 from __future__ import annotations

@@ -13,7 +13,7 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Dict, Iterable, List, Optional, Set
+from typing import Dict, Optional, Set
 
 __all__ = ["Update", "UpdateStore", "content_integer"]
 
@@ -116,14 +116,6 @@ class UpdateStore:
     def uids(self) -> Set[int]:
         return set(self._updates)
 
-    def received_in_round(self, round_no: int) -> List[Update]:
-        """Updates that first arrived during ``round_no`` (to forward next)."""
-        return [
-            self._updates[uid]
-            for uid, rnd in self._arrival_round.items()
-            if rnd == round_no and uid in self._updates
-        ]
-
     def recent_uids(self, current_round: int, depth: int) -> Set[int]:
         """Updates that arrived within the last ``depth`` rounds.
 
@@ -156,10 +148,3 @@ class UpdateStore:
     def ever_received(self, uid: int) -> bool:
         """True if ``uid`` arrived at any point, even if since evicted."""
         return uid in self._arrival_round
-
-    def total_ever_received(self) -> int:
-        return len(self._arrival_round)
-
-    def bulk_add(self, updates: Iterable[Update], round_no: int) -> int:
-        """Add many updates; returns how many were new."""
-        return sum(1 for u in updates if self.add(u, round_no))

@@ -1,4 +1,4 @@
-"""Membership management: directory, per-round views, peer sampling.
+"""Membership management: directory and per-round views.
 
 Implements the service the paper assumes from Fireflies-style membership
 protocols: every node can compute, for any node and round, that node's
@@ -8,13 +8,10 @@ successors and monitors (section III).
 from __future__ import annotations
 
 from repro.membership.directory import Directory
-from repro.membership.sampling import PeerSampler, chi_square_uniformity
 from repro.membership.views import ViewProvider, default_fanout
 
 __all__ = [
     "Directory",
-    "PeerSampler",
     "ViewProvider",
-    "chi_square_uniformity",
     "default_fanout",
 ]

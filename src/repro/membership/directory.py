@@ -11,7 +11,7 @@ cannot forge multiple identities.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, List
+from typing import Iterator, List
 
 __all__ = ["Directory"]
 
@@ -65,9 +65,3 @@ class Directory:
 
     def __len__(self) -> int:
         return len(self.members)
-
-    def validate_subset(self, nodes: Iterable[int]) -> None:
-        member_set = set(self.members)
-        missing = [n for n in nodes if n not in member_set]
-        if missing:
-            raise ValueError(f"nodes {missing} are not session members")

@@ -299,7 +299,6 @@ class NodeDaemon:
             return
         self.shard = join.shard
         self.shards = join.shards
-        self.batch_relays = join.batch_relays
         session = spec.build(None)
         simulator = session.simulator
         all_ids = sorted(simulator.nodes)
@@ -445,8 +444,6 @@ class NodeDaemon:
         replaces the group's first relay, preserving relative order;
         singleton groups stay plain relays.
         """
-        if not self.batch_relays:
-            return messages
         groups: Dict[Tuple[int, int, int], List[int]] = {}
         for index, message in enumerate(messages):
             if isinstance(message, AttestationRelay):
@@ -539,18 +536,12 @@ class SessionCoordinator:
     schedule, merges the shard reports and shuts the fleet down.
     """
 
-    def __init__(
-        self,
-        spec: ScenarioSpec,
-        endpoints: List[str],
-        batch_relays: bool = True,
-    ) -> None:
+    def __init__(self, spec: ScenarioSpec, endpoints: List[str]) -> None:
         if len(endpoints) < 1:
             raise ValueError("a session needs at least one daemon")
         validate_daemon_spec(spec)
         self.spec = spec
         self.endpoints = list(endpoints)
-        self.batch_relays = batch_relays
 
     async def run(self) -> dict:
         spec_json = json.dumps(self.spec.to_json(), sort_keys=True).encode()
@@ -565,7 +556,6 @@ class SessionCoordinator:
                     shards=len(conns),
                     spec_json=spec_json,
                     peers=tuple(self.endpoints),
-                    batch_relays=self.batch_relays,
                 ))
             for shard, conn in enumerate(conns):
                 reply = await self._recv(conn)
@@ -691,7 +681,6 @@ async def run_coordinated_session(
     spec: ScenarioSpec,
     shards: int = 2,
     scheme: str = "mem",
-    batch_relays: bool = True,
 ) -> dict:
     """Spin up ``shards`` daemons plus a coordinator in this event loop.
 
@@ -724,10 +713,7 @@ async def run_coordinated_session(
             asyncio.get_running_loop().create_task(d.serve_forever())
             for d in daemons
         ]
-        coordinator = SessionCoordinator(
-            spec, endpoints, batch_relays=batch_relays
-        )
-        result = await coordinator.run()
+        result = await SessionCoordinator(spec, endpoints).run()
         await asyncio.gather(*servers)
         return result
     finally:

@@ -897,7 +897,6 @@ class JoinRequest:
     shards: int
     spec_json: bytes
     peers: Tuple[str, ...]
-    batch_relays: bool = True
     kind = "join_request"
 
 
@@ -916,7 +915,6 @@ _layout(
     shards=SHARD,
     spec_json=BLOB,
     peers=LIST(STRING, 1 << 16),
-    batch_relays=BOOL,
 )
 
 

@@ -9,6 +9,7 @@ for synchronous callers like ``repro ctl``.
 from __future__ import annotations
 
 import asyncio
+import dataclasses
 import json
 from typing import (
     Any,
@@ -126,17 +127,7 @@ class ServiceClient:
 
 async def _one_shot_health(endpoint: str) -> Dict[str, Any]:
     async with ServiceClient(endpoint) as client:
-        report = await client.health()
-    return {
-        "state": report.state,
-        "scenario": report.scenario,
-        "current_round": report.current_round,
-        "total_rounds": report.total_rounds,
-        "nodes": report.nodes,
-        "subscribers": report.subscribers,
-        "events_published": report.events_published,
-        "restarts": report.restarts,
-    }
+        return dataclasses.asdict(await client.health())
 
 
 def request_health(endpoint: str) -> Dict[str, Any]:

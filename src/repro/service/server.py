@@ -102,7 +102,7 @@ class ServiceServer:
                 if message is None:
                     return
                 if isinstance(message, wire.HealthRequest):
-                    await send_message(conn, self._health_report())
+                    await send_message(conn, self.supervisor.health())
                 elif isinstance(message, wire.ControlRequest):
                     await self._handle_control(conn, message)
                 elif isinstance(message, wire.SubscribeRequest):
@@ -125,19 +125,6 @@ class ServiceServer:
         finally:
             self._connections.discard(conn)
             await conn.close()
-
-    def _health_report(self) -> wire.HealthReport:
-        health = self.supervisor.health()
-        return wire.HealthReport(
-            state=str(health["state"]),
-            scenario=str(health["scenario"]),
-            current_round=int(health["current_round"]),  # type: ignore[call-overload]
-            total_rounds=int(health["total_rounds"]),  # type: ignore[call-overload]
-            nodes=int(health["nodes"]),  # type: ignore[call-overload]
-            subscribers=int(health["subscribers"]),  # type: ignore[call-overload]
-            events_published=int(health["events_published"]),  # type: ignore[call-overload]
-            restarts=int(health["restarts"]),  # type: ignore[call-overload]
-        )
 
     async def _handle_control(
         self, conn: Connection, message: wire.ControlRequest

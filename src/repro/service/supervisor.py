@@ -31,6 +31,7 @@ import time
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
+from repro.net.wire import HealthReport
 from repro.service.events import EventBus
 from repro.service.hooks import SessionTap
 
@@ -409,21 +410,21 @@ class SessionSupervisor:
     # Health
     # ------------------------------------------------------------------
 
-    def health(self) -> Dict[str, object]:
-        """The liveness snapshot served as a ``HealthReport`` frame."""
+    def health(self) -> HealthReport:
+        """The liveness snapshot; the server sends it as the frame."""
         nodes = 0
         if self.session is not None:
             nodes = len(self.session.nodes) + 1
-        return {
-            "state": self.state,
-            "scenario": self.spec.name,
-            "current_round": self.rounds_completed,
-            "total_rounds": self.spec.rounds,
-            "nodes": nodes,
-            "subscribers": self.bus.subscriber_count,
-            "events_published": self.bus.published,
-            "restarts": self.restarts,
-        }
+        return HealthReport(
+            state=self.state,
+            scenario=self.spec.name,
+            current_round=self.rounds_completed,
+            total_rounds=self.spec.rounds,
+            nodes=nodes,
+            subscribers=self.bus.subscriber_count,
+            events_published=self.bus.published,
+            restarts=self.restarts,
+        )
 
 
 def _make_behavior(strategy: str) -> object:

@@ -46,7 +46,7 @@ import math
 import resource
 import sys
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -553,20 +553,7 @@ def build_population_result(
         # not leak the spill's temp directory.
         plane.close()
     return PopulationResult(
-        spec=base.spec,
-        session=base.session,
-        node_kbps=base.node_kbps,
-        mean_kbps=base.mean_kbps,
-        messages_sent=base.messages_sent,
-        total_bytes=base.total_bytes,
-        verdicts=base.verdicts,
-        convicted=base.convicted,
-        continuity=base.continuity,
-        crypto_hashes=base.crypto_hashes,
-        messages_dropped=base.messages_dropped,
-        messages_delayed=base.messages_delayed,
-        fault_stats=base.fault_stats,
-        accusations=base.accusations,
+        **{f.name: getattr(base, f.name) for f in fields(base)},
         population=spec.population,
         population_mean_kbps=population_mean,
         plane_mean_kbps=plane_mean,

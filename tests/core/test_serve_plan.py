@@ -6,7 +6,8 @@ successor's entries and ``(forward, ack_only)`` products in a single
 loop.  These tests hold that loop to the two-pass shape it replaced, on
 every key response of two real runs, and pin the corners around it: the
 adversary hook, a reception that lands between two serves of a round,
-and entries shared between serves.
+entries shared between serves, and a buffermap hashed under another
+link's prime.
 """
 
 import dataclasses
@@ -163,6 +164,30 @@ def test_filtered_serves_attest_what_was_kept():
                     hasher, products, serve.key_prev
                 )
         assert dropped > 0
+
+
+def test_wrong_prime_hides_membership():
+    """A buffermap hashed under another link's prime marks no entry as
+    owned: the hashes a node advertises on one link are unlinkable to
+    those of the next (section V-D)."""
+    session = get_scenario("fig9", nodes=16, rounds=6).build(None)
+    session.run(4)
+    round_no = 3  # its forward set (round 2) is still kept
+    hasher = session.context.hasher
+    node = next(
+        node
+        for node in session.nodes.values()
+        if node.node_id != 0 and node._serve_plan(round_no).contents
+    )
+    contents = node._serve_plan(round_no).contents
+    prime, other = node._prime_pool.take(), node._prime_pool.take()
+    buffermap = frozenset(hasher.hash_many(contents, prime))
+
+    entries, _ = node._classify_entries(round_no, buffermap, other)
+    assert len(entries) == len(contents)
+    assert all(entry.has_payload for entry in entries)
+    entries, _ = node._classify_entries(round_no, buffermap, prime)
+    assert not any(entry.has_payload for entry in entries)
 
 
 # -- a reception between two serves of one round ------------------------

@@ -1,11 +1,12 @@
 """Tests for membership directory and per-round views."""
 
+from collections import Counter
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.membership.directory import Directory
-from repro.membership.sampling import PeerSampler, chi_square_uniformity
 from repro.membership.views import ViewProvider, default_fanout
 from repro.sim.rng import SeedSequence
 
@@ -42,12 +43,6 @@ class TestDirectory:
     def test_others(self):
         d = Directory.of_size(4)
         assert d.others(2) == [0, 1, 3]
-
-    def test_validate_subset(self):
-        d = Directory.of_size(4)
-        d.validate_subset([1, 2])
-        with pytest.raises(ValueError):
-            d.validate_subset([1, 9])
 
     def test_contains_and_len(self):
         d = Directory.of_size(4)
@@ -94,6 +89,23 @@ class TestSuccessors:
             make_views(n=4, fanout=4)
         with pytest.raises(ValueError):
             make_views(n=4, fanout=0)
+
+    def test_uniformity_chi_square(self):
+        # Aggregate successor picks over many rounds; Pearson's statistic
+        # against uniform should stay below a generous chi-square bound
+        # for 47 dof (~83 at 99.9%).
+        views = make_views(n=50, seed=9)
+        counts = Counter()
+        for rnd in range(200):
+            counts.update(views.successors(10, rnd))
+        population = [m for m in range(50) if m not in (0, 10)]
+        assert set(counts) <= set(population)
+        expected = sum(counts.values()) / len(population)
+        stat = sum(
+            (counts[member] - expected) ** 2 / expected
+            for member in population
+        )
+        assert stat < 100.0
 
 
 class TestPredecessors:
@@ -176,42 +188,6 @@ def test_monitored_by_equals_the_per_monitor_scan():
             m for m in members if monitor in views.monitors(m)
         ]
     assert views.monitored_by(0) == []  # the source monitors nobody
-
-
-class TestPeerSampler:
-    def test_sample_excludes_self_and_source(self):
-        sampler = PeerSampler(Directory.of_size(10), SeedSequence(3))
-        picks = sampler.sample(4, round_no=0, count=5)
-        assert 4 not in picks
-        assert 0 not in picks
-        assert len(picks) == 5
-
-    def test_sample_too_large(self):
-        sampler = PeerSampler(Directory.of_size(5), SeedSequence(3))
-        with pytest.raises(ValueError):
-            sampler.sample(1, 0, count=4)  # only 3 candidates remain
-
-    def test_deterministic(self):
-        s1 = PeerSampler(Directory.of_size(10), SeedSequence(3))
-        s2 = PeerSampler(Directory.of_size(10), SeedSequence(3))
-        assert s1.sample(2, 5, 3) == s2.sample(2, 5, 3)
-
-    def test_uniformity_chi_square(self):
-        # Aggregate successor picks over many rounds; the statistic should
-        # stay below a generous chi-square bound for 48 dof (~85 at 99.9%).
-        views = make_views(n=50, seed=9)
-        observations = []
-        for rnd in range(200):
-            observations.extend(views.successors(10, rnd))
-        population = [m for m in range(50) if m not in (0, 10)]
-        stat = chi_square_uniformity(observations, population)
-        assert stat < 100.0
-
-    def test_chi_square_validations(self):
-        with pytest.raises(ValueError):
-            chi_square_uniformity([], [1, 2])
-        with pytest.raises(ValueError):
-            chi_square_uniformity([9], [1, 2])
 
 
 @given(st.integers(min_value=5, max_value=60), st.integers(0, 2**16))

@@ -229,7 +229,6 @@ def control_messages():
             spec_json=b'{"name": "fig7"}',
             peers=("tcp://127.0.0.1:4001", "tcp://127.0.0.1:4002",
                    "tcp://127.0.0.1:4003"),
-            batch_relays=True,
         ),
         JoinAccept(shard=1, nodes_owned=5, spec_digest="0123abcd0123abcd"),
         JoinReject(reason="scenario uses churn"),

@@ -88,7 +88,6 @@ async def _join_with(spec_json):
         shards=1,
         spec_json=spec_json,
         peers=(endpoint,),
-        batch_relays=True,
     ))
     reply = await recv_message(conn)
     await conn.close()
@@ -185,19 +184,6 @@ def test_sharded_session_matches_serial_verdicts(shards):
     # fm>1 pairs travelled as signed batches and folded at the monitors.
     assert result["relay_batches"] > 0
     assert result["relays_batched"] >= 2 * result["relay_batches"]
-
-
-def test_unbatched_session_matches_too():
-    """batch_relays=False sends one frame per pair; same verdicts."""
-    spec = small_spec("selfish")
-    serial = _serial_verdicts(spec)
-    result = asyncio.run(
-        run_coordinated_session(
-            spec, shards=2, scheme="mem", batch_relays=False
-        )
-    )
-    assert _daemon_verdicts(result) == serial
-    assert result["relay_batches"] == 0
 
 
 def test_clean_run_convicts_nobody():

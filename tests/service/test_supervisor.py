@@ -173,7 +173,7 @@ class TestLiveControl:
         try:
             ok, detail = supervisor.control(ControlOp("pause"))
             assert ok and detail == "paused"
-            assert supervisor.health()["state"] == "paused"
+            assert supervisor.health().state == "paused"
             frozen = supervisor.rounds_completed
             ok, detail = supervisor.control(ControlOp("snapshot"))
             assert ok
@@ -234,16 +234,16 @@ class TestHealth:
     def test_health_shape_tracks_the_run(self):
         supervisor = SessionSupervisor(_base())
         health = supervisor.health()
-        assert health["state"] == "init"
-        assert health["nodes"] == 0
+        assert health.state == "init"
+        assert health.nodes == 0
         result = supervisor.run()
         health = supervisor.health()
-        assert health["state"] == "stopped"
-        assert health["current_round"] == supervisor.spec.rounds
-        assert health["total_rounds"] == supervisor.spec.rounds
-        assert health["nodes"] == len(result.session.nodes) + 1
-        assert health["restarts"] == 0
-        assert health["subscribers"] == 0
+        assert health.state == "stopped"
+        assert health.current_round == supervisor.spec.rounds
+        assert health.total_rounds == supervisor.spec.rounds
+        assert health.nodes == len(result.session.nodes) + 1
+        assert health.restarts == 0
+        assert health.subscribers == 0
 
     def test_state_vocabulary_is_pinned(self):
         assert STATES == (
