@@ -50,7 +50,6 @@ class TestParser:
             ("--shards", "0"),
             ("--shards", "-1"),
             ("--workers", "three"),
-            ("--population", "0"),
         ):
             with pytest.raises(SystemExit):
                 build_parser().parse_args(
@@ -77,8 +76,6 @@ class TestParser:
         for extra in (
             [],
             ["--nodes", "8", "--rounds", "2"],
-            ["--policy", "parallel"],
-            ["--population", "100"],
             ["--json", "out.json"],
             ["--strategy", "free-rider"],
         ):
@@ -87,6 +84,17 @@ class TestParser:
             assert exc.value.code == 2
             err = capsys.readouterr().err
             assert "the following arguments are required: --scenario" in err
+
+    def test_parallel_policy_requires_a_scenario(self, capsys):
+        """A hand-built session has no spec to rebuild worker replicas
+        from; a parallel run without ``--scenario`` is a usage error,
+        never a run reported parallel that ran inline."""
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--nodes", "8", "--rounds", "2",
+                  "--policy", "parallel"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "the following arguments are required: --scenario" in err
 
     def test_parallel_workers_default_to_the_scenarios(self):
         from repro.cli import _policy_from
@@ -242,6 +250,18 @@ class TestCommands:
         assert summary["population"] == 300
         assert summary["population_mean_down_kbps"] > 0
         assert summary["plane"]["plane_nodes"] == 284
+
+    def test_run_population_requires_a_scenario(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--nodes", "8", "--rounds", "2",
+                  "--population", "100"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "the following arguments are required: --scenario" in err
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(
+                ["run", "--scenario", "fig9", "--population", "0"]
+            )
 
     def test_scenarios_listing(self, capsys):
         assert main(["scenarios"]) == 0
