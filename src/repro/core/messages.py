@@ -325,12 +325,6 @@ class Serve(Message):
             + sizes.encryption_overhead
         )
 
-    def forward_entries(self) -> Tuple[ServeEntry, ...]:
-        return tuple(e for e in self.entries if not e.ack_only)
-
-    def ack_only_entries(self) -> Tuple[ServeEntry, ...]:
-        return tuple(e for e in self.entries if e.ack_only)
-
 
 @dataclass(slots=True)
 class Attestation(Message):

@@ -252,11 +252,7 @@ class MonitorEngine:
         if not self.active:
             return
         attestation = message.attestation
-        if not self.context.signer.verify(
-            attestation.server,
-            attestation.payload_bytes_desc(),
-            attestation.signature,
-        ):
+        if not self.context.signer.check(attestation.server, attestation):
             self.counters["declarations_rejected"] += 1
             return  # forged attestation: ignore (cannot be lifted safely)
         if not self.context.signer.verify(
@@ -326,9 +322,7 @@ class MonitorEngine:
                 )
         for pair in message.pairs:
             att = pair.attestation
-            if not self.context.signer.verify(
-                att.server, att.payload_bytes_desc(), att.signature
-            ):
+            if not self.context.signer.check(att.server, att):
                 self.counters["declarations_rejected"] += 1
                 continue
             if forwarded:
@@ -521,9 +515,7 @@ class MonitorEngine:
         self._store_relay(message.server, message.ack)
 
     def _ack_signature_valid(self, ack: SignedAck) -> bool:
-        return self.context.signer.verify(
-            ack.receiver, ack.payload_bytes_desc(), ack.signature
-        )
+        return self.context.signer.check(ack.receiver, ack)
 
     def _store_relay(self, server: int, ack: SignedAck) -> None:
         per_round = self._relays.setdefault((server, ack.round_no), {})
@@ -623,9 +615,7 @@ class MonitorEngine:
         ack: SignedAck,
         expected: int,
     ) -> None:
-        if not self.context.signer.verify(
-            ack.receiver, ack.payload_bytes_desc(), ack.signature
-        ):
+        if not self._ack_signature_valid(ack):
             self._open_case(server, successor, round_no)
             return
         if ack.hash_total != expected:
@@ -782,9 +772,7 @@ class MonitorEngine:
         expected = hash_entries(
             self.context.hasher, probe.entries, probe.key_prev
         )
-        if ack.hash_total != expected or not self.context.signer.verify(
-            ack.receiver, ack.payload_bytes_desc(), ack.signature
-        ):
+        if ack.hash_total != expected or not self._ack_signature_valid(ack):
             return  # a bogus probe answer counts as no answer
         probe.answered = True
         self.counters["probe_acks_accepted"] += 1
@@ -902,9 +890,7 @@ class MonitorEngine:
             valid = (
                 ack.receiver == message.successor
                 and ack.round_no == message.exchange_round
-                and self.context.signer.verify(
-                    ack.receiver, ack.payload_bytes_desc(), ack.signature
-                )
+                and self._ack_signature_valid(ack)
             )
             if valid:
                 # The successor acknowledged to its server, yet the ack

@@ -74,12 +74,6 @@ from repro.sim.node import SimNode
 
 __all__ = ["PagNode", "PagSourceNode"]
 
-#: KeyResponse descriptions signed and not yet verified, keyed by the
-#: signed fields (a message tampered in flight is another key); popped
-#: when read, cleared as a round ends.  Held in 448-byte pieces: whole,
-#: they left fig9_serial's C heap 1 MiB larger (PERFORMANCE.md).
-_pending_descs: Dict[tuple, List[bytes]] = {}
-
 
 class PagNode(SimNode):
     """A consumer node running PAG."""
@@ -191,7 +185,6 @@ class PagNode(SimNode):
         self.context.views.prune_rounds_before(horizon)
         self.context.hasher.forget_links()
         forget_expired_entries(round_no)
-        _pending_descs.clear()
         for rnd in [r for r in self._designations if r < horizon]:
             del self._designations[rnd]
 
@@ -242,19 +235,16 @@ class PagNode(SimNode):
     def _on_key_response(self, message: KeyResponse) -> None:
         round_no = message.round_no
         successor = message.sender
-        self.context_decrypt()
+        self.context.counters_decrypt()
         signer = self.context.signer
-        if not signer.verify(
-            successor,
-            self._key_response_desc(message),
-            message.signature,
-        ):
-            return
-        prime = message.prime
+        prime, buffermap = message.prime, message.buffermap
+        fields = (successor, message.recipient, round_no, prime, buffermap)
+        if not signer.take((successor, fields, message.signature)):
+            desc = self._key_response_desc(fields)
+            if not signer.verify(successor, desc, message.signature):
+                return
         hasher = self.context.hasher
-        entries, products = self._classify_entries(
-            round_no, message.buffermap, prime
-        )
+        entries, products = self._classify_entries(round_no, buffermap, prime)
         served = self.behavior.filter_serve(entries, successor, round_no)
         if served is not entries:
             entries = served
@@ -268,6 +258,8 @@ class PagNode(SimNode):
             *exhibit,
             signer.sign(self.node_id, attestation_payload(*exhibit)),
         )
+        signer.remember(self.node_id, attestation)
+        hasher.leave((round_no, self.node_id, successor), (entries, products))
         exchange = OutgoingExchange(
             successor=successor,
             round_no=round_no,
@@ -326,9 +318,7 @@ class PagNode(SimNode):
         exchange = self.state.outgoing.get((ack.round_no, ack.receiver))
         if exchange is None:
             return
-        if not self.context.signer.verify(
-            ack.receiver, ack.payload_bytes_desc(), ack.signature
-        ):
+        if not self.context.signer.check(ack.receiver, ack):
             return
         if ack.hash_total != exchange.expected_ack_hash:
             return  # a wrong ack counts as no ack: the accusation will fire
@@ -451,19 +441,12 @@ class PagNode(SimNode):
                 self._buffermap_contents(round_no), prime
             )
         )
-        response = KeyResponse(
-            sender=self.node_id,
-            recipient=predecessor,
-            round_no=round_no,
-            prime=prime,
-            buffermap=buffermap,
-            signature=0,
-        )
-        response.signature = self.context.signer.sign(
-            self.node_id, self._key_response_desc(response, leave=True)
-        )
+        signer = self.context.signer
+        fields = (self.node_id, predecessor, round_no, prime, buffermap)
+        signature = signer.sign(self.node_id, self._key_response_desc(fields))
+        signer.records.add((self.node_id, fields, signature))
         self.context.counters_encrypt()
-        self.send(response)
+        self.send(KeyResponse(*fields, signature))
 
     def _buffermap_contents(self, round_no: int) -> List[int]:
         """Contents advertised in this round's buffermaps.
@@ -487,7 +470,7 @@ class PagNode(SimNode):
         return contents
 
     def _on_serve(self, message: Serve) -> None:
-        self.context_decrypt()
+        self.context.counters_decrypt()
         key = (message.round_no, message.sender)
         self.state.pending_serves[key] = message
 
@@ -501,12 +484,13 @@ class PagNode(SimNode):
         if prime is None:
             return
         attestation = message.attestation
-        if not self.context.signer.verify(
-            server, attestation.payload_bytes_desc(), attestation.signature
-        ):
+        if not self.context.signer.check(server, attestation):
             return
         hasher = self.context.hasher
-        products = split_products(hasher, serve.entries)
+        link = (round_no, server, self.node_id)
+        entries, products = hasher.take(link) or (None, None)
+        if entries != serve.entries:  # rewritten in flight, or not left
+            products = split_products(hasher, serve.entries)
         expected = serve_hashes(hasher, products, prime)
         if (attestation.hash_forward, attestation.hash_ack_only) != expected:
             return  # "the attestation ... can be verified by node B"
@@ -546,12 +530,13 @@ class PagNode(SimNode):
         key_prev: int,
         key_prime_count: int,
     ) -> SignedAck:
+        signer = self.context.signer
         total = ack_hash(self.context.hasher, products, key_prev)
         exhibit = (round_no, self.node_id, server, total, key_prime_count)
-        return SignedAck(
-            *exhibit,
-            self.context.signer.sign(self.node_id, ack_payload(*exhibit)),
-        )
+        payload = ack_payload(*exhibit)
+        ack = SignedAck(*exhibit, signer.sign(self.node_id, payload))
+        signer.remember(self.node_id, ack)
+        return ack
 
     def _declare_to_monitors(
         self,
@@ -714,28 +699,15 @@ class PagNode(SimNode):
     # ------------------------------------------------------------------
 
     @staticmethod
-    def _key_response_desc(message: KeyResponse, leave: bool = False) -> bytes:
-        link = (message.round_no, message.sender, message.recipient)
-        key = (link, message.prime, message.buffermap)
-        pieces = _pending_descs.pop(key, None)
-        if pieces is not None:
-            return b"".join(pieces)
-        desc = (
-            f"keyresp|{message.round_no}|{message.sender}|"
-            f"{message.recipient}|{message.prime}|"
-            f"{sorted(message.buffermap)}".encode()
+    def _key_response_desc(fields: tuple) -> bytes:
+        sender, recipient, round_no, prime, buffermap = fields
+        return (
+            f"keyresp|{round_no}|{sender}|{recipient}|{prime}|"
+            f"{sorted(buffermap)}".encode()
         )
-        if leave:  # the signer's copy, for the verifier in this process
-            _pending_descs[key] = [
-                desc[i : i + 448] for i in range(0, len(desc), 448)
-            ]
-        return desc
 
     def _sign(self, description: str) -> int:
         return self.context.signer.sign(self.node_id, description.encode())
-
-    def context_decrypt(self) -> None:
-        self.context.counters_decrypt()
 
     # ------------------------------------------------------------------
     # Reporting

@@ -133,13 +133,15 @@ class PagSession(SimSession[PagNode]):
             else:
                 nodes[node_id] = node
                 simulator.add_node(node)
-        return cls(
+        session = cls(
             context=context,
             simulator=simulator,
             source=source,
             nodes=nodes,
             pending=pending,
         )
+        simulator.add_round_hook(session.round_over)
+        return session
 
     # ------------------------------------------------------------------
     # Driving
@@ -210,6 +212,9 @@ class PagSession(SimSession[PagNode]):
             node.monitor.verdicts.sink = sink
         for node in self.pending.values():
             node.monitor.verdicts.sink = sink
+
+    def round_over(self, round_no: int) -> None:
+        self.context.signer.forget_round()
 
     @property
     def current_round(self) -> int:

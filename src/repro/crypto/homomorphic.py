@@ -172,7 +172,8 @@ class HomomorphicHasher:
         #: still counts every protocol-level evaluation).
         self._memo: dict = {}
         #: what one end of a link left for the other (same hasher): prime
-        #: -> (updates, results) of a batch, (update, prime) -> a ``hash``.
+        #: -> (updates, results) of a batch, (update, prime) -> a ``hash``,
+        #: (round, server, receiver) -> a serve's (entries, products).
         self._link: dict = {}
         #: fixed-base fast path: base -> (tag, table), built from the
         #: second hashing of a base onward (building costs one pow).
@@ -236,7 +237,7 @@ class HomomorphicHasher:
                 self.memo_hits += 1
                 return result
             result = self._hash_narrow(update, exponent, indices)
-            self._leave((update, exponent), result)
+            self.leave((update, exponent), result)
             return result
         # Wide exponents (round-key and cofactor products): each
         # evaluation costs tens of microseconds and the same hash is
@@ -290,7 +291,7 @@ class HomomorphicHasher:
         if left is None or not updates:
             results = self._hash_batch(updates, exponent, indices)
             if left is None:
-                self._leave(exponent, (updates, results))
+                self.leave(exponent, (updates, results))
             return results
         known = dict(zip(*left))
         results = list(map(known.get, updates))
@@ -332,11 +333,15 @@ class HomomorphicHasher:
             return self._powmod(update, exponent, self.modulus)
         return prod([table[i] for i in indices]) % self.modulus
 
-    def _leave(self, key: Any, value: Any) -> None:
+    def leave(self, key: Any, value: Any) -> None:
         """Leave ``value`` in the link memo for the link's other end."""
         if len(self._link) >= _LINK_MAX:
             self._evict(self._link)
         self._link[key] = value
+
+    def take(self, key: Any) -> Any:
+        """What the link's other end left under ``key``, or None."""
+        return self._link.pop(key, None)
 
     def forget_links(self) -> None:
         """A round ended: nobody will ask for what is still left."""

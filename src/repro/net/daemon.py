@@ -430,6 +430,7 @@ class NodeDaemon:
         for node in simulator._ordered_nodes():
             if node.node_id in self._owned:
                 node.end_round(round_no)
+        session.round_over(round_no)
         simulator.current_round = round_no + 1
         await self._send(control, wire.RoundDone(round_no=round_no))
 

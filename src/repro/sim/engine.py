@@ -210,6 +210,9 @@ class SimSession(Generic[NodeT]):
     def run(self, rounds: int) -> None:
         self.simulator.run(rounds)
 
+    def round_over(self, round_no: int) -> None:
+        """Every node this process runs has ended ``round_no``."""
+
     def remove_node(self, node_id: int) -> None:
         """Churn: the consumer leaves (crashes) between rounds; from
         then on the engine skips it and bandwidth readings omit it."""

@@ -363,6 +363,8 @@ class _ReplicaWorker:
                         node.begin_round(round_no)
                     else:
                         node.end_round(round_no)
+                if phase == "end":
+                    self.session.round_over(round_no)
             else:  # pragma: no cover - protocol misuse
                 raise ValueError(f"unknown phase {phase!r}")
         finally:

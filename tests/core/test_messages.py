@@ -1,6 +1,7 @@
 """Wire-size tests: every PAG message prices its real content."""
 
 import dataclasses
+from random import Random
 
 import pytest
 
@@ -25,6 +26,8 @@ from repro.core.messages import (
     SignedAck,
     SignedAttestation,
 )
+from repro.core.verification import entry_power, split_products
+from repro.crypto.homomorphic import HomomorphicHasher, make_modulus
 from repro.gossip.updates import Update
 from repro.sim.message import WireSizes
 from tests.net.live_traffic import SCENARIOS, live_messages
@@ -125,12 +128,13 @@ class TestMessageSizes:
             )
 
     def test_serve_entry_filters(self):
-        serve = Serve(
-            sender=1, recipient=2, round_no=0,
-            entries=(make_entry(1), make_entry(2, ack_only=True)),
+        """``ack_only`` puts an entry in the second of section V-D's
+        two lists, the ones ``split_products`` multiplies."""
+        entries = (make_entry(1), make_entry(2, ack_only=True))
+        hasher = HomomorphicHasher(modulus=make_modulus(128, Random(1)))
+        assert split_products(hasher, entries) == tuple(
+            entry_power(hasher, entry.update, 1) for entry in entries
         )
-        assert [e.update.uid for e in serve.forward_entries()] == [1]
-        assert [e.update.uid for e in serve.ack_only_entries()] == [2]
 
     def test_attestation_and_ack(self):
         att = Attestation(
